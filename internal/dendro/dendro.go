@@ -87,6 +87,9 @@ func Build(ctx context.Context, items []segclust.Item, opt lsdist.Options, backe
 // — the pipeline's single-build discipline: the same index serves
 // estimation, grouping, and this precompute. One parallel candidate +
 // refine pass at radius maxEps, one sort per neighbor list, one edge sort.
+// The refinement scores at bound maxEps: only pairs within maxEps are
+// stored, and those get their exact distances, so the kernel may stop on
+// the others (segclust.Cursor.DistBlockWithin).
 func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float64, workers int) (*Dendrogram, error) {
 	if err := segclust.CheckPositive("MaxEps", maxEps); err != nil {
 		return nil, err
@@ -122,7 +125,7 @@ func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float6
 		sq := queries[wk]
 		cand[wk] = sq.CandidatesOf(i, maxEps, cand[wk][:0])
 		c := cand[wk]
-		dists[wk] = sq.DistBlock(i, c, dists[wk])
+		dists[wk] = sq.DistBlockWithin(i, c, maxEps, dists[wk])
 		calls[wk] += len(c)
 		list := make([]nb, 0, len(c))
 		for k, j := range c {

@@ -347,6 +347,56 @@ func (r Rect) DistRect(q Rect) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// WithinDist reports whether r.DistRect(q) <= d, and BeyondDist whether
+// r.DistRect(q) > d. They decide exactly as those comparisons for every
+// input — the two differ only when DistRect is NaN, which neither
+// comparison holds for — but compare squared distances and leave the
+// square root to the rare inputs near the boundary.
+//
+// They are the candidate tests of the spatial indexes: WithinDist accepts a
+// grid candidate, BeyondDist prunes an R-tree entry (a node whose MBR is NaN
+// is not pruned, so finite segments below it stay reachable).
+func (r Rect) WithinDist(q Rect, d float64) bool { return r.distAgainst(q, d) <= d }
+
+// BeyondDist reports whether r.DistRect(q) > d; see WithinDist.
+func (r Rect) BeyondDist(q Rect, d float64) bool { return r.distAgainst(q, d) > d }
+
+// Bounds of the squared comparison in distAgainst. Values up to squaredMax
+// square without overflow, and d ≥ squaredMin keeps d² far above the
+// subnormal range, where a square of a tiny dx or dy loses at most 2⁻¹⁰⁷⁴.
+// So dx² + dy² and d² carry a relative error of a few ulps, against
+// math.Hypot's own error of at most 2 ulps. squaredBand is the relative
+// distance from d² inside which the squared comparison could disagree with
+// Hypot's rounding; 2⁻³² is some 10⁶ times those errors, so outside the
+// band both decide alike, and inside it Hypot decides.
+const (
+	squaredMin  = 0x1p-500
+	squaredMax  = 0x1p500
+	squaredBand = 0x1p-32
+)
+
+// distAgainst returns a value that compares with d exactly as
+// r.DistRect(q) does: 0 where dx² + dy² is clearly below d², +Inf where it
+// is clearly above, and DistRect(q) itself otherwise — when a value is
+// non-finite or outside [squaredMin, squaredMax], or dx² + dy² lies within
+// squaredBand of d². The builtin max is NaN or +Inf whenever an operand is
+// non-finite other than −Inf, so such inputs never take the squared path;
+// on the others it equals DistRect's math.Max chain.
+func (r Rect) distAgainst(q Rect, d float64) float64 {
+	dx := max(q.Min.X-r.Max.X, r.Min.X-q.Max.X, 0)
+	dy := max(q.Min.Y-r.Max.Y, r.Min.Y-q.Max.Y, 0)
+	if max(dx, dy, d) <= squaredMax && d >= squaredMin {
+		s, d2 := dx*dx+dy*dy, d*d
+		if s < d2*(1-squaredBand) {
+			return 0
+		}
+		if s > d2*(1+squaredBand) {
+			return math.Inf(1)
+		}
+	}
+	return r.DistRect(q)
+}
+
 // EnlargementNeeded returns how much r's area must grow to include q.
 func (r Rect) EnlargementNeeded(q Rect) float64 {
 	return r.Union(q).Area() - r.Area()

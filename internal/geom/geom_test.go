@@ -416,3 +416,73 @@ func TestStringers(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// TestRectWithinDistMatchesDistRect pins the square-root-free candidate
+// predicates to the comparisons they stand for: WithinDist must decide
+// exactly as DistRect(q) <= d, and BeyondDist as DistRect(q) > d, on random
+// rectangles, on extreme magnitudes (1e±200, subnormals, MaxFloat64/2), on
+// ±Inf and NaN, and with d on and beside the exact DistRect — the band
+// where only math.Hypot can decide.
+func TestRectWithinDistMatchesDistRect(t *testing.T) {
+	check := func(r, q Rect, d float64) {
+		t.Helper()
+		dr := r.DistRect(q)
+		if got := r.WithinDist(q, d); got != (dr <= d) {
+			t.Fatalf("%v.WithinDist(%v, %v) = %v, but DistRect = %v", r, q, d, got, dr)
+		}
+		if got := r.BeyondDist(q, d); got != (dr > d) {
+			t.Fatalf("%v.BeyondDist(%v, %v) = %v, but DistRect = %v", r, q, d, got, dr)
+		}
+	}
+	// around checks d at the exact DistRect, the floats either side of it,
+	// the square root of the squared distance (which may round differently
+	// from Hypot), and points just outside the squared comparison's band.
+	around := func(r, q Rect) {
+		t.Helper()
+		dr := r.DistRect(q)
+		dx := math.Max(0, math.Max(q.Min.X-r.Max.X, r.Min.X-q.Max.X))
+		dy := math.Max(0, math.Max(q.Min.Y-r.Max.Y, r.Min.Y-q.Max.Y))
+		for _, d := range []float64{
+			dr, math.Nextafter(dr, math.Inf(-1)), math.Nextafter(dr, math.Inf(1)),
+			math.Sqrt(dx*dx + dy*dy), dr * (1 - 0x1p-30), dr * (1 + 0x1p-30),
+		} {
+			check(r, q, d)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		x, y := rng.Float64()*1000, rng.Float64()*1000
+		r := Rect{Pt(x, y), Pt(x+rng.Float64()*60, y+rng.Float64()*60)}
+		x, y = rng.Float64()*1000, rng.Float64()*1000
+		q := Rect{Pt(x, y), Pt(x+rng.Float64()*60, y+rng.Float64()*60)}
+		around(r, q)
+		check(r, q, rng.Float64()*300)
+	}
+
+	// Squares that underflow into the subnormal range, where rounding is no
+	// longer relative: dx² rounds to 0 and dy² down while d² rounds up, so
+	// dx² + dy² < d² would say "within" although Hypot(dx, dy) > d.
+	unit := 0x1p-537
+	dx, dy, d := math.Sqrt(0.4)*unit, math.Sqrt(2.4)*unit, math.Sqrt(2.6)*unit
+	check(Rect{}, Rect{Pt(dx, dy), Pt(dx, dy)}, d)
+
+	extremes := []float64{
+		0, math.Copysign(0, -1), 1, -1, 1e200, -1e200, 1e-200, -1e-200,
+		5e-324, -5e-324, 0x1p-1022, math.MaxFloat64 / 2, -math.MaxFloat64 / 2,
+		math.MaxFloat64, 0x1p500, 0x1p-500, 3e150, -3e150,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	pick := func() float64 {
+		if rng.Intn(4) == 0 {
+			return rng.NormFloat64() * 100
+		}
+		return extremes[rng.Intn(len(extremes))]
+	}
+	for i := 0; i < 50000; i++ {
+		r := Rect{Pt(pick(), pick()), Pt(pick(), pick())}
+		q := Rect{Pt(pick(), pick()), Pt(pick(), pick())}
+		around(r, q)
+		check(r, q, pick())
+	}
+}

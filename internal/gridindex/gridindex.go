@@ -216,7 +216,7 @@ func (x *Index) Candidates(q geom.Rect, d float64, dst []int, seen []bool) []int
 					continue
 				}
 				seen[id] = true
-				if x.rects[id].DistRect(q) <= d {
+				if x.rects[id].WithinDist(q, d) {
 					dst = append(dst, int(id))
 				}
 			}
@@ -228,7 +228,7 @@ func (x *Index) Candidates(q geom.Rect, d float64, dst []int, seen []bool) []int
 					continue
 				}
 				seen[id] = true
-				if x.rects[id].DistRect(q) <= d {
+				if x.rects[id].WithinDist(q, d) {
 					dst = append(dst, int(id))
 				}
 			}

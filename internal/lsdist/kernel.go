@@ -20,7 +20,7 @@ package lsdist
 // math.Acos, math.Sin) are the identical stdlib functions. The
 // kernel-equivalence suite in kernel_test.go and FuzzSegmentDistanceKernel
 // pin this per component and combined, including the degenerate zero-length
-// guards (documented at pairOrdered).
+// guards (documented at stages).
 //
 // One carve-out: NaN *payloads* are not part of the contract. When an
 // intermediate overflows (Inf/Inf, Inf−Inf), both paths produce NaN, but
@@ -29,6 +29,13 @@ package lsdist
 // it can differ between builds of the *same* source. Every NaN compares
 // false in the d <= eps predicates that consume distances, so results are
 // unaffected; the tests compare bits-equal-or-both-NaN.
+//
+// Block scoring is bound-aware: an ε-range refinement only needs to know
+// which pairs are within ε, and most candidates are not, so DistBlock stops
+// scoring a pair once its running weighted sum is past the caller's bound.
+// Pairs within the bound still get their exact, bit-identical distance;
+// the rest get a value that is not within the bound. Exact scoring is the
+// same loop with bound = +Inf.
 
 import (
 	"math"
@@ -75,11 +82,16 @@ func ensureLen(out []float64, n int) []float64 {
 	return out[:n]
 }
 
-// DistBlock scores dist(q, pool[j]) for every candidate id j in ids,
-// writing the distances into out index-aligned with ids (out is resized,
-// reusing its capacity) and returning it. Candidate ids must be valid pool
-// indices. Bit-identical to calling the scalar DistOpt per pair.
-func (k *Kernel) DistBlock(p *segpool.Pool, q segpool.Seg, ids []int, out []float64) []float64 {
+// DistBlock scores dist(q, pool[j]) for every candidate id j in ids against
+// bound, writing into out index-aligned with ids (out is resized, reusing
+// its capacity) and returning it. Candidate ids must be valid pool indices.
+//
+// A pair whose distance is ≤ bound gets its exact distance, bit-identical
+// to the scalar DistOpt; every other pair gets a value that is not ≤ bound
+// (the partial sum at which scoring stopped, or the exact distance). A
+// caller that keeps the pairs with d <= bound therefore keeps exactly the
+// pairs and bits exact scoring would, and bound = +Inf is exact scoring.
+func (k *Kernel) DistBlock(p *segpool.Pool, q segpool.Seg, ids []int, bound float64, out []float64) []float64 {
 	out = ensureLen(out, len(ids))
 	// Hoist the columns once; re-slicing every column to the shared pool
 	// length lets the compiler prove, from the X1 load alone, that the
@@ -98,19 +110,21 @@ func (k *Kernel) DistBlock(p *segpool.Pool, q segpool.Seg, ids []int, out []floa
 			X1: cx1, Y1: cy1, X2: cx2, Y2: cy2,
 			DX: cdx, DY: cdy, Len2: cdx*cdx + cdy*cdy, Length: ln[j],
 		}
-		out[t] = k.score(&q, &c)
+		out[t] = k.score(&q, &c, bound)
 	}
 	return out
 }
 
-// DistRange scores dist(q, pool[j]) for every j in [lo, hi), writing into
-// out (resized to hi-lo, index-aligned with the range). It is DistBlock
-// without the indirection vector — the shape exhaustive scans use.
+// DistRange scores dist(q, pool[j]) exactly for every j in [lo, hi),
+// writing into out (resized to hi-lo, index-aligned with the range). It is
+// exact DistBlock without the indirection vector — the shape exhaustive
+// nearest scans use.
 func (k *Kernel) DistRange(p *segpool.Pool, q segpool.Seg, lo, hi int, out []float64) []float64 {
 	out = ensureLen(out, hi-lo)
 	x1, y1 := p.X1[lo:hi], p.Y1[lo:hi]
 	x2, y2 := p.X2[lo:hi], p.Y2[lo:hi]
 	ln := p.Length[lo:hi]
+	inf := math.Inf(1)
 	for t := range x1 {
 		cx1, cy1, cx2, cy2 := x1[t], y1[t], x2[t], y2[t]
 		cdx, cdy := cx2-cx1, cy2-cy1
@@ -118,54 +132,53 @@ func (k *Kernel) DistRange(p *segpool.Pool, q segpool.Seg, lo, hi int, out []flo
 			X1: cx1, Y1: cy1, X2: cx2, Y2: cy2,
 			DX: cdx, DY: cdy, Len2: cdx*cdx + cdy*cdy, Length: ln[t],
 		}
-		out[t] = k.score(&q, &c)
+		out[t] = k.score(&q, &c, inf)
 	}
 	return out
 }
 
-// Pair scores one pair of precomputed views. Bit-identical to
+// Pair scores one pair of precomputed views exactly. Bit-identical to
 // DistOpt(a, b, opt) on the corresponding segments.
 func (k *Kernel) Pair(a, b segpool.Seg) float64 {
-	return k.score(&a, &b)
+	return k.score(&a, &b, math.Inf(1))
 }
 
 // score is the per-pair core the block loops call: the longer/shorter
-// ordering, the fused component evaluation, and the weighted sum. It takes
-// pointers because a Seg is eight floats — passing two by value spills out
-// of the register-based calling convention and the copy shows up on the
-// profile; the pointees never escape (pairOrdered only reads them).
-func (k *Kernel) score(a, b *segpool.Seg) float64 {
-	var dp, dl, da float64
-	switch {
-	case a.Len2 > b.Len2:
-		dp, dl, da = k.pairOrdered(a, b)
-	case a.Len2 < b.Len2:
-		dp, dl, da = k.pairOrdered(b, a)
-	case segLess(a, b):
-		dp, dl, da = k.pairOrdered(a, b)
-	default:
-		dp, dl, da = k.pairOrdered(b, a)
-	}
-	return k.wPerp*dp + k.wPar*dl + k.wAng*da
+// ordering, then the bound-aware staged evaluation.
+//
+// score takes pointers because a Seg is eight floats — passing two by value
+// spills out of the register-based calling convention and the copy shows up
+// on the profile; the pointees never escape (stages only reads them).
+func (k *Kernel) score(a, b *segpool.Seg, bound float64) float64 {
+	li, lj := ordered(a, b)
+	s, _, _, _ := k.stages(li, lj, bound)
+	return s
 }
 
 // Components returns (d⊥, d∥, dθ) for one pair of precomputed views,
 // performing the longer/shorter assignment internally. Bit-identical per
 // component to ComponentsOpt on the corresponding segments.
 func (k *Kernel) Components(a, b segpool.Seg) (dperp, dpar, dang float64) {
-	// order(a, b): longer segment becomes Li; exact-length ties break by
-	// lexicographic coordinate comparison so the distance stays symmetric.
-	// The precomputed Len2 is bit-equal to Segment.Length2 (negation
-	// squares equal), so these comparisons decide exactly as the scalar's.
+	li, lj := ordered(&a, &b)
+	_, dperp, dpar, dang = k.stages(li, lj, math.Inf(1))
+	return dperp, dpar, dang
+}
+
+// ordered is lsdist.order on pool views: the longer segment becomes Li, and
+// exact-length ties break by lexicographic coordinate comparison so the
+// distance stays symmetric. The precomputed Len2 is bit-equal to
+// Segment.Length2 (negation squares equal), so these comparisons decide
+// exactly as the scalar's.
+func ordered(a, b *segpool.Seg) (li, lj *segpool.Seg) {
 	switch {
 	case a.Len2 > b.Len2:
-		return k.pairOrdered(&a, &b)
+		return a, b
 	case a.Len2 < b.Len2:
-		return k.pairOrdered(&b, &a)
-	case segLess(&a, &b):
-		return k.pairOrdered(&a, &b)
+		return b, a
+	case segLess(a, b):
+		return a, b
 	default:
-		return k.pairOrdered(&b, &a)
+		return b, a
 	}
 }
 
@@ -183,8 +196,23 @@ func segLess(a, b *segpool.Seg) bool {
 	}
 }
 
-// pairOrdered computes all three components with li as the longer segment,
-// replicating the scalar operation sequence exactly:
+// stages computes the components with li as the longer segment in three
+// stages, adding each weighted term to the running sum s:
+//
+//  1. d⊥; stop if s = w⊥·d⊥ > bound.
+//  2. d∥; stop if s = w⊥·d⊥ + w∥·d∥ > bound.
+//  3. dθ; s is the full distance.
+//
+// A stage that does not run leaves its component 0. Stopping needs no
+// tolerance: every addend is ≥ 0 (or NaN) and rounding is monotone, so the
+// later terms can only keep or raise a partial sum, or make it NaN. A pair
+// stopped at a partial sum > bound therefore has a full distance that is
+// not ≤ bound either. The weighted terms carry explicit float64
+// conversions, exactly as in DistOpt, so no platform fuses them into
+// multiply-adds and the partial sums compared here are the ones the full
+// sum is built from.
+//
+// Each component replicates the scalar operation sequence exactly:
 //
 //	u        = ((pₓ-li.X1)·li.DX + (p_y-li.Y1)·li.DY) / li.Len2   (Formula 4)
 //	proj     = (li.X1 + li.DX·u, li.Y1 + li.DY·u)
@@ -204,7 +232,7 @@ func segLess(a, b *segpool.Seg) bool {
 //     0 (lsdist.lehmer2).
 //   - either segment degenerate (Length == 0): the angle is defined as 0
 //     (geom.Segment.Angle), so dθ = ‖lj‖·sin 0.
-func (k *Kernel) pairOrdered(li, lj *segpool.Seg) (dperp, dpar, dang float64) {
+func (k *Kernel) stages(li, lj *segpool.Seg, bound float64) (s, dperp, dpar, dang float64) {
 	// Projection parameters of lj's endpoints onto the line through li.
 	var u1, u2 float64
 	if li.Len2 != 0 {
@@ -219,8 +247,11 @@ func (k *Kernel) pairOrdered(li, lj *segpool.Seg) (dperp, dpar, dang float64) {
 	// d⊥ (Definition 1): Lehmer mean of order 2 of the endpoint offsets.
 	l1 := math.Hypot(lj.X1-p1x, lj.Y1-p1y)
 	l2 := math.Hypot(lj.X2-p2x, lj.Y2-p2y)
-	if s := l1 + l2; s != 0 {
-		dperp = (l1*l1 + l2*l2) / s
+	if t := l1 + l2; t != 0 {
+		dperp = (l1*l1 + l2*l2) / t
+	}
+	if s = float64(k.wPerp * dperp); s > bound {
+		return s, dperp, 0, 0
 	}
 
 	// d∥ (Definition 2): per projection the smaller Euclidean distance to
@@ -228,6 +259,9 @@ func (k *Kernel) pairOrdered(li, lj *segpool.Seg) (dperp, dpar, dang float64) {
 	g1 := math.Min(math.Hypot(p1x-li.X1, p1y-li.Y1), math.Hypot(p1x-li.X2, p1y-li.Y2))
 	g2 := math.Min(math.Hypot(p2x-li.X1, p2y-li.Y1), math.Hypot(p2x-li.X2, p2y-li.Y2))
 	dpar = math.Min(g1, g2)
+	if s += float64(k.wPar * dpar); s > bound {
+		return s, dperp, dpar, 0
+	}
 
 	// dθ (Definition 3): the norms and ‖lj‖ are the precomputed lengths
 	// (bit-equal to the Hypots the scalar recomputes).
@@ -246,5 +280,5 @@ func (k *Kernel) pairOrdered(li, lj *segpool.Seg) (dperp, dpar, dang float64) {
 	} else {
 		dang = lj.Length
 	}
-	return dperp, dpar, dang
+	return s + float64(k.wAng*dang), dperp, dpar, dang
 }

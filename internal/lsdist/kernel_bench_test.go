@@ -1,7 +1,9 @@
 package lsdist
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -56,8 +58,45 @@ func BenchmarkDistKernelBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = k.DistBlock(pool, qv, ids, out)
+		out = k.DistBlock(pool, qv, ids, math.Inf(1), out)
 	}
+	sinkF = out[0]
+}
+
+// BenchmarkDistKernelBlockBounded scores the same block against a bound
+// that about 90% of the pairs exceed — the shape of an ε-range refinement,
+// where most candidates lie outside ε. The bound is the 10th percentile of
+// the block's exact distances, so most pairs stop after d⊥ or d∥.
+func BenchmarkDistKernelBlockBounded(b *testing.B) {
+	q, segs := benchSegs(benchBlock)
+	pool, err := segpool.New(segs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qv, _ := segpool.ViewOf(q)
+	k := NewKernel(DefaultOptions())
+	ids := make([]int, len(segs))
+	for i := range ids {
+		ids[i] = i
+	}
+	exact := k.DistBlock(pool, qv, ids, math.Inf(1), nil)
+	sorted := append([]float64(nil), exact...)
+	sort.Float64s(sorted)
+	bound := sorted[len(sorted)/10]
+	out := make([]float64, 0, len(ids))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = k.DistBlock(pool, qv, ids, bound, out)
+	}
+	b.StopTimer()
+	accepted := 0
+	for _, d := range out {
+		if d <= bound {
+			accepted++
+		}
+	}
+	b.ReportMetric(float64(accepted)/float64(len(out)), "accepted/pair")
 	sinkF = out[0]
 }
 

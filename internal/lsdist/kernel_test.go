@@ -1,8 +1,10 @@
 package lsdist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -136,7 +138,7 @@ func TestKernelBlockShapes(t *testing.T) {
 	q, _ := segpool.ViewOf(randSeg(rng))
 
 	ids := rng.Perm(len(segs))[:101]
-	out := k.DistBlock(pool, q, ids, nil)
+	out := k.DistBlock(pool, q, ids, math.Inf(1), nil)
 	if len(out) != len(ids) {
 		t.Fatalf("DistBlock returned %d distances for %d ids", len(out), len(ids))
 	}
@@ -149,7 +151,7 @@ func TestKernelBlockShapes(t *testing.T) {
 	// Reuse: a second call with a shorter block must not allocate a fresh
 	// slice and must resize correctly.
 	prev := &out[0]
-	out = k.DistBlock(pool, q, ids[:13], out)
+	out = k.DistBlock(pool, q, ids[:13], math.Inf(1), out)
 	if len(out) != 13 || &out[0] != prev {
 		t.Fatalf("DistBlock did not reuse out's backing array")
 	}
@@ -165,10 +167,113 @@ func TestKernelBlockShapes(t *testing.T) {
 	}
 }
 
+// boundsFor returns the bounds a pair is scored against: its exact distance
+// d and the floats either side of it, 0 and +Inf, and each weighted
+// component alone — the partial sums the kernel stops at.
+func boundsFor(k *Kernel, av, bv segpool.Seg, d float64) []float64 {
+	dp, dl, da := k.Components(av, bv)
+	return []float64{
+		d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)),
+		0, math.Inf(1),
+		float64(k.wPerp * dp), float64(k.wPar * dl), float64(k.wAng * da),
+	}
+}
+
+// boundMismatch checks the bound contract of DistBlock for one scored pair
+// — the value is within bound exactly when the exact distance want is, and
+// then it is want bit for bit — and describes the violation, or returns "".
+func boundMismatch(got, want, bound float64) string {
+	if (got <= bound) != (want <= bound) {
+		return fmt.Sprintf("at bound %v (%016x): bounded %v, exact %v — they disagree on d <= bound",
+			bound, math.Float64bits(bound), got, want)
+	}
+	if want <= bound && !bitsMatch(got, want) {
+		return fmt.Sprintf("at bound %v: accepted value %v (%016x), exact %v (%016x)",
+			bound, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return ""
+}
+
+// TestKernelBoundedScoring pins the bound contract of DistBlock on the
+// random and the degenerate corpus under every option set, zero weights
+// included (where an overflowing component times a zero weight is NaN):
+// every pair is accepted (d <= bound) exactly when its exact scalar
+// distance is, and an accepted pair carries the exact distance bit for bit.
+func TestKernelBoundedScoring(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	random := make([]geom.Segment, 120)
+	for i := range random {
+		random[i] = randSeg(rng)
+	}
+	for _, corpus := range []struct {
+		name string
+		segs []geom.Segment
+	}{{"random", random}, {"degenerate", degenerateSegs()}} {
+		pool, err := segpool.New(corpus.segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range kernelOptions {
+			k := NewKernel(opt)
+			exact := New(opt)
+			var out []float64
+			for i, a := range corpus.segs {
+				av := pool.View(i)
+				for j, b := range corpus.segs {
+					want := exact(a, b)
+					for _, bound := range boundsFor(k, av, pool.View(j), want) {
+						out = k.DistBlock(pool, av, []int{j}, bound, out)
+						if msg := boundMismatch(out[0], want, bound); msg != "" {
+							t.Fatalf("%s %v vs %v under %+v %s", corpus.name, a, b, opt, msg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelBoundedBlock scores whole blocks at one bound — the median
+// exact distance of each query, so about half the pairs stop early — and
+// checks every slot against exact scoring, through a reused out slice.
+func TestKernelBoundedBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	segs := make([]geom.Segment, 300)
+	for i := range segs {
+		segs[i] = randSeg(rng)
+	}
+	pool, err := segpool.New(segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := rng.Perm(len(segs))
+	for _, opt := range kernelOptions {
+		k := NewKernel(opt)
+		scalar := New(opt)
+		var exact, out []float64
+		for i := 0; i < 20; i++ {
+			q := pool.View(i)
+			exact = k.DistBlock(pool, q, ids, math.Inf(1), exact)
+			sorted := append([]float64(nil), exact...)
+			sort.Float64s(sorted)
+			bound := sorted[len(sorted)/2]
+			out = k.DistBlock(pool, q, ids, bound, out)
+			for t2, j := range ids {
+				if !bitsMatch(exact[t2], scalar(segs[i], segs[j])) {
+					t.Fatalf("exact block slot %d differs from the scalar distance", t2)
+				}
+				if msg := boundMismatch(out[t2], exact[t2], bound); msg != "" {
+					t.Fatalf("block slot %d under %+v %s", t2, opt, msg)
+				}
+			}
+		}
+	}
+}
+
 // TestZeroLengthSegmentGuards pins the scalar distance's division guards for
 // degenerate (zero-length) segments: the projection parameter onto a point is
 // 0, the empty Lehmer mean is 0, and the angle to or from a point is 0. The
-// kernel replicates these guards (pairOrdered); the equivalence suite ties
+// kernel replicates these guards (stages); the equivalence suite ties
 // the two together, this test ties the scalar behavior to the definitions.
 func TestZeroLengthSegmentGuards(t *testing.T) {
 	pt := seg(3, 4, 3, 4)
@@ -213,15 +318,18 @@ func TestZeroLengthSegmentGuards(t *testing.T) {
 
 // FuzzSegmentDistanceKernel cross-checks the kernel against the scalar path
 // on fuzz-chosen coordinates: finite inputs must agree bit for bit through a
-// batch of one, and non-finite inputs must be rejected at pool build / view
-// time (the searcher's signal to stay on the scalar fallback).
+// batch of one, bounded scoring at a fuzz-chosen bound must accept exactly
+// the pairs exact scoring does, and non-finite inputs must be rejected at
+// pool build / view time (the searcher's signal to stay on the scalar
+// fallback).
 func FuzzSegmentDistanceKernel(f *testing.F) {
-	f.Add(0.0, 0.0, 10.0, 0.0, 0.0, 1.0, 10.0, 1.0, 1.0, 1.0, 1.0, false)
-	f.Add(0.0, 0.0, 0.0, 0.0, 3.0, 4.0, 3.0, 4.0, 1.0, 1.0, 1.0, true)
-	f.Add(1e150, 1e150, 2e150, 2e150, 0.0, 0.0, 1e-200, 0.0, 2.5, 0.25, 7.0, false)
-	f.Add(math.Inf(1), 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, false)
-	f.Add(math.NaN(), 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, true)
-	f.Fuzz(func(t *testing.T, ax1, ay1, ax2, ay2, bx1, by1, bx2, by2, wp, wl, wa float64, undirected bool) {
+	f.Add(0.0, 0.0, 10.0, 0.0, 0.0, 1.0, 10.0, 1.0, 1.0, 1.0, 1.0, false, 2.0)
+	f.Add(0.0, 0.0, 0.0, 0.0, 3.0, 4.0, 3.0, 4.0, 1.0, 1.0, 1.0, true, 5.0)
+	f.Add(1e150, 1e150, 2e150, 2e150, 0.0, 0.0, 1e-200, 0.0, 2.5, 0.25, 7.0, false, 1e150)
+	f.Add(1e150, 1e150, 2e150, 2e150, 0.0, 0.0, 1e-200, 0.0, 1.0, 0.0, 3.0, true, math.Inf(1))
+	f.Add(math.Inf(1), 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, false, 0.0)
+	f.Add(math.NaN(), 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, true, math.NaN())
+	f.Fuzz(func(t *testing.T, ax1, ay1, ax2, ay2, bx1, by1, bx2, by2, wp, wl, wa float64, undirected bool, bound float64) {
 		a := seg(ax1, ay1, ax2, ay2)
 		b := seg(bx1, by1, bx2, by2)
 		opt := Options{Weights: Weights{Perpendicular: wp, Parallel: wl, Angle: wa}, Undirected: undirected}
@@ -254,10 +362,19 @@ func FuzzSegmentDistanceKernel(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := k.DistBlock(pool, av, []int{0}, nil)
+		out := k.DistBlock(pool, av, []int{0}, math.Inf(1), nil)
 		if !bitsMatch(out[0], want) {
 			t.Fatalf("DistBlock batch-of-1 mismatch: %v (%016x), want %v (%016x)",
 				out[0], math.Float64bits(out[0]), want, math.Float64bits(want))
+		}
+
+		// Bounded scoring: the fuzz-chosen bound, and the pair's own exact
+		// distance, decide as exact scoring does.
+		for _, bd := range []float64{bound, want} {
+			out = k.DistBlock(pool, av, []int{0}, bd, out)
+			if msg := boundMismatch(out[0], want, bd); msg != "" {
+				t.Fatalf("%v vs %v under %+v %s", a, b, opt, msg)
+			}
 		}
 	})
 }

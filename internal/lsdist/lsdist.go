@@ -146,11 +146,14 @@ func Dist(a, b geom.Segment) float64 {
 	return DistOpt(a, b, DefaultOptions())
 }
 
-// DistOpt returns the TRACLUS distance under the given options.
+// DistOpt returns the TRACLUS distance under the given options. The
+// explicit float64 conversions round every weighted term on its own, so no
+// platform fuses a product into a multiply-add: the sum is the one the
+// block kernel's bounded scoring builds term by term (see Kernel.DistBlock).
 func DistOpt(a, b geom.Segment, opt Options) float64 {
 	dp, dl, da := ComponentsOpt(a, b, opt)
 	w := opt.Weights
-	return w.Perpendicular*dp + w.Parallel*dl + w.Angle*da
+	return float64(w.Perpendicular*dp) + float64(w.Parallel*dl) + float64(w.Angle*da)
 }
 
 // Func is the signature shared by all pairwise segment distances in this

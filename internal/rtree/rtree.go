@@ -237,7 +237,7 @@ func (t *Tree) WithinDist(q geom.Rect, d float64, fn func(id int) bool) {
 
 func withinNode(n *node, q geom.Rect, d float64, fn func(id int) bool) bool {
 	for _, e := range n.entries {
-		if e.rect.DistRect(q) > d {
+		if e.rect.BeyondDist(q, d) {
 			continue
 		}
 		if e.child == nil {

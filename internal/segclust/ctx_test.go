@@ -68,7 +68,7 @@ func TestRunCtxCancelled(t *testing.T) {
 func TestNeighborhoodWeightsCtxCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := corridorItems(rng, 200, 3, 25)
-	shared := NewSharedIndex(items, 30, lsdist.DefaultOptions(), IndexGrid)
+	shared := NewSharedIndexFor(items, lsdist.DefaultOptions(), BackendFor(IndexGrid))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := shared.NeighborhoodWeightsCtx(ctx, 25, 4); !errors.Is(err, context.Canceled) {

@@ -173,7 +173,7 @@ func TestNeighborhoodArenaMatchesLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	items := corridorItemsSpread(rng, 400, 3, 20, 600)
 	cfg := defaultCfg()
-	shared := NewSharedIndex(items, cfg.Eps, cfg.Options, cfg.Index)
+	shared := NewSharedIndexFor(items, cfg.Options, BackendFor(cfg.Index))
 	hs, calls, err := shared.neighborhoods(context.Background(), cfg.Eps, 8, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestPrecomputedHoodsMatchLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	items := corridorItemsSpread(rng, 300, 3, 15, 500)
 	cfg := defaultCfg()
-	shared := NewSharedIndex(items, cfg.Eps, cfg.Options, cfg.Index)
+	shared := NewSharedIndexFor(items, cfg.Options, BackendFor(cfg.Index))
 	hoods := make([][]int, len(items))
 	weights := make([]float64, len(items))
 	calls := shared.forEachNeighborhood(cfg.Eps, 8,

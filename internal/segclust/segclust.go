@@ -257,53 +257,37 @@ func (c Config) backend() spindex.Backend {
 // and scores whole candidate blocks against it — the block-at-a-time
 // contract of the columnar kernel refactor: the engine never evaluates a
 // distance pair-at-a-time; it asks its source for one index-aligned block
-// of exact distances per query and refines that.
+// of distances per query and refines that.
 type neighborSource interface {
 	candidates(i int, dst []int) []int
-	// distBlock writes dist(item i, item j) for every j in cand into out,
+	// distBlock writes, for every j in cand, dist(item i, item j) into out
+	// when it is ≤ the source's ε, and a value that is not ≤ ε otherwise,
 	// index-aligned with cand (resized, reusing capacity), and returns it.
 	distBlock(i int, cand []int, out []float64) []float64
 }
 
-// epsView binds a per-goroutine spindex cursor to one query ε; it is what
-// the engine's refinement loop consumes. Candidate generation and block
-// scoring both ride the cursor: the scoring goes through the batch kernel
-// over the searcher's columnar pool (or its bit-identical scalar fallback
-// for non-finite datasets).
+// epsView binds a per-goroutine Cursor to one query ε; it is what the
+// engine's refinement loop consumes. Candidates come from the cursor's
+// conservative planar prefilter at ε, and blocks are scored by the cursor
+// at bound ε: the batch kernel stops scoring a pair once it is past ε, and
+// on a spatiotemporal index the wT·gap term is added after the spatial
+// block. The temporal term is non-negative, so dist_st ≥ dist_planar ≥
+// c·mindist and the planar candidate radius ε/c stays complete (no false
+// negatives; see internal/geometry's pruning-bound invariant); candidate
+// sets, and therefore DistCalls, are identical to the planar path, and with
+// wT = 0 the added term is exactly +0 and every distance within ε is
+// bit-identical to planar.
 type epsView struct {
-	sq  *spindex.SearchQuery
+	c   *Cursor
 	eps float64
 }
 
 func (v epsView) candidates(i int, dst []int) []int {
-	return v.sq.CandidatesOf(i, v.eps, dst)
+	return v.c.CandidatesOf(i, v.eps, dst)
 }
 
 func (v epsView) distBlock(i int, cand []int, out []float64) []float64 {
-	return v.sq.DistBlock(i, cand, out)
-}
-
-// temporalView adds the spatiotemporal geometry's wT·gap term on top of an
-// epsView: candidates are generated by the planar prefilter unchanged — the
-// temporal term is non-negative, so dist_st ≥ dist_planar ≥ c·mindist and
-// the planar candidate radius ε/c stays complete (no false negatives; see
-// internal/geometry's pruning-bound invariant) — and the gap is added per
-// candidate after the spatial kernel block. Candidate sets, and therefore
-// DistCalls, are identical to the planar path; with wT = 0 the added term
-// is exactly +0 and every scored distance is bit-identical to planar.
-type temporalView struct {
-	epsView
-	ivs []geometry.Interval
-	wt  float64
-}
-
-func (v temporalView) distBlock(i int, cand []int, out []float64) []float64 {
-	out = v.epsView.distBlock(i, cand, out)
-	qi := v.ivs[i]
-	for k, j := range cand {
-		out[k] += v.wt * qi.Gap(v.ivs[j])
-	}
-	return out
+	return v.c.DistBlockWithin(i, cand, v.eps, out)
 }
 
 // customDistView carries an arbitrary caller-supplied distance function
@@ -828,16 +812,6 @@ func (s *SharedIndex) getScratch() *scratchSet {
 	return &scratchSet{}
 }
 
-// NewSharedIndex builds the index once for repeated ε-queries.
-//
-// Deprecated-shape compatibility form: maxEps is vestigial — since the
-// spindex refactor every query derives its own exact candidate radius, so
-// the index serves any ε — and kind is the IndexKind shim over
-// spindex backends. New code calls NewSharedIndexFor.
-func NewSharedIndex(items []Item, _ float64, opt lsdist.Options, kind IndexKind) *SharedIndex {
-	return NewSharedIndexFor(items, opt, BackendFor(kind))
-}
-
 // NewSharedIndexFor builds backend's index over the items once. The
 // searcher layer downgrades to the brute backend itself when the distance
 // weights admit no sound Euclidean prefilter.
@@ -911,10 +885,20 @@ func (c *Cursor) CandidatesOf(i int, eps float64, dst []int) []int {
 	return c.sq.CandidatesOf(i, eps, dst)
 }
 
-// DistBlock scores item i against every id in ids under the index's
-// geometry, index-aligned with ids.
+// DistBlock scores item i exactly against every id in ids under the
+// index's geometry, index-aligned with ids.
 func (c *Cursor) DistBlock(i int, ids []int, out []float64) []float64 {
-	out = c.sq.DistBlock(i, ids, out)
+	return c.DistBlockWithin(i, ids, math.Inf(1), out)
+}
+
+// DistBlockWithin is DistBlock against a bound: every pair whose distance
+// is ≤ bound gets exactly the value DistBlock gives it, and every other
+// pair a value that is not ≤ bound, because the spatial kernel stops
+// scoring a pair once it is past bound (spindex.SearchQuery.DistBlock). The
+// temporal wT·gap term is added after the spatial block; it is ≥ 0, so a
+// pair already past bound stays past it.
+func (c *Cursor) DistBlockWithin(i int, ids []int, bound float64, out []float64) []float64 {
+	out = c.sq.DistBlock(i, ids, bound, out)
 	if c.ivs != nil {
 		qi := c.ivs[i]
 		for k, j := range ids {
@@ -925,15 +909,11 @@ func (c *Cursor) DistBlock(i int, ids []int, out []float64) []float64 {
 }
 
 // view returns a neighborSource for ε-queries at eps, backed by the shared
-// structures but with private scratch space. Distance blocks are scored by
-// the searcher's batch kernel, plus the temporal term on a spatiotemporal
-// index.
+// structures but with private scratch space: a fresh Cursor, which scores
+// distance blocks through the searcher's batch kernel at bound eps, plus
+// the temporal term on a spatiotemporal index.
 func (s *SharedIndex) view(eps float64) neighborSource {
-	ev := epsView{sq: s.search.Query(), eps: eps}
-	if s.ivs != nil {
-		return temporalView{epsView: ev, ivs: s.ivs, wt: s.wt}
-	}
-	return ev
+	return epsView{c: s.Cursor(), eps: eps}
 }
 
 // viewFor is view with an optional custom distance: non-nil custom wraps
@@ -1091,10 +1071,10 @@ func (s *SharedIndex) neighborhoods(ctx context.Context, eps float64, workers in
 }
 
 // NeighborhoodWeights returns, for every item, the weighted cardinality of
-// its ε-neighborhood (eps must not exceed the maxEps the index was built
-// with). It backs the parameter-selection heuristic of Section 4.4
-// (entropy over |Nε| and avg|Nε|) and parallelises across workers (≤ 0
-// means all CPUs).
+// its ε-neighborhood, at any eps: the index is ε-free and every query
+// derives its own candidate radius. It backs the parameter-selection
+// heuristic of Section 4.4 (entropy over |Nε| and avg|Nε|) and
+// parallelises across workers (≤ 0 means all CPUs).
 func (s *SharedIndex) NeighborhoodWeights(eps float64, workers int) []float64 {
 	out, _ := s.NeighborhoodWeightsCtx(context.Background(), eps, workers)
 	return out
@@ -1116,5 +1096,5 @@ func (s *SharedIndex) NeighborhoodWeightsCtx(ctx context.Context, eps float64, w
 // NeighborhoodWeights is the one-shot convenience form: it builds an index
 // for eps and computes all weighted ε-neighborhood cardinalities.
 func NeighborhoodWeights(items []Item, eps float64, opt lsdist.Options, index IndexKind, workers int) []float64 {
-	return NewSharedIndex(items, eps, opt, index).NeighborhoodWeights(eps, workers)
+	return NewSharedIndexFor(items, opt, BackendFor(index)).NeighborhoodWeights(eps, workers)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geometry"
 	"repro/internal/lsdist"
 )
 
@@ -391,7 +392,7 @@ func TestSharedIndexReuseAcrossEps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	items := corridorItems(rng, 60, 2, 6)
 	opt := lsdist.DefaultOptions()
-	shared := NewSharedIndex(items, 40, opt, IndexGrid)
+	shared := NewSharedIndexFor(items, opt, BackendFor(IndexGrid))
 	for _, eps := range []float64{10, 25, 40} {
 		got := shared.NeighborhoodWeights(eps, 0)
 		want := NeighborhoodWeights(items, eps, opt, IndexNone, 1)
@@ -422,5 +423,45 @@ func TestDistCallsCounted(t *testing.T) {
 	}
 	if grid.DistCalls > scan.DistCalls {
 		t.Errorf("grid (%d) should not exceed scan (%d)", grid.DistCalls, scan.DistCalls)
+	}
+}
+
+// TestCursorBoundedScoring pins Cursor.DistBlockWithin to the exact
+// Cursor.DistBlock on a planar and a spatiotemporal index: at any bound a
+// pair is within it exactly when its exact distance is, and then carries
+// that distance bit for bit. On the spatiotemporal index the wT·gap term is
+// added after the bounded spatial block; being ≥ 0, it keeps a pair that
+// stopped past the bound past it.
+func TestCursorBoundedScoring(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	items := make([]Item, 300)
+	ivs := make([]geometry.Interval, len(items))
+	ids := make([]int, len(items))
+	for i := range items {
+		x, y := rng.Float64()*400, rng.Float64()*400
+		items[i] = Item{Seg: geom.Seg(x, y, x+rng.NormFloat64()*30, y+rng.NormFloat64()*30), TrajID: i, Weight: 1}
+		t0 := rng.Float64() * 1000
+		ivs[i] = geometry.Interval{Start: t0, End: t0 + rng.Float64()*100}
+		ids[i] = i
+	}
+	opt := lsdist.DefaultOptions()
+	for name, shared := range map[string]*SharedIndex{
+		"planar":         NewSharedIndexFor(items, opt, BackendFor(IndexGrid)),
+		"spatiotemporal": NewSharedIndexTimed(items, ivs, 0.05, opt, BackendFor(IndexGrid)),
+	} {
+		c := shared.Cursor()
+		var exact, got []float64
+		for i := range items {
+			exact = c.DistBlock(i, ids, exact)
+			for _, bound := range []float64{10, 30, exact[(i+1)%len(ids)]} {
+				got = c.DistBlockWithin(i, ids, bound, got)
+				for k, j := range ids {
+					if (got[k] <= bound) != (exact[k] <= bound) ||
+						exact[k] <= bound && math.Float64bits(got[k]) != math.Float64bits(exact[k]) {
+						t.Fatalf("%s: item %d vs %d at bound %v: bounded %v, exact %v", name, i, j, bound, got[k], exact[k])
+					}
+				}
+			}
+		}
 	}
 }

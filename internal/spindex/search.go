@@ -160,30 +160,33 @@ func (sq *SearchQuery) CandidatesOf(i int, eps float64, dst []int) []int {
 	return sq.q.Within(sq.s.rectOf(i), sq.radius(eps), dst)
 }
 
-// DistBlock scores the exact TRACLUS distance from indexed segment i to
-// every indexed candidate in ids, into out index-aligned with ids (resized,
-// reusing capacity). This is the refinement half of every ε-neighborhood
-// query: CandidatesOf generates the block, DistBlock scores it in one call
-// through the batch kernel instead of one closure call per pair. The
-// scored values are bit-identical to evaluating the scalar distance per
-// pair — datasets off the kernel path (non-finite coordinates) literally do
-// exactly that.
-func (sq *SearchQuery) DistBlock(i int, ids []int, out []float64) []float64 {
+// DistBlock scores the TRACLUS distance from indexed segment i to every
+// indexed candidate in ids against bound, into out index-aligned with ids
+// (resized, reusing capacity). This is the refinement half of every
+// ε-neighborhood query: CandidatesOf generates the block at ε, DistBlock
+// scores it at bound = ε in one call through the batch kernel instead of
+// one closure call per pair. Every pair within bound gets its exact
+// distance, bit-identical to evaluating the scalar distance per pair; every
+// other pair gets a value that is not within bound (lsdist.Kernel.DistBlock
+// stops scoring a pair once it is past bound). bound = +Inf scores every
+// pair exactly. Datasets off the kernel path (non-finite coordinates)
+// always score exactly, through the scalar distance itself.
+func (sq *SearchQuery) DistBlock(i int, ids []int, bound float64, out []float64) []float64 {
 	s := sq.s
 	if s.pool != nil {
-		return s.kernel.DistBlock(s.pool, s.pool.View(i), ids, out)
+		return s.kernel.DistBlock(s.pool, s.pool.View(i), ids, bound, out)
 	}
 	return sq.scalarBlock(s.segs[i], ids, out)
 }
 
-// DistBlockSeg is DistBlock for a query segment that is not in the index
-// (the classification shape). Non-finite queries fall back to the scalar
-// path.
+// DistBlockSeg scores the exact distance from a query segment that is not
+// in the index (the classification shape) to every candidate in ids.
+// Non-finite queries fall back to the scalar path.
 func (sq *SearchQuery) DistBlockSeg(q geom.Segment, ids []int, out []float64) []float64 {
 	s := sq.s
 	if s.pool != nil {
 		if qv, ok := segpool.ViewOf(q); ok {
-			return s.kernel.DistBlock(s.pool, qv, ids, out)
+			return s.kernel.DistBlock(s.pool, qv, ids, math.Inf(1), out)
 		}
 	}
 	return sq.scalarBlock(q, ids, out)

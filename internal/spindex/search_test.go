@@ -24,7 +24,7 @@ func TestBatchedBlocksMatchScalar(t *testing.T) {
 	sq := s.Query()
 
 	ids := rng.Perm(len(segs))[:97]
-	out := sq.DistBlock(3, ids, nil)
+	out := sq.DistBlock(3, ids, math.Inf(1), nil)
 	for k, j := range ids {
 		if want := dist(segs[3], segs[j]); math.Float64bits(out[k]) != math.Float64bits(want) {
 			t.Fatalf("DistBlock[%d] (id %d) = %v, scalar %v", k, j, out[k], want)
@@ -58,7 +58,7 @@ func TestNonFiniteDatasetFallsBackToScalar(t *testing.T) {
 		}
 		sq := s.Query()
 		ids := []int{0, 17, 42, len(segs) - 1}
-		out := sq.DistBlock(5, ids, nil)
+		out := sq.DistBlock(5, ids, math.Inf(1), nil)
 		for k, j := range ids {
 			want := dist(segs[5], segs[j])
 			if math.Float64bits(out[k]) != math.Float64bits(want) &&

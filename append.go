@@ -327,6 +327,10 @@ func (a *Appender) appendItems(ctx context.Context, items []Item, ivs []Interval
 
 	res := newResult(out, a.ccfg)
 	res.Estimated = a.res.Estimated
+	// The new Result's quality advances from the previous epoch's state if
+	// that is already computed; it never forces the computation, and holds
+	// the state, not the previous Result.
+	res.qbase = a.res.q.Load()
 	// The dendrogram is deliberately NOT carried over: it describes the
 	// pre-append items and every cut from it would be stale. Serving layers
 	// rebuild it lazily from the appended result's items.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/synth"
@@ -65,6 +66,30 @@ func appendFingerprint(r *traclus.Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
+// sameQuality pins the Formula 11 terms bit for bit: every cluster's SSE,
+// the noise penalty and QMeasure. Reading them computes the result's
+// quality state, so the next append advances from it instead of scoring
+// every pair again.
+func sameQuality(t *testing.T, label string, got, want *traclus.Result) {
+	t.Helper()
+	gs, ws := got.ClusterStats(), want.ClusterStats()
+	if len(gs) != len(ws) {
+		t.Errorf("%s: %d cluster stats, batch %d", label, len(gs), len(ws))
+		return
+	}
+	for i := range ws {
+		if math.Float64bits(gs[i].SSE) != math.Float64bits(ws[i].SSE) {
+			t.Errorf("%s: cluster %d SSE %v, batch %v", label, i, gs[i].SSE, ws[i].SSE)
+		}
+	}
+	if a, b := got.NoisePenalty(), want.NoisePenalty(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("%s: NoisePenalty %v, batch %v", label, a, b)
+	}
+	if a, b := got.QMeasure(), want.QMeasure(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("%s: QMeasure %v, batch %v", label, a, b)
+	}
+}
+
 var appendBackends = []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone}
 var appendWorkers = []int{1, 2, 4, 0}
 
@@ -104,6 +129,7 @@ func TestAppendEquivalencePlanar(t *testing.T) {
 			if a, b := ap.Result().DistCalls(), batch0.DistCalls(); a != b {
 				t.Fatalf("index=%v workers=%d: initial build DistCalls %d (appender) vs %d (Run)", kind, workers, a, b)
 			}
+			sameQuality(t, fmt.Sprintf("index=%v workers=%d initial build", kind, workers), ap.Result(), batch0)
 			sofar := base
 			for ci, chunk := range chunks {
 				res, err := ap.Append(ctx, chunk)
@@ -119,6 +145,7 @@ func TestAppendEquivalencePlanar(t *testing.T) {
 					t.Errorf("index=%v workers=%d after append %d (%d trajectories): fingerprint %s (append-built) vs %s (batch-built)",
 						kind, workers, ci, len(sofar), a, b)
 				}
+				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind, workers, ci), res, batch)
 			}
 		}
 	}
@@ -147,6 +174,7 @@ func TestAppendEquivalenceTimed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("index=%v workers=%d: NewTimedAppender: %v", kind, workers, err)
 			}
+			ap.Result().QMeasure() // appends advance from this epoch's quality
 			sofar := base
 			for ci, chunk := range chunks {
 				res, err := ap.AppendTimed(ctx, chunk)
@@ -163,6 +191,7 @@ func TestAppendEquivalenceTimed(t *testing.T) {
 					t.Errorf("index=%v workers=%d after append %d (%d trajectories): fingerprint %s (append-built) vs %s (batch-built)",
 						kind, workers, ci, len(sofar), a, b)
 				}
+				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind, workers, ci), res, batch)
 			}
 		}
 	}
@@ -193,6 +222,7 @@ func TestAppendEquivalenceGeodesic(t *testing.T) {
 			if pinned.Frame == nil {
 				t.Fatal("appender resolved no frame")
 			}
+			ap.Result().QMeasure() // appends advance from this epoch's quality
 			sofar := base
 			for ci, chunk := range chunks {
 				res, err := ap.Append(ctx, chunk)
@@ -211,6 +241,7 @@ func TestAppendEquivalenceGeodesic(t *testing.T) {
 					t.Errorf("index=%v workers=%d after append %d: fingerprint %s (append-built) vs %s (batch-built, pinned frame)",
 						kind, workers, ci, a, b)
 				}
+				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind, workers, ci), res, batch)
 			}
 		}
 	}
@@ -331,4 +362,46 @@ func TestAppendDendrogramInvalidated(t *testing.T) {
 	if res.TotalSegments <= first.TotalSegments {
 		t.Fatalf("append did not grow the item set: %d -> %d", first.TotalSegments, res.TotalSegments)
 	}
+}
+
+// TestResultQualityConcurrent: a Result's quality state is computed once
+// even when many goroutines ask for it at once, while an append reads
+// whether it is already there; every reader sees the same bits, and the
+// appended Result still equals a batch run.
+func TestResultQualityConcurrent(t *testing.T) {
+	ctx := context.Background()
+	trs := equivalenceWorkload(t, 70)
+	cfg := traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40, Workers: 2}
+	ap, err := traclus.New(traclus.WithConfig(cfg)).NewAppender(ctx, trs[:60])
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ap.Result()
+	qs := make([]float64, 8)
+	var wg sync.WaitGroup
+	for g := range qs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				_ = base.ClusterStats()
+			}
+			qs[g] = base.QMeasure() + base.NoisePenalty()
+		}(g)
+	}
+	res, err := ap.Append(ctx, trs[60:61])
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, q := range qs {
+		if math.Float64bits(q) != math.Float64bits(qs[0]) {
+			t.Errorf("reader %d saw %v, reader 0 %v", g, q, qs[0])
+		}
+	}
+	batch, err := traclus.Run(trs[:61], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameQuality(t, "after a concurrent append", res, batch)
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lsdist"
 	"repro/internal/mdl"
-	"repro/internal/quality"
 	"repro/internal/segclust"
 	"repro/internal/spindex"
 )
@@ -424,7 +423,7 @@ type ClusterStat struct {
 // ClusterStats returns per-cluster statistics (sizes and the per-cluster
 // SSE terms of Formula 11), index-aligned with Result.Clusters.
 func (r *Result) ClusterStats() []ClusterStat {
-	sses := quality.ClusterSSEs(r.out.Items, r.out.Result, r.cfg.Distance, r.cfg.Workers)
+	q := r.quality()
 	stats := make([]ClusterStat, len(r.Clusters))
 	for i, c := range r.Clusters {
 		stats[i] = ClusterStat{
@@ -432,7 +431,7 @@ func (r *Result) ClusterStats() []ClusterStat {
 			Segments:             len(c.Segments),
 			Trajectories:         len(c.Trajectories),
 			RepresentativePoints: len(c.Representative),
-			SSE:                  sses[i],
+			SSE:                  q.SSE(i),
 		}
 	}
 	return stats

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"testing"
@@ -102,6 +103,28 @@ func TestV1AppendEndToEnd(t *testing.T) {
 		appended.NoiseSegments != batch.NoiseSegments || appended.RemovedClusters != batch.RemovedClusters ||
 		appended.QMeasure != batch.QMeasure {
 		t.Errorf("appended model diverges from batch build:\nappend: %+v\nbatch:  %+v", appended, batch)
+	}
+	// Every Formula 11 term bit for bit: the per-cluster SSEs from the
+	// summaries, the noise penalty from each model's sweep point at its own
+	// ε (the first point of a sweep sits exactly on lo).
+	if len(appended.ClusterStats) != len(batch.ClusterStats) {
+		t.Fatalf("appended model has %d cluster stats, batch %d", len(appended.ClusterStats), len(batch.ClusterStats))
+	}
+	for i, want := range batch.ClusterStats {
+		if got := appended.ClusterStats[i]; math.Float64bits(got.SSE) != math.Float64bits(want.SSE) {
+			t.Errorf("cluster %d: appended SSE %v, batch %v", i, got.SSE, want.SSE)
+		}
+	}
+	var grownSweep, batchSweep sweepResponse
+	for name, out := range map[string]*sweepResponse{"grow": &grownSweep, "batch": &batchSweep} {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/"+name+"/sweep?lo=30&hi=60&steps=2", "", out); code != http.StatusOK {
+			t.Fatalf("GET %s sweep = %d", name, code)
+		}
+	}
+	if a, b := grownSweep.Points[0], batchSweep.Points[0]; math.Float64bits(a.NoisePenalty) != math.Float64bits(b.NoisePenalty) ||
+		math.Float64bits(a.QMeasure) != math.Float64bits(appended.QMeasure) {
+		t.Errorf("at ε=30: appended noise penalty %v, batch %v; appended sweep QMeasure %v, summary %v",
+			a.NoisePenalty, b.NoisePenalty, a.QMeasure, appended.QMeasure)
 	}
 
 	// Classification serves on the appended epoch.

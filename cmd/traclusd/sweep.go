@@ -3,7 +3,9 @@ package main
 // Multi-ε query endpoints: GET /v1/models/{name}/sweep walks the per-ε
 // quality curve and GET /v1/models/{name}/clusters reconstructs the exact
 // clustering at one ε — both served from the model's precomputed merge
-// structure (internal/dendro), never by re-running distance kernels.
+// structure (internal/dendro), never by re-running the grouping. The sweep's
+// quality terms score only the pair distances whose co-membership changed
+// from one ε step to the next.
 // Parameter validation is split: unparsable numbers are rejected here with
 // invalid_request, while range rules (positivity, lo < hi, the step cap)
 // live in the service layer as typed *traclus.ConfigError values that

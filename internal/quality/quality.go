@@ -4,13 +4,29 @@
 // 1/(2|C|)·ΣΣ dist(x,y)² and the noise penalty applies the same form to
 // the set of noise segments, penalising "incorrectly classified noises"
 // when ε is too small or MinLns too large.
+//
+// Every term is exact up to one rounding. The double sum counts each
+// unordered pair twice, so SSE(C) = round(Σ_{x<y∈C} fl(d²)) / |C|: each
+// squared distance is summed without rounding in a fixed-point accumulator
+// and the sum is rounded once. The value therefore depends only on which
+// pairs a group holds — not on the worker count, the member order, or
+// whether it was computed from scratch or advanced from an earlier
+// clustering.
+//
+// A State carries one exact pair sum per group (each cluster, plus the
+// noise set) and advances to a new clustering of the same or a grown item
+// set by scoring only the pairs whose co-membership changed; Measure is the
+// from-scratch readout. See ARCHITECTURE.md, "Quality measure".
 package quality
 
 import (
-	"runtime"
-	"sync"
+	"context"
+	"slices"
+	"sort"
 
+	"repro/internal/geom"
 	"repro/internal/lsdist"
+	"repro/internal/par"
 	"repro/internal/segclust"
 )
 
@@ -24,79 +40,277 @@ type Breakdown struct {
 func (b Breakdown) QMeasure() float64 { return b.TotalSSE + b.NoisePenalty }
 
 // Measure computes the quality breakdown of a clustering result over its
-// input items. workers ≤ 0 uses GOMAXPROCS. TotalSSE is the sum of the
-// per-cluster terms returned by ClusterSSEs, so the two views can never
-// diverge.
+// input items from scratch. workers ≤ 0 uses GOMAXPROCS.
 func Measure(items []segclust.Item, res *segclust.Result, opt lsdist.Options, workers int) Breakdown {
-	var b Breakdown
-	for _, sse := range ClusterSSEs(items, res, opt, workers) {
-		b.TotalSSE += sse
-	}
-	b.NoisePenalty = NoisePenalty(items, res, opt, workers)
-	return b
+	st, _ := (*State)(nil).Next(context.Background(), items, res, opt, workers) // a background context never ends the pass early
+	return st.Breakdown()
 }
 
-// NoisePenalty computes the noise term of Formula 11 alone: the SSE form
-// applied to the set of noise segments.
-func NoisePenalty(items []segclust.Item, res *segclust.Result, opt lsdist.Options, workers int) float64 {
-	var noise []int
-	for i, l := range res.ClusterOf {
-		if l == segclust.Noise {
-			noise = append(noise, i)
+// State is the exact Formula-11 state of one clustering: the group of
+// every item and the exact pair sum of every group. It costs 4 bytes per
+// item plus about 300 bytes per group, and is immutable once Next returns
+// it, so any number of goroutines may read or advance it.
+type State struct {
+	of    []int32   // item → group: cluster index, or len(sums)−1 for noise
+	sums  []acc     // per group: exact Σ_{x<y∈g} fl(dist(x,y)²)
+	sse   []float64 // per group: sums[g] rounded once, over |g|
+	b     Breakdown
+	pairs int
+}
+
+// SSE returns cluster i's term of Total SSE.
+func (s *State) SSE(i int) float64 { return s.sse[i] }
+
+// Breakdown returns the two terms of QMeasure. TotalSSE adds the cluster
+// terms in cluster order.
+func (s *State) Breakdown() Breakdown { return s.b }
+
+// Pairs returns how many pair distances Next scored to derive this state.
+func (s *State) Pairs() int { return s.pairs }
+
+// Next measures the clustering res of items, advancing from s: a nil s
+// means from scratch, otherwise s must describe an earlier clustering of a
+// prefix of items, in the same order — a sweep step over the same items,
+// or the epoch before an append, whose new items come last. The receiver
+// is never modified, so the old state stays valid.
+//
+// Each new group starts from the old group it shares the most members with
+// (ties to the lowest index; the noise set from the old noise set),
+// subtracts the pairs of the members that left and adds the pairs of the
+// members that arrived. It does so only when that scores fewer pairs than
+// the group's full triangle |g|(|g|−1)/2, and otherwise sums the group from
+// scratch. Both give the same bits. Rows — one member each — run on
+// workers goroutines (≤ 0 uses GOMAXPROCS); a done ctx stops the pass
+// within one row and returns ctx.Err().
+func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.Result, opt lsdist.Options, workers int) (*State, error) {
+	k := len(res.Clusters)
+	next := &State{
+		of:   make([]int32, len(res.ClusterOf)),
+		sums: make([]acc, k+1),
+		sse:  make([]float64, k+1),
+	}
+	for i, c := range res.ClusterOf {
+		if c == segclust.Noise {
+			c = k
+		}
+		next.of[i] = int32(c)
+	}
+	if s != nil && len(s.of) > len(next.of) {
+		s = nil // not an earlier clustering of these items
+	}
+	cur := groupsOf(next.of, k+1)
+	ds, pairs := s.plan(cur, next.of)
+
+	rows := 0
+	for g := range ds {
+		ds[g].row = rows
+		rows += ds[g].rows()
+		if b := ds[g].base; b >= 0 {
+			next.sums[g] = s.sums[b]
 		}
 	}
-	return groupSSE(items, noise, lsdist.New(opt), workers)
-}
-
-// ClusterSSEs returns the SSE term of every cluster individually (the
-// summands of Formula 11's Total SSE), index-aligned with res.Clusters.
-// The serving layer reports them as per-cluster compactness statistics.
-// workers ≤ 0 uses GOMAXPROCS.
-func ClusterSSEs(items []segclust.Item, res *segclust.Result, opt lsdist.Options, workers int) []float64 {
+	// Worker 0 scores into next.sums; every other worker into its own
+	// accumulators, merged exactly afterwards.
+	nw := par.Workers(workers, rows)
+	scratch := make([][]acc, nw)
 	dist := lsdist.New(opt)
-	out := make([]float64, len(res.Clusters))
-	for i, c := range res.Clusters {
-		out[i] = groupSSE(items, c.Members, dist, workers)
+	err := par.ForEachCtx(ctx, nw, rows, func(w, r int) {
+		g := sort.Search(len(ds), func(i int) bool { return ds[i].row+ds[i].rows() > r })
+		sums := next.sums
+		if w > 0 {
+			if scratch[w] == nil {
+				scratch[w] = make([]acc, len(ds))
+			}
+			sums = scratch[w]
+		}
+		ds[g].score(&sums[g], r-ds[g].row, items, dist)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	for _, sums := range scratch {
+		for g := range sums {
+			next.sums[g].merge(&sums[g])
+		}
+	}
+
+	for g := range ds {
+		switch n := cur.size(g); {
+		case ds[g].base >= 0 && ds[g].rows() == 0:
+			next.sse[g] = s.sse[ds[g].base]
+		case n > 0:
+			next.sse[g] = next.sums[g].float() / float64(n)
+		}
+	}
+	for _, v := range next.sse[:k] {
+		next.b.TotalSSE += v
+	}
+	next.b.NoisePenalty = next.sse[k]
+	next.pairs = pairs
+	return next, nil
 }
 
-// groupSSE computes 1/(2|G|)·Σ_{x∈G}Σ_{y∈G} dist(x,y)² over the item index
-// group G, parallelised over rows.
-func groupSSE(items []segclust.Item, group []int, dist lsdist.Func, workers int) float64 {
-	n := len(group)
-	if n == 0 {
-		return 0
+// delta derives one group's sum: start from the old group base's sum (zero
+// when base < 0), subtract every pair touching a gone member, and add every
+// pair touching a came member. kept holds the members both groups share.
+// All three lists are ascending.
+type delta struct {
+	base             int
+	kept, gone, came []int32
+	row              int // the group's first row in the pass
+}
+
+func (d *delta) rows() int { return len(d.gone) + len(d.came) }
+
+// plan chooses every new group's delta and returns the pairs they score.
+func (s *State) plan(cur groups, of []int32) ([]delta, int) {
+	ds := make([]delta, cur.len())
+	var prev groups
+	var tally []int
+	if s != nil {
+		prev = groupsOf(s.of, len(s.sums))
+		tally = make([]int, len(s.sums))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	sums := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var s float64
-			for i := w; i < n; i += workers {
-				a := items[group[i]].Seg
-				// Pairwise distances are symmetric with dist(x,x)=0, so sum
-				// the strict upper triangle and double it.
-				for j := i + 1; j < n; j++ {
-					d := dist(a, items[group[j]].Seg)
-					s += 2 * d * d
+	pairs := 0
+	for g := range ds {
+		m := cur.members(g)
+		ds[g] = delta{base: -1, came: m}
+		cost := triangle(len(m))
+		if s != nil {
+			if h, kept := s.base(m, g == len(ds)-1, tally); h >= 0 {
+				// Pairs touching a departed member, plus pairs touching an
+				// arrival.
+				if d := triangle(prev.size(h)) - triangle(kept) + cost - triangle(kept); d < cost {
+					ds[g] = split(h, int32(g), m, prev.members(h), kept, s.of, of)
+					cost = d
 				}
 			}
-			sums[w] = s
-		}(w)
+		}
+		pairs += cost
 	}
-	wg.Wait()
-	var total float64
-	for _, s := range sums {
-		total += s
-	}
-	return total / (2 * float64(n))
+	return ds, pairs
 }
+
+// base picks the old group a new group with members m starts from: the old
+// noise set for the noise group, otherwise the old group sharing the most
+// members with it, ties to the lowest index. It returns that group and the
+// number of shared members, or −1 when m shares no member with any old
+// cluster. tally is zeroed scratch sized to the old groups, and is zeroed
+// again on return.
+func (s *State) base(m []int32, noise bool, tally []int) (h, shared int) {
+	oldNoise := int32(len(s.sums) - 1)
+	old := m
+	for i, x := range m {
+		if int(x) >= len(s.of) {
+			old = m[:i] // members are ascending: the rest are new items
+			break
+		}
+	}
+	if noise {
+		for _, x := range old {
+			if s.of[x] == oldNoise {
+				shared++
+			}
+		}
+		return int(oldNoise), shared
+	}
+	h = -1
+	for _, x := range old {
+		o := s.of[x]
+		tally[o]++
+		if n := tally[o]; n > shared || n == shared && int(o) < h {
+			h, shared = int(o), n
+		}
+	}
+	for _, x := range old {
+		tally[s.of[x]] = 0
+	}
+	return h, shared
+}
+
+// split builds the delta of new group g (members m) from old group h
+// (members hm), which share kept members.
+func split(h int, g int32, m, hm []int32, kept int, oldOf, of []int32) delta {
+	d := delta{
+		base: h,
+		kept: make([]int32, 0, kept),
+		gone: make([]int32, 0, len(hm)-kept),
+		came: make([]int32, 0, len(m)-kept),
+	}
+	for _, x := range m {
+		if int(x) < len(oldOf) && oldOf[x] == int32(h) {
+			d.kept = append(d.kept, x)
+		} else {
+			d.came = append(d.came, x)
+		}
+	}
+	for _, x := range hm {
+		if of[x] != g {
+			d.gone = append(d.gone, x)
+		}
+	}
+	return d
+}
+
+// score runs row r of d into a: a gone member's pairs with the kept members
+// and the gone members after it are subtracted, a came member's pairs with
+// the kept members and the came members after it are added. Every pair is
+// scored as dist(lower item, higher item), as a from-scratch pass does.
+func (d *delta) score(a *acc, r int, items []segclust.Item, dist lsdist.Func) {
+	neg, list := r < len(d.gone), d.came
+	if neg {
+		list = d.gone
+	} else {
+		r -= len(d.gone)
+	}
+	x := list[r]
+	seg := items[x].Seg
+	pair := func(p, q geom.Segment) {
+		v := dist(p, q)
+		if neg {
+			a.sub(v * v)
+		} else {
+			a.add(v * v)
+		}
+	}
+	lo, _ := slices.BinarySearch(d.kept, x)
+	for _, y := range d.kept[:lo] {
+		pair(items[y].Seg, seg)
+	}
+	for _, y := range d.kept[lo:] {
+		pair(seg, items[y].Seg)
+	}
+	for _, y := range list[r+1:] {
+		pair(seg, items[y].Seg)
+	}
+}
+
+// triangle is the number of unordered pairs among n items.
+func triangle(n int) int { return n * (n - 1) / 2 }
+
+// groups lists every group's members in ascending item order: group g
+// holds ids[off[g]:off[g+1]].
+type groups struct {
+	off []int
+	ids []int32
+}
+
+func groupsOf(of []int32, n int) groups {
+	gs := groups{off: make([]int, n+1), ids: make([]int32, len(of))}
+	for _, g := range of {
+		gs.off[g+1]++
+	}
+	for g := 0; g < n; g++ {
+		gs.off[g+1] += gs.off[g]
+	}
+	fill := slices.Clone(gs.off[:n])
+	for i, g := range of {
+		gs.ids[fill[g]] = int32(i)
+		fill[g]++
+	}
+	return gs
+}
+
+func (gs groups) len() int              { return len(gs.off) - 1 }
+func (gs groups) size(g int) int        { return gs.off[g+1] - gs.off[g] }
+func (gs groups) members(g int) []int32 { return gs.ids[gs.off[g]:gs.off[g+1]] }

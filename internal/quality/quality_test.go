@@ -1,8 +1,10 @@
 package quality
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -79,18 +81,22 @@ func TestTightClustersScoreBetter(t *testing.T) {
 	}
 }
 
+// TestWorkerCountsAgree: the breakdown is bit-identical across worker
+// counts, member orders and item orders — the pair sums are exact, so no
+// schedule or permutation can move a bit.
 func TestWorkerCountsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	const n, clustered = 400, 300
 	var items []segclust.Item
-	labels := make([]int, 60)
+	labels := make([]int, n)
 	var members []int
-	for i := 0; i < 60; i++ {
+	for i := 0; i < n; i++ {
 		items = append(items, segclust.Item{
 			Seg: geom.Seg(rng.Float64()*500, rng.Float64()*300,
 				rng.Float64()*500, rng.Float64()*300),
 			TrajID: i, Weight: 1,
 		})
-		if i < 30 {
+		if i < clustered {
 			labels[i] = 0
 			members = append(members, i)
 		} else {
@@ -98,10 +104,45 @@ func TestWorkerCountsAgree(t *testing.T) {
 		}
 	}
 	res := &segclust.Result{ClusterOf: labels, Clusters: []segclust.Cluster{{Members: members}}}
-	serial := Measure(items, res, lsdist.DefaultOptions(), 1)
-	parallel := Measure(items, res, lsdist.DefaultOptions(), 8)
-	if !approx(serial.QMeasure(), parallel.QMeasure(), 1e-6*serial.QMeasure()) {
-		t.Errorf("serial %v != parallel %v", serial.QMeasure(), parallel.QMeasure())
+	want := Measure(items, res, lsdist.DefaultOptions(), 1)
+	same := func(label string, got Breakdown) {
+		t.Helper()
+		if math.Float64bits(got.TotalSSE) != math.Float64bits(want.TotalSSE) ||
+			math.Float64bits(got.NoisePenalty) != math.Float64bits(want.NoisePenalty) ||
+			math.Float64bits(got.QMeasure()) != math.Float64bits(want.QMeasure()) {
+			t.Errorf("%s: %+v, serial %+v", label, got, want)
+		}
+	}
+	for _, workers := range []int{2, 3, 4, 8, 0} {
+		same(fmt.Sprintf("workers=%d", workers), Measure(items, res, lsdist.DefaultOptions(), workers))
+	}
+
+	reversed := slices.Clone(members)
+	slices.Reverse(reversed)
+	shuffled := slices.Clone(members)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, m := range map[string][]int{"reversed": reversed, "shuffled": shuffled} {
+		r := &segclust.Result{ClusterOf: labels, Clusters: []segclust.Cluster{{Members: m}}}
+		same(name+" members", Measure(items, r, lsdist.DefaultOptions(), 3))
+	}
+
+	// Permute the items themselves: every pair is scored in the other
+	// orientation or at another position of the sum.
+	perm := rng.Perm(n)
+	pItems := make([]segclust.Item, n)
+	pLabels := make([]int, n)
+	for i, p := range perm {
+		pItems[p], pLabels[p] = items[i], labels[i]
+	}
+	var pMembers []int
+	for i, l := range pLabels {
+		if l == 0 {
+			pMembers = append(pMembers, i)
+		}
+	}
+	r := &segclust.Result{ClusterOf: pLabels, Clusters: []segclust.Cluster{{Members: pMembers}}}
+	for _, workers := range []int{1, 4} {
+		same(fmt.Sprintf("permuted items, workers=%d", workers), Measure(pItems, r, lsdist.DefaultOptions(), workers))
 	}
 }
 

@@ -102,11 +102,6 @@ func (m *Model) appendWith(apply func() (*traclus.Result, error), trajectories, 
 // nextEpoch wraps the post-append clustering as the successor model of
 // head. Called with the lineage locked.
 func (head *Model) nextEpoch(res *traclus.Result, trajectories, points int) *Model {
-	stats := res.ClusterStats()
-	qmeasure := res.NoisePenalty()
-	for _, st := range stats {
-		qmeasure += st.SSE
-	}
 	next := &Model{
 		res: res,
 		// den deliberately nil: the pre-append dendrogram describes the old
@@ -122,10 +117,13 @@ func (head *Model) nextEpoch(res *traclus.Result, trajectories, points int) *Mod
 	next.summary.RemovedClusters = res.RemovedClusters
 	next.summary.Trajectories = head.summary.Trajectories + trajectories
 	next.summary.Points = head.summary.Points + points
-	next.summary.QMeasure = qmeasure
+	// The result's quality advances from head's, which the build or the
+	// previous append already computed: only pairs the append changed are
+	// scored.
+	next.summary.QMeasure = res.QMeasure()
 	next.summary.Epoch = head.summary.Epoch + 1
 	next.summary.BuiltAt = time.Now().UTC()
-	next.summary.ClusterStats = stats
+	next.summary.ClusterStats = res.ClusterStats()
 	// The classifier over the post-append reference segments is built on
 	// first use — Append itself must construct zero spatial indexes.
 	next.clsLazy = func() (*traclus.Classifier, error) {

@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	traclus "repro"
+	"repro/internal/segclust"
+	"repro/internal/synth"
 )
 
 // appendSet returns trajectories to grow trainingSet models with — same
@@ -52,6 +54,19 @@ func TestModelAppendMatchesBatchBuild(t *testing.T) {
 		ns.Trajectories != bs.Trajectories || ns.Points != bs.Points ||
 		ns.QMeasure != bs.QMeasure {
 		t.Errorf("appended summary diverges from batch build:\nappend: %+v\nbatch:  %+v", ns, bs)
+	}
+	// Every Formula 11 term, bit for bit: the appended epoch's quality was
+	// advanced from the build's, the batch model's scored from scratch.
+	if len(ns.ClusterStats) != len(bs.ClusterStats) {
+		t.Fatalf("appended model has %d cluster stats, batch %d", len(ns.ClusterStats), len(bs.ClusterStats))
+	}
+	for i, want := range bs.ClusterStats {
+		if got := ns.ClusterStats[i]; math.Float64bits(got.SSE) != math.Float64bits(want.SSE) {
+			t.Errorf("cluster %d: appended SSE %v, batch %v", i, got.SSE, want.SSE)
+		}
+	}
+	if a, b := next.Result().NoisePenalty(), batch.Result().NoisePenalty(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("appended NoisePenalty %v, batch %v", a, b)
 	}
 	// The old epoch keeps serving its own consistent pre-append view.
 	if got := m.Summary(); got.Epoch != 0 || got.Trajectories != len(base) {
@@ -329,5 +344,116 @@ func TestAppendEmpty(t *testing.T) {
 	if next.Summary().TotalSegments != m.Summary().TotalSegments {
 		t.Errorf("empty append changed the clustering: %d -> %d segments",
 			m.Summary().TotalSegments, next.Summary().TotalSegments)
+	}
+}
+
+// labelsAt returns the model's clustering at its own ε, cut from its
+// dendrogram — the same labels the build or append produced.
+func labelsAt(t *testing.T, m *Model) []int {
+	t.Helper()
+	cfg := m.Config()
+	d, err := m.DendrogramAt(context.Background(), cfg.Eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.CutAt(cfg.Eps, cfg.MinLns, cfg.MinTrajs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.ClusterOf
+}
+
+// TestAppendScoresOnlyNewPairs pins the incremental quality on the service
+// path: when no old segment changes group, a 1-trajectory append scores
+// exactly the within-group pairs that touch a new segment — the previous
+// epoch's pair sums carry everything else.
+func TestAppendScoresOnlyNewPairs(t *testing.T) {
+	trs := synth.Hurricanes(synth.HurricaneConfig{NumTracks: 65, MeanPoints: 24, Jitter: 4, Seed: 5})
+	m, err := Build("pairs", trs[:60], buildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Track 64 partitions into four segments, two of which join clusters.
+	next, err := m.Append(context.Background(), trs[64:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, cur := labelsAt(t, m), labelsAt(t, next)
+	if len(cur) <= len(old) {
+		t.Fatalf("append added no segments: %d -> %d", len(old), len(cur))
+	}
+	// Precondition: the append moved no old segment — old clusters map one
+	// to one onto new ones and noise stays noise.
+	onto, back := map[int]int{}, map[int]int{}
+	for i, o := range old {
+		n := cur[i]
+		m1, ok1 := onto[o]
+		m2, ok2 := back[n]
+		if ok1 && m1 != n || ok2 && m2 != o || (o == segclust.Noise) != (n == segclust.Noise) {
+			t.Fatalf("segment %d went from group %d to %d: the input no longer isolates the append", i, o, n)
+		}
+		onto[o], back[n] = n, o
+	}
+	tri := func(n int) int { return n * (n - 1) / 2 }
+	size, fresh := map[int]int{}, map[int]int{}
+	for i, c := range cur {
+		size[c]++
+		if i >= len(old) {
+			fresh[c]++
+		}
+	}
+	want, full := 0, 0
+	for g, n := range size {
+		want += tri(n) - tri(n-fresh[g])
+		full += tri(n)
+	}
+	if got := next.Result().QualityPairs(); got != want {
+		t.Errorf("append scored %d pairs, want the %d that touch its %d new segments (a full pass scores %d)",
+			got, want, len(cur)-len(old), full)
+	}
+	// The build itself had no earlier epoch: it scored every pair.
+	oldSize := map[int]int{}
+	for _, c := range old {
+		oldSize[c]++
+	}
+	built := 0
+	for _, n := range oldSize {
+		built += tri(n)
+	}
+	if got := m.Result().QualityPairs(); got != built {
+		t.Errorf("build scored %d pairs, want all %d", got, built)
+	}
+}
+
+// BenchmarkModelAppend times a 1-trajectory Model.Append on a 400-track
+// hurricane model: the appender's incremental grouping plus the new
+// epoch's summary, whose quality advances from the previous epoch's.
+func BenchmarkModelAppend(b *testing.B) {
+	cfg := synth.DefaultHurricaneConfig()
+	cfg.NumTracks = 400
+	trs := synth.Hurricanes(cfg)
+	cfg.Seed, cfg.NumTracks = 3, 64
+	adds := synth.Hurricanes(cfg)
+	for i := range adds {
+		adds[i].ID += 1_000_000
+	}
+	m, err := Build("bench-append", trs, buildConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(adds) == 0 {
+			b.StopTimer()
+			if m, err = Build("bench-append", trs, buildConfig()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if m, err = m.Append(ctx, adds[i%len(adds):i%len(adds)+1]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -210,13 +210,6 @@ func finishBuild(name string, ap *traclus.Appender, cfg traclus.Config, trajecto
 		cfg.MinLns = float64(res.Estimated.MinLnsLo+res.Estimated.MinLnsHi) / 2
 	}
 	cfg.Geometry = res.Geometry()
-	// QMeasure = Σ per-cluster SSE + noise penalty; assembling it from the
-	// ClusterStats pass avoids running the O(n²) pairwise SSE twice.
-	stats := res.ClusterStats()
-	qmeasure := res.NoisePenalty()
-	for _, st := range stats {
-		qmeasure += st.SSE
-	}
 	m := &Model{
 		res: res,
 		den: res.Dendrogram(), // non-nil on auto builds; persisted as format v2
@@ -232,10 +225,10 @@ func finishBuild(name string, ap *traclus.Appender, cfg traclus.Config, trajecto
 			Points:          points,
 			Eps:             cfg.Eps,
 			MinLns:          cfg.MinLns,
-			QMeasure:        qmeasure,
+			QMeasure:        res.QMeasure(),
 			Geometry:        cfg.Geometry.Kind.String(),
 			TemporalWeight:  cfg.Geometry.WT,
-			ClusterStats:    stats,
+			ClusterStats:    res.ClusterStats(),
 		},
 	}
 	if len(res.Clusters) > 0 {

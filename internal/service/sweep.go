@@ -2,11 +2,14 @@ package service
 
 // Multi-ε queries over a served model: the dendrogram (internal/dendro)
 // lets the daemon answer "what would this clustering look like at ε?" for
-// any ε without re-running the distance kernels. SweepQuality walks a grid
-// of ε values and reports the Section 5.1 quality terms at each; ClustersAt
+// any ε without re-running the grouping. SweepQuality walks a grid of ε
+// values and reports the Section 5.1 quality terms at each; ClustersAt
 // materialises the full clustering — members, trajectories, representatives
 // — at one ε. Both reconstruct exactly what a fresh build at that ε would
-// produce (the dendro equivalence suite pins this).
+// produce (the dendro equivalence suite pins this). The quality terms do
+// score pair distances: one quality.State threads through the sweep, so
+// each step scores only the pairs whose co-membership changed since the
+// step before.
 
 import (
 	"context"
@@ -27,8 +30,9 @@ import (
 var ErrNoDendrogram = errors.New("service: model carries no dendrogram (format v1 snapshot); rebuild the model to enable sweep queries")
 
 // maxSweepSteps bounds the ε-grid resolution of one sweep request: each
-// step costs an O(n²)-per-cluster quality pass, so the cap keeps a single
-// request from monopolising the daemon.
+// step costs a dendrogram cut and a quality pass over the pairs whose
+// co-membership changed — up to O(|C|²) per cluster when a step reshapes
+// one — so the cap keeps a single request from monopolising the daemon.
 const maxSweepSteps = 4096
 
 // SweepPoint is the quality curve sample at one ε.
@@ -117,6 +121,8 @@ func (m *Model) DendrogramAt(ctx context.Context, maxEps float64) (*dendro.Dendr
 // SweepQuality samples the quality curve at steps evenly-spaced ε values
 // across [lo, hi] (inclusive on both ends): cluster count, noise fraction,
 // and the Formula 11 terms at every ε, all served from one merge structure.
+// Each step's quality advances from the previous step's, and equals, bit
+// for bit, a from-scratch quality.Measure of that step's clustering.
 // Invalid ranges return a *traclus.ConfigError, which the daemon maps to
 // the /v1 invalid_config envelope.
 func (m *Model) SweepQuality(ctx context.Context, lo, hi float64, steps int) ([]SweepPoint, error) {
@@ -139,6 +145,7 @@ func (m *Model) SweepQuality(ctx context.Context, lo, hi float64, steps int) ([]
 	items := d.Items()
 	opt := m.distOptions()
 	pts := make([]SweepPoint, steps)
+	var q *quality.State
 	for k := range pts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -148,7 +155,10 @@ func (m *Model) SweepQuality(ctx context.Context, lo, hi float64, steps int) ([]
 		if err != nil {
 			return nil, err
 		}
-		b := quality.Measure(items, res, opt, m.cfg.Workers)
+		if q, err = q.Next(ctx, items, res, opt, m.cfg.Workers); err != nil {
+			return nil, err
+		}
+		b := q.Breakdown()
 		noise := res.NoiseCount()
 		pts[k] = SweepPoint{
 			Eps:             eps,

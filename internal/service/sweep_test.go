@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	traclus "repro"
+	"repro/internal/quality"
+	"repro/internal/synth"
 )
 
 // TestClustersAtMatchesBuild pins the serving identity: cutting the model
@@ -186,4 +189,85 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
 	}
+}
+
+// TestSummaryQMeasureIsResultQMeasure: the summary reports the result's
+// own QMeasure bit for bit, after a build and after an append, and the
+// sweep point at the model's own ε reads the same Formula 11 terms.
+func TestSummaryQMeasureIsResultQMeasure(t *testing.T) {
+	ctx := context.Background()
+	cfg := synth.DefaultHurricaneConfig()
+	cfg.NumTracks, cfg.Seed = 401, 3
+	trs := synth.Hurricanes(cfg)
+	m, err := Build("q", trs[:400], buildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := m.Append(ctx, trs[400:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mm := range []*Model{m, next} {
+		sum, res := mm.Summary(), mm.Result()
+		if math.Float64bits(sum.QMeasure) != math.Float64bits(res.QMeasure()) {
+			t.Errorf("epoch %d: summary QMeasure %v, Result().QMeasure() %v", sum.Epoch, sum.QMeasure, res.QMeasure())
+		}
+		// k = 0 of a sweep sits exactly on lo.
+		pts, err := mm.SweepQuality(ctx, sum.Eps, 2*sum.Eps, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pts[0]
+		var total float64
+		for _, st := range sum.ClusterStats {
+			total += st.SSE
+		}
+		if p.Eps != sum.Eps || p.Clusters != sum.Clusters ||
+			math.Float64bits(p.QMeasure) != math.Float64bits(sum.QMeasure) ||
+			math.Float64bits(p.TotalSSE) != math.Float64bits(total) ||
+			math.Float64bits(p.NoisePenalty) != math.Float64bits(res.NoisePenalty()) {
+			t.Errorf("epoch %d: sweep point %+v, summary QMeasure %v, Σ SSE %v, NoisePenalty %v",
+				sum.Epoch, p, sum.QMeasure, total, res.NoisePenalty())
+		}
+	}
+}
+
+// BenchmarkSweepQuality times the daemon's default sweep — 16 steps over
+// [ε/2, 2ε] — on a 400-track hurricane model whose dendrogram is already
+// built, so only the cuts and the quality passes are timed. pairs/op is
+// the number of pair distances the chained quality states score per sweep.
+func BenchmarkSweepQuality(b *testing.B) {
+	cfg := synth.DefaultHurricaneConfig()
+	cfg.NumTracks = 400
+	m, err := Build("bench-sweep", synth.Hurricanes(cfg), buildConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	eps := m.Summary().Eps
+	lo, hi, steps := eps/2, 2*eps, 16
+	d, err := m.DendrogramAt(ctx, hi)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := 0
+	var q *quality.State
+	for k := 0; k < steps; k++ {
+		res, err := d.CutAt(lo+(hi-lo)*float64(k)/float64(steps-1), m.cfg.MinLns, m.cfg.MinTrajs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if q, err = q.Next(ctx, d.Items(), res, m.distOptions(), m.cfg.Workers); err != nil {
+			b.Fatal(err)
+		}
+		pairs += q.Pairs()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.SweepQuality(ctx, lo, hi, steps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pairs), "pairs/op")
 }

@@ -33,6 +33,7 @@ package traclus
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dendro"
@@ -319,6 +320,14 @@ type Result struct {
 	clsOnce sync.Once
 	cls     *Classifier
 	clsErr  error
+
+	// Formula 11 state behind ClusterStats, NoisePenalty and QMeasure,
+	// computed once on first use. qbase is the previous epoch's state when
+	// an append found it already computed; the first use advances from it
+	// instead of scoring every pair, then drops it.
+	qOnce sync.Once
+	q     atomic.Pointer[quality.State]
+	qbase *quality.State
 }
 
 // Items returns the pooled partitioned segments the grouping ran over, in
@@ -383,17 +392,34 @@ func newResult(out *core.Output, ccfg core.Config) *Result {
 func (r *Result) DistCalls() int { return r.out.Result.DistCalls }
 
 // QMeasure evaluates the paper's clustering quality measure (Formula 11:
-// total SSE plus noise penalty) for this result. Smaller is better.
-func (r *Result) QMeasure() float64 {
-	b := quality.Measure(r.out.Items, r.out.Result, r.cfg.Distance, r.cfg.Workers)
-	return b.QMeasure()
-}
+// total SSE plus noise penalty) for this result. Smaller is better. It
+// equals the sum of the ClusterStats SSEs, in cluster order, plus
+// NoisePenalty.
+func (r *Result) QMeasure() float64 { return r.quality().Breakdown().QMeasure() }
 
-// NoisePenalty evaluates the noise term of Formula 11 alone. Together with
-// the per-cluster SSEs of ClusterStats it reassembles QMeasure without a
-// second O(n²) pairwise pass — the decomposition the serving layer uses.
-func (r *Result) NoisePenalty() float64 {
-	return quality.NoisePenalty(r.out.Items, r.out.Result, r.cfg.Distance, r.cfg.Workers)
+// NoisePenalty returns the noise term of Formula 11: the SSE form applied
+// to the set of noise segments.
+func (r *Result) NoisePenalty() float64 { return r.quality().Breakdown().NoisePenalty }
+
+// QualityPairs returns how many pair distances computing the result's
+// Formula 11 terms scored: every within-group pair for a batch run; after
+// an append whose previous Result had its quality computed, only the pairs
+// whose co-membership changed (or a group's full triangle, where that is
+// fewer).
+func (r *Result) QualityPairs() int { return r.quality().Pairs() }
+
+// quality returns the result's Formula 11 state, computing it on first use
+// — advanced from the previous epoch's state when an append left one.
+// ClusterStats, NoisePenalty and QMeasure all read it, so the O(Σ|C|²)
+// pairwise pass runs at most once per Result.
+func (r *Result) quality() *quality.State {
+	r.qOnce.Do(func() {
+		// A background context never ends the pass early.
+		q, _ := r.qbase.Next(context.Background(), r.out.Items, r.out.Result, r.cfg.Distance, r.cfg.Workers)
+		r.q.Store(q)
+		r.qbase = nil
+	})
+	return r.q.Load()
 }
 
 // Partition exposes phase one alone: the MDL-chosen characteristic points

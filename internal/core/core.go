@@ -238,12 +238,12 @@ func RunCtx(ctx context.Context, trs []geom.Trajectory, cfg Config) (*Output, er
 // RunOnItems executes the grouping and representative phases on
 // pre-partitioned items. It is exposed so experiments can reuse one
 // partitioning across parameter sweeps. Both phases honour cfg.Workers:
-// grouping precomputes ε-neighborhoods concurrently into a flat arena and
-// clusters them via parallel union-find over the core-segment ε-graph
-// (bit-identical to the serial Figure-12 expansion), and the per-cluster
-// sweep-line representatives fan out across a worker pool (each cluster's
-// sweep is independent and writes only its own slot, so the output is
-// identical to the serial order for every worker count).
+// grouping precomputes ε-neighborhoods concurrently and clusters them via
+// parallel union-find over the core-segment ε-graph (bit-identical to the
+// Figure-12 expansion), and the per-cluster sweep-line representatives fan
+// out across a worker pool (each cluster's sweep is independent and writes
+// only its own slot, so the output is identical to the serial order for
+// every worker count).
 func RunOnItems(items []segclust.Item, cfg Config) (*Output, error) {
 	return RunOnItemsCtx(context.Background(), items, cfg)
 }

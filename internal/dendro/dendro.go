@@ -15,17 +15,18 @@
 //     sorted by (distance, a, b) — the union-find replay log. A cut at ε
 //     replays the prefix of edges with d ≤ ε whose endpoints are both core
 //     at ε through the deterministic min-root union-find
-//     (segclust.UnionFind), which is exactly the merge order of the fresh
-//     grouping's ε-graph pass;
+//     (segclust.UnionFind), which ends in exactly the forest the fresh
+//     grouping's link step builds;
 //   - the item set itself (geometry + trajectory ids + weights), so cuts,
 //     representatives, and SSEs remain computable from a snapshot-restored
 //     dendrogram with no original dataset at hand.
 //
-// CutAt replicates segclust's grouping semantics step for step (core
-// predicate, min-root components, ascending numbering, min-cluster-id
-// border assignment, Definition-10 trajectory filter), so its Result is
-// bit-identical to a fresh segclust.Run at the same parameters — the
-// equivalence suite pins this across backends and worker counts.
+// CutAt replicates segclust's grouping step for step: it computes the core
+// predicate and replays the merges itself, then hands the numbering and
+// border passes to segclust.Label — the very passes every batch run and
+// append uses — and applies the Definition-10 trajectory filter, so its
+// Result is bit-identical to a fresh segclust.Run at the same parameters;
+// the equivalence suite pins this across backends and worker counts.
 //
 // One caveat bounds the "bit-identical" claim: the fresh pass accumulates
 // each neighborhood's weight in backend candidate order, while the
@@ -288,11 +289,10 @@ func (d *Dendrogram) CoreDist(i int, minLns float64) float64 {
 //     both-core endpoints. Union order is irrelevant to the outcome — the
 //     min-root union-find makes every component's root its minimum member
 //     regardless of interleaving.
-//  3. Numbering: ascending scan, new cluster id at each core item that is
-//     its own root — identical to segclust's serial numbering pass.
-//  4. Borders: a non-core item joins the minimum cluster id among the core
-//     members of its neighborhood, or stays noise.
-//  5. Definition 10: segclust.ResultFromLabels applies the trajectory
+//  3. Numbering and borders: segclust.Label, over the within-ε prefix of
+//     each sorted neighbor list — the same two passes a fresh grouping
+//     runs.
+//  4. Definition 10: segclust.ResultFromLabels applies the trajectory
 //     filter and canonicalises, the same bridge the OPTICS grouper uses.
 func (d *Dendrogram) CutAt(eps, minLns float64, minTrajs int) (*segclust.Result, error) {
 	if err := segclust.CheckPositive("Eps", eps); err != nil {
@@ -319,35 +319,12 @@ func (d *Dendrogram) CutAt(eps, minLns float64, minTrajs int) (*segclust.Result,
 			uf.Union(e.a, e.b)
 		}
 	}
-	labels := make([]int, n)
-	clusterID := 0
-	for i := 0; i < n; i++ {
-		if !core[i] {
-			labels[i] = segclust.Noise
-			continue
-		}
-		if r := int(uf.Find(int32(i))); r == i {
-			labels[i] = clusterID
-			clusterID++
-		} else {
-			labels[i] = labels[r]
-		}
-	}
-	for i := 0; i < n; i++ {
-		if core[i] {
-			continue
-		}
-		best := segclust.Noise
+	labels, err := segclust.Label(context.TODO(), 1, core, uf, func(i int) []int32 {
 		lo := d.off[i]
-		for _, j := range d.ids[lo : lo+int64(d.countAt(i, eps))] {
-			if !core[j] {
-				continue
-			}
-			if id := labels[j]; best == segclust.Noise || id < best {
-				best = id
-			}
-		}
-		labels[i] = best
+		return d.ids[lo : lo+int64(d.countAt(i, eps))]
+	})
+	if err != nil {
+		return nil, err
 	}
 	return segclust.ResultFromLabels(d.items, labels, minTrajs, 0), nil
 }

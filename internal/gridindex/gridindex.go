@@ -94,8 +94,10 @@ func Build(segs []geom.Segment, cellSize float64) *Index {
 		idx.cell = maxDim / 4096 // cap any grid at ~16M cells
 	}
 	idx.minX, idx.minY = bounds.Min.X, bounds.Min.Y
-	idx.nx = int(bounds.Width()/idx.cell) + 1
-	idx.ny = int(bounds.Height()/idx.cell) + 1
+	// A non-finite extent (a NaN or infinite coordinate) has no cell count;
+	// such an axis gets one cell, which cellRange clamps every rectangle to.
+	idx.nx = max(int(bounds.Width()/idx.cell)+1, 1)
+	idx.ny = max(int(bounds.Height()/idx.cell)+1, 1)
 	// CSR build: count pass, prefix sum, fill pass. The fill uses the
 	// offsets themselves as write cursors and restores them with one
 	// overlapping copy (after filling, cellOff[c] is cell c's end, which is
@@ -166,24 +168,28 @@ func (x *Index) Insert(segs []geom.Segment) {
 // CellSize returns the cell size in effect.
 func (x *Index) CellSize() float64 { return x.cell }
 
+// cellRange returns the box of cells r overlaps, every bound clamped into
+// the grid: a rectangle beyond the extent on any side — an appended
+// segment, or a query grown past the extent, to +Inf included — maps to
+// the edge cells. Clamping is monotone, so rectangles whose unclamped cell
+// intervals overlap still overlap after it (see Insert).
 func (x *Index) cellRange(r geom.Rect) (i0, i1, j0, j1 int) {
-	i0 = int((r.Min.X - x.minX) / x.cell)
-	i1 = int((r.Max.X - x.minX) / x.cell)
-	j0 = int((r.Min.Y - x.minY) / x.cell)
-	j1 = int((r.Max.Y - x.minY) / x.cell)
-	if i0 < 0 {
-		i0 = 0
+	return x.cellOf(r.Min.X-x.minX, x.nx), x.cellOf(r.Max.X-x.minX, x.nx),
+		x.cellOf(r.Min.Y-x.minY, x.ny), x.cellOf(r.Max.Y-x.minY, x.ny)
+}
+
+// cellOf returns the cell of offset v on an axis of n cells, clamped into
+// [0, n). It clamps before it converts: converting a float outside the int
+// range, or NaN, is implementation-defined.
+func (x *Index) cellOf(v float64, n int) int {
+	c := v / x.cell
+	switch {
+	case !(c > 0): // negative, zero or NaN
+		return 0
+	case c >= float64(n-1):
+		return n - 1
 	}
-	if j0 < 0 {
-		j0 = 0
-	}
-	if i1 >= x.nx {
-		i1 = x.nx - 1
-	}
-	if j1 >= x.ny {
-		j1 = x.ny - 1
-	}
-	return
+	return int(c)
 }
 
 func (x *Index) eachCell(r geom.Rect, fn func(c int)) {

@@ -247,3 +247,37 @@ func sliceEq(a, b []int) bool {
 	}
 	return true
 }
+
+// TestInsertBeyondExtent pins the conservative-candidate contract for
+// segments inserted beyond the extent the grid was built over, on every
+// side, and for an infinite query radius: an out-of-extent segment must
+// land in the edge cells a query clamps to, not in an empty cell range.
+func TestInsertBeyondExtent(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, base := range [][]geom.Segment{{geom.Seg(1, 0, 1, 1)}, randSegs(rng, 40)} {
+		segs := append([]geom.Segment(nil), base...)
+		idx := Build(segs, 0)
+		var grown []geom.Segment
+		for _, c := range []geom.Point{geom.Pt(-5000, 300), geom.Pt(5000, 300), geom.Pt(500, -5000), geom.Pt(500, 5000), geom.Pt(6000, 6000), geom.Pt(2, 2)} {
+			for k := 0; k < 5; k++ {
+				x, y := c.X+rng.Float64()*60, c.Y+rng.Float64()*60
+				grown = append(grown, geom.Seg(x, y, x+rng.Float64()*40, y+rng.Float64()*40))
+			}
+		}
+		idx.Insert(grown)
+		segs = append(segs, grown...)
+		for trial := 0; trial < 200; trial++ {
+			q := segs[rng.Intn(len(segs))].Bounds()
+			d := rng.Float64() * 200
+			if trial%10 == 0 {
+				d = math.Inf(1)
+			}
+			got := idx.Candidates(q, d, nil, nil)
+			want := bruteCandidates(segs, q, d)
+			sort.Ints(got)
+			if !sliceEq(got, want) {
+				t.Fatalf("%d-segment base, trial %d (d=%v): candidates %v, want %v", len(base), trial, d, got, want)
+			}
+		}
+	}
+}

@@ -300,6 +300,9 @@ func anneal(ctx context.Context, lo, hi float64, an AnnealOptions, weightsAt fun
 			return Estimate{}, err
 		}
 		cand := cur + rng.NormFloat64()*span*temp
+		if math.IsNaN(cand) { // ∞ − ∞, only on an unbounded range: stay put
+			cand = cur
+		}
 		for cand < lo || cand > hi { // reflect into range
 			if cand < lo {
 				cand = 2*lo - cand

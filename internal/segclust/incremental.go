@@ -1,8 +1,8 @@
 package segclust
 
 // Incremental ε-graph clustering: answer "what is the clustering now?" under
-// appends without recomputing it from scratch. The ε-graph formulation of
-// groupEpsGraph makes the update rule exact rather than approximate, because
+// appends without recomputing it from scratch. The ε-graph labeling (link,
+// then label) makes the update rule exact rather than approximate, because
 // every derived quantity is a set-determined function of the neighborhoods:
 //
 //   - Appending items only GROWS neighborhoods (no deletions), so weighted
@@ -15,10 +15,10 @@ package segclust
 //     assignment (min cluster id over a border item's core neighbors) are
 //     pure functions of the final core flags, components, and neighborhoods.
 //
-// So the only O(n) work an append re-runs is the cheap serial numbering scan
-// and the parallel border pass; the expensive part — ε-range queries — runs
-// only for the Δ appended items, against the one grown index. The result is
-// the clustering a batch run over the concatenated items would produce: same
+// So the only O(n) work an append re-runs is label's cheap numbering scan
+// and border pass; the expensive part — ε-range queries — runs only for the
+// Δ appended items, against the one grown index. The result is the
+// clustering a batch run over the concatenated items would produce: same
 // labels, same cluster order, same Removed. (DistCalls is the one field that
 // legitimately differs: the base items were queried against the smaller
 // pre-append index, so the incremental total counts fewer candidate
@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geometry"
-	"repro/internal/par"
 )
 
 // ErrAppendBroken reports an append on an Incremental whose previous append
@@ -86,9 +85,9 @@ func (s *SharedIndex) grow(newItems []Item, newIvs []geometry.Interval) error {
 }
 
 // Incremental is a clustering that stays current under appends. It is built
-// once over the initial items (NewIncrementalCtx — one full grouping, same
-// cost as RunSharedCtx) and thereafter AppendCtx folds new trajectories'
-// items in for O(Δ) query work plus two O(n) label passes.
+// once over the initial items (NewIncrementalCtx — one full grouping, the
+// very path RunSharedCtx takes) and thereafter AppendCtx folds new
+// trajectories' items in for O(Δ) query work plus label's two O(n) passes.
 //
 // An Incremental owns its SharedIndex exclusively for writing: AppendCtx
 // grows the index in place, so the owner must serialise appends against each
@@ -100,18 +99,10 @@ type Incremental struct {
 	cfg      Config
 	minTrajs int
 
-	// hs holds the base neighborhoods of the initial build: item i < nBase
-	// has base neighbors hs.hood(i) (ids < nBase only). ext[i] carries
-	// everything later epochs added: for base items the appended neighbors,
-	// for appended items their full neighborhood at append time plus any
-	// later additions. The live neighborhood of item i is therefore
-	// hs.hood(i) ⧺ ext[i] for i < nBase and ext[i] otherwise.
-	hs    *hoodSet
-	nBase int
-	ext   [][]int32
-
-	w      []float64 // live weighted ε-cardinality per item
-	core   []bool    // live core flags (monotone: set once, never cleared)
+	// hs holds the live neighborhood and weighted ε-cardinality of every
+	// item; appends extend it in place.
+	hs     *hoodSet
+	core   []bool // live core flags (monotone: set once, never cleared)
 	uf     *unionFind
 	calls  int // cumulative exact-distance evaluations across all epochs
 	res    *Result
@@ -126,55 +117,7 @@ type Incremental struct {
 // supported (they have no index to grow); cfg.Index/Backend are ignored in
 // favour of shared's backend, exactly as RunSharedCtx.
 func NewIncrementalCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem func()) (*Incremental, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	minTrajs := cfg.MinTrajs
-	if minTrajs <= 0 {
-		minTrajs = int(cfg.MinLns)
-	}
-	hs, calls, err := shared.neighborhoods(ctx, cfg.Eps, cfg.Workers, nil, onItem)
-	if err != nil {
-		return nil, err
-	}
-	n := len(hs.w)
-	inc := &Incremental{
-		shared:   shared,
-		cfg:      cfg,
-		minTrajs: minTrajs,
-		hs:       hs,
-		nBase:    n,
-		ext:      make([][]int32, n),
-		w:        append([]float64(nil), hs.w...),
-		core:     make([]bool, n),
-		uf:       newUnionFind(n),
-		calls:    calls,
-	}
-	for i, wt := range inc.w {
-		inc.core[i] = wt >= cfg.MinLns
-	}
-	err = par.ForEachCtx(ctx, cfg.Workers, n, func(_, i int) {
-		if !inc.core[i] {
-			return
-		}
-		for _, j := range hs.hood(i) {
-			if int(j) > i && inc.core[j] {
-				inc.uf.union(int32(i), j)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	labels, err := inc.relabel(ctx)
-	if err != nil {
-		return nil, err
-	}
-	inc.res = ResultFromLabels(shared.items, labels, minTrajs, inc.calls)
-	return inc, nil
+	return group(ctx, shared.items, cfg, nil, onItem, shared)
 }
 
 // Result returns the clustering over every item appended so far. The value
@@ -184,68 +127,23 @@ func (inc *Incremental) Result() *Result { return inc.res }
 // Shared returns the underlying (growing) shared index.
 func (inc *Incremental) Shared() *SharedIndex { return inc.shared }
 
-// eachNeighbor invokes fn for every live neighbor of item i (including i
-// itself), in base-then-extension order.
-func (inc *Incremental) eachNeighbor(i int, fn func(j int32)) {
-	if i < inc.nBase {
-		for _, j := range inc.hs.hood(i) {
-			fn(j)
-		}
-	}
-	for _, j := range inc.ext[i] {
-		fn(j)
-	}
-}
-
-// relabel runs the two cheap label passes of groupEpsGraph over the live
-// state: the serial ascending numbering (root = component minimum = serial
-// discovery order) and the parallel first-come-first-served border
-// assignment. Identical logic, just over hoodSet ⧺ ext neighborhoods.
-func (inc *Incremental) relabel(ctx context.Context) ([]int, error) {
-	n := len(inc.w)
-	labels := make([]int, n)
-	clusterID := 0
-	for i := 0; i < n; i++ {
-		if !inc.core[i] {
-			labels[i] = Noise
-			continue
-		}
-		r := int(inc.uf.find(int32(i)))
-		if r == i {
-			labels[i] = clusterID
-			clusterID++
-		} else {
-			labels[i] = labels[r]
-		}
-	}
-	err := par.ForEachCtx(ctx, inc.cfg.Workers, n, func(_, i int) {
-		if inc.core[i] {
-			return
-		}
-		best := Noise
-		inc.eachNeighbor(i, func(j int32) {
-			if !inc.core[j] {
-				return
-			}
-			if id := labels[j]; best == Noise || id < best {
-				best = id
-			}
-		})
-		labels[i] = best
-	})
+// result labels the live ε-graph and applies the Definition-10 filter and
+// canonical ordering.
+func (inc *Incremental) result(ctx context.Context) (*Result, error) {
+	labels, err := label(ctx, inc.cfg.Workers, inc.core, inc.uf, inc.hs.hood)
 	if err != nil {
 		return nil, err
 	}
-	return labels, nil
+	return ResultFromLabels(inc.shared.items, labels, inc.minTrajs, inc.calls), nil
 }
 
 // AppendCtx folds newItems into the clustering: the shared index grows, only
 // the Δ new items run ε-range queries, their neighbors' cardinalities are
 // updated through symmetry, the union-find absorbs the new core-core edges,
-// and the numbering + border passes re-run. newIvs must carry one time
-// interval per new item on a spatiotemporal index and be nil on a planar
-// one. The returned Result equals a batch run over the concatenated items
-// (see the package comment for the DistCalls and float-weight caveats).
+// and label re-runs. newIvs must carry one time interval per new item on a
+// spatiotemporal index and be nil on a planar one. The returned Result
+// equals a batch run over the concatenated items (see the package comment
+// for the DistCalls and float-weight caveats).
 //
 // A failed or cancelled append leaves the Incremental broken — the index may
 // have grown while the derived state did not — and every later call returns
@@ -278,105 +176,62 @@ func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item, newIvs [
 func (inc *Incremental) append(ctx context.Context, n0 int) (*Result, error) {
 	items := inc.shared.items
 	n := len(items)
-	inc.ext = append(inc.ext, make([][]int32, n-n0)...)
-	inc.w = append(inc.w, make([]float64, n-n0)...)
-	inc.core = append(inc.core, make([]bool, n-n0)...)
 
 	// Phase 1 — the only expensive work: ε-range queries for the Δ new
 	// items against the grown index, across workers. Each new item's full
 	// neighborhood (old and new neighbors alike — the index already holds
-	// everything) lands in ext[i] as an owned copy.
-	nw := par.Workers(inc.cfg.Workers, n-n0)
-	cfg := Config{Eps: inc.cfg.Eps, MinLns: 1, Options: inc.shared.opt}
-	engines := make([]*engine, nw)
-	scratch := make([][]int, nw)
-	scs := make([]*scratchSet, nw)
-	for k := range engines {
-		sc := inc.shared.getScratch()
-		scs[k] = sc
-		engines[k] = &engine{items: items, cfg: cfg, src: inc.shared.view(inc.cfg.Eps), cand: sc.cand, dists: sc.dists}
-		scratch[k] = sc.hood
-	}
-	err := par.ForEachCtx(ctx, inc.cfg.Workers, n-n0, func(wk, k int) {
-		i := n0 + k
-		hood, weight := engines[wk].neighborhood(i, scratch[wk][:0])
-		scratch[wk] = hood[:0]
-		ids := make([]int32, len(hood))
-		for t, id := range hood {
-			ids[t] = int32(id)
-		}
-		inc.ext[i] = ids
-		inc.w[i] = weight
-	})
-	for k, e := range engines {
-		inc.calls += e.calls
-		sc := scs[k]
-		sc.cand, sc.dists, sc.hood = e.cand, e.dists, scratch[k]
-		inc.shared.scr.Put(sc)
-	}
+	// everything) lands in hs.
+	calls, err := inc.hs.extend(ctx, inc.shared, inc.cfg.Eps, inc.cfg.Workers, nil, nil)
+	inc.calls += calls
 	if err != nil {
 		return nil, err
 	}
 
 	// Phase 2 — symmetry reflection, serial in ascending new-item order:
 	// j ∈ Nε(i) ⇔ i ∈ Nε(j), so each pre-existing neighbor j gains i in its
-	// extension and i's weight in its cardinality.
+	// neighborhood and i's weight in its cardinality. The first append to a
+	// neighborhood still in its worker's block copies it out (the window's
+	// capacity is capped).
+	hs := inc.hs
 	for i := n0; i < n; i++ {
-		for _, j := range inc.ext[i] {
+		for _, j := range hs.ids[i] {
 			if int(j) < n0 {
-				inc.ext[j] = append(inc.ext[j], int32(i))
-				inc.w[j] += items[i].Weight
+				hs.ids[j] = append(hs.ids[j], int32(i))
+				hs.w[j] += items[i].Weight
 			}
 		}
 	}
 
-	// Phase 3 — core promotion. Monotone: grown cardinalities can only
-	// promote. Pre-existing items that crossed MinLns are the "dirtied"
-	// frontier whose edges phase 4 must add.
-	var promoted []int32
+	// Phase 3 — core flags for the new items, and core promotion for the
+	// old ones. Monotone: grown cardinalities can only promote. Pre-existing
+	// items that crossed MinLns are the "dirtied" frontier whose edges
+	// phase 4 must add, beside the new items'.
+	inc.core = append(inc.core, make([]bool, n-n0)...)
+	work := make([]int32, 0, n-n0)
+	for i := n0; i < n; i++ {
+		inc.core[i] = hs.w[i] >= inc.cfg.MinLns
+		work = append(work, int32(i))
+	}
 	for j := 0; j < n0; j++ {
-		if !inc.core[j] && inc.w[j] >= inc.cfg.MinLns {
+		if !inc.core[j] && hs.w[j] >= inc.cfg.MinLns {
 			inc.core[j] = true
-			promoted = append(promoted, int32(j))
+			work = append(work, int32(j))
 		}
 	}
-	for i := n0; i < n; i++ {
-		inc.core[i] = inc.w[i] >= inc.cfg.MinLns
-	}
 
-	// Phase 4 — union the new core-core edges. Every edge of the grown core
+	// Phase 4 — link the new core-core edges. Every edge of the grown core
 	// graph that the old forest lacks has at least one endpoint that is a
 	// new item or a promoted one (an edge between two previously-core old
 	// items was already unioned), so scanning those endpoints' full
 	// neighborhoods covers them all. Min-root unions are order-free, so the
 	// grown forest's roots equal a from-scratch batch forest's.
 	uf := inc.uf.grow(n)
-	work := make([]int32, 0, (n-n0)+len(promoted))
-	for i := n0; i < n; i++ {
-		work = append(work, int32(i))
-	}
-	work = append(work, promoted...)
-	err = par.ForEachCtx(ctx, inc.cfg.Workers, len(work), func(_, k int) {
-		i := work[k]
-		if !inc.core[i] {
-			return
-		}
-		inc.eachNeighbor(int(i), func(j int32) {
-			if j != i && inc.core[j] {
-				uf.union(i, j)
-			}
-		})
-	})
-	if err != nil {
+	if err := link(ctx, inc.cfg.Workers, inc.core, uf, hs.hood, work); err != nil {
 		return nil, err
 	}
 	inc.uf = uf
 
-	// Phase 5 — the cheap passes: serial numbering + parallel border, then
-	// the canonical Definition-10 filter and ordering.
-	labels, err := inc.relabel(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ResultFromLabels(items, labels, inc.minTrajs, inc.calls), nil
+	// Phase 5 — label's numbering and border passes, then the canonical
+	// Definition-10 filter and ordering.
+	return inc.result(ctx)
 }

@@ -1,0 +1,355 @@
+package segclust
+
+// The Figure-12 oracle suite: the paper's grouping algorithm, run verbatim
+// over full-scan neighborhoods, is the specification every production path
+// — batch runs at every backend and worker count, the spatiotemporal index,
+// RunWithDistance, and Incremental appends — is diffed against, bit for bit
+// except DistCalls (the oracle spends n² distance calls on purpose).
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/geometry"
+	"repro/internal/lsdist"
+)
+
+// figure12 is Figure 12 of the paper: full-scan ε-neighborhoods under dist,
+// clusters seeded in item order, each expanded first in, first out, and a
+// border item kept by the first cluster that reaches it. Step 3's
+// Definition-10 filter and the canonical Result shape come from
+// ResultFromLabels (minTrajs ≤ 0 defaults to int(minLns), as in Config).
+func figure12(items []Item, dist func(i, j int) float64, eps, minLns float64, minTrajs int) *Result {
+	const unclassified = -2
+	neighborhood := func(i int) ([]int, float64) {
+		var hood []int
+		var weight float64
+		for j := range items {
+			if dist(i, j) <= eps {
+				hood = append(hood, j)
+				weight += items[j].Weight
+			}
+		}
+		return hood, weight
+	}
+	labels := make([]int, len(items))
+	for i := range labels {
+		labels[i] = unclassified
+	}
+	clusterID := 0
+	for i := range items {
+		if labels[i] != unclassified {
+			continue
+		}
+		hood, weight := neighborhood(i)
+		if weight < minLns {
+			labels[i] = Noise
+			continue
+		}
+		// Step 1: seed the cluster with the neighborhood; members an earlier
+		// cluster already claimed keep their label.
+		var queue []int
+		for _, j := range hood {
+			switch labels[j] {
+			case unclassified:
+				labels[j] = clusterID
+				if j != i {
+					queue = append(queue, j)
+				}
+			case Noise:
+				labels[j] = clusterID
+			}
+		}
+		// Step 2: ExpandCluster.
+		for len(queue) > 0 {
+			m := queue[0]
+			queue = queue[1:]
+			hood, weight := neighborhood(m)
+			if weight < minLns {
+				continue
+			}
+			for _, x := range hood {
+				switch labels[x] {
+				case unclassified:
+					labels[x] = clusterID
+					queue = append(queue, x)
+				case Noise:
+					labels[x] = clusterID
+				}
+			}
+		}
+		clusterID++
+	}
+	if minTrajs <= 0 {
+		minTrajs = int(minLns)
+	}
+	return ResultFromLabels(items, labels, minTrajs, 0)
+}
+
+// planar is the canonical TRACLUS distance between items, by index.
+func planar(items []Item, opt lsdist.Options) func(i, j int) float64 {
+	dist := lsdist.New(opt)
+	return func(i, j int) float64 { return dist(items[i].Seg, items[j].Seg) }
+}
+
+// diffOracle fails unless got equals the oracle's want in every field but
+// DistCalls.
+func diffOracle(t *testing.T, what string, want, got *Result) {
+	t.Helper()
+	g := *got
+	g.DistCalls = 0
+	if !reflect.DeepEqual(want, &g) {
+		t.Errorf("%s: differs from Figure 12\noracle: %d clusters, removed %d, labels %v\ngot:    %d clusters, removed %d, labels %v",
+			what, want.NumClusters(), want.Removed, want.ClusterOf, got.NumClusters(), got.Removed, got.ClusterOf)
+	}
+}
+
+// diffWorkers runs run at every worker count, diffs each Result against the
+// oracle's want, and checks that DistCalls does not depend on the worker
+// count.
+func diffWorkers(t *testing.T, what string, want *Result, workers []int, run func(workers int) (*Result, error)) {
+	t.Helper()
+	calls := -1
+	for _, w := range workers {
+		got, err := run(w)
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", what, w, err)
+		}
+		diffOracle(t, fmt.Sprintf("%s workers=%d", what, w), want, got)
+		if calls >= 0 && got.DistCalls != calls {
+			t.Errorf("%s workers=%d: %d distcalls, %d at workers=%d", what, w, got.DistCalls, calls, workers[0])
+		}
+		calls = got.DistCalls
+	}
+}
+
+var oracleKinds = []IndexKind{IndexGrid, IndexRTree, IndexNone}
+
+// pointItems is the degenerate-point fixture: three Gaussian blobs of
+// points, each a zero-length segment of its own trajectory — the case where
+// TRACLUS grouping is point DBSCAN.
+func pointItems(rng *rand.Rand) []Item {
+	var items []Item
+	for _, c := range []geom.Point{geom.Pt(0, 0), geom.Pt(800, 0), geom.Pt(0, 800)} {
+		for k := 0; k < 30; k++ {
+			p := geom.Pt(c.X+rng.NormFloat64()*8, c.Y+rng.NormFloat64()*8)
+			items = append(items, Item{Seg: geom.Segment{Start: p, End: p}, TrajID: len(items), Weight: 1})
+		}
+	}
+	return items
+}
+
+// mixedItems is corridors plus random segments plus exact duplicates of some
+// of them, so ties, coincident segments and noise all occur.
+func mixedItems(rng *rand.Rand) []Item {
+	items := corridorItemsSpread(rng, 300, 3, 12, 500)
+	for i := 0; i < 60; i++ {
+		items = append(items, Item{
+			Seg:    geom.Seg(rng.Float64()*800, rng.Float64()*600, rng.Float64()*800, rng.Float64()*600),
+			TrajID: 100 + i%7, Weight: 1,
+		})
+	}
+	for i := 0; i < 40; i++ {
+		dup := items[rng.Intn(len(items))]
+		dup.TrajID = 200 + i
+		items = append(items, dup)
+	}
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	return items
+}
+
+// TestOracleRun diffs Run against Figure 12 over {grid, rtree, brute} ×
+// Workers {1, 2, 4, all} on the mixed and the degenerate-point fixtures
+// (TestSharedBorder* do the same on the shared-border ladders).
+func TestOracleRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	cases := []struct {
+		name  string
+		items []Item
+		cfg   Config
+	}{
+		{"mixed", mixedItems(rng), defaultCfg()},
+		{"points", pointItems(rng), Config{Eps: 50, MinLns: 4, MinTrajs: 1, Options: lsdist.DefaultOptions()}},
+	}
+	for _, c := range cases {
+		want := figure12(c.items, planar(c.items, c.cfg.Options), c.cfg.Eps, c.cfg.MinLns, c.cfg.MinTrajs)
+		if want.NumClusters() < 3 {
+			t.Fatalf("%s: fixture yields %d clusters, want at least 3", c.name, want.NumClusters())
+		}
+		for _, kind := range oracleKinds {
+			diffWorkers(t, fmt.Sprintf("%s index=%v", c.name, kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
+				cfg := c.cfg
+				cfg.Index, cfg.Workers = kind, workers
+				return Run(c.items, cfg)
+			})
+		}
+	}
+}
+
+// timedItems pairs corridor items with time intervals in two waves a long
+// gap apart, so the temporal term splits what is one planar cluster.
+func timedItems(rng *rand.Rand, n int) ([]Item, []geometry.Interval) {
+	items := corridorItemsSpread(rng, n, 2, 16, 400)
+	ivs := make([]geometry.Interval, n)
+	for i := range ivs {
+		t0 := rng.Float64() * 300
+		if i%3 == 0 {
+			t0 += 5000
+		}
+		ivs[i] = geometry.Interval{Start: t0, End: t0 + rng.Float64()*200}
+	}
+	return items, ivs
+}
+
+// TestOracleSpatiotemporal diffs grouping over a spatiotemporal index
+// (wT > 0) against Figure 12 under dist + wT·gap.
+func TestOracleSpatiotemporal(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	items, ivs := timedItems(rng, 400)
+	const wt = 0.05
+	cfg := defaultCfg()
+	sp := planar(items, cfg.Options)
+	want := figure12(items, func(i, j int) float64 { return sp(i, j) + wt*ivs[i].Gap(ivs[j]) }, cfg.Eps, cfg.MinLns, 0)
+	flat := figure12(items, sp, cfg.Eps, cfg.MinLns, 0)
+	if reflect.DeepEqual(want.ClusterOf, flat.ClusterOf) {
+		t.Fatal("fixture: the temporal term changes nothing")
+	}
+	for _, kind := range oracleKinds {
+		shared := NewSharedIndexTimed(items, ivs, wt, cfg.Options, BackendFor(kind))
+		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
+			cfg.Workers = workers
+			return RunSharedCtx(context.Background(), shared, cfg, nil)
+		})
+	}
+}
+
+// TestOracleRunWithDistance diffs the custom-distance path against Figure 12
+// under the same distance.
+func TestOracleRunWithDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	items := mixedItems(rng)
+	dist := func(a, b geom.Segment) float64 { return a.Midpoint().Dist(b.Midpoint()) }
+	cfg := Config{Eps: 40, MinLns: 4, Options: lsdist.DefaultOptions()}
+	want := figure12(items, func(i, j int) float64 { return dist(items[i].Seg, items[j].Seg) }, cfg.Eps, cfg.MinLns, 0)
+	diffWorkers(t, "custom distance", want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
+		cfg.Workers = workers
+		return RunWithDistance(items, dist, cfg)
+	})
+}
+
+// TestOracleIncremental builds an Incremental on a prefix of the items and
+// appends the rest in three batches; after every step the Result must be
+// Figure 12's over the items so far, and every live neighborhood must hold
+// exactly the full scan's ids (appends extend neighborhoods in place, so a
+// write past one item's window would corrupt the next item's ids).
+func TestOracleIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	all := mixedItems(rng)
+	timed, ivs := timedItems(rng, len(all))
+	cuts := []int{len(all) / 4, len(all) / 2, 2 * len(all) / 3, len(all)}
+	cfg := defaultCfg()
+	for _, geo := range []string{"planar", "spatiotemporal"} {
+		items, dist := all, planar(all, cfg.Options)
+		var wt float64
+		if geo == "spatiotemporal" {
+			items, wt = timed, 0.05
+			sp := planar(timed, cfg.Options)
+			dist = func(i, j int) float64 { return sp(i, j) + wt*ivs[i].Gap(ivs[j]) }
+		}
+		wants := make([]*Result, len(cuts))
+		for k, n := range cuts {
+			wants[k] = figure12(items[:n], dist, cfg.Eps, cfg.MinLns, 0)
+		}
+		hoods := make([][]int32, len(items))
+		for i := range items {
+			for j := range items {
+				if dist(i, j) <= cfg.Eps {
+					hoods[i] = append(hoods[i], int32(j))
+				}
+			}
+		}
+		for _, kind := range oracleKinds {
+			for _, workers := range []int{1, 2, 0} {
+				what := fmt.Sprintf("%s index=%v workers=%d", geo, kind, workers)
+				cfg.Workers = workers
+				var pivs []geometry.Interval
+				if wt > 0 {
+					pivs = slices.Clone(ivs[:cuts[0]])
+				}
+				shared := NewSharedIndexTimed(slices.Clone(items[:cuts[0]]), pivs, wt, cfg.Options, BackendFor(kind))
+				inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := inc.Result()
+				for k, n := range cuts {
+					if k > 0 {
+						var bivs []geometry.Interval
+						if wt > 0 {
+							bivs = ivs[cuts[k-1]:n]
+						}
+						if got, err = inc.AppendCtx(context.Background(), items[cuts[k-1]:n], bivs); err != nil {
+							t.Fatal(err)
+						}
+					}
+					diffOracle(t, fmt.Sprintf("%s after %d items", what, n), wants[k], got)
+				}
+				for i, want := range hoods {
+					hood := slices.Clone(inc.hs.hood(i))
+					slices.Sort(hood)
+					if !slices.Equal(hood, want) {
+						t.Fatalf("%s: item %d: live neighborhood %v, full scan %v", what, i, hood, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzGroupOracle diffs Run (every backend, one and three workers) and an
+// append after a fuzz-chosen prefix against Figure 12 on fuzz-chosen
+// segments — coincident and zero-length ones included — ε and MinLns. Each
+// segment is five bytes: four coordinates and a trajectory id.
+func FuzzGroupOracle(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 0, 0, 0, 1, 10, 1, 1, 0, 2, 10, 2, 2, 5, 5, 5, 5, 3, 5, 5, 5, 5, 4, 0, 0, 10, 0, 5}, 2.0, uint8(2), uint8(3))
+	f.Add([]byte{1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 9, 9, 9, 9, 3}, 1.5, uint8(1), uint8(1))
+	f.Add([]byte{0, 0, 100, 0, 0, 0, 13, 100, 13, 1, 0, 8, 100, 8, 2, 0, 1, 100, 1, 3, 0, 14, 100, 14, 4}, 5.0, uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, eps float64, minLns, split uint8) {
+		if !(eps > 0) || math.IsInf(eps, 0) {
+			t.Skip()
+		}
+		var items []Item
+		for k := 0; k+5 <= len(data) && len(items) < 40; k += 5 {
+			c := func(b byte) float64 { return float64(int8(b)) }
+			items = append(items, Item{Seg: geom.Seg(c(data[k]), c(data[k+1]), c(data[k+2]), c(data[k+3])), TrajID: int(data[k+4] % 5), Weight: 1})
+		}
+		cfg := Config{Eps: eps, MinLns: float64(1 + minLns%6), Options: lsdist.DefaultOptions()}
+		want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, 0)
+		for _, kind := range oracleKinds {
+			diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 3}, func(workers int) (*Result, error) {
+				cfg.Index, cfg.Workers = kind, workers
+				return Run(items, cfg)
+			})
+		}
+		p := 0
+		if len(items) > 0 {
+			p = int(split) % len(items)
+		}
+		shared := NewSharedIndexFor(slices.Clone(items[:p]), cfg.Options, BackendFor(IndexGrid))
+		inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inc.AppendCtx(context.Background(), items[p:], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffOracle(t, fmt.Sprintf("append after %d", p), want, got)
+	})
+}

@@ -2,6 +2,7 @@ package segclust
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,33 +12,19 @@ import (
 )
 
 // TestWorkersEquivalence is the grouping-phase determinism contract: for
-// every index strategy, every worker count yields a Result deep-equal to
-// the serial one — including DistCalls, because the serial algorithm also
-// evaluates each item's neighborhood exactly once.
+// every index strategy, every worker count yields the Figure-12 oracle's
+// Result, and DistCalls does not depend on the worker count either.
 func TestWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	items := corridorItemsSpread(rng, 600, 3, 25, 700)
+	cfg := defaultCfg()
+	want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, cfg.MinTrajs)
 	for _, kind := range []IndexKind{IndexGrid, IndexRTree, IndexNone} {
-		cfg := defaultCfg()
 		cfg.Index = kind
-		cfg.Workers = 1
-		serial, err := Run(items, cfg)
-		if err != nil {
-			t.Fatalf("index=%v serial: %v", kind, err)
-		}
-		for _, workers := range []int{2, 5, 16, 0} {
+		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 2, 5, 16, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
-			parallel, err := Run(items, cfg)
-			if err != nil {
-				t.Fatalf("index=%v workers=%d: %v", kind, workers, err)
-			}
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Errorf("index=%v workers=%d: result differs from serial\nserial:   %d clusters, %d distcalls\nparallel: %d clusters, %d distcalls",
-					kind, workers,
-					serial.NumClusters(), serial.DistCalls,
-					parallel.NumClusters(), parallel.DistCalls)
-			}
-		}
+			return Run(items, cfg)
+		})
 	}
 }
 
@@ -49,19 +36,12 @@ func TestRunWithDistanceWorkersEquivalence(t *testing.T) {
 	dist := func(a, b geom.Segment) float64 {
 		return a.Midpoint().Dist(b.Midpoint())
 	}
-	cfg := Config{Eps: 60, MinLns: 3, Options: lsdist.DefaultOptions(), Workers: 1}
-	serial, err := RunWithDistance(items, dist, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 6
-	parallel, err := RunWithDistance(items, dist, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("custom distance: parallel result differs from serial")
-	}
+	cfg := Config{Eps: 60, MinLns: 3, Options: lsdist.DefaultOptions()}
+	want := figure12(items, func(i, j int) float64 { return dist(items[i].Seg, items[j].Seg) }, cfg.Eps, cfg.MinLns, 0)
+	diffWorkers(t, "custom distance", want, []int{1, 6}, func(workers int) (*Result, error) {
+		cfg.Workers = workers
+		return RunWithDistance(items, dist, cfg)
+	})
 }
 
 // ladderItems builds horizontal unit-direction segments of length 10 at
@@ -88,12 +68,12 @@ func ladderCfg() Config {
 }
 
 // TestSharedBorderFirstComeSemantics pins the DBSCAN tie-break the ε-graph
-// path must reproduce: a border segment reachable from two clusters goes to
-// the cluster created first in scan order — which is NOT in general the
+// labeling must reproduce: a border segment reachable from two clusters goes
+// to the cluster created first in scan order — which is NOT in general the
 // cluster of its lowest-index core neighbor. The fixture places cluster B's
 // cores at indices 1–4 and cluster A's at 0,5,6,7 with the shared border at
 // index 8: the border's lowest-index core neighbor (index 1) is in B, but
-// the serial scan creates A first (index 0) and A's expansion claims the
+// Figure 12's scan creates A first (index 0) and A's expansion claims the
 // border before B exists.
 func TestSharedBorderFirstComeSemantics(t *testing.T) {
 	y := []float64{0, 13, 14, 15, 16, 1, 2, 3, 8}
@@ -101,74 +81,52 @@ func TestSharedBorderFirstComeSemantics(t *testing.T) {
 	for i, yy := range y {
 		items[i] = Item{Seg: geom.Seg(0, yy, 10, yy), TrajID: i, Weight: 1}
 	}
+	cfg := ladderCfg()
+	want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, cfg.MinTrajs)
+	if want.NumClusters() != 2 {
+		t.Fatalf("fixture yields %d clusters, want 2", want.NumClusters())
+	}
+	if got := want.ClusterOf[8]; got != 0 {
+		t.Fatalf("border went to cluster %d, want first-created cluster 0", got)
+	}
+	if got := want.ClusterOf[1]; got != 1 {
+		t.Fatalf("min-index core neighbor of the border is in cluster %d, want 1 (the trap)", got)
+	}
 	for _, kind := range []IndexKind{IndexGrid, IndexRTree, IndexNone} {
-		cfg := ladderCfg()
 		cfg.Index = kind
-		cfg.Workers = 1
-		serial, err := Run(items, cfg)
-		if err != nil {
-			t.Fatalf("index=%v: %v", kind, err)
-		}
-		if serial.NumClusters() != 2 {
-			t.Fatalf("index=%v: fixture yields %d clusters, want 2", kind, serial.NumClusters())
-		}
-		if got := serial.ClusterOf[8]; got != 0 {
-			t.Fatalf("index=%v: border went to cluster %d, want first-created cluster 0", kind, got)
-		}
-		if got := serial.ClusterOf[1]; got != 1 {
-			t.Fatalf("index=%v: min-index core neighbor of the border is in cluster %d, want 1 (the trap)", kind, got)
-		}
-		for _, workers := range []int{2, 4, 0} {
+		diffWorkers(t, fmt.Sprintf("index=%v: border assignment", kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
-			parallel, err := Run(items, cfg)
-			if err != nil {
-				t.Fatalf("index=%v workers=%d: %v", kind, workers, err)
-			}
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Errorf("index=%v workers=%d: parallel border assignment diverged: serial %v, parallel %v",
-					kind, workers, serial.ClusterOf, parallel.ClusterOf)
-			}
-		}
+			return Run(items, cfg)
+		})
 	}
 }
 
-// TestSharedBorderWorkersEquivalence stresses parallel≡serial grouping on
-// many shuffled shared-border ladders (clusters that compete for the same
-// border segments), at Workers {1, 2, 4, all} for every index strategy.
-// CI runs this under -race, which also vets the union-find and border
-// passes for data races.
+// TestSharedBorderWorkersEquivalence stresses the ε-graph labeling against
+// Figure 12 on many shuffled shared-border ladders (clusters that compete
+// for the same border segments), at Workers {1, 2, 4, all} for every index
+// strategy. CI runs this under -race, which also vets the union-find and
+// border passes for data races.
 func TestSharedBorderWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	items := ladderItems(24)
 	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	cfg := ladderCfg()
+	want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, cfg.MinTrajs)
+	if want.NumClusters() < 24 {
+		t.Fatalf("fixture collapsed to %d clusters", want.NumClusters())
+	}
 	for _, kind := range []IndexKind{IndexGrid, IndexRTree, IndexNone} {
-		cfg := ladderCfg()
 		cfg.Index = kind
-		cfg.Workers = 1
-		serial, err := Run(items, cfg)
-		if err != nil {
-			t.Fatalf("index=%v serial: %v", kind, err)
-		}
-		if serial.NumClusters() < 24 {
-			t.Fatalf("index=%v: fixture collapsed to %d clusters", kind, serial.NumClusters())
-		}
-		for _, workers := range []int{2, 4, 0} {
+		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
-			parallel, err := Run(items, cfg)
-			if err != nil {
-				t.Fatalf("index=%v workers=%d: %v", kind, workers, err)
-			}
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Errorf("index=%v workers=%d: result differs from serial", kind, workers)
-			}
-		}
+			return Run(items, cfg)
+		})
 	}
 }
 
-// TestNeighborhoodArenaMatchesLazy checks the flat-buffer arena the
-// parallel grouping path consumes against independently computed lazy
-// neighborhoods: same ids in the same order, same weights, same distance
-// budget.
+// TestNeighborhoodArenaMatchesLazy checks the neighborhood store every
+// grouping consumes against independently computed lazy neighborhoods: same
+// ids in the same order, same weights, same distance budget.
 func TestNeighborhoodArenaMatchesLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	items := corridorItemsSpread(rng, 400, 3, 20, 600)

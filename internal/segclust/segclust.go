@@ -1,22 +1,23 @@
 // Package segclust implements TRACLUS line-segment clustering (Section 4,
 // Figure 12): a density-based grouping of trajectory partitions under the
-// TRACLUS distance, following DBSCAN's expansion strategy but with two
-// departures the paper calls out — the objects are line segments, and a
-// density-connected set only becomes a cluster if enough *distinct
-// trajectories* participate (Definition 10).
+// TRACLUS distance, with DBSCAN's semantics but two departures the paper
+// calls out — the objects are line segments, and a density-connected set
+// only becomes a cluster if enough *distinct trajectories* participate
+// (Definition 10).
 //
 // ε-neighborhoods are computed through the unified index subsystem of
 // internal/spindex — brute force, uniform grid, or R-tree (or any custom
 // Backend), all using the sound Euclidean prefilter of internal/lsdist —
-// and all backends produce identical clusterings. With
-// Config.Workers > 1 every neighborhood is precomputed concurrently through
-// per-worker views of one immutable SharedIndex into one flat int32 arena,
-// and the grouping itself then runs as connected components of the
-// core-segment ε-graph (concurrent union-find) plus a deterministic border
-// pass — bit-identical to the serial Figure-12 expansion (see
-// groupEpsGraph for the equivalence argument), because the serial
-// algorithm also evaluates each item's neighborhood exactly once and the
-// TRACLUS distance is symmetric (Lemma 2).
+// and all backends produce identical clusterings. Every run computes every
+// neighborhood once, across Config.Workers goroutines with per-worker views
+// of one immutable SharedIndex, and then labels the ε-graph in two steps:
+// link unions the core–core edges (a concurrent min-root union-find), and
+// label numbers the components and hands each border segment to its first
+// cluster (see label for why that is Figure 12's answer; the TRACLUS
+// distance is symmetric, Lemma 2). Batch runs, incremental appends
+// (Incremental) and dendrogram cuts (internal/dendro, through Label) share
+// these two steps; the paper's expansion itself is the test oracle every
+// path is diffed against.
 package segclust
 
 import (
@@ -134,21 +135,17 @@ type Config struct {
 	// backend (custom plug-ins ride this; the public Pipeline's
 	// WithIndexBackend sets it).
 	Backend spindex.Backend
-	// Workers bounds parallelism (≤ 0 = all CPUs). With more than one
-	// worker every ε-neighborhood is precomputed concurrently through
-	// per-worker views of a shared index into one flat arena, and the
-	// grouping runs as connected components of the core-segment ε-graph
-	// (concurrent union-find plus a deterministic border pass) instead of
-	// the serial DBSCAN expansion. Because the serial path also computes
-	// each item's neighborhood exactly once and the distance is symmetric,
-	// the result — cluster membership, noise, and even DistCalls — is
-	// bit-identical for every worker count.
+	// Workers bounds parallelism (≤ 0 = all CPUs): every ε-neighborhood is
+	// computed concurrently through per-worker views of a shared index, and
+	// the grouping runs as connected components of the core-segment ε-graph
+	// (concurrent union-find plus a border pass). Workers only sets the
+	// degree of parallelism: the result — cluster membership, noise, and
+	// even DistCalls — is bit-identical for every worker count.
 	//
-	// The cached neighborhoods cost O(Σ|Nε|) memory (the classic
-	// cached-DBSCAN trade), which approaches O(n²) when ε covers a large
-	// fraction of the data extent. Set Workers to 1 to keep the lazy serial
-	// path's O(max|Nε|) footprint on memory-constrained or pathological-ε
-	// runs.
+	// The cached neighborhoods cost 4 bytes per neighbor entry at every
+	// worker count, O(Σ|Nε|) memory in all (the classic cached-DBSCAN
+	// trade), which approaches O(n²) when ε covers a large fraction of the
+	// data extent.
 	Workers int
 }
 
@@ -324,19 +321,16 @@ func segments(items []Item) []geom.Segment {
 	return segs
 }
 
-// engine holds per-run state for the lazy serial path (and per-worker
-// state for the parallel neighborhood passes).
+// engine holds one worker's state for a neighborhood pass: its view of the
+// shared index, its scratch, and its count of exact distance evaluations.
 type engine struct {
-	items  []Item
-	cfg    Config
-	src    neighborSource
-	labels []int // unclassified / Noise / cluster id
-	calls  int
-	cand   []int     // candidate scratch
-	dists  []float64 // distance scratch, ≤ refineBlock per chunk
+	items []Item
+	cfg   Config
+	src   neighborSource
+	calls int
+	cand  []int     // candidate scratch
+	dists []float64 // distance scratch, ≤ refineBlock per chunk
 }
-
-const unclassified = -2
 
 // refineBlock chunks the block refinement: candidate lists are scored in
 // sub-blocks of at most this many pairs, so the distance scratch is one
@@ -374,37 +368,37 @@ func (e *engine) neighborhood(i int, dst []int) ([]int, float64) {
 	return dst, weight
 }
 
-// hoodSet is the flat-buffer neighborhood store of the parallel path: every
-// ε-neighborhood concatenated in item-index order in one shared int32
-// arena. Compared with one []int slice per item this is O(workers) + 3
-// allocations instead of O(items), half the id width, and a layout the
-// union-find edge pass scans as one contiguous run — the memory-wall fix:
-// the grouping hot path is cache- and allocator-bound, not compute-bound.
+// hoodSet holds the ε-neighborhoods of a run. Item i's ids are a window into
+// the int32 block of the worker that computed them, where they stay: the
+// store costs 4 bytes per neighbor entry plus one slice header per item, in
+// O(workers + Σ|Nε| / blockIDs) allocations. A window's capacity is capped
+// at its length, so appending to one (the symmetry reflection of
+// Incremental's appends) copies it out of the block instead of overwriting
+// the next item's ids.
 type hoodSet struct {
-	off []int64   // len n+1; item i's neighborhood is ids[off[i]:off[i+1]]
-	ids []int32   // concatenated neighborhoods, item-index order
+	ids [][]int32 // item i's neighborhood, i included, in candidate order
 	w   []float64 // weighted ε-cardinality per item
 }
 
-func (h *hoodSet) hood(i int) []int32 { return h.ids[h.off[i]:h.off[i+1]] }
+func (h *hoodSet) hood(i int) []int32 { return h.ids[i] }
 
-// Run executes the Figure-12 algorithm. cfg.Workers > 1 precomputes the
-// ε-neighborhoods concurrently; the clustering is identical either way.
+// Run executes the Figure-12 algorithm. cfg.Workers sets how many
+// goroutines compute the ε-neighborhoods and label the ε-graph; the
+// clustering is identical for every value.
 func Run(items []Item, cfg Config) (*Result, error) {
 	return run(context.Background(), items, cfg, nil, nil, nil)
 }
 
 // RunCtx is Run with cooperative cancellation and an optional per-item
-// completion hook. Cancellation is checked once per item on the parallel
-// passes (neighborhood precompute, union-find edge scan, border
-// assignment) and once per outer-loop item and expansion-queue pop on the
-// serial path, so the call returns ctx.Err() within roughly one
-// neighborhood's worth of work after ctx is done. An uncancelled RunCtx is
-// bit-identical to Run.
+// completion hook. Cancellation is checked once per item on every pass
+// (neighborhoods, union-find edge scan, border assignment), so the call
+// returns ctx.Err() within roughly one neighborhood's worth of work after
+// ctx is done. An uncancelled RunCtx is bit-identical to Run.
 //
 // onItem, if non-nil, is invoked once per item whose ε-neighborhood has
-// been resolved — from worker goroutines on the parallel path, inline on
-// the serial one — so callers can stream grouping progress.
+// been resolved — from the worker goroutines, so it must be safe for
+// concurrent use when cfg.Workers ≠ 1 — so callers can stream grouping
+// progress.
 func RunCtx(ctx context.Context, items []Item, cfg Config, onItem func()) (*Result, error) {
 	return run(ctx, items, cfg, nil, onItem, nil)
 }
@@ -430,9 +424,8 @@ func RunSharedCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem f
 // pure function; a stateful closure (memoizer, call counter) needs its own
 // synchronisation or cfg.Workers = 1. dist must also be symmetric
 // (dist(a,b) == dist(b,a)), as DBSCAN's density-connectivity — and the
-// ε-graph formulation the parallel path uses — presumes; every distance in
-// this repo is, per the paper's Lemma 2. Used by the distance-function
-// ablations.
+// ε-graph labeling — presumes; every distance in this repo is, per the
+// paper's Lemma 2. Used by the distance-function ablations.
 func RunWithDistance(items []Item, dist lsdist.Func, cfg Config) (*Result, error) {
 	if !cfg.Options.Weights.Valid() {
 		// The weights are unused on this path (the caller's dist decides
@@ -448,183 +441,124 @@ func RunWithDistance(items []Item, dist lsdist.Func, cfg Config) (*Result, error
 	return run(context.Background(), items, cfg, dist, nil, nil)
 }
 
-// run is the shared core. custom is the caller-supplied distance of
-// RunWithDistance, or nil for the canonical TRACLUS distance — the nil case
-// scores candidate blocks through the shared index's columnar batch kernel;
-// a custom Func has no kernel and keeps the scalar per-pair loop.
+// run is the batch entry points' shared core: group, keeping only the
+// Result.
 func run(ctx context.Context, items []Item, cfg Config, custom lsdist.Func, onItem func(), shared *SharedIndex) (*Result, error) {
+	inc, err := group(ctx, items, cfg, custom, onItem, shared)
+	if err != nil {
+		return nil, err
+	}
+	return inc.res, nil
+}
+
+// group is the one grouping path, behind every batch run and every
+// Incremental: it computes every ε-neighborhood once, links the core–core
+// edges and labels the ε-graph, and keeps that state so appends can extend
+// it. shared is built over items when nil. custom is RunWithDistance's
+// caller-supplied distance, or nil for the canonical TRACLUS distance,
+// whose candidate blocks the shared index's batch kernel scores.
+func group(ctx context.Context, items []Item, cfg Config, custom lsdist.Func, onItem func(), shared *SharedIndex) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if shared == nil {
+		shared = NewSharedIndexFor(items, cfg.Options, cfg.backend())
+	}
 	minTrajs := cfg.MinTrajs
 	if minTrajs <= 0 {
 		minTrajs = int(cfg.MinLns)
 	}
-	if shared == nil {
-		shared = NewSharedIndexFor(items, cfg.Options, cfg.backend())
-	}
-	if par.Workers(cfg.Workers, len(items)) > 1 {
-		return runParallel(ctx, shared, cfg, custom, onItem, minTrajs)
-	}
-	e := &engine{
-		items:  items,
-		cfg:    cfg,
-		labels: make([]int, len(items)),
-		src:    shared.viewFor(cfg.Eps, custom),
-	}
-	for i := range e.labels {
-		e.labels[i] = unclassified
-	}
-
-	// The lazy serial path resolves neighborhoods as the scan reaches them,
-	// so progress ticks track the outer loop.
-	done := ctx.Done()
-	clusterID := 0
-	var hood, queue []int
-	var weight float64
-	for i := range items {
-		if done != nil && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if onItem != nil {
-			onItem()
-		}
-		if e.labels[i] != unclassified {
-			continue
-		}
-		hood, weight = e.neighborhood(i, hood[:0])
-		if weight < cfg.MinLns {
-			e.labels[i] = Noise
-			continue
-		}
-		// Step 1: seed the cluster with the neighborhood. Segments already
-		// claimed by an earlier cluster keep their assignment (the border
-		// points DBSCAN assigns first-come-first-served); unclassified
-		// members join the queue for expansion.
-		queue = queue[:0]
-		for _, j := range hood {
-			switch e.labels[j] {
-			case unclassified:
-				e.labels[j] = clusterID
-				if j != i {
-					queue = append(queue, j)
-				}
-			case Noise:
-				e.labels[j] = clusterID
-			}
-		}
-		// Step 2: ExpandCluster.
-		if err := e.expand(ctx, &queue, clusterID); err != nil {
-			return nil, err
-		}
-		clusterID++
-	}
-
-	return e.finish(clusterID, minTrajs), nil
-}
-
-// runParallel is the multicore grouping path: a concurrent flat-arena
-// neighborhood precompute, then ε-graph grouping (union-find over
-// core-core edges, deterministic border assignment), canonicalised through
-// ResultFromLabels. It returns exactly what the serial path returns —
-// labels, cluster order, Removed, and DistCalls are all bit-identical at
-// every worker count.
-func runParallel(ctx context.Context, shared *SharedIndex, cfg Config, custom lsdist.Func, onItem func(), minTrajs int) (*Result, error) {
-	items := shared.items
 	hs, calls, err := shared.neighborhoods(ctx, cfg.Eps, cfg.Workers, custom, onItem)
 	if err != nil {
 		return nil, err
 	}
-	labels, err := groupEpsGraph(ctx, cfg, hs)
-	if err != nil {
+	n := len(hs.w)
+	inc := &Incremental{
+		shared:   shared,
+		cfg:      cfg,
+		minTrajs: minTrajs,
+		hs:       hs,
+		core:     make([]bool, n),
+		uf:       newUnionFind(n),
+		calls:    calls,
+	}
+	for i, w := range hs.w {
+		inc.core[i] = w >= cfg.MinLns
+	}
+	if err := link(ctx, cfg.Workers, inc.core, inc.uf, hs.hood, nil); err != nil {
 		return nil, err
 	}
-	// minTrajs has already been defaulted by run; ResultFromLabels applies
-	// the same Definition-10 filter and the same canonical ordering
-	// (ascending cluster id = serial discovery order, members ascending)
-	// that the serial finish produces.
-	return ResultFromLabels(items, labels, minTrajs, calls), nil
+	if inc.res, err = inc.result(ctx); err != nil {
+		return nil, err
+	}
+	return inc, nil
 }
 
-// groupEpsGraph computes DBSCAN-equivalent cluster labels from precomputed
-// neighborhoods without the serial expansion loop. Equivalence argument:
-//
-//   - A core segment (weighted ε-cardinality ≥ MinLns) belongs to exactly
-//     one density-connected set: the connected component of the "core
-//     graph" whose edges join core segments within ε of each other. The
-//     TRACLUS distance is symmetric (Lemma 2), so j ∈ Nε(i) ⇔ i ∈ Nε(j)
-//     and the components are those of an undirected graph — computed here
-//     by a lock-free union-find fed concurrently via par.ForEachCtx.
-//   - The serial scan of Figure 12 creates a cluster when it first reaches
-//     an unclassified core segment of a new component; core segments are
-//     only ever labelled by their own component's expansion, so cluster
-//     ids are assigned to components in order of their minimum core index.
-//     Under the min-root union policy that minimum is exactly the
-//     component root, which makes the id assignment a single ascending
-//     scan.
-//   - A border (non-core) segment is claimed first-come-first-served by
-//     the earliest-created cluster that reaches it, i.e. the minimum
-//     cluster id over the core segments whose neighborhoods contain it —
-//     by symmetry, the minimum cluster id over the core members of its own
-//     neighborhood. That min is order-free, so the border pass can run in
-//     parallel and still land on the serial answer.
-func groupEpsGraph(ctx context.Context, cfg Config, hs *hoodSet) ([]int, error) {
-	n := len(hs.w)
-	core := make([]bool, n)
-	for i, w := range hs.w {
-		core[i] = w >= cfg.MinLns
+// link unions the core–core edges of the ε-graph into uf, scanning the
+// neighborhoods of every item when from is nil and of the listed items
+// otherwise. Neighborhoods are symmetric (j ∈ Nε(i) ⇔ i ∈ Nε(j), Lemma 2),
+// so a scan of every item meets each edge at both ends and unions it once,
+// from its lower end; a listed item's other end may be unlisted, so a scan
+// from a list unions every edge it meets. The unions run concurrently, and
+// the min-root union-find makes the forest independent of their order.
+func link(ctx context.Context, workers int, core []bool, uf *unionFind, hood func(i int) []int32, from []int32) error {
+	n := len(core)
+	if from != nil {
+		n = len(from)
 	}
-	uf := newUnionFind(n)
-	err := par.ForEachCtx(ctx, cfg.Workers, n, func(_, i int) {
+	return par.ForEachCtx(ctx, workers, n, func(_, k int) {
+		i := int32(k)
+		if from != nil {
+			i = from[k]
+		}
 		if !core[i] {
 			return
 		}
-		for _, j := range hs.hood(i) {
-			// Symmetry means each core-core edge appears in both endpoint
-			// neighborhoods; union it once, from the smaller endpoint.
-			if int(j) > i && core[j] {
-				uf.union(int32(i), j)
+		for _, j := range hood(int(i)) {
+			if core[j] && (j > i || from != nil) {
+				uf.union(i, j)
 			}
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Serial O(n) numbering pass: components in order of minimum core
-	// index, which is the serial discovery order (see above). Non-roots
-	// always resolve to an already-numbered root because the root is the
-	// component minimum.
-	labels := make([]int, n)
+}
+
+// label turns a linked ε-graph into Figure 12's cluster ids; it is the one
+// numbering pass and the one border pass of every grouping. Figure 12 scans
+// the items in order and opens a cluster at each unclassified core item, and
+// core items are only ever labelled by their own component's expansion, so
+// clusters are numbered in order of their components' minimum core index —
+// the root of the min-root union-find, which makes the numbering one
+// ascending scan. A border (non-core) item goes to the first cluster whose
+// expansion reaches it: by symmetry, the minimum cluster id over the core
+// items of its own neighborhood. That minimum is order-free, so the border
+// pass runs across workers; it writes only non-core slots and reads only
+// core ones. An item with no core neighbor is noise.
+func label(ctx context.Context, workers int, core []bool, uf *unionFind, hood func(i int) []int32) ([]int, error) {
+	labels := make([]int, len(core))
 	clusterID := 0
-	for i := 0; i < n; i++ {
-		if !core[i] {
+	for i, c := range core {
+		if !c {
 			labels[i] = Noise
 			continue
 		}
-		r := int(uf.find(int32(i)))
-		if r == i {
+		if r := int(uf.find(int32(i))); r == i {
 			labels[i] = clusterID
 			clusterID++
 		} else {
 			labels[i] = labels[r]
 		}
 	}
-	// Border pass: writes only non-core slots, reads only core slots, so
-	// the concurrent reads never race with a write.
-	err = par.ForEachCtx(ctx, cfg.Workers, n, func(_, i int) {
+	err := par.ForEachCtx(ctx, workers, len(core), func(_, i int) {
 		if core[i] {
 			return
 		}
 		best := Noise
-		for _, j := range hs.hood(i) {
-			if !core[j] {
-				continue
-			}
-			if id := labels[j]; best == Noise || id < best {
-				best = id
+		for _, j := range hood(i) {
+			if core[j] && (best == Noise || labels[j] < best) {
+				best = labels[j]
 			}
 		}
 		labels[i] = best
@@ -635,74 +569,13 @@ func groupEpsGraph(ctx context.Context, cfg Config, hs *hoodSet) ([]int, error) 
 	return labels, nil
 }
 
-// expand computes the density-connected set of the seeded cluster
-// (Figure 12 lines 17–28). Cancellation is checked once per queue pop —
-// the lazy serial path computes a full ε-neighborhood per pop, so this is
-// the loop that must stay interruptible on pathological expansions.
-func (e *engine) expand(ctx context.Context, queue *[]int, clusterID int) error {
-	done := ctx.Done()
-	var hood []int
-	var weight float64
-	for len(*queue) > 0 {
-		if done != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		m := (*queue)[0]
-		*queue = (*queue)[1:]
-		hood, weight = e.neighborhood(m, hood[:0])
-		if weight < e.cfg.MinLns {
-			continue
-		}
-		for _, x := range hood {
-			switch e.labels[x] {
-			case unclassified:
-				e.labels[x] = clusterID
-				*queue = append(*queue, x)
-			case Noise:
-				e.labels[x] = clusterID
-			}
-		}
-	}
-	return nil
-}
-
-// finish applies the trajectory-cardinality filter and assembles the
-// result (Figure 12 step 3).
-func (e *engine) finish(numIDs, minTrajs int) *Result {
-	members := make([][]int, numIDs)
-	trajs := make([]map[int]bool, numIDs)
-	for i := range trajs {
-		trajs[i] = make(map[int]bool)
-	}
-	for i, l := range e.labels {
-		if l >= 0 {
-			members[l] = append(members[l], i)
-			trajs[l][e.items[i].TrajID] = true
-		}
-	}
-	res := &Result{ClusterOf: make([]int, len(e.items)), DistCalls: e.calls}
-	remap := make([]int, numIDs)
-	for id := 0; id < numIDs; id++ {
-		if len(trajs[id]) < minTrajs {
-			remap[id] = Noise
-			res.Removed++
-			continue
-		}
-		remap[id] = len(res.Clusters)
-		res.Clusters = append(res.Clusters, Cluster{
-			Members:      members[id],
-			Trajectories: sortedKeys(trajs[id]),
-		})
-	}
-	for i, l := range e.labels {
-		switch {
-		case l >= 0:
-			res.ClusterOf[i] = remap[l]
-		default:
-			res.ClusterOf[i] = Noise
-		}
-	}
-	return res
+// Label is label for a caller that keeps its own union-find: internal/dendro
+// replays its merge log into uf up to the cut's ε, and Label then numbers
+// the components and assigns the borders exactly as a fresh grouping does.
+// core flags the core items, and hood(i) lists item i's neighbors at the
+// cut's ε.
+func Label(ctx context.Context, workers int, core []bool, uf *UnionFind, hood func(i int) []int32) ([]int, error) {
+	return label(ctx, workers, core, uf.u, hood)
 }
 
 // ResultFromLabels builds a canonical Result from an arbitrary per-item
@@ -927,147 +800,104 @@ func (s *SharedIndex) viewFor(eps float64, custom lsdist.Func) neighborSource {
 	return v
 }
 
-// forEachNeighborhood is the shared parallel neighborhood pass: it computes
-// the ε-neighborhood of every item across par.Workers(workers, n)
-// goroutines — each holding its own view of the shared index and its own
-// scratch — and invokes visit(i, hood, weight) exactly once per item. visit
-// is called concurrently for distinct i and must not retain hood (it is
-// worker-owned scratch; copy if needed). The return value is the total
-// number of exact distance evaluations, which is independent of the worker
-// count. Both the clustering precompute (Run with Workers > 1) and the
-// Section 4.4 parameter heuristic ride this one pass, under the index's
-// canonical TRACLUS distance (batch-kernel scored).
+// forEachNeighborhood is forEachNeighborhoodCtx over every item under the
+// index's canonical distance, visited without the worker id.
 func (s *SharedIndex) forEachNeighborhood(eps float64, workers int, visit func(i int, hood []int, weight float64)) int {
-	calls, _ := s.forEachNeighborhoodCtx(context.Background(), eps, workers, visit)
+	calls, _ := s.forEachNeighborhoodCtx(context.Background(), eps, workers, nil, 0,
+		func(_, i int, hood []int, weight float64) { visit(i, hood, weight) })
 	return calls
 }
 
-// forEachNeighborhoodCtx is forEachNeighborhood with cooperative
-// cancellation: once ctx is done, remaining items are dropped and ctx.Err()
-// is returned alongside the distance-call count so far (callers must treat
-// their partially-visited state as garbage).
-func (s *SharedIndex) forEachNeighborhoodCtx(ctx context.Context, eps float64, workers int, visit func(i int, hood []int, weight float64)) (int, error) {
+// forEachNeighborhoodCtx is the one neighborhood pass: it computes the
+// ε-neighborhood of every item i ≥ lo across par.Workers(workers, n-lo)
+// goroutines — each holding its own view of the shared index and its own
+// pooled scratch — and invokes visit(worker, i, hood, weight) exactly once
+// per item. visit is called concurrently for distinct i and must not retain
+// hood (it is worker-owned scratch; copy if needed). custom is
+// RunWithDistance's distance, or nil for the index's canonical TRACLUS
+// distance (batch-kernel scored). The return value is the number of exact
+// distance evaluations, which is independent of the worker count. Once ctx
+// is done, remaining items are dropped and ctx.Err() is returned alongside
+// the count so far (callers must treat their partially-visited state as
+// garbage). Grouping, appends and the Section 4.4 parameter heuristic all
+// ride this pass.
+func (s *SharedIndex) forEachNeighborhoodCtx(ctx context.Context, eps float64, workers int, custom lsdist.Func, lo int, visit func(w, i int, hood []int, weight float64)) (int, error) {
+	n := len(s.items) - lo
 	cfg := Config{Eps: eps, MinLns: 1, Options: s.opt}
-	engines := make([]*engine, par.Workers(workers, len(s.items)))
-	hoods := make([][]int, len(engines))
+	engines := make([]*engine, par.Workers(workers, n))
 	scs := make([]*scratchSet, len(engines))
 	for w := range engines {
 		sc := s.getScratch()
 		scs[w] = sc
-		engines[w] = &engine{items: s.items, cfg: cfg, src: s.view(eps), cand: sc.cand, dists: sc.dists}
-		hoods[w] = sc.hood
+		engines[w] = &engine{items: s.items, cfg: cfg, src: s.viewFor(eps, custom), cand: sc.cand, dists: sc.dists}
 	}
-	err := par.ForEachCtx(ctx, workers, len(s.items), func(w, i int) {
+	err := par.ForEachCtx(ctx, workers, n, func(w, k int) {
 		var weight float64
-		hoods[w], weight = engines[w].neighborhood(i, hoods[w][:0])
-		visit(i, hoods[w], weight)
+		sc := scs[w]
+		sc.hood, weight = engines[w].neighborhood(lo+k, sc.hood[:0])
+		visit(w, lo+k, sc.hood, weight)
 	})
 	calls := 0
 	for w, e := range engines {
 		calls += e.calls
-		sc := scs[w]
-		sc.cand, sc.dists, sc.hood = e.cand, e.dists, hoods[w]
-		s.scr.Put(sc)
+		scs[w].cand, scs[w].dists = e.cand, e.dists
+		s.scr.Put(scs[w])
 	}
 	return calls, err
 }
 
-// blockIDs is the growth quantum of the per-worker neighborhood chunks:
-// 1<<15 int32 ids = 128 KiB per block. Large enough that a worker retires
-// O(Σ|Nε| / blockIDs) blocks per run, small enough that the tail waste of
-// the last block per worker is negligible.
-const blockIDs = 1 << 15
+// A worker's neighborhood blocks double from minBlockIDs (1 KiB) up to
+// blockIDs (1<<15 int32 ids = 128 KiB): a pass over a few items — an
+// append's Δ queries — allocates about what it stores, since its blocks
+// live as long as the Incremental that keeps its windows, and a full pass
+// fills O(log blockIDs + Σ|Nε| / blockIDs) blocks per worker, whose unused
+// tails are negligible.
+const (
+	minBlockIDs = 1 << 8
+	blockIDs    = 1 << 15
+)
 
-// neighborhoods materialises every ε-neighborhood into one flat hoodSet
-// arena across par.Workers(workers, n) goroutines. Each worker appends the
-// neighborhoods it computes to a private chunk made of fixed-size retired
-// blocks — a full block is retired, never copied, and an item's ids never
-// span blocks, so cumulative allocation is the data itself (no
-// append-doubling churn) and the allocation count is O(workers + Σ|Nε| /
-// blockIDs) instead of O(items) for a per-item-slice layout. The blocks
-// are then stitched into the shared arena in item-index order; that pass
-// is pure memory bandwidth and parallelises over the same pool. onItem,
-// if non-nil, ticks once per resolved item (from worker goroutines). The
-// int count is the exact-distance evaluations, identical to what the lazy
-// serial path would spend.
+// neighborhoods computes every ε-neighborhood into a new hoodSet (see
+// extend). The int count is the exact-distance evaluations.
 func (s *SharedIndex) neighborhoods(ctx context.Context, eps float64, workers int, custom lsdist.Func, onItem func()) (*hoodSet, int, error) {
-	n := len(s.items)
-	w := par.Workers(workers, n)
-	cfg := Config{Eps: eps, MinLns: 1, Options: s.opt}
-	engines := make([]*engine, w)
-	scratch := make([][]int, w)    // per-worker neighborhood scratch
-	blocks := make([][][]int32, w) // per-worker retired blocks, allocation order
-	cur := make([][]int32, w)      // per-worker block being filled
-	scs := make([]*scratchSet, w)
-	for k := range engines {
-		sc := s.getScratch()
-		scs[k] = sc
-		engines[k] = &engine{items: s.items, cfg: cfg, src: s.viewFor(eps, custom), cand: sc.cand, dists: sc.dists}
-		scratch[k] = sc.hood
-	}
-	var (
-		owner = make([]int32, n) // worker whose chunk holds item i's hood,
-		blk   = make([]int32, n) // the block index within that chunk,
-		start = make([]int32, n) // and the offset within that block
-		hs    = &hoodSet{off: make([]int64, n+1), w: make([]float64, n)}
-	)
-	err := par.ForEachCtx(ctx, workers, n, func(wk, i int) {
-		hood, weight := engines[wk].neighborhood(i, scratch[wk][:0])
-		scratch[wk] = hood[:0]
-		buf := cur[wk]
-		if cap(buf)-len(buf) < len(hood) {
-			if buf != nil {
-				blocks[wk] = append(blocks[wk], buf)
-			}
-			size := blockIDs
-			if len(hood) > size {
-				size = len(hood)
-			}
-			buf = make([]int32, 0, size)
-		}
-		// blk records the index buf will occupy once retired: all earlier
-		// blocks of this worker are already in blocks[wk], and rollover
-		// retires buf before any later block.
-		owner[i], blk[i], start[i] = int32(wk), int32(len(blocks[wk])), int32(len(buf))
-		for _, id := range hood {
-			buf = append(buf, int32(id))
-		}
-		cur[wk] = buf
-		hs.off[i+1] = int64(len(hood)) // lengths for now; prefix-summed below
-		hs.w[i] = weight
-		if onItem != nil {
-			onItem()
-		}
-	})
-	calls := 0
-	for k, e := range engines {
-		calls += e.calls
-		sc := scs[k]
-		sc.cand, sc.dists, sc.hood = e.cand, e.dists, scratch[k]
-		s.scr.Put(sc)
-	}
-	if err != nil {
-		return nil, calls, err
-	}
-	for wk, buf := range cur {
-		if buf != nil {
-			blocks[wk] = append(blocks[wk], buf)
-		}
-	}
-	for i := 0; i < n; i++ {
-		hs.off[i+1] += hs.off[i]
-	}
-	hs.ids = make([]int32, hs.off[n])
-	// Stitch: index-ordered writes into the arena, chunked so the copies
-	// parallelise; this is pure memory bandwidth.
-	err = par.ForEachCtx(ctx, workers, n, func(_, i int) {
-		src := blocks[owner[i]][blk[i]][start[i]:]
-		copy(hs.ids[hs.off[i]:hs.off[i+1]], src[:hs.off[i+1]-hs.off[i]])
-	})
+	hs := &hoodSet{}
+	calls, err := hs.extend(ctx, s, eps, workers, custom, onItem)
 	if err != nil {
 		return nil, calls, err
 	}
 	return hs, calls, nil
+}
+
+// extend adds to h the ε-neighborhoods of the index's items it does not
+// cover yet, [len(h.w), s.Len()), across par.Workers(workers, ·)
+// goroutines. Each worker copies the neighborhoods it computes into blocks
+// of its own — a new, larger block when the current one cannot take the
+// next neighborhood whole, so a neighborhood never spans blocks and a
+// filled block is never copied — and h keeps a capacity-capped window into
+// the block for each item. onItem, if non-nil, ticks once per resolved item
+// (from worker goroutines). The int count is the exact-distance
+// evaluations.
+func (h *hoodSet) extend(ctx context.Context, s *SharedIndex, eps float64, workers int, custom lsdist.Func, onItem func()) (int, error) {
+	lo, n := len(h.w), len(s.items)
+	h.ids = append(h.ids, make([][]int32, n-lo)...)
+	h.w = append(h.w, make([]float64, n-lo)...)
+	blocks := make([][]int32, par.Workers(workers, n-lo)) // the block each worker fills
+	return s.forEachNeighborhoodCtx(ctx, eps, workers, custom, lo, func(w, i int, hood []int, weight float64) {
+		buf := blocks[w]
+		if cap(buf)-len(buf) < len(hood) {
+			buf = make([]int32, 0, max(min(2*cap(buf), blockIDs), minBlockIDs, len(hood)))
+		}
+		start := len(buf)
+		for _, id := range hood {
+			buf = append(buf, int32(id))
+		}
+		blocks[w] = buf
+		h.ids[i] = buf[start:len(buf):len(buf)]
+		h.w[i] = weight
+		if onItem != nil {
+			onItem()
+		}
+	})
 }
 
 // NeighborhoodWeights returns, for every item, the weighted cardinality of
@@ -1085,8 +915,8 @@ func (s *SharedIndex) NeighborhoodWeights(eps float64, workers int) []float64 {
 // must be discarded.
 func (s *SharedIndex) NeighborhoodWeightsCtx(ctx context.Context, eps float64, workers int) ([]float64, error) {
 	out := make([]float64, len(s.items))
-	_, err := s.forEachNeighborhoodCtx(ctx, eps, workers,
-		func(i int, _ []int, weight float64) { out[i] = weight })
+	_, err := s.forEachNeighborhoodCtx(ctx, eps, workers, nil, 0,
+		func(_, i int, _ []int, weight float64) { out[i] = weight })
 	if err != nil {
 		return nil, err
 	}

@@ -72,16 +72,14 @@ func (u *unionFind) union(a, b int32) {
 
 // UnionFind is the exported face of the deterministic disjoint-set forest,
 // for sibling subsystems that replay ε-graph merges outside this package
-// (internal/dendro's dendrogram cuts). It keeps the min-root union policy,
-// so after all unions the root of every component is its minimum member —
-// exactly the determinism groupEpsGraph's numbering pass relies on.
+// (internal/dendro's dendrogram cuts) and then hand it to Label. It keeps
+// the min-root union policy, so after all unions the root of every
+// component is its minimum member — exactly what label's numbering pass
+// relies on.
 type UnionFind struct{ u *unionFind }
 
 // NewUnionFind returns n singleton sets over [0, n).
 func NewUnionFind(n int) *UnionFind { return &UnionFind{u: newUnionFind(n)} }
-
-// Find returns the current root of x.
-func (f *UnionFind) Find(x int32) int32 { return f.u.find(x) }
 
 // Union merges the sets of a and b.
 func (f *UnionFind) Union(a, b int32) { f.u.union(a, b) }

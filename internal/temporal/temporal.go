@@ -1,28 +1,22 @@
-// Package temporal implements the paper's Section 7.1 (item 5) extension:
-// taking temporal information into account during clustering. "One can
-// expect that time is also recorded with location."
+// Package temporal holds the input type of the paper's Section 7.1 (item 5)
+// extension, taking temporal information into account during clustering:
+// "One can expect that time is also recorded with location."
 //
 // A TimedTrajectory carries a timestamp per point. Partitioning is
 // unchanged (characteristic points are a purely spatial notion), but each
-// trajectory partition inherits the time interval it spans, and the
-// clustering distance gains a fourth component: the temporal distance dT —
-// the gap between two segments' time intervals, zero when they overlap.
-// With the temporal weight wT = 0 the extension reduces exactly to plain
-// TRACLUS, which the tests assert.
+// trajectory partition inherits the time interval it spans
+// (core.PartitionAllTimedCtx), and the clustering distance gains a fourth
+// component: wT times the gap between two segments' time intervals, zero
+// when they overlap (internal/geometry's spatiotemporal geometry, grouped
+// through segclust.NewSharedIndexTimed). With wT = 0 the extension reduces
+// exactly to plain TRACLUS.
 package temporal
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/geometry"
-	"repro/internal/lsdist"
-	"repro/internal/mdl"
-	"repro/internal/segclust"
-	"repro/internal/sweep"
 )
 
 // TimedTrajectory is a trajectory whose points carry timestamps (seconds,
@@ -65,277 +59,3 @@ func (t TimedTrajectory) Spatial() geom.Trajectory {
 // is the one canonical interval type (internal/geometry owns it and the gap
 // semantics); the alias keeps every existing temporal caller compiling.
 type Interval = geometry.Interval
-
-// Item is a timed trajectory partition.
-type Item struct {
-	segclust.Item
-	Interval Interval
-}
-
-// Config extends the spatial clustering parameters with the temporal
-// weight wT: dist = w⊥·d⊥ + w∥·d∥ + wθ·dθ + wT·dT.
-type Config struct {
-	Eps      float64
-	MinLns   float64
-	MinTrajs int
-	Spatial  lsdist.Options
-	// TemporalWeight is wT; 0 disables the temporal component entirely.
-	TemporalWeight float64
-	Partition      mdl.Config
-	Gamma          float64
-}
-
-// Cluster is a spatiotemporal cluster: segments, participants,
-// representative, and the time window the cluster spans.
-type Cluster struct {
-	Segments       []geom.Segment
-	Members        []int
-	Trajectories   []int
-	Representative []geom.Point
-	Window         Interval
-}
-
-// Result is the outcome of a spatiotemporal run.
-type Result struct {
-	Items    []Item
-	Clusters []Cluster
-	Noise    int
-}
-
-// PartitionAll partitions every timed trajectory and attaches the time
-// interval each partition spans.
-func PartitionAll(trs []TimedTrajectory, cfg Config) ([]Item, error) {
-	var items []Item
-	for _, tr := range trs {
-		if err := tr.Validate(); err != nil {
-			return nil, err
-		}
-		w := tr.Weight
-		if w == 0 {
-			w = 1
-		}
-		cps := mdl.ApproximatePartition(tr.Points, cfg.Partition)
-		for i := 1; i < len(cps); i++ {
-			seg := geom.Segment{Start: tr.Points[cps[i-1]], End: tr.Points[cps[i]]}
-			if seg.IsDegenerate() || seg.Length() < cfg.Partition.MinLength {
-				continue
-			}
-			items = append(items, Item{
-				Item:     segclust.Item{Seg: seg, TrajID: tr.ID, Weight: w},
-				Interval: Interval{Start: tr.Times[cps[i-1]], End: tr.Times[cps[i]]},
-			})
-		}
-	}
-	return items, nil
-}
-
-// Run executes spatiotemporal TRACLUS: partition, group under the
-// four-component distance, and generate representatives with time windows.
-//
-// Neighborhoods are computed by full scan — O(n²), the paper's index-free
-// bound. Note that the geometric prefilter would in fact remain sound (the
-// temporal term only ever ADDS distance, so the planar candidate radius
-// stays complete); the indexed spatiotemporal path lives in the pipeline's
-// geometry layer (internal/geometry + segclust.NewSharedIndexTimed), and
-// this reference implementation is kept as its cross-check.
-func Run(trs []TimedTrajectory, cfg Config) (*Result, error) {
-	if cfg.Eps <= 0 {
-		return nil, errors.New("temporal: Eps must be positive")
-	}
-	if cfg.MinLns <= 0 {
-		return nil, errors.New("temporal: MinLns must be positive")
-	}
-	if cfg.TemporalWeight < 0 || math.IsNaN(cfg.TemporalWeight) {
-		return nil, errors.New("temporal: TemporalWeight must be non-negative")
-	}
-	if !cfg.Spatial.Weights.Valid() {
-		cfg.Spatial.Weights = lsdist.DefaultWeights()
-	}
-	items, err := PartitionAll(trs, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	spatial := lsdist.New(cfg.Spatial)
-	dist := func(a, b Item) float64 {
-		d := spatial(a.Seg, b.Seg)
-		if cfg.TemporalWeight > 0 {
-			d += cfg.TemporalWeight * a.Interval.Gap(b.Interval)
-		}
-		return d
-	}
-
-	labels := runDBSCAN(items, dist, cfg)
-
-	res := &Result{Items: items}
-	minTrajs := cfg.MinTrajs
-	if minTrajs <= 0 {
-		minTrajs = int(cfg.MinLns)
-	}
-	gamma := cfg.Gamma
-	if gamma <= 0 {
-		gamma = cfg.Eps / 4
-	}
-	numIDs := 0
-	for _, l := range labels {
-		if l+1 > numIDs {
-			numIDs = l + 1
-		}
-	}
-	members := make([][]int, numIDs)
-	for i, l := range labels {
-		if l >= 0 {
-			members[l] = append(members[l], i)
-		}
-	}
-	for _, ms := range members {
-		trajs := map[int]bool{}
-		for _, m := range ms {
-			trajs[items[m].TrajID] = true
-		}
-		if len(trajs) < minTrajs {
-			continue
-		}
-		segs := make([]geom.Segment, len(ms))
-		weights := make([]float64, len(ms))
-		window := items[ms[0]].Interval
-		for i, m := range ms {
-			segs[i] = items[m].Seg
-			weights[i] = items[m].Weight
-			if items[m].Interval.Start < window.Start {
-				window.Start = items[m].Interval.Start
-			}
-			if items[m].Interval.End > window.End {
-				window.End = items[m].Interval.End
-			}
-		}
-		res.Clusters = append(res.Clusters, Cluster{
-			Segments:       segs,
-			Members:        ms,
-			Trajectories:   sortedKeys(trajs),
-			Representative: sweep.Representative(segs, weights, sweep.Config{MinLns: cfg.MinLns, Gamma: gamma}),
-			Window:         window,
-		})
-	}
-	for _, l := range labels {
-		if l < 0 {
-			res.Noise++
-		}
-	}
-	return res, nil
-}
-
-// runDBSCAN is the Figure-12 algorithm over an arbitrary item distance.
-func runDBSCAN(items []Item, dist func(a, b Item) float64, cfg Config) []int {
-	const unclassified = -2
-	const noise = -1
-	labels := make([]int, len(items))
-	for i := range labels {
-		labels[i] = unclassified
-	}
-	neighborhood := func(i int) ([]int, float64) {
-		var hood []int
-		var weight float64
-		for j := range items {
-			if dist(items[i], items[j]) <= cfg.Eps {
-				hood = append(hood, j)
-				weight += items[j].Weight
-			}
-		}
-		return hood, weight
-	}
-	clusterID := 0
-	for i := range items {
-		if labels[i] != unclassified {
-			continue
-		}
-		hood, weight := neighborhood(i)
-		if weight < cfg.MinLns {
-			labels[i] = noise
-			continue
-		}
-		var queue []int
-		for _, j := range hood {
-			switch labels[j] {
-			case unclassified:
-				labels[j] = clusterID
-				if j != i {
-					queue = append(queue, j)
-				}
-			case noise:
-				labels[j] = clusterID
-			}
-		}
-		for len(queue) > 0 {
-			m := queue[0]
-			queue = queue[1:]
-			mHood, mWeight := neighborhood(m)
-			if mWeight < cfg.MinLns {
-				continue
-			}
-			for _, x := range mHood {
-				switch labels[x] {
-				case unclassified:
-					labels[x] = clusterID
-					queue = append(queue, x)
-				case noise:
-					labels[x] = clusterID
-				}
-			}
-		}
-		clusterID++
-	}
-	return labels
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Resample returns a copy of the trajectory sampled at a fixed time step
-// by linear interpolation — handy for aligning telemetry with different
-// sampling rates before clustering.
-func Resample(tr TimedTrajectory, step float64) (TimedTrajectory, error) {
-	if err := tr.Validate(); err != nil {
-		return TimedTrajectory{}, err
-	}
-	if step <= 0 {
-		return TimedTrajectory{}, errors.New("temporal: step must be positive")
-	}
-	out := TimedTrajectory{ID: tr.ID, Label: tr.Label, Weight: tr.Weight}
-	t0, t1 := tr.Times[0], tr.Times[len(tr.Times)-1]
-	idx := 0
-	for ts := t0; ts <= t1+1e-12; ts += step {
-		for idx+1 < len(tr.Times) && tr.Times[idx+1] < ts {
-			idx++
-		}
-		var p geom.Point
-		if idx+1 >= len(tr.Times) {
-			p = tr.Points[len(tr.Points)-1]
-		} else {
-			span := tr.Times[idx+1] - tr.Times[idx]
-			if span <= 0 {
-				p = tr.Points[idx]
-			} else {
-				u := (ts - tr.Times[idx]) / span
-				if u < 0 {
-					u = 0
-				} else if u > 1 {
-					u = 1
-				}
-				p = tr.Points[idx].Lerp(tr.Points[idx+1], u)
-			}
-		}
-		out.Points = append(out.Points, p)
-		out.Times = append(out.Times, ts)
-	}
-	if len(out.Points) < 2 {
-		return TimedTrajectory{}, errors.New("temporal: step too large for trajectory span")
-	}
-	return out, nil
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/mdl"
 )
 
 // corridorAt builds n timed trajectories along the horizontal corridor
@@ -70,139 +69,11 @@ func TestIntervalGap(t *testing.T) {
 	}
 }
 
-func TestZeroTemporalWeightMatchesSpatial(t *testing.T) {
-	trs := corridorAt(6, 0, 0, 60)
-	res, err := Run(trs, Config{Eps: 25, MinLns: 3, TemporalWeight: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) != 1 {
-		t.Fatalf("clusters = %d, want 1", len(res.Clusters))
-	}
-}
-
-func TestTemporalWeightSeparatesTimeShiftedCorridors(t *testing.T) {
-	// Six trajectories on the same corridor: three in the morning, three a
-	// week later. Spatially one cluster; spatiotemporally two.
-	var trs []TimedTrajectory
-	trs = append(trs, corridorAt(3, 0, 0, 60)...)
-	trs = append(trs, corridorAt(3, 3, 7*24*3600, 60)...)
-
-	spatial, err := Run(trs, Config{Eps: 25, MinLns: 3, TemporalWeight: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spatial.Clusters) != 1 {
-		t.Fatalf("spatial clusters = %d, want 1", len(spatial.Clusters))
-	}
-
-	timed, err := Run(trs, Config{Eps: 25, MinLns: 3, TemporalWeight: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(timed.Clusters) != 2 {
-		t.Fatalf("spatiotemporal clusters = %d, want 2", len(timed.Clusters))
-	}
-	// The windows must not overlap.
-	w0, w1 := timed.Clusters[0].Window, timed.Clusters[1].Window
-	if w0.Gap(w1) == 0 {
-		t.Errorf("cluster windows overlap: %v %v", w0, w1)
-	}
-	for _, c := range timed.Clusters {
-		if len(c.Representative) < 2 {
-			t.Error("missing representative")
-		}
-		if len(c.Trajectories) != 3 {
-			t.Errorf("trajectories = %d, want 3", len(c.Trajectories))
-		}
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	trs := corridorAt(3, 0, 0, 60)
-	if _, err := Run(trs, Config{Eps: 0, MinLns: 3}); err == nil {
-		t.Error("Eps=0 accepted")
-	}
-	if _, err := Run(trs, Config{Eps: 10, MinLns: 0}); err == nil {
-		t.Error("MinLns=0 accepted")
-	}
-	if _, err := Run(trs, Config{Eps: 10, MinLns: 3, TemporalWeight: -1}); err == nil {
-		t.Error("negative temporal weight accepted")
-	}
-	bad := trs
-	bad[0].Times = bad[0].Times[:2]
-	if _, err := Run(bad, Config{Eps: 10, MinLns: 3}); err == nil {
-		t.Error("invalid trajectory accepted")
-	}
-}
-
-func TestPartitionAllIntervals(t *testing.T) {
-	trs := corridorAt(1, 0, 100, 60)
-	items, err := PartitionAll(trs, Config{Partition: mdl.Config{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) == 0 {
-		t.Fatal("no items")
-	}
-	// A straight corridor yields one partition spanning the whole time
-	// range.
-	if items[0].Interval.Start != 100 || items[0].Interval.End != 100+60*20 {
-		t.Errorf("interval = %v", items[0].Interval)
-	}
-}
-
 func TestSpatialConversion(t *testing.T) {
 	tr := corridorAt(1, 7, 0, 60)[0]
 	tr.Weight = 0 // unset → defaults to 1
 	sp := tr.Spatial()
 	if sp.ID != 7 || sp.Weight != 1 || len(sp.Points) != len(tr.Points) {
 		t.Errorf("Spatial = %+v", sp)
-	}
-}
-
-func TestResample(t *testing.T) {
-	tr := TimedTrajectory{
-		ID:     1,
-		Weight: 1,
-		Points: []geom.Point{geom.Pt(0, 0), geom.Pt(100, 0)},
-		Times:  []float64{0, 100},
-	}
-	out, err := Resample(tr, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Points) != 5 {
-		t.Fatalf("resampled to %d points", len(out.Points))
-	}
-	for i, p := range out.Points {
-		want := float64(i) * 25
-		if math.Abs(p.X-want) > 1e-9 {
-			t.Errorf("point %d x = %v, want %v", i, p.X, want)
-		}
-		if out.Times[i] != want {
-			t.Errorf("time %d = %v", i, out.Times[i])
-		}
-	}
-	if _, err := Resample(tr, 0); err == nil {
-		t.Error("step=0 accepted")
-	}
-	if _, err := Resample(tr, 1e9); err == nil {
-		t.Error("oversized step accepted")
-	}
-}
-
-func TestResampleRepeatedTimes(t *testing.T) {
-	tr := TimedTrajectory{
-		ID:     1,
-		Points: []geom.Point{geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(100, 0)},
-		Times:  []float64{0, 0, 100}, // repeated fix time
-	}
-	out, err := Resample(tr, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Points) < 2 {
-		t.Fatalf("resampled to %d points", len(out.Points))
 	}
 }

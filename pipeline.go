@@ -632,10 +632,10 @@ func (mdlPartitioner) partitionTicked(ctx context.Context, trs []Trajectory, cfg
 
 // GroupDBSCAN returns the default grouping stage: the paper's Figure-12
 // density-based clustering (DBSCAN semantics with the Definition 10
-// trajectory-cardinality filter). With cfg.Workers > 1 it runs the
-// parallel path — concurrent ε-neighborhood precompute into a flat arena,
-// union-find over the core-segment ε-graph — which is bit-identical to the
-// serial expansion at every worker count.
+// trajectory-cardinality filter), computed as an ε-neighborhood precompute
+// across cfg.Workers goroutines, union-find over the core-segment ε-graph
+// and one numbering and border pass — Figure 12's clustering, bit for bit,
+// at every worker count.
 func GroupDBSCAN() Grouper { return dbscanGrouper{} }
 
 type dbscanGrouper struct{}

@@ -198,12 +198,12 @@ type Config struct {
 	// Workers bounds the parallelism of the whole pipeline: MDL
 	// partitioning fans out across trajectories, ε-neighborhood
 	// precomputation across segments, and representative generation across
-	// clusters. ≤ 0 (the default) uses every CPU; 1 forces the serial
-	// path. The result is bit-identical for every worker count — cluster
-	// membership, noise counts, and representatives do not depend on
-	// scheduling. The parallel grouping phase caches every ε-neighborhood
-	// up front (O(Σ|Nε|) memory); prefer Workers: 1 when memory is tighter
-	// than time.
+	// clusters. ≤ 0 (the default) uses every CPU; 1 runs every phase on one
+	// goroutine. It only sets the degree of parallelism: the result is
+	// bit-identical for every worker count — cluster membership, noise
+	// counts, and representatives do not depend on scheduling. Grouping
+	// caches every ε-neighborhood up front at every worker count, 4 bytes
+	// per neighbor entry (O(Σ|Nε|) memory).
 	Workers int
 }
 

@@ -22,10 +22,12 @@ package traclus
 // set is unchanged from the previous epoch keeps its representative — the
 // sweep is a deterministic function of (member segments, weights, MinLns, γ),
 // all unchanged — so appends that touch k clusters sweep k clusters, not all
-// of them. The multi-ε dendrogram is NOT maintained incrementally: an
-// appended Result carries a nil Dendrogram, and serving layers rebuild it
-// lazily on the next sweep query (the pinned invalidate-and-rebuild choice;
-// see ARCHITECTURE.md "Incremental updates").
+// of them. The multi-ε dendrogram is maintained the same way: when the
+// previous Result holds one, the appended Result holds its extension
+// (dendro.Dendrogram.Extend) — the Δ's range queries on the grown index, no
+// rebuild — bit-identical to a fresh build over the appended items; when
+// it holds none, Result.DendrogramAt builds one on first use (see
+// ARCHITECTURE.md "Incremental updates").
 
 import (
 	"context"
@@ -233,7 +235,7 @@ func (p *Pipeline) finishAppender(ctx context.Context, shared *segclust.SharedIn
 	rep.finish()
 	res := newResult(out, ccfg)
 	res.Estimated = estimated
-	res.dendro = den
+	res.den.Store(den)
 	if timed {
 		ivs, _ := shared.Temporal()
 		res.itemIvs = ivs
@@ -331,9 +333,17 @@ func (a *Appender) appendItems(ctx context.Context, items []Item, ivs []Interval
 	// that is already computed; it never forces the computation, and holds
 	// the state, not the previous Result.
 	res.qbase = a.res.q.Load()
-	// The dendrogram is deliberately NOT carried over: it describes the
-	// pre-append items and every cut from it would be stale. Serving layers
-	// rebuild it lazily from the appended result's items.
+	// The previous epoch's dendrogram, if it holds one, extends over the
+	// grown index, which now holds exactly its items plus Δ. A lazy build
+	// still in flight on it is not waited for: without one, or with a
+	// narrower one, the new Result is still correct, and DendrogramAt builds
+	// on first use. A failed extension (a cancelled ctx) drops only the
+	// dendrogram, not the append.
+	if prev := a.res.den.Load(); prev != nil {
+		if d, err := prev.Extend(ctx, a.inc.Shared(), a.ccfg.Workers); err == nil {
+			res.den.Store(d)
+		}
+	}
 	if a.timed {
 		allIvs, _ := a.inc.Shared().Temporal()
 		res.itemIvs = allIvs

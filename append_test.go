@@ -17,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/synth"
@@ -330,37 +332,125 @@ func TestAppendGuards(t *testing.T) {
 	}
 }
 
-// TestAppendDendrogramInvalidated: an appended Result must never carry the
-// pre-append dendrogram — its cuts describe the old item set.
-func TestAppendDendrogramInvalidated(t *testing.T) {
+// TestAppendDendrogramExtended: an appended Result carries the previous
+// epoch's dendrogram extended over the appended items — a new structure,
+// bit-identical to a fresh build over the post-append items — and never the
+// pre-append one, which stays unmutated. A Result whose previous epoch held
+// no dendrogram still holds none.
+func TestAppendDendrogramExtended(t *testing.T) {
 	ctx := context.Background()
 	trs := equivalenceWorkload(t, 60)
-	ap, err := traclus.New(
-		traclus.WithConfig(traclus.Config{CostAdvantage: 15, MinSegmentLength: 40}),
-		traclus.WithEstimation(5, 60),
-	).NewAppender(ctx, trs[:50])
+	cfg := traclus.Config{CostAdvantage: 15, MinSegmentLength: 40}
+	ap, err := traclus.New(traclus.WithConfig(cfg), traclus.WithEstimation(5, 60)).NewAppender(ctx, trs[:50])
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := ap.Result()
-	if first.Dendrogram() == nil {
+	pre := first.Dendrogram()
+	if pre == nil {
 		t.Fatal("estimation build carries no dendrogram")
 	}
 	if first.Estimated == nil {
 		t.Fatal("estimation build reports no estimate")
 	}
+	preSnap, preEdges := pre.Snapshot(), pre.Edges()
 	res, err := ap.Append(ctx, trs[50:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dendrogram() != nil {
+	post := res.Dendrogram()
+	if post == pre {
 		t.Fatal("appended result still carries the pre-append dendrogram")
+	}
+	if post == nil {
+		t.Fatal("appended result carries no dendrogram; the build's should have been extended")
+	}
+	if post.Len() != res.TotalSegments {
+		t.Errorf("extended dendrogram covers %d items, want the appended set's %d", post.Len(), res.TotalSegments)
+	}
+	// A fresh build over the same items: the batch estimation run indexes
+	// the concatenation and builds at the same hi.
+	batch, err := traclus.New(traclus.WithConfig(cfg), traclus.WithEstimation(5, 60)).Run(ctx, trs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := batch.Dendrogram()
+	if !reflect.DeepEqual(post.Snapshot(), fresh.Snapshot()) || post.Edges() != fresh.Edges() {
+		t.Error("extended dendrogram differs from a fresh build over the appended items")
+	}
+	if !reflect.DeepEqual(pre.Snapshot(), preSnap) || pre.Edges() != preEdges || pre.Len() != first.TotalSegments {
+		t.Error("the append mutated the pre-append dendrogram")
 	}
 	if res.Estimated == nil || *res.Estimated != *first.Estimated {
 		t.Fatal("appended result dropped the build-time estimate")
 	}
 	if res.TotalSegments <= first.TotalSegments {
 		t.Fatalf("append did not grow the item set: %d -> %d", first.TotalSegments, res.TotalSegments)
+	}
+
+	// No dendrogram before the append, none after it.
+	fixed, err := traclus.New(traclus.WithConfig(traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40})).
+		NewAppender(ctx, trs[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = fixed.Append(ctx, trs[50:]); err != nil {
+		t.Fatal(err)
+	}
+	if res.Dendrogram() != nil {
+		t.Error("append of a Result that held no dendrogram produced one")
+	}
+}
+
+// TestAppendCancelledExtension: a context cancelled after the append's
+// grouping and assembly, while the previous epoch's dendrogram extends,
+// costs only the dendrogram. The append publishes its Result, which builds
+// one on first use, and the appender keeps accepting appends.
+func TestAppendCancelledExtension(t *testing.T) {
+	trs := equivalenceWorkload(t, 60)
+	var armed atomic.Bool
+	var cancel context.CancelFunc
+	cfg := traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40, Workers: 1}
+	ap, err := traclus.New(traclus.WithConfig(cfg), traclus.WithProgress(func(ev traclus.ProgressEvent) {
+		// The last assembly event precedes the extension; at one worker
+		// nothing between them checks the context.
+		if armed.Load() && ev.Phase == traclus.PhaseRepresent && ev.Fraction == 1 {
+			cancel()
+		}
+	})).NewAppender(context.Background(), trs[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ap.Result().DendrogramAt(context.Background(), 45); err != nil {
+		t.Fatal(err)
+	}
+	ctx, c := context.WithCancel(context.Background())
+	cancel = c
+	armed.Store(true)
+	res, err := ap.Append(ctx, trs[50:55])
+	armed.Store(false)
+	if err != nil {
+		t.Fatalf("append with a cancelled extension failed: %v", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the context was never cancelled; the test no longer reaches the extension")
+	}
+	if res.Dendrogram() != nil {
+		t.Fatal("a cancelled extension published a dendrogram")
+	}
+	d, err := res.DendrogramAt(context.Background(), 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != res.TotalSegments {
+		t.Errorf("rebuilt dendrogram covers %d items, want %d", d.Len(), res.TotalSegments)
+	}
+	next, err := ap.Append(context.Background(), trs[55:])
+	if err != nil {
+		t.Fatalf("appender broken by a cancelled extension: %v", err)
+	}
+	if next.Dendrogram() == nil || next.Dendrogram().Len() != next.TotalSegments {
+		t.Error("the append after a cancelled extension did not extend the rebuilt dendrogram")
 	}
 }
 

@@ -559,7 +559,7 @@ func BenchmarkDendroCut(b *testing.B) {
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
 	epsGrid := []float64{10, 20, 30, 40, 50, 60}
 	b.Run("mode=cut", func(b *testing.B) {
-		d, err := dendro.Build(context.Background(), benchItems, opt, spindex.Grid(), 60, 0)
+		d, err := dendro.FromShared(context.Background(), segclust.NewSharedIndexFor(benchItems, opt, spindex.Grid()), 60, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,8 +16,11 @@ package main
 //	                       training geometry (rebuild to append)
 //	invalid_snapshot  422  corrupt/truncated/semantically invalid snapshot
 //	unsupported_snapshot_version 422  snapshot from a future format version
-//	no_dendrogram     422  sweep query on a model without a merge structure
-//	                       (loaded from a format v1 snapshot)
+//	no_dendrogram     422  sweep query a snapshot-restored model cannot
+//	                       answer: its snapshot carried no merge structure
+//	                       (v1 files, fixed-ε models persisted before their
+//	                       first sweep, appended epochs), or the query
+//	                       exceeds a restored spatiotemporal model's range
 //	geometry_mismatch 422  append data incompatible with the model's
 //	                       geometry or build configuration
 //	too_many_builds   429  build concurrency cap reached

@@ -21,6 +21,16 @@
 //     representatives, and SSEs remain computable from a snapshot-restored
 //     dendrogram with no original dataset at hand.
 //
+// Extend grows the structure under appends instead of rebuilding it: only
+// the Δ appended items run range queries, on the grown index at MaxEps; each
+// new pair is merged into both endpoints' sorted lists, the running weight
+// sums are recomputed for the touched lists only, and the sorted new edges
+// merge into the replay log. Its cost is the Δ's candidate + refine work
+// plus one O(E) copy of the flat arrays (the old structure stays immutable —
+// earlier epochs keep serving it), against FromShared's n range queries and
+// n list sorts; the result is bit-identical to FromShared over the same
+// items.
+//
 // CutAt replicates segclust's grouping step for step: it computes the core
 // predicate and replays the merges itself, then hands the numbering and
 // border passes to segclust.Label — the very passes every batch run and
@@ -41,12 +51,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
-	"repro/internal/lsdist"
 	"repro/internal/par"
 	"repro/internal/segclust"
-	"repro/internal/spindex"
 )
 
 // edge is one merge candidate of the replay log: items a < b at exact
@@ -77,13 +86,6 @@ type Dendrogram struct {
 	edges []edge
 }
 
-// Build partitions nothing and indexes once: it constructs a fresh shared
-// index over items with the given distance options and backend, then
-// precomputes the merge structure for every ε ≤ maxEps.
-func Build(ctx context.Context, items []segclust.Item, opt lsdist.Options, backend spindex.Backend, maxEps float64, workers int) (*Dendrogram, error) {
-	return FromShared(ctx, segclust.NewSharedIndexFor(items, opt, backend), maxEps, workers)
-}
-
 // FromShared builds the merge structure from an already-built shared index
 // — the pipeline's single-build discipline: the same index serves
 // estimation, grouping, and this precompute. One parallel candidate +
@@ -101,13 +103,153 @@ func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float6
 	if n == 0 {
 		return d, nil
 	}
-
-	type nb struct {
-		id   int32
-		dist float64
+	lists, calls, err := neighborLists(ctx, shared, 0, maxEps, workers)
+	if err != nil {
+		return nil, err
 	}
-	lists := make([][]nb, n)
-	w := par.Workers(workers, n)
+	d.calls = calls
+
+	total, ecount := 0, 0
+	for i, l := range lists {
+		total += len(l)
+		for _, e := range l {
+			if int(e.id) > i {
+				ecount++
+			}
+		}
+	}
+	d.alloc(total)
+	d.edges = make([]edge, 0, ecount)
+	for i, l := range lists {
+		d.off[i+1] = d.putList(d.off[i], l)
+		for _, e := range l {
+			// Symmetry (Lemma 2: dist(a,b) == dist(b,a), bit-exact in this
+			// implementation) puts every pair in both endpoint lists; keep
+			// it once, from the smaller endpoint.
+			if int(e.id) > i {
+				d.edges = append(d.edges, edge{a: int32(i), b: e.id, d: e.dist})
+			}
+		}
+	}
+	sortEdges(d.edges)
+	return d, nil
+}
+
+// Extend returns the merge structure over shared's items, of which d's
+// items must be the first d.Len() — the index an appender has grown by
+// Δ items. It never writes d (earlier epochs keep serving it); the result
+// shares nothing mutable with it. Only the appended items [d.Len(), n) run
+// range queries, at d's MaxEps and scored bounded exactly as FromShared
+// scores them; every new pair is merged into both endpoints' sorted lists
+// (by Lemma-2 symmetry the new item's dist(j, i) is bit-identical to the
+// dist(i, j) a rebuild would compute from i), the running weight sums are
+// recomputed only for the lists that gained entries, and the sorted new
+// edges merge into the replay log. The result is bit-identical to
+// FromShared over the same items — neighbor lists, weight sums and replay
+// log — except DistCalls, which adds the Δ's evaluations to d's. An index
+// holding no new items returns d itself.
+func (d *Dendrogram) Extend(ctx context.Context, shared *segclust.SharedIndex, workers int) (*Dendrogram, error) {
+	items := shared.Items()
+	n0, n := len(d.items), len(items)
+	if n < n0 || !slices.Equal(items[:n0], d.items) {
+		return nil, fmt.Errorf("dendro: Extend needs an index whose first %d items are the dendrogram's", n0)
+	}
+	if n == n0 {
+		return d, nil
+	}
+	lists, calls, err := neighborLists(ctx, shared, n0, d.maxEps, workers)
+	if err != nil {
+		return nil, err
+	}
+
+	// Bucket the new pairs by their old endpoint (a counting sort on the
+	// old id), and collect every pair whose larger endpoint is new as a
+	// replay-log edge.
+	at := make([]int, n0+1)
+	total, ecount := len(d.ids), 0
+	for k, l := range lists {
+		total += len(l)
+		for _, e := range l {
+			if int(e.id) < n0 {
+				at[e.id+1]++
+			}
+			if int(e.id) < n0+k {
+				ecount++
+			}
+		}
+	}
+	for i := 0; i < n0; i++ {
+		at[i+1] += at[i]
+	}
+	total += at[n0]
+	added := make([]nb, at[n0])
+	next := slices.Clone(at[:n0])
+	edges := make([]edge, 0, ecount)
+	for k, l := range lists {
+		j := int32(n0 + k)
+		for _, e := range l {
+			if int(e.id) < n0 {
+				added[next[e.id]] = nb{id: j, dist: e.dist}
+				next[e.id]++
+			}
+			if e.id < j {
+				edges = append(edges, edge{a: e.id, b: j, d: e.dist})
+			}
+		}
+	}
+
+	x := &Dendrogram{items: items, maxEps: d.maxEps, calls: d.calls + calls, off: make([]int64, n+1)}
+	x.alloc(total)
+	for i := 0; i < n0; i++ {
+		lo, hi := d.off[i], d.off[i+1]
+		o := x.off[i]
+		if at[i] == at[i+1] {
+			// Untouched: the list and its running sums carry over verbatim.
+			copy(x.ids[o:], d.ids[lo:hi])
+			copy(x.dist[o:], d.dist[lo:hi])
+			copy(x.cum[o:], d.cum[lo:hi])
+			x.off[i+1] = o + hi - lo
+			continue
+		}
+		bucket := added[at[i]:at[i+1]]
+		sortNeighbors(bucket)
+		// Every new id exceeds every old one, so on a distance tie the
+		// old entry goes first — the (dist, id) order.
+		var sum float64
+		for k := lo; k < hi || len(bucket) > 0; o++ {
+			if k < hi && (len(bucket) == 0 || d.dist[k] <= bucket[0].dist) {
+				x.ids[o], x.dist[o] = d.ids[k], d.dist[k]
+				k++
+			} else {
+				x.ids[o], x.dist[o] = bucket[0].id, bucket[0].dist
+				bucket = bucket[1:]
+			}
+			sum += items[x.ids[o]].Weight
+			x.cum[o] = sum
+		}
+		x.off[i+1] = o
+	}
+	for k, l := range lists {
+		x.off[n0+k+1] = x.putList(x.off[n0+k], l)
+	}
+	sortEdges(edges)
+	x.edges = mergeEdges(d.edges, edges)
+	return x, nil
+}
+
+// nb is one stored neighbor: an item id and its exact distance.
+type nb struct {
+	id   int32
+	dist float64
+}
+
+// neighborLists is the one query-and-sort pass behind FromShared and
+// Extend: for every item i in [lo, n) of shared, every j with dist(i, j) ≤
+// maxEps, sorted by (dist, id), at lists[i-lo]. It also returns the exact
+// distance evaluations spent.
+func neighborLists(ctx context.Context, shared *segclust.SharedIndex, lo int, maxEps float64, workers int) ([][]nb, int, error) {
+	lists := make([][]nb, shared.Len()-lo)
+	w := par.Workers(workers, len(lists))
 	// Per-worker geometry-aware cursors: on a planar index these are thin
 	// wrappers over the spindex query (same candidates, same kernel blocks,
 	// bit-identical lists); on a spatiotemporal index they fold the wT·gap
@@ -122,81 +264,90 @@ func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float6
 	for k := range queries {
 		queries[k] = shared.Cursor()
 	}
-	err := par.ForEachCtx(ctx, workers, n, func(wk, i int) {
+	err := par.ForEachCtx(ctx, workers, len(lists), func(wk, k int) {
+		i := lo + k
 		sq := queries[wk]
 		cand[wk] = sq.CandidatesOf(i, maxEps, cand[wk][:0])
 		c := cand[wk]
 		dists[wk] = sq.DistBlockWithin(i, c, maxEps, dists[wk])
 		calls[wk] += len(c)
 		list := make([]nb, 0, len(c))
-		for k, j := range c {
-			if dv := dists[wk][k]; dv <= maxEps {
+		for x, j := range c {
+			if dv := dists[wk][x]; dv <= maxEps {
 				list = append(list, nb{id: int32(j), dist: dv})
 			}
 		}
-		// (dist, id) order; ids are unique per list, so this is a total
-		// order and the layout is deterministic across worker counts.
-		sort.Slice(list, func(x, y int) bool {
-			if list[x].dist != list[y].dist {
-				return list[x].dist < list[y].dist
-			}
-			return list[x].id < list[y].id
-		})
-		lists[i] = list
+		sortNeighbors(list)
+		lists[k] = list
 	})
+	total := 0
 	for _, c := range calls {
-		d.calls += c
+		total += c
 	}
-	if err != nil {
-		return nil, err
-	}
+	return lists, total, err
+}
 
-	total, ecount := 0, 0
-	for i, l := range lists {
-		total += len(l)
-		for _, e := range l {
-			if int(e.id) > i {
-				ecount++
-			}
+// sortNeighbors orders a list by (dist, id); ids are unique per list, so
+// this is a total order and the layout is deterministic across worker
+// counts.
+func sortNeighbors(list []nb) {
+	sort.Slice(list, func(x, y int) bool {
+		if list[x].dist != list[y].dist {
+			return list[x].dist < list[y].dist
 		}
-	}
+		return list[x].id < list[y].id
+	})
+}
+
+// alloc sizes the flat neighbor store for total entries.
+func (d *Dendrogram) alloc(total int) {
 	d.ids = make([]int32, total)
 	d.dist = make([]float64, total)
 	d.cum = make([]float64, total)
-	d.edges = make([]edge, 0, ecount)
-	for i, l := range lists {
-		base := d.off[i]
-		d.off[i+1] = base + int64(len(l))
-		var sum float64
-		for k, e := range l {
-			d.ids[base+int64(k)] = e.id
-			d.dist[base+int64(k)] = e.dist
-			sum += items[e.id].Weight
-			d.cum[base+int64(k)] = sum
-			// Symmetry (Lemma 2: dist(a,b) == dist(b,a), bit-exact in this
-			// implementation) puts every pair in both endpoint lists; keep
-			// it once, from the smaller endpoint.
-			if int(e.id) > i {
-				d.edges = append(d.edges, edge{a: int32(i), b: e.id, d: e.dist})
-			}
-		}
-	}
-	sortEdges(d.edges)
-	return d, nil
 }
 
-// sortEdges orders the replay log by (d, a, b) — a total order, since a
+// putList writes one item's sorted list at offset o of the flat store,
+// with its running weight sums, and returns the offset past it.
+func (d *Dendrogram) putList(o int64, list []nb) int64 {
+	var sum float64
+	for _, e := range list {
+		d.ids[o], d.dist[o] = e.id, e.dist
+		sum += d.items[e.id].Weight
+		d.cum[o] = sum
+		o++
+	}
+	return o
+}
+
+// edgeLess is the replay log's (d, a, b) order — a total order, since a
 // pair occurs exactly once.
+func edgeLess(x, y edge) bool {
+	if x.d != y.d {
+		return x.d < y.d
+	}
+	if x.a != y.a {
+		return x.a < y.a
+	}
+	return x.b < y.b
+}
+
+// sortEdges orders the replay log by (d, a, b).
 func sortEdges(edges []edge) {
-	sort.Slice(edges, func(x, y int) bool {
-		if edges[x].d != edges[y].d {
-			return edges[x].d < edges[y].d
+	sort.Slice(edges, func(x, y int) bool { return edgeLess(edges[x], edges[y]) })
+}
+
+// mergeEdges merges two (d, a, b)-sorted edge logs into a new one.
+func mergeEdges(a, b []edge) []edge {
+	out := make([]edge, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if edgeLess(a[0], b[0]) {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
 		}
-		if edges[x].a != edges[y].a {
-			return edges[x].a < edges[y].a
-		}
-		return edges[x].b < edges[y].b
-	})
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // Len returns the number of items the dendrogram covers.
@@ -206,7 +357,8 @@ func (d *Dendrogram) Len() int { return len(d.items) }
 func (d *Dendrogram) MaxEps() float64 { return d.maxEps }
 
 // DistCalls returns the exact-distance evaluations spent building the
-// structure. Cuts and weight queries never add to it.
+// structure, every extension included. Cuts and weight queries never add
+// to it.
 func (d *Dendrogram) DistCalls() int { return d.calls }
 
 // Edges returns the size of the union-find replay log.

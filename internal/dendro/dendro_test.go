@@ -66,7 +66,7 @@ func TestCutEquivalence(t *testing.T) {
 
 	for name, backend := range backends() {
 		for _, workers := range []int{1, 2, 4, 0} {
-			d, err := Build(context.Background(), items, opt, backend, 60, workers)
+			d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, backend), 60, workers)
 			if err != nil {
 				t.Fatalf("%s/w%d: Build: %v", name, workers, err)
 			}
@@ -94,7 +94,7 @@ func TestCutEquivalence(t *testing.T) {
 func TestCutRepresentativeEquivalence(t *testing.T) {
 	items := testItems(t)
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	d, err := Build(context.Background(), items, opt, spindex.Grid(), 40, 0)
+	d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), 40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCutRepresentativeEquivalence(t *testing.T) {
 func TestCutMonotonicity(t *testing.T) {
 	items := testItems(t)
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	d, err := Build(context.Background(), items, opt, spindex.Grid(), 60, 0)
+	d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), 60, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestNeighborhoodWeightsMatchShared(t *testing.T) {
 func TestCoreDist(t *testing.T) {
 	items := testItems(t)
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	d, err := Build(context.Background(), items, opt, spindex.Grid(), 50, 0)
+	d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestCoreDist(t *testing.T) {
 func TestCutZeroDistCalls(t *testing.T) {
 	items := testItems(t)
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	d, err := Build(context.Background(), items, opt, spindex.Grid(), 50, 0)
+	d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestCutZeroDistCalls(t *testing.T) {
 func TestCutValidation(t *testing.T) {
 	items := testItems(t)
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	d, err := Build(context.Background(), items, opt, spindex.Grid(), 30, 0)
+	d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), 30, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestCutValidation(t *testing.T) {
 			t.Errorf("%s: error %T (%v), want *segclust.ConfigError", tc.name, err, err)
 		}
 	}
-	if _, err := Build(context.Background(), items, opt, spindex.Grid(), math.Inf(1), 0); err == nil {
+	if _, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), math.Inf(1), 0); err == nil {
 		t.Error("Build with infinite MaxEps succeeded")
 	}
 }
@@ -310,7 +310,7 @@ func TestCutValidation(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	items := testItems(t)
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	d, err := Build(context.Background(), items, opt, spindex.Grid(), 45, 0)
+	d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), 45, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

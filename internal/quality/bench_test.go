@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dendro"
 	"repro/internal/lsdist"
+	"repro/internal/segclust"
 	"repro/internal/spindex"
 	"repro/internal/synth"
 )
@@ -19,7 +20,7 @@ func BenchmarkMeasure(b *testing.B) {
 	ccfg := core.DefaultConfig()
 	ccfg.Partition.CostAdvantage, ccfg.Partition.MinLength = 15, 40
 	items := core.PartitionAll(synth.Hurricanes(cfg), ccfg)
-	d, err := dendro.Build(context.Background(), items, lsdist.DefaultOptions(), spindex.Grid(), 30, 1)
+	d, err := dendro.FromShared(context.Background(), segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Grid()), 30, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

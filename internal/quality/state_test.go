@@ -97,7 +97,7 @@ func moves(prev, cur *segclust.Result) (departed, merged bool) {
 func TestNextChainMatchesScratch(t *testing.T) {
 	items := sweepItems(t)
 	ctx := context.Background()
-	d, err := dendro.Build(ctx, items, lsdist.DefaultOptions(), spindex.Grid(), 60, 0)
+	d, err := dendro.FromShared(ctx, segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Grid()), 60, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestNextGrownItems(t *testing.T) {
 	items := sweepItems(t)
 	ctx := context.Background()
 	for _, cut := range []int{len(items) / 2, len(items) - 7, len(items)} {
-		before, err := dendro.Build(ctx, items[:cut], lsdist.DefaultOptions(), spindex.Grid(), 30, 0)
+		before, err := dendro.FromShared(ctx, segclust.NewSharedIndexFor(items[:cut], lsdist.DefaultOptions(), spindex.Grid()), 30, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, err := dendro.Build(ctx, items, lsdist.DefaultOptions(), spindex.Grid(), 30, 0)
+		after, err := dendro.FromShared(ctx, segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Grid()), 30, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestNextGrownItems(t *testing.T) {
 func TestNextLeavesReceiverIntact(t *testing.T) {
 	items := sweepItems(t)
 	ctx := context.Background()
-	d, err := dendro.Build(ctx, items, lsdist.DefaultOptions(), spindex.Grid(), 40, 0)
+	d, err := dendro.FromShared(ctx, segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Grid()), 40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

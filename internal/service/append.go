@@ -17,12 +17,15 @@ package service
 // a fresh build is epoch 0, each append increments it, and the snapshot
 // format (v4) persists it.
 //
-// Staleness of derived state. The appended model's dendrogram is
-// invalidated, not extended: its den field starts nil and the first sweep
-// query rebuilds it lazily over the post-append items (the stale-dendrogram
-// regression test pins that a pre-append merge structure is never served at
-// a later epoch). The classifier is rebuilt lazily for the same reason —
-// and so the append path itself constructs zero spatial indexes.
+// Staleness of derived state. The appended model's dendrogram is extended,
+// not rebuilt: when the previous epoch's Result holds one, the appender
+// extends it over the grown index (dendro.Dendrogram.Extend) into a new
+// structure on the appended Result, bit-identical to a fresh build over the
+// post-append items; the pre-append one is never mutated and never served
+// at a later epoch (the extension regression test pins both). When the
+// previous epoch held none, the first sweep query builds one lazily. The
+// classifier is rebuilt lazily — so the append path itself constructs zero
+// spatial indexes.
 
 import (
 	"context"
@@ -103,9 +106,8 @@ func (m *Model) appendWith(apply func() (*traclus.Result, error), trajectories, 
 // head. Called with the lineage locked.
 func (head *Model) nextEpoch(res *traclus.Result, trajectories, points int) *Model {
 	next := &Model{
+		// res carries the extended dendrogram when head's Result held one.
 		res: res,
-		// den deliberately nil: the pre-append dendrogram describes the old
-		// item set, so the merge structure is invalidated and lazily rebuilt.
 		ap:  head.ap,
 		lin: head.lin,
 		cfg: head.cfg,

@@ -3,13 +3,14 @@ package service
 // Serving-layer half of the incremental-append contract: epochs version the
 // model, appends fast-forward the lineage, the appended model equals a
 // from-scratch build over the concatenated data, the pre-append dendrogram
-// is never served at a later epoch, and the snapshot (format v4) carries
-// the epoch across export/import.
+// is never served at a later epoch (its extension is), and the snapshot
+// (format v4) carries the epoch across export/import.
 
 import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -110,10 +111,14 @@ func TestModelAppendFastForwards(t *testing.T) {
 	}
 }
 
-// TestAppendedModelNeverServesStaleDendrogram is the staleness guard: after
+// TestAppendedModelServesExtendedDendrogram is the staleness guard: after
 // an append, sweep queries must answer over the post-append item set — a
-// pre-append merge structure cut would silently drop the appended data.
-func TestAppendedModelNeverServesStaleDendrogram(t *testing.T) {
+// pre-append merge structure cut would silently drop the appended data. The
+// appended epoch carries the swept head's dendrogram extended, bit-identical
+// to a fresh build over the post-append items, and its snapshot omits it;
+// the pre-append structure is neither served nor mutated. A model never
+// swept before its append still carries none.
+func TestAppendedModelServesExtendedDendrogram(t *testing.T) {
 	ctx := context.Background()
 	m, err := Build("stale", trainingSet(), buildConfig())
 	if err != nil {
@@ -124,25 +129,43 @@ func TestAppendedModelNeverServesStaleDendrogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	preSnap, preEdges := pre.Snapshot(), pre.Edges()
 	next, err := m.Append(ctx, appendSet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Dendrogram() != nil {
-		t.Fatal("appended model retained a merge structure; it must start invalidated")
+	if next.Dendrogram() == nil {
+		t.Fatal("appended model carries no merge structure; the swept head's should have been extended")
 	}
 	post, err := next.DendrogramAt(ctx, 45)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if post != next.Dendrogram() {
+		t.Error("sweep on the appended model rebuilt its extended dendrogram")
+	}
 	if post == pre {
 		t.Fatal("appended model served the pre-append dendrogram")
+	}
+	batch, err := Build("stale-batch", append(trainingSet(), appendSet()...), buildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := batch.DendrogramAt(ctx, 45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(post.Snapshot(), fresh.Snapshot()) || post.Edges() != fresh.Edges() {
+		t.Error("extended dendrogram differs from a fresh build over the post-append items")
 	}
 	if got, want := len(post.Items()), next.Summary().TotalSegments; got != want {
 		t.Errorf("post-append dendrogram covers %d items, want %d (the full appended set)", got, want)
 	}
 	if got, want := len(pre.Items()), m.Summary().TotalSegments; got != want {
 		t.Errorf("pre-append dendrogram mutated: %d items, want %d", got, want)
+	}
+	if !reflect.DeepEqual(pre.Snapshot(), preSnap) || pre.Edges() != preEdges {
+		t.Error("pre-append dendrogram mutated by the extension")
 	}
 	// And the sweep surface built on it answers for the appended set too.
 	cut, err := next.ClustersAt(ctx, buildConfig().Eps)
@@ -151,6 +174,26 @@ func TestAppendedModelNeverServesStaleDendrogram(t *testing.T) {
 	}
 	if cut.TotalSegments != next.Summary().TotalSegments {
 		t.Errorf("ClustersAt after append covers %d segments, want %d", cut.TotalSegments, next.Summary().TotalSegments)
+	}
+	// The persistence rule: an appended epoch's snapshot carries no merge
+	// structure, even one extended from a swept head.
+	sm, err := next.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm.Epoch != 1 || sm.Dendro != nil {
+		t.Errorf("epoch-%d snapshot carries a dendrogram: %v", sm.Epoch, sm.Dendro != nil)
+	}
+
+	unswept, err := Build("unswept", trainingSet(), buildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next, err = unswept.Append(ctx, appendSet()); err != nil {
+		t.Fatal(err)
+	}
+	if next.Dendrogram() != nil {
+		t.Error("append of a never-swept model produced a dendrogram")
 	}
 }
 
@@ -453,6 +496,53 @@ func BenchmarkModelAppend(b *testing.B) {
 			b.StartTimer()
 		}
 		if m, err = m.Append(ctx, adds[i%len(adds):i%len(adds)+1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendSweep is the in-process twin of one serve-mixed cycle's
+// writes: a 1-trajectory Model.Append, then the daemon's default 16-step
+// sweep over [ε/2, 2ε], on a 400-track hurricane model whose head already
+// holds a dendrogram — so the sweep cuts the append's extension instead of
+// rebuilding the merge structure.
+func BenchmarkAppendSweep(b *testing.B) {
+	cfg := synth.DefaultHurricaneConfig()
+	cfg.NumTracks = 400
+	trs := synth.Hurricanes(cfg)
+	cfg.Seed, cfg.NumTracks = 3, 64
+	adds := synth.Hurricanes(cfg)
+	for i := range adds {
+		adds[i].ID += 1_000_000
+	}
+	ctx := context.Background()
+	var m *Model
+	var lo, hi float64
+	fresh := func() {
+		var err error
+		if m, err = Build("bench-append-sweep", trs, buildConfig()); err != nil {
+			b.Fatal(err)
+		}
+		eps := m.Summary().Eps
+		lo, hi = eps/2, 2*eps
+		if _, err := m.SweepQuality(ctx, lo, hi, 16); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(adds) == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		var err error
+		if m, err = m.Append(ctx, adds[i%len(adds):i%len(adds)+1]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.SweepQuality(ctx, lo, hi, 16); err != nil {
 			b.Fatal(err)
 		}
 	}

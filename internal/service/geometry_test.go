@@ -8,7 +8,9 @@ package service
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,5 +134,96 @@ func TestGeodesicSnapshotClassifyIdentity(t *testing.T) {
 	if _, _, err := loaded.ClassifyTimed(timedProbeSet()[0]); err == nil ||
 		!strings.Contains(err.Error(), "geodesic") {
 		t.Fatalf("ClassifyTimed on geodesic model: %v", err)
+	}
+}
+
+// TestSpatiotemporalCutsUseModelDistance: sweeps and cuts on a
+// spatiotemporal model run under the model's own distance, the wT·gap term
+// included. The two rush-hour waves share one corridor, so a dendrogram
+// built under the planar distance merges them; under the model's distance
+// they stay apart. At the build and after each of three appends, ClustersAt
+// at the model's ε finds the epoch's clusters and noise, and the sweep
+// point there reads the Result's QMeasure bit for bit.
+func TestSpatiotemporalCutsUseModelDistance(t *testing.T) {
+	ctx := context.Background()
+	cfg := buildConfig()
+	cfg.Geometry = traclus.SpatiotemporalGeometry(0.05)
+	m, err := BuildTimed("rush", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Summary().Clusters; got != 2 {
+		t.Fatalf("the build found %d clusters, want the two waves", got)
+	}
+	extra := synth.RushHours(2, 24, 4, 9, 30, 10, 5000)
+	for i := range extra {
+		extra[i].ID += 1000
+	}
+	for epoch := 0; ; epoch++ {
+		sum, res := m.Summary(), m.Result()
+		cut, err := m.ClustersAt(ctx, sum.Eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cut.Clusters) != sum.Clusters || cut.NoiseSegments != sum.NoiseSegments {
+			t.Errorf("epoch %d: ClustersAt(%g) found %d clusters and %d noise segments, the model %d and %d",
+				epoch, sum.Eps, len(cut.Clusters), cut.NoiseSegments, sum.Clusters, sum.NoiseSegments)
+		}
+		pts, err := m.SweepQuality(ctx, sum.Eps, 2*sum.Eps, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := res.QMeasure(); math.Float64bits(pts[0].QMeasure) != math.Float64bits(q) {
+			t.Errorf("epoch %d: sweep QMeasure at ε %g is %v, the Result's %v", epoch, sum.Eps, pts[0].QMeasure, q)
+		}
+		if epoch == 3 {
+			break
+		}
+		if m, err = m.AppendTimed(ctx, extra[epoch:epoch+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestoredSpatiotemporalSweepRange: a snapshot keeps no per-item time
+// intervals, so a restored spatiotemporal model answers sweeps within its
+// persisted dendrogram's range exactly as the built model does, and beyond
+// it returns an error wrapping ErrNoDendrogram instead of rebuilding under
+// the planar distance.
+func TestRestoredSpatiotemporalSweepRange(t *testing.T) {
+	ctx := context.Background()
+	cfg := buildConfig()
+	cfg.Geometry = traclus.SpatiotemporalGeometry(0.05)
+	m, err := BuildTimed("rush-restored", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DendrogramAt(ctx, 45); err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := DecodeModel(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.SweepQuality(ctx, 15, 45, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.SweepQuality(ctx, 15, 45, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("restored sweep differs:\n built    %+v\n restored %+v", want, got)
+	}
+	if _, err := restored.SweepQuality(ctx, 15, 60, 4); !errors.Is(err, ErrNoDendrogram) {
+		t.Errorf("sweep beyond the persisted range: %v, want ErrNoDendrogram", err)
+	}
+	if _, err := restored.ClustersAt(ctx, 50); !errors.Is(err, ErrNoDendrogram) {
+		t.Errorf("cut beyond the persisted range: %v, want ErrNoDendrogram", err)
 	}
 }

@@ -91,11 +91,14 @@ func (m *Model) buildSnapshot() (*snapshot.Model, error) {
 		// reports the same model version it was exported at.
 		Epoch: m.summary.Epoch,
 	}
-	// The merge structure present at first export rides along as the format
-	// v2 section. Lazily-grown dendrograms appearing after the memoized
-	// snapshot is computed stay local — the export is a stable artifact, and
-	// the importer can always rebuild a dendrogram from its own geometry.
-	if d := m.Dendrogram(); d != nil {
+	// An epoch-0 model's merge structure present at first export rides along
+	// as the format v2 section. Lazily-grown dendrograms appearing after the
+	// memoized snapshot is computed stay local — the export is a stable
+	// artifact. An appended epoch's snapshot omits it, because re-encoding
+	// the extended dendrogram write-behind on every append costs the daemon
+	// memory and read latency; a model restored from such a snapshot
+	// answers sweeps with ErrNoDendrogram.
+	if d := m.Dendrogram(); d != nil && m.summary.Epoch == 0 {
 		sm.Dendro = d.Snapshot()
 	}
 	// Format v3 geometry section: the resolved geometry (finishBuild folded
@@ -194,9 +197,10 @@ func FromSnapshot(sm *snapshot.Model) (*Model, error) {
 	// one without running buildSnapshot (which needs the absent Result).
 	m.snapOnce.Do(func() {})
 
-	// Format v2 carries the multi-ε merge structure; v1 snapshots leave it
-	// nil and sweep queries report ErrNoDendrogram (the stored reference
-	// geometry alone cannot reproduce the training segment set).
+	// Format v2 carries the multi-ε merge structure; snapshots without one
+	// (v1 files, models exported before their first sweep, appended epochs)
+	// leave it nil and sweep queries report ErrNoDendrogram (the stored
+	// reference geometry alone cannot reproduce the training segment set).
 	if sm.Dendro != nil {
 		den, err := dendro.FromSnapshot(sm.Dendro)
 		if err != nil {

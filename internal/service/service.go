@@ -101,11 +101,11 @@ type Model struct {
 	snap     *snapshot.Model
 	snapErr  error
 
-	// Multi-ε merge structure (internal/dendro) behind the sweep/clusters
-	// queries — the one deliberate exception to the write-once rule: auto
-	// builds and v2 snapshots set it before publication, fixed-ε models
-	// grow it lazily on the first sweep request, and dmu serialises that
-	// growth. See sweep.go.
+	// Multi-ε merge structure (internal/dendro) of a snapshot-restored
+	// model, behind its sweep/clusters queries: set from a v2+ snapshot
+	// before publication, widened under dmu by a later wider query. A built
+	// or appended model keeps its dendrogram on its Result instead
+	// (traclus.Result.DendrogramAt) and leaves den nil. See sweep.go.
 	dmu sync.Mutex
 	den *dendro.Dendrogram
 }
@@ -202,7 +202,9 @@ func buildOptions(cfg traclus.Config, est *EstimateRange, progress func(phase st
 // finishBuild wraps a completed appender build as a servable model:
 // estimated parameters and the resolved geometry (a geodesic run's
 // projection frame) fold into the persisted config, and the summary
-// statistics precompute so serving reads never trigger O(n²) work.
+// statistics precompute so serving reads never trigger O(n²) work. An auto
+// build's dendrogram stays on res, where sweeps find it and the snapshot
+// persists it as format v2.
 func finishBuild(name string, ap *traclus.Appender, cfg traclus.Config, trajectories, points int, start time.Time) (*Model, error) {
 	res := ap.Result()
 	if res.Estimated != nil {
@@ -212,7 +214,6 @@ func finishBuild(name string, ap *traclus.Appender, cfg traclus.Config, trajecto
 	cfg.Geometry = res.Geometry()
 	m := &Model{
 		res: res,
-		den: res.Dendrogram(), // non-nil on auto builds; persisted as format v2
 		ap:  ap,
 		cfg: cfg,
 		summary: Summary{

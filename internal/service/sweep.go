@@ -14,6 +14,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	traclus "repro"
 	"repro/internal/core"
@@ -23,11 +24,15 @@ import (
 	"repro/internal/segclust"
 )
 
-// ErrNoDendrogram reports a sweep query against a model that has no merge
-// structure and no geometry to build one from — a model loaded from a
-// format v1 snapshot, which stores only the classifier's reference
-// segments, not the training segment set.
-var ErrNoDendrogram = errors.New("service: model carries no dendrogram (format v1 snapshot); rebuild the model to enable sweep queries")
+// ErrNoDendrogram reports a sweep or cut that a snapshot-restored model
+// cannot answer. A restored model keeps no training geometry, only the
+// merge structure its snapshot carried, and many snapshots carry none:
+// format v1 files, a fixed-ε model persisted before its first sweep, and
+// every appended epoch. A restored spatiotemporal model cannot widen the
+// structure it has either — snapshots keep no per-item time intervals — so
+// a query beyond its persisted range returns an error wrapping this one.
+// The daemon answers both with 422 no_dendrogram.
+var ErrNoDendrogram = errors.New("service: model carries no dendrogram for this ε range (restored from a snapshot without one); rebuild the model to enable sweep queries")
 
 // maxSweepSteps bounds the ε-grid resolution of one sweep request: each
 // step costs a dendrogram cut and a quality pass over the pairs whose
@@ -67,8 +72,12 @@ type CutResult struct {
 }
 
 // Dendrogram returns the model's current merge structure, or nil if none
-// has been built yet.
+// has been built yet: the Result's for a built or appended model, the
+// restored one for a snapshot-loaded model.
 func (m *Model) Dendrogram() *dendro.Dendrogram {
+	if m.res != nil {
+		return m.res.Dendrogram()
+	}
 	m.dmu.Lock()
 	defer m.dmu.Unlock()
 	return m.den
@@ -84,33 +93,35 @@ func (m *Model) distOptions() lsdist.Options {
 	return lsdist.Options{Weights: w, Undirected: m.cfg.Undirected}
 }
 
-// DendrogramAt returns a dendrogram covering ε ≤ maxEps, building or
-// growing the model's retained one when its range is too small. Growth
-// replaces the structure wholesale (a dendrogram is immutable once built)
-// under dmu, so concurrent sweeps serialise their builds and later reads
-// reuse the widest range seen. The segment set comes from the model's own
-// clustering — or, for a model restored from a v2 snapshot, from the
-// restored dendrogram — so ErrNoDendrogram only fires for v1-loaded models
-// with no training geometry at all.
+// DendrogramAt returns a dendrogram covering ε ≤ maxEps. A built or
+// appended model delegates to its Result (traclus.Result.DendrogramAt),
+// which builds over the epoch's own items under the model's own distance —
+// the spatiotemporal term included — and keeps the widest structure built.
+// A snapshot-restored model has only the dendrogram its snapshot carried:
+// without one it returns ErrNoDendrogram; a planar or geodesic model
+// rebuilds a wider one from its items under dmu; a spatiotemporal model,
+// whose snapshot lacks the per-item intervals, cannot, and a query beyond
+// its range returns an error wrapping ErrNoDendrogram.
 func (m *Model) DendrogramAt(ctx context.Context, maxEps float64) (*dendro.Dendrogram, error) {
+	if m.res != nil {
+		return m.res.DendrogramAt(ctx, maxEps)
+	}
 	if err := segclust.CheckPositive("Eps", maxEps); err != nil {
 		return nil, err
 	}
 	m.dmu.Lock()
 	defer m.dmu.Unlock()
-	if m.den != nil && m.den.MaxEps() >= maxEps {
-		return m.den, nil
-	}
-	var items []traclus.Item
 	switch {
-	case m.res != nil:
-		items = m.res.Items()
-	case m.den != nil:
-		items = m.den.Items()
-	default:
+	case m.den == nil:
 		return nil, ErrNoDendrogram
+	case m.den.MaxEps() >= maxEps:
+		return m.den, nil
+	case m.cfg.Geometry.Timed():
+		return nil, fmt.Errorf("%w: ε %g exceeds the restored spatiotemporal dendrogram's range %g, and the snapshot has no per-item intervals to rebuild it from",
+			ErrNoDendrogram, maxEps, m.den.MaxEps())
 	}
-	d, err := dendro.Build(ctx, items, m.distOptions(), segclust.BackendFor(m.cfg.Index), maxEps, m.cfg.Workers)
+	shared := segclust.NewSharedIndexFor(m.den.Items(), m.distOptions(), segclust.BackendFor(m.cfg.Index))
+	d, err := dendro.FromShared(ctx, shared, maxEps, m.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

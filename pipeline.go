@@ -349,7 +349,7 @@ func (p *Pipeline) Run(ctx context.Context, trs []Trajectory) (*Result, error) {
 	rep.finish()
 	res := newResult(out, ccfg)
 	res.Estimated = estimated
-	res.dendro = den
+	res.den.Store(den)
 	return res, nil
 }
 
@@ -484,7 +484,7 @@ func (p *Pipeline) RunTimed(ctx context.Context, trs []TimedTrajectory) (*Result
 	rep.finish()
 	res := newResult(out, ccfg)
 	res.Estimated = estimated
-	res.dendro = den
+	res.den.Store(den)
 	res.itemIvs = ivs
 	res.windows = clusterWindows(out, ivs)
 	return res, nil

@@ -305,9 +305,12 @@ type Result struct {
 	out *core.Output
 	cfg core.Config
 
-	// dendro is the multi-ε merge structure built by estimation runs (the
-	// annealer's by-product); nil on fixed-parameter runs.
-	dendro *dendro.Dendrogram
+	// Multi-ε merge structure behind Dendrogram and DendrogramAt: set by
+	// estimation runs (the annealer's by-product), extended from the
+	// previous epoch's by an append, or built on first use. den holds the
+	// widest one so far; dmu serialises the builds.
+	dmu sync.Mutex
+	den atomic.Pointer[dendro.Dendrogram]
 
 	// itemIvs are the per-item time intervals of a RunTimed run,
 	// index-aligned with Items(); nil on spatial runs.
@@ -335,11 +338,40 @@ type Result struct {
 // into). The slice is the result's own backing store — do not mutate.
 func (r *Result) Items() []Item { return r.out.Items }
 
-// Dendrogram returns the multi-ε merge structure when this run built one
-// (auto-estimation runs precompute it for the annealing search), or nil.
-// Non-nil, it answers exact clusterings at any ε up to the estimation
-// range's hi via CutAt, with zero further distance computations.
-func (r *Result) Dendrogram() *dendro.Dendrogram { return r.dendro }
+// Dendrogram returns the multi-ε merge structure the Result holds, or nil:
+// auto-estimation runs precompute it for the annealing search, an append
+// extends the previous epoch's, and DendrogramAt builds one on demand.
+// Non-nil, it answers exact clusterings at any ε up to its MaxEps via
+// CutAt, with zero further distance computations.
+func (r *Result) Dendrogram() *dendro.Dendrogram { return r.den.Load() }
+
+// DendrogramAt returns a merge structure that answers every ε ≤ maxEps: the
+// one the Result holds when it reaches that far, otherwise a new one over
+// Items() under the run's own distance, index backend and geometry — a
+// spatiotemporal run's per-item intervals and wT included — which the
+// Result then keeps. Concurrent calls serialise their builds, and later
+// calls reuse the widest structure built so far. A maxEps that is not
+// positive and finite returns a *ConfigError.
+func (r *Result) DendrogramAt(ctx context.Context, maxEps float64) (*dendro.Dendrogram, error) {
+	if err := segclust.CheckPositive("Eps", maxEps); err != nil {
+		return nil, err
+	}
+	if d := r.den.Load(); d != nil && d.MaxEps() >= maxEps {
+		return d, nil
+	}
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	if d := r.den.Load(); d != nil && d.MaxEps() >= maxEps {
+		return d, nil
+	}
+	shared := segclust.NewSharedIndexTimed(r.out.Items, r.itemIvs, r.cfg.Geometry.WT, r.cfg.Distance, r.cfg.ResolvedBackend())
+	d, err := dendro.FromShared(ctx, shared, maxEps, r.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	r.den.Store(d)
+	return d, nil
+}
 
 // Geometry returns the geometry the run resolved: the configured geometry,
 // with a geodesic run's projection frame filled in from the data bounds.

@@ -39,12 +39,12 @@
 // the equivalence suite pins this across backends and worker counts.
 //
 // One caveat bounds the "bit-identical" claim: the fresh pass accumulates
-// each neighborhood's weight in backend candidate order, while the
-// dendrogram accumulates in (distance, id) order. For order-independent
-// sums — unit or integer weights, which is every trajectory source in this
-// repo (core.PartitionAllCtx defaults Weight to 1) — the sums are exactly
-// equal. Exotic fractional weights could differ in the last ulp at the
-// core threshold; such datasets should validate against segclust directly.
+// each neighborhood's weight in ascending id order, while the dendrogram
+// accumulates in (distance, id) order. For order-independent sums — unit or
+// integer weights, which is every trajectory source in this repo
+// (core.PartitionAllCtx defaults Weight to 1) — the sums are exactly equal.
+// Exotic fractional weights could differ in the last ulp at the core
+// threshold; such datasets should validate against segclust directly.
 package dendro
 
 import (
@@ -71,7 +71,7 @@ type edge struct {
 type Dendrogram struct {
 	items  []segclust.Item
 	maxEps float64
-	calls  int // exact-distance evaluations spent building
+	calls  int // candidate pairs refined building it, each unordered pair scored once
 
 	// Flat neighbor store: item i's neighbors are ids[off[i]:off[i+1]],
 	// distance-aligned in dist, sorted by (dist, id), self included at
@@ -89,10 +89,11 @@ type Dendrogram struct {
 // FromShared builds the merge structure from an already-built shared index
 // — the pipeline's single-build discipline: the same index serves
 // estimation, grouping, and this precompute. One parallel candidate +
-// refine pass at radius maxEps, one sort per neighbor list, one edge sort.
-// The refinement scores at bound maxEps: only pairs within maxEps are
-// stored, and those get their exact distances, so the kernel may stop on
-// the others (segclust.Cursor.DistBlockWithin).
+// refine pass at radius maxEps that scores each unordered pair once, one
+// sort per neighbor list, one edge sort. The refinement scores at bound
+// maxEps: only pairs within maxEps are stored, and those get their exact
+// distances, so the kernel may stop on the others
+// (segclust.Cursor.DistBlockWithin).
 func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float64, workers int) (*Dendrogram, error) {
 	if err := segclust.CheckPositive("MaxEps", maxEps); err != nil {
 		return nil, err
@@ -140,14 +141,14 @@ func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float6
 // Δ items. It never writes d (earlier epochs keep serving it); the result
 // shares nothing mutable with it. Only the appended items [d.Len(), n) run
 // range queries, at d's MaxEps and scored bounded exactly as FromShared
-// scores them; every new pair is merged into both endpoints' sorted lists
-// (by Lemma-2 symmetry the new item's dist(j, i) is bit-identical to the
-// dist(i, j) a rebuild would compute from i), the running weight sums are
+// scores them, each unordered pair once; every new pair is merged into both
+// endpoints' sorted lists (by Lemma-2 symmetry whichever end scored a pair
+// gives it the bits a rebuild would), the running weight sums are
 // recomputed only for the lists that gained entries, and the sorted new
 // edges merge into the replay log. The result is bit-identical to
 // FromShared over the same items — neighbor lists, weight sums and replay
-// log — except DistCalls, which adds the Δ's evaluations to d's. An index
-// holding no new items returns d itself.
+// log — except DistCalls, which adds the candidate pairs the Δ refined to
+// d's. An index holding no new items returns d itself.
 func (d *Dendrogram) Extend(ctx context.Context, shared *segclust.SharedIndex, workers int) (*Dendrogram, error) {
 	items := shared.Items()
 	n0, n := len(d.items), len(items)
@@ -245,11 +246,17 @@ type nb struct {
 
 // neighborLists is the one query-and-sort pass behind FromShared and
 // Extend: for every item i in [lo, n) of shared, every j with dist(i, j) ≤
-// maxEps, sorted by (dist, id), at lists[i-lo]. It also returns the exact
-// distance evaluations spent.
+// maxEps, sorted by (dist, id), at lists[i-lo], each list sized to the
+// pairs it keeps. It also returns the candidate pairs refined.
+//
+// Each unordered pair is scored once, from the end that owns it
+// (segclust.Owned), and a serial reflection pass hands every owned pair to
+// its other queried end. By Lemma 2 symmetry (bit-exact in the kernel) that
+// entry carries the distance the other end would have scored. The count is
+// Σ|candidates(i)|, taken before the other end's pairs are dropped.
 func neighborLists(ctx context.Context, shared *segclust.SharedIndex, lo int, maxEps float64, workers int) ([][]nb, int, error) {
-	lists := make([][]nb, shared.Len()-lo)
-	w := par.Workers(workers, len(lists))
+	own := make([][]nb, shared.Len()-lo)
+	w := par.Workers(workers, len(own))
 	// Per-worker geometry-aware cursors: on a planar index these are thin
 	// wrappers over the spindex query (same candidates, same kernel blocks,
 	// bit-identical lists); on a spatiotemporal index they fold the wT·gap
@@ -264,26 +271,65 @@ func neighborLists(ctx context.Context, shared *segclust.SharedIndex, lo int, ma
 	for k := range queries {
 		queries[k] = shared.Cursor()
 	}
-	err := par.ForEachCtx(ctx, workers, len(lists), func(wk, k int) {
+	err := par.ForEachCtx(ctx, workers, len(own), func(wk, k int) {
 		i := lo + k
 		sq := queries[wk]
 		cand[wk] = sq.CandidatesOf(i, maxEps, cand[wk][:0])
-		c := cand[wk]
+		calls[wk] += len(cand[wk])
+		c := segclust.Owned(cand[wk], i, lo)
 		dists[wk] = sq.DistBlockWithin(i, c, maxEps, dists[wk])
-		calls[wk] += len(c)
-		list := make([]nb, 0, len(c))
+		kept := 0
+		for _, dv := range dists[wk] {
+			if dv <= maxEps {
+				kept++
+			}
+		}
+		list := make([]nb, 0, kept)
 		for x, j := range c {
 			if dv := dists[wk][x]; dv <= maxEps {
 				list = append(list, nb{id: int32(j), dist: dv})
 			}
 		}
-		sortNeighbors(list)
-		lists[k] = list
+		own[k] = list
 	})
 	total := 0
 	for _, c := range calls {
 		total += c
 	}
+	if err != nil {
+		return nil, total, err
+	}
+
+	// Reflect: list k holds its owned pairs plus one entry per later owner
+	// that scored it, all carved from one flat array.
+	size := make([]int, len(own))
+	for k, l := range own {
+		size[k] += len(l)
+		for _, e := range l {
+			if int(e.id) > lo+k {
+				size[int(e.id)-lo]++
+			}
+		}
+	}
+	sum := 0
+	for _, n := range size {
+		sum += n
+	}
+	flat := make([]nb, sum)
+	lists := make([][]nb, len(own))
+	for k, l := range own {
+		lists[k] = append(flat[:0:size[k]], l...)
+		flat = flat[size[k]:]
+	}
+	for k, l := range own {
+		i := int32(lo + k)
+		for _, e := range l {
+			if e.id > i {
+				lists[int(e.id)-lo] = append(lists[int(e.id)-lo], nb{id: i, dist: e.dist})
+			}
+		}
+	}
+	err = par.ForEachCtx(ctx, workers, len(lists), func(_, k int) { sortNeighbors(lists[k]) })
 	return lists, total, err
 }
 
@@ -356,9 +402,9 @@ func (d *Dendrogram) Len() int { return len(d.items) }
 // MaxEps returns the largest ε the structure can answer.
 func (d *Dendrogram) MaxEps() float64 { return d.maxEps }
 
-// DistCalls returns the exact-distance evaluations spent building the
-// structure, every extension included. Cuts and weight queries never add
-// to it.
+// DistCalls returns the candidate pairs refined building the structure,
+// every extension included, each unordered pair scored once. Cuts and
+// weight queries never add to it.
 func (d *Dendrogram) DistCalls() int { return d.calls }
 
 // Edges returns the size of the union-find replay log.

@@ -319,9 +319,9 @@ func TestZeroLengthSegmentGuards(t *testing.T) {
 // FuzzSegmentDistanceKernel cross-checks the kernel against the scalar path
 // on fuzz-chosen coordinates: finite inputs must agree bit for bit through a
 // batch of one, bounded scoring at a fuzz-chosen bound must accept exactly
-// the pairs exact scoring does, and non-finite inputs must be rejected at
-// pool build / view time (the searcher's signal to stay on the scalar
-// fallback).
+// the pairs exact scoring does and give the same bits in both directions,
+// and non-finite inputs must be rejected at pool build / view time (the
+// searcher's signal to stay on the scalar fallback).
 func FuzzSegmentDistanceKernel(f *testing.F) {
 	f.Add(0.0, 0.0, 10.0, 0.0, 0.0, 1.0, 10.0, 1.0, 1.0, 1.0, 1.0, false, 2.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, 3.0, 4.0, 3.0, 4.0, 1.0, 1.0, 1.0, true, 5.0)
@@ -375,6 +375,20 @@ func FuzzSegmentDistanceKernel(f *testing.F) {
 			if msg := boundMismatch(out[0], want, bd); msg != "" {
 				t.Fatalf("%v vs %v under %+v %s", a, b, opt, msg)
 			}
+		}
+
+		// Both scoring directions give the same bits at the bound (or NaN on
+		// both): the neighborhood passes score each pair from one end only
+		// and hand the result to the other.
+		apool, err := segpool.New([]geom.Segment{a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = k.DistBlock(pool, av, []int{0}, bound, out)
+		back := k.DistBlock(apool, bv, []int{0}, bound, nil)
+		if !bitsMatch(out[0], back[0]) {
+			t.Fatalf("%v vs %v under %+v at bound %v: %v (%016x) one way, %v (%016x) the other",
+				a, b, opt, bound, out[0], math.Float64bits(out[0]), back[0], math.Float64bits(back[0]))
 		}
 	})
 }

@@ -25,14 +25,11 @@ package segclust
 // evaluations than a from-scratch batch run would spend. Callers comparing
 // against batch must exclude DistCalls from the fingerprint.)
 //
-// Exactness caveat, pinned here once: weighted cardinalities are float
-// sums, and the append path accumulates an old item's weight in a different
-// order (base neighbors first, then appended neighbors in append order) than
-// a batch run over the concatenation would. With the default unit weights —
-// every in-repo producer — the sums are small-integer-valued and exact, so
-// core flags match batch bit-for-bit. Exotic fractional weights could in
-// principle land a sum on the other side of MinLns by one ULP; such inputs
-// should batch-rebuild instead.
+// Weighted cardinalities are float sums, and they match batch bit for bit
+// even for fractional weights: every neighborhood is kept in ascending id
+// order and its weight is the left-to-right sum in that order. An appended
+// id exceeds every old one, so an old item's grown sum is its old sum plus
+// the appended neighbors' weights in ascending order — the batch sum.
 
 import (
 	"context"
@@ -104,7 +101,7 @@ type Incremental struct {
 	hs     *hoodSet
 	core   []bool // live core flags (monotone: set once, never cleared)
 	uf     *unionFind
-	calls  int // cumulative exact-distance evaluations across all epochs
+	calls  int // candidate pairs refined across all epochs, each unordered pair scored once
 	res    *Result
 	broken bool
 }
@@ -142,8 +139,8 @@ func (inc *Incremental) result(ctx context.Context) (*Result, error) {
 // updated through symmetry, the union-find absorbs the new core-core edges,
 // and label re-runs. newIvs must carry one time interval per new item on a
 // spatiotemporal index and be nil on a planar one. The returned Result
-// equals a batch run over the concatenated items (see the package comment
-// for the DistCalls and float-weight caveats).
+// equals a batch run over the concatenated items, weights bit for bit (see
+// the package comment for the one DistCalls caveat).
 //
 // A failed or cancelled append leaves the Incremental broken — the index may
 // have grown while the derived state did not — and every later call returns
@@ -174,38 +171,26 @@ func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item, newIvs [
 }
 
 func (inc *Incremental) append(ctx context.Context, n0 int) (*Result, error) {
-	items := inc.shared.items
-	n := len(items)
+	n := len(inc.shared.items)
 
 	// Phase 1 — the only expensive work: ε-range queries for the Δ new
-	// items against the grown index, across workers. Each new item's full
-	// neighborhood (old and new neighbors alike — the index already holds
-	// everything) lands in hs.
+	// items against the grown index, across workers. Each new item scores
+	// the old items and the new ones from itself on; the pass's reflection
+	// gives every new item its full neighborhood (old and new neighbors
+	// alike — the index already holds everything) and, by symmetry
+	// (j ∈ Nε(i) ⇔ i ∈ Nε(j)), gives each old neighbor j the new item i in
+	// its neighborhood and i's weight in its cardinality.
 	calls, err := inc.hs.extend(ctx, inc.shared, inc.cfg.Eps, inc.cfg.Workers, nil, nil)
 	inc.calls += calls
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2 — symmetry reflection, serial in ascending new-item order:
-	// j ∈ Nε(i) ⇔ i ∈ Nε(j), so each pre-existing neighbor j gains i in its
-	// neighborhood and i's weight in its cardinality. The first append to a
-	// neighborhood still in its worker's block copies it out (the window's
-	// capacity is capped).
 	hs := inc.hs
-	for i := n0; i < n; i++ {
-		for _, j := range hs.ids[i] {
-			if int(j) < n0 {
-				hs.ids[j] = append(hs.ids[j], int32(i))
-				hs.w[j] += items[i].Weight
-			}
-		}
-	}
 
-	// Phase 3 — core flags for the new items, and core promotion for the
+	// Phase 2 — core flags for the new items, and core promotion for the
 	// old ones. Monotone: grown cardinalities can only promote. Pre-existing
 	// items that crossed MinLns are the "dirtied" frontier whose edges
-	// phase 4 must add, beside the new items'.
+	// phase 3 must add, beside the new items'.
 	inc.core = append(inc.core, make([]bool, n-n0)...)
 	work := make([]int32, 0, n-n0)
 	for i := n0; i < n; i++ {
@@ -219,7 +204,7 @@ func (inc *Incremental) append(ctx context.Context, n0 int) (*Result, error) {
 		}
 	}
 
-	// Phase 4 — link the new core-core edges. Every edge of the grown core
+	// Phase 3 — link the new core-core edges. Every edge of the grown core
 	// graph that the old forest lacks has at least one endpoint that is a
 	// new item or a promoted one (an edge between two previously-core old
 	// items was already unioned), so scanning those endpoints' full
@@ -231,7 +216,7 @@ func (inc *Incremental) append(ctx context.Context, n0 int) (*Result, error) {
 	}
 	inc.uf = uf
 
-	// Phase 5 — label's numbering and border passes, then the canonical
+	// Phase 4 — label's numbering and border passes, then the canonical
 	// Definition-10 filter and ordering.
 	return inc.result(ctx)
 }

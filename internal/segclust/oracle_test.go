@@ -192,6 +192,70 @@ func TestOracleRun(t *testing.T) {
 	}
 }
 
+// fractionalItems is the order-sensitive weight fixture: 24 isolated groups
+// of three parallel unit segments stacked within ε = 5 of each other, whose
+// weights in ascending id order are 0.1, 0.2 and 0.3 while their heights
+// are shuffled, so a backend that enumerates a group by position visits its
+// weights out of id order. It also returns the ascending sum 0.1+0.2+0.3,
+// which in float64 is one ulp above 0.3+0.2+0.1.
+func fractionalItems(rng *rand.Rand) ([]Item, float64) {
+	w := []float64{0.1, 0.2, 0.3}
+	var items []Item
+	for g := 0; g < 24; g++ {
+		x, y := 20*float64(g%6), 20*float64(g/6)
+		for _, k := range rng.Perm(3) {
+			h := y + 2.4*float64(k)
+			items = append(items, Item{Seg: geom.Seg(x, h, x+1, h), TrajID: g})
+		}
+	}
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	rank := make(map[int]int)
+	for i := range items {
+		g := items[i].TrajID
+		items[i].Weight = w[rank[g]]
+		items[i].TrajID = i
+		rank[g]++
+	}
+	return items, w[0] + w[1] + w[2]
+}
+
+// TestOracleFractionalWeights diffs Run over {grid, rtree, brute} × Workers
+// {1, 3}, and an append of the second half at the same grid, against
+// Figure 12 with MinLns at the ascending sum 0.1+0.2+0.3: a group is a
+// cluster exactly when a path sums its neighborhood weights in id order, as
+// the oracle does.
+func TestOracleFractionalWeights(t *testing.T) {
+	items, minLns := fractionalItems(rand.New(rand.NewSource(75)))
+	if desc := []float64{0.3, 0.2, 0.1}; desc[0]+desc[1]+desc[2] >= minLns {
+		t.Fatal("fixture: the threshold is not order-sensitive")
+	}
+	cfg := Config{Eps: 5, MinLns: minLns, MinTrajs: 1, Options: lsdist.DefaultOptions()}
+	want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, cfg.MinTrajs)
+	if want.NumClusters() != 24 {
+		t.Fatalf("fixture yields %d clusters, want 24", want.NumClusters())
+	}
+	p := len(items) / 2
+	for _, kind := range oracleKinds {
+		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 3}, func(workers int) (*Result, error) {
+			cfg.Index, cfg.Workers = kind, workers
+			return Run(items, cfg)
+		})
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			shared := NewSharedIndexFor(slices.Clone(items[:p]), cfg.Options, BackendFor(kind))
+			inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := inc.AppendCtx(context.Background(), items[p:], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffOracle(t, fmt.Sprintf("index=%v workers=%d append after %d", kind, workers, p), want, got)
+		}
+	}
+}
+
 // timedItems pairs corridor items with time intervals in two waves a long
 // gap apart, so the temporal term splits what is one planar cluster.
 func timedItems(rng *rand.Rand, n int) ([]Item, []geometry.Interval) {

@@ -3,8 +3,9 @@ package segclust
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -124,69 +125,142 @@ func TestSharedBorderWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodArenaMatchesLazy checks the neighborhood store every
-// grouping consumes against independently computed lazy neighborhoods: same
-// ids in the same order, same weights, same distance budget.
-func TestNeighborhoodArenaMatchesLazy(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	items := corridorItemsSpread(rng, 400, 3, 20, 600)
-	cfg := defaultCfg()
-	shared := NewSharedIndexFor(items, cfg.Options, BackendFor(cfg.Index))
-	hs, calls, err := shared.neighborhoods(context.Background(), cfg.Eps, 8, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy := &engine{items: items, cfg: cfg, src: NewSharedIndexFor(items, cfg.Options, cfg.backend()).view(cfg.Eps)}
-	var hood []int
+// lazyHoods is the reference the neighborhood tests check against: every
+// item's ε-neighborhood computed on its own from the cursor's candidates and
+// exact distances, id for id in ascending order, with its fractional weight
+// summed in that order.
+func lazyHoods(shared *SharedIndex, eps float64) ([][]int32, []float64) {
+	items := shared.Items()
+	cur := shared.Cursor()
+	hoods := make([][]int32, len(items))
+	weights := make([]float64, len(items))
+	var cand []int
+	var dists []float64
 	for i := range items {
-		var w float64
-		hood, w = lazy.neighborhood(i, hood[:0])
-		got := hs.hood(i)
-		if len(got) != len(hood) {
-			t.Fatalf("item %d: arena hood has %d ids, lazy %d", i, len(got), len(hood))
-		}
-		for k := range hood {
-			if int(got[k]) != hood[k] {
-				t.Fatalf("item %d: arena hood %v != lazy %v", i, got, hood)
+		cand = cur.CandidatesOf(i, eps, cand[:0])
+		dists = cur.DistBlock(i, cand, dists)
+		for k, j := range cand {
+			if dists[k] <= eps {
+				hoods[i] = append(hoods[i], int32(j))
 			}
 		}
-		if w != hs.w[i] {
-			t.Fatalf("item %d: arena weight %v != lazy %v", i, hs.w[i], w)
+		slices.Sort(hoods[i])
+		for _, j := range hoods[i] {
+			weights[i] += items[j].Weight
 		}
 	}
-	if calls != lazy.calls {
-		t.Errorf("distance calls: arena %d != lazy %d", calls, lazy.calls)
+	return hoods, weights
+}
+
+// lazyCalls is the count of candidate pairs a neighborhood pass querying the
+// items [lo, n) refines: every candidate of every queried item.
+func lazyCalls(shared *SharedIndex, eps float64, lo int) int {
+	cur := shared.Cursor()
+	calls := 0
+	var cand []int
+	for i := lo; i < shared.Len(); i++ {
+		cand = cur.CandidatesOf(i, eps, cand[:0])
+		calls += len(cand)
+	}
+	return calls
+}
+
+// diffHoods fails unless every neighborhood and weight in hs is the lazy
+// reference's, the weights bit for bit.
+func diffHoods(t *testing.T, what string, hs *hoodSet, hoods [][]int32, weights []float64) {
+	t.Helper()
+	if len(hs.w) != len(hoods) {
+		t.Fatalf("%s: %d neighborhoods, reference %d", what, len(hs.w), len(hoods))
+	}
+	for i, want := range hoods {
+		if !slices.Equal(hs.hood(i), want) {
+			t.Fatalf("%s: item %d: hood %v, reference %v", what, i, hs.hood(i), want)
+		}
+		if math.Float64bits(hs.w[i]) != math.Float64bits(weights[i]) {
+			t.Fatalf("%s: item %d: weight %v, reference %v", what, i, hs.w[i], weights[i])
+		}
 	}
 }
 
-// TestPrecomputedHoodsMatchLazy checks the precomputed neighborhood lists
-// against independently computed lazy ones, id for id and in order.
-func TestPrecomputedHoodsMatchLazy(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	items := corridorItemsSpread(rng, 300, 3, 15, 500)
-	cfg := defaultCfg()
-	shared := NewSharedIndexFor(items, cfg.Options, BackendFor(cfg.Index))
-	hoods := make([][]int, len(items))
-	weights := make([]float64, len(items))
-	calls := shared.forEachNeighborhood(cfg.Eps, 8,
-		func(i int, hood []int, w float64) {
-			hoods[i] = append([]int(nil), hood...)
-			weights[i] = w
-		})
-
-	lazy := &engine{items: items, cfg: cfg, src: NewSharedIndexFor(items, cfg.Options, cfg.backend()).view(cfg.Eps)}
-	var hood []int
+// weightedCorridor is a corridor fixture with fractional item weights, so a
+// weight summed in a different order shows up in its bits.
+func weightedCorridor(seed int64, n, k, trajs int, spread float64) []Item {
+	items := corridorItemsSpread(rand.New(rand.NewSource(seed)), n, k, trajs, spread)
 	for i := range items {
-		var w float64
-		hood, w = lazy.neighborhood(i, hood[:0])
-		if !reflect.DeepEqual(append([]int(nil), hood...), hoods[i]) {
-			t.Fatalf("item %d: precomputed hood %v != lazy %v", i, hoods[i], hood)
-		}
-		if w != weights[i] {
-			t.Fatalf("item %d: precomputed weight %v != lazy %v", i, weights[i], w)
+		items[i].Weight = float64(1+i%5) / 10
+	}
+	return items
+}
+
+// TestNeighborhoodArenaMatchesLazy checks the neighborhood store every batch
+// grouping consumes (the half-pair pass into per-worker block arenas, then
+// the reflection pass) against the lazy reference, on every backend at one
+// and eight workers: id for id in ascending order, fractional weights bit for
+// bit (through NeighborhoodWeights too), and the same count of candidate
+// pairs refined.
+func TestNeighborhoodArenaMatchesLazy(t *testing.T) {
+	items := weightedCorridor(19, 400, 3, 20, 600)
+	cfg := defaultCfg()
+	for _, kind := range oracleKinds {
+		shared := NewSharedIndexFor(items, cfg.Options, BackendFor(kind))
+		hoods, weights := lazyHoods(shared, cfg.Eps)
+		calls := lazyCalls(shared, cfg.Eps, 0)
+		for _, workers := range []int{1, 8} {
+			what := fmt.Sprintf("index=%v workers=%d", kind, workers)
+			hs, got, err := shared.neighborhoods(context.Background(), cfg.Eps, workers, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != calls {
+				t.Errorf("%s: %d candidate pairs refined, reference %d", what, got, calls)
+			}
+			diffHoods(t, what, hs, hoods, weights)
+			ws := shared.NeighborhoodWeights(cfg.Eps, workers)
+			for i := range weights {
+				if math.Float64bits(ws[i]) != math.Float64bits(weights[i]) {
+					t.Fatalf("%s: item %d: NeighborhoodWeights %v, reference %v", what, i, ws[i], weights[i])
+				}
+			}
 		}
 	}
-	if calls != lazy.calls {
-		t.Errorf("distance calls: precomputed %d != lazy %d", calls, lazy.calls)
+}
+
+// TestPrecomputedHoodsMatchLazy checks neighborhoods precomputed by a build
+// and carried across appends (hoodSet.extend over [lo, n), whose items own
+// their pairs with the old items and reflect them into the old windows)
+// against the lazy reference on the grown index after every epoch, on every
+// backend at one and eight workers, with the candidate pairs each append
+// refines counted as its queries' candidates.
+func TestPrecomputedHoodsMatchLazy(t *testing.T) {
+	items := weightedCorridor(13, 300, 3, 15, 500)
+	cfg := defaultCfg()
+	cuts := []int{100, 220, 221, len(items)}
+	for _, kind := range oracleKinds {
+		for _, workers := range []int{1, 8} {
+			what := fmt.Sprintf("index=%v workers=%d", kind, workers)
+			shared := NewSharedIndexFor(slices.Clone(items[:cuts[0]]), cfg.Options, BackendFor(kind))
+			hs, got, err := shared.neighborhoods(context.Background(), cfg.Eps, workers, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo := 0
+			for e, n := range cuts {
+				if e > 0 {
+					lo = cuts[e-1]
+					if err := shared.grow(items[lo:n], nil); err != nil {
+						t.Fatal(err)
+					}
+					if got, err = hs.extend(context.Background(), shared, cfg.Eps, workers, nil, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				at := fmt.Sprintf("%s n=%d", what, n)
+				if calls := lazyCalls(shared, cfg.Eps, lo); got != calls {
+					t.Errorf("%s: %d candidate pairs refined, reference %d", at, got, calls)
+				}
+				hoods, weights := lazyHoods(shared, cfg.Eps)
+				diffHoods(t, at, hs, hoods, weights)
+			}
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -145,7 +146,9 @@ type Config struct {
 	// The cached neighborhoods cost 4 bytes per neighbor entry at every
 	// worker count, O(Σ|Nε|) memory in all (the classic cached-DBSCAN
 	// trade), which approaches O(n²) when ε covers a large fraction of the
-	// data extent.
+	// data extent. While the pass runs it also holds each unordered pair
+	// once, by the end that scored it: a transient store of about half that
+	// size.
 	Workers int
 }
 
@@ -223,7 +226,10 @@ type Result struct {
 	// Removed counts density-connected sets discarded by the
 	// trajectory-cardinality check.
 	Removed int
-	// DistCalls counts exact distance evaluations (index efficiency metric).
+	// DistCalls counts the candidate pairs refined, Σ|candidates(i)| (the
+	// index efficiency metric of Lemma 3), each unordered pair scored once:
+	// the pass scores a pair from one end and hands the result to the other,
+	// so the kernel runs about half as often as this count.
 	DistCalls int
 }
 
@@ -322,11 +328,10 @@ func segments(items []Item) []geom.Segment {
 }
 
 // engine holds one worker's state for a neighborhood pass: its view of the
-// shared index, its scratch, and its count of exact distance evaluations.
+// shared index, its scratch, and its count of candidate pairs refined.
 type engine struct {
-	items []Item
-	cfg   Config
 	src   neighborSource
+	eps   float64
 	calls int
 	cand  []int     // candidate scratch
 	dists []float64 // distance scratch, ≤ refineBlock per chunk
@@ -339,45 +344,59 @@ type engine struct {
 // the scored values or their order — it only bounds the scratch.
 const refineBlock = 1024
 
-// neighborhood returns the ids (including i) within ε of item i, and the
-// weighted cardinality. The result lands in dst's backing array; callers
-// must treat it as scratch that the next call overwrites.
+// Owned keeps, in place, the candidates of item i that item i owns in a
+// neighborhood pass over the items [lo, n): j < lo (an item the pass does
+// not query) or j ≥ i. Every other candidate j is an earlier item of the
+// pass, which owns the pair and hands its within-ε answer to i by symmetry
+// (Lemma 2; the kernel is bit-symmetric), so every unordered pair is scored
+// once. The self pair is owned like any other: i keeps itself only when it
+// scores ≤ ε, as its distance is not always exactly 0. Passes count
+// len(cand) as refined before dropping the other end's pairs.
+func Owned(cand []int, i, lo int) []int {
+	out := cand[:0]
+	for _, j := range cand {
+		if j < lo || j >= i {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// owned appends to dst, in ascending order, the ids within ε of item i among
+// the candidates item i owns (Owned) in a pass over [lo, n).
 //
 // The refinement is block-at-a-time: one candidates call, then per
 // refineBlock-sized chunk one distBlock call scoring the chunk and a
-// branch-only filter pass over flat arrays. DistCalls accounting is per
-// pair scored — len(candidates) per query, exactly what the
-// pair-at-a-time loop counted.
-func (e *engine) neighborhood(i int, dst []int) ([]int, float64) {
+// branch-only filter pass over flat arrays. DistCalls counts len(candidates)
+// per query: candidate pairs refined, each unordered pair scored once.
+func (e *engine) owned(i, lo int, dst []int32) []int32 {
 	e.cand = e.src.candidates(i, e.cand[:0])
 	e.calls += len(e.cand)
-	var weight float64
-	for lo := 0; lo < len(e.cand); lo += refineBlock {
-		chunk := e.cand[lo:]
-		if len(chunk) > refineBlock {
-			chunk = chunk[:refineBlock]
-		}
+	cand := Owned(e.cand, i, lo)
+	for off := 0; off < len(cand); off += refineBlock {
+		chunk := cand[off:min(off+refineBlock, len(cand))]
 		e.dists = e.src.distBlock(i, chunk, e.dists)
 		for k, j := range chunk {
-			if e.dists[k] <= e.cfg.Eps {
-				dst = append(dst, j)
-				weight += e.items[j].Weight
+			if e.dists[k] <= e.eps {
+				dst = append(dst, int32(j))
 			}
 		}
 	}
-	return dst, weight
+	slices.Sort(dst)
+	return dst
 }
 
-// hoodSet holds the ε-neighborhoods of a run. Item i's ids are a window into
-// the int32 block of the worker that computed them, where they stay: the
-// store costs 4 bytes per neighbor entry plus one slice header per item, in
-// O(workers + Σ|Nε| / blockIDs) allocations. A window's capacity is capped
-// at its length, so appending to one (the symmetry reflection of
-// Incremental's appends) copies it out of the block instead of overwriting
-// the next item's ids.
+// hoodSet holds the ε-neighborhoods of a run. Item i's ids are a
+// capacity-capped window, in ascending id order, into the one flat int32
+// array the pass that queried i filled: the store costs 4 bytes per
+// neighbor entry plus one slice header per item. Appending to a window (an
+// append's reflection into an old item) copies it out of the array instead
+// of overwriting the next item's ids. While a pass runs it also holds its
+// owned pairs (engine.owned) in per-worker blocks, a transient store of
+// about half the size that the reflection pass drops.
 type hoodSet struct {
-	ids [][]int32 // item i's neighborhood, i included, in candidate order
-	w   []float64 // weighted ε-cardinality per item
+	ids [][]int32 // item i's neighborhood, i included, ascending
+	w   []float64 // weighted ε-cardinality per item, summed in id order
 }
 
 func (h *hoodSet) hood(i int) []int32 { return h.ids[i] }
@@ -395,10 +414,9 @@ func Run(items []Item, cfg Config) (*Result, error) {
 // returns ctx.Err() within roughly one neighborhood's worth of work after
 // ctx is done. An uncancelled RunCtx is bit-identical to Run.
 //
-// onItem, if non-nil, is invoked once per item whose ε-neighborhood has
-// been resolved — from the worker goroutines, so it must be safe for
-// concurrent use when cfg.Workers ≠ 1 — so callers can stream grouping
-// progress.
+// onItem, if non-nil, is invoked once per item whose ε-range query has been
+// scored — from the worker goroutines, so it must be safe for concurrent
+// use when cfg.Workers ≠ 1 — so callers can stream grouping progress.
 func RunCtx(ctx context.Context, items []Item, cfg Config, onItem func()) (*Result, error) {
 	return run(ctx, items, cfg, nil, onItem, nil)
 }
@@ -422,10 +440,13 @@ func RunSharedCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem f
 // Because the default (zero-value) Workers uses all CPUs, dist must be
 // safe for concurrent use — every distance in internal/lsdist is, being a
 // pure function; a stateful closure (memoizer, call counter) needs its own
-// synchronisation or cfg.Workers = 1. dist must also be symmetric
-// (dist(a,b) == dist(b,a)), as DBSCAN's density-connectivity — and the
-// ε-graph labeling — presumes; every distance in this repo is, per the
-// paper's Lemma 2. Used by the distance-function ablations.
+// synchronisation or cfg.Workers = 1. dist is evaluated once per unordered
+// pair, self pairs included — n(n+1)/2 calls, while DistCalls reports the
+// n² candidate pairs refined — and its answer is used for both ends, so it
+// must be symmetric (dist(a,b) == dist(b,a), bit for bit): the neighborhoods
+// rely on it, as do DBSCAN's density-connectivity and the ε-graph labeling;
+// every distance in this repo is, per the paper's Lemma 2. Used by the
+// distance-function ablations.
 func RunWithDistance(items []Item, dist lsdist.Func, cfg Config) (*Result, error) {
 	if !cfg.Options.Weights.Valid() {
 		// The weights are unused on this path (the caller's dist decides
@@ -664,10 +685,10 @@ type SharedIndex struct {
 	// scr recycles per-worker neighborhood scratch across passes. The
 	// parameter-estimation sweep runs one pass per candidate ε — a hundred
 	// passes against one index is normal — and without recycling every pass
-	// re-allocates each worker's candidate, distance, and neighborhood
-	// buffers just to grow them back to steady-state size. The buffers carry
-	// no results between passes (each use fully overwrites the prefix it
-	// reads), so recycling cannot affect outputs.
+	// re-allocates each worker's candidate, distance, and owned-id buffers
+	// just to grow them back to steady-state size. The buffers carry no
+	// results between passes (each use fully overwrites the prefix it reads),
+	// so recycling cannot affect outputs.
 	scr sync.Pool
 }
 
@@ -675,7 +696,7 @@ type SharedIndex struct {
 type scratchSet struct {
 	cand  []int
 	dists []float64
-	hood  []int
+	own   []int32
 }
 
 func (s *SharedIndex) getScratch() *scratchSet {
@@ -800,65 +821,18 @@ func (s *SharedIndex) viewFor(eps float64, custom lsdist.Func) neighborSource {
 	return v
 }
 
-// forEachNeighborhood is forEachNeighborhoodCtx over every item under the
-// index's canonical distance, visited without the worker id.
-func (s *SharedIndex) forEachNeighborhood(eps float64, workers int, visit func(i int, hood []int, weight float64)) int {
-	calls, _ := s.forEachNeighborhoodCtx(context.Background(), eps, workers, nil, 0,
-		func(_, i int, hood []int, weight float64) { visit(i, hood, weight) })
-	return calls
-}
-
-// forEachNeighborhoodCtx is the one neighborhood pass: it computes the
-// ε-neighborhood of every item i ≥ lo across par.Workers(workers, n-lo)
-// goroutines — each holding its own view of the shared index and its own
-// pooled scratch — and invokes visit(worker, i, hood, weight) exactly once
-// per item. visit is called concurrently for distinct i and must not retain
-// hood (it is worker-owned scratch; copy if needed). custom is
-// RunWithDistance's distance, or nil for the index's canonical TRACLUS
-// distance (batch-kernel scored). The return value is the number of exact
-// distance evaluations, which is independent of the worker count. Once ctx
-// is done, remaining items are dropped and ctx.Err() is returned alongside
-// the count so far (callers must treat their partially-visited state as
-// garbage). Grouping, appends and the Section 4.4 parameter heuristic all
-// ride this pass.
-func (s *SharedIndex) forEachNeighborhoodCtx(ctx context.Context, eps float64, workers int, custom lsdist.Func, lo int, visit func(w, i int, hood []int, weight float64)) (int, error) {
-	n := len(s.items) - lo
-	cfg := Config{Eps: eps, MinLns: 1, Options: s.opt}
-	engines := make([]*engine, par.Workers(workers, n))
-	scs := make([]*scratchSet, len(engines))
-	for w := range engines {
-		sc := s.getScratch()
-		scs[w] = sc
-		engines[w] = &engine{items: s.items, cfg: cfg, src: s.viewFor(eps, custom), cand: sc.cand, dists: sc.dists}
-	}
-	err := par.ForEachCtx(ctx, workers, n, func(w, k int) {
-		var weight float64
-		sc := scs[w]
-		sc.hood, weight = engines[w].neighborhood(lo+k, sc.hood[:0])
-		visit(w, lo+k, sc.hood, weight)
-	})
-	calls := 0
-	for w, e := range engines {
-		calls += e.calls
-		scs[w].cand, scs[w].dists = e.cand, e.dists
-		s.scr.Put(scs[w])
-	}
-	return calls, err
-}
-
-// A worker's neighborhood blocks double from minBlockIDs (1 KiB) up to
-// blockIDs (1<<15 int32 ids = 128 KiB): a pass over a few items — an
-// append's Δ queries — allocates about what it stores, since its blocks
-// live as long as the Incremental that keeps its windows, and a full pass
-// fills O(log blockIDs + Σ|Nε| / blockIDs) blocks per worker, whose unused
-// tails are negligible.
+// A worker's owned-id blocks double from minBlockIDs (1 KiB) up to blockIDs
+// (1<<15 int32 ids = 128 KiB): a pass over a few items — an append's Δ
+// queries — allocates about what it scores, and a full pass fills
+// O(log blockIDs + Σ|owned| / blockIDs) blocks per worker, whose unused
+// tails are negligible. The blocks are dropped when the pass returns.
 const (
 	minBlockIDs = 1 << 8
 	blockIDs    = 1 << 15
 )
 
 // neighborhoods computes every ε-neighborhood into a new hoodSet (see
-// extend). The int count is the exact-distance evaluations.
+// extend). The int count is the candidate pairs refined.
 func (s *SharedIndex) neighborhoods(ctx context.Context, eps float64, workers int, custom lsdist.Func, onItem func()) (*hoodSet, int, error) {
 	hs := &hoodSet{}
 	calls, err := hs.extend(ctx, s, eps, workers, custom, onItem)
@@ -868,36 +842,119 @@ func (s *SharedIndex) neighborhoods(ctx context.Context, eps float64, workers in
 	return hs, calls, nil
 }
 
-// extend adds to h the ε-neighborhoods of the index's items it does not
-// cover yet, [len(h.w), s.Len()), across par.Workers(workers, ·)
-// goroutines. Each worker copies the neighborhoods it computes into blocks
-// of its own — a new, larger block when the current one cannot take the
-// next neighborhood whole, so a neighborhood never spans blocks and a
-// filled block is never copied — and h keeps a capacity-capped window into
-// the block for each item. onItem, if non-nil, ticks once per resolved item
-// (from worker goroutines). The int count is the exact-distance
-// evaluations.
+// extend is the one neighborhood pass: it adds to h the ε-neighborhoods of
+// the index's items it does not cover yet, [lo, n) with lo = len(h.w), and
+// returns the candidate pairs refined, which is independent of the worker
+// count. Grouping, appends and the Section 4.4 parameter heuristic all ride
+// it.
+//
+// The parallel half queries every item i in [lo, n) across
+// par.Workers(workers, n-lo) goroutines, each with its own view of the
+// shared index and its own pooled scratch, and copies the ids item i owns
+// (engine.owned) into a block of the worker's own — a new, larger block
+// when the current one cannot take them whole. custom is RunWithDistance's
+// distance, or nil for the index's canonical TRACLUS distance
+// (batch-kernel scored). onItem, if non-nil, ticks once per queried item
+// (from the worker goroutines). Once ctx is done the remaining items are
+// dropped and ctx.Err() is returned alongside the count so far; h is then
+// garbage. The serial half, reflect, hands every owned pair to its other
+// end.
 func (h *hoodSet) extend(ctx context.Context, s *SharedIndex, eps float64, workers int, custom lsdist.Func, onItem func()) (int, error) {
 	lo, n := len(h.w), len(s.items)
 	h.ids = append(h.ids, make([][]int32, n-lo)...)
 	h.w = append(h.w, make([]float64, n-lo)...)
-	blocks := make([][]int32, par.Workers(workers, n-lo)) // the block each worker fills
-	return s.forEachNeighborhoodCtx(ctx, eps, workers, custom, lo, func(w, i int, hood []int, weight float64) {
+	own := make([][]int32, n-lo)
+	engines := make([]*engine, par.Workers(workers, n-lo))
+	scs := make([]*scratchSet, len(engines))
+	blocks := make([][]int32, len(engines)) // the block each worker fills
+	for w := range engines {
+		sc := s.getScratch()
+		scs[w] = sc
+		engines[w] = &engine{src: s.viewFor(eps, custom), eps: eps, cand: sc.cand, dists: sc.dists}
+	}
+	err := par.ForEachCtx(ctx, workers, n-lo, func(w, k int) {
+		sc := scs[w]
+		sc.own = engines[w].owned(lo+k, lo, sc.own[:0])
 		buf := blocks[w]
-		if cap(buf)-len(buf) < len(hood) {
-			buf = make([]int32, 0, max(min(2*cap(buf), blockIDs), minBlockIDs, len(hood)))
+		if cap(buf)-len(buf) < len(sc.own) {
+			buf = make([]int32, 0, max(min(2*cap(buf), blockIDs), minBlockIDs, len(sc.own)))
 		}
 		start := len(buf)
-		for _, id := range hood {
-			buf = append(buf, int32(id))
-		}
+		buf = append(buf, sc.own...)
 		blocks[w] = buf
-		h.ids[i] = buf[start:len(buf):len(buf)]
-		h.w[i] = weight
+		own[k] = buf[start:]
 		if onItem != nil {
 			onItem()
 		}
 	})
+	calls := 0
+	for w, e := range engines {
+		calls += e.calls
+		scs[w].cand, scs[w].dists = e.cand, e.dists
+		s.scr.Put(scs[w])
+	}
+	if err != nil {
+		return calls, err
+	}
+	h.reflect(s.items, lo, own)
+	return calls, nil
+}
+
+// reflect is extend's serial half. own[k] holds the ascending within-ε ids
+// item i = lo+k owns: ids below lo (items this pass did not query) and ids
+// ≥ i. Visiting the owners in ascending order, it lays out item i's
+// neighborhood as one capacity-capped window of a new flat array, ascending
+// throughout — its owned ids below lo, then the earlier owners that scored
+// it, then its owned ids ≥ i — and appends i to every old neighbor's window,
+// where it lands last since every queried id exceeds every old one. Every
+// weight is then the left-to-right sum of its window in id order (an old
+// item's running sum grows by the same additions), so it is one float on
+// every backend, worker count and append schedule.
+func (h *hoodSet) reflect(items []Item, lo int, own [][]int32) {
+	// next[k] is first item lo+k's window size, then its write cursor.
+	next := make([]int, len(own))
+	total := 0
+	for k, ids := range own {
+		total += len(ids)
+		next[k] += len(ids)
+		for _, j := range ids {
+			if int(j) > lo+k {
+				next[int(j)-lo]++
+				total++
+			}
+		}
+	}
+	store := make([]int32, total)
+	at := 0
+	for k, ids := range own {
+		size := next[k]
+		old, _ := slices.BinarySearch(ids, int32(lo))
+		h.ids[lo+k] = store[at : at+size : at+size]
+		copy(store[at:], ids[:old])
+		next[k] = at + old
+		at += size
+	}
+	for k, ids := range own {
+		i := lo + k
+		old, _ := slices.BinarySearch(ids, int32(lo))
+		for _, j := range ids[:old] {
+			h.ids[j] = append(h.ids[j], int32(i))
+			h.w[j] += items[i].Weight
+		}
+		for _, j := range ids[old:] {
+			store[next[k]] = j
+			next[k]++
+			if int(j) > i {
+				store[next[int(j)-lo]] = int32(i)
+				next[int(j)-lo]++
+			}
+		}
+		var w float64
+		for _, j := range h.ids[i] {
+			w += items[j].Weight
+		}
+		h.w[i] = w
+	}
 }
 
 // NeighborhoodWeights returns, for every item, the weighted cardinality of
@@ -912,15 +969,13 @@ func (s *SharedIndex) NeighborhoodWeights(eps float64, workers int) []float64 {
 
 // NeighborhoodWeightsCtx is NeighborhoodWeights with cooperative
 // cancellation; a non-nil error means the returned slice is incomplete and
-// must be discarded.
+// must be discarded. The weights are the grouping's own (hoodSet.w).
 func (s *SharedIndex) NeighborhoodWeightsCtx(ctx context.Context, eps float64, workers int) ([]float64, error) {
-	out := make([]float64, len(s.items))
-	_, err := s.forEachNeighborhoodCtx(ctx, eps, workers, nil, 0,
-		func(_, i int, _ []int, weight float64) { out[i] = weight })
+	hs, _, err := s.neighborhoods(ctx, eps, workers, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return hs.w, nil
 }
 
 // NeighborhoodWeights is the one-shot convenience form: it builds an index

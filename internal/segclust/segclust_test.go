@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -426,10 +427,44 @@ func TestDistCallsCounted(t *testing.T) {
 	}
 }
 
+// TestRunWithDistanceScoresEachPairOnce pins the half-pair pass on the
+// custom-distance path: a full scan refines all n² candidate pairs, which is
+// what DistCalls reports, but dist runs once per unordered pair, self pairs
+// included, and the clustering is the kernel path's.
+func TestRunWithDistanceScoresEachPairOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	items := corridorItems(rng, 120, 2, 6)
+	cfg := Config{Eps: 25, MinLns: 4, Options: lsdist.DefaultOptions(), Index: IndexNone, Workers: 1}
+	dist := lsdist.New(cfg.Options)
+	calls := 0
+	got, err := RunWithDistance(items, func(a, b geom.Segment) float64 {
+		calls++
+		return dist(a, b)
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(items)
+	if calls != n*(n+1)/2 {
+		t.Errorf("dist ran %d times, want n(n+1)/2 = %d", calls, n*(n+1)/2)
+	}
+	if got.DistCalls != n*n {
+		t.Errorf("DistCalls = %d, want n² = %d", got.DistCalls, n*n)
+	}
+	want, err := Run(items, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("custom-distance clustering differs from the kernel path's")
+	}
+}
+
 // TestCursorBoundedScoring pins Cursor.DistBlockWithin to the exact
 // Cursor.DistBlock on a planar and a spatiotemporal index: at any bound a
 // pair is within it exactly when its exact distance is, and then carries
-// that distance bit for bit. On the spatiotemporal index the wT·gap term is
+// that distance bit for bit; and scoring j from i gives the bits scoring i
+// from j does. On the spatiotemporal index the wT·gap term is
 // added after the bounded spatial block; being ≥ 0, it keeps a pair that
 // stopped past the bound past it.
 func TestCursorBoundedScoring(t *testing.T) {
@@ -450,7 +485,7 @@ func TestCursorBoundedScoring(t *testing.T) {
 		"spatiotemporal": NewSharedIndexTimed(items, ivs, 0.05, opt, BackendFor(IndexGrid)),
 	} {
 		c := shared.Cursor()
-		var exact, got []float64
+		var exact, got, back []float64
 		for i := range items {
 			exact = c.DistBlock(i, ids, exact)
 			for _, bound := range []float64{10, 30, exact[(i+1)%len(ids)]} {
@@ -459,6 +494,12 @@ func TestCursorBoundedScoring(t *testing.T) {
 					if (got[k] <= bound) != (exact[k] <= bound) ||
 						exact[k] <= bound && math.Float64bits(got[k]) != math.Float64bits(exact[k]) {
 						t.Fatalf("%s: item %d vs %d at bound %v: bounded %v, exact %v", name, i, j, bound, got[k], exact[k])
+					}
+					// The other direction scores the same bits: the grouping
+					// scores each pair from one end only.
+					back = c.DistBlockWithin(j, []int{i}, bound, back)
+					if math.Float64bits(back[0]) != math.Float64bits(got[k]) {
+						t.Fatalf("%s: at bound %v item %d vs %d scores %v, %d vs %d %v", name, bound, i, j, got[k], j, i, back[0])
 					}
 				}
 			}

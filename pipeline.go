@@ -50,10 +50,11 @@ type Item = segclust.Item
 // Grouping is the outcome of the grouping stage: per-item cluster labels
 // (ClusterOf, with -1 = noise), the clusters in canonical order, the count
 // of density-connected sets removed by the trajectory-cardinality filter,
-// and the number of exact distance evaluations. Custom Groupers should
-// build one with GroupingFromLabels, which enforces the canonical shape the
-// rest of the pipeline assumes (clusters numbered 0..k-1, members
-// ascending, trajectory ids sorted).
+// and the number of candidate pairs refined, each unordered pair scored
+// once (DistCalls). Custom Groupers should build one with
+// GroupingFromLabels, which enforces the canonical shape the rest of the
+// pipeline assumes (clusters numbered 0..k-1, members ascending,
+// trajectory ids sorted).
 type Grouping = segclust.Result
 
 // SegmentCluster is one cluster of item indices within a Grouping.

@@ -417,10 +417,10 @@ func newResult(out *core.Output, ccfg core.Config) *Result {
 	return res
 }
 
-// DistCalls returns the number of exact segment-distance evaluations the
-// grouping phase performed — the index-efficiency metric of Lemma 3. It is
-// deterministic for a given input and configuration, independent of
-// Config.Workers.
+// DistCalls returns the number of candidate pairs the grouping phase
+// refined, each unordered pair scored once — the index-efficiency metric of
+// Lemma 3. It is deterministic for a given input and configuration,
+// independent of Config.Workers.
 func (r *Result) DistCalls() int { return r.out.Result.DistCalls }
 
 // QMeasure evaluates the paper's clustering quality measure (Formula 11:

@@ -31,35 +31,29 @@ package traclus
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"slices"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dendro"
 	"repro/internal/geometry"
 	"repro/internal/par"
-	"repro/internal/params"
 	"repro/internal/segclust"
 	"repro/internal/sweep"
 )
 
 // Appender is a clustering that stays current under appended trajectories.
-// Build one with Pipeline.NewAppender (spatial or geodesic input) or
-// Pipeline.NewTimedAppender (spatiotemporal input); each Append folds new
-// trajectories in and returns the updated Result. An Appender is safe for
-// concurrent use — appends serialise on an internal lock — but each append
-// mutates the retained index, so Results are immutable snapshots while the
-// Appender itself is the single writer.
+// Build one with Pipeline.NewAppender; each Append folds new trajectories
+// in and returns the updated Result. An Appender is safe for concurrent use
+// — appends serialise on an internal lock — but each append mutates the
+// retained index, so Results are immutable snapshots while the Appender
+// itself is the single writer.
 type Appender struct {
-	mu    sync.Mutex
-	p     *Pipeline
-	cfg   Config // resolved: post-estimation ε/MinLns, geodesic frame filled in
-	ccfg  core.Config
-	inc   *segclust.Incremental
-	res   *Result
-	timed bool
+	mu   sync.Mutex
+	p    *Pipeline
+	cfg  Config // resolved: post-estimation ε/MinLns, geodesic frame filled in
+	ccfg core.Config
+	inc  *segclust.Incremental
+	res  *Result
 }
 
 // Result returns the clustering over everything appended so far. The value
@@ -77,177 +71,30 @@ func (a *Appender) Result() *Result {
 // ε-graph's; custom stages have no incremental form) and an index backend
 // that supports growth (all three built-ins do).
 func (p *Pipeline) NewAppender(ctx context.Context, trs []Trajectory) (*Appender, error) {
-	cfg := p.cfg
-	if p.est != nil {
-		if err := cfg.validateEstimation(); err != nil {
-			return nil, fmt.Errorf("traclus: %w", err)
-		}
-		if !(p.est.lo > 0) || !(p.est.hi > p.est.lo) {
-			return nil, fmt.Errorf("traclus: %w", &ConfigError{
-				Field: "Estimation", Value: [2]float64{p.est.lo, p.est.hi},
-				Reason: "must satisfy 0 < lo < hi"})
-		}
-	} else if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
-	}
-	if err := p.appendableStages(); err != nil {
-		return nil, err
-	}
-	if err := core.ValidateTrajectories(trs); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cfg.Geometry.Kind == geometry.Spatiotemporal {
-		return nil, fmt.Errorf("traclus: %w", &ConfigError{
-			Field: "Geometry", Value: cfg.Geometry.Kind.String(),
-			Reason: "spatiotemporal appenders take timed trajectories; use Pipeline.NewTimedAppender"})
-	}
-	if cfg.Geometry.Kind == geometry.Geodesic {
-		trs, cfg = projectGeodesic(trs, cfg)
-	}
-	ccfg := p.coreConfig(cfg)
-	rep := newProgressReporter(p.progress)
-
-	rep.begin(PhasePartition, len(trs))
-	items, err := runPartition(ctx, p.partition, trs, cfg, rep)
+	b, err := p.prepare(ctx, trs, true)
 	if err != nil {
-		return nil, stageError(ctx, PhasePartition, err)
-	}
-	rep.finish()
-
-	shared := segclust.NewSharedIndexFor(items, ccfg.Distance, ccfg.ResolvedBackend())
-	return p.finishAppender(ctx, shared, cfg, rep, false)
-}
-
-// NewTimedAppender is NewAppender for timed trajectories: the
-// spatiotemporal entry point, mirroring RunTimed. Appends go through
-// Appender.AppendTimed and the Result carries per-cluster time windows.
-func (p *Pipeline) NewTimedAppender(ctx context.Context, trs []TimedTrajectory) (*Appender, error) {
-	cfg := p.cfg
-	if p.est != nil {
-		if err := cfg.validateEstimation(); err != nil {
-			return nil, fmt.Errorf("traclus: %w", err)
-		}
-		if !(p.est.lo > 0) || !(p.est.hi > p.est.lo) {
-			return nil, fmt.Errorf("traclus: %w", &ConfigError{
-				Field: "Estimation", Value: [2]float64{p.est.lo, p.est.hi},
-				Reason: "must satisfy 0 < lo < hi"})
-		}
-	} else if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
-	}
-	if cfg.Geometry.Kind == geometry.Geodesic {
-		return nil, fmt.Errorf("traclus: %w", &ConfigError{
-			Field: "Geometry", Value: cfg.Geometry.Kind.String(),
-			Reason: "geodesic appenders take lat/lon trajectories via Pipeline.NewAppender"})
-	}
-	if err := p.appendableStages(); err != nil {
 		return nil, err
 	}
-	if err := core.ValidateTimedTrajectories(trs); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ccfg := p.coreConfig(cfg)
-	rep := newProgressReporter(p.progress)
-
-	rep.begin(PhasePartition, len(trs))
-	items, ivs, err := core.PartitionAllTimedCtx(ctx, trs, ccfg, rep.tick)
-	if err != nil {
-		return nil, stageError(ctx, PhasePartition, err)
-	}
-	rep.finish()
-
-	shared := segclust.NewSharedIndexTimed(items, ivs, cfg.Geometry.WT, ccfg.Distance, ccfg.ResolvedBackend())
-	return p.finishAppender(ctx, shared, cfg, rep, true)
-}
-
-// appendableStages rejects pipeline configurations the incremental path
-// cannot honour: only the default MDL partition and DBSCAN grouping stages
-// have an incremental form (custom RepresentativeBuilders are fine — they
-// just disable per-cluster sweep reuse).
-func (p *Pipeline) appendableStages() error {
-	if _, ok := p.partition.(mdlPartitioner); !ok {
-		return fmt.Errorf("traclus: appenders require the default MDL partition stage (a custom Partitioner has no incremental form)")
-	}
-	if _, ok := p.group.(dbscanGrouper); !ok {
-		return fmt.Errorf("traclus: appenders require the default DBSCAN grouping stage (a custom Grouper has no incremental form)")
-	}
-	return nil
-}
-
-// finishAppender is the shared back half of NewAppender and
-// NewTimedAppender: optional estimation against the shared index, the
-// incremental grouping build, assembly, and the first Result.
-func (p *Pipeline) finishAppender(ctx context.Context, shared *segclust.SharedIndex, cfg Config, rep *progressReporter, timed bool) (*Appender, error) {
-	if !shared.Searcher().Growable() {
-		return nil, fmt.Errorf("traclus: appenders require a growable index backend (custom backend %q does not implement growth)", p.coreConfig(cfg).ResolvedBackend().Name())
-	}
-	var estimated *Estimate
-	var den *dendro.Dendrogram
-	var err error
-	if p.est != nil {
-		rep.begin(PhaseEstimate, params.DefaultIterations+1)
-		an := params.AnnealOptions{Workers: cfg.Workers, OnEval: rep.tick}
-		var est params.Estimate
-		if !math.IsInf(p.est.hi, 1) {
-			den, err = dendro.FromShared(ctx, shared, p.est.hi, cfg.Workers)
-			if err == nil {
-				est, err = params.EstimateEpsDendroCtx(ctx, den, p.est.lo, p.est.hi, an)
-			}
-		} else {
-			est, err = params.EstimateEpsSharedCtx(ctx, shared, p.est.lo, p.est.hi, an)
-		}
-		if err != nil {
-			return nil, stageError(ctx, PhaseEstimate, err)
-		}
-		rep.finish()
-		cfg.Eps = est.Eps
-		cfg.MinLns = float64(est.MinLnsLo+est.MinLnsHi) / 2
-		estimated = &Estimate{
-			Eps:          est.Eps,
-			Entropy:      est.Entropy,
-			AvgNeighbors: est.AvgNeighbors,
-			MinLnsLo:     est.MinLnsLo,
-			MinLnsHi:     est.MinLnsHi,
-		}
-	}
-	ccfg := p.coreConfig(cfg)
-	items := shared.Items()
-
-	rep.begin(PhaseGroup, len(items))
-	inc, err := segclust.NewIncrementalCtx(ctx, shared, ccfg.Segclust(), rep.tick)
+	b.rep.begin(PhaseGroup, len(b.items))
+	inc, err := segclust.NewIncrementalCtx(ctx, b.shared, b.ccfg.Segclust(), b.rep.tick)
 	if err != nil {
 		return nil, stageError(ctx, PhaseGroup, err)
 	}
-	grouping := inc.Result()
-	rep.finish()
-
-	rep.begin(PhaseRepresent, len(grouping.Clusters))
-	out, err := core.AssembleCtx(ctx, items, grouping, ccfg, p.representFunc(cfg), rep.tick)
+	b.rep.finish()
+	res, err := b.represent(ctx, p, inc.Result())
 	if err != nil {
-		return nil, stageError(ctx, PhaseRepresent, err)
+		return nil, err
 	}
-	rep.finish()
-	res := newResult(out, ccfg)
-	res.Estimated = estimated
-	res.den.Store(den)
-	if timed {
-		ivs, _ := shared.Temporal()
-		res.itemIvs = ivs
-		res.windows = clusterWindows(out, ivs)
-	}
-	return &Appender{p: p, cfg: cfg, ccfg: ccfg, inc: inc, res: res, timed: timed}, nil
+	return &Appender{p: p, cfg: b.cfg, ccfg: b.ccfg, inc: inc, res: res}, nil
 }
 
 // Append folds trs into the clustering and returns the updated Result: the
 // new trajectories are MDL-partitioned, their segments run ε-range queries
 // against the grown index, the ε-graph absorbs the new edges, and only
-// dirtied clusters re-sweep. Empty trs returns the current Result.
+// dirtied clusters re-sweep. Empty trs returns the current Result. The
+// trajectories follow the build's geometry: they carry Times exactly when
+// it is spatiotemporal, and a geodesic appender projects them through the
+// frame its build resolved.
 //
 // A failed or cancelled Append leaves the Appender unusable for further
 // appends (the grown index and the derived labels may disagree); the last
@@ -255,11 +102,8 @@ func (p *Pipeline) finishAppender(ctx context.Context, shared *segclust.SharedIn
 func (a *Appender) Append(ctx context.Context, trs []Trajectory) (*Result, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.timed {
-		return nil, fmt.Errorf("traclus: this appender was built from timed trajectories; use AppendTimed")
-	}
-	if err := core.ValidateTrajectories(trs); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
+	if err := validateTrajectories(trs, a.cfg.Geometry); err != nil {
+		return nil, err
 	}
 	if len(trs) == 0 {
 		return a.res, nil
@@ -276,37 +120,9 @@ func (a *Appender) Append(ctx context.Context, trs []Trajectory) (*Result, error
 		return nil, stageError(ctx, PhasePartition, err)
 	}
 	rep.finish()
-	return a.appendItems(ctx, items, nil, rep)
-}
 
-// AppendTimed is Append for a timed (spatiotemporal) appender.
-func (a *Appender) AppendTimed(ctx context.Context, trs []TimedTrajectory) (*Result, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.timed {
-		return nil, fmt.Errorf("traclus: this appender was built from spatial trajectories; use Append")
-	}
-	if err := core.ValidateTimedTrajectories(trs); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
-	}
-	if len(trs) == 0 {
-		return a.res, nil
-	}
-	rep := newProgressReporter(a.p.progress)
-	rep.begin(PhasePartition, len(trs))
-	items, ivs, err := core.PartitionAllTimedCtx(ctx, trs, a.ccfg, rep.tick)
-	if err != nil {
-		return nil, stageError(ctx, PhasePartition, err)
-	}
-	rep.finish()
-	return a.appendItems(ctx, items, ivs, rep)
-}
-
-// appendItems is the shared core of Append and AppendTimed: incremental
-// grouping, dirtied-cluster assembly, and the new Result. Caller holds mu.
-func (a *Appender) appendItems(ctx context.Context, items []Item, ivs []Interval, rep *progressReporter) (*Result, error) {
 	rep.begin(PhaseGroup, len(items))
-	grouping, err := a.inc.AppendCtx(ctx, items, ivs)
+	grouping, err := a.inc.AppendCtx(ctx, items)
 	if err != nil {
 		return nil, stageError(ctx, PhaseGroup, err)
 	}
@@ -343,11 +159,6 @@ func (a *Appender) appendItems(ctx context.Context, items []Item, ivs []Interval
 		if d, err := prev.Extend(ctx, a.inc.Shared(), a.ccfg.Workers); err == nil {
 			res.den.Store(d)
 		}
-	}
-	if a.timed {
-		allIvs, _ := a.inc.Shared().Temporal()
-		res.itemIvs = allIvs
-		res.windows = clusterWindows(out, allIvs)
 	}
 	a.res = res
 	return res, nil

@@ -171,21 +171,21 @@ func TestAppendEquivalenceTimed(t *testing.T) {
 				return traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0.002)), nil
 			}
 			p, _ := build()
-			base, chunks := timed[:60], [][]traclus.TimedTrajectory{timed[60:61], timed[61:66], timed[66:]}
-			ap, err := p.NewTimedAppender(ctx, base)
+			base, chunks := timed[:60], [][]traclus.Trajectory{timed[60:61], timed[61:66], timed[66:]}
+			ap, err := p.NewAppender(ctx, base)
 			if err != nil {
-				t.Fatalf("index=%v workers=%d: NewTimedAppender: %v", kind, workers, err)
+				t.Fatalf("index=%v workers=%d: NewAppender: %v", kind, workers, err)
 			}
 			ap.Result().QMeasure() // appends advance from this epoch's quality
 			sofar := base
 			for ci, chunk := range chunks {
-				res, err := ap.AppendTimed(ctx, chunk)
+				res, err := ap.Append(ctx, chunk)
 				if err != nil {
 					t.Fatalf("index=%v workers=%d append %d: %v", kind, workers, ci, err)
 				}
 				sofar = append(sofar[:len(sofar):len(sofar)], chunk...)
 				pb, _ := build()
-				batch, err := pb.RunTimed(ctx, sofar)
+				batch, err := pb.Run(ctx, sofar)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -297,21 +297,22 @@ func TestAppendGuards(t *testing.T) {
 		t.Fatal("NewAppender accepted a custom Grouper")
 	}
 
-	// A spatial appender rejects AppendTimed and vice versa.
+	// A planar appender rejects trajectories that carry Times, and a
+	// spatiotemporal one trajectories without them.
 	ap, err := traclus.New(traclus.WithConfig(cfg)).NewAppender(ctx, trs[:10])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ap.AppendTimed(ctx, timedWorkload(t, 4)); err == nil {
-		t.Fatal("spatial appender accepted AppendTimed")
+	if _, err := ap.Append(ctx, timedWorkload(t, 4)); err == nil {
+		t.Fatal("planar appender accepted trajectories with Times")
 	}
 	tap, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0)).
-		NewTimedAppender(ctx, timedWorkload(t, 10))
+		NewAppender(ctx, timedWorkload(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tap.Append(ctx, trs[:2]); err == nil {
-		t.Fatal("timed appender accepted Append")
+		t.Fatal("spatiotemporal appender accepted trajectories without Times")
 	}
 
 	// Empty appends are free and return the current result unchanged.

@@ -348,9 +348,9 @@ func BenchmarkAblationEndpointLH(b *testing.B) {
 // geometric index, so it pays the O(n²) scan the paper describes).
 func BenchmarkTemporalClustering(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
-	var trs []traclus.TimedTrajectory
+	var trs []traclus.Trajectory
 	for i := 0; i < 30; i++ {
-		tr := traclus.TimedTrajectory{ID: i, Weight: 1}
+		tr := traclus.Trajectory{ID: i, Weight: 1}
 		t := float64(i%3) * 1e5
 		for s := 0; s <= 25; s++ {
 			tr.Points = append(tr.Points, geom.Pt(
@@ -365,7 +365,7 @@ func BenchmarkTemporalClustering(b *testing.B) {
 		b.Run(fmt.Sprintf("wT=%v", wT), func(b *testing.B) {
 			var clusters int
 			for i := 0; i < b.N; i++ {
-				res, err := traclus.RunTimed(trs, traclus.Config{Eps: 25, MinLns: 5}, wT)
+				res, err := traclus.Run(trs, traclus.Config{Eps: 25, MinLns: 5, Geometry: traclus.SpatiotemporalGeometry(wT)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -685,13 +685,13 @@ func BenchmarkGeometry(b *testing.B) {
 	hcfg := synth.DefaultHurricaneConfig()
 	hcfg.NumTracks = 600
 	spatial := synth.Hurricanes(hcfg)
-	timed := make([]traclus.TimedTrajectory, len(spatial))
+	timed := make([]traclus.Trajectory, len(spatial))
 	for i, tr := range spatial {
 		times := make([]float64, len(tr.Points))
 		for s := range times {
 			times[s] = float64(i)*1000 + float64(s)*6
 		}
-		timed[i] = traclus.TimedTrajectory{ID: tr.ID, Weight: tr.Weight, Points: tr.Points, Times: times}
+		timed[i] = traclus.Trajectory{ID: tr.ID, Weight: tr.Weight, Points: tr.Points, Times: times}
 	}
 	// A geodesic twin: the same tracks affine-mapped into a ~1° window
 	// around 47.5°N (lon pre-stretched by 1/cos so the projected meter
@@ -743,17 +743,7 @@ func BenchmarkGeometry(b *testing.B) {
 	})
 	for _, wt := range []float64{0, 0.002} {
 		b.Run(fmt.Sprintf("geometry=spatiotemporal/wt=%v", wt), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			var clusters int
-			for i := 0; i < b.N; i++ {
-				res, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(wt)).RunTimed(ctx, timed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				clusters = len(res.Clusters)
-			}
-			b.ReportMetric(float64(clusters), "clusters")
+			runSpatial(b, timed, cfg, traclus.WithTemporalWeight(wt))
 		})
 	}
 	b.Run("geometry=geodesic", func(b *testing.B) {

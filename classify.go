@@ -32,10 +32,10 @@ import (
 // reference segments) to classify against.
 var ErrNoClusters = errors.New("traclus: result has no clusters to classify against")
 
-// ErrTimedModel is returned when a spatial Classify runs against a
-// spatiotemporal model: the model's distance needs the query's timestamps,
-// so the assignment must go through ClassifyTimed.
-var ErrTimedModel = errors.New("traclus: model is spatiotemporal; classify timed trajectories with ClassifyTimed")
+// ErrTimedModel is returned when Classify gets a trajectory without Times
+// against a spatiotemporal model: the model's distance needs the query's
+// timestamps.
+var ErrTimedModel = errors.New("traclus: model is spatiotemporal; classify trajectories that carry Times")
 
 // Classifier assigns unseen trajectories to the nearest cluster of a built
 // Result. It is immutable after construction and safe for concurrent use:
@@ -58,7 +58,7 @@ type Classifier struct {
 
 	// geo is the model's geometry. A spatiotemporal model additionally
 	// carries windows — each cluster's time window, index-aligned with
-	// cluster ids — so ClassifyTimed can add wT·gap(query, window) to every
+	// cluster ids — so Classify can add wT·gap(query, window) to every
 	// candidate distance; a geodesic model carries the projection frame in
 	// geo.Frame so queries project exactly as the training data did.
 	geo     Geometry
@@ -142,9 +142,20 @@ func (c *Classifier) NumClusters() int { return c.numClusters }
 // length. The returned distance is the length-weighted mean distance of the
 // winning cluster's votes — small when the trajectory hugs the cluster's
 // representative, growing as it strays.
+//
+// The trajectory follows the model's geometry. A geodesic query arrives in
+// lat/lon degrees. A spatiotemporal query carries Times (ErrTimedModel
+// otherwise): each partition inherits its time span, and every candidate's
+// distance gains wT·gap(query span, cluster window) — added through the
+// exact nearest search, whose pruning stays sound because the addend is
+// non-negative (see spindex.SearchQuery.NearestAdjusted). Times under any
+// other geometry are a *ConfigError.
 func (c *Classifier) Classify(tr Trajectory) (clusterID int, distance float64, err error) {
-	if c.geo.Timed() {
-		return -1, 0, ErrTimedModel
+	if err := timesFit(tr, c.geo); err != nil {
+		if c.geo.Timed() {
+			return -1, 0, ErrTimedModel
+		}
+		return -1, 0, fmt.Errorf("traclus: %w", err)
 	}
 	if err := tr.Validate(); err != nil {
 		return -1, 0, fmt.Errorf("traclus: %w", err)
@@ -154,30 +165,8 @@ func (c *Classifier) Classify(tr Trajectory) (clusterID int, distance float64, e
 		// projected through the exact frame the model was built in.
 		tr.Points = c.geo.Frame.ProjectTrajectory(tr.Points)
 	}
-	qsegs := mdl.Partition(tr, c.part)
-	return c.vote(tr.ID, qsegs, nil)
-}
-
-// ClassifyTimed assigns one timed trajectory to its nearest cluster under a
-// spatiotemporal model: each query partition inherits its time span, and
-// every candidate's distance gains wT·gap(query span, cluster window) —
-// added through the exact nearest search, whose pruning stays sound because
-// the addend is non-negative (see spindex.SearchQuery.NearestAdjusted).
-// Under a planar model (or wT = 0) the assignment is identical to Classify
-// on the spatial projection.
-func (c *Classifier) ClassifyTimed(tr TimedTrajectory) (clusterID int, distance float64, err error) {
-	if c.geo.Kind == geometry.Geodesic {
-		return -1, 0, fmt.Errorf("traclus: model is geodesic; classify lat/lon trajectories with Classify")
-	}
-	if err := tr.Validate(); err != nil {
-		return -1, 0, fmt.Errorf("traclus: %w", err)
-	}
-	qsegs, spans := mdl.NewPartitioner(c.part).PartitionTimed(tr.Points, tr.Times)
-	ivs := make([]Interval, len(spans))
-	for i, sp := range spans {
-		ivs[i] = Interval{Start: sp[0], End: sp[1]}
-	}
-	return c.vote(tr.ID, qsegs, ivs)
+	qsegs, spans := mdl.NewPartitioner(c.part).Partition(tr)
+	return c.vote(tr.ID, qsegs, spans)
 }
 
 // nearest resolves one query partition's vote: the owning cluster of the
@@ -202,12 +191,11 @@ func (c *Classifier) nearest(s geom.Segment, iv *Interval, sq *spindex.SearchQue
 	return c.owner[id], d
 }
 
-// vote runs the length-weighted voting loop shared by Classify and
-// ClassifyTimed: each query partition votes for the cluster owning its
-// nearest reference segment (ties on the exact distance break toward the
-// lower cluster id, keeping the assignment deterministic regardless of
-// candidate enumeration order), weighted by partition length. ivs, when
-// non-nil, is index-aligned with qsegs.
+// vote runs Classify's length-weighted voting loop: each query partition
+// votes for the cluster owning its nearest reference segment (ties on the
+// exact distance break toward the lower cluster id, keeping the assignment
+// deterministic regardless of candidate enumeration order), weighted by
+// partition length. ivs, when non-nil, is index-aligned with qsegs.
 func (c *Classifier) vote(trID int, qsegs []geom.Segment, ivs []Interval) (int, float64, error) {
 	if len(qsegs) == 0 {
 		return -1, 0, fmt.Errorf("traclus: trajectory %d yields no partitions to classify", trID)
@@ -265,16 +253,6 @@ func (r *Result) Classify(tr Trajectory) (clusterID int, distance float64, err e
 		return -1, 0, err
 	}
 	return cls.Classify(tr)
-}
-
-// ClassifyTimed assigns an unseen timed trajectory to its nearest cluster
-// using the memoized Result.Classifier. Safe for concurrent use.
-func (r *Result) ClassifyTimed(tr TimedTrajectory) (clusterID int, distance float64, err error) {
-	cls, err := r.Classifier()
-	if err != nil {
-		return -1, 0, err
-	}
-	return cls.ClassifyTimed(tr)
 }
 
 // ClassifierSnapshot is the geometry-only, backend-agnostic description of

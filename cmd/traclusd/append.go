@@ -84,33 +84,21 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The upload must match the model's geometry, the same fork the build
-	// and classify paths take: a spatiotemporal model appends timed CSV,
-	// everything else appends spatial data.
-	timed := m.Summary().Geometry == "spatiotemporal"
-	var trs []traclus.Trajectory
-	var ttrs []traclus.TimedTrajectory
-	if timed {
-		if format != trackio.FormatCSV {
-			writeErrorCode(w, http.StatusUnprocessableEntity, codeGeometryBad,
-				fmt.Sprintf("format %q has no timestamp column; appends to a spatiotemporal model take csv with traj_id,x,y,t rows", format), nil)
-			return
-		}
-		if ttrs, err = s.parseTimedTrajectories([]byte(req.Data)); err != nil {
-			writeBodyError(w, err)
-			return
-		}
-		for _, tr := range ttrs {
-			if err := tr.Validate(); err != nil {
-				writeBodyError(w, err)
-				return
-			}
-		}
-	} else if trs, err = s.parseTrajectories([]byte(req.Data), format, req.Species); err != nil {
+	// The upload must match the model's geometry, the same decode choice
+	// the build and classify paths make: a spatiotemporal model appends CSV
+	// with the timestamp column, everything else appends spatial data.
+	timed := m.Config().Geometry.Timed()
+	if timed && format != trackio.FormatCSV {
+		writeErrorCode(w, http.StatusUnprocessableEntity, codeGeometryBad,
+			fmt.Sprintf("format %q has no timestamp column; appends to a spatiotemporal model take csv with traj_id,x,y,t rows", format), nil)
+		return
+	}
+	trs, err := s.parseTrajectories([]byte(req.Data), format, req.Species, timed)
+	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	if len(trs) == 0 && len(ttrs) == 0 {
+	if len(trs) == 0 {
 		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest, "no trajectories in request body", nil)
 		return
 	}
@@ -118,12 +106,9 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// client disconnect mid-append must not abort the union/relabel passes
 	// (an aborted append invalidates the model's append state until the
 	// model is rebuilt). The work is O(new data), so it is bounded anyway.
-	var next *service.Model
-	if timed {
-		next, err = m.AppendTimed(s.cfg.baseCtx, ttrs)
-	} else {
-		next, err = m.Append(s.cfg.baseCtx, trs)
-	}
+	// Model.Append validates the trajectories before it changes anything;
+	// an invalid one answers 400 below.
+	next, err := m.Append(s.cfg.baseCtx, trs)
 	if err != nil {
 		var cfgErr *traclus.ConfigError
 		if errors.As(err, &cfgErr) {

@@ -269,7 +269,7 @@ func TestV1AppendGeometryMismatch(t *testing.T) {
 		extra[i].ID += 5000
 	}
 	var buf bytes.Buffer
-	if err := trackio.WriteTimedCSV(&buf, extra); err != nil {
+	if err := trackio.WriteCSV(&buf, extra); err != nil {
 		t.Fatal(err)
 	}
 	var sum service.Summary

@@ -260,43 +260,32 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 		writeTypedError(w, err)
 		return
 	}
-	// A spatiotemporal geometry switches the whole ingestion path: the
-	// upload must be CSV with the timestamp column, and the build runs
-	// through the timed pipeline. Every other geometry takes the spatial
-	// path (geodesic projection happens inside the pipeline).
+	// A spatiotemporal geometry keeps the CSV timestamp column as the
+	// trajectories' Times; every other geometry drops it at decode
+	// (geodesic projection happens inside the pipeline).
 	timed := spec.cfg.Geometry.Timed()
-	var trs []traclus.Trajectory
-	var ttrs []traclus.TimedTrajectory
-	var err error
-	if timed {
-		if spec.format != trackio.FormatCSV {
-			writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Sprintf("format %q has no timestamp column; spatiotemporal builds take csv with traj_id,x,y,t rows", spec.format), nil)
-			return
-		}
-		if ttrs, err = s.parseTimedTrajectories(spec.data); err != nil {
-			writeBodyError(w, err)
-			return
-		}
-		// Structural problems (non-monotone timestamps) must answer 400
-		// synchronously, not fail the async job.
-		for _, tr := range ttrs {
-			if err := tr.Validate(); err != nil {
-				writeBodyError(w, err)
-				return
-			}
-		}
-		trs = make([]traclus.Trajectory, len(ttrs))
-		for i, tr := range ttrs {
-			trs[i] = tr.Spatial() // estimation extent + emptiness check below
-		}
-	} else if trs, err = s.parseTrajectories(spec.data, spec.format, spec.species); err != nil {
+	if timed && spec.format != trackio.FormatCSV {
+		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
+			fmt.Sprintf("format %q has no timestamp column; spatiotemporal builds take csv with traj_id,x,y,t rows", spec.format), nil)
+		return
+	}
+	trs, err := s.parseTrajectories(spec.data, spec.format, spec.species, timed)
+	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
 	if len(trs) == 0 {
 		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest, "no trajectories in request body", nil)
 		return
+	}
+	// Structural problems (a one-point trajectory, a non-finite coordinate,
+	// weight or time, non-monotone timestamps) must answer 400
+	// synchronously, not fail the async job.
+	for _, tr := range trs {
+		if err := tr.Validate(); err != nil {
+			writeBodyError(w, err)
+			return
+		}
 	}
 	if spec.est != nil {
 		// Absent bounds derive from the data extent (the CLI's -auto rule),
@@ -327,12 +316,6 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 	// land a join on a build that just failed, which reports a retryable
 	// job failure.
 	name, cfg, est := spec.name, spec.cfg, spec.est
-	build := func(ctx context.Context, update func(phase string, fraction float64)) (*service.Model, error) {
-		if timed {
-			return s.cfg.buildTimedModel(ctx, name, ttrs, cfg, est, update)
-		}
-		return s.cfg.buildModel(ctx, name, trs, cfg, est, update)
-	}
 	joins := s.store.Pending(name)
 	var startJob func(ctx context.Context, update func(phase string, fraction float64)) (string, error)
 	if joins {
@@ -361,7 +344,7 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 		startJob = func(ctx context.Context, update func(phase string, fraction float64)) (string, error) {
 			defer func() { <-s.buildSem }()
 			_, built, _, err := s.store.GetOrBuild(name, func() (*service.Model, error) {
-				return build(ctx, update)
+				return s.cfg.buildModel(ctx, name, trs, cfg, est, update)
 			})
 			if err == nil && !built {
 				return "deduplicated into a concurrent build of this model; this request's upload was not used", nil
@@ -384,13 +367,19 @@ func (s *server) readRaw(w http.ResponseWriter, r *http.Request) ([]byte, error)
 
 // parseTrajectories decodes trajectory data in the given format under the
 // per-upload caps. CSV goes through the streaming decoder so hostile
-// inputs are bounded before they are materialised.
-func (s *server) parseTrajectories(data []byte, format trackio.Format, species string) ([]traclus.Trajectory, error) {
+// inputs are bounded before they are materialised; timed keeps its
+// timestamp column as Times (and requires it on every row), otherwise the
+// column is dropped. The caps are column-count independent.
+func (s *server) parseTrajectories(data []byte, format trackio.Format, species string, timed bool) ([]traclus.Trajectory, error) {
 	if format == trackio.FormatCSV {
 		d := trackio.NewCSVDecoder(bytes.NewReader(data))
 		d.MaxPoints = s.cfg.maxPoints
 		d.MaxTrajectories = s.cfg.maxTrajectories
-		trs, err := d.DecodeAllCSV()
+		decode := d.DecodeAllCSV
+		if timed {
+			decode = d.DecodeAllTimedCSV
+		}
+		trs, err := decode()
 		if err != nil {
 			return nil, err
 		}
@@ -409,20 +398,6 @@ func (s *server) parseTrajectories(data []byte, format trackio.Format, species s
 		return nil, err
 	}
 	return trs, nil
-}
-
-// parseTimedTrajectories decodes "traj_id,x,y,t" CSV under the same
-// per-upload caps as the spatial path — the LimitError/413 contract is
-// column-count independent.
-func (s *server) parseTimedTrajectories(data []byte) ([]traclus.TimedTrajectory, error) {
-	d := trackio.NewCSVDecoder(bytes.NewReader(data))
-	d.MaxPoints = s.cfg.maxPoints
-	d.MaxTrajectories = s.cfg.maxTrajectories
-	trs, err := d.DecodeAllTimedCSV()
-	if err != nil {
-		return nil, err
-	}
-	return trackio.MergeTimedByID(trs), nil
 }
 
 // checkUploadLimits applies the points/trajectories caps to an already
@@ -539,33 +514,21 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
-	// A spatiotemporal model classifies timed queries: the upload must
-	// carry the timestamp column so the temporal distance component has a
-	// query interval to gap against the cluster windows.
-	timed := m.Summary().Geometry == "spatiotemporal"
-	var trs []traclus.Trajectory
-	var ttrs []traclus.TimedTrajectory
-	if timed {
-		ttrs, err = s.parseTimedTrajectories(raw)
-	} else {
-		trs, err = s.parseTrajectories(raw, trackio.FormatCSV, "")
-	}
+	// A spatiotemporal model classifies trajectories that carry Times: the
+	// upload must carry the timestamp column so the temporal distance
+	// component has a query interval to gap against the cluster windows.
+	trs, err := s.parseTrajectories(raw, trackio.FormatCSV, "", m.Config().Geometry.Timed())
 	if err != nil {
 		writeBodyError(w, err)
 		return
 	}
-	if len(trs) == 0 && len(ttrs) == 0 {
+	if len(trs) == 0 {
 		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest, "no trajectories in request body", nil)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.classifyTimeout)
 	defer cancel()
-	var results []service.Assignment
-	if timed {
-		results = m.ClassifyTimedBatch(ctx, ttrs, s.cfg.workers)
-	} else {
-		results = m.ClassifyBatch(ctx, trs, s.cfg.workers)
-	}
+	results := m.ClassifyBatch(ctx, trs, s.cfg.workers)
 	if err := r.Context().Err(); err != nil {
 		// Cancellation and deadline map differently: a vanished client is a
 		// 499-style abandonment (no response can reach anyone — log it so

@@ -23,7 +23,7 @@ func timedTrainingCSV(t *testing.T) string {
 	t.Helper()
 	trs := synth.TimedCorridorScene(2, 10, 24, 4, 11, 60, 10)
 	var buf bytes.Buffer
-	if err := trackio.WriteTimedCSV(&buf, trs); err != nil {
+	if err := trackio.WriteCSV(&buf, trs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -79,7 +79,7 @@ func TestV1SpatiotemporalEndToEnd(t *testing.T) {
 	// The clone serves the same geometry and classifies timed uploads
 	// bit-identically to the original.
 	var probes bytes.Buffer
-	if err := trackio.WriteTimedCSV(&probes, synth.TimedCorridorScene(2, 6, 20, 4, 17, 60, 10)); err != nil {
+	if err := trackio.WriteCSV(&probes, synth.TimedCorridorScene(2, 6, 20, 4, 17, 60, 10)); err != nil {
 		t.Fatal(err)
 	}
 	classify := func(model string) []service.Assignment {

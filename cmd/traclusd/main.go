@@ -17,19 +17,26 @@
 //	POST /v1/models            body: JSON BuildRequest (see api.go);
 //	                           config.geometry selects planar (default),
 //	                           spatiotemporal (+config.wt, data must be CSV
-//	                           with a traj_id,x,y,t timestamp column), or
-//	                           geodesic (x=lon, y=lat degrees)
-//	                           → 202 job to poll, or 200 {"cached":true}
+//	                           with a traj_id,x,y,t timestamp column, kept
+//	                           as the trajectories' Times), or geodesic
+//	                           (x=lon, y=lat degrees); the other geometries
+//	                           drop a t column. Every trajectory is
+//	                           validated first: → 400 invalid_request for a
+//	                           one-point trajectory or a non-finite
+//	                           coordinate, weight or time, with no job
+//	                           started; else 202 job to poll, or 200
+//	                           {"cached":true}
 //	GET  /v1/models            → {"models":[...]} resident model names
 //	GET  /v1/models/{name}     → model summary + per-cluster stats
 //	POST /v1/models/{name}/classify   body: CSV (traj_id,x,y; a
 //	                           spatiotemporal model takes traj_id,x,y,t)
 //	POST /v1/models/{name}/append     body: JSON {"format","species","data"}
-//	                           (same data formats as a build) — extend the
-//	                           served model with new trajectories in O(Δ),
-//	                           no rebuild; → 200 new summary with "epoch"
-//	                           incremented, 404 unknown model, 409 on a
-//	                           snapshot-restored model (no training
+//	                           (same data formats and validation as a
+//	                           build) — extend the served model with new
+//	                           trajectories in O(Δ), no rebuild; → 200 new
+//	                           summary with "epoch" incremented, 400 on an
+//	                           invalid trajectory, 404 unknown model, 409
+//	                           on a snapshot-restored model (no training
 //	                           geometry), 422 geometry_mismatch when the
 //	                           data does not fit the model's geometry.
 //	                           Sharded mode forwards to the owner replica.
@@ -184,10 +191,6 @@ type serverConfig struct {
 	// wrappers to verify single-flight dedup and cancellation. nil means
 	// service.BuildCtx.
 	buildModel func(ctx context.Context, name string, trs []traclus.Trajectory, cfg traclus.Config, est *service.EstimateRange, progress func(phase string, fraction float64)) (*service.Model, error)
-
-	// buildTimedModel builds spatiotemporal models from timed trajectories.
-	// nil means service.BuildTimedCtx.
-	buildTimedModel func(ctx context.Context, name string, trs []traclus.TimedTrajectory, cfg traclus.Config, est *service.EstimateRange, progress func(phase string, fraction float64)) (*service.Model, error)
 }
 
 type server struct {
@@ -209,9 +212,6 @@ type server struct {
 func newServer(cfg serverConfig) (*server, error) {
 	if cfg.buildModel == nil {
 		cfg.buildModel = service.BuildCtx
-	}
-	if cfg.buildTimedModel == nil {
-		cfg.buildTimedModel = service.BuildTimedCtx
 	}
 	if cfg.baseCtx == nil {
 		cfg.baseCtx = context.Background()

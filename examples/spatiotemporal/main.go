@@ -5,10 +5,9 @@
 // the spatiotemporal geometry separates the morning and evening flows and
 // reports each cluster's time window.
 //
-// Since the geometry layer landed this runs through the public Pipeline —
-// the same indexed, parallel engine as planar runs — rather than the
-// reference full-scan implementation: build with WithTemporalWeight and
-// feed timed trajectories to RunTimed.
+// Time is one more column of the input: each trajectory carries its
+// per-point Times, and a pipeline built WithTemporalWeight runs them
+// through the same Run — the same indexed, parallel engine as planar runs.
 //
 // Run with: go run ./examples/spatiotemporal
 package main
@@ -23,7 +22,8 @@ import (
 )
 
 func main() {
-	// One road, two temporally disjoint waves 10 h apart (seconds).
+	// One road, two temporally disjoint waves 10 h apart: every trajectory
+	// is a traclus.Trajectory{Points, Times}, Times in seconds.
 	trs := synth.RushHours(10, 20, 3, 5, 60, 45, 10*3600)
 
 	cfg := traclus.Config{Eps: 25, MinLns: 5}
@@ -34,7 +34,7 @@ func main() {
 	plain, err := traclus.New(
 		traclus.WithConfig(cfg),
 		traclus.WithTemporalWeight(0),
-	).RunTimed(ctx, trs)
+	).Run(ctx, trs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 	timed, err := traclus.New(
 		traclus.WithConfig(cfg),
 		traclus.WithTemporalWeight(0.01),
-	).RunTimed(ctx, trs)
+	).Run(ctx, trs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,69 +1,21 @@
 package traclus
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/embed"
+	"repro/internal/geometry"
 	"repro/internal/lsdist"
-	"repro/internal/temporal"
 )
 
 // This file exposes the paper's extensions (Section 7.1) through the public
-// API: spatiotemporal clustering of timestamped trajectories and the
-// constant-shift embedding of the non-metric distance (Section 4.2's
-// deferred future work).
-
-// TimedTrajectory is a trajectory whose points carry timestamps.
-type TimedTrajectory = temporal.TimedTrajectory
+// API beyond what Run already covers (spatiotemporal clustering is Run over
+// trajectories that carry Times under SpatiotemporalGeometry): the
+// per-cluster time window type, and the constant-shift embedding of the
+// non-metric distance (Section 4.2's deferred future work).
 
 // Interval is a closed time interval.
-type Interval = temporal.Interval
-
-// TimedCluster is a spatiotemporal cluster: the usual TRACLUS cluster plus
-// the time window its member partitions span.
-type TimedCluster struct {
-	Segments       []Segment
-	Trajectories   []int
-	Representative []Point
-	Window         Interval
-}
-
-// TimedResult is the outcome of RunTimed.
-type TimedResult struct {
-	Clusters      []TimedCluster
-	NoiseSegments int
-	TotalSegments int
-}
-
-// RunTimed executes spatiotemporal TRACLUS: the clustering distance gains a
-// temporal component wT·gap(interval_i, interval_j), so segments traversed
-// at disjoint times separate even when they coincide spatially.
-// temporalWeight = 0 reduces exactly to plain TRACLUS.
-//
-// Since the geometry layer landed this is a thin facade over the indexed,
-// parallel Pipeline — New(WithConfig(cfg), WithTemporalWeight(w)).RunTimed —
-// rather than the reference full-scan in internal/temporal (which survives
-// as that path's cross-check). New code should use the Pipeline directly:
-// it additionally exposes cancellation, progress, estimation, and the full
-// Result surface (dendrograms, classification, snapshots).
-func RunTimed(trs []TimedTrajectory, cfg Config, temporalWeight float64) (*TimedResult, error) {
-	res, err := New(WithConfig(cfg), WithTemporalWeight(temporalWeight)).
-		RunTimed(context.Background(), trs)
-	if err != nil {
-		return nil, err
-	}
-	out := &TimedResult{NoiseSegments: res.NoiseSegments, TotalSegments: res.TotalSegments}
-	for i, c := range res.Clusters {
-		out.Clusters = append(out.Clusters, TimedCluster{
-			Segments:       c.Segments,
-			Trajectories:   c.Trajectories,
-			Representative: c.Representative,
-			Window:         res.ClusterWindows()[i],
-		})
-	}
-	return out, nil
-}
+type Interval = geometry.Interval
 
 // Embedding is a constant-shift embedding of a segment set into a metric
 // (Euclidean) space: for i ≠ j, the embedded squared distance equals the

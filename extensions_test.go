@@ -7,10 +7,10 @@ import (
 	traclus "repro"
 )
 
-func timedCorridor(n, idBase int, t0 float64) []traclus.TimedTrajectory {
-	var trs []traclus.TimedTrajectory
+func timedCorridor(n, idBase int, t0 float64) []traclus.Trajectory {
+	var trs []traclus.Trajectory
 	for i := 0; i < n; i++ {
-		tr := traclus.TimedTrajectory{ID: idBase + i, Weight: 1}
+		tr := traclus.Trajectory{ID: idBase + i, Weight: 1}
 		for s := 0; s <= 20; s++ {
 			tr.Points = append(tr.Points, traclus.Pt(100+30*float64(s), 300+float64(i)))
 			tr.Times = append(tr.Times, t0+60*float64(s))
@@ -20,12 +20,18 @@ func timedCorridor(n, idBase int, t0 float64) []traclus.TimedTrajectory {
 	return trs
 }
 
+// spatiotemporal is the Config of a spatiotemporal run with weight wT.
+func spatiotemporal(cfg traclus.Config, wt float64) traclus.Config {
+	cfg.Geometry = traclus.SpatiotemporalGeometry(wt)
+	return cfg
+}
+
 func TestRunTimedSeparatesByTime(t *testing.T) {
-	var trs []traclus.TimedTrajectory
+	var trs []traclus.Trajectory
 	trs = append(trs, timedCorridor(3, 0, 0)...)
 	trs = append(trs, timedCorridor(3, 3, 1e6)...)
 
-	spatial, err := traclus.RunTimed(trs, traclus.Config{Eps: 25, MinLns: 3}, 0)
+	spatial, err := traclus.Run(trs, spatiotemporal(traclus.Config{Eps: 25, MinLns: 3}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,23 +39,23 @@ func TestRunTimedSeparatesByTime(t *testing.T) {
 		t.Fatalf("wT=0 clusters = %d, want 1", len(spatial.Clusters))
 	}
 
-	timed, err := traclus.RunTimed(trs, traclus.Config{Eps: 25, MinLns: 3}, 0.01)
+	timed, err := traclus.Run(trs, spatiotemporal(traclus.Config{Eps: 25, MinLns: 3}, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(timed.Clusters) != 2 {
 		t.Fatalf("wT>0 clusters = %d, want 2", len(timed.Clusters))
 	}
-	if timed.Clusters[0].Window.Gap(timed.Clusters[1].Window) == 0 {
+	if w := timed.ClusterWindows(); w[0].Gap(w[1]) == 0 {
 		t.Error("time windows overlap")
 	}
 }
 
 func TestRunTimedValidation(t *testing.T) {
-	if _, err := traclus.RunTimed(nil, traclus.Config{MinLns: 3}, 0); err == nil {
+	if _, err := traclus.Run(nil, spatiotemporal(traclus.Config{MinLns: 3}, 0)); err == nil {
 		t.Error("Eps unset accepted")
 	}
-	if _, err := traclus.RunTimed(nil, traclus.Config{Eps: 10, MinLns: 3}, -1); err == nil {
+	if _, err := traclus.Run(nil, spatiotemporal(traclus.Config{Eps: 10, MinLns: 3}, -1)); err == nil {
 		t.Error("negative temporal weight accepted")
 	}
 }

@@ -7,9 +7,9 @@ package traclus_test
 //     run is bit-identical (fingerprints + DistCalls) to the default path
 //     on every backend at every worker count.
 //  2. wT = 0 spatiotemporal reduces exactly to planar — the paper's own
-//     stated property of the temporal extension: RunTimed with wT=0 on
-//     timed trajectories equals Run on their spatial projections, down to
-//     the distance-call budget.
+//     stated property of the temporal extension: a wT=0 Run over
+//     trajectories that carry Times equals a planar Run over the same
+//     points, down to the distance-call budget.
 
 import (
 	"context"
@@ -21,20 +21,16 @@ import (
 	traclus "repro"
 )
 
-// timedWorkload attaches monotone timestamps to the fixed hurricane
-// workload: trajectory i departs at i·1000, fixes 6 h apart. The spatial
-// projection is bit-identical to equivalenceWorkload(t, tracks).
-func timedWorkload(t *testing.T, tracks int) []traclus.TimedTrajectory {
+// timedWorkload attaches monotone Times to the fixed hurricane workload:
+// trajectory i departs at i·1000, fixes 6 h apart. The points are
+// bit-identical to equivalenceWorkload(t, tracks).
+func timedWorkload(t *testing.T, tracks int) []traclus.Trajectory {
 	t.Helper()
-	base := equivalenceWorkload(t, tracks)
-	trs := make([]traclus.TimedTrajectory, len(base))
-	for i, tr := range base {
-		times := make([]float64, len(tr.Points))
-		for s := range times {
-			times[s] = float64(i)*1000 + float64(s)*6
-		}
-		trs[i] = traclus.TimedTrajectory{
-			ID: tr.ID, Label: tr.Label, Weight: tr.Weight, Points: tr.Points, Times: times,
+	trs := equivalenceWorkload(t, tracks)
+	for i := range trs {
+		trs[i].Times = make([]float64, len(trs[i].Points))
+		for s := range trs[i].Times {
+			trs[i].Times[s] = float64(i)*1000 + float64(s)*6
 		}
 	}
 	return trs
@@ -73,14 +69,16 @@ func TestPlanarGeometryExplicitNoOp(t *testing.T) {
 	}
 }
 
-// TestTemporalWeightZeroReducesToPlanar: RunTimed with wT=0 must equal Run
-// on the spatial projections — clusters, representatives, Removed, and the
-// exact DistCalls budget — on every backend.
+// TestTemporalWeightZeroReducesToPlanar: a wT=0 Run over trajectories
+// that carry Times must equal a planar Run over the same points —
+// clusters, representatives, Removed, and the exact DistCalls budget — on
+// every backend.
 func TestTemporalWeightZeroReducesToPlanar(t *testing.T) {
 	timed := timedWorkload(t, 120)
 	spatial := make([]traclus.Trajectory, len(timed))
 	for i, tr := range timed {
-		spatial[i] = tr.Spatial()
+		tr.Times = nil
+		spatial[i] = tr
 	}
 	ctx := context.Background()
 	for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
@@ -99,7 +97,7 @@ func TestTemporalWeightZeroReducesToPlanar(t *testing.T) {
 			st, err := traclus.New(
 				traclus.WithConfig(cfg),
 				traclus.WithTemporalWeight(0),
-			).RunTimed(ctx, timed)
+			).Run(ctx, timed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,14 +127,14 @@ func TestSpatiotemporalSeparatesWaves(t *testing.T) {
 	cfg := traclus.Config{Eps: 25, MinLns: 5}
 	ctx := context.Background()
 
-	plain, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0)).RunTimed(ctx, trs)
+	plain, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0)).Run(ctx, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.Clusters) != 1 {
 		t.Fatalf("wT=0: %d clusters, want the 1 road", len(plain.Clusters))
 	}
-	timed, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0.01)).RunTimed(ctx, trs)
+	timed, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0.01)).Run(ctx, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +177,9 @@ func TestGeodesicRun(t *testing.T) {
 	}
 }
 
-// TestRunRejectsSpatiotemporal / RunTimed rejects geodesic: the ingestion
-// paths are typed-error guarded, not silently wrong.
+// TestGeometryIngestionGuards: trajectories carry Times exactly under the
+// spatiotemporal geometry — Run without them under it, or with them under
+// geodesic, is a typed error, not silently wrong.
 func TestGeometryIngestionGuards(t *testing.T) {
 	ctx := context.Background()
 	_, err := traclus.New(
@@ -194,9 +193,9 @@ func TestGeometryIngestionGuards(t *testing.T) {
 	_, err = traclus.New(
 		traclus.WithConfig(traclus.Config{Eps: 25, MinLns: 5}),
 		traclus.WithGeometry(traclus.GeodesicGeometry()),
-	).RunTimed(ctx, timedWorkload(t, 4))
+	).Run(ctx, timedWorkload(t, 4))
 	if !errors.As(err, &cfgErr) {
-		t.Fatalf("RunTimed under geodesic geometry: %v, want *ConfigError", err)
+		t.Fatalf("Run with Times under geodesic geometry: %v, want *ConfigError", err)
 	}
 	if _, err := traclus.ParseGeometry("hyperbolic"); !errors.As(err, &cfgErr) {
 		t.Fatalf("ParseGeometry(hyperbolic): %v, want *ConfigError", err)

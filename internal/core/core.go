@@ -22,7 +22,6 @@ import (
 	"repro/internal/segclust"
 	"repro/internal/spindex"
 	"repro/internal/sweep"
-	"repro/internal/temporal"
 )
 
 // Config carries the parameters of all three phases.
@@ -136,9 +135,10 @@ func PartitionAll(trs []geom.Trajectory, cfg Config) []segclust.Item {
 // PartitionAllCtx is PartitionAll with cooperative cancellation and an
 // optional per-trajectory completion hook (invoked from worker goroutines;
 // used by the public Pipeline to stream phase progress). A non-nil error is
-// always ctx.Err(); the partial partitioning is discarded.
+// always ctx.Err(); the partial partitioning is discarded. Items of a timed
+// trajectory carry the time span of their partition.
 func PartitionAllCtx(ctx context.Context, trs []geom.Trajectory, cfg Config, onTrajectory func()) ([]segclust.Item, error) {
-	perTraj, err := mdl.PartitionAllCtx(ctx, trs, cfg.Partition, cfg.Workers, onTrajectory)
+	perTraj, spans, err := mdl.PartitionAllCtx(ctx, trs, cfg.Partition, cfg.Workers, onTrajectory)
 	if err != nil {
 		return nil, err
 	}
@@ -148,67 +148,20 @@ func PartitionAllCtx(ctx context.Context, trs []geom.Trajectory, cfg Config, onT
 		if w == 0 {
 			w = 1
 		}
-		for _, s := range segs {
-			items = append(items, segclust.Item{Seg: s, TrajID: trs[i].ID, Weight: w})
+		for k, s := range segs {
+			it := segclust.Item{Seg: s, TrajID: trs[i].ID, Weight: w}
+			if spans[i] != nil {
+				it.Span = spans[i][k]
+			}
+			items = append(items, it)
 		}
 	}
 	return items, nil
 }
 
-// PartitionAllTimedCtx is PartitionAllCtx for timed trajectories: the MDL
-// partitioning runs over the identical deduplicated point stream (so the
-// segment geometry is bit-identical to the untimed path on the same
-// points), and each pooled item carries the time interval its partition
-// spans, index-aligned with the returned items. Trajectory weights default
-// to 1 when unset, exactly as the untimed path.
-func PartitionAllTimedCtx(ctx context.Context, trs []temporal.TimedTrajectory, cfg Config, onTrajectory func()) ([]segclust.Item, []geometry.Interval, error) {
-	type slot struct {
-		segs  []geom.Segment
-		spans [][2]float64
-	}
-	out := make([]slot, len(trs))
-	scratch := make([]*mdl.Partitioner, par.Workers(cfg.Workers, len(trs)))
-	for w := range scratch {
-		scratch[w] = mdl.NewPartitioner(cfg.Partition)
-	}
-	err := par.ForEachCtx(ctx, cfg.Workers, len(trs), func(w, i int) {
-		out[i].segs, out[i].spans = scratch[w].PartitionTimed(trs[i].Points, trs[i].Times)
-		if onTrajectory != nil {
-			onTrajectory()
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var items []segclust.Item
-	var ivs []geometry.Interval
-	for i, sl := range out {
-		w := trs[i].Weight
-		if w == 0 {
-			w = 1
-		}
-		for k, s := range sl.segs {
-			items = append(items, segclust.Item{Seg: s, TrajID: trs[i].ID, Weight: w})
-			ivs = append(ivs, geometry.Interval{Start: sl.spans[k][0], End: sl.spans[k][1]})
-		}
-	}
-	return items, ivs, nil
-}
-
 // ValidateTrajectories reports the first invalid input trajectory, wrapped
 // the way Run has always wrapped it.
 func ValidateTrajectories(trs []geom.Trajectory) error {
-	for i := range trs {
-		if err := trs[i].Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
-	return nil
-}
-
-// ValidateTimedTrajectories reports the first invalid timed input
-// trajectory (length mismatch, too few points, or non-monotone times).
-func ValidateTimedTrajectories(trs []temporal.TimedTrajectory) error {
 	for i := range trs {
 		if err := trs[i].Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)

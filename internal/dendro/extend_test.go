@@ -25,12 +25,11 @@ import (
 	"repro/internal/synth"
 )
 
-// extendScene is one geometry's item set: ivs and wt are set for the
-// spatiotemporal scene only.
+// extendScene is one geometry's item set: the spatiotemporal scene's items
+// carry spans, and only it sets wt.
 type extendScene struct {
 	name   string
 	items  []segclust.Item
-	ivs    []geometry.Interval
 	wt     float64
 	maxEps float64
 	cuts   []float64
@@ -40,7 +39,7 @@ func extendScenes(t *testing.T) []extendScene {
 	t.Helper()
 	ccfg := core.DefaultConfig()
 	ccfg.Partition.CostAdvantage, ccfg.Partition.MinLength = 15, 40
-	timed, ivs, err := core.PartitionAllTimedCtx(context.Background(),
+	timed, err := core.PartitionAllCtx(context.Background(),
 		synth.TimedCorridorScene(3, 12, 24, 5, 7, 500, 10), ccfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -57,18 +56,14 @@ func extendScenes(t *testing.T) []extendScene {
 	gcfg.Partition.MinLength = 100
 	return []extendScene{
 		{name: "planar", items: testItems(t), maxEps: 60, cuts: []float64{12, 28, 45}},
-		{name: "spatiotemporal", items: timed, ivs: ivs, wt: 0.01, maxEps: 60, cuts: []float64{12, 28, 45}},
+		{name: "spatiotemporal", items: timed, wt: 0.01, maxEps: 60, cuts: []float64{12, 28, 45}},
 		{name: "geodesic", items: core.PartitionAll(gps, gcfg), maxEps: 300, cuts: []float64{60, 150, 250}},
 	}
 }
 
 // index builds a fresh shared index over the scene's first n items.
 func (sc extendScene) index(n int, backend spindex.Backend) *segclust.SharedIndex {
-	var ivs []geometry.Interval
-	if sc.ivs != nil {
-		ivs = slices.Clone(sc.ivs[:n])
-	}
-	return segclust.NewSharedIndexTimed(slices.Clone(sc.items[:n]), ivs, sc.wt, lsdist.DefaultOptions(), backend)
+	return segclust.NewSharedIndex(slices.Clone(sc.items[:n]), lsdist.DefaultOptions(), sc.wt, backend)
 }
 
 // sameStructure fails unless a and b are bit-identical merge structures.
@@ -111,11 +106,7 @@ func extendChain(t *testing.T, sc extendScene, backend spindex.Backend, workers,
 	}
 	n := base
 	for e, size := range batches {
-		var ivs []geometry.Interval
-		if sc.ivs != nil {
-			ivs = sc.ivs[n : n+size]
-		}
-		if _, err := inc.AppendCtx(ctx, sc.items[n:n+size], ivs); err != nil {
+		if _, err := inc.AppendCtx(ctx, sc.items[n:n+size]); err != nil {
 			t.Fatal(err)
 		}
 		n += size
@@ -294,7 +285,7 @@ func BenchmarkDendroExtend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := inc.AppendCtx(ctx, items[base:], nil); err != nil {
+	if _, err := inc.AppendCtx(ctx, items[base:]); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("mode=extend", func(b *testing.B) {

@@ -23,7 +23,7 @@ func TestCutEquivalenceSpatiotemporal(t *testing.T) {
 	trs := synth.TimedCorridorScene(3, 12, 24, 5, 7, 500, 10)
 	ccfg := core.DefaultConfig()
 	ccfg.Partition.CostAdvantage, ccfg.Partition.MinLength = 15, 40
-	items, ivs, err := core.PartitionAllTimedCtx(context.Background(), trs, ccfg, nil)
+	items, err := core.PartitionAllCtx(context.Background(), trs, ccfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCutEquivalenceSpatiotemporal(t *testing.T) {
 
 	for name, backend := range backends() {
 		for _, workers := range []int{1, 0} {
-			shared := segclust.NewSharedIndexTimed(items, ivs, wt, opt, backend)
+			shared := segclust.NewSharedIndex(items, opt, wt, backend)
 			d, err := FromShared(ctx, shared, 60, workers)
 			if err != nil {
 				t.Fatalf("%s/w%d: FromShared: %v", name, workers, err)
@@ -49,7 +49,7 @@ func TestCutEquivalenceSpatiotemporal(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/w%d/eps=%g: CutAt: %v", name, workers, eps, err)
 				}
-				fresh := segclust.NewSharedIndexTimed(items, ivs, wt, opt, backend)
+				fresh := segclust.NewSharedIndex(items, opt, wt, backend)
 				want, err := segclust.RunSharedCtx(ctx, fresh, segclust.Config{
 					Eps: eps, MinLns: minLns, Options: opt, Workers: workers,
 				}, nil)

@@ -10,11 +10,17 @@ import (
 // trajectory so that segment clusters can be filtered by trajectory
 // cardinality (Definition 10); Weight supports the weighted-trajectory
 // extension of Section 4.2 (e.g. stronger hurricanes counting more).
+//
+// Times is the optional time column of the Section 7.1 extension ("one can
+// expect that time is also recorded with location"): one timestamp per
+// point, in any monotone unit, or nil for an untimed trajectory. The
+// spatiotemporal geometry requires it and every other geometry refuses it.
 type Trajectory struct {
 	ID     int
 	Label  string
 	Weight float64
 	Points []Point
+	Times  []float64
 }
 
 // NewTrajectory builds a trajectory with weight 1.
@@ -63,25 +69,26 @@ func (t Trajectory) Translate(d Point) Trajectory {
 
 // Dedup returns a copy of t with consecutive duplicate points removed.
 // Repeated fixes at the same location are common in telemetry data and would
-// otherwise produce degenerate partitions.
+// otherwise produce degenerate partitions. A timed trajectory keeps the
+// first timestamp of every run it collapses.
 func (t Trajectory) Dedup() Trajectory {
 	out := t
-	if len(t.Points) == 0 {
-		out.Points = nil
-		return out
-	}
-	pts := make([]Point, 0, len(t.Points))
-	pts = append(pts, t.Points[0])
-	for _, p := range t.Points[1:] {
-		if !p.Eq(pts[len(pts)-1]) {
-			pts = append(pts, p)
+	out.Points, out.Times = nil, nil
+	for i, p := range t.Points {
+		if len(out.Points) == 0 || !p.Eq(out.Points[len(out.Points)-1]) {
+			out.Points = append(out.Points, p)
+			if t.Times != nil {
+				out.Times = append(out.Times, t.Times[i])
+			}
 		}
 	}
-	out.Points = pts
 	return out
 }
 
-// Validate reports the first structural problem with the trajectory, or nil.
+// Validate reports the first structural problem with the trajectory, or nil:
+// fewer than two points, a negative or non-finite weight, a non-finite
+// point, or — on a timed trajectory — a time column that is not one finite,
+// non-decreasing value per point.
 func (t Trajectory) Validate() error {
 	if len(t.Points) < 2 {
 		return fmt.Errorf("geom: trajectory %d has %d points, need at least 2", t.ID, len(t.Points))
@@ -92,6 +99,20 @@ func (t Trajectory) Validate() error {
 	for i, p := range t.Points {
 		if !p.IsFinite() {
 			return fmt.Errorf("geom: trajectory %d point %d is not finite: %v", t.ID, i, p)
+		}
+	}
+	if t.Times == nil {
+		return nil
+	}
+	if len(t.Times) != len(t.Points) {
+		return fmt.Errorf("geom: trajectory %d has %d points but %d times", t.ID, len(t.Points), len(t.Times))
+	}
+	for i, ts := range t.Times {
+		if math.IsNaN(ts) || math.IsInf(ts, 0) {
+			return fmt.Errorf("geom: trajectory %d time %d is not finite: %v", t.ID, i, ts)
+		}
+		if i > 0 && ts < t.Times[i-1] {
+			return fmt.Errorf("geom: trajectory %d times not non-decreasing at %d", t.ID, i)
 		}
 	}
 	return nil

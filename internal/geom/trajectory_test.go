@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -38,12 +39,22 @@ func TestTrajectoryDedup(t *testing.T) {
 	if got.ID != 1 || got.Weight != 1 {
 		t.Error("Dedup dropped metadata")
 	}
+	if got.Times != nil {
+		t.Errorf("untimed Dedup grew times %v", got.Times)
+	}
 	// Original untouched.
 	if len(tr.Points) != 6 {
 		t.Error("Dedup mutated input")
 	}
 	if got := NewTrajectory(1, nil).Dedup(); got.Points != nil {
 		t.Errorf("Dedup of empty = %v", got.Points)
+	}
+	// A timed trajectory keeps the first timestamp of every collapsed run.
+	timed := Trajectory{ID: 1, Weight: 1,
+		Points: []Point{Pt(0, 0), Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(2, 2)},
+		Times:  []float64{0, 5, 10, 20, 30}}
+	if got := timed.Dedup(); len(got.Points) != 3 || fmt.Sprint(got.Times) != "[0 10 20]" {
+		t.Errorf("timed Dedup = %v at %v, want 3 points at [0 10 20]", got.Points, got.Times)
 	}
 }
 
@@ -113,5 +124,63 @@ func TestTotalPoints(t *testing.T) {
 	}
 	if got := TotalPoints(trs); got != 3 {
 		t.Errorf("TotalPoints = %d", got)
+	}
+}
+
+// corridorAt builds n timed trajectories along the horizontal corridor
+// y=300, all starting at time t0 and advancing by dt per fix.
+func corridorAt(n int, idBase int, t0, dt float64) []Trajectory {
+	var trs []Trajectory
+	for i := 0; i < n; i++ {
+		tr := Trajectory{ID: idBase + i, Weight: 1}
+		for s := 0; s <= 20; s++ {
+			tr.Points = append(tr.Points, Pt(100+30*float64(s), 300+float64(i)))
+			tr.Times = append(tr.Times, t0+dt*float64(s))
+		}
+		trs = append(trs, tr)
+	}
+	return trs
+}
+
+// TestValidate covers the time column: one finite, non-decreasing value
+// per point, on top of the untimed checks.
+func TestValidate(t *testing.T) {
+	good := corridorAt(1, 0, 0, 60)[0]
+	if err := good.Validate(); err != nil {
+		t.Errorf("valid rejected: %v", err)
+	}
+	bad := good
+	bad.Times = bad.Times[:3]
+	if err := bad.Validate(); err == nil {
+		t.Error("length mismatch accepted")
+	}
+	rev := corridorAt(1, 0, 0, 60)[0]
+	rev.Times[5] = rev.Times[4] - 1
+	if err := rev.Validate(); err == nil {
+		t.Error("decreasing times accepted")
+	}
+	nan := corridorAt(1, 0, 0, 60)[0]
+	nan.Times[5] = math.NaN()
+	if err := nan.Validate(); err == nil {
+		t.Error("NaN time accepted")
+	}
+	inf := corridorAt(1, 0, 0, 60)[0]
+	inf.Times[20] = math.Inf(1)
+	if err := inf.Validate(); err == nil {
+		t.Error("+Inf time accepted")
+	}
+	short := Trajectory{Points: []Point{Pt(0, 0)}, Times: []float64{0}}
+	if err := short.Validate(); err == nil {
+		t.Error("single point accepted")
+	}
+	nanPt := corridorAt(1, 0, 0, 60)[0]
+	nanPt.Points[3] = Pt(math.NaN(), 0)
+	if err := nanPt.Validate(); err == nil {
+		t.Error("NaN point of a timed trajectory accepted")
+	}
+	negW := corridorAt(1, 0, 0, 60)[0]
+	negW.Weight = -2
+	if err := negW.Validate(); err == nil {
+		t.Error("negative weight of a timed trajectory accepted")
 	}
 }

@@ -170,7 +170,8 @@ func (g Geometry) Validate() (field, reason string) {
 	return "", ""
 }
 
-// Timed reports whether the geometry consumes per-segment time intervals.
+// Timed reports whether the geometry's trajectories carry Times: the
+// spatiotemporal geometry requires them, and every other refuses them.
 func (g Geometry) Timed() bool { return g.Kind == Spatiotemporal }
 
 // EarthRadiusMeters is the IUGG mean Earth radius.

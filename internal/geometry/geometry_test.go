@@ -51,6 +51,7 @@ func TestIntervalGap(t *testing.T) {
 		{Interval{Start: 13, End: 20}, Interval{Start: 0, End: 10}, 3}, // symmetric
 		{Interval{Start: 5, End: 5}, Interval{Start: 5, End: 5}, 0},    // instants
 		{Interval{Start: 0, End: 2}, Interval{Start: 2.5, End: 2.5}, 0.5},
+		{Interval{Start: 0, End: 10}, Interval{Start: -8, End: -3}, 3}, // before
 	}
 	for _, tc := range cases {
 		if got := tc.a.Gap(tc.b); got != tc.want {

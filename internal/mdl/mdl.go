@@ -206,5 +206,7 @@ func Precision(approx, exact []int) float64 {
 // fixes cannot yield zero-length partitions. For many trajectories prefer
 // PartitionAll (or a reused Partitioner), which amortises scratch buffers.
 func Partition(tr geom.Trajectory, cfg Config) []geom.Segment {
-	return NewPartitioner(cfg).Partition(tr)
+	// Segments only: the time column is not read, so the spans are not made.
+	segs, _ := NewPartitioner(cfg).Partition(geom.Trajectory{Points: tr.Points})
+	return segs
 }

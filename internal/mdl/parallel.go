@@ -11,96 +11,63 @@ import (
 	"context"
 
 	"repro/internal/geom"
+	"repro/internal/geometry"
 	"repro/internal/par"
 )
 
 // Partitioner partitions trajectories while reusing internal scratch
-// (the dedup point buffer and the characteristic-point index buffer), so a
-// worker processing many trajectories allocates only the output segments.
-// A Partitioner is not safe for concurrent use; give each goroutine its own.
+// (the dedup point and timestamp buffers and the characteristic-point index
+// buffer), so a worker processing many trajectories allocates only the
+// output. A Partitioner is not safe for concurrent use; give each goroutine
+// its own.
 type Partitioner struct {
 	cfg Config
 	cps []int        // characteristic-point scratch
 	pts []geom.Point // deduplicated-point scratch
-	tms []float64    // deduplicated-timestamp scratch (timed path only)
+	tms []float64    // deduplicated-timestamp scratch (timed trajectories)
 }
 
 // NewPartitioner returns a Partitioner for the given configuration.
 func NewPartitioner(cfg Config) *Partitioner { return &Partitioner{cfg: cfg} }
 
 // Partition behaves exactly like the package-level Partition but reuses the
-// receiver's scratch buffers across calls.
-func (p *Partitioner) Partition(tr geom.Trajectory) []geom.Segment {
-	p.pts = appendDedup(p.pts[:0], tr.Points)
+// receiver's scratch buffers across calls. On a timed trajectory (tr.Times
+// set, index-aligned with the points) it also returns each segment's span,
+// the [t_start, t_end] of its two characteristic points, index-aligned with
+// the segments; spans is nil otherwise. Dedup decides on point equality
+// alone and keeps a repeated point's first timestamp, so the segments are
+// the same bits with or without the time column.
+func (p *Partitioner) Partition(tr geom.Trajectory) (segs []geom.Segment, spans []geometry.Interval) {
+	p.pts, p.tms = p.pts[:0], p.tms[:0]
+	for i, q := range tr.Points {
+		if len(p.pts) == 0 || !q.Eq(p.pts[len(p.pts)-1]) {
+			p.pts = append(p.pts, q)
+			if tr.Times != nil {
+				p.tms = append(p.tms, tr.Times[i])
+			}
+		}
+	}
 	pts := p.pts
 	if len(pts) < 2 {
-		return nil
+		return nil, nil
 	}
 	p.cps = appendApproximatePartition(p.cps[:0], pts, p.cfg)
 	cps := p.cps
-	segs := make([]geom.Segment, 0, len(cps)-1)
+	segs = make([]geom.Segment, 0, len(cps)-1)
+	if tr.Times != nil {
+		spans = make([]geometry.Interval, 0, len(cps)-1)
+	}
 	for i := 1; i < len(cps); i++ {
 		s := geom.Segment{Start: pts[cps[i-1]], End: pts[cps[i]]}
 		if s.IsDegenerate() || s.Length() < p.cfg.MinLength {
 			continue
 		}
 		segs = append(segs, s)
-	}
-	return segs
-}
-
-// appendDedup is geom.Trajectory.Dedup into a reusable buffer: consecutive
-// equal points collapse to one.
-func appendDedup(dst, pts []geom.Point) []geom.Point {
-	for _, q := range pts {
-		if len(dst) == 0 || !q.Eq(dst[len(dst)-1]) {
-			dst = append(dst, q)
+		if spans != nil {
+			spans = append(spans, geometry.Interval{Start: p.tms[cps[i-1]], End: p.tms[cps[i]]})
 		}
-	}
-	return dst
-}
-
-// PartitionTimed is Partition for a trajectory carrying per-point
-// timestamps (times index-aligned with pts). The point stream dedups on
-// point equality exactly as the untimed path — a repeated point keeps its
-// FIRST occurrence's timestamp — so the MDL partitioning sees the identical
-// point sequence and the returned segments are bit-identical to
-// Partition over the same points. Each surviving segment additionally
-// carries the [t_start, t_end] span of its two characteristic points,
-// index-aligned in spans; the filter that drops degenerate or too-short
-// segments drops their spans with them.
-func (p *Partitioner) PartitionTimed(pts []geom.Point, times []float64) ([]geom.Segment, [][2]float64) {
-	p.pts, p.tms = appendDedupTimed(p.pts[:0], p.tms[:0], pts, times)
-	dpts, dtms := p.pts, p.tms
-	if len(dpts) < 2 {
-		return nil, nil
-	}
-	p.cps = appendApproximatePartition(p.cps[:0], dpts, p.cfg)
-	cps := p.cps
-	segs := make([]geom.Segment, 0, len(cps)-1)
-	spans := make([][2]float64, 0, len(cps)-1)
-	for i := 1; i < len(cps); i++ {
-		s := geom.Segment{Start: dpts[cps[i-1]], End: dpts[cps[i]]}
-		if s.IsDegenerate() || s.Length() < p.cfg.MinLength {
-			continue
-		}
-		segs = append(segs, s)
-		spans = append(spans, [2]float64{dtms[cps[i-1]], dtms[cps[i]]})
 	}
 	return segs, spans
-}
-
-// appendDedupTimed is appendDedup over a (point, timestamp) pair stream:
-// dedup decides on point equality alone, and the first occurrence's
-// timestamp is the one kept.
-func appendDedupTimed(dstP []geom.Point, dstT []float64, pts []geom.Point, times []float64) ([]geom.Point, []float64) {
-	for i, q := range pts {
-		if len(dstP) == 0 || !q.Eq(dstP[len(dstP)-1]) {
-			dstP = append(dstP, q)
-			dstT = append(dstT, times[i])
-		}
-	}
-	return dstP, dstT
 }
 
 // PartitionAll partitions every trajectory concurrently (Figure 4 lines
@@ -108,7 +75,7 @@ func appendDedupTimed(dstP []geom.Point, dstT []float64, pts []geom.Point, times
 // trajectory, index-aligned with trs. workers ≤ 0 uses all CPUs; the result
 // is bit-identical for every worker count.
 func PartitionAll(trs []geom.Trajectory, cfg Config, workers int) [][]geom.Segment {
-	out, _ := PartitionAllCtx(context.Background(), trs, cfg, workers, nil)
+	out, _, _ := PartitionAllCtx(context.Background(), trs, cfg, workers, nil)
 	return out
 }
 
@@ -117,21 +84,23 @@ func PartitionAll(trs []geom.Trajectory, cfg Config, workers int) [][]geom.Segme
 // trajectories and ctx.Err() is returned (the partial output must be
 // discarded). onTrajectory, if non-nil, is invoked once per completed
 // trajectory — possibly from worker goroutines — so callers can stream
-// progress without wrapping the pool themselves.
-func PartitionAllCtx(ctx context.Context, trs []geom.Trajectory, cfg Config, workers int, onTrajectory func()) ([][]geom.Segment, error) {
-	out := make([][]geom.Segment, len(trs))
+// progress without wrapping the pool themselves. spans[i] holds trajectory
+// i's segment spans (nil for an untimed trajectory; see Partitioner).
+func PartitionAllCtx(ctx context.Context, trs []geom.Trajectory, cfg Config, workers int, onTrajectory func()) (segs [][]geom.Segment, spans [][]geometry.Interval, err error) {
+	segs = make([][]geom.Segment, len(trs))
+	spans = make([][]geometry.Interval, len(trs))
 	scratch := make([]*Partitioner, par.Workers(workers, len(trs)))
 	for w := range scratch {
 		scratch[w] = NewPartitioner(cfg)
 	}
-	err := par.ForEachCtx(ctx, workers, len(trs), func(w, i int) {
-		out[i] = scratch[w].Partition(trs[i])
+	err = par.ForEachCtx(ctx, workers, len(trs), func(w, i int) {
+		segs[i], spans[i] = scratch[w].Partition(trs[i])
 		if onTrajectory != nil {
 			onTrajectory()
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return segs, spans, nil
 }

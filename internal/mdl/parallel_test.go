@@ -59,8 +59,8 @@ func TestPartitionerScratchReuse(t *testing.T) {
 	cfg := Config{MinLength: 2}
 	p := NewPartitioner(cfg)
 	for i, tr := range trs {
-		got := p.Partition(tr)
-		want := NewPartitioner(cfg).Partition(tr)
+		got, _ := p.Partition(tr)
+		want, _ := NewPartitioner(cfg).Partition(tr)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("trajectory %d: reused Partitioner gave %v, fresh gave %v", i, got, want)
 		}
@@ -96,7 +96,7 @@ func TestPartitionAllCtx(t *testing.T) {
 	cfg := Config{CostAdvantage: 5}
 	want := PartitionAll(trs, cfg, 1)
 	var ticks atomic.Int64
-	got, err := PartitionAllCtx(context.Background(), trs, cfg, 4, func() { ticks.Add(1) })
+	got, _, err := PartitionAllCtx(context.Background(), trs, cfg, 4, func() { ticks.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPartitionAllCtx(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := PartitionAllCtx(ctx, trs, cfg, 4, nil)
+	out, _, err := PartitionAllCtx(ctx, trs, cfg, 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -34,10 +34,7 @@ package segclust
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
-
-	"repro/internal/geometry"
 )
 
 // ErrAppendBroken reports an append on an Incremental whose previous append
@@ -60,24 +57,14 @@ func (u *unionFind) grow(n int) *unionFind {
 	return g
 }
 
-// grow appends items (and, on a spatiotemporal index, their index-aligned
-// time intervals) to the shared index in place: the searcher's pool, index
-// backend, and segment set all grow, and subsequent views and cursors serve
-// the concatenated set. On any error nothing is mutated.
-func (s *SharedIndex) grow(newItems []Item, newIvs []geometry.Interval) error {
-	if s.ivs != nil && len(newIvs) != len(newItems) {
-		return fmt.Errorf("segclust: %d intervals for %d appended items on a spatiotemporal index", len(newIvs), len(newItems))
-	}
-	if s.ivs == nil && newIvs != nil {
-		return errors.New("segclust: time intervals appended to a planar index")
-	}
+// grow appends items to the shared index in place: the searcher's pool,
+// index backend, and item set all grow, and subsequent views and cursors
+// serve the concatenated set. On any error nothing is mutated.
+func (s *SharedIndex) grow(newItems []Item) error {
 	if err := s.search.Grow(segments(newItems)); err != nil {
 		return err
 	}
 	s.items = append(s.items, newItems...)
-	if s.ivs != nil {
-		s.ivs = append(s.ivs, newIvs...)
-	}
 	return nil
 }
 
@@ -137,8 +124,7 @@ func (inc *Incremental) result(ctx context.Context) (*Result, error) {
 // AppendCtx folds newItems into the clustering: the shared index grows, only
 // the Δ new items run ε-range queries, their neighbors' cardinalities are
 // updated through symmetry, the union-find absorbs the new core-core edges,
-// and label re-runs. newIvs must carry one time interval per new item on a
-// spatiotemporal index and be nil on a planar one. The returned Result
+// and label re-runs. The returned Result
 // equals a batch run over the concatenated items, weights bit for bit (see
 // the package comment for the one DistCalls caveat).
 //
@@ -146,7 +132,7 @@ func (inc *Incremental) result(ctx context.Context) (*Result, error) {
 // have grown while the derived state did not — and every later call returns
 // ErrAppendBroken; the previous Result() remains valid. Appends must be
 // serialised by the caller.
-func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item, newIvs []geometry.Interval) (*Result, error) {
+func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item) (*Result, error) {
 	if inc.broken {
 		return nil, ErrAppendBroken
 	}
@@ -157,7 +143,7 @@ func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item, newIvs [
 		return nil, err
 	}
 	n0 := len(inc.shared.items)
-	if err := inc.shared.grow(newItems, newIvs); err != nil {
+	if err := inc.shared.grow(newItems); err != nil {
 		return nil, err // nothing mutated; state still coherent
 	}
 	// Any exit past this point without full completion breaks the state.

@@ -247,7 +247,7 @@ func TestOracleFractionalWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := inc.AppendCtx(context.Background(), items[p:], nil)
+			got, err := inc.AppendCtx(context.Background(), items[p:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,36 +256,40 @@ func TestOracleFractionalWeights(t *testing.T) {
 	}
 }
 
-// timedItems pairs corridor items with time intervals in two waves a long
-// gap apart, so the temporal term splits what is one planar cluster.
-func timedItems(rng *rand.Rand, n int) ([]Item, []geometry.Interval) {
+// timedItems gives corridor items time spans in two waves a long gap
+// apart, so the temporal term splits what is one planar cluster.
+func timedItems(rng *rand.Rand, n int) []Item {
 	items := corridorItemsSpread(rng, n, 2, 16, 400)
-	ivs := make([]geometry.Interval, n)
-	for i := range ivs {
+	for i := range items {
 		t0 := rng.Float64() * 300
 		if i%3 == 0 {
 			t0 += 5000
 		}
-		ivs[i] = geometry.Interval{Start: t0, End: t0 + rng.Float64()*200}
+		items[i].Span = geometry.Interval{Start: t0, End: t0 + rng.Float64()*200}
 	}
-	return items, ivs
+	return items
+}
+
+// spatiotemporal is the oracle's distance under wT: planar plus wT·gap.
+func spatiotemporal(items []Item, opt lsdist.Options, wt float64) func(i, j int) float64 {
+	sp := planar(items, opt)
+	return func(i, j int) float64 { return sp(i, j) + wt*items[i].Span.Gap(items[j].Span) }
 }
 
 // TestOracleSpatiotemporal diffs grouping over a spatiotemporal index
 // (wT > 0) against Figure 12 under dist + wT·gap.
 func TestOracleSpatiotemporal(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	items, ivs := timedItems(rng, 400)
+	items := timedItems(rng, 400)
 	const wt = 0.05
 	cfg := defaultCfg()
-	sp := planar(items, cfg.Options)
-	want := figure12(items, func(i, j int) float64 { return sp(i, j) + wt*ivs[i].Gap(ivs[j]) }, cfg.Eps, cfg.MinLns, 0)
-	flat := figure12(items, sp, cfg.Eps, cfg.MinLns, 0)
+	want := figure12(items, spatiotemporal(items, cfg.Options, wt), cfg.Eps, cfg.MinLns, 0)
+	flat := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, 0)
 	if reflect.DeepEqual(want.ClusterOf, flat.ClusterOf) {
 		t.Fatal("fixture: the temporal term changes nothing")
 	}
 	for _, kind := range oracleKinds {
-		shared := NewSharedIndexTimed(items, ivs, wt, cfg.Options, BackendFor(kind))
+		shared := NewSharedIndex(items, cfg.Options, wt, BackendFor(kind))
 		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
 			return RunSharedCtx(context.Background(), shared, cfg, nil)
@@ -315,7 +319,7 @@ func TestOracleRunWithDistance(t *testing.T) {
 func TestOracleIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	all := mixedItems(rng)
-	timed, ivs := timedItems(rng, len(all))
+	timed := timedItems(rng, len(all))
 	cuts := []int{len(all) / 4, len(all) / 2, 2 * len(all) / 3, len(all)}
 	cfg := defaultCfg()
 	for _, geo := range []string{"planar", "spatiotemporal"} {
@@ -323,8 +327,7 @@ func TestOracleIncremental(t *testing.T) {
 		var wt float64
 		if geo == "spatiotemporal" {
 			items, wt = timed, 0.05
-			sp := planar(timed, cfg.Options)
-			dist = func(i, j int) float64 { return sp(i, j) + wt*ivs[i].Gap(ivs[j]) }
+			dist = spatiotemporal(timed, cfg.Options, wt)
 		}
 		wants := make([]*Result, len(cuts))
 		for k, n := range cuts {
@@ -342,11 +345,7 @@ func TestOracleIncremental(t *testing.T) {
 			for _, workers := range []int{1, 2, 0} {
 				what := fmt.Sprintf("%s index=%v workers=%d", geo, kind, workers)
 				cfg.Workers = workers
-				var pivs []geometry.Interval
-				if wt > 0 {
-					pivs = slices.Clone(ivs[:cuts[0]])
-				}
-				shared := NewSharedIndexTimed(slices.Clone(items[:cuts[0]]), pivs, wt, cfg.Options, BackendFor(kind))
+				shared := NewSharedIndex(slices.Clone(items[:cuts[0]]), cfg.Options, wt, BackendFor(kind))
 				inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -354,11 +353,7 @@ func TestOracleIncremental(t *testing.T) {
 				got := inc.Result()
 				for k, n := range cuts {
 					if k > 0 {
-						var bivs []geometry.Interval
-						if wt > 0 {
-							bivs = ivs[cuts[k-1]:n]
-						}
-						if got, err = inc.AppendCtx(context.Background(), items[cuts[k-1]:n], bivs); err != nil {
+						if got, err = inc.AppendCtx(context.Background(), items[cuts[k-1]:n]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -410,7 +405,7 @@ func FuzzGroupOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := inc.AppendCtx(context.Background(), items[p:], nil)
+		got, err := inc.AppendCtx(context.Background(), items[p:])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,11 +40,14 @@ import (
 // with the trajectory it came from and that trajectory's weight (weights
 // implement the weighted-trajectory extension of Section 4.2: the
 // cardinality of an ε-neighborhood becomes the sum of member weights
-// instead of the member count).
+// instead of the member count). Span is the time interval the partition
+// covers when its trajectory carries times (zero otherwise); an index with
+// a temporal weight adds wT·gap between spans to every distance.
 type Item struct {
 	Seg    geom.Segment
 	TrajID int
 	Weight float64
+	Span   geometry.Interval
 }
 
 // ItemsFromSegments wraps raw segments as unit-weight items of one
@@ -676,12 +679,10 @@ type SharedIndex struct {
 	items  []Item
 	opt    lsdist.Options
 	search *spindex.Searcher
-	// ivs/wt carry the spatiotemporal geometry when set: one time interval
-	// per item, index-aligned with items, and the temporal weight wT. Every
-	// view and cursor then adds wT·gap after the spatial kernel block; nil
-	// ivs is the planar path, untouched.
-	ivs []geometry.Interval
-	wt  float64
+	// wt is the temporal weight wT of the spatiotemporal geometry: when
+	// positive, every view and cursor adds wT·gap between the items' spans
+	// after the spatial kernel block; 0 is the planar path, untouched.
+	wt float64
 	// scr recycles per-worker neighborhood scratch across passes. The
 	// parameter-estimation sweep runs one pass per candidate ε — a hundred
 	// passes against one index is normal — and without recycling every pass
@@ -706,33 +707,25 @@ func (s *SharedIndex) getScratch() *scratchSet {
 	return &scratchSet{}
 }
 
-// NewSharedIndexFor builds backend's index over the items once. The
-// searcher layer downgrades to the brute backend itself when the distance
-// weights admit no sound Euclidean prefilter.
-func NewSharedIndexFor(items []Item, opt lsdist.Options, backend spindex.Backend) *SharedIndex {
+// NewSharedIndex builds backend's index over the items once, under the
+// distance opt plus, when wt > 0, the spatiotemporal term wT·gap between
+// the items' spans. The spatial index structure is the planar one either
+// way: candidate generation keeps the conservative planar radius, which
+// stays complete because the temporal addend is non-negative. The searcher
+// layer downgrades to the brute backend itself when the distance weights
+// admit no sound Euclidean prefilter.
+func NewSharedIndex(items []Item, opt lsdist.Options, wt float64, backend spindex.Backend) *SharedIndex {
 	return &SharedIndex{
 		items:  items,
 		opt:    opt,
 		search: spindex.NewSearcher(segments(items), opt, backend),
+		wt:     wt,
 	}
 }
 
-// NewSharedIndexTimed is NewSharedIndexFor for the spatiotemporal geometry:
-// ivs holds one time interval per item (index-aligned) and wt is the
-// temporal weight wT ≥ 0. The spatial index structure is exactly the planar
-// one — candidate generation keeps the conservative planar radius, which
-// stays complete because the temporal addend is non-negative — and every
-// distance served by the index's views and cursors is
-// dist_planar + wT·gap. A nil ivs degrades to the planar NewSharedIndexFor.
-func NewSharedIndexTimed(items []Item, ivs []geometry.Interval, wt float64, opt lsdist.Options, backend spindex.Backend) *SharedIndex {
-	s := NewSharedIndexFor(items, opt, backend)
-	if ivs != nil {
-		if len(ivs) != len(items) {
-			panic(fmt.Sprintf("segclust: %d intervals for %d items", len(ivs), len(items)))
-		}
-		s.ivs, s.wt = ivs, wt
-	}
-	return s
+// NewSharedIndexFor is NewSharedIndex under the planar distance (wT = 0).
+func NewSharedIndexFor(items []Item, opt lsdist.Options, backend spindex.Backend) *SharedIndex {
+	return NewSharedIndex(items, opt, 0, backend)
 }
 
 // Len returns the number of indexed items.
@@ -752,24 +745,20 @@ func (s *SharedIndex) Options() lsdist.Options { return s.opt }
 // which applies the index's temporal term.
 func (s *SharedIndex) Searcher() *spindex.Searcher { return s.search }
 
-// Temporal returns the index's spatiotemporal payload: the per-item time
-// intervals and the weight wT (nil, 0 for a planar index).
-func (s *SharedIndex) Temporal() ([]geometry.Interval, float64) { return s.ivs, s.wt }
-
 // Cursor is a per-goroutine query handle over the shared index that serves
 // the index's full geometry: candidates from the conservative spatial
 // prefilter, distances from the batch kernel plus the temporal wT·gap term
 // when the index is spatiotemporal. A Cursor owns its scratch and is not
 // safe for concurrent use; give each goroutine its own.
 type Cursor struct {
-	sq  *spindex.SearchQuery
-	ivs []geometry.Interval
-	wt  float64
+	sq    *spindex.SearchQuery
+	items []Item
+	wt    float64
 }
 
 // Cursor returns a new query cursor over the shared index.
 func (s *SharedIndex) Cursor() *Cursor {
-	return &Cursor{sq: s.search.Query(), ivs: s.ivs, wt: s.wt}
+	return &Cursor{sq: s.search.Query(), items: s.items, wt: s.wt}
 }
 
 // CandidatesOf appends to dst the candidate ids whose distance to item i
@@ -793,10 +782,10 @@ func (c *Cursor) DistBlock(i int, ids []int, out []float64) []float64 {
 // pair already past bound stays past it.
 func (c *Cursor) DistBlockWithin(i int, ids []int, bound float64, out []float64) []float64 {
 	out = c.sq.DistBlock(i, ids, bound, out)
-	if c.ivs != nil {
-		qi := c.ivs[i]
+	if c.wt > 0 {
+		qi := c.items[i].Span
 		for k, j := range ids {
-			out[k] += c.wt * qi.Gap(c.ivs[j])
+			out[k] += c.wt * qi.Gap(c.items[j].Span)
 		}
 	}
 	return out

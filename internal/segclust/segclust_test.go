@@ -470,19 +470,18 @@ func TestRunWithDistanceScoresEachPairOnce(t *testing.T) {
 func TestCursorBoundedScoring(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	items := make([]Item, 300)
-	ivs := make([]geometry.Interval, len(items))
 	ids := make([]int, len(items))
 	for i := range items {
 		x, y := rng.Float64()*400, rng.Float64()*400
 		items[i] = Item{Seg: geom.Seg(x, y, x+rng.NormFloat64()*30, y+rng.NormFloat64()*30), TrajID: i, Weight: 1}
 		t0 := rng.Float64() * 1000
-		ivs[i] = geometry.Interval{Start: t0, End: t0 + rng.Float64()*100}
+		items[i].Span = geometry.Interval{Start: t0, End: t0 + rng.Float64()*100}
 		ids[i] = i
 	}
 	opt := lsdist.DefaultOptions()
 	for name, shared := range map[string]*SharedIndex{
 		"planar":         NewSharedIndexFor(items, opt, BackendFor(IndexGrid)),
-		"spatiotemporal": NewSharedIndexTimed(items, ivs, 0.05, opt, BackendFor(IndexGrid)),
+		"spatiotemporal": NewSharedIndex(items, opt, 0.05, BackendFor(IndexGrid)),
 	} {
 		c := shared.Cursor()
 		var exact, got, back []float64

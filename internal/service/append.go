@@ -1,13 +1,13 @@
 package service
 
-// Incremental model growth: Model.Append / Model.AppendTimed extend a
-// served clustering with new trajectories in O(Δ) — the appender grows the
-// model's one spatial index in place, clusters only the new segments
-// against it, and re-derives the served state — instead of rebuilding from
-// scratch. The appended model is a NEW *Model value at the next epoch; the
-// *Model a caller already holds never changes, so in-flight reads keep
-// their snapshot-consistent view (bounded staleness: a reader is at most as
-// stale as the model pointer it resolved before the append).
+// Incremental model growth: Model.Append extends a served clustering with
+// new trajectories in O(Δ) — the appender grows the model's one spatial
+// index in place, clusters only the new segments against it, and
+// re-derives the served state — instead of rebuilding from scratch. The
+// appended model is a NEW *Model value at the next epoch; the *Model a
+// caller already holds never changes, so in-flight reads keep their
+// snapshot-consistent view (bounded staleness: a reader is at most as stale
+// as the model pointer it resolved before the append).
 //
 // Versioning. Every epoch of one served model shares a lineage. Appends
 // serialise on the lineage lock and always apply to the newest epoch, no
@@ -64,40 +64,24 @@ func (m *Model) Appendable() bool { return m.ap != nil && m.lin != nil }
 // The clustering contract is exact: the returned model's clusters,
 // representatives, and counters equal what a from-scratch build over the
 // concatenated trajectory set would produce (pinned by the append
-// equivalence suite). Geometry follows the build: a geodesic model projects
-// the new trajectories through the frame resolved at build time; a model
-// built with parameter estimation keeps its estimated ε/MinLns frozen.
+// equivalence suite). Geometry follows the build: the new trajectories
+// carry Times exactly when the model is spatiotemporal (its cluster windows
+// are then recomputed over the full post-append item set); a geodesic model
+// projects them through the frame resolved at build time; a model built
+// with parameter estimation keeps its estimated ε/MinLns frozen. Invalid
+// trajectories are rejected synchronously, before any state changes.
 func (m *Model) Append(ctx context.Context, trs []traclus.Trajectory) (*Model, error) {
-	return m.appendWith(func() (*traclus.Result, error) { return m.ap.Append(ctx, trs) },
-		len(trs), pointCount(trs))
-}
-
-// AppendTimed is Append for timed trajectories — the entry point for
-// spatiotemporal models (and for timed planar models built through
-// BuildTimed). The per-cluster time windows are recomputed over the full
-// post-append item set.
-func (m *Model) AppendTimed(ctx context.Context, trs []traclus.TimedTrajectory) (*Model, error) {
-	n, pts := len(trs), 0
-	for _, tr := range trs {
-		pts += len(tr.Points)
-	}
-	return m.appendWith(func() (*traclus.Result, error) { return m.ap.AppendTimed(ctx, trs) }, n, pts)
-}
-
-// appendWith runs one append under the lineage lock and derives the
-// next-epoch model from the head.
-func (m *Model) appendWith(apply func() (*traclus.Result, error), trajectories, points int) (*Model, error) {
 	if !m.Appendable() {
 		return nil, ErrNotAppendable
 	}
 	m.lin.mu.Lock()
 	defer m.lin.mu.Unlock()
 	head := m.lin.head
-	res, err := apply()
+	res, err := m.ap.Append(ctx, trs)
 	if err != nil {
 		return nil, err
 	}
-	next := head.nextEpoch(res, trajectories, points)
+	next := head.nextEpoch(res, len(trs), pointCount(trs))
 	m.lin.head = next
 	return next, nil
 }

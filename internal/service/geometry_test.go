@@ -18,13 +18,13 @@ import (
 	"repro/internal/synth"
 )
 
-func timedTrainingSet() []traclus.TimedTrajectory {
+func timedTrainingSet() []traclus.Trajectory {
 	// Spatial twin of trainingSet(); 60 s headway keeps the windows
 	// overlapping enough that the corridors still cluster at Eps=30.
 	return synth.TimedCorridorScene(2, 10, 24, 4, 11, 60, 10)
 }
 
-func timedProbeSet() []traclus.TimedTrajectory {
+func timedProbeSet() []traclus.Trajectory {
 	return synth.TimedCorridorScene(2, 6, 20, 4, 17, 60, 10)
 }
 
@@ -42,16 +42,17 @@ func sameAssignments(t *testing.T, label string, want, got []Assignment) {
 	}
 }
 
-// TestTimedSnapshotClassifyIdentity: BuildTimed → snapshot → restore →
-// ClassifyTimedBatch is bit-identical across backends and worker counts,
-// and the restored summary still says spatiotemporal.
+// TestTimedSnapshotClassifyIdentity: a spatiotemporal Build → snapshot →
+// restore → ClassifyBatch over trajectories that carry Times is
+// bit-identical across backends and worker counts, and the restored summary
+// still says spatiotemporal.
 func TestTimedSnapshotClassifyIdentity(t *testing.T) {
 	probes := timedProbeSet()
 	for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
 		cfg := buildConfig()
 		cfg.Index = kind
 		cfg.Geometry = traclus.SpatiotemporalGeometry(0.02)
-		m, err := BuildTimed("st-identity-"+kind.String(), timedTrainingSet(), cfg)
+		m, err := Build("st-identity-"+kind.String(), timedTrainingSet(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +70,16 @@ func TestTimedSnapshotClassifyIdentity(t *testing.T) {
 		if s := loaded.Summary(); s.Geometry != "spatiotemporal" || s.TemporalWeight != 0.02 {
 			t.Fatalf("%v: loaded summary geometry %q wt %v", kind, s.Geometry, s.TemporalWeight)
 		}
-		// Spatial classification against a timed model stays a typed error
-		// after the round trip.
-		if _, _, err := loaded.Classify(probes[0].Spatial()); err != traclus.ErrTimedModel {
+		// Classifying a trajectory without Times against a spatiotemporal
+		// model stays a typed error after the round trip.
+		untimed := probes[0]
+		untimed.Times = nil
+		if _, _, err := loaded.Classify(untimed); err != traclus.ErrTimedModel {
 			t.Fatalf("%v: Classify on restored timed model: %v, want ErrTimedModel", kind, err)
 		}
 		for _, workers := range []int{1, 2, 4, 0} {
-			want := m.ClassifyTimedBatch(context.Background(), probes, workers)
-			got := loaded.ClassifyTimedBatch(context.Background(), probes, workers)
+			want := m.ClassifyBatch(context.Background(), probes, workers)
+			got := loaded.ClassifyBatch(context.Background(), probes, workers)
 			sameAssignments(t, kind.String(), want, got)
 		}
 		// Re-export returns the retained bytes, same as the planar contract.
@@ -130,10 +133,11 @@ func TestGeodesicSnapshotClassifyIdentity(t *testing.T) {
 			}
 		}
 	}
-	// Timed classification against a geodesic model is a clear error.
-	if _, _, err := loaded.ClassifyTimed(timedProbeSet()[0]); err == nil ||
+	// Classifying a trajectory that carries Times against a geodesic model
+	// is a clear error.
+	if _, _, err := loaded.Classify(timedProbeSet()[0]); err == nil ||
 		!strings.Contains(err.Error(), "geodesic") {
-		t.Fatalf("ClassifyTimed on geodesic model: %v", err)
+		t.Fatalf("Classify with Times on geodesic model: %v", err)
 	}
 }
 
@@ -148,7 +152,7 @@ func TestSpatiotemporalCutsUseModelDistance(t *testing.T) {
 	ctx := context.Background()
 	cfg := buildConfig()
 	cfg.Geometry = traclus.SpatiotemporalGeometry(0.05)
-	m, err := BuildTimed("rush", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
+	m, err := Build("rush", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestSpatiotemporalCutsUseModelDistance(t *testing.T) {
 		if epoch == 3 {
 			break
 		}
-		if m, err = m.AppendTimed(ctx, extra[epoch:epoch+1]); err != nil {
+		if m, err = m.Append(ctx, extra[epoch:epoch+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +198,7 @@ func TestRestoredSpatiotemporalSweepRange(t *testing.T) {
 	ctx := context.Background()
 	cfg := buildConfig()
 	cfg.Geometry = traclus.SpatiotemporalGeometry(0.05)
-	m, err := BuildTimed("rush-restored", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
+	m, err := Build("rush-restored", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

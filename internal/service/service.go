@@ -153,39 +153,10 @@ func BuildCtx(ctx context.Context, name string, trs []traclus.Trajectory, cfg tr
 	if err != nil {
 		return nil, err
 	}
-	points := 0
-	for _, tr := range trs {
-		points += len(tr.Points)
-	}
-	return finishBuild(name, ap, cfg, len(trs), points, start)
+	return finishBuild(name, ap, cfg, len(trs), pointCount(trs), start)
 }
 
-// BuildTimed is BuildTimedCtx with a background context.
-func BuildTimed(name string, trs []traclus.TimedTrajectory, cfg traclus.Config) (*Model, error) {
-	return BuildTimedCtx(context.Background(), name, trs, cfg, nil, nil)
-}
-
-// BuildTimedCtx is BuildCtx over timed trajectories: the pipeline runs
-// through RunTimed, so a spatiotemporal cfg.Geometry clusters under the
-// four-component distance and the model's classifier answers ClassifyTimed
-// with the per-cluster time windows baked in (and persisted in the
-// snapshot). A planar geometry (or wT = 0) builds the exact model BuildCtx
-// would over the spatial projections of trs.
-func BuildTimedCtx(ctx context.Context, name string, trs []traclus.TimedTrajectory, cfg traclus.Config, est *EstimateRange, progress func(phase string, fraction float64)) (*Model, error) {
-	start := time.Now()
-	ap, err := traclus.New(buildOptions(cfg, est, progress)...).NewTimedAppender(ctx, trs)
-	if err != nil {
-		return nil, err
-	}
-	points := 0
-	for _, tr := range trs {
-		points += len(tr.Points)
-	}
-	return finishBuild(name, ap, cfg, len(trs), points, start)
-}
-
-// buildOptions assembles the pipeline options shared by the spatial and
-// timed build paths.
+// buildOptions assembles the pipeline options of a model build.
 func buildOptions(cfg traclus.Config, est *EstimateRange, progress func(phase string, fraction float64)) []traclus.Option {
 	opts := []traclus.Option{traclus.WithConfig(cfg)}
 	if est != nil {
@@ -274,7 +245,9 @@ func (m *Model) classifier() (*traclus.Classifier, error) {
 	return m.cls, m.clsErr
 }
 
-// Classify assigns one trajectory to its nearest cluster.
+// Classify assigns one trajectory to its nearest cluster under the model's
+// geometry: a spatiotemporal model classifies trajectories that carry
+// Times against the persisted cluster windows (see traclus.Classifier).
 func (m *Model) Classify(tr traclus.Trajectory) (clusterID int, distance float64, err error) {
 	cls, err := m.classifier()
 	if err != nil {
@@ -284,21 +257,6 @@ func (m *Model) Classify(tr traclus.Trajectory) (clusterID int, distance float64
 		return -1, 0, traclus.ErrNoClusters
 	}
 	return cls.Classify(tr)
-}
-
-// ClassifyTimed assigns one timed trajectory to its nearest cluster under
-// the model's geometry (the spatiotemporal distance against the persisted
-// cluster windows; identical to Classify on the spatial projection under a
-// planar model).
-func (m *Model) ClassifyTimed(tr traclus.TimedTrajectory) (clusterID int, distance float64, err error) {
-	cls, err := m.classifier()
-	if err != nil {
-		return -1, 0, err
-	}
-	if cls == nil {
-		return -1, 0, traclus.ErrNoClusters
-	}
-	return cls.ClassifyTimed(tr)
 }
 
 // ClassifyBatch classifies many trajectories, fanned out across workers
@@ -315,26 +273,6 @@ func (m *Model) ClassifyBatch(ctx context.Context, trs []traclus.Trajectory, wor
 			return
 		}
 		cl, d, err := m.Classify(trs[i])
-		if err != nil {
-			out[i].Err = err.Error()
-			return
-		}
-		out[i].Cluster, out[i].Distance = cl, d
-	})
-	return out
-}
-
-// ClassifyTimedBatch is ClassifyBatch over timed trajectories, classifying
-// through ClassifyTimed with the same fan-out and per-item error semantics.
-func (m *Model) ClassifyTimedBatch(ctx context.Context, trs []traclus.TimedTrajectory, workers int) []Assignment {
-	out := make([]Assignment, len(trs))
-	par.ForEach(workers, len(trs), func(_, i int) {
-		out[i] = Assignment{TrajID: trs[i].ID, Cluster: -1}
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err.Error()
-			return
-		}
-		cl, d, err := m.ClassifyTimed(trs[i])
 		if err != nil {
 			out[i].Err = err.Error()
 			return

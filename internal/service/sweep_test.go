@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -270,4 +271,77 @@ func BenchmarkSweepQuality(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(pairs), "pairs/op")
+}
+
+// TestReadsMatchLibraryMatrix is the service ≡ library matrix for reads:
+// for every geometry × index backend × epoch (the build, then three
+// one-trajectory appends), ClustersAt at the model's ε finds exactly the
+// epoch Result's clusters and noise, and the sweep point at ε reads
+// Result().QMeasure() bit for bit.
+func TestReadsMatchLibraryMatrix(t *testing.T) {
+	ctx := context.Background()
+	hcfg := synth.DefaultHurricaneConfig()
+	hcfg.NumTracks, hcfg.Seed = 103, 3
+	planar := synth.Hurricanes(hcfg)
+	rush := synth.RushHours(12, 24, 4, 3, 30, 10, 5000)
+	for i, tr := range synth.RushHours(2, 24, 4, 9, 30, 10, 5000)[:3] {
+		tr.ID = 1000 + i
+		rush = append(rush, tr)
+	}
+	gps := synth.GPSTracks(3, 8, 25, 7)
+	for i, tr := range synth.GPSTracks(3, 1, 25, 19) {
+		tr.ID = 1000 + i
+		gps = append(gps, tr)
+	}
+	geodesic := traclus.Config{Eps: 150, MinLns: 5, MinSegmentLength: 100, Geometry: traclus.GeodesicGeometry()}
+	spatiotemporal := buildConfig()
+	spatiotemporal.Geometry = traclus.SpatiotemporalGeometry(0.05)
+	geos := []struct {
+		name string
+		cfg  traclus.Config
+		trs  []traclus.Trajectory // the build, then three appended trajectories
+	}{
+		{"planar", buildConfig(), planar},
+		{"spatiotemporal", spatiotemporal, rush},
+		{"geodesic", geodesic, gps},
+	}
+	for _, g := range geos {
+		for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+			cfg := g.cfg
+			cfg.Index = kind
+			n := len(g.trs) - 3
+			m, err := Build(g.name, g.trs[:n], cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for epoch := 0; ; epoch++ {
+				what := fmt.Sprintf("%s/%v/epoch %d", g.name, kind, epoch)
+				eps, res := m.Summary().Eps, m.Result()
+				cut, err := m.ClustersAt(ctx, eps)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if len(cut.Clusters) != len(res.Clusters) || cut.NoiseSegments != res.NoiseSegments {
+					t.Errorf("%s: ClustersAt(%g) found %d clusters and %d noise segments, the Result %d and %d",
+						what, eps, len(cut.Clusters), cut.NoiseSegments, len(res.Clusters), res.NoiseSegments)
+				}
+				pts, err := m.SweepQuality(ctx, eps, 2*eps, 2)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if q := res.QMeasure(); math.Float64bits(pts[0].QMeasure) != math.Float64bits(q) {
+					t.Errorf("%s: sweep QMeasure at ε %g is %v, the Result's %v", what, eps, pts[0].QMeasure, q)
+				}
+				if epoch == 3 {
+					break
+				}
+				if m, err = m.Append(ctx, g.trs[n+epoch:n+epoch+1]); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+			if len(m.Result().Clusters) == 0 {
+				t.Errorf("%s/%v: no clusters; the scene exercises nothing", g.name, kind)
+			}
+		}
+	}
 }

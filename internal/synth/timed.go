@@ -8,20 +8,19 @@ import (
 	"math/rand"
 
 	"repro/internal/geom"
-	"repro/internal/temporal"
 )
 
-// RushHours generates timed trajectories along ONE spatial corridor in two
+// RushHours generates trajectories carrying Times along ONE spatial corridor in two
 // temporally disjoint waves ("morning" and "evening" traffic): wave w
 // departs at w*waveGap, vehicles headway seconds apart, points dt seconds
 // apart. Spatially the waves are indistinguishable — planar TRACLUS finds
 // one cluster — but with a temporal weight large enough that
 // wT·waveGap > eps the spatiotemporal distance separates them into two.
 // IDs are 0..2*numPerWave-1; wave w owns ids w*numPerWave..(w+1)*numPerWave-1.
-func RushHours(numPerWave, pointsPer int, jitter float64, seed int64, headway, dt, waveGap float64) []temporal.TimedTrajectory {
+func RushHours(numPerWave, pointsPer int, jitter float64, seed int64, headway, dt, waveGap float64) []geom.Trajectory {
 	rng := rand.New(rand.NewSource(seed))
 	a, b := geom.Pt(100, 300), geom.Pt(900, 300)
-	var trs []temporal.TimedTrajectory
+	var trs []geom.Trajectory
 	for w := 0; w < 2; w++ {
 		for v := 0; v < numPerWave; v++ {
 			start := a.Add(geom.Pt(rng.NormFloat64()*jitter*2, rng.NormFloat64()*jitter*2))
@@ -34,7 +33,7 @@ func RushHours(numPerWave, pointsPer int, jitter float64, seed int64, headway, d
 				pts = append(pts, geom.Pt(p.X+rng.NormFloat64()*jitter, p.Y+rng.NormFloat64()*jitter))
 				times = append(times, t0+float64(s)*dt)
 			}
-			trs = append(trs, temporal.TimedTrajectory{
+			trs = append(trs, geom.Trajectory{
 				ID: w*numPerWave + v, Label: "rush", Weight: 1, Points: pts, Times: times,
 			})
 		}
@@ -42,20 +41,16 @@ func RushHours(numPerWave, pointsPer int, jitter float64, seed int64, headway, d
 	return trs
 }
 
-// TimedCorridorScene attaches timestamps to CorridorScene: every trajectory
+// TimedCorridorScene attaches Times to CorridorScene: every trajectory
 // departs at its index*headway and samples points dt apart. It keeps the
 // spatial geometry bit-identical to CorridorScene with the same arguments,
 // which the wT=0 equivalence tests rely on.
-func TimedCorridorScene(k, numPerCorridor, pointsPer int, jitter float64, seed int64, headway, dt float64) []temporal.TimedTrajectory {
-	base := CorridorScene(k, numPerCorridor, pointsPer, jitter, seed)
-	trs := make([]temporal.TimedTrajectory, len(base))
-	for i, tr := range base {
-		times := make([]float64, len(tr.Points))
-		for s := range times {
-			times[s] = float64(i)*headway + float64(s)*dt
-		}
-		trs[i] = temporal.TimedTrajectory{
-			ID: tr.ID, Label: tr.Label, Weight: tr.Weight, Points: tr.Points, Times: times,
+func TimedCorridorScene(k, numPerCorridor, pointsPer int, jitter float64, seed int64, headway, dt float64) []geom.Trajectory {
+	trs := CorridorScene(k, numPerCorridor, pointsPer, jitter, seed)
+	for i := range trs {
+		trs[i].Times = make([]float64, len(trs[i].Points))
+		for s := range trs[i].Times {
+			trs[i].Times[s] = float64(i)*headway + float64(s)*dt
 		}
 	}
 	return trs

@@ -65,9 +65,10 @@ func FuzzReadTelemetry(f *testing.F) {
 }
 
 // FuzzReadTimedCSV drives the 4-column decode: whatever the input, a
-// successful timed read must re-serialise, with times index-aligned to
-// points — and the spatial reader must accept the same bytes (timestamps
-// validated, then dropped).
+// successful timed read yields trajectories whose Times align with their
+// Points, which re-serialise through WriteCSV (the one writer) into bytes
+// ReadTimedCSV reads back with the same shape — and the spatial reader must
+// accept the original bytes (timestamps parsed, then dropped).
 func FuzzReadTimedCSV(f *testing.F) {
 	f.Add("traj_id,x,y,t\n1,2,3,4\n")
 	f.Add("1,2,3,4\n1,2,3,5\n2,0,0,0\n")
@@ -85,8 +86,21 @@ func FuzzReadTimedCSV(f *testing.F) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteTimedCSV(&buf, trs); err != nil {
+		if err := WriteCSV(&buf, trs); err != nil {
 			t.Fatalf("round-trip write failed: %v", err)
+		}
+		back, err := ReadTimedCSV(&buf)
+		if err != nil {
+			t.Fatalf("re-serialised timed CSV does not read back: %v", err)
+		}
+		if len(back) != len(trs) {
+			t.Fatalf("read back %d trajectories, wrote %d", len(back), len(trs))
+		}
+		for i, tr := range back {
+			if tr.ID != trs[i].ID || len(tr.Points) != len(trs[i].Points) || len(tr.Times) != len(tr.Points) {
+				t.Fatalf("trajectory %d read back as id %d with %d points and %d times, wrote id %d with %d",
+					i, tr.ID, len(tr.Points), len(tr.Times), trs[i].ID, len(trs[i].Points))
+			}
 		}
 		if _, err := ReadCSV(strings.NewReader(in)); err != nil {
 			t.Fatalf("spatial read rejected timed-readable input: %v", err)

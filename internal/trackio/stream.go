@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/geom"
-	"repro/internal/temporal"
 )
 
 // LimitError reports that a streaming decode exceeded a configured bound.
@@ -62,27 +61,26 @@ func NewCSVDecoder(r io.Reader) *CSVDecoder {
 // Next returns the next trajectory, or io.EOF after the last one. Any other
 // error is a parse failure or limit violation; decoding cannot continue
 // after either. Rows carrying the optional timestamp column still parse (the
-// timestamp is validated, then dropped); use NextTimed to keep it.
+// timestamp is parsed, then dropped); use NextTimed to keep it.
 func (d *CSVDecoder) Next() (geom.Trajectory, error) {
 	tr, _, err := d.next()
 	return tr, err
 }
 
 // NextTimed is Next keeping the timestamp column: it returns the next
-// trajectory with its per-point timestamps, and fails if the trajectory's
-// rows do not carry one.
-func (d *CSVDecoder) NextTimed() (temporal.TimedTrajectory, error) {
+// trajectory with its per-point Times, and fails if the trajectory's rows
+// do not carry one.
+func (d *CSVDecoder) NextTimed() (geom.Trajectory, error) {
 	tr, times, err := d.next()
 	if err != nil {
-		return temporal.TimedTrajectory{}, err
+		return geom.Trajectory{}, err
 	}
 	if times == nil {
-		return temporal.TimedTrajectory{}, d.fail(fmt.Errorf(
+		return geom.Trajectory{}, d.fail(fmt.Errorf(
 			"trackio: trajectory %d has no timestamp column (timed decode needs traj_id,x,y,t rows)", tr.ID))
 	}
-	return temporal.TimedTrajectory{
-		ID: tr.ID, Label: tr.Label, Weight: tr.Weight, Points: tr.Points, Times: times,
-	}, nil
+	tr.Times = times
+	return tr, nil
 }
 
 func (d *CSVDecoder) next() (geom.Trajectory, []float64, error) {
@@ -180,26 +178,16 @@ func (d *CSVDecoder) fail(err error) error {
 // DecodeAllCSV drains the decoder into a slice — the convenience form for
 // callers that need the whole (bounded) batch at once. Pass the result
 // through MergeByID to recover ReadCSV's whole-input id grouping.
-func (d *CSVDecoder) DecodeAllCSV() ([]geom.Trajectory, error) {
-	var trs []geom.Trajectory
-	for {
-		tr, err := d.Next()
-		if err == io.EOF {
-			return trs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		trs = append(trs, tr)
-	}
-}
+func (d *CSVDecoder) DecodeAllCSV() ([]geom.Trajectory, error) { return d.drain(d.Next) }
 
 // DecodeAllTimedCSV drains the decoder as NextTimed trajectories. Every row
 // in the input must carry the timestamp column.
-func (d *CSVDecoder) DecodeAllTimedCSV() ([]temporal.TimedTrajectory, error) {
-	var trs []temporal.TimedTrajectory
+func (d *CSVDecoder) DecodeAllTimedCSV() ([]geom.Trajectory, error) { return d.drain(d.NextTimed) }
+
+func (d *CSVDecoder) drain(next func() (geom.Trajectory, error)) ([]geom.Trajectory, error) {
+	var trs []geom.Trajectory
 	for {
-		tr, err := d.NextTimed()
+		tr, err := next()
 		if err == io.EOF {
 			return trs, nil
 		}
@@ -211,30 +199,15 @@ func (d *CSVDecoder) DecodeAllTimedCSV() ([]temporal.TimedTrajectory, error) {
 }
 
 // MergeByID merges trajectories sharing an ID by concatenating their points
-// in slice order, keeping first-appearance order — exactly ReadCSV's
-// grouping. Combined with DecodeAllCSV it makes the streaming path parse
-// interleaved-id input identically to ReadCSV; a later duplicate's
-// label/weight are ignored in favour of the first's. The returned slice is
-// new, but its Points slices may alias (and extend) the inputs' backing
-// arrays — treat the input as consumed.
+// — and their Times, in lockstep — in slice order, keeping
+// first-appearance order — exactly ReadCSV's grouping. Combined with
+// DecodeAllCSV it makes the streaming path parse interleaved-id input
+// identically to ReadCSV; a later duplicate's label/weight are ignored in
+// favour of the first's. The returned slice is new, but its Points and
+// Times slices may alias (and extend) the inputs' backing arrays — treat
+// the input as consumed.
 func MergeByID(trs []geom.Trajectory) []geom.Trajectory {
 	out := make([]geom.Trajectory, 0, len(trs))
-	at := map[int]int{} // id → index in out
-	for _, tr := range trs {
-		if i, ok := at[tr.ID]; ok {
-			out[i].Points = append(out[i].Points, tr.Points...)
-			continue
-		}
-		at[tr.ID] = len(out)
-		out = append(out, tr)
-	}
-	return out
-}
-
-// MergeTimedByID is MergeByID for timed trajectories: points and times are
-// concatenated in lockstep.
-func MergeTimedByID(trs []temporal.TimedTrajectory) []temporal.TimedTrajectory {
-	out := make([]temporal.TimedTrajectory, 0, len(trs))
 	at := map[int]int{} // id → index in out
 	for _, tr := range trs {
 		if i, ok := at[tr.ID]; ok {

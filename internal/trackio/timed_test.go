@@ -11,11 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/temporal"
 )
 
-func timedSample() []temporal.TimedTrajectory {
-	return []temporal.TimedTrajectory{
+func timedSample() []geom.Trajectory {
+	return []geom.Trajectory{
 		{ID: 1, Weight: 1,
 			Points: []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0.5)},
 			Times:  []float64{0, 10, 20}},
@@ -27,8 +26,11 @@ func timedSample() []temporal.TimedTrajectory {
 
 func TestTimedCSVRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTimedCSV(&buf, timedSample()); err != nil {
+	if err := WriteCSV(&buf, timedSample()); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "traj_id,x,y,t\n") {
+		t.Fatalf("timed input wrote header %q", strings.SplitN(buf.String(), "\n", 2)[0])
 	}
 	got, err := ReadTimedCSV(&buf)
 	if err != nil {
@@ -107,7 +109,7 @@ func TestTimedCSVLimits(t *testing.T) {
 // input, validating and then discarding the fourth column.
 func TestReadCSVDropsTimestamps(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTimedCSV(&buf, timedSample()); err != nil {
+	if err := WriteCSV(&buf, timedSample()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadCSV(&buf)
@@ -119,12 +121,16 @@ func TestReadCSVDropsTimestamps(t *testing.T) {
 		t.Fatalf("got %d trajectories, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if len(got[i].Points) != len(want[i].Points) {
-			t.Errorf("trajectory %d: %d points, want %d", i, len(got[i].Points), len(want[i].Points))
+		if len(got[i].Points) != len(want[i].Points) || got[i].Times != nil {
+			t.Errorf("trajectory %d: %d points and times %v, want %d points and none",
+				i, len(got[i].Points), got[i].Times, len(want[i].Points))
 		}
 	}
 }
 
+// TestMergeTimedByID pins MergeByID carrying Times in lockstep with the
+// points, through ReadTimedCSV and called directly, and leaving untimed
+// trajectories untimed.
 func TestMergeTimedByID(t *testing.T) {
 	in := "1,0,0,1\n2,5,5,1\n1,1,0,2\n"
 	got, err := ReadTimedCSV(strings.NewReader(in))
@@ -133,5 +139,14 @@ func TestMergeTimedByID(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].ID != 1 || len(got[0].Points) != 2 || got[0].Times[1] != 2 {
 		t.Errorf("interleaved timed merge wrong: %+v", got)
+	}
+	merged := MergeByID([]geom.Trajectory{
+		{ID: 7, Points: []geom.Point{geom.Pt(0, 0)}, Times: []float64{3}},
+		{ID: 8, Points: []geom.Point{geom.Pt(9, 9), geom.Pt(9, 8)}},
+		{ID: 7, Points: []geom.Point{geom.Pt(1, 0), geom.Pt(2, 0)}, Times: []float64{4, 5}},
+	})
+	if len(merged) != 2 || len(merged[0].Points) != 3 || len(merged[0].Times) != 3 ||
+		merged[0].Times[2] != 5 || merged[1].Times != nil {
+		t.Errorf("MergeByID with times: %+v", merged)
 	}
 }

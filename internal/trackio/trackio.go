@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"repro/internal/geom"
-	"repro/internal/temporal"
 )
 
 // WriteBestTrack serialises trajectories in the simplified Best Track
@@ -194,15 +193,31 @@ func ReadTelemetry(r io.Reader, species string) ([]geom.Trajectory, error) {
 	return trs, nil
 }
 
-// WriteCSV serialises trajectories as "traj_id,x,y" rows with a header.
+// WriteCSV serialises trajectories as "traj_id,x,y" rows with a header. A
+// trajectory that carries Times writes the fourth column of
+// "traj_id,x,y,t" rows, and the header then names it; untimed input writes
+// exactly the three-column form.
 func WriteCSV(w io.Writer, trs []geom.Trajectory) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "traj_id,x,y"); err != nil {
+	header := "traj_id,x,y"
+	for _, tr := range trs {
+		if tr.Times != nil {
+			header = "traj_id,x,y,t"
+			break
+		}
+	}
+	if _, err := fmt.Fprintln(bw, header); err != nil {
 		return err
 	}
 	for _, tr := range trs {
-		for _, p := range tr.Points {
-			if _, err := fmt.Fprintf(bw, "%d,%.6f,%.6f\n", tr.ID, p.X, p.Y); err != nil {
+		for i, p := range tr.Points {
+			var err error
+			if tr.Times != nil {
+				_, err = fmt.Fprintf(bw, "%d,%.6f,%.6f,%.3f\n", tr.ID, p.X, p.Y, tr.Times[i])
+			} else {
+				_, err = fmt.Fprintf(bw, "%d,%.6f,%.6f\n", tr.ID, p.X, p.Y)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -213,7 +228,8 @@ func WriteCSV(w io.Writer, trs []geom.Trajectory) error {
 // ReadCSV parses "traj_id,x,y" rows (header optional). Points are grouped
 // by id in first-appearance order within each trajectory. It is the
 // whole-input form of the streaming CSVDecoder — one parser serves both
-// paths, so their row handling can never diverge.
+// paths, so their row handling can never diverge. Rows carrying the
+// timestamp column parse too; the timestamps are dropped.
 func ReadCSV(r io.Reader) ([]geom.Trajectory, error) {
 	trs, err := NewCSVDecoder(r).DecodeAllCSV()
 	if err != nil {
@@ -222,33 +238,16 @@ func ReadCSV(r io.Reader) ([]geom.Trajectory, error) {
 	return MergeByID(trs), nil
 }
 
-// WriteTimedCSV writes timed trajectories as "traj_id,x,y,t" rows with a
-// header — the four-column form ReadTimedCSV parses.
-func WriteTimedCSV(w io.Writer, trs []temporal.TimedTrajectory) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "traj_id,x,y,t"); err != nil {
-		return err
-	}
-	for _, tr := range trs {
-		for i, p := range tr.Points {
-			if _, err := fmt.Fprintf(bw, "%d,%.6f,%.6f,%.3f\n", tr.ID, p.X, p.Y, tr.Times[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTimedCSV parses "traj_id,x,y,t" rows (header optional) — ReadCSV with
-// the per-point timestamp column required on every row. Grouping matches
-// ReadCSV: points (and times, in lockstep) merge by id in first-appearance
-// order.
-func ReadTimedCSV(r io.Reader) ([]temporal.TimedTrajectory, error) {
+// ReadTimedCSV parses "traj_id,x,y,t" rows (header optional) into
+// trajectories carrying Times — ReadCSV with the per-point timestamp column
+// required on every row. Grouping matches ReadCSV: points (and times, in
+// lockstep) merge by id in first-appearance order.
+func ReadTimedCSV(r io.Reader) ([]geom.Trajectory, error) {
 	trs, err := NewCSVDecoder(r).DecodeAllTimedCSV()
 	if err != nil {
 		return nil, err
 	}
-	return MergeTimedByID(trs), nil
+	return MergeByID(trs), nil
 }
 
 func splitCSV(s string) []string {

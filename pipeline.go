@@ -184,8 +184,8 @@ func WithProgress(fn ProgressFunc) Option { return func(p *Pipeline) { p.progres
 // semantics — overriding Config.Geometry alone. PlanarGeometry (the
 // default) is the paper's setting and is bit-identical to not setting a
 // geometry at all; SpatiotemporalGeometry(wt) adds the temporal distance
-// component and requires RunTimed; GeodesicGeometry clusters lat/lon input
-// in a dataset-derived meter frame.
+// component and requires trajectories that carry Times; GeodesicGeometry
+// clusters lat/lon input in a dataset-derived meter frame.
 func WithGeometry(g Geometry) Option { return func(p *Pipeline) { p.cfg.Geometry = g } }
 
 // WithTemporalWeight is shorthand for
@@ -241,7 +241,61 @@ func New(opts ...Option) *Pipeline {
 // work item and returns ctx.Err(); otherwise the result is bit-identical
 // for every Workers value, and — with default stages — bit-identical to
 // the package-level Run.
+//
+// Trajectories carry Times exactly when the geometry is spatiotemporal
+// (WithTemporalWeight / WithGeometry(SpatiotemporalGeometry(wt))); any other
+// mix is a *ConfigError. Under that geometry every partition inherits the
+// time span of its points, the grouping runs under dist + wT·gap, and the
+// Result carries per-cluster time windows; wT = 0 is bit-identical to a
+// planar Run over the same points. The spatial index prefilter stays sound
+// under the spatiotemporal distance: the temporal term only ever adds
+// distance, so the planar candidate radius remains complete (see
+// internal/geometry). Custom Partitioner and Grouper stages have no
+// spatiotemporal form and are rejected under it; custom
+// RepresentativeBuilders work unchanged.
 func (p *Pipeline) Run(ctx context.Context, trs []Trajectory) (*Result, error) {
+	b, err := p.prepare(ctx, trs, false)
+	if err != nil {
+		return nil, err
+	}
+	b.rep.begin(PhaseGroup, len(b.items))
+	grouping, err := runGroup(ctx, p.group, b.items, b.cfg, b.shared, b.rep)
+	if err != nil {
+		return nil, stageError(ctx, PhaseGroup, err)
+	}
+	if grouping == nil || len(grouping.ClusterOf) != len(b.items) {
+		labelled := 0
+		if grouping != nil {
+			labelled = len(grouping.ClusterOf)
+		}
+		return nil, fmt.Errorf("traclus: group stage labelled %d of %d items; use GroupingFromLabels to build a conformant Grouping",
+			labelled, len(b.items))
+	}
+	b.rep.finish()
+	return b.represent(ctx, p, grouping)
+}
+
+// build is what a run carries from its shared front half — validate,
+// project, partition, index, estimate — into its grouping: Run groups the
+// items in one pass, NewAppender into an ε-graph that absorbs appends.
+type build struct {
+	cfg       Config // resolved: geodesic frame filled in, estimated Eps/MinLns
+	ccfg      core.Config
+	items     []Item
+	shared    *segclust.SharedIndex // nil when no phase queries it
+	estimated *Estimate
+	den       *dendro.Dendrogram
+	rep       *progressReporter
+}
+
+// prepare is the front half of every build. It validates the configuration
+// and the trajectories, partitions them, and indexes the items once: the
+// one spatial index serves parameter estimation and the grouping phase's
+// ε-neighborhoods alike. It is built only when a phase will query it (the
+// default grouper, an appender, or estimation); a fully custom Grouper
+// indexes — or doesn't — on its own terms. A pipeline built WithEstimation
+// then chooses Eps and MinLns against that index.
+func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable bool) (*build, error) {
 	cfg := p.cfg
 	if p.est != nil {
 		// Eps and MinLns are what the estimation phase exists to find;
@@ -257,101 +311,150 @@ func (p *Pipeline) Run(ctx context.Context, trs []Trajectory) (*Result, error) {
 	} else if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("traclus: %w", err)
 	}
-	if err := core.ValidateTrajectories(trs); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
+	if err := p.defaultStages(appendable, cfg.Geometry); err != nil {
+		return nil, err
+	}
+	_, groupsShared := p.group.(sharedGrouper)
+	b, err := p.index(ctx, trs, cfg, newProgressReporter(p.progress), groupsShared || appendable || p.est != nil)
+	if err != nil {
+		return nil, err
+	}
+	if appendable && !b.shared.Searcher().Growable() {
+		return nil, fmt.Errorf("traclus: appenders require a growable index backend (custom backend %q does not implement growth)", b.ccfg.ResolvedBackend().Name())
+	}
+	if p.est == nil {
+		return b, nil
+	}
+	b.rep.begin(PhaseEstimate, params.DefaultIterations+1)
+	an := params.AnnealOptions{Workers: b.cfg.Workers, OnEval: b.rep.tick}
+	var est params.Estimate
+	if !math.IsInf(p.est.hi, 1) {
+		// Build the multi-ε merge structure once at the range maximum: the
+		// whole annealing walk cuts into it with zero further distance
+		// calls, and the structure rides the Result so the serving layer can
+		// persist it and answer sweep queries without rebuilding.
+		b.den, err = dendro.FromShared(ctx, b.shared, p.est.hi, b.cfg.Workers)
+		if err == nil {
+			est, err = params.EstimateEpsDendroCtx(ctx, b.den, p.est.lo, p.est.hi, an)
+		}
+	} else {
+		est, err = params.EstimateEpsSharedCtx(ctx, b.shared, p.est.lo, p.est.hi, an)
+	}
+	if err != nil {
+		return nil, stageError(ctx, PhaseEstimate, err)
+	}
+	b.rep.finish()
+	b.cfg.Eps = est.Eps
+	b.cfg.MinLns = float64(est.MinLnsLo+est.MinLnsHi) / 2
+	b.ccfg = p.coreConfig(b.cfg)
+	b.estimated = &Estimate{
+		Eps:          est.Eps,
+		Entropy:      est.Entropy,
+		AvgNeighbors: est.AvgNeighbors,
+		MinLnsLo:     est.MinLnsLo,
+		MinLnsHi:     est.MinLnsHi,
+	}
+	return b, nil
+}
+
+// index validates the trajectories, projects a geodesic run into its
+// working frame, partitions through the pipeline's partition stage and,
+// when indexed is set, builds the shared index over the items.
+func (p *Pipeline) index(ctx context.Context, trs []Trajectory, cfg Config, rep *progressReporter, indexed bool) (*build, error) {
+	if err := validateTrajectories(trs, cfg.Geometry); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.Geometry.Kind == geometry.Spatiotemporal {
-		return nil, fmt.Errorf("traclus: %w", &ConfigError{
-			Field: "Geometry", Value: cfg.Geometry.Kind.String(),
-			Reason: "spatiotemporal runs take timed trajectories; use Pipeline.RunTimed"})
-	}
 	if cfg.Geometry.Kind == geometry.Geodesic {
 		trs, cfg = projectGeodesic(trs, cfg)
 	}
-	ccfg := p.coreConfig(cfg)
-	rep := newProgressReporter(p.progress)
-
+	b := &build{cfg: cfg, ccfg: p.coreConfig(cfg), rep: rep}
 	rep.begin(PhasePartition, len(trs))
 	items, err := runPartition(ctx, p.partition, trs, cfg, rep)
 	if err != nil {
 		return nil, stageError(ctx, PhasePartition, err)
 	}
 	rep.finish()
-
-	// Single-build data flow: the one spatial index over the pooled items
-	// serves parameter estimation and the grouping phase's ε-neighborhood
-	// precompute alike. It is built only when a phase will query it (the
-	// default grouper, or estimation); a fully custom Grouper indexes — or
-	// doesn't — on its own terms.
-	var shared *segclust.SharedIndex
-	_, groupsShared := p.group.(sharedGrouper)
-	if groupsShared || p.est != nil {
-		shared = segclust.NewSharedIndexFor(items, ccfg.Distance, ccfg.ResolvedBackend())
+	b.items = items
+	if indexed {
+		b.shared = sharedIndex(items, b.ccfg)
 	}
+	return b, nil
+}
 
-	var estimated *Estimate
-	var den *dendro.Dendrogram
-	if p.est != nil {
-		rep.begin(PhaseEstimate, params.DefaultIterations+1)
-		an := params.AnnealOptions{Workers: cfg.Workers, OnEval: rep.tick}
-		var est params.Estimate
-		if !math.IsInf(p.est.hi, 1) {
-			// Build the multi-ε merge structure once at the range maximum:
-			// the whole annealing walk cuts into it with zero further
-			// distance calls, and the structure rides the Result so the
-			// serving layer can persist it and answer sweep queries without
-			// rebuilding.
-			den, err = dendro.FromShared(ctx, shared, p.est.hi, cfg.Workers)
-			if err == nil {
-				est, err = params.EstimateEpsDendroCtx(ctx, den, p.est.lo, p.est.hi, an)
-			}
-		} else {
-			est, err = params.EstimateEpsSharedCtx(ctx, shared, p.est.lo, p.est.hi, an)
-		}
-		if err != nil {
-			return nil, stageError(ctx, PhaseEstimate, err)
-		}
-		rep.finish()
-		cfg.Eps = est.Eps
-		cfg.MinLns = float64(est.MinLnsLo+est.MinLnsHi) / 2
-		ccfg = p.coreConfig(cfg)
-		estimated = &Estimate{
-			Eps:          est.Eps,
-			Entropy:      est.Entropy,
-			AvgNeighbors: est.AvgNeighbors,
-			MinLnsLo:     est.MinLnsLo,
-			MinLnsHi:     est.MinLnsHi,
-		}
-	}
-
-	rep.begin(PhaseGroup, len(items))
-	grouping, err := runGroup(ctx, p.group, items, cfg, shared, rep)
-	if err != nil {
-		return nil, stageError(ctx, PhaseGroup, err)
-	}
-	if grouping == nil || len(grouping.ClusterOf) != len(items) {
-		labelled := 0
-		if grouping != nil {
-			labelled = len(grouping.ClusterOf)
-		}
-		return nil, fmt.Errorf("traclus: group stage labelled %d of %d items; use GroupingFromLabels to build a conformant Grouping",
-			labelled, len(items))
-	}
-	rep.finish()
-
-	rep.begin(PhaseRepresent, len(grouping.Clusters))
-	out, err := core.AssembleCtx(ctx, items, grouping, ccfg, p.representFunc(cfg), rep.tick)
+// represent is the back half of every build: the representative phase over
+// the grouping, and the Result.
+func (b *build) represent(ctx context.Context, p *Pipeline, grouping *Grouping) (*Result, error) {
+	b.rep.begin(PhaseRepresent, len(grouping.Clusters))
+	out, err := core.AssembleCtx(ctx, b.items, grouping, b.ccfg, p.representFunc(b.cfg), b.rep.tick)
 	if err != nil {
 		return nil, stageError(ctx, PhaseRepresent, err)
 	}
-	rep.finish()
-	res := newResult(out, ccfg)
-	res.Estimated = estimated
-	res.den.Store(den)
+	b.rep.finish()
+	res := newResult(out, b.ccfg)
+	res.Estimated = b.estimated
+	res.den.Store(b.den)
 	return res, nil
+}
+
+// sharedIndex builds the one spatial index over items under the run's
+// distance, backend and geometry — a spatiotemporal run's wT included.
+func sharedIndex(items []Item, ccfg core.Config) *segclust.SharedIndex {
+	return segclust.NewSharedIndex(items, ccfg.Distance, ccfg.Geometry.WT, ccfg.ResolvedBackend())
+}
+
+// validateTrajectories applies the one trajectory Validate to every input,
+// and the one-type rule: trajectories carry Times exactly when the
+// geometry is spatiotemporal.
+func validateTrajectories(trs []Trajectory, g Geometry) error {
+	if err := core.ValidateTrajectories(trs); err != nil {
+		return fmt.Errorf("traclus: %w", err)
+	}
+	for _, tr := range trs {
+		if err := timesFit(tr, g); err != nil {
+			return fmt.Errorf("traclus: %w", err)
+		}
+	}
+	return nil
+}
+
+// timesFit reports, as a *ConfigError, a trajectory whose time column does
+// not fit the geometry.
+func timesFit(tr Trajectory, g Geometry) error {
+	switch {
+	case g.Timed() && tr.Times == nil:
+		return &ConfigError{Field: "Geometry", Value: g.Kind.String(),
+			Reason: fmt.Sprintf("needs trajectories that carry Times; trajectory %d has none", tr.ID)}
+	case !g.Timed() && tr.Times != nil:
+		return &ConfigError{Field: "Geometry", Value: g.Kind.String(),
+			Reason: fmt.Sprintf("takes trajectories without Times; trajectory %d carries them", tr.ID)}
+	}
+	return nil
+}
+
+// defaultStages rejects the pipeline configurations a build cannot honour:
+// an appender needs the default MDL partition and DBSCAN grouping stages
+// (the incremental update rule is the ε-graph's), and so does the
+// spatiotemporal geometry (the partition stage gives items their spans,
+// the grouping indexes them under wT). Custom RepresentativeBuilders are
+// fine either way.
+func (p *Pipeline) defaultStages(appendable bool, g Geometry) error {
+	what, form := "appenders", "incremental"
+	if !appendable {
+		if !g.Timed() {
+			return nil
+		}
+		what, form = "spatiotemporal runs", "spatiotemporal"
+	}
+	if _, ok := p.partition.(mdlPartitioner); !ok {
+		return fmt.Errorf("traclus: %s require the default MDL partition stage (a custom Partitioner has no %s form)", what, form)
+	}
+	if _, ok := p.group.(dbscanGrouper); !ok {
+		return fmt.Errorf("traclus: %s require the default DBSCAN grouping stage (a custom Grouper has no %s form)", what, form)
+	}
+	return nil
 }
 
 // projectGeodesic resolves the equirectangular frame from the data bounds
@@ -376,129 +479,14 @@ func projectGeodesic(trs []Trajectory, cfg Config) ([]Trajectory, Config) {
 	return proj, cfg
 }
 
-// RunTimed executes the pipeline over timed trajectories: partition (each
-// segment inheriting the time interval it spans) → group under the
-// geometry's distance → represent, with per-cluster time windows on the
-// Result. It is the entrypoint for the spatiotemporal geometry
-// (WithTemporalWeight / WithGeometry(SpatiotemporalGeometry(wt))); under
-// the planar geometry — or wT = 0 — the clustering is bit-identical to Run
-// over the same points, timestamps riding along only as windows.
-//
-// The spatial index prefilter stays sound under the spatiotemporal
-// distance: the temporal term only ever adds distance, so the planar
-// candidate radius remains complete (see internal/geometry). Estimation
-// (WithEstimation) composes: the annealing search runs under the full
-// spatiotemporal distance through the same shared index.
-//
-// Custom Partitioner and Grouper stages have no timed form and are
-// rejected; custom RepresentativeBuilders work unchanged.
-func (p *Pipeline) RunTimed(ctx context.Context, trs []TimedTrajectory) (*Result, error) {
-	cfg := p.cfg
-	if p.est != nil {
-		if err := cfg.validateEstimation(); err != nil {
-			return nil, fmt.Errorf("traclus: %w", err)
-		}
-		if !(p.est.lo > 0) || !(p.est.hi > p.est.lo) {
-			return nil, fmt.Errorf("traclus: %w", &ConfigError{
-				Field: "Estimation", Value: [2]float64{p.est.lo, p.est.hi},
-				Reason: "must satisfy 0 < lo < hi"})
-		}
-	} else if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
-	}
-	if cfg.Geometry.Kind == geometry.Geodesic {
-		return nil, fmt.Errorf("traclus: %w", &ConfigError{
-			Field: "Geometry", Value: cfg.Geometry.Kind.String(),
-			Reason: "geodesic runs take lat/lon trajectories via Pipeline.Run"})
-	}
-	if _, ok := p.partition.(mdlPartitioner); !ok {
-		return nil, fmt.Errorf("traclus: RunTimed requires the default MDL partition stage (a custom Partitioner has no timed form)")
-	}
-	sg, ok := p.group.(sharedGrouper)
-	if !ok {
-		return nil, fmt.Errorf("traclus: RunTimed requires the default DBSCAN grouping stage (a custom Grouper has no timed form)")
-	}
-	if err := core.ValidateTimedTrajectories(trs); err != nil {
-		return nil, fmt.Errorf("traclus: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ccfg := p.coreConfig(cfg)
-	rep := newProgressReporter(p.progress)
-
-	rep.begin(PhasePartition, len(trs))
-	items, ivs, err := core.PartitionAllTimedCtx(ctx, trs, ccfg, rep.tick)
-	if err != nil {
-		return nil, stageError(ctx, PhasePartition, err)
-	}
-	rep.finish()
-
-	// The one spatial index serves estimation and grouping exactly as in
-	// Run; the per-item intervals and wT ride the SharedIndex, so every
-	// consumer — estimation's neighborhoods, the dendrogram build, the
-	// ε-graph grouping — evaluates the same spatiotemporal distance.
-	shared := segclust.NewSharedIndexTimed(items, ivs, cfg.Geometry.WT, ccfg.Distance, ccfg.ResolvedBackend())
-
-	var estimated *Estimate
-	var den *dendro.Dendrogram
-	if p.est != nil {
-		rep.begin(PhaseEstimate, params.DefaultIterations+1)
-		an := params.AnnealOptions{Workers: cfg.Workers, OnEval: rep.tick}
-		var est params.Estimate
-		if !math.IsInf(p.est.hi, 1) {
-			den, err = dendro.FromShared(ctx, shared, p.est.hi, cfg.Workers)
-			if err == nil {
-				est, err = params.EstimateEpsDendroCtx(ctx, den, p.est.lo, p.est.hi, an)
-			}
-		} else {
-			est, err = params.EstimateEpsSharedCtx(ctx, shared, p.est.lo, p.est.hi, an)
-		}
-		if err != nil {
-			return nil, stageError(ctx, PhaseEstimate, err)
-		}
-		rep.finish()
-		cfg.Eps = est.Eps
-		cfg.MinLns = float64(est.MinLnsLo+est.MinLnsHi) / 2
-		ccfg = p.coreConfig(cfg)
-		estimated = &Estimate{
-			Eps:          est.Eps,
-			Entropy:      est.Entropy,
-			AvgNeighbors: est.AvgNeighbors,
-			MinLnsLo:     est.MinLnsLo,
-			MinLnsHi:     est.MinLnsHi,
-		}
-	}
-
-	rep.begin(PhaseGroup, len(items))
-	grouping, err := sg.groupSharedTicked(ctx, shared, cfg, rep.tick)
-	if err != nil {
-		return nil, stageError(ctx, PhaseGroup, err)
-	}
-	rep.finish()
-
-	rep.begin(PhaseRepresent, len(grouping.Clusters))
-	out, err := core.AssembleCtx(ctx, items, grouping, ccfg, p.representFunc(cfg), rep.tick)
-	if err != nil {
-		return nil, stageError(ctx, PhaseRepresent, err)
-	}
-	rep.finish()
-	res := newResult(out, ccfg)
-	res.Estimated = estimated
-	res.den.Store(den)
-	res.itemIvs = ivs
-	res.windows = clusterWindows(out, ivs)
-	return res, nil
-}
-
 // clusterWindows computes each cluster's time window — the smallest
 // interval covering every member segment's span.
-func clusterWindows(out *core.Output, ivs []geometry.Interval) []Interval {
+func clusterWindows(out *core.Output) []Interval {
 	ws := make([]Interval, len(out.Clusters))
 	for ci, c := range out.Clusters {
-		w := ivs[c.Members[0]]
+		w := out.Items[c.Members[0]].Span
 		for _, m := range c.Members[1:] {
-			w = w.Union(ivs[m])
+			w = w.Union(out.Items[m].Span)
 		}
 		ws[ci] = w
 	}
@@ -561,10 +549,12 @@ func stageError(ctx context.Context, phase Phase, err error) error {
 }
 
 // Estimate applies the Section 4.4 parameter heuristic under this
-// pipeline's configuration (weights, index, workers; Eps and MinLns are
-// ignored) with cooperative cancellation: the annealing search stops within
-// one ε evaluation of ctx ending. The package-level EstimateParameters is a
-// wrapper over it with context.Background().
+// pipeline's configuration (weights, index, workers, geometry and partition
+// stage; Eps and MinLns are ignored) with cooperative cancellation: the
+// annealing search stops within one ε evaluation of ctx ending. It
+// validates, partitions and indexes the trajectories exactly as Run does.
+// The package-level EstimateParameters is a wrapper over it with
+// context.Background().
 func (p *Pipeline) Estimate(ctx context.Context, trs []Trajectory, lo, hi float64) (Estimate, error) {
 	cfg := p.cfg
 	if err := cfg.validateEstimation(); err != nil {
@@ -574,24 +564,17 @@ func (p *Pipeline) Estimate(ctx context.Context, trs []Trajectory, lo, hi float6
 		// Rejected before partitioning or indexing anything.
 		return Estimate{}, fmt.Errorf("traclus: params: need 0 < lo < hi")
 	}
-	if cfg.Geometry.Kind == geometry.Spatiotemporal {
-		return Estimate{}, fmt.Errorf("traclus: %w", &ConfigError{
-			Field: "Geometry", Value: cfg.Geometry.Kind.String(),
-			Reason: "spatiotemporal estimation takes timed trajectories; build WithEstimation and call RunTimed"})
+	if err := p.defaultStages(false, cfg.Geometry); err != nil {
+		return Estimate{}, err
 	}
-	if cfg.Geometry.Kind == geometry.Geodesic {
-		trs, cfg = projectGeodesic(trs, cfg)
-	}
-	ccfg := p.coreConfig(cfg)
-	items, err := core.PartitionAllCtx(ctx, trs, ccfg, nil)
+	b, err := p.index(ctx, trs, cfg, nil, true)
 	if err != nil {
 		return Estimate{}, err
 	}
-	if len(items) == 0 {
+	if len(b.items) == 0 {
 		return Estimate{}, fmt.Errorf("traclus: params: no segments")
 	}
-	shared := segclust.NewSharedIndexFor(items, ccfg.Distance, ccfg.ResolvedBackend())
-	est, err := params.EstimateEpsSharedCtx(ctx, shared, lo, hi,
+	est, err := params.EstimateEpsSharedCtx(ctx, b.shared, lo, hi,
 		params.AnnealOptions{Workers: cfg.Workers})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {

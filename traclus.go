@@ -47,8 +47,9 @@ import (
 )
 
 // Re-exported geometric types. A Trajectory is a sequence of points with an
-// ID (used by the trajectory-cardinality filter) and an optional Weight
-// (weighted-trajectory extension).
+// ID (used by the trajectory-cardinality filter), an optional Weight
+// (weighted-trajectory extension) and optional per-point Times (the
+// spatiotemporal extension).
 type (
 	Point      = geom.Point
 	Segment    = geom.Segment
@@ -136,8 +137,8 @@ func PlanarGeometry() Geometry { return geometry.NewPlanar() }
 // SpatiotemporalGeometry returns the spatiotemporal geometry with temporal
 // weight wT: the clustering distance gains wT·dT, where dT is the gap
 // between two segments' time intervals (zero when they overlap). wT = 0
-// reduces bit-identically to planar. Runs under this geometry take timed
-// trajectories via Pipeline.RunTimed.
+// reduces bit-identically to planar. Runs under this geometry take
+// trajectories that carry Times, and only those.
 func SpatiotemporalGeometry(wt float64) Geometry { return geometry.NewSpatiotemporal(wt) }
 
 // GeodesicGeometry returns the geodesic geometry for lat/lon input
@@ -312,11 +313,8 @@ type Result struct {
 	dmu sync.Mutex
 	den atomic.Pointer[dendro.Dendrogram]
 
-	// itemIvs are the per-item time intervals of a RunTimed run,
-	// index-aligned with Items(); nil on spatial runs.
-	itemIvs []geometry.Interval
-	// windows are the per-cluster time windows of a RunTimed run,
-	// index-aligned with Clusters; nil on spatial runs.
+	// windows are the per-cluster time windows of a spatiotemporal run,
+	// index-aligned with Clusters; nil under every other geometry.
 	windows []Interval
 
 	// Lazily-built classifier behind Result.Classify; see classify.go.
@@ -335,7 +333,8 @@ type Result struct {
 
 // Items returns the pooled partitioned segments the grouping ran over, in
 // their canonical order (the order ClusterOf and dendrogram cuts index
-// into). The slice is the result's own backing store — do not mutate.
+// into); a spatiotemporal run's items carry their time spans. The slice is
+// the result's own backing store — do not mutate.
 func (r *Result) Items() []Item { return r.out.Items }
 
 // Dendrogram returns the multi-ε merge structure the Result holds, or nil:
@@ -364,8 +363,7 @@ func (r *Result) DendrogramAt(ctx context.Context, maxEps float64) (*dendro.Dend
 	if d := r.den.Load(); d != nil && d.MaxEps() >= maxEps {
 		return d, nil
 	}
-	shared := segclust.NewSharedIndexTimed(r.out.Items, r.itemIvs, r.cfg.Geometry.WT, r.cfg.Distance, r.cfg.ResolvedBackend())
-	d, err := dendro.FromShared(ctx, shared, maxEps, r.cfg.Workers)
+	d, err := dendro.FromShared(ctx, sharedIndex(r.out.Items, r.cfg), maxEps, r.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -377,15 +375,10 @@ func (r *Result) DendrogramAt(ctx context.Context, maxEps float64) (*dendro.Dend
 // with a geodesic run's projection frame filled in from the data bounds.
 func (r *Result) Geometry() Geometry { return r.cfg.Geometry }
 
-// ClusterWindows returns the per-cluster time windows of a RunTimed run,
-// index-aligned with Clusters (each window is the smallest interval
-// covering every member segment's span); nil on spatial runs.
+// ClusterWindows returns the per-cluster time windows of a spatiotemporal
+// run, index-aligned with Clusters (each window is the smallest interval
+// covering every member segment's span); nil under every other geometry.
 func (r *Result) ClusterWindows() []Interval { return r.windows }
-
-// ItemIntervals returns the per-item time intervals of a RunTimed run,
-// index-aligned with Items(); nil on spatial runs. The slice is the
-// result's own backing store — do not mutate.
-func (r *Result) ItemIntervals() []Interval { return r.itemIvs }
 
 // Run executes the complete TRACLUS algorithm: partition every trajectory,
 // group the pooled segments, and generate a representative trajectory per
@@ -413,6 +406,9 @@ func newResult(out *core.Output, ccfg core.Config) *Result {
 			Trajectories:   c.Trajectories,
 			Representative: c.Representative,
 		})
+	}
+	if ccfg.Geometry.Timed() {
+		res.windows = clusterWindows(out)
 	}
 	return res
 }

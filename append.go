@@ -71,7 +71,7 @@ func (a *Appender) Result() *Result {
 // ε-graph's; custom stages have no incremental form) and an index backend
 // that supports growth (all three built-ins do).
 func (p *Pipeline) NewAppender(ctx context.Context, trs []Trajectory) (*Appender, error) {
-	b, err := p.prepare(ctx, trs, true)
+	b, err := p.prepare(ctx, trs, true, p.est)
 	if err != nil {
 		return nil, err
 	}

@@ -585,9 +585,9 @@ func BenchmarkDendroCut(b *testing.B) {
 }
 
 // BenchmarkEstimateViaDendro: the full §4.4 ε search, inclusive of the
-// dendrogram build, against the pre-dendro cost of the same search — 61
-// per-ε neighborhood sweeps (DefaultIterations+1 evaluations) against the
-// shared index, which is exactly what the annealer used to pay.
+// dendrogram build, against the per-ε oracle's search — 61 per-ε
+// neighborhood sweeps (DefaultIterations+1 evaluations) against the shared
+// index.
 func BenchmarkEstimateViaDendro(b *testing.B) {
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
 	lo, hi := 5.0, 60.0
@@ -596,7 +596,11 @@ func BenchmarkEstimateViaDendro(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := params.EstimateEpsSharedCtx(context.Background(), shared, lo, hi, params.AnnealOptions{}); err != nil {
+			d, err := dendro.FromShared(context.Background(), shared, hi, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := params.EstimateEpsDendroCtx(context.Background(), d, lo, hi, params.AnnealOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

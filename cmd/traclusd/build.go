@@ -299,9 +299,9 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 		if !spec.hiSet {
 			spec.est.Hi = defHi
 		}
-		if !(spec.est.Lo > 0) || !(spec.est.Hi > spec.est.Lo) {
+		if err := traclus.ValidateEstimationRange(spec.est.Lo, spec.est.Hi); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Sprintf("auto estimation bounds must satisfy 0 < lo < hi, got [%v, %v]", spec.est.Lo, spec.est.Hi),
+				fmt.Sprintf("auto estimation bounds: %v", err),
 				map[string]any{"lo": fmt.Sprint(spec.est.Lo), "hi": fmt.Sprint(spec.est.Hi)})
 			return
 		}

@@ -629,6 +629,9 @@ func TestBuildAutoBoundsValidation(t *testing.T) {
 	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=x&auto=true&auto_lo=NaN", csv, &e); code != http.StatusBadRequest {
 		t.Fatalf("NaN auto_lo: status %d, want 400", code)
 	}
+	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=inf&auto=true&auto_lo=5&auto_hi=Inf", csv, &e); code != http.StatusBadRequest {
+		t.Fatalf("infinite auto_hi: status %d, want 400", code)
+	}
 	// One-sided: auto_lo must survive, auto_hi defaults from the extent.
 	var job service.Job
 	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=onesided&auto=true&auto_lo=5&cost_advantage=15&min_seg_len=40", csv, &job); code != http.StatusAccepted {

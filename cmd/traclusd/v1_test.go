@@ -138,6 +138,7 @@ func TestV1BuildValidation(t *testing.T) {
 		{"bad format", fmt.Sprintf(`{"name":"m","data":%s,"format":"parquet","config":{"eps":30,"min_lns":6}}`, esc), codeInvalidRequest},
 		{"empty data", `{"name":"m","data":"","config":{"eps":30,"min_lns":6}}`, codeInvalidRequest},
 		{"explicit zero auto lo", fmt.Sprintf(`{"name":"m","data":%s,"config":{"auto":{"lo":0,"hi":50}}}`, esc), codeInvalidRequest},
+		{"auto hi past MaxFloat64/2", fmt.Sprintf(`{"name":"m","data":%s,"config":{"auto":{"lo":5,"hi":1e308}}}`, esc), codeInvalidRequest},
 	}
 	for _, tc := range cases {
 		var e envelope

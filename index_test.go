@@ -11,6 +11,7 @@ package traclus_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -265,6 +266,24 @@ func TestWithEstimationValidation(t *testing.T) {
 	).Run(context.Background(), trs)
 	if !errors.As(err, &cerr) {
 		t.Fatalf("inverted estimation bounds: got %v, want *ConfigError", err)
+	}
+
+	// A hi the dendrogram cannot be built at, or that overflows the walk's
+	// reflection through 2·hi, is rejected by Run and Estimate alike before
+	// any index build.
+	for _, hi := range []float64{math.Inf(1), math.NaN(), 1e308} {
+		p := traclus.New(traclus.WithEstimation(5, hi))
+		before := spindex.Builds()
+		_, runErr := p.Run(context.Background(), trs)
+		_, estErr := p.Estimate(context.Background(), trs, 5, hi)
+		for what, err := range map[string]error{"WithEstimation run": runErr, "Estimate": estErr} {
+			if !errors.As(err, &cerr) || cerr.Field != "Estimation" {
+				t.Errorf("%s, hi = %v: got %v, want *ConfigError on Estimation", what, hi, err)
+			}
+		}
+		if builds := spindex.Builds() - before; builds != 0 {
+			t.Errorf("hi = %v: %d index builds before the range was rejected", hi, builds)
+		}
 	}
 }
 

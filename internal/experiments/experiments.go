@@ -9,16 +9,20 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dendro"
 	"repro/internal/geom"
 	"repro/internal/lsdist"
 	"repro/internal/mdl"
 	"repro/internal/params"
 	"repro/internal/quality"
 	"repro/internal/segclust"
+	"repro/internal/spindex"
 	"repro/internal/synth"
 )
 
@@ -147,9 +151,15 @@ func epsRange(lo, hi, step float64) []float64 {
 	return out
 }
 
-// entropyCurve evaluates the Section 4.4 entropy at each ε.
-func entropyCurve(items []segclust.Item, epsValues []float64) []params.EntropyPoint {
-	return params.Sweep(items, epsValues, lsdist.DefaultOptions(), segclust.IndexGrid, 0)
+// entropyCurve evaluates the Section 4.4 entropy at each ε, every point cut
+// from one dendrogram built at the largest.
+func entropyCurve(items []segclust.Item, epsValues []float64) ([]params.EntropyPoint, error) {
+	shared := segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Grid())
+	d, err := dendro.FromShared(context.Background(), shared, slices.Max(epsValues), 0)
+	if err != nil {
+		return nil, err
+	}
+	return params.SweepDendro(d, epsValues)
 }
 
 // Entry is one registered experiment.

@@ -23,7 +23,11 @@ func Fig16(sz Size) *Report {
 	r := newReport("fig16", "Entropy for the hurricane data")
 	items := partitionItems(HurricaneData(sz))
 	epsValues := epsRange(4, 60, 2)
-	curve := entropyCurve(items, epsValues)
+	curve, err := entropyCurve(items, epsValues)
+	if err != nil {
+		r.addf("error: %v", err)
+		return r
+	}
 	best := curve[0]
 	xs := make([]float64, len(curve))
 	ys := make([]float64, len(curve))
@@ -122,7 +126,11 @@ func Fig19(sz Size) *Report {
 	r := newReport("fig19", "Entropy for the Elk1993 data")
 	items := partitionItems(ElkData(sz))
 	epsValues := epsRange(4, 60, 2)
-	curve := entropyCurve(items, epsValues)
+	curve, err := entropyCurve(items, epsValues)
+	if err != nil {
+		r.addf("error: %v", err)
+		return r
+	}
 	best := curve[0]
 	xs := make([]float64, len(curve))
 	ys := make([]float64, len(curve))

@@ -11,6 +11,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dendro"
@@ -40,7 +41,7 @@ func TestEstimateDendroIdentity(t *testing.T) {
 	for _, seed := range []int64{0, 1, 42} {
 		an := AnnealOptions{Seed: seed}
 
-		// Legacy path: per-ε neighborhood sweeps against the shared index.
+		// The oracle: per-ε neighborhood passes against the shared index.
 		shared := segclust.NewSharedIndexFor(items, opt, spindex.Grid())
 		legacy, err := anneal(context.Background(), lo, hi, an, func(eps float64) ([]float64, error) {
 			return shared.NeighborhoodWeightsCtx(context.Background(), eps, an.Workers)
@@ -68,40 +69,19 @@ func TestEstimateDendroIdentity(t *testing.T) {
 				seed, d.DistCalls()-calls)
 		}
 
-		// The public entry point dispatches to the dendrogram path for a
-		// finite hi and must land on the same estimate.
-		public, err := EstimateEpsSharedCtx(context.Background(),
-			segclust.NewSharedIndexFor(items, opt, spindex.Grid()), lo, hi, an)
+		// A dendrogram over another backend lands on the same estimate.
+		dr, err := dendro.FromShared(context.Background(),
+			segclust.NewSharedIndexFor(items, opt, spindex.RTree()), hi, an.Workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(legacy, public) {
-			t.Errorf("seed %d: EstimateEpsSharedCtx diverged from the legacy annealer", seed)
+		viaRTree, err := EstimateEpsDendroCtx(context.Background(), dr, lo, hi, an)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestEstimateUnboundedHiFallback pins the legacy per-ε path for the one
-// range a dendrogram cannot cover: an unbounded hi must behave exactly as
-// it always has (the direct annealer over per-ε neighborhood sweeps),
-// neither erroring nor attempting an infinite-radius precompute.
-func TestEstimateUnboundedHiFallback(t *testing.T) {
-	items := estItems(t)
-	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	an := AnnealOptions{Iterations: 10}
-	shared := segclust.NewSharedIndexFor(items, opt, spindex.Grid())
-	got, err := EstimateEpsSharedCtx(context.Background(), shared, 5, math.Inf(1), an)
-	if err != nil {
-		t.Fatalf("unbounded hi: %v", err)
-	}
-	want, err := anneal(context.Background(), 5, math.Inf(1), an, func(eps float64) ([]float64, error) {
-		return shared.NeighborhoodWeightsCtx(context.Background(), eps, an.Workers)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("unbounded hi diverged from the legacy annealer:\n got %+v\nwant %+v", got, want)
+		if !reflect.DeepEqual(legacy, viaRTree) {
+			t.Errorf("seed %d: the rtree dendrogram diverged from the legacy annealer", seed)
+		}
 	}
 }
 
@@ -110,7 +90,11 @@ func TestSweepDendroMatchesShared(t *testing.T) {
 	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
 	shared := segclust.NewSharedIndexFor(items, opt, spindex.Grid())
 	eps := []float64{4, 9, 16, 25, 36, 49}
-	want := SweepShared(shared, eps, 0)
+	want := make([]EntropyPoint, len(eps))
+	for i, e := range eps { // the per-ε oracle
+		n := shared.NeighborhoodWeights(e, 0)
+		want[i] = EntropyPoint{Eps: e, Entropy: Entropy(n), AvgNeighbors: Average(n)}
+	}
 	d, err := dendro.FromShared(context.Background(), shared, 49, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -121,5 +105,64 @@ func TestSweepDendroMatchesShared(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("sweep curves differ:\n shared %+v\n dendro %+v", want, got)
+	}
+}
+
+// TestEstimateRangeRule pins the one range rule and the walk's overflow
+// guard. A hi past MaxFloat64/2 (or non-finite) is rejected before any
+// evaluation, even by a dendrogram wide enough to answer it: reflecting
+// through 2·hi would overflow and the walk would return NaN. At a hi the
+// rule admits, a step can still overflow to ±Inf; the walk must stay put
+// instead of reflecting ±Inf forever, so seeds whose walks once hung return
+// an ε in [lo, hi] within a deadline.
+func TestEstimateRangeRule(t *testing.T) {
+	items := estItems(t)
+	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
+	ctx := context.Background()
+	build := func(maxEps float64) *dendro.Dendrogram {
+		d, err := dendro.FromShared(ctx, segclust.NewSharedIndexFor(items, opt, spindex.Grid()), maxEps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	wide := build(1e308)
+	for _, hi := range []float64{1e308, math.Inf(1), math.NaN()} {
+		evals := 0
+		est, err := EstimateEpsDendroCtx(ctx, wide, 5, hi, AnnealOptions{OnEval: func() { evals++ }})
+		if err == nil {
+			t.Errorf("hi = %v accepted: %+v", hi, est)
+		}
+		if evals != 0 {
+			t.Errorf("hi = %v: %d evaluations before the range was rejected", hi, evals)
+		}
+	}
+	if err := CheckRange(5, math.MaxFloat64/2); err != nil {
+		t.Errorf("hi = MaxFloat64/2 rejected: %v", err)
+	}
+
+	for _, hi := range []float64{8.98e307, math.MaxFloat64 / 2} {
+		d := build(hi)
+		for _, seed := range []int64{49, 179, 234} {
+			done := make(chan struct{})
+			var est Estimate
+			var err error
+			go func() {
+				defer close(done)
+				est, err = EstimateEpsDendroCtx(ctx, d, 5, hi, AnnealOptions{Seed: seed})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("hi = %v, seed %d: the walk did not return", hi, seed)
+			}
+			if err != nil {
+				t.Fatalf("hi = %v, seed %d: %v", hi, seed, err)
+			}
+			if !(est.Eps >= 5 && est.Eps <= hi) {
+				t.Errorf("hi = %v, seed %d: ε = %v outside [5, %v]", hi, seed, est.Eps, hi)
+			}
+		}
 	}
 }

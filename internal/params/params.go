@@ -7,32 +7,26 @@
 // uniform (entropy maximal — ε far too small or far too large), while a
 // good clustering makes |Nε(L)| skewed (entropy smaller).
 //
-// ε evaluations no longer re-run a neighborhood pass per candidate: when
-// the search range is bounded, the package precomputes the multi-ε merge
-// structure (internal/dendro) from one shared-index candidate pass at the
-// range maximum, and every subsequent ε evaluation — the whole annealing
-// walk, the whole grid sweep — is binary searches over sorted per-item
-// neighbor lists, issuing zero further distance calls. The per-item
-// weights a dendrogram reports are exactly the weights a fresh pass
-// reports for order-independent sums (unit/integer weights, the universal
-// case in this repo), so the seeded annealing walk and its Estimate are
-// unchanged. An unbounded (hi = +Inf) range falls back to the per-ε
-// shared-index pass, which remains bit-identical to the historical path.
-// Callers that already indexed the items (the public Pipeline) share that
-// single index via the *Shared entry points instead of building a second
-// one; callers that already built a dendrogram hand it to the *Dendro
-// entry points.
+// Every ε search runs over the multi-ε merge structure (internal/dendro),
+// built once at the range maximum by the caller that owns the index: each
+// evaluation of the annealing walk (EstimateEpsDendroCtx) or of a grid
+// (EstimateEpsGrid, SweepDendro) is binary searches over sorted per-item
+// neighbor lists, with zero further distance calls. A search range obeys
+// one rule, CheckRange. The annealer itself takes its weights from any
+// weightsAt(ε) source; fed the per-ε shared-index pass
+// (segclust.SharedIndex.NeighborhoodWeightsCtx) it is the test oracle the
+// dendrogram search is diffed against, bit for bit for order-independent
+// weight sums (unit and integer weights, the universal case here).
 package params
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/dendro"
-	"repro/internal/lsdist"
-	"repro/internal/segclust"
 )
 
 // Entropy computes H(X) of Formula 10 from the (weighted) ε-neighborhood
@@ -92,40 +86,6 @@ type EntropyPoint struct {
 	AvgNeighbors float64
 }
 
-// Sweep evaluates the entropy at each ε in epsValues, as plotted in
-// Figures 16 and 19. The values need not be sorted. One shared index
-// serves every ε (each query derives its own candidate radius).
-func Sweep(items []segclust.Item, epsValues []float64, opt lsdist.Options, index segclust.IndexKind, workers int) []EntropyPoint {
-	return SweepShared(segclust.NewSharedIndexFor(items, opt, segclust.BackendFor(index)), epsValues, workers)
-}
-
-// SweepShared is Sweep over a prebuilt shared index — the entry point for
-// callers that already indexed the items for other phases. When the sweep
-// has a finite positive maximum ε it builds the merge structure once at
-// that maximum and answers every point from it (one candidate pass total
-// instead of one per ε); degenerate value sets keep the per-ε pass.
-func SweepShared(shared *segclust.SharedIndex, epsValues []float64, workers int) []EntropyPoint {
-	maxEps := math.Inf(-1)
-	for _, eps := range epsValues {
-		if eps > maxEps {
-			maxEps = eps
-		}
-	}
-	if maxEps > 0 && !math.IsInf(maxEps, 1) {
-		if d, err := dendro.FromShared(context.Background(), shared, maxEps, workers); err == nil {
-			if pts, err := SweepDendro(d, epsValues); err == nil {
-				return pts
-			}
-		}
-	}
-	out := make([]EntropyPoint, len(epsValues))
-	for i, eps := range epsValues {
-		n := shared.NeighborhoodWeights(eps, workers)
-		out[i] = EntropyPoint{Eps: eps, Entropy: Entropy(n), AvgNeighbors: Average(n)}
-	}
-	return out
-}
-
 // SweepDendro evaluates the entropy curve from a prebuilt merge structure:
 // every point is answered by binary searches over the precomputed neighbor
 // lists, with zero distance evaluations. Every eps must be ≤ d.MaxEps().
@@ -165,7 +125,7 @@ type AnnealOptions struct {
 	InitTemp   float64 // initial temperature as a fraction of entropy scale (default 1.0)
 	Cooling    float64 // geometric cooling factor per step (default 0.93)
 	Seed       int64   // RNG seed (deterministic search)
-	Workers    int     // parallelism for neighborhood evaluation
+	Workers    int     // parallelism of a per-ε weights source (dendrogram evaluations are serial)
 	OnEval     func()  // invoked after each ε evaluation (progress reporting)
 }
 
@@ -182,70 +142,32 @@ func (o AnnealOptions) withDefaults() AnnealOptions {
 	return o
 }
 
-// EstimateEps searches [lo, hi] for the ε minimising H(X) by simulated
-// annealing and returns the estimate together with the suggested MinLns
-// range. The search is deterministic for a fixed seed.
-func EstimateEps(items []segclust.Item, lo, hi float64, opt lsdist.Options, index segclust.IndexKind, an AnnealOptions) (Estimate, error) {
-	return EstimateEpsCtx(context.Background(), items, lo, hi, opt, index, an)
+// maxHi is the largest hi a search range may have: the walk reflects
+// candidates through 2·hi, which must stay finite.
+const maxHi = math.MaxFloat64 / 2
+
+// RangeRule states the one condition CheckRange enforces.
+const RangeRule = "0 < lo < hi ≤ MaxFloat64/2"
+
+// CheckRange is the one rule an ε search range obeys: 0 < lo < hi ≤ maxHi.
+// NaN and ±Inf fail it, so a search never starts at an infinite midpoint
+// nor builds its dendrogram at an infinite radius.
+func CheckRange(lo, hi float64) error {
+	if lo > 0 && hi > lo && hi <= maxHi {
+		return nil
+	}
+	return fmt.Errorf("params: need %s, got [%v, %v]", RangeRule, lo, hi)
 }
 
-// EstimateEpsCtx is EstimateEps with cooperative cancellation: ctx is
-// checked before every annealing step and threaded into each parallel
-// neighborhood evaluation, so the search stops within one ε evaluation of
-// ctx ending and returns ctx.Err(). The uncancelled search is bit-identical
-// to EstimateEps (same seeded random walk, same evaluations).
-func EstimateEpsCtx(ctx context.Context, items []segclust.Item, lo, hi float64, opt lsdist.Options, index segclust.IndexKind, an AnnealOptions) (Estimate, error) {
-	// Re-checked by EstimateEpsSharedCtx, but rejecting here first keeps
-	// invalid bounds from paying (and counting) an index build.
-	if err := checkRange(lo, hi); err != nil {
-		return Estimate{}, err
-	}
-	if len(items) == 0 {
-		return Estimate{}, errors.New("params: no segments")
-	}
-	return EstimateEpsSharedCtx(ctx, segclust.NewSharedIndexFor(items, opt, segclust.BackendFor(index)), lo, hi, an)
-}
-
-func checkRange(lo, hi float64) error {
-	if !(lo > 0) || !(hi > lo) {
-		return errors.New("params: need 0 < lo < hi")
-	}
-	return nil
-}
-
-// EstimateEpsSharedCtx is EstimateEpsCtx over a prebuilt shared index: the
-// pipeline builds the dataset's index once and hands it here, so the
-// annealing search costs no second index construction. A bounded range
-// precomputes the merge structure at hi and anneals over dendrogram
-// weight queries — one candidate pass for the whole search instead of one
-// per evaluation; an unbounded hi anneals over per-ε index queries. Either
-// way the search is bit-identical to EstimateEpsCtx over a fresh index of
-// the same backend: same seeded walk, same evaluations, same Estimate.
-func EstimateEpsSharedCtx(ctx context.Context, shared *segclust.SharedIndex, lo, hi float64, an AnnealOptions) (Estimate, error) {
-	if err := checkRange(lo, hi); err != nil {
-		return Estimate{}, err
-	}
-	if shared.Len() == 0 {
-		return Estimate{}, errors.New("params: no segments")
-	}
-	if !math.IsInf(hi, 1) {
-		d, err := dendro.FromShared(ctx, shared, hi, an.Workers)
-		if err != nil {
-			return Estimate{}, err
-		}
-		return EstimateEpsDendroCtx(ctx, d, lo, hi, an)
-	}
-	return anneal(ctx, lo, hi, an, func(eps float64) ([]float64, error) {
-		return shared.NeighborhoodWeightsCtx(ctx, eps, an.Workers)
-	})
-}
-
-// EstimateEpsDendroCtx runs the annealing ε search entirely against a
-// prebuilt merge structure: after the dendrogram build, the search issues
-// zero distance evaluations (structurally — a Dendrogram holds no searcher
-// to evaluate with). hi must not exceed d.MaxEps().
+// EstimateEpsDendroCtx searches [lo, hi] for the ε minimising H(X) by
+// simulated annealing over a prebuilt merge structure and returns the
+// estimate together with the suggested MinLns range. After the dendrogram
+// build the search issues zero distance evaluations (structurally — a
+// Dendrogram holds no searcher to evaluate with); hi must not exceed
+// d.MaxEps(). The search is deterministic for a fixed seed, and ctx is
+// checked before every evaluation: a done ctx returns ctx.Err().
 func EstimateEpsDendroCtx(ctx context.Context, d *dendro.Dendrogram, lo, hi float64, an AnnealOptions) (Estimate, error) {
-	if err := checkRange(lo, hi); err != nil {
+	if err := CheckRange(lo, hi); err != nil {
 		return Estimate{}, err
 	}
 	if hi > d.MaxEps() {
@@ -265,10 +187,10 @@ func EstimateEpsDendroCtx(ctx context.Context, d *dendro.Dendrogram, lo, hi floa
 	})
 }
 
-// anneal is the shared simulated-annealing loop (reference [14] of the
-// paper): deterministic for a fixed seed, identical regardless of how
-// weightsAt computes the ε-neighborhood cardinalities — that is what makes
-// the dendrogram-backed search return the same Estimate as the per-ε one.
+// anneal is the simulated-annealing loop (reference [14] of the paper):
+// deterministic for a fixed seed, identical regardless of how weightsAt
+// computes the ε-neighborhood cardinalities — that is what makes the
+// dendrogram-backed search return the same Estimate as the per-ε oracle.
 func anneal(ctx context.Context, lo, hi float64, an AnnealOptions, weightsAt func(eps float64) ([]float64, error)) (Estimate, error) {
 	an = an.withDefaults()
 	rng := rand.New(rand.NewSource(an.Seed))
@@ -300,10 +222,11 @@ func anneal(ctx context.Context, lo, hi float64, an AnnealOptions, weightsAt fun
 			return Estimate{}, err
 		}
 		cand := cur + rng.NormFloat64()*span*temp
-		if math.IsNaN(cand) { // ∞ − ∞, only on an unbounded range: stay put
-			cand = cur
-		}
 		for cand < lo || cand > hi { // reflect into range
+			if math.IsInf(cand, 0) { // the step or a reflection overflowed: stay put
+				cand = cur
+				continue
+			}
 			if cand < lo {
 				cand = 2*lo - cand
 			}
@@ -334,14 +257,18 @@ func anneal(ctx context.Context, lo, hi float64, an AnnealOptions, weightsAt fun
 	}, nil
 }
 
-// EstimateEpsGrid is the exhaustive fallback: evaluate every ε in
-// epsValues and return the entropy minimiser. Used for the figure sweeps
-// and as the ground truth the annealer is tested against.
-func EstimateEpsGrid(items []segclust.Item, epsValues []float64, opt lsdist.Options, index segclust.IndexKind, workers int) (Estimate, error) {
+// EstimateEpsGrid is the exhaustive search: evaluate every ε in epsValues
+// against the merge structure and return the entropy minimiser. It is the
+// ground truth the annealer is tested against. Every eps must be ≤
+// d.MaxEps().
+func EstimateEpsGrid(d *dendro.Dendrogram, epsValues []float64) (Estimate, error) {
 	if len(epsValues) == 0 {
 		return Estimate{}, errors.New("params: no eps values")
 	}
-	pts := Sweep(items, epsValues, opt, index, workers)
+	pts, err := SweepDendro(d, epsValues)
+	if err != nil {
+		return Estimate{}, err
+	}
 	best := pts[0]
 	for _, p := range pts[1:] {
 		if p.Entropy < best.Entropy {

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dendro"
 	"repro/internal/geom"
 	"repro/internal/lsdist"
 	"repro/internal/segclust"
+	"repro/internal/spindex"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -93,19 +95,35 @@ func testItems(rng *rand.Rand) []segclust.Item {
 	return items
 }
 
+// dendrogramAt builds the merge structure a search at hi cuts into, over a
+// grid index.
+func dendrogramAt(t *testing.T, items []segclust.Item, hi float64) *dendro.Dendrogram {
+	t.Helper()
+	d, err := dendro.FromShared(context.Background(),
+		segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Grid()), hi, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestSweepMatchesDirectComputation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items := testItems(rng)
 	eps := []float64{10, 20, 30}
-	pts := Sweep(items, eps, lsdist.DefaultOptions(), segclust.IndexGrid, 2)
+	pts, err := SweepDendro(dendrogramAt(t, items, 30), eps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatalf("sweep length = %d", len(pts))
 	}
+	brute := segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Brute())
 	for i, p := range pts {
 		if p.Eps != eps[i] {
 			t.Errorf("eps order changed: %v", p.Eps)
 		}
-		n := segclust.NeighborhoodWeights(items, eps[i], lsdist.DefaultOptions(), segclust.IndexNone, 1)
+		n := brute.NeighborhoodWeights(eps[i], 1)
 		if !approx(p.Entropy, Entropy(n), 1e-9) {
 			t.Errorf("eps=%v entropy %v != direct %v", p.Eps, p.Entropy, Entropy(n))
 		}
@@ -122,7 +140,7 @@ func TestEstimateEpsGrid(t *testing.T) {
 	for e := 2.0; e <= 80; e += 2 {
 		eps = append(eps, e)
 	}
-	est, err := EstimateEpsGrid(items, eps, lsdist.DefaultOptions(), segclust.IndexGrid, 0)
+	est, err := EstimateEpsGrid(dendrogramAt(t, items, 80), eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +164,12 @@ func TestEstimateEpsAnnealingNearGridOptimum(t *testing.T) {
 	for e := 2.0; e <= 80; e += 2 {
 		epsGrid = append(epsGrid, e)
 	}
-	grid, err := EstimateEpsGrid(items, epsGrid, lsdist.DefaultOptions(), segclust.IndexGrid, 0)
+	d := dendrogramAt(t, items, 80)
+	grid, err := EstimateEpsGrid(d, epsGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := EstimateEps(items, 2, 80, lsdist.DefaultOptions(), segclust.IndexGrid,
-		AnnealOptions{Iterations: 80, Seed: 7})
+	sa, err := EstimateEpsDendroCtx(context.Background(), d, 2, 80, AnnealOptions{Iterations: 80, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,56 +185,68 @@ func TestEstimateEpsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	items := testItems(rng)
 	opt := AnnealOptions{Iterations: 30, Seed: 9}
-	a, err := EstimateEps(items, 2, 60, lsdist.DefaultOptions(), segclust.IndexGrid, opt)
+	a, err := EstimateEpsDendroCtx(context.Background(), dendrogramAt(t, items, 60), 2, 60, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateEps(items, 2, 60, lsdist.DefaultOptions(), segclust.IndexGrid, opt)
+	b, err := EstimateEpsDendroCtx(context.Background(), dendrogramAt(t, items, 60), 2, 60, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Eps != b.Eps || a.Entropy != b.Entropy {
-		t.Error("EstimateEps not deterministic for fixed seed")
+		t.Error("EstimateEpsDendroCtx not deterministic for fixed seed")
 	}
 }
 
 func TestEstimateEpsErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := testItems(rng)
-	if _, err := EstimateEps(items, 0, 10, lsdist.DefaultOptions(), segclust.IndexGrid, AnnealOptions{}); err == nil {
+	d := dendrogramAt(t, items, 10)
+	ctx := context.Background()
+	if _, err := EstimateEpsDendroCtx(ctx, d, 0, 10, AnnealOptions{}); err == nil {
 		t.Error("lo=0 accepted")
 	}
-	if _, err := EstimateEps(items, 10, 5, lsdist.DefaultOptions(), segclust.IndexGrid, AnnealOptions{}); err == nil {
+	if _, err := EstimateEpsDendroCtx(ctx, d, 10, 5, AnnealOptions{}); err == nil {
 		t.Error("hi<lo accepted")
 	}
-	if _, err := EstimateEps(nil, 1, 10, lsdist.DefaultOptions(), segclust.IndexGrid, AnnealOptions{}); err == nil {
+	if _, err := EstimateEpsDendroCtx(ctx, d, 1, 20, AnnealOptions{}); err == nil {
+		t.Error("hi beyond the dendrogram's maximum ε accepted")
+	}
+	if _, err := EstimateEpsDendroCtx(ctx, dendrogramAt(t, nil, 10), 1, 10, AnnealOptions{}); err == nil {
 		t.Error("empty items accepted")
 	}
-	if _, err := EstimateEpsGrid(items, nil, lsdist.DefaultOptions(), segclust.IndexGrid, 0); err == nil {
+	if _, err := EstimateEpsGrid(d, nil); err == nil {
 		t.Error("empty eps grid accepted")
 	}
 }
 
-// TestEstimateEpsCtx pins the ctx-aware search: uncancelled it is the same
-// seeded walk as EstimateEps; a pre-cancelled context aborts with ctx.Err()
-// before evaluating anything.
+// TestEstimateEpsCtx pins the search's cancellation: uncancelled, a
+// cancellable context walks the same seeded path as context.Background();
+// a pre-cancelled context aborts with ctx.Err() before evaluating anything.
 func TestEstimateEpsCtx(t *testing.T) {
 	items := testItems(rand.New(rand.NewSource(3)))
-	want, err := EstimateEps(items, 2, 80, lsdist.DefaultOptions(), segclust.IndexGrid, AnnealOptions{})
+	d := dendrogramAt(t, items, 80)
+	want, err := EstimateEpsDendroCtx(context.Background(), d, 2, 80, AnnealOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EstimateEpsCtx(context.Background(), items, 2, 80, lsdist.DefaultOptions(), segclust.IndexGrid, AnnealOptions{})
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	got, err := EstimateEpsDendroCtx(live, d, 2, 80, AnnealOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want != got {
-		t.Errorf("EstimateEpsCtx = %+v, EstimateEps = %+v", got, want)
+		t.Errorf("cancellable ctx = %+v, context.Background = %+v", got, want)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EstimateEpsCtx(ctx, items, 2, 80, lsdist.DefaultOptions(), segclust.IndexGrid, AnnealOptions{}); !errors.Is(err, context.Canceled) {
+	evals := 0
+	if _, err := EstimateEpsDendroCtx(ctx, d, 2, 80, AnnealOptions{OnEval: func() { evals++ }}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if evals != 0 {
+		t.Errorf("cancelled search evaluated %d candidates, want 0", evals)
 	}
 }

@@ -948,9 +948,10 @@ func (h *hoodSet) reflect(items []Item, lo int, own [][]int32) {
 
 // NeighborhoodWeights returns, for every item, the weighted cardinality of
 // its ε-neighborhood, at any eps: the index is ε-free and every query
-// derives its own candidate radius. It backs the parameter-selection
-// heuristic of Section 4.4 (entropy over |Nε| and avg|Nε|) and
-// parallelises across workers (≤ 0 means all CPUs).
+// derives its own candidate radius. It parallelises across workers (≤ 0
+// means all CPUs). It is the per-ε oracle for the Section 4.4 heuristic
+// (entropy over |Nε| and avg|Nε|): the search itself reads the same
+// weights from a dendrogram, and the tests diff the two.
 func (s *SharedIndex) NeighborhoodWeights(eps float64, workers int) []float64 {
 	out, _ := s.NeighborhoodWeightsCtx(context.Background(), eps, workers)
 	return out
@@ -965,10 +966,4 @@ func (s *SharedIndex) NeighborhoodWeightsCtx(ctx context.Context, eps float64, w
 		return nil, err
 	}
 	return hs.w, nil
-}
-
-// NeighborhoodWeights is the one-shot convenience form: it builds an index
-// for eps and computes all weighted ε-neighborhood cardinalities.
-func NeighborhoodWeights(items []Item, eps float64, opt lsdist.Options, index IndexKind, workers int) []float64 {
-	return NewSharedIndexFor(items, opt, BackendFor(index)).NeighborhoodWeights(eps, workers)
 }

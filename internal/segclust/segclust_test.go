@@ -374,7 +374,7 @@ func TestNeighborhoodWeightsMatchBruteForce(t *testing.T) {
 	items := corridorItems(rng, 60, 2, 6)
 	opt := lsdist.DefaultOptions()
 	const eps = 25.0
-	got := NeighborhoodWeights(items, eps, opt, IndexGrid, 2)
+	got := NewSharedIndexFor(items, opt, BackendFor(IndexGrid)).NeighborhoodWeights(eps, 2)
 	dist := lsdist.New(opt)
 	for i := range items {
 		var want float64
@@ -396,7 +396,7 @@ func TestSharedIndexReuseAcrossEps(t *testing.T) {
 	shared := NewSharedIndexFor(items, opt, BackendFor(IndexGrid))
 	for _, eps := range []float64{10, 25, 40} {
 		got := shared.NeighborhoodWeights(eps, 0)
-		want := NeighborhoodWeights(items, eps, opt, IndexNone, 1)
+		want := NewSharedIndexFor(items, opt, BackendFor(IndexNone)).NeighborhoodWeights(eps, 1)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("eps=%v item %d: %v != %v", eps, i, got[i], want[i])

@@ -277,9 +277,31 @@ func BenchmarkSweepQuality(b *testing.B) {
 // for every geometry × index backend × epoch (the build, then three
 // one-trajectory appends), ClustersAt at the model's ε finds exactly the
 // epoch Result's clusters and noise, and the sweep point at ε reads
-// Result().QMeasure() bit for bit.
+// Result().QMeasure() bit for bit. Two lifecycle cells follow the build:
+// the model restored from its snapshot (whose dendrogram the epoch-0 sweep
+// widened to 2ε) answers both reads like the build, and after a sweep to 3ε
+// a planar or geodesic restored model rebuilds its dendrogram and still
+// does, while a spatiotemporal one, with no per-item spans to rebuild
+// from, returns an error wrapping ErrNoDendrogram.
 func TestReadsMatchLibraryMatrix(t *testing.T) {
 	ctx := context.Background()
+	reads := func(what string, m *Model, res *traclus.Result, eps float64) {
+		cut, err := m.ClustersAt(ctx, eps)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(cut.Clusters) != len(res.Clusters) || cut.NoiseSegments != res.NoiseSegments {
+			t.Errorf("%s: ClustersAt(%g) found %d clusters and %d noise segments, the Result %d and %d",
+				what, eps, len(cut.Clusters), cut.NoiseSegments, len(res.Clusters), res.NoiseSegments)
+		}
+		pts, err := m.SweepQuality(ctx, eps, 2*eps, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if q := res.QMeasure(); math.Float64bits(pts[0].QMeasure) != math.Float64bits(q) {
+			t.Errorf("%s: sweep QMeasure at ε %g is %v, the Result's %v", what, eps, pts[0].QMeasure, q)
+		}
+	}
 	hcfg := synth.DefaultHurricaneConfig()
 	hcfg.NumTracks, hcfg.Seed = 103, 3
 	planar := synth.Hurricanes(hcfg)
@@ -317,20 +339,27 @@ func TestReadsMatchLibraryMatrix(t *testing.T) {
 			for epoch := 0; ; epoch++ {
 				what := fmt.Sprintf("%s/%v/epoch %d", g.name, kind, epoch)
 				eps, res := m.Summary().Eps, m.Result()
-				cut, err := m.ClustersAt(ctx, eps)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if len(cut.Clusters) != len(res.Clusters) || cut.NoiseSegments != res.NoiseSegments {
-					t.Errorf("%s: ClustersAt(%g) found %d clusters and %d noise segments, the Result %d and %d",
-						what, eps, len(cut.Clusters), cut.NoiseSegments, len(res.Clusters), res.NoiseSegments)
-				}
-				pts, err := m.SweepQuality(ctx, eps, 2*eps, 2)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
-				}
-				if q := res.QMeasure(); math.Float64bits(pts[0].QMeasure) != math.Float64bits(q) {
-					t.Errorf("%s: sweep QMeasure at ε %g is %v, the Result's %v", what, eps, pts[0].QMeasure, q)
+				reads(what, m, res, eps)
+				if epoch == 0 {
+					data, err := m.EncodeSnapshot()
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					restored, err := DecodeModel(data)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					reads(what+"/restored", restored, res, eps)
+					_, err = restored.SweepQuality(ctx, eps, 3*eps, 2)
+					if g.cfg.Geometry.Timed() {
+						if !errors.Is(err, ErrNoDendrogram) {
+							t.Errorf("%s/restored: sweep to 3ε: %v, want ErrNoDendrogram", what, err)
+						}
+					} else if err != nil {
+						t.Fatalf("%s/restored: sweep to 3ε: %v", what, err)
+					} else {
+						reads(what+"/restored, swept to 3ε", restored, res, eps)
+					}
 				}
 				if epoch == 3 {
 					break

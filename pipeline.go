@@ -210,7 +210,8 @@ func WithIndexBackend(b IndexBackend) Option { return func(p *Pipeline) { p.back
 // Config.MinLns are ignored; MinLns is set to the middle of the suggested
 // range, avg|Nε|+2). The estimation shares the run's single spatial index
 // with the grouping phase — one build serves both — and the chosen
-// parameters are reported on Result.Estimated.
+// parameters are reported on Result.Estimated. A range that fails
+// ValidateEstimationRange is rejected before any work.
 func WithEstimation(lo, hi float64) Option {
 	return func(p *Pipeline) { p.est = &estimateRange{lo: lo, hi: hi} }
 }
@@ -254,7 +255,7 @@ func New(opts ...Option) *Pipeline {
 // spatiotemporal form and are rejected under it; custom
 // RepresentativeBuilders work unchanged.
 func (p *Pipeline) Run(ctx context.Context, trs []Trajectory) (*Result, error) {
-	b, err := p.prepare(ctx, trs, false)
+	b, err := p.prepare(ctx, trs, false, p.est)
 	if err != nil {
 		return nil, err
 	}
@@ -289,24 +290,24 @@ type build struct {
 }
 
 // prepare is the front half of every build. It validates the configuration
-// and the trajectories, partitions them, and indexes the items once: the
-// one spatial index serves parameter estimation and the grouping phase's
-// ε-neighborhoods alike. It is built only when a phase will query it (the
-// default grouper, an appender, or estimation); a fully custom Grouper
-// indexes — or doesn't — on its own terms. A pipeline built WithEstimation
-// then chooses Eps and MinLns against that index.
-func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable bool) (*build, error) {
+// and the trajectories, projects a geodesic run into its working frame,
+// partitions through the pipeline's partition stage, and indexes the items
+// once: the one spatial index serves parameter estimation and the grouping
+// phase's ε-neighborhoods alike. It is built only when a phase will query it
+// (the default grouper, an appender, or estimation); a fully custom Grouper
+// indexes — or doesn't — on its own terms. With a range (WithEstimation, or
+// Estimate), prepare then chooses Eps and MinLns: the one ε search anneals
+// over the dendrogram built once at the range maximum.
+func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable bool, est *estimateRange) (*build, error) {
 	cfg := p.cfg
-	if p.est != nil {
+	if est != nil {
 		// Eps and MinLns are what the estimation phase exists to find;
 		// everything else must still be well-formed.
-		if err := cfg.validateEstimation(); err != nil {
+		if err := cfg.ValidateForEstimation(); err != nil {
 			return nil, fmt.Errorf("traclus: %w", err)
 		}
-		if !(p.est.lo > 0) || !(p.est.hi > p.est.lo) {
-			return nil, fmt.Errorf("traclus: %w", &ConfigError{
-				Field: "Estimation", Value: [2]float64{p.est.lo, p.est.hi},
-				Reason: "must satisfy 0 < lo < hi"})
+		if err := ValidateEstimationRange(est.lo, est.hi); err != nil {
+			return nil, fmt.Errorf("traclus: %w", err)
 		}
 	} else if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("traclus: %w", err)
@@ -314,53 +315,6 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 	if err := p.defaultStages(appendable, cfg.Geometry); err != nil {
 		return nil, err
 	}
-	_, groupsShared := p.group.(sharedGrouper)
-	b, err := p.index(ctx, trs, cfg, newProgressReporter(p.progress), groupsShared || appendable || p.est != nil)
-	if err != nil {
-		return nil, err
-	}
-	if appendable && !b.shared.Searcher().Growable() {
-		return nil, fmt.Errorf("traclus: appenders require a growable index backend (custom backend %q does not implement growth)", b.ccfg.ResolvedBackend().Name())
-	}
-	if p.est == nil {
-		return b, nil
-	}
-	b.rep.begin(PhaseEstimate, params.DefaultIterations+1)
-	an := params.AnnealOptions{Workers: b.cfg.Workers, OnEval: b.rep.tick}
-	var est params.Estimate
-	if !math.IsInf(p.est.hi, 1) {
-		// Build the multi-ε merge structure once at the range maximum: the
-		// whole annealing walk cuts into it with zero further distance
-		// calls, and the structure rides the Result so the serving layer can
-		// persist it and answer sweep queries without rebuilding.
-		b.den, err = dendro.FromShared(ctx, b.shared, p.est.hi, b.cfg.Workers)
-		if err == nil {
-			est, err = params.EstimateEpsDendroCtx(ctx, b.den, p.est.lo, p.est.hi, an)
-		}
-	} else {
-		est, err = params.EstimateEpsSharedCtx(ctx, b.shared, p.est.lo, p.est.hi, an)
-	}
-	if err != nil {
-		return nil, stageError(ctx, PhaseEstimate, err)
-	}
-	b.rep.finish()
-	b.cfg.Eps = est.Eps
-	b.cfg.MinLns = float64(est.MinLnsLo+est.MinLnsHi) / 2
-	b.ccfg = p.coreConfig(b.cfg)
-	b.estimated = &Estimate{
-		Eps:          est.Eps,
-		Entropy:      est.Entropy,
-		AvgNeighbors: est.AvgNeighbors,
-		MinLnsLo:     est.MinLnsLo,
-		MinLnsHi:     est.MinLnsHi,
-	}
-	return b, nil
-}
-
-// index validates the trajectories, projects a geodesic run into its
-// working frame, partitions through the pipeline's partition stage and,
-// when indexed is set, builds the shared index over the items.
-func (p *Pipeline) index(ctx context.Context, trs []Trajectory, cfg Config, rep *progressReporter, indexed bool) (*build, error) {
 	if err := validateTrajectories(trs, cfg.Geometry); err != nil {
 		return nil, err
 	}
@@ -370,16 +324,46 @@ func (p *Pipeline) index(ctx context.Context, trs []Trajectory, cfg Config, rep 
 	if cfg.Geometry.Kind == geometry.Geodesic {
 		trs, cfg = projectGeodesic(trs, cfg)
 	}
-	b := &build{cfg: cfg, ccfg: p.coreConfig(cfg), rep: rep}
-	rep.begin(PhasePartition, len(trs))
-	items, err := runPartition(ctx, p.partition, trs, cfg, rep)
+	b := &build{cfg: cfg, ccfg: p.coreConfig(cfg), rep: newProgressReporter(p.progress)}
+	b.rep.begin(PhasePartition, len(trs))
+	items, err := runPartition(ctx, p.partition, trs, cfg, b.rep)
 	if err != nil {
 		return nil, stageError(ctx, PhasePartition, err)
 	}
-	rep.finish()
+	b.rep.finish()
 	b.items = items
-	if indexed {
+	if _, groupsShared := p.group.(sharedGrouper); groupsShared || appendable || est != nil {
 		b.shared = sharedIndex(items, b.ccfg)
+	}
+	if appendable && !b.shared.Searcher().Growable() {
+		return nil, fmt.Errorf("traclus: appenders require a growable index backend (custom backend %q does not implement growth)", b.ccfg.ResolvedBackend().Name())
+	}
+	if est == nil {
+		return b, nil
+	}
+	b.rep.begin(PhaseEstimate, params.DefaultIterations+1)
+	// The multi-ε merge structure is built once at the range maximum: the
+	// whole annealing walk cuts into it with zero further distance calls,
+	// and it rides the Result so the serving layer can persist it and
+	// answer sweep queries without rebuilding.
+	b.den, err = dendro.FromShared(ctx, b.shared, est.hi, b.cfg.Workers)
+	if err != nil {
+		return nil, stageError(ctx, PhaseEstimate, err)
+	}
+	e, err := params.EstimateEpsDendroCtx(ctx, b.den, est.lo, est.hi, params.AnnealOptions{OnEval: b.rep.tick})
+	if err != nil {
+		return nil, stageError(ctx, PhaseEstimate, err)
+	}
+	b.rep.finish()
+	b.cfg.Eps = e.Eps
+	b.cfg.MinLns = float64(e.MinLnsLo+e.MinLnsHi) / 2
+	b.ccfg = p.coreConfig(b.cfg)
+	b.estimated = &Estimate{
+		Eps:          e.Eps,
+		Entropy:      e.Entropy,
+		AvgNeighbors: e.AvgNeighbors,
+		MinLnsLo:     e.MinLnsLo,
+		MinLnsHi:     e.MinLnsHi,
 	}
 	return b, nil
 }
@@ -549,46 +533,21 @@ func stageError(ctx context.Context, phase Phase, err error) error {
 }
 
 // Estimate applies the Section 4.4 parameter heuristic under this
-// pipeline's configuration (weights, index, workers, geometry and partition
-// stage; Eps and MinLns are ignored) with cooperative cancellation: the
-// annealing search stops within one ε evaluation of ctx ending. It
-// validates, partitions and indexes the trajectories exactly as Run does.
-// The package-level EstimateParameters is a wrapper over it with
+// pipeline's configuration (weights, backend, workers, geometry and
+// partition stage; Eps and MinLns are ignored) and returns exactly the
+// Result.Estimated a WithEstimation(lo, hi) run records: it is that run's
+// front half — the same validation (a bad range or Config field is a
+// *ConfigError), the same partition and estimate progress events, the same
+// single index and dendrogram — stopped before the grouping. A done ctx
+// stops the search within one ε evaluation and returns ctx.Err(). The
+// package-level EstimateParameters is a wrapper over it with
 // context.Background().
 func (p *Pipeline) Estimate(ctx context.Context, trs []Trajectory, lo, hi float64) (Estimate, error) {
-	cfg := p.cfg
-	if err := cfg.validateEstimation(); err != nil {
-		return Estimate{}, fmt.Errorf("traclus: %w", err)
-	}
-	if !(lo > 0) || !(hi > lo) {
-		// Rejected before partitioning or indexing anything.
-		return Estimate{}, fmt.Errorf("traclus: params: need 0 < lo < hi")
-	}
-	if err := p.defaultStages(false, cfg.Geometry); err != nil {
-		return Estimate{}, err
-	}
-	b, err := p.index(ctx, trs, cfg, nil, true)
+	b, err := p.prepare(ctx, trs, false, &estimateRange{lo: lo, hi: hi})
 	if err != nil {
 		return Estimate{}, err
 	}
-	if len(b.items) == 0 {
-		return Estimate{}, fmt.Errorf("traclus: params: no segments")
-	}
-	est, err := params.EstimateEpsSharedCtx(ctx, b.shared, lo, hi,
-		params.AnnealOptions{Workers: cfg.Workers})
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return Estimate{}, ctxErr
-		}
-		return Estimate{}, fmt.Errorf("traclus: %w", err)
-	}
-	return Estimate{
-		Eps:          est.Eps,
-		Entropy:      est.Entropy,
-		AvgNeighbors: est.AvgNeighbors,
-		MinLnsLo:     est.MinLnsLo,
-		MinLnsHi:     est.MinLnsHi,
-	}, nil
+	return *b.estimated, nil
 }
 
 // ---- Default stages ----

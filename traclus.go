@@ -41,6 +41,7 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lsdist"
 	"repro/internal/mdl"
+	"repro/internal/params"
 	"repro/internal/quality"
 	"repro/internal/segclust"
 	"repro/internal/spindex"
@@ -224,21 +225,16 @@ func (c Config) Validate() error {
 	if err := segclust.CheckPositive("MinLns", c.MinLns); err != nil {
 		return err
 	}
-	return c.validateEstimation()
+	return c.ValidateForEstimation()
 }
 
 // ValidateForEstimation validates every Config field except Eps and MinLns
 // — the two parameters estimation (Pipeline.Estimate, WithEstimation)
-// exists to find. Serving layers use it to vet auto-estimated builds up
-// front with the same typed *ConfigError Run would return.
-func (c Config) ValidateForEstimation() error { return c.validateEstimation() }
-
-// validateEstimation checks the Config fields the parameter-estimation path
-// consumes — everything except Eps and MinLns, which EstimateParameters
-// exists to find. Split out so estimation rejects NaN/Inf weights or a
-// negative CostAdvantage with the same typed ConfigError as Run, without
-// demanding the two parameters it is searching for.
-func (c Config) validateEstimation() error {
+// exists to find — with the same typed *ConfigError Run would return, so a
+// NaN weight or a negative CostAdvantage is rejected without demanding the
+// two parameters the search is for. Serving layers use it to vet
+// auto-estimated builds up front.
+func (c Config) ValidateForEstimation() error {
 	if c.MinTrajs < 0 {
 		return &ConfigError{Field: "MinTrajs", Value: c.MinTrajs, Reason: "must be non-negative"}
 	}
@@ -256,6 +252,19 @@ func (c Config) validateEstimation() error {
 		return &ConfigError{Field: "Geometry." + field, Value: c.Geometry, Reason: reason}
 	}
 	return segclust.CheckNonNegative("Gamma", c.Gamma)
+}
+
+// ValidateEstimationRange reports an ε search range [lo, hi] that breaks the
+// one range rule, 0 < lo < hi ≤ MaxFloat64/2, as a *ConfigError with Field
+// "Estimation". NaN and ±Inf bounds fail it. WithEstimation runs and
+// Pipeline.Estimate apply it before partitioning anything; serving layers
+// use it to reject a bad auto range synchronously.
+func ValidateEstimationRange(lo, hi float64) error {
+	if params.CheckRange(lo, hi) != nil {
+		return &ConfigError{Field: "Estimation", Value: [2]float64{lo, hi},
+			Reason: "must satisfy " + params.RangeRule}
+	}
+	return nil
 }
 
 func (c Config) core() core.Config {

@@ -48,6 +48,7 @@
 package dendro
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -249,11 +250,12 @@ type nb struct {
 // maxEps, sorted by (dist, id), at lists[i-lo], each list sized to the
 // pairs it keeps. It also returns the candidate pairs refined.
 //
-// Each unordered pair is scored once, from the end that owns it
-// (segclust.Owned), and a serial reflection pass hands every owned pair to
-// its other queried end. By Lemma 2 symmetry (bit-exact in the kernel) that
-// entry carries the distance the other end would have scored. The count is
-// Σ|candidates(i)|, taken before the other end's pairs are dropped.
+// Each unordered pair is scored once, from the end that owns it: the index
+// returns item i only its candidates outside [lo, i)
+// (segclust.Cursor.OwnedCandidatesOf), and a serial reflection pass hands
+// every owned pair to its other queried end. By Lemma 2 symmetry (bit-exact
+// in the kernel) that entry carries the distance the other end would have
+// scored. The count is Σ|candidates(i)|, derived from the owned lists.
 func neighborLists(ctx context.Context, shared *segclust.SharedIndex, lo int, maxEps float64, workers int) ([][]nb, int, error) {
 	own := make([][]nb, shared.Len()-lo)
 	w := par.Workers(workers, len(own))
@@ -274,9 +276,9 @@ func neighborLists(ctx context.Context, shared *segclust.SharedIndex, lo int, ma
 	err := par.ForEachCtx(ctx, workers, len(own), func(wk, k int) {
 		i := lo + k
 		sq := queries[wk]
-		cand[wk] = sq.CandidatesOf(i, maxEps, cand[wk][:0])
-		calls[wk] += len(cand[wk])
-		c := segclust.Owned(cand[wk], i, lo)
+		c, nc := sq.OwnedCandidatesOf(i, lo, maxEps, cand[wk][:0])
+		cand[wk] = c
+		calls[wk] += nc
 		dists[wk] = sq.DistBlockWithin(i, c, maxEps, dists[wk])
 		kept := 0
 		for _, dv := range dists[wk] {
@@ -335,13 +337,13 @@ func neighborLists(ctx context.Context, shared *segclust.SharedIndex, lo int, ma
 
 // sortNeighbors orders a list by (dist, id); ids are unique per list, so
 // this is a total order and the layout is deterministic across worker
-// counts.
+// counts and sorting algorithms.
 func sortNeighbors(list []nb) {
-	sort.Slice(list, func(x, y int) bool {
-		if list[x].dist != list[y].dist {
-			return list[x].dist < list[y].dist
+	slices.SortFunc(list, func(x, y nb) int {
+		if c := cmp.Compare(x.dist, y.dist); c != 0 {
+			return c
 		}
-		return list[x].id < list[y].id
+		return cmp.Compare(x.id, y.id)
 	})
 }
 
@@ -365,28 +367,26 @@ func (d *Dendrogram) putList(o int64, list []nb) int64 {
 	return o
 }
 
-// edgeLess is the replay log's (d, a, b) order — a total order, since a
+// edgeCmp is the replay log's (d, a, b) order — a total order, since a
 // pair occurs exactly once.
-func edgeLess(x, y edge) bool {
-	if x.d != y.d {
-		return x.d < y.d
+func edgeCmp(x, y edge) int {
+	if c := cmp.Compare(x.d, y.d); c != 0 {
+		return c
 	}
-	if x.a != y.a {
-		return x.a < y.a
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
 	}
-	return x.b < y.b
+	return cmp.Compare(x.b, y.b)
 }
 
 // sortEdges orders the replay log by (d, a, b).
-func sortEdges(edges []edge) {
-	sort.Slice(edges, func(x, y int) bool { return edgeLess(edges[x], edges[y]) })
-}
+func sortEdges(edges []edge) { slices.SortFunc(edges, edgeCmp) }
 
 // mergeEdges merges two (d, a, b)-sorted edge logs into a new one.
 func mergeEdges(a, b []edge) []edge {
 	out := make([]edge, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		if edgeLess(a[0], b[0]) {
+		if edgeCmp(a[0], b[0]) < 0 {
 			out, a = append(out, a[0]), a[1:]
 		} else {
 			out, b = append(out, b[0]), b[1:]
@@ -403,8 +403,11 @@ func (d *Dendrogram) Len() int { return len(d.items) }
 func (d *Dendrogram) MaxEps() float64 { return d.maxEps }
 
 // DistCalls returns the candidate pairs refined building the structure,
-// every extension included, each unordered pair scored once. Cuts and
-// weight queries never add to it.
+// Σ|candidates(i)| at MaxEps with every extension included, each unordered
+// pair scored once. The index hands each item only the candidates it owns,
+// and the sum is derived from those, exactly, since the candidate relation
+// is symmetric (spindex.SearchQuery.OwnedCandidatesOf). Cuts and weight
+// queries never add to it.
 func (d *Dendrogram) DistCalls() int { return d.calls }
 
 // Edges returns the size of the union-find replay log.

@@ -7,6 +7,7 @@ package gridindex
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -206,42 +207,64 @@ func (x *Index) eachCell(r geom.Rect, fn func(c int)) {
 // seen scratch (len = number of segments, zeroed marks) deduplicates. Pass
 // a reusable seen slice to avoid allocation; nil allocates one.
 func (x *Index) Candidates(q geom.Rect, d float64, dst []int, seen []bool) []int {
+	return x.CandidatesOutside(q, d, 0, 0, dst, seen)
+}
+
+// CandidatesOutside is Candidates restricted to the ids outside the window
+// [lo, hi): it appends exactly the ids Candidates would, in the same order,
+// less those with lo ≤ id < hi, and never visits a window id. Every CSR span
+// and overlay bucket is in ascending id order, so the window is one
+// contiguous run of each, cut out after two binary searches. The empty
+// window (lo ≥ hi) is Candidates.
+func (x *Index) CandidatesOutside(q geom.Rect, d float64, lo, hi int, dst []int, seen []bool) []int {
 	if len(x.segs) == 0 {
 		return dst
 	}
 	if seen == nil {
 		seen = make([]bool, len(x.segs))
 	}
-	grown := q.Expand(d)
-	i0, i1, j0, j1 := x.cellRange(grown)
+	i0, i1, j0, j1 := x.cellRange(q.Expand(d))
+	// Each bucket is visited as two runs, the one before the window and
+	// then the one after it.
 	for j := j0; j <= j1; j++ {
 		for i := i0; i <= i1; i++ {
 			c := j*x.nx + i
-			for _, id := range x.cellSpan(c) {
-				if seen[id] {
-					continue
+			for run, rest := runs(x.cellSpan(c), lo, hi); ; run, rest = rest, nil {
+				for _, id := range run {
+					if seen[id] {
+						continue
+					}
+					seen[id] = true
+					if x.rects[id].WithinDist(q, d) {
+						dst = append(dst, int(id))
+					}
 				}
-				seen[id] = true
-				if x.rects[id].WithinDist(q, d) {
-					dst = append(dst, int(id))
+				if len(rest) == 0 {
+					break
 				}
 			}
 			if x.over == nil {
 				continue
 			}
-			for _, id := range x.over[c] {
-				if seen[id] {
-					continue
+			for run, rest := runs(x.over[c], lo, hi); ; run, rest = rest, nil {
+				for _, id := range run {
+					if seen[id] {
+						continue
+					}
+					seen[id] = true
+					if x.rects[id].WithinDist(q, d) {
+						dst = append(dst, int(id))
+					}
 				}
-				seen[id] = true
-				if x.rects[id].WithinDist(q, d) {
-					dst = append(dst, int(id))
+				if len(rest) == 0 {
+					break
 				}
 			}
 		}
 	}
 	// Clear the marks by re-walking the touched cells so the scratch can be
-	// reused by the next query.
+	// reused by the next query (a window id was never marked, so clearing it
+	// too is harmless).
 	for j := j0; j <= j1; j++ {
 		for i := i0; i <= i1; i++ {
 			c := j*x.nx + i
@@ -257,4 +280,22 @@ func (x *Index) Candidates(q geom.Rect, d float64, dst []int, seen []bool) []int
 		}
 	}
 	return dst
+}
+
+// runs returns the ids of an ascending bucket before and after the window
+// [lo, hi). An empty window (lo ≥ hi) leaves the bucket whole in before, at
+// the cost of one comparison: runs inlines, and split runs only for a
+// non-empty window.
+func runs(ids []int32, lo, hi int) (before, after []int32) {
+	if lo >= hi {
+		return ids, nil
+	}
+	return split(ids, lo, hi)
+}
+
+// split cuts the run [lo, hi) out of the ascending ids.
+func split(ids []int32, lo, hi int) (before, after []int32) {
+	a, _ := slices.BinarySearch(ids, int32(lo))
+	b, _ := slices.BinarySearch(ids[a:], int32(hi))
+	return ids[:a], ids[a+b:]
 }

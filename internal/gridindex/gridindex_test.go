@@ -281,3 +281,53 @@ func TestInsertBeyondExtent(t *testing.T) {
 		}
 	}
 }
+
+// TestCandidatesOutsideWindow pins the windowed query against Candidates
+// filtered after the fact: on a grid whose segments span several cells and
+// whose overlay buckets hold inserted ids (some beyond the extent), for
+// windows inside the CSR arena, inside the overlay, across their boundary,
+// covering everything and empty, CandidatesOutside returns exactly
+// Candidates less the window's ids, in the same order, and leaves the seen
+// scratch clear. The empty window is Candidates itself.
+func TestCandidatesOutsideWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	segs := randSegs(rng, 300)
+	idx := Build(segs, 40)
+	grown := randSegs(rng, 100)
+	for k := range grown[:20] {
+		grown[k] = geom.Seg(grown[k].Start.X+3000, grown[k].Start.Y, grown[k].End.X+3000, grown[k].End.Y)
+	}
+	idx.Insert(grown)
+	segs = append(segs, grown...)
+	n, n0 := len(segs), 300
+	seen := make([]bool, n)
+	windows := [][2]int{{0, 0}, {17, 17}, {250, 40}, {0, n}, {10, 200}, {n0, n}, {n0 + 30, n0 + 60}, {n0 - 50, n0 + 50}, {0, n0}, {n - 1, n}}
+	for trial := 0; trial < 300; trial++ {
+		q := segs[rng.Intn(n)].Bounds()
+		d := rng.Float64() * 150
+		all := idx.Candidates(q, d, nil, seen)
+		w := windows[trial%len(windows)]
+		if trial >= 2*len(windows) {
+			w[0] = rng.Intn(n)
+			w[1] = w[0] + rng.Intn(n-w[0]+1)
+		}
+		want := []int{-1}
+		for _, id := range all {
+			if id < w[0] || id >= w[1] {
+				want = append(want, id)
+			}
+		}
+		got := idx.CandidatesOutside(q, d, w[0], w[1], []int{-1}, seen)
+		if !sliceEq(got, want) {
+			t.Fatalf("trial %d, window [%d, %d): got %v, want %v", trial, w[0], w[1], got[1:], want[1:])
+		}
+		if w[0] >= w[1] && !sliceEq(got[1:], all) {
+			t.Fatalf("trial %d: empty window [%d, %d) is not Candidates", trial, w[0], w[1])
+		}
+		for id, v := range seen {
+			if v {
+				t.Fatalf("trial %d, window [%d, %d): seen[%d] left set", trial, w[0], w[1], id)
+			}
+		}
+	}
+}

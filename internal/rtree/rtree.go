@@ -230,13 +230,23 @@ func (t *Tree) SearchIDs(q geom.Rect, dst []int) []int {
 // distance to q is at most d. This is the primitive behind the ε-query
 // prefilter.
 func (t *Tree) WithinDist(q geom.Rect, d float64, fn func(id int) bool) {
+	t.WithinDistOutside(q, d, 0, 0, fn)
+}
+
+// WithinDistOutside is WithinDist restricted to the ids outside the window
+// [lo, hi): a leaf entry with lo ≤ id < hi is skipped before its rectangle
+// is tested. The empty window (lo ≥ hi) is WithinDist.
+func (t *Tree) WithinDistOutside(q geom.Rect, d float64, lo, hi int, fn func(id int) bool) {
 	if t.root != nil {
-		withinNode(t.root, q, d, fn)
+		withinNode(t.root, q, d, lo, hi, fn)
 	}
 }
 
-func withinNode(n *node, q geom.Rect, d float64, fn func(id int) bool) bool {
+func withinNode(n *node, q geom.Rect, d float64, lo, hi int, fn func(id int) bool) bool {
 	for _, e := range n.entries {
+		if e.child == nil && lo <= e.id && e.id < hi {
+			continue
+		}
 		if e.rect.BeyondDist(q, d) {
 			continue
 		}
@@ -244,7 +254,7 @@ func withinNode(n *node, q geom.Rect, d float64, fn func(id int) bool) bool {
 			if !fn(e.id) {
 				return false
 			}
-		} else if !withinNode(e.child, q, d, fn) {
+		} else if !withinNode(e.child, q, d, lo, hi, fn) {
 			return false
 		}
 	}

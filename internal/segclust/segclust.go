@@ -232,7 +232,10 @@ type Result struct {
 	// DistCalls counts the candidate pairs refined, Σ|candidates(i)| (the
 	// index efficiency metric of Lemma 3), each unordered pair scored once:
 	// the pass scores a pair from one end and hands the result to the other,
-	// so the kernel runs about half as often as this count.
+	// so the kernel runs about half as often as this count. The index hands
+	// each item only the candidates it owns, and the pass derives the sum
+	// from those (spindex.SearchQuery.OwnedCandidatesOf): exact, because the
+	// candidate relation is symmetric.
 	DistCalls int
 }
 
@@ -265,7 +268,9 @@ func (c Config) backend() spindex.Backend {
 // distance pair-at-a-time; it asks its source for one index-aligned block
 // of distances per query and refines that.
 type neighborSource interface {
-	candidates(i int, dst []int) []int
+	// owned appends the candidates item i owns in a pass over [lo, n) and
+	// returns them with the pass's charge for i (Cursor.OwnedCandidatesOf).
+	owned(i, lo int, dst []int) ([]int, int)
 	// distBlock writes, for every j in cand, dist(item i, item j) into out
 	// when it is ≤ the source's ε, and a value that is not ≤ ε otherwise,
 	// index-aligned with cand (resized, reusing capacity), and returns it.
@@ -288,8 +293,8 @@ type epsView struct {
 	eps float64
 }
 
-func (v epsView) candidates(i int, dst []int) []int {
-	return v.c.CandidatesOf(i, v.eps, dst)
+func (v epsView) owned(i, lo int, dst []int) ([]int, int) {
+	return v.c.OwnedCandidatesOf(i, lo, v.eps, dst)
 }
 
 func (v epsView) distBlock(i int, cand []int, out []float64) []float64 {
@@ -306,8 +311,8 @@ type customDistView struct {
 	dist  lsdist.Func
 }
 
-func (v customDistView) candidates(i int, dst []int) []int {
-	return v.inner.candidates(i, dst)
+func (v customDistView) owned(i, lo int, dst []int) ([]int, int) {
+	return v.inner.owned(i, lo, dst)
 }
 
 func (v customDistView) distBlock(i int, cand []int, out []float64) []float64 {
@@ -347,35 +352,24 @@ type engine struct {
 // the scored values or their order — it only bounds the scratch.
 const refineBlock = 1024
 
-// Owned keeps, in place, the candidates of item i that item i owns in a
-// neighborhood pass over the items [lo, n): j < lo (an item the pass does
-// not query) or j ≥ i. Every other candidate j is an earlier item of the
-// pass, which owns the pair and hands its within-ε answer to i by symmetry
-// (Lemma 2; the kernel is bit-symmetric), so every unordered pair is scored
-// once. The self pair is owned like any other: i keeps itself only when it
-// scores ≤ ε, as its distance is not always exactly 0. Passes count
-// len(cand) as refined before dropping the other end's pairs.
-func Owned(cand []int, i, lo int) []int {
-	out := cand[:0]
-	for _, j := range cand {
-		if j < lo || j >= i {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // owned appends to dst, in ascending order, the ids within ε of item i among
-// the candidates item i owns (Owned) in a pass over [lo, n).
+// the candidates item i owns in a neighborhood pass over the items [lo, n):
+// j < lo (an item the pass does not query) or j ≥ i. The index never
+// returns the others: each is an earlier item of the pass, which owns the
+// pair and hands its within-ε answer to i by symmetry (Lemma 2; the kernel
+// is bit-symmetric), so every unordered pair is scored once. The self pair
+// is owned like any other: i keeps itself only when it scores ≤ ε, as its
+// distance is not always exactly 0.
 //
-// The refinement is block-at-a-time: one candidates call, then per
+// The refinement is block-at-a-time: one candidate query, then per
 // refineBlock-sized chunk one distBlock call scoring the chunk and a
-// branch-only filter pass over flat arrays. DistCalls counts len(candidates)
-// per query: candidate pairs refined, each unordered pair scored once.
+// branch-only filter pass over flat arrays. The pass's calls sum to
+// Σ|candidates(i)|, candidate pairs refined, each unordered pair scored
+// once (spindex.SearchQuery.OwnedCandidatesOf).
 func (e *engine) owned(i, lo int, dst []int32) []int32 {
-	e.cand = e.src.candidates(i, e.cand[:0])
-	e.calls += len(e.cand)
-	cand := Owned(e.cand, i, lo)
+	cand, calls := e.src.owned(i, lo, e.cand[:0])
+	e.cand = cand
+	e.calls += calls
 	for off := 0; off < len(cand); off += refineBlock {
 		chunk := cand[off:min(off+refineBlock, len(cand))]
 		e.dists = e.src.distBlock(i, chunk, e.dists)
@@ -766,6 +760,14 @@ func (s *SharedIndex) Cursor() *Cursor {
 // temporal term only grows distances, so the planar radius stays complete).
 func (c *Cursor) CandidatesOf(i int, eps float64, dst []int) []int {
 	return c.sq.CandidatesOf(i, eps, dst)
+}
+
+// OwnedCandidatesOf appends to dst the candidates of item i that lie outside
+// the window [lo, i), the ones i owns in a neighborhood pass over [lo, n),
+// and returns them with the pass's charge for i; the charges of a pass sum
+// to its Σ|CandidatesOf| (spindex.SearchQuery.OwnedCandidatesOf).
+func (c *Cursor) OwnedCandidatesOf(i, lo int, eps float64, dst []int) ([]int, int) {
+	return c.sq.OwnedCandidatesOf(i, lo, eps, dst)
 }
 
 // DistBlock scores item i exactly against every id in ids under the

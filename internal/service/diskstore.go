@@ -23,8 +23,11 @@ const snapExt = ".snap"
 //
 // Semantics relative to Store:
 //   - Get/GetOrBuild read through: an LRU miss tries <dir>/<name>.snap
-//     first, inside the same single-flight slot a build would use, so
-//     concurrent misses for one name do one disk load, not N.
+//     first. GetOrBuild does it inside the single-flight slot its build
+//     would use, so concurrent callers for one name do one disk load or
+//     one build. Get's probes single-flight among themselves, apart from
+//     the builds: Pending never reports a probe, and a build never joins
+//     one and inherits its miss.
 //   - Fresh builds are persisted write-behind: the build's caller returns
 //     as soon as the model is ready; the snapshot encode+write runs in a
 //     background goroutine (Quiesce waits them out — tests and daemon
@@ -39,6 +42,9 @@ const snapExt = ".snap"
 type DiskStore struct {
 	mem *Store
 	dir string // "" = memory-only
+
+	probeMu sync.Mutex
+	probes  map[string]*probe // Get's disk read-throughs in flight
 
 	wg    sync.WaitGroup
 	loads atomic.Int64 // successful disk read-throughs
@@ -57,7 +63,7 @@ func NewDiskStore(dir string, maxModels int) (*DiskStore, error) {
 			return nil, fmt.Errorf("service: creating snapshot dir: %w", err)
 		}
 	}
-	return &DiskStore{mem: NewStore(maxModels), dir: dir}, nil
+	return &DiskStore{mem: NewStore(maxModels), dir: dir, probes: map[string]*probe{}}, nil
 }
 
 // Dir returns the snapshot directory ("" when memory-only).
@@ -177,10 +183,22 @@ func (ds *DiskStore) saveBehind(name string, m *Model) {
 	}()
 }
 
+// probe is one disk read-through of Get; concurrent Gets of a name share it.
+type probe struct {
+	done  chan struct{} // closed when the outcome below is set
+	m     *Model
+	found bool
+	err   error
+}
+
 // Get returns the named model from the resident cache, reading through to
-// disk on a miss (the disk load runs single-flighted, so concurrent misses
-// decode the snapshot once). found=false means neither cache nor disk has
-// it. A snapshot that exists but fails to decode surfaces its typed error.
+// disk on a miss. found=false means neither cache nor disk has it. A
+// snapshot that exists but fails to decode surfaces its typed error.
+//
+// Concurrent misses for one name share one disk load, which runs apart from
+// the cache's build single-flight: a probe is not a build, so Pending never
+// reports one and a build never joins one. A loaded model is published with
+// Store.Adopt, which leaves a resident model or a build in flight alone.
 func (ds *DiskStore) Get(name string) (m *Model, found bool, err error) {
 	if m, ok := ds.mem.Get(name); ok {
 		return m, true, nil
@@ -188,30 +206,27 @@ func (ds *DiskStore) Get(name string) (m *Model, found bool, err error) {
 	if ds.dir == "" || !ValidModelName(name) {
 		return nil, false, nil
 	}
-	var missing bool
-	m, _, err = ds.mem.GetOrBuild(name, func() (*Model, error) {
-		m, found, err := ds.loadDisk(name)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			missing = true
-			return nil, errSnapshotMissing
-		}
-		return m, nil
-	})
-	if missing {
-		return nil, false, nil
+	ds.probeMu.Lock()
+	p, joined := ds.probes[name]
+	if !joined {
+		p = &probe{done: make(chan struct{})}
+		ds.probes[name] = p
 	}
-	if err != nil {
-		return nil, true, err
+	ds.probeMu.Unlock()
+	if joined {
+		<-p.done
+		return p.m, p.found, p.err
 	}
-	return m, true, nil
+	p.m, p.found, p.err = ds.loadDisk(name)
+	if p.err == nil && p.found {
+		p.m = ds.mem.Adopt(name, p.m)
+	}
+	ds.probeMu.Lock()
+	delete(ds.probes, name)
+	ds.probeMu.Unlock()
+	close(p.done)
+	return p.m, p.found, p.err
 }
-
-// errSnapshotMissing is the internal sentinel loadDisk misses are mapped
-// through inside the single-flight closure; it never escapes Get.
-var errSnapshotMissing = fmt.Errorf("service: no snapshot on disk")
 
 // GetOrBuild returns the named model, loading it from disk on a cache miss
 // and building it only when no snapshot exists either. Single-flight is

@@ -152,8 +152,34 @@ func (s *Store) Put(name string, m *Model) error {
 		s.lru.Remove(old.elem)
 		old.elem = nil
 	}
-	en := &entry{name: name, ready: closedReady, model: m}
-	s.entries[name] = en
+	s.push(&entry{name: name, ready: closedReady, model: m})
+	return nil
+}
+
+// Adopt caches m under name unless the name already has an entry, and
+// returns the model to serve: the resident one when the name is cached, m
+// otherwise. A build in flight for the name stays the authority: m is
+// returned uncached and the build publishes its own outcome. It is the
+// publish step of a disk read-through, which runs outside the build
+// single-flight, so it must neither race a build nor replace a newer epoch.
+func (s *Store) Adopt(name string, m *Model) *Model {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if en, ok := s.entries[name]; ok {
+		if en.elem == nil {
+			return m
+		}
+		s.lru.MoveToFront(en.elem)
+		return en.model
+	}
+	s.push(&entry{name: name, ready: closedReady, model: m})
+	return m
+}
+
+// push enters a ready entry as the most recently used one and evicts the
+// least recently used beyond the cap. s.mu must be held.
+func (s *Store) push(en *entry) {
+	s.entries[en.name] = en
 	en.elem = s.lru.PushFront(en)
 	for s.cap > 0 && s.lru.Len() > s.cap {
 		oldest := s.lru.Back()
@@ -162,7 +188,6 @@ func (s *Store) Put(name string, m *Model) error {
 		old.elem = nil
 		delete(s.entries, old.name)
 	}
-	return nil
 }
 
 // closedReady is the shared pre-closed ready channel of entries inserted
@@ -203,14 +228,7 @@ func (s *Store) GetOrBuild(name string, build func() (*Model, error)) (m *Model,
 	if en.err != nil {
 		delete(s.entries, name)
 	} else {
-		en.elem = s.lru.PushFront(en)
-		for s.cap > 0 && s.lru.Len() > s.cap {
-			oldest := s.lru.Back()
-			s.lru.Remove(oldest)
-			old := oldest.Value.(*entry)
-			old.elem = nil
-			delete(s.entries, old.name)
-		}
+		s.push(en)
 	}
 	s.mu.Unlock()
 	close(en.ready)

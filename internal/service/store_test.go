@@ -232,3 +232,61 @@ func TestStoreWaitCtx(t *testing.T) {
 		t.Fatalf("WaitCtx cache hit under done ctx: found=%v err=%v", found, err)
 	}
 }
+
+// TestDiskProbeIsNotABuild pins that DiskStore.Get's disk read-through
+// stays out of the build single-flight. While Gets of a name that has no
+// snapshot run in a loop, Pending never reports the name, every Get is a
+// plain miss, and every GetOrBuild runs its own build instead of joining a
+// probe and inheriting its miss. Before the probes had a flight of their
+// own, a daemon's build request could join a concurrent Get's probe and
+// fail with "no snapshot on disk".
+func TestDiskProbeIsNotABuild(t *testing.T) {
+	ds, err := NewDiskStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBuild := errors.New("the caller's own build ran")
+	const getters, rounds, builds = 4, 20, 200
+	for round := 0; round < rounds; round++ {
+		name := fmt.Sprintf("m%d", round)
+		stop := make(chan struct{})
+		bad := make(chan error, getters)
+		var wg sync.WaitGroup
+		for g := 0; g < getters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, found, err := ds.Get(name); found || err != nil {
+						bad <- fmt.Errorf("Get(%q) = found %v, err %v; want a plain miss", name, found, err)
+						return
+					}
+				}
+			}()
+		}
+		for k := 0; k < builds; k++ {
+			if ds.Pending(name) {
+				t.Errorf("Pending(%q) reported a disk probe as a build in flight", name)
+				break
+			}
+			if _, _, _, err := ds.GetOrBuild(name, func() (*Model, error) { return nil, errBuild }); !errors.Is(err, errBuild) {
+				t.Errorf("GetOrBuild(%q) = %v; want its own build's error", name, err)
+				break
+			}
+		}
+		close(stop)
+		wg.Wait()
+		close(bad)
+		for err := range bad {
+			t.Error(err)
+		}
+		if t.Failed() {
+			return
+		}
+	}
+}

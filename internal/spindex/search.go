@@ -160,6 +160,46 @@ func (sq *SearchQuery) CandidatesOf(i int, eps float64, dst []int) []int {
 	return sq.q.Within(sq.s.rectOf(i), sq.radius(eps), dst)
 }
 
+// OwnedCandidatesOf appends to dst the candidates of indexed segment i
+// (CandidatesOf) that i owns in a neighborhood pass over the ids [lo, n),
+// lo ≤ i: those outside the window [lo, i), whose ids an earlier item of
+// the pass scores and hands to i. It also returns the pass's charge for i,
+// |owned ∩ [0, lo)| + 2·|owned ∩ (i, n)| + [i ∈ owned], whose sum over the
+// pass is Σ|CandidatesOf|: each owned j > i also stands for the pair's
+// other end, which finds i in its window. The sum is exact because the
+// candidate relation is symmetric (OutsideQuery). That argument needs
+// finite coordinates (a NaN rectangle clamps to the grid's edge cells), so
+// a dataset with a non-finite coordinate, like a cursor without the
+// extension, takes the full list and drops the window, and is charged the
+// list's length.
+func (sq *SearchQuery) OwnedCandidatesOf(i, lo int, eps float64, dst []int) (owned []int, calls int) {
+	start := len(dst)
+	ext, ok := sq.q.(OutsideQuery)
+	if !ok || sq.s.pool == nil {
+		dst = sq.CandidatesOf(i, eps, dst)
+		calls = len(dst) - start
+		out := dst[:start]
+		for _, j := range dst[start:] {
+			if j < lo || j >= i {
+				out = append(out, j)
+			}
+		}
+		return out, calls
+	}
+	if sq.s.brute {
+		dst = ext.WithinOutside(geom.Rect{}, 0, lo, i, dst)
+	} else {
+		dst = ext.WithinOutside(sq.s.rectOf(i), sq.radius(eps), lo, i, dst)
+	}
+	for _, j := range dst[start:] {
+		calls++
+		if j > i {
+			calls++
+		}
+	}
+	return dst, calls
+}
+
 // DistBlock scores the TRACLUS distance from indexed segment i to every
 // indexed candidate in ids against bound, into out index-aligned with ids
 // (resized, reusing capacity). This is the refinement half of every

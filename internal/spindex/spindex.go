@@ -28,6 +28,16 @@
 // immutable after Build; Query cursors carry all per-goroutine scratch, so
 // one SegmentIndex serves any number of goroutines, each through its own
 // cursor.
+//
+// Two extensions are optional, and the three first-class backends implement
+// both. Inserter grows an index in place (Searcher.Grow). OutsideQuery
+// answers a query less an id window, without testing the window's ids: the
+// ownership query of the neighborhood passes, which score each unordered
+// candidate pair from one end only. It also promises a symmetric candidate
+// relation (b is reported for a's rectangle exactly when a is for b's),
+// which lets a pass derive the Σ|candidates(i)| it reports from the owned
+// lists alone. A custom cursor without the extension keeps working: the
+// pass takes its full list and drops the window itself.
 package spindex
 
 import (
@@ -84,6 +94,27 @@ var grows atomic.Int64
 
 // Grows returns the number of incremental index growths so far.
 func Grows() int64 { return grows.Load() }
+
+// OutsideQuery is the optional ownership extension of Query: cursors whose
+// backend can skip a run of ids implement it, and SearchQuery type-asserts
+// for it, as Searcher.Grow does for Inserter. WithinOutside appends to dst
+// exactly the ids Within(q, r, ·) would report that lie outside the window
+// [lo, hi), each at most once, and should skip the window without testing
+// its ids. The empty window (lo ≥ hi) is Within.
+//
+// It is what a neighborhood pass over the ids [lo, n) asks of item i: the
+// candidates i owns, outside [lo, i). A pass charges every item its full
+// candidate count, and since it no longer sees the full list it derives the
+// sum (SearchQuery.OwnedCandidatesOf), which takes one more promise: the
+// candidate relation is symmetric. For any two indexed segments a and b
+// with finite coordinates and any radius r, a query with a's Bounds()
+// reports b exactly when a query with b's Bounds() reports a. The
+// first-class backends keep it: grid and R-tree report exactly the ids
+// whose MBR passes the MBR-distance test (complete enumeration, then a
+// symmetric test; geom.Rect.WithinDist), and brute reports every id.
+type OutsideQuery interface {
+	WithinOutside(q geom.Rect, r float64, lo, hi int, dst []int) []int
+}
 
 // Inserter is the optional growth extension of SegmentIndex: backends whose
 // indexes can absorb appended segments in place implement it, and
@@ -149,12 +180,16 @@ type gridQuery struct {
 }
 
 func (q *gridQuery) Within(rect geom.Rect, r float64, dst []int) []int {
+	return q.WithinOutside(rect, r, 0, 0, dst)
+}
+
+func (q *gridQuery) WithinOutside(rect geom.Rect, r float64, lo, hi int, dst []int) []int {
 	// The index may have grown since this cursor was created; resize the
 	// dedup scratch to the live segment count before delegating.
 	if n := q.idx.Len(); len(q.seen) < n {
 		q.seen = make([]bool, n)
 	}
-	return q.idx.Candidates(rect, r, dst, q.seen)
+	return q.idx.CandidatesOutside(rect, r, lo, hi, dst, q.seen)
 }
 
 // ---- R-tree ----
@@ -187,7 +222,11 @@ func (t rtreeIndex) Insert(segs []geom.Segment) {
 type rtreeQuery struct{ tree *rtree.Tree }
 
 func (q rtreeQuery) Within(rect geom.Rect, r float64, dst []int) []int {
-	q.tree.WithinDist(rect, r, func(id int) bool {
+	return q.WithinOutside(rect, r, 0, 0, dst)
+}
+
+func (q rtreeQuery) WithinOutside(rect geom.Rect, r float64, lo, hi int, dst []int) []int {
+	q.tree.WithinDistOutside(rect, r, lo, hi, func(id int) bool {
 		dst = append(dst, id)
 		return true
 	})
@@ -217,9 +256,15 @@ func (b *bruteIndex) Insert(segs []geom.Segment) { b.n += len(segs) }
 
 type bruteQuery struct{ idx *bruteIndex }
 
-func (q bruteQuery) Within(_ geom.Rect, _ float64, dst []int) []int {
+func (q bruteQuery) Within(rect geom.Rect, r float64, dst []int) []int {
+	return q.WithinOutside(rect, r, 0, 0, dst)
+}
+
+func (q bruteQuery) WithinOutside(_ geom.Rect, _ float64, lo, hi int, dst []int) []int {
 	for j := 0; j < q.idx.n; j++ {
-		dst = append(dst, j)
+		if j < lo || j >= hi {
+			dst = append(dst, j)
+		}
 	}
 	return dst
 }

@@ -423,9 +423,11 @@ func newResult(out *core.Output, ccfg core.Config) *Result {
 }
 
 // DistCalls returns the number of candidate pairs the grouping phase
-// refined, each unordered pair scored once — the index-efficiency metric of
-// Lemma 3. It is deterministic for a given input and configuration,
-// independent of Config.Workers.
+// refined, Σ|candidates(i)|, each unordered pair scored once — the
+// index-efficiency metric of Lemma 3. The index hands each segment only the
+// candidates it scores, and the count is derived from those, exactly, since
+// the candidate relation is symmetric. It is deterministic for a given input
+// and configuration, independent of Config.Workers.
 func (r *Result) DistCalls() int { return r.out.Result.DistCalls }
 
 // QMeasure evaluates the paper's clustering quality measure (Formula 11:

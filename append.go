@@ -14,7 +14,7 @@ package traclus
 // a geodesic appender projects appended trajectories through the frame the
 // initial build resolved (a batch run over the concatenation may resolve a
 // different frame from the enlarged bounds — batch comparisons must pin the
-// frame via WithGeometry), and an estimation appender keeps the ε/MinLns
+// frame in Config.Geometry), and an estimation appender keeps the ε/MinLns
 // the initial build estimated (parameters are frozen at build time; they are
 // not re-estimated per append).
 //

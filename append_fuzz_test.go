@@ -75,7 +75,7 @@ func FuzzAppendOrderings(f *testing.F) {
 		// numbering depends on item order, so the comparison must use the
 		// permuted order, not the original.
 		concat := append(append([]traclus.Trajectory{}, trs[:base]...), perm...)
-		want, err := traclus.Run(concat, cfg)
+		want, err := run(concat, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,7 +92,7 @@ func sameQuality(t *testing.T, label string, got, want *traclus.Result) {
 	}
 }
 
-var appendBackends = []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone}
+var appendBackends = []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()}
 var appendWorkers = []int{1, 2, 4, 0}
 
 // appendChunks splits the tail of trs into the append schedule every
@@ -119,35 +119,35 @@ func TestAppendEquivalencePlanar(t *testing.T) {
 			base, chunks := appendChunks(trs, 60)
 			ap, err := traclus.New(traclus.WithConfig(cfg)).NewAppender(ctx, base)
 			if err != nil {
-				t.Fatalf("index=%v workers=%d: NewAppender: %v", kind, workers, err)
+				t.Fatalf("index=%v workers=%d: NewAppender: %v", kind.Name(), workers, err)
 			}
-			batch0, err := traclus.Run(base, cfg)
+			batch0, err := run(base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a, b := appendFingerprint(ap.Result()), appendFingerprint(batch0); a != b {
-				t.Fatalf("index=%v workers=%d: initial build fingerprint %s (appender) vs %s (Run)", kind, workers, a, b)
+				t.Fatalf("index=%v workers=%d: initial build fingerprint %s (appender) vs %s (Run)", kind.Name(), workers, a, b)
 			}
 			if a, b := ap.Result().DistCalls(), batch0.DistCalls(); a != b {
-				t.Fatalf("index=%v workers=%d: initial build DistCalls %d (appender) vs %d (Run)", kind, workers, a, b)
+				t.Fatalf("index=%v workers=%d: initial build DistCalls %d (appender) vs %d (Run)", kind.Name(), workers, a, b)
 			}
-			sameQuality(t, fmt.Sprintf("index=%v workers=%d initial build", kind, workers), ap.Result(), batch0)
+			sameQuality(t, fmt.Sprintf("index=%v workers=%d initial build", kind.Name(), workers), ap.Result(), batch0)
 			sofar := base
 			for ci, chunk := range chunks {
 				res, err := ap.Append(ctx, chunk)
 				if err != nil {
-					t.Fatalf("index=%v workers=%d append %d: %v", kind, workers, ci, err)
+					t.Fatalf("index=%v workers=%d append %d: %v", kind.Name(), workers, ci, err)
 				}
 				sofar = append(sofar[:len(sofar):len(sofar)], chunk...)
-				batch, err := traclus.Run(sofar, cfg)
+				batch, err := run(sofar, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if a, b := appendFingerprint(res), appendFingerprint(batch); a != b {
 					t.Errorf("index=%v workers=%d after append %d (%d trajectories): fingerprint %s (append-built) vs %s (batch-built)",
-						kind, workers, ci, len(sofar), a, b)
+						kind.Name(), workers, ci, len(sofar), a, b)
 				}
-				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind, workers, ci), res, batch)
+				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind.Name(), workers, ci), res, batch)
 			}
 		}
 	}
@@ -166,22 +166,23 @@ func TestAppendEquivalenceTimed(t *testing.T) {
 				MinSegmentLength: 40,
 				Index:            kind,
 				Workers:          workers,
+				Geometry:         traclus.SpatiotemporalGeometry(0.002),
 			}
 			build := func() (*traclus.Pipeline, error) {
-				return traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0.002)), nil
+				return traclus.New(traclus.WithConfig(cfg)), nil
 			}
 			p, _ := build()
 			base, chunks := timed[:60], [][]traclus.Trajectory{timed[60:61], timed[61:66], timed[66:]}
 			ap, err := p.NewAppender(ctx, base)
 			if err != nil {
-				t.Fatalf("index=%v workers=%d: NewAppender: %v", kind, workers, err)
+				t.Fatalf("index=%v workers=%d: NewAppender: %v", kind.Name(), workers, err)
 			}
 			ap.Result().QMeasure() // appends advance from this epoch's quality
 			sofar := base
 			for ci, chunk := range chunks {
 				res, err := ap.Append(ctx, chunk)
 				if err != nil {
-					t.Fatalf("index=%v workers=%d append %d: %v", kind, workers, ci, err)
+					t.Fatalf("index=%v workers=%d append %d: %v", kind.Name(), workers, ci, err)
 				}
 				sofar = append(sofar[:len(sofar):len(sofar)], chunk...)
 				pb, _ := build()
@@ -191,9 +192,9 @@ func TestAppendEquivalenceTimed(t *testing.T) {
 				}
 				if a, b := appendFingerprint(res), appendFingerprint(batch); a != b {
 					t.Errorf("index=%v workers=%d after append %d (%d trajectories): fingerprint %s (append-built) vs %s (batch-built)",
-						kind, workers, ci, len(sofar), a, b)
+						kind.Name(), workers, ci, len(sofar), a, b)
 				}
-				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind, workers, ci), res, batch)
+				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind.Name(), workers, ci), res, batch)
 			}
 		}
 	}
@@ -203,25 +204,23 @@ func TestAppendEquivalenceTimed(t *testing.T) {
 // projection frame from the INITIAL data bounds and keeps it for every
 // append; a batch run over the concatenation would derive a different frame
 // from the enlarged bounds, so the batch comparison pins the appender's
-// frame explicitly via WithGeometry — the same discipline snapshot restores
-// use.
+// frame explicitly in Config.Geometry — the same discipline snapshot
+// restores use.
 func TestAppendEquivalenceGeodesic(t *testing.T) {
 	trs := synth.GPSTracks(3, 10, 25, 7)
 	ctx := context.Background()
-	cfg := traclus.Config{Eps: 150, MinLns: 5, MinSegmentLength: 100}
+	cfg := traclus.Config{Eps: 150, MinLns: 5, MinSegmentLength: 100, Geometry: traclus.GeodesicGeometry()}
 	for _, kind := range appendBackends {
 		for _, workers := range []int{1, 0} {
 			cfg.Index, cfg.Workers = kind, workers
 			base, chunks := appendChunks(trs, len(trs)-8)
-			ap, err := traclus.New(
-				traclus.WithConfig(cfg),
-				traclus.WithGeometry(traclus.GeodesicGeometry()),
-			).NewAppender(ctx, base)
+			ap, err := traclus.New(traclus.WithConfig(cfg)).NewAppender(ctx, base)
 			if err != nil {
-				t.Fatalf("index=%v workers=%d: NewAppender: %v", kind, workers, err)
+				t.Fatalf("index=%v workers=%d: NewAppender: %v", kind.Name(), workers, err)
 			}
-			pinned := ap.Result().Geometry() // geodesic + the resolved frame
-			if pinned.Frame == nil {
+			pinned := cfg
+			pinned.Geometry = ap.Result().Geometry() // geodesic + the resolved frame
+			if pinned.Geometry.Frame == nil {
 				t.Fatal("appender resolved no frame")
 			}
 			ap.Result().QMeasure() // appends advance from this epoch's quality
@@ -229,21 +228,18 @@ func TestAppendEquivalenceGeodesic(t *testing.T) {
 			for ci, chunk := range chunks {
 				res, err := ap.Append(ctx, chunk)
 				if err != nil {
-					t.Fatalf("index=%v workers=%d append %d: %v", kind, workers, ci, err)
+					t.Fatalf("index=%v workers=%d append %d: %v", kind.Name(), workers, ci, err)
 				}
 				sofar = append(sofar[:len(sofar):len(sofar)], chunk...)
-				batch, err := traclus.New(
-					traclus.WithConfig(cfg),
-					traclus.WithGeometry(pinned),
-				).Run(ctx, sofar)
+				batch, err := traclus.New(traclus.WithConfig(pinned)).Run(ctx, sofar)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if a, b := appendFingerprint(res), appendFingerprint(batch); a != b {
 					t.Errorf("index=%v workers=%d after append %d: fingerprint %s (append-built) vs %s (batch-built, pinned frame)",
-						kind, workers, ci, a, b)
+						kind.Name(), workers, ci, a, b)
 				}
-				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind, workers, ci), res, batch)
+				sameQuality(t, fmt.Sprintf("index=%v workers=%d after append %d", kind.Name(), workers, ci), res, batch)
 			}
 		}
 	}
@@ -306,8 +302,9 @@ func TestAppendGuards(t *testing.T) {
 	if _, err := ap.Append(ctx, timedWorkload(t, 4)); err == nil {
 		t.Fatal("planar appender accepted trajectories with Times")
 	}
-	tap, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0)).
-		NewAppender(ctx, timedWorkload(t, 10))
+	timedCfg := cfg
+	timedCfg.Geometry = traclus.SpatiotemporalGeometry(0)
+	tap, err := traclus.New(traclus.WithConfig(timedCfg)).NewAppender(ctx, timedWorkload(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +324,8 @@ func TestAppendGuards(t *testing.T) {
 
 	// Spatiotemporal geometry demands the timed entry point.
 	var cfgErr *traclus.ConfigError
-	_, err = traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0.5)).NewAppender(ctx, trs)
+	timedCfg.Geometry = traclus.SpatiotemporalGeometry(0.5)
+	_, err = traclus.New(traclus.WithConfig(timedCfg)).NewAppender(ctx, trs)
 	if !errors.As(err, &cfgErr) {
 		t.Fatalf("NewAppender under spatiotemporal geometry: %v, want *ConfigError", err)
 	}
@@ -490,7 +488,7 @@ func TestResultQualityConcurrent(t *testing.T) {
 			t.Errorf("reader %d saw %v, reader 0 %v", g, q, qs[0])
 		}
 	}
-	batch, err := traclus.Run(trs[:61], cfg)
+	batch, err := run(trs[:61], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

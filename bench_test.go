@@ -155,9 +155,9 @@ func BenchmarkPartitionExactDP(b *testing.B) {
 func BenchmarkGroupingIndexVsScan(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		items := corridorItems(n)
-		for _, kind := range []segclust.IndexKind{segclust.IndexNone, segclust.IndexGrid, segclust.IndexRTree} {
-			b.Run(fmt.Sprintf("segments=%d/index=%v", n, kind), func(b *testing.B) {
-				cfg := segclust.Config{Eps: 25, MinLns: 5, Options: lsdist.DefaultOptions(), Index: kind}
+		for _, kind := range []spindex.Backend{spindex.Brute(), spindex.Grid(), spindex.RTree()} {
+			b.Run(fmt.Sprintf("segments=%d/index=%s", n, kind.Name()), func(b *testing.B) {
+				cfg := segclust.Config{Eps: 25, MinLns: 5, Options: lsdist.DefaultOptions(), Backend: kind}
 				var calls int
 				for i := 0; i < b.N; i++ {
 					res, err := segclust.Run(items, cfg)
@@ -183,7 +183,7 @@ func BenchmarkTraclusEndToEnd(b *testing.B) {
 			runCfg := traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := traclus.Run(trs, runCfg); err != nil {
+				if _, err := run(trs, runCfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -229,7 +229,7 @@ func BenchmarkRunParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := traclus.Run(trs, runCfg); err != nil {
+				if _, err := run(trs, runCfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -365,7 +365,7 @@ func BenchmarkTemporalClustering(b *testing.B) {
 		b.Run(fmt.Sprintf("wT=%v", wT), func(b *testing.B) {
 			var clusters int
 			for i := 0; i < b.N; i++ {
-				res, err := traclus.Run(trs, traclus.Config{Eps: 25, MinLns: 5, Geometry: traclus.SpatiotemporalGeometry(wT)})
+				res, err := run(trs, traclus.Config{Eps: 25, MinLns: 5, Geometry: traclus.SpatiotemporalGeometry(wT)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -432,7 +432,7 @@ func BenchmarkParameterHeuristic(b *testing.B) {
 	trs := synth.Hurricanes(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := traclus.EstimateParameters(trs, 5, 60, traclus.Config{
+		if _, err := estimate(trs, 5, 60, traclus.Config{
 			CostAdvantage: 15, MinSegmentLength: 40,
 		}); err != nil {
 			b.Fatal(err)
@@ -487,13 +487,10 @@ func BenchmarkIndexBackends(b *testing.B) {
 	base.Eps, base.MinLns = 30, 6
 	base.Partition.CostAdvantage, base.Partition.MinLength = 15, 40
 	items := core.PartitionAll(trs, base)
-	for _, bk := range []struct {
-		name string
-		kind traclus.IndexKind
-	}{{"grid", traclus.IndexGrid}, {"rtree", traclus.IndexRTree}, {"brute", traclus.IndexNone}} {
-		b.Run("backend="+bk.name, func(b *testing.B) {
+	for _, backend := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
+		b.Run("backend="+backend.Name(), func(b *testing.B) {
 			ccfg := base
-			ccfg.Index = bk.kind
+			ccfg.Backend = backend
 			b.ReportAllocs()
 			var calls int
 			for i := 0; i < b.N; i++ {
@@ -512,9 +509,9 @@ func BenchmarkIndexBackends(b *testing.B) {
 // mode=fixed clusters at given parameters; mode=auto additionally estimates
 // ε/MinLns with the §4.4 heuristic. Since the spindex refactor the auto
 // path runs estimation and grouping against ONE shared index build (before,
-// it was a separate EstimateParameters pass — its own index and
-// neighborhood sweeps at the maximum-ε candidate radius — followed by an
-// independent Build).
+// it was a separate estimation pass — its own index and neighborhood
+// sweeps at the maximum-ε candidate radius — followed by an independent
+// build).
 func BenchmarkServiceModelBuild(b *testing.B) {
 	cfg := synth.DefaultHurricaneConfig()
 	cfg.NumTracks = 480
@@ -523,7 +520,7 @@ func BenchmarkServiceModelBuild(b *testing.B) {
 	b.Run("mode=fixed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := service.Build(fmt.Sprintf("m%d", i), trs, base); err != nil {
+			if _, err := service.BuildCtx(context.Background(), fmt.Sprintf("m%d", i), trs, base, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -672,7 +669,7 @@ func BenchmarkAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := traclus.Run(trs, cfg); err != nil {
+				if _, err := run(trs, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -727,13 +724,14 @@ func BenchmarkGeometry(b *testing.B) {
 	geoCfg.MinSegmentLength *= unitToMeter
 	ctx := context.Background()
 
-	runSpatial := func(b *testing.B, trs []traclus.Trajectory, c traclus.Config, opts ...traclus.Option) {
+	runSpatial := func(b *testing.B, trs []traclus.Trajectory, c traclus.Config, g traclus.Geometry) {
 		b.Helper()
 		b.ReportAllocs()
 		b.ResetTimer()
+		c.Geometry = g
 		var clusters int
 		for i := 0; i < b.N; i++ {
-			res, err := traclus.New(append([]traclus.Option{traclus.WithConfig(c)}, opts...)...).Run(ctx, trs)
+			res, err := traclus.New(traclus.WithConfig(c)).Run(ctx, trs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -741,16 +739,16 @@ func BenchmarkGeometry(b *testing.B) {
 		}
 		b.ReportMetric(float64(clusters), "clusters")
 	}
-	b.Run("geometry=planar", func(b *testing.B) { runSpatial(b, spatial, cfg) })
+	b.Run("geometry=planar", func(b *testing.B) { runSpatial(b, spatial, cfg, traclus.Geometry{}) })
 	b.Run("geometry=planar-explicit", func(b *testing.B) {
-		runSpatial(b, spatial, cfg, traclus.WithGeometry(traclus.PlanarGeometry()))
+		runSpatial(b, spatial, cfg, traclus.PlanarGeometry())
 	})
 	for _, wt := range []float64{0, 0.002} {
 		b.Run(fmt.Sprintf("geometry=spatiotemporal/wt=%v", wt), func(b *testing.B) {
-			runSpatial(b, timed, cfg, traclus.WithTemporalWeight(wt))
+			runSpatial(b, timed, cfg, traclus.SpatiotemporalGeometry(wt))
 		})
 	}
 	b.Run("geometry=geodesic", func(b *testing.B) {
-		runSpatial(b, geodesic, geoCfg, traclus.WithGeometry(traclus.GeodesicGeometry()))
+		runSpatial(b, geodesic, geoCfg, traclus.GeodesicGeometry())
 	})
 }

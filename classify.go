@@ -1,12 +1,12 @@
 package traclus
 
 // This file implements online classification of unseen trajectories against
-// a built clustering — the serving-side counterpart of Run. A Classifier
-// snapshots a Result's representative trajectories as indexed reference
-// segments; Classify then partitions a query trajectory with the same MDL
-// configuration the model was built with and assigns it to the cluster whose
-// representative segments are nearest under the same three-component
-// distance, length-weighted across the query's partitions.
+// a built clustering — the serving-side counterpart of Pipeline.Run. A
+// Classifier snapshots a Result's representative trajectories as indexed
+// reference segments; Classify then partitions a query trajectory with the
+// same MDL configuration the model was built with and assigns it to the
+// cluster whose representative segments are nearest under the same
+// three-component distance, length-weighted across the query's partitions.
 //
 // The nearest-segment machinery is not private to this file: the reference
 // segments are indexed through internal/spindex — the same subsystem, and
@@ -24,7 +24,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/lsdist"
 	"repro/internal/mdl"
-	"repro/internal/segclust"
 	"repro/internal/spindex"
 )
 
@@ -48,13 +47,11 @@ type Classifier struct {
 	eps         float64
 	numClusters int
 
-	// opts, kind, and custom record how the reference index was built, so
-	// Snapshot can serialize a geometry-only description that rebuilds the
-	// identical classifier. custom marks an unnameable (plugged-in) backend:
-	// such classifiers serve normally but refuse to snapshot.
-	opts   lsdist.Options
-	kind   IndexKind
-	custom bool
+	// opts and index (the backend's Name()) record how the reference index
+	// was built, so Snapshot can serialize a geometry-only description that
+	// rebuilds the identical classifier.
+	opts  lsdist.Options
+	index string
 
 	// geo is the model's geometry. A spatiotemporal model additionally
 	// carries windows — each cluster's time window, index-aligned with
@@ -89,13 +86,13 @@ func NewClassifier(res *Result) (*Classifier, error) {
 	if res == nil || len(res.Clusters) == 0 {
 		return nil, ErrNoClusters
 	}
+	backend := res.cfg.ResolvedBackend()
 	c := &Classifier{
 		part:        res.cfg.Partition,
 		eps:         res.cfg.Eps,
 		numClusters: len(res.Clusters),
 		opts:        res.cfg.Distance,
-		kind:        res.cfg.Index,
-		custom:      res.cfg.Backend != nil,
+		index:       backend.Name(),
 		geo:         res.cfg.Geometry,
 		windows:     res.windows,
 	}
@@ -109,7 +106,7 @@ func NewClassifier(res *Result) (*Classifier, error) {
 	if len(segs) == 0 {
 		return nil, ErrNoClusters
 	}
-	c.search = spindex.NewSearcher(segs, res.cfg.Distance, res.cfg.ResolvedBackend())
+	c.search = spindex.NewSearcher(segs, res.cfg.Distance, backend)
 	c.queryPool.New = func() any { return c.search.Query() }
 	return c, nil
 }
@@ -273,8 +270,9 @@ type ClassifierSnapshot struct {
 	// never the zero value).
 	Weights    Weights
 	Undirected bool
-	// Index names the spatial-index backend to rebuild with.
-	Index IndexKind
+	// Index names the spatial-index backend to rebuild with: the backend's
+	// Name(), resolved on load through ParseIndexBackend.
+	Index string
 	// Reference holds each cluster's reference segments, indexed by
 	// cluster id; concatenated in order they are exactly the segments the
 	// original classifier indexed.
@@ -293,8 +291,9 @@ type ClassifierSnapshot struct {
 }
 
 // ErrUnsnapshotable is returned by Classifier.Snapshot when the classifier
-// was built with a plugged-in custom index backend: the snapshot format
-// names backends, and a custom one has no name to rebuild from.
+// was built with a custom index backend whose Name() ParseIndexBackend
+// cannot resolve: the snapshot format names backends, and such a name has
+// nothing to rebuild from.
 var ErrUnsnapshotable = errors.New("traclus: classifier uses a custom index backend and cannot be snapshotted")
 
 // Snapshot extracts the classifier's geometry-only description. The
@@ -303,7 +302,7 @@ var ErrUnsnapshotable = errors.New("traclus: classifier uses a custom index back
 // reference segments in the same order, the same distance, the same MDL
 // partitioning, and the same (named) backend.
 func (c *Classifier) Snapshot() (ClassifierSnapshot, error) {
-	if c.custom {
+	if _, err := ParseIndexBackend(c.index); err != nil {
 		return ClassifierSnapshot{}, ErrUnsnapshotable
 	}
 	s := ClassifierSnapshot{
@@ -312,7 +311,7 @@ func (c *Classifier) Snapshot() (ClassifierSnapshot, error) {
 		MinSegmentLength: c.part.MinLength,
 		Weights:          c.opts.Weights,
 		Undirected:       c.opts.Undirected,
-		Index:            c.kind,
+		Index:            c.index,
 		Reference:        make([][]Segment, c.numClusters),
 		Geometry:         c.geo.Kind.String(),
 		TemporalWeight:   c.geo.WT,
@@ -345,12 +344,16 @@ func NewClassifierFromSnapshot(s ClassifierSnapshot) (*Classifier, error) {
 	if !ok {
 		return nil, fmt.Errorf("traclus: classifier snapshot has unknown geometry %q", s.Geometry)
 	}
+	backend, err := ParseIndexBackend(s.Index)
+	if err != nil {
+		return nil, fmt.Errorf("traclus: classifier snapshot: %w", err)
+	}
 	c := &Classifier{
 		part:        mdl.Config{CostAdvantage: s.CostAdvantage, MinLength: s.MinSegmentLength},
 		eps:         s.Eps,
 		numClusters: len(s.Reference),
 		opts:        lsdist.Options{Weights: s.Weights, Undirected: s.Undirected},
-		kind:        s.Index,
+		index:       backend.Name(),
 		geo:         Geometry{Kind: kind, WT: s.TemporalWeight},
 	}
 	if s.Frame != nil {
@@ -378,7 +381,7 @@ func NewClassifierFromSnapshot(s ClassifierSnapshot) (*Classifier, error) {
 			c.owner = append(c.owner, ci)
 		}
 	}
-	c.search = spindex.NewSearcher(segs, c.opts, segclust.BackendFor(s.Index))
+	c.search = spindex.NewSearcher(segs, c.opts, backend)
 	c.queryPool.New = func() any { return c.search.Query() }
 	return c, nil
 }

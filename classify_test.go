@@ -3,6 +3,7 @@ package traclus_test
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/synth"
@@ -32,7 +33,7 @@ func ownCluster(res *traclus.Result, id int) int {
 // cluster.
 func TestClassifyTrainingSet(t *testing.T) {
 	trs := corridorTrajectories()
-	res, err := traclus.Run(trs, classifyConfig())
+	res, err := run(trs, classifyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestClassifyTrainingSet(t *testing.T) {
 // far-away trajectory reports a much larger distance.
 func TestClassifyUnseenTrajectory(t *testing.T) {
 	trs := corridorTrajectories()
-	res, err := traclus.Run(trs, classifyConfig())
+	res, err := run(trs, classifyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +99,10 @@ func TestClassifyIndexEquivalence(t *testing.T) {
 	trs := corridorTrajectories()
 	queries := synth.CorridorScene(2, 4, 24, 6, 99)
 	var baseline []int
-	for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+	for _, kind := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
 		cfg := classifyConfig()
 		cfg.Index = kind
-		res, err := traclus.Run(trs, cfg)
+		res, err := run(trs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestClassifyIndexEquivalence(t *testing.T) {
 		for _, q := range queries {
 			cl, _, err := res.Classify(q)
 			if err != nil {
-				t.Fatalf("index %v: %v", kind, err)
+				t.Fatalf("index %v: %v", kind.Name(), err)
 			}
 			got = append(got, cl)
 		}
@@ -119,14 +120,69 @@ func TestClassifyIndexEquivalence(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != baseline[i] {
-				t.Errorf("index %v: query %d → cluster %d, grid → %d", kind, i, got[i], baseline[i])
+				t.Errorf("index %v: query %d → cluster %d, grid → %d", kind.Name(), i, got[i], baseline[i])
 			}
 		}
 	}
 }
 
+// TestClassifierSnapshotBackends: for every built-in backend set through
+// Config.Index, the snapshot names the backend and NewClassifierFromSnapshot
+// rebuilds a classifier that assigns every held-out query to the same
+// cluster, with the same distance bits. A custom backend whose Name()
+// ParseIndexBackend cannot resolve refuses to snapshot.
+func TestClassifierSnapshotBackends(t *testing.T) {
+	trs := corridorTrajectories()
+	queries := synth.CorridorScene(2, 4, 24, 6, 99)
+	for _, backend := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
+		cfg := classifyConfig()
+		cfg.Index = backend
+		res, err := run(trs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls, err := res.Classifier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := cls.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: Snapshot: %v", backend.Name(), err)
+		}
+		if snap.Index != backend.Name() {
+			t.Errorf("%s: snapshot names the backend %q", backend.Name(), snap.Index)
+		}
+		restored, err := traclus.NewClassifierFromSnapshot(snap)
+		if err != nil {
+			t.Fatalf("%s: NewClassifierFromSnapshot: %v", backend.Name(), err)
+		}
+		for i, q := range queries {
+			wc, wd, werr := cls.Classify(q)
+			gc, gd, gerr := restored.Classify(q)
+			if gc != wc || math.Float64bits(gd) != math.Float64bits(wd) || (gerr == nil) != (werr == nil) {
+				t.Errorf("%s: query %d restored to (%d, %x, %v), original (%d, %x, %v)",
+					backend.Name(), i, gc, math.Float64bits(gd), gerr, wc, math.Float64bits(wd), werr)
+			}
+		}
+	}
+
+	cfg := classifyConfig()
+	cfg.Index = exhaustiveMBRBackend{builds: new(atomic.Int64), queries: new(atomic.Int64)}
+	res, err := run(trs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := res.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cls.Snapshot(); !errors.Is(err, traclus.ErrUnsnapshotable) {
+		t.Errorf("custom backend Snapshot: %v, want ErrUnsnapshotable", err)
+	}
+}
+
 func TestClassifyErrors(t *testing.T) {
-	res, err := traclus.Run(corridorTrajectories(), classifyConfig())
+	res, err := run(corridorTrajectories(), classifyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +192,7 @@ func TestClassifyErrors(t *testing.T) {
 	}
 
 	// A clustering with no clusters cannot classify.
-	sparse, err := traclus.Run(corridorTrajectories()[:2], traclus.Config{Eps: 1, MinLns: 50})
+	sparse, err := run(corridorTrajectories()[:2], traclus.Config{Eps: 1, MinLns: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +209,7 @@ func TestClassifyErrors(t *testing.T) {
 // the squared terms of the distance to +Inf, leaving no reference segment
 // comparable. The classifier must return an error, not index votes[-1].
 func TestClassifyOverflowCoordinates(t *testing.T) {
-	res, err := traclus.Run(corridorTrajectories(), classifyConfig())
+	res, err := run(corridorTrajectories(), classifyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +223,7 @@ func TestClassifyOverflowCoordinates(t *testing.T) {
 
 func TestClassifierConcurrent(t *testing.T) {
 	trs := corridorTrajectories()
-	res, err := traclus.Run(trs, classifyConfig())
+	res, err := run(trs, classifyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +251,7 @@ func TestClassifierConcurrent(t *testing.T) {
 }
 
 func TestClusterStats(t *testing.T) {
-	res, err := traclus.Run(corridorTrajectories(), classifyConfig())
+	res, err := run(corridorTrajectories(), classifyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +304,7 @@ func TestConfigValidateTyped(t *testing.T) {
 			t.Errorf("case %d: error %T is not a *ConfigError", i, err)
 		}
 		// Run must reject the same configs, still as a typed error.
-		if _, err := traclus.Run(corridorTrajectories(), cfg); !errors.As(err, &ce) {
+		if _, err := run(corridorTrajectories(), cfg); !errors.As(err, &ce) {
 			t.Errorf("case %d: Run error %v is not a *ConfigError", i, err)
 		}
 	}

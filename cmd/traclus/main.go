@@ -92,7 +92,7 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 			return nil, err
 		}
 	}
-	kind, err := traclus.ParseIndexKind(*index)
+	backend, err := traclus.ParseIndexBackend(*index)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func parseOptions(args []string, stderr io.Writer) (*options, error) {
 			Undirected:       *undirected,
 			CostAdvantage:    *costAdv,
 			MinSegmentLength: *minSegLen,
-			Index:            kind,
+			Index:            backend,
 			Workers:          *workers,
 		},
 	}

@@ -116,15 +116,15 @@ func TestRunMissingFile(t *testing.T) {
 }
 
 func TestParseOptionsIndexFlag(t *testing.T) {
-	for name, want := range map[string]traclus.IndexKind{
-		"grid": traclus.IndexGrid, "rtree": traclus.IndexRTree, "brute": traclus.IndexNone,
+	for name, want := range map[string]traclus.IndexBackend{
+		"grid": traclus.GridIndexBackend(), "rtree": traclus.RTreeIndexBackend(), "brute": traclus.BruteIndexBackend(),
 	} {
 		opts, err := parseOptions([]string{"-in", "x.csv", "-index", name}, &bytes.Buffer{})
 		if err != nil {
 			t.Fatalf("-index %s: %v", name, err)
 		}
 		if opts.cfg.Index != want {
-			t.Errorf("-index %s parsed as %v, want %v", name, opts.cfg.Index, want)
+			t.Errorf("-index %s parsed as %v, want %s", name, opts.cfg.Index, want.Name())
 		}
 	}
 	if _, err := parseOptions([]string{"-in", "x.csv", "-index", "kdtree"}, &bytes.Buffer{}); err == nil {

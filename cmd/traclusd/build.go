@@ -157,12 +157,12 @@ func (s *server) handleBuildV1(w http.ResponseWriter, r *http.Request) {
 		spec.cfg.Workers = s.cfg.workers
 	}
 	if c.Index != "" {
-		kind, err := traclus.ParseIndexKind(c.Index)
+		backend, err := traclus.ParseIndexBackend(c.Index)
 		if err != nil {
 			writeTypedError(w, err)
 			return
 		}
-		spec.cfg.Index = kind
+		spec.cfg.Index = backend
 	}
 	geo, err := parseGeometryParams(c.Geometry, c.TemporalWeight)
 	if err != nil {
@@ -474,11 +474,11 @@ func buildConfigFromQuery(r *http.Request) (cfg traclus.Config, est *service.Est
 	}
 	if v := q.Get("index"); v != "" {
 		// Unknown backend names surface the typed *ConfigError as a 400.
-		kind, perr := traclus.ParseIndexKind(v)
+		backend, perr := traclus.ParseIndexBackend(v)
 		if perr != nil {
 			return cfg, nil, false, false, perr
 		}
-		cfg.Index = kind
+		cfg.Index = backend
 	}
 	var wt *float64
 	if v := q.Get("wt"); v != "" {

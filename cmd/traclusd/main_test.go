@@ -121,7 +121,8 @@ func TestBuildClassifyRoundTrip(t *testing.T) {
 
 	// Classify two training trajectories, one per corridor: each must land
 	// in its own cluster (checked against the authoritative in-process run).
-	res, err := traclus.Run(trs, traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40})
+	cfg := traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40}
+	res, err := traclus.New(traclus.WithConfig(cfg)).Run(context.Background(), trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestSingleFlightAndCacheHit(t *testing.T) {
 		buildModel: func(_ context.Context, name string, trs []traclus.Trajectory, c traclus.Config, _ *service.EstimateRange, _ func(string, float64)) (*service.Model, error) {
 			builds.Add(1)
 			<-release // hold the build so all duplicates overlap it
-			return service.Build(name, trs, c)
+			return service.BuildCtx(context.Background(), name, trs, c, nil, nil)
 		},
 	}
 	_, ts := testServer(t, cfg)
@@ -316,7 +317,7 @@ func TestBuildConcurrencyCap(t *testing.T) {
 		buildModel: func(_ context.Context, name string, trs []traclus.Trajectory, c traclus.Config, _ *service.EstimateRange, _ func(string, float64)) (*service.Model, error) {
 			started <- struct{}{}
 			<-release
-			return service.Build(name, trs, c)
+			return service.BuildCtx(context.Background(), name, trs, c, nil, nil)
 		},
 	})
 	_, csv := trainingCSV(t)
@@ -595,7 +596,8 @@ func TestBuildAutoEstimation(t *testing.T) {
 	if code := doJSON(t, http.MethodGet, ts.URL+"/models/auto", "", &sum); code != http.StatusOK {
 		t.Fatalf("GET auto model: %d", code)
 	}
-	est, err := traclus.EstimateParameters(trs, 5, 60, traclus.Config{CostAdvantage: 15, MinSegmentLength: 40})
+	p := traclus.New(traclus.WithConfig(traclus.Config{CostAdvantage: 15, MinSegmentLength: 40}))
+	est, err := p.Estimate(context.Background(), trs, 5, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

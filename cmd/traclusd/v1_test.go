@@ -40,7 +40,7 @@ func blockingBuildConfig(started, release chan struct{}) serverConfig {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
-			return service.Build(name, trs, c)
+			return service.BuildCtx(context.Background(), name, trs, c, nil, nil)
 		},
 	}
 }
@@ -330,7 +330,7 @@ func TestV1SnapshotPutConflict(t *testing.T) {
 	<-started
 
 	// A valid snapshot from a second server: build one synchronously.
-	m, err := service.Build("busy", synthTraining(), buildCfg())
+	m, err := service.BuildCtx(context.Background(), "busy", synthTraining(), buildCfg(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,10 +67,10 @@ func ExamplePipeline_progress() {
 	// represent done
 }
 
-// ExampleRun clusters five trajectories that share a horizontal corridor
-// before fanning out, and prints the discovered common sub-trajectory's
-// participants.
-func ExampleRun() {
+// ExamplePipeline_Run clusters five trajectories that share a horizontal
+// corridor before fanning out, and prints the discovered common
+// sub-trajectory's participants.
+func ExamplePipeline_Run() {
 	var trs []traclus.Trajectory
 	for i := 0; i < 5; i++ {
 		dy := float64(i) * 2
@@ -83,7 +83,8 @@ func ExampleRun() {
 			traclus.Pt(400, 100+dy+tail),
 		}))
 	}
-	res, err := traclus.Run(trs, traclus.Config{Eps: 25, MinLns: 4})
+	p := traclus.New(traclus.WithConfig(traclus.Config{Eps: 25, MinLns: 4}))
+	res, err := p.Run(context.Background(), trs)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -110,12 +111,13 @@ func ExampleConfig_workers() {
 			traclus.Pt(480, 100+dy+float64(i-4)*40),
 		}))
 	}
-	serial, err := traclus.Run(trs, traclus.Config{Eps: 25, MinLns: 5, Workers: 1})
+	ctx := context.Background()
+	serial, err := traclus.New(traclus.WithConfig(traclus.Config{Eps: 25, MinLns: 5, Workers: 1})).Run(ctx, trs)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	parallel, err := traclus.Run(trs, traclus.Config{Eps: 25, MinLns: 5, Workers: 8})
+	parallel, err := traclus.New(traclus.WithConfig(traclus.Config{Eps: 25, MinLns: 5, Workers: 8})).Run(ctx, trs)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -40,12 +41,13 @@ func main() {
 			log.Fatal(err)
 		}
 
-		res, err := traclus.Run(trs, traclus.Config{
+		p := traclus.New(traclus.WithConfig(traclus.Config{
 			Eps:              species.eps,
 			MinLns:           species.min,
 			CostAdvantage:    15,
 			MinSegmentLength: 40,
-		})
+		}))
+		res, err := p.Run(context.Background(), trs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,14 +23,12 @@ func main() {
 	// X=longitude, Y=latitude in degrees, ≈5.5 km long, ≈45 m jitter.
 	trs := synth.GPSTracks(3, 8, 25, 7)
 
-	res, err := traclus.New(
-		traclus.WithConfig(traclus.Config{
-			Eps:              150, // meters, thanks to the working frame
-			MinLns:           5,
-			MinSegmentLength: 100,
-		}),
-		traclus.WithGeometry(traclus.GeodesicGeometry()),
-	).Run(context.Background(), trs)
+	res, err := traclus.New(traclus.WithConfig(traclus.Config{
+		Eps:              150, // meters, thanks to the working frame
+		MinLns:           5,
+		MinSegmentLength: 100,
+		Geometry:         traclus.GeodesicGeometry(),
+	})).Run(context.Background(), trs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -42,7 +43,8 @@ func main() {
 
 	// Parameter heuristic (Section 4.4): entropy-minimising ε, then
 	// MinLns from avg|Nε|.
-	est, err := traclus.EstimateParameters(trs, 4, 60, runCfg)
+	ctx := context.Background()
+	est, err := traclus.New(traclus.WithConfig(runCfg)).Estimate(ctx, trs, 4, 60)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func main() {
 
 	// Cluster at the paper's visually chosen optimum for this world.
 	runCfg.Eps, runCfg.MinLns = 30, 6
-	res, err := traclus.Run(trs, runCfg)
+	res, err := traclus.New(traclus.WithConfig(runCfg)).Run(ctx, trs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,10 +39,11 @@ func main() {
 		}),
 	)
 
-	res, err := traclus.Run(trs, traclus.Config{
+	p := traclus.New(traclus.WithConfig(traclus.Config{
 		Eps:    25, // neighborhood radius in coordinate units
 		MinLns: 4,  // a cluster needs at least 4 nearby segments
-	})
+	}))
+	res, err := p.Run(context.Background(), trs)
 	if err != nil {
 		log.Fatal(err)
 	}

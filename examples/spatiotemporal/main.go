@@ -6,8 +6,9 @@
 // reports each cluster's time window.
 //
 // Time is one more column of the input: each trajectory carries its
-// per-point Times, and a pipeline built WithTemporalWeight runs them
-// through the same Run — the same indexed, parallel engine as planar runs.
+// per-point Times, and a Config whose Geometry is SpatiotemporalGeometry
+// runs them through the same Pipeline.Run — the same indexed, parallel
+// engine as planar runs.
 //
 // Run with: go run ./examples/spatiotemporal
 package main
@@ -31,10 +32,8 @@ func main() {
 
 	// wT = 0: the temporal component vanishes and the run reduces exactly
 	// to planar TRACLUS — one cluster, the road itself.
-	plain, err := traclus.New(
-		traclus.WithConfig(cfg),
-		traclus.WithTemporalWeight(0),
-	).Run(ctx, trs)
+	cfg.Geometry = traclus.SpatiotemporalGeometry(0)
+	plain, err := traclus.New(traclus.WithConfig(cfg)).Run(ctx, trs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,10 +41,8 @@ func main() {
 
 	// wT > 0 adds wT·gap(interval_i, interval_j) to every segment pair;
 	// the 10 h gap between waves dwarfs eps, so the flows separate.
-	timed, err := traclus.New(
-		traclus.WithConfig(cfg),
-		traclus.WithTemporalWeight(0.01),
-	).Run(ctx, trs)
+	cfg.Geometry = traclus.SpatiotemporalGeometry(0.01)
+	timed, err := traclus.New(traclus.WithConfig(cfg)).Run(ctx, trs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -27,7 +28,8 @@ func main() {
 	fmt.Println("five trajectories share the corridor y=300, x in [200,500]")
 
 	// TRACLUS.
-	res, err := traclus.Run(trs, traclus.Config{Eps: 30, MinLns: 3, CostAdvantage: 3})
+	p := traclus.New(traclus.WithConfig(traclus.Config{Eps: 30, MinLns: 3, CostAdvantage: 3}))
+	res, err := p.Run(context.Background(), trs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,12 +5,11 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/geometry"
-	"repro/internal/lsdist"
 )
 
 // This file exposes the paper's extensions (Section 7.1) through the public
-// API beyond what Run already covers (spatiotemporal clustering is Run over
-// trajectories that carry Times under SpatiotemporalGeometry): the
+// API beyond what Pipeline.Run already covers (spatiotemporal clustering is
+// Run over trajectories that carry Times under SpatiotemporalGeometry): the
 // per-cluster time window type, and the constant-shift embedding of the
 // non-metric distance (Section 4.2's deferred future work).
 
@@ -42,11 +41,7 @@ func (e *Embedding) Distance2(i, j int) float64 { return e.res.Distance2(i, j) }
 // paper). dims ≤ 0 keeps all dimensions (lossless); positive dims truncates
 // to the leading ones. O(n³) — intended for moderate segment sets.
 func EmbedSegments(segs []Segment, cfg Config, dims int) (*Embedding, error) {
-	w := cfg.Weights
-	if (w == Weights{}) {
-		w = lsdist.DefaultWeights()
-	}
-	res, err := embed.EmbedSegments(segs, lsdist.Options{Weights: w, Undirected: cfg.Undirected}, dims)
+	res, err := embed.EmbedSegments(segs, cfg.core().Distance, dims)
 	if err != nil {
 		return nil, fmt.Errorf("traclus: %w", err)
 	}

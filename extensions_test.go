@@ -31,7 +31,7 @@ func TestRunTimedSeparatesByTime(t *testing.T) {
 	trs = append(trs, timedCorridor(3, 0, 0)...)
 	trs = append(trs, timedCorridor(3, 3, 1e6)...)
 
-	spatial, err := traclus.Run(trs, spatiotemporal(traclus.Config{Eps: 25, MinLns: 3}, 0))
+	spatial, err := run(trs, spatiotemporal(traclus.Config{Eps: 25, MinLns: 3}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunTimedSeparatesByTime(t *testing.T) {
 		t.Fatalf("wT=0 clusters = %d, want 1", len(spatial.Clusters))
 	}
 
-	timed, err := traclus.Run(trs, spatiotemporal(traclus.Config{Eps: 25, MinLns: 3}, 0.01))
+	timed, err := run(trs, spatiotemporal(traclus.Config{Eps: 25, MinLns: 3}, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,10 @@ func TestRunTimedSeparatesByTime(t *testing.T) {
 }
 
 func TestRunTimedValidation(t *testing.T) {
-	if _, err := traclus.Run(nil, spatiotemporal(traclus.Config{MinLns: 3}, 0)); err == nil {
+	if _, err := run(nil, spatiotemporal(traclus.Config{MinLns: 3}, 0)); err == nil {
 		t.Error("Eps unset accepted")
 	}
-	if _, err := traclus.Run(nil, spatiotemporal(traclus.Config{Eps: 10, MinLns: 3}, -1)); err == nil {
+	if _, err := run(nil, spatiotemporal(traclus.Config{Eps: 10, MinLns: 3}, -1)); err == nil {
 		t.Error("negative temporal weight accepted")
 	}
 }

@@ -3,8 +3,8 @@ package traclus_test
 // The geometry layer's two headline contracts, pinned through the public
 // API:
 //
-//  1. Planar geometry is a no-op: an explicit WithGeometry(PlanarGeometry())
-//     run is bit-identical (fingerprints + DistCalls) to the default path
+//  1. Planar geometry is a no-op: a run under an explicit PlanarGeometry()
+//     is bit-identical (fingerprints + DistCalls) to the default path
 //     on every backend at every worker count.
 //  2. wT = 0 spatiotemporal reduces exactly to planar — the paper's own
 //     stated property of the temporal extension: a wT=0 Run over
@@ -41,7 +41,7 @@ func timedWorkload(t *testing.T, tracks int) []traclus.Trajectory {
 // equals the zero-value default, per backend, per worker count.
 func TestPlanarGeometryExplicitNoOp(t *testing.T) {
 	trs := equivalenceWorkload(t, 120)
-	for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+	for _, kind := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
 		for _, workers := range []int{1, 2, 4, 0} {
 			cfg := traclus.Config{
 				Eps: 30, MinLns: 6,
@@ -50,20 +50,20 @@ func TestPlanarGeometryExplicitNoOp(t *testing.T) {
 				Index:            kind,
 				Workers:          workers,
 			}
-			def, err := traclus.Run(trs, cfg)
+			def, err := run(trs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Geometry = traclus.PlanarGeometry()
-			exp, err := traclus.Run(trs, cfg)
+			exp, err := run(trs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d, e := def.DistCalls(), exp.DistCalls(); d != e {
-				t.Errorf("index=%v workers=%d: DistCalls %d (default) vs %d (explicit planar)", kind, workers, d, e)
+				t.Errorf("index=%v workers=%d: DistCalls %d (default) vs %d (explicit planar)", kind.Name(), workers, d, e)
 			}
 			if d, e := resultFingerprint(def), resultFingerprint(exp); d != e {
-				t.Errorf("index=%v workers=%d: fingerprint %s (default) vs %s (explicit planar)", kind, workers, d, e)
+				t.Errorf("index=%v workers=%d: fingerprint %s (default) vs %s (explicit planar)", kind.Name(), workers, d, e)
 			}
 		}
 	}
@@ -81,7 +81,7 @@ func TestTemporalWeightZeroReducesToPlanar(t *testing.T) {
 		spatial[i] = tr
 	}
 	ctx := context.Background()
-	for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+	for _, kind := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
 		for _, workers := range []int{1, 0} {
 			cfg := traclus.Config{
 				Eps: 30, MinLns: 6,
@@ -94,14 +94,12 @@ func TestTemporalWeightZeroReducesToPlanar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := traclus.New(
-				traclus.WithConfig(cfg),
-				traclus.WithTemporalWeight(0),
-			).Run(ctx, timed)
+			cfg.Geometry = traclus.SpatiotemporalGeometry(0)
+			st, err := traclus.New(traclus.WithConfig(cfg)).Run(ctx, timed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := func() string { return kind.String() }
+			label := func() string { return kind.Name() }
 			if p, s := planar.DistCalls(), st.DistCalls(); p != s {
 				t.Errorf("index=%s workers=%d: DistCalls %d (planar) vs %d (wT=0)", label(), workers, p, s)
 			}
@@ -124,17 +122,18 @@ func TestTemporalWeightZeroReducesToPlanar(t *testing.T) {
 // weight that makes wT·gap dwarf eps splits the waves.
 func TestSpatiotemporalSeparatesWaves(t *testing.T) {
 	trs := synth.RushHours(10, 20, 3, 5, 60, 45, 10*3600)
-	cfg := traclus.Config{Eps: 25, MinLns: 5}
+	cfg := traclus.Config{Eps: 25, MinLns: 5, Geometry: traclus.SpatiotemporalGeometry(0)}
 	ctx := context.Background()
 
-	plain, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0)).Run(ctx, trs)
+	plain, err := traclus.New(traclus.WithConfig(cfg)).Run(ctx, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain.Clusters) != 1 {
 		t.Fatalf("wT=0: %d clusters, want the 1 road", len(plain.Clusters))
 	}
-	timed, err := traclus.New(traclus.WithConfig(cfg), traclus.WithTemporalWeight(0.01)).Run(ctx, trs)
+	cfg.Geometry = traclus.SpatiotemporalGeometry(0.01)
+	timed, err := traclus.New(traclus.WithConfig(cfg)).Run(ctx, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +150,9 @@ func TestSpatiotemporalSeparatesWaves(t *testing.T) {
 // there, and the resolved frame rides the result for unprojection.
 func TestGeodesicRun(t *testing.T) {
 	trs := synth.GPSTracks(3, 8, 25, 7)
-	res, err := traclus.New(
-		traclus.WithConfig(traclus.Config{Eps: 150, MinLns: 5, MinSegmentLength: 100}),
-		traclus.WithGeometry(traclus.GeodesicGeometry()),
-	).Run(context.Background(), trs)
+	res, err := traclus.New(traclus.WithConfig(traclus.Config{
+		Eps: 150, MinLns: 5, MinSegmentLength: 100, Geometry: traclus.GeodesicGeometry(),
+	})).Run(context.Background(), trs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,18 +180,16 @@ func TestGeodesicRun(t *testing.T) {
 // geodesic, is a typed error, not silently wrong.
 func TestGeometryIngestionGuards(t *testing.T) {
 	ctx := context.Background()
-	_, err := traclus.New(
-		traclus.WithConfig(traclus.Config{Eps: 25, MinLns: 5}),
-		traclus.WithTemporalWeight(0.5),
-	).Run(ctx, equivalenceWorkload(t, 4))
+	_, err := traclus.New(traclus.WithConfig(traclus.Config{
+		Eps: 25, MinLns: 5, Geometry: traclus.SpatiotemporalGeometry(0.5),
+	})).Run(ctx, equivalenceWorkload(t, 4))
 	var cfgErr *traclus.ConfigError
 	if !errors.As(err, &cfgErr) {
 		t.Fatalf("Run under spatiotemporal geometry: %v, want *ConfigError", err)
 	}
-	_, err = traclus.New(
-		traclus.WithConfig(traclus.Config{Eps: 25, MinLns: 5}),
-		traclus.WithGeometry(traclus.GeodesicGeometry()),
-	).Run(ctx, timedWorkload(t, 4))
+	_, err = traclus.New(traclus.WithConfig(traclus.Config{
+		Eps: 25, MinLns: 5, Geometry: traclus.GeodesicGeometry(),
+	})).Run(ctx, timedWorkload(t, 4))
 	if !errors.As(err, &cfgErr) {
 		t.Fatalf("Run with Times under geodesic geometry: %v, want *ConfigError", err)
 	}

@@ -1,12 +1,10 @@
 package traclus_test
 
 // Cross-backend equivalence suite for the unified index subsystem
-// (internal/spindex): every backend — the three first-class ones, reached
-// either through the Config.Index compatibility shim or WithIndexBackend,
-// and custom plug-ins — must produce the identical clustering, through the
-// package facade and through the Pipeline, at every worker count. Also pins
-// the single-build data flow of WithEstimation and the custom-backend
-// contract end-to-end.
+// (internal/spindex): every backend set through Config.Index — the three
+// first-class ones and custom plug-ins — must produce the identical
+// clustering at every worker count. Also pins the single-build data flow of
+// WithEstimation and the custom-backend contract end-to-end.
 
 import (
 	"context"
@@ -25,56 +23,41 @@ var indexSuiteConfig = traclus.Config{
 	Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40,
 }
 
-// TestBackendEquivalenceSuite: Grid ≡ RTree ≡ Brute through the facade and
-// the Pipeline, Workers {1, 4, all}. Within one backend, the kind shim and
-// the explicit backend option must agree bit-for-bit (DistCalls included);
-// across backends the clusterings must agree (DistCalls legitimately
-// differ between pruned and exhaustive candidate generation).
+// TestBackendEquivalenceSuite: Grid ≡ RTree ≡ Brute, each set through
+// Config.Index, at Workers {1, 4, all}. The nil default and the explicit
+// grid must agree bit-for-bit (DistCalls included); across backends the
+// clusterings must agree (DistCalls legitimately differ between pruned and
+// exhaustive candidate generation).
 func TestBackendEquivalenceSuite(t *testing.T) {
 	trs := equivalenceWorkload(t, 120)
-	backends := []struct {
-		kind    traclus.IndexKind
-		backend traclus.IndexBackend
-	}{
-		{traclus.IndexGrid, traclus.GridIndexBackend()},
-		{traclus.IndexRTree, traclus.RTreeIndexBackend()},
-		{traclus.IndexNone, traclus.BruteIndexBackend()},
-	}
+	backends := []traclus.IndexBackend{nil, traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()}
 	for _, workers := range []int{1, 4, 0} {
 		var ref *traclus.Result
 		for _, b := range backends {
+			name := "default"
+			if b != nil {
+				name = b.Name()
+			}
 			cfg := indexSuiteConfig
-			cfg.Index = b.kind
+			cfg.Index = b
 			cfg.Workers = workers
-			viaKind, err := traclus.Run(trs, cfg)
+			res, err := run(trs, cfg)
 			if err != nil {
-				t.Fatalf("kind=%v workers=%d: %v", b.kind, workers, err)
-			}
-			viaBackend, err := traclus.New(
-				traclus.WithConfig(indexSuiteConfig),
-				traclus.WithWorkers(workers),
-				traclus.WithIndexBackend(b.backend),
-			).Run(context.Background(), trs)
-			if err != nil {
-				t.Fatalf("backend=%s workers=%d: %v", b.backend.Name(), workers, err)
-			}
-			if !reflect.DeepEqual(viaKind.Clusters, viaBackend.Clusters) {
-				t.Errorf("backend=%s workers=%d: WithIndexBackend clusters differ from Config.Index", b.backend.Name(), workers)
-			}
-			if viaKind.DistCalls() != viaBackend.DistCalls() {
-				t.Errorf("backend=%s workers=%d: DistCalls differ: kind=%d backend=%d",
-					b.backend.Name(), workers, viaKind.DistCalls(), viaBackend.DistCalls())
+				t.Fatalf("backend=%s workers=%d: %v", name, workers, err)
 			}
 			if ref == nil {
-				ref = viaKind
+				ref = res
 				continue
 			}
-			if !reflect.DeepEqual(ref.Clusters, viaKind.Clusters) {
-				t.Errorf("workers=%d: backend %s clusters differ from %s", workers, b.backend.Name(), backends[0].backend.Name())
+			if b == traclus.GridIndexBackend() && ref.DistCalls() != res.DistCalls() {
+				t.Errorf("workers=%d: DistCalls differ: default=%d grid=%d", workers, ref.DistCalls(), res.DistCalls())
 			}
-			if ref.NoiseSegments != viaKind.NoiseSegments || ref.RemovedClusters != viaKind.RemovedClusters {
+			if !reflect.DeepEqual(ref.Clusters, res.Clusters) {
+				t.Errorf("workers=%d: backend %s clusters differ from the default", workers, name)
+			}
+			if ref.NoiseSegments != res.NoiseSegments || ref.RemovedClusters != res.RemovedClusters {
 				t.Errorf("workers=%d: backend %s noise/removed (%d,%d) differ from (%d,%d)",
-					workers, b.backend.Name(), viaKind.NoiseSegments, viaKind.RemovedClusters,
+					workers, name, res.NoiseSegments, res.RemovedClusters,
 					ref.NoiseSegments, ref.RemovedClusters)
 			}
 		}
@@ -123,7 +106,7 @@ func (q exhaustiveMBRQuery) Within(rect traclus.Rect, r float64, dst []int) []in
 	return dst
 }
 
-// TestCustomIndexBackendPlugin pins the WithIndexBackend plug-in path: a
+// TestCustomIndexBackendPlugin pins the Config.Index plug-in path: a
 // custom backend is actually built and queried, serves the grouping AND the
 // classifier built from the result, and reproduces the default clustering
 // bit-for-bit.
@@ -131,16 +114,15 @@ func TestCustomIndexBackendPlugin(t *testing.T) {
 	trs := equivalenceWorkload(t, 60)
 	cfg := indexSuiteConfig
 	for _, workers := range []int{1, 0} {
-		want, err := traclus.Run(trs, cfg)
+		cfg.Workers = workers
+		want, err := run(trs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		custom := exhaustiveMBRBackend{builds: new(atomic.Int64), queries: new(atomic.Int64)}
-		got, err := traclus.New(
-			traclus.WithConfig(cfg),
-			traclus.WithWorkers(workers),
-			traclus.WithIndexBackend(custom),
-		).Run(context.Background(), trs)
+		plugged := cfg
+		plugged.Index = custom
+		got, err := run(trs, plugged)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -168,20 +150,20 @@ func TestCustomIndexBackendPlugin(t *testing.T) {
 }
 
 // TestWithEstimationMatchesSeparateEstimate: a WithEstimation run must
-// reproduce the EstimateParameters-then-Run composite bit-for-bit — same
+// reproduce the Estimate-then-Run composite bit-for-bit — same
 // estimate, same clustering — while building exactly ONE index over the
 // pooled segments where the composite builds two.
 func TestWithEstimationMatchesSeparateEstimate(t *testing.T) {
 	trs := equivalenceWorkload(t, 60)
 	base := traclus.Config{CostAdvantage: 15, MinSegmentLength: 40}
-	est, err := traclus.EstimateParameters(trs, 5, 60, base)
+	est, err := estimate(trs, 5, 60, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := base
 	cfg.Eps = est.Eps
 	cfg.MinLns = float64(est.MinLnsLo+est.MinLnsHi) / 2
-	want, err := traclus.Run(trs, cfg)
+	want, err := run(trs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,22 +269,26 @@ func TestWithEstimationValidation(t *testing.T) {
 	}
 }
 
-// TestParseIndexKind covers the shared name → kind mapping and its typed
-// error.
-func TestParseIndexKind(t *testing.T) {
-	for name, want := range map[string]traclus.IndexKind{
-		"grid": traclus.IndexGrid, "rtree": traclus.IndexRTree,
-		"brute": traclus.IndexNone, "scan": traclus.IndexNone, "none": traclus.IndexNone,
-		"GRID": traclus.IndexGrid, " rtree ": traclus.IndexRTree,
+// TestParseIndexBackend covers the one name → backend table, its aliases,
+// its typed error, and that every built-in backend's Name() resolves to
+// itself.
+func TestParseIndexBackend(t *testing.T) {
+	for name, want := range map[string]traclus.IndexBackend{
+		"grid": traclus.GridIndexBackend(), "rtree": traclus.RTreeIndexBackend(),
+		"brute": traclus.BruteIndexBackend(), "scan": traclus.BruteIndexBackend(), "none": traclus.BruteIndexBackend(),
+		"GRID": traclus.GridIndexBackend(), " rtree ": traclus.RTreeIndexBackend(),
 	} {
-		got, err := traclus.ParseIndexKind(name)
+		got, err := traclus.ParseIndexBackend(name)
 		if err != nil || got != want {
-			t.Errorf("ParseIndexKind(%q) = %v, %v; want %v", name, got, err, want)
+			t.Errorf("ParseIndexBackend(%q) = %v, %v; want %s", name, got, err, want.Name())
+		}
+		if got, err := traclus.ParseIndexBackend(want.Name()); err != nil || got != want {
+			t.Errorf("ParseIndexBackend(%q) = %v, %v; want the backend itself", want.Name(), got, err)
 		}
 	}
-	_, err := traclus.ParseIndexKind("kdtree")
+	_, err := traclus.ParseIndexBackend("kdtree")
 	var cerr *traclus.ConfigError
 	if !errors.As(err, &cerr) {
-		t.Fatalf("ParseIndexKind(kdtree) error = %v, want *ConfigError", err)
+		t.Fatalf("ParseIndexBackend(kdtree) error = %v, want *ConfigError", err)
 	}
 }

@@ -35,11 +35,8 @@ type Config struct {
 	Partition mdl.Config
 	// Distance carries the weights and directedness of the distance.
 	Distance lsdist.Options
-	// Index selects the ε-neighborhood strategy (thin shim over the
-	// spindex backend layer).
-	Index segclust.IndexKind
-	// Backend, when non-nil, overrides Index with a custom spindex backend.
-	// The same backend serves every phase that indexes segments: parameter
+	// Backend is the spindex backend (nil selects the grid). The same
+	// backend serves every phase that indexes segments: parameter
 	// estimation, ε-neighborhood grouping, and the classifier's
 	// reference-segment index.
 	Backend spindex.Backend
@@ -58,16 +55,16 @@ type Config struct {
 // weights and a grid index; Eps and MinLns must still be set (or found via
 // internal/params).
 func DefaultConfig() Config {
-	return Config{Distance: lsdist.DefaultOptions(), Index: segclust.IndexGrid}
+	return Config{Distance: lsdist.DefaultOptions()}
 }
 
 // ResolvedBackend resolves the spindex backend every indexing phase uses:
-// the explicit Backend when set, otherwise the IndexKind shim.
+// Backend when set, otherwise the grid.
 func (c Config) ResolvedBackend() spindex.Backend {
 	if c.Backend != nil {
 		return c.Backend
 	}
-	return segclust.BackendFor(c.Index)
+	return spindex.Grid()
 }
 
 // EffectiveGamma resolves the sweep smoothing parameter: Gamma when set,
@@ -218,7 +215,6 @@ func (c Config) Segclust() segclust.Config {
 		MinLns:   c.MinLns,
 		MinTrajs: c.MinTrajs,
 		Options:  c.Distance,
-		Index:    c.Index,
 		Backend:  c.Backend,
 		Workers:  c.Workers,
 	}

@@ -223,7 +223,7 @@ func AppendixB(sz Size) *Report {
 	for _, wTheta := range []float64{0.25, 1, 4} {
 		opt := lsdist.Options{Weights: lsdist.Weights{Perpendicular: 1, Parallel: 1, Angle: wTheta}}
 		res, err := segclust.Run(items, segclust.Config{
-			Eps: 30, MinLns: 6, Options: opt, Index: segclust.IndexGrid,
+			Eps: 30, MinLns: 6, Options: opt,
 		})
 		if err != nil {
 			r.addf("error: %v", err)
@@ -370,7 +370,7 @@ func Extensions(Size) *Report {
 	items := partitionItems(trs)
 
 	directed, err := segclust.Run(items, segclust.Config{
-		Eps: 25, MinLns: 3, Options: lsdist.DefaultOptions(), Index: segclust.IndexGrid,
+		Eps: 25, MinLns: 3, Options: lsdist.DefaultOptions(),
 	})
 	if err != nil {
 		r.addf("error: %v", err)
@@ -379,7 +379,6 @@ func Extensions(Size) *Report {
 	undirected, err := segclust.Run(items, segclust.Config{
 		Eps: 25, MinLns: 3,
 		Options: lsdist.Options{Weights: lsdist.DefaultWeights(), Undirected: true},
-		Index:   segclust.IndexGrid,
 	})
 	if err != nil {
 		r.addf("error: %v", err)
@@ -401,7 +400,7 @@ func Extensions(Size) *Report {
 		}
 	}
 	wres, err := segclust.Run(weighted, segclust.Config{
-		Eps: 25, MinLns: 3, MinTrajs: 2, Options: lsdist.DefaultOptions(), Index: segclust.IndexGrid,
+		Eps: 25, MinLns: 3, MinTrajs: 2, Options: lsdist.DefaultOptions(),
 	})
 	if err != nil {
 		r.addf("error: %v", err)

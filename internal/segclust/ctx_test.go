@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/lsdist"
+	"repro/internal/spindex"
 )
 
 // TestRunCtxMatchesRun pins that RunCtx with a background context and ticks
@@ -68,7 +69,7 @@ func TestRunCtxCancelled(t *testing.T) {
 func TestNeighborhoodWeightsCtxCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := corridorItems(rng, 200, 3, 25)
-	shared := NewSharedIndexFor(items, lsdist.DefaultOptions(), BackendFor(IndexGrid))
+	shared := NewSharedIndexFor(items, lsdist.DefaultOptions(), spindex.Grid())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := shared.NeighborhoodWeightsCtx(ctx, 25, 4); !errors.Is(err, context.Canceled) {

@@ -98,7 +98,7 @@ type Incremental struct {
 // initial Result (available via Result()) is bit-identical to
 // RunSharedCtx(ctx, shared, cfg, onItem) — labels, cluster order, Removed,
 // and DistCalls — at every worker count. Custom distance functions are not
-// supported (they have no index to grow); cfg.Index/Backend are ignored in
+// supported (they have no index to grow); cfg.Backend is ignored in
 // favour of shared's backend, exactly as RunSharedCtx.
 func NewIncrementalCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem func()) (*Incremental, error) {
 	return group(ctx, shared.items, cfg, nil, onItem, shared)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/geometry"
 	"repro/internal/lsdist"
+	"repro/internal/spindex"
 )
 
 // figure12 is Figure 12 of the paper: full-scan ε-neighborhoods under dist,
@@ -129,7 +130,7 @@ func diffWorkers(t *testing.T, what string, want *Result, workers []int, run fun
 	}
 }
 
-var oracleKinds = []IndexKind{IndexGrid, IndexRTree, IndexNone}
+var oracleKinds = []spindex.Backend{spindex.Grid(), spindex.RTree(), spindex.Brute()}
 
 // pointItems is the degenerate-point fixture: three Gaussian blobs of
 // points, each a zero-length segment of its own trajectory — the case where
@@ -183,9 +184,9 @@ func TestOracleRun(t *testing.T) {
 			t.Fatalf("%s: fixture yields %d clusters, want at least 3", c.name, want.NumClusters())
 		}
 		for _, kind := range oracleKinds {
-			diffWorkers(t, fmt.Sprintf("%s index=%v", c.name, kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
+			diffWorkers(t, fmt.Sprintf("%s index=%s", c.name, kind.Name()), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
 				cfg := c.cfg
-				cfg.Index, cfg.Workers = kind, workers
+				cfg.Backend, cfg.Workers = kind, workers
 				return Run(c.items, cfg)
 			})
 		}
@@ -236,13 +237,13 @@ func TestOracleFractionalWeights(t *testing.T) {
 	}
 	p := len(items) / 2
 	for _, kind := range oracleKinds {
-		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 3}, func(workers int) (*Result, error) {
-			cfg.Index, cfg.Workers = kind, workers
+		diffWorkers(t, fmt.Sprintf("index=%s", kind.Name()), want, []int{1, 3}, func(workers int) (*Result, error) {
+			cfg.Backend, cfg.Workers = kind, workers
 			return Run(items, cfg)
 		})
 		for _, workers := range []int{1, 3} {
 			cfg.Workers = workers
-			shared := NewSharedIndexFor(slices.Clone(items[:p]), cfg.Options, BackendFor(kind))
+			shared := NewSharedIndexFor(slices.Clone(items[:p]), cfg.Options, kind)
 			inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -251,7 +252,7 @@ func TestOracleFractionalWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffOracle(t, fmt.Sprintf("index=%v workers=%d append after %d", kind, workers, p), want, got)
+			diffOracle(t, fmt.Sprintf("index=%s workers=%d append after %d", kind.Name(), workers, p), want, got)
 		}
 	}
 }
@@ -289,8 +290,8 @@ func TestOracleSpatiotemporal(t *testing.T) {
 		t.Fatal("fixture: the temporal term changes nothing")
 	}
 	for _, kind := range oracleKinds {
-		shared := NewSharedIndex(items, cfg.Options, wt, BackendFor(kind))
-		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
+		shared := NewSharedIndex(items, cfg.Options, wt, kind)
+		diffWorkers(t, fmt.Sprintf("index=%s", kind.Name()), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
 			return RunSharedCtx(context.Background(), shared, cfg, nil)
 		})
@@ -343,9 +344,9 @@ func TestOracleIncremental(t *testing.T) {
 		}
 		for _, kind := range oracleKinds {
 			for _, workers := range []int{1, 2, 0} {
-				what := fmt.Sprintf("%s index=%v workers=%d", geo, kind, workers)
+				what := fmt.Sprintf("%s index=%s workers=%d", geo, kind.Name(), workers)
 				cfg.Workers = workers
-				shared := NewSharedIndex(slices.Clone(items[:cuts[0]]), cfg.Options, wt, BackendFor(kind))
+				shared := NewSharedIndex(slices.Clone(items[:cuts[0]]), cfg.Options, wt, kind)
 				inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -391,8 +392,8 @@ func FuzzGroupOracle(f *testing.F) {
 		cfg := Config{Eps: eps, MinLns: float64(1 + minLns%6), Options: lsdist.DefaultOptions()}
 		want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, 0)
 		for _, kind := range oracleKinds {
-			diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 3}, func(workers int) (*Result, error) {
-				cfg.Index, cfg.Workers = kind, workers
+			diffWorkers(t, fmt.Sprintf("index=%s", kind.Name()), want, []int{1, 3}, func(workers int) (*Result, error) {
+				cfg.Backend, cfg.Workers = kind, workers
 				return Run(items, cfg)
 			})
 		}
@@ -400,7 +401,7 @@ func FuzzGroupOracle(f *testing.F) {
 		if len(items) > 0 {
 			p = int(split) % len(items)
 		}
-		shared := NewSharedIndexFor(slices.Clone(items[:p]), cfg.Options, BackendFor(IndexGrid))
+		shared := NewSharedIndexFor(slices.Clone(items[:p]), cfg.Options, spindex.Grid())
 		inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
 		if err != nil {
 			t.Fatal(err)

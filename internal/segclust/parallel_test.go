@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/lsdist"
+	"repro/internal/spindex"
 )
 
 // TestWorkersEquivalence is the grouping-phase determinism contract: for
@@ -20,9 +21,9 @@ func TestWorkersEquivalence(t *testing.T) {
 	items := corridorItemsSpread(rng, 600, 3, 25, 700)
 	cfg := defaultCfg()
 	want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, cfg.MinTrajs)
-	for _, kind := range []IndexKind{IndexGrid, IndexRTree, IndexNone} {
-		cfg.Index = kind
-		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 2, 5, 16, 0}, func(workers int) (*Result, error) {
+	for _, kind := range []spindex.Backend{spindex.Grid(), spindex.RTree(), spindex.Brute()} {
+		cfg.Backend = kind
+		diffWorkers(t, fmt.Sprintf("index=%s", kind.Name()), want, []int{1, 2, 5, 16, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
 			return Run(items, cfg)
 		})
@@ -65,7 +66,7 @@ func ladderItems(blocks int) []Item {
 }
 
 func ladderCfg() Config {
-	return Config{Eps: 5, MinLns: 4, MinTrajs: 1, Options: lsdist.DefaultOptions(), Index: IndexGrid}
+	return Config{Eps: 5, MinLns: 4, MinTrajs: 1, Options: lsdist.DefaultOptions()}
 }
 
 // TestSharedBorderFirstComeSemantics pins the DBSCAN tie-break the ε-graph
@@ -93,9 +94,9 @@ func TestSharedBorderFirstComeSemantics(t *testing.T) {
 	if got := want.ClusterOf[1]; got != 1 {
 		t.Fatalf("min-index core neighbor of the border is in cluster %d, want 1 (the trap)", got)
 	}
-	for _, kind := range []IndexKind{IndexGrid, IndexRTree, IndexNone} {
-		cfg.Index = kind
-		diffWorkers(t, fmt.Sprintf("index=%v: border assignment", kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
+	for _, kind := range []spindex.Backend{spindex.Grid(), spindex.RTree(), spindex.Brute()} {
+		cfg.Backend = kind
+		diffWorkers(t, fmt.Sprintf("index=%s: border assignment", kind.Name()), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
 			return Run(items, cfg)
 		})
@@ -116,9 +117,9 @@ func TestSharedBorderWorkersEquivalence(t *testing.T) {
 	if want.NumClusters() < 24 {
 		t.Fatalf("fixture collapsed to %d clusters", want.NumClusters())
 	}
-	for _, kind := range []IndexKind{IndexGrid, IndexRTree, IndexNone} {
-		cfg.Index = kind
-		diffWorkers(t, fmt.Sprintf("index=%v", kind), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
+	for _, kind := range []spindex.Backend{spindex.Grid(), spindex.RTree(), spindex.Brute()} {
+		cfg.Backend = kind
+		diffWorkers(t, fmt.Sprintf("index=%s", kind.Name()), want, []int{1, 2, 4, 0}, func(workers int) (*Result, error) {
 			cfg.Workers = workers
 			return Run(items, cfg)
 		})
@@ -202,11 +203,11 @@ func TestNeighborhoodArenaMatchesLazy(t *testing.T) {
 	items := weightedCorridor(19, 400, 3, 20, 600)
 	cfg := defaultCfg()
 	for _, kind := range oracleKinds {
-		shared := NewSharedIndexFor(items, cfg.Options, BackendFor(kind))
+		shared := NewSharedIndexFor(items, cfg.Options, kind)
 		hoods, weights := lazyHoods(shared, cfg.Eps)
 		calls := lazyCalls(shared, cfg.Eps, 0)
 		for _, workers := range []int{1, 8} {
-			what := fmt.Sprintf("index=%v workers=%d", kind, workers)
+			what := fmt.Sprintf("index=%s workers=%d", kind.Name(), workers)
 			hs, got, err := shared.neighborhoods(context.Background(), cfg.Eps, workers, nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -237,8 +238,8 @@ func TestPrecomputedHoodsMatchLazy(t *testing.T) {
 	cuts := []int{100, 220, 221, len(items)}
 	for _, kind := range oracleKinds {
 		for _, workers := range []int{1, 8} {
-			what := fmt.Sprintf("index=%v workers=%d", kind, workers)
-			shared := NewSharedIndexFor(slices.Clone(items[:cuts[0]]), cfg.Options, BackendFor(kind))
+			what := fmt.Sprintf("index=%s workers=%d", kind.Name(), workers)
+			shared := NewSharedIndexFor(slices.Clone(items[:cuts[0]]), cfg.Options, kind)
 			hs, got, err := shared.neighborhoods(context.Background(), cfg.Eps, workers, nil, nil)
 			if err != nil {
 				t.Fatal(err)

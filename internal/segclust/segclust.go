@@ -26,7 +26,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/geom"
@@ -61,64 +60,6 @@ func ItemsFromSegments(segs []geom.Segment) []Item {
 	return items
 }
 
-// IndexKind selects the ε-neighborhood strategy.
-type IndexKind int
-
-const (
-	// IndexGrid uses the uniform grid prefilter (default).
-	IndexGrid IndexKind = iota
-	// IndexRTree uses the R-tree prefilter.
-	IndexRTree
-	// IndexNone scans all segments for every query (the O(n²) baseline of
-	// Lemma 3).
-	IndexNone
-)
-
-func (k IndexKind) String() string {
-	switch k {
-	case IndexGrid:
-		return "grid"
-	case IndexRTree:
-		return "rtree"
-	case IndexNone:
-		return "scan"
-	default:
-		return fmt.Sprintf("IndexKind(%d)", int(k))
-	}
-}
-
-// BackendFor maps the compatibility IndexKind to its internal/spindex
-// backend. IndexKind survives as a thin shim over the backend layer so
-// existing Configs, flags, and serialized requests keep working.
-func BackendFor(k IndexKind) spindex.Backend {
-	switch k {
-	case IndexRTree:
-		return spindex.RTree()
-	case IndexNone:
-		return spindex.Brute()
-	default:
-		return spindex.Grid()
-	}
-}
-
-// ParseIndexKind maps a user-facing backend name ("grid", "rtree",
-// "brute"; "scan" and "none" are accepted aliases of brute) to its
-// IndexKind. Unknown names return a *ConfigError, which serving layers map
-// to HTTP 400.
-func ParseIndexKind(s string) (IndexKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "grid":
-		return IndexGrid, nil
-	case "rtree":
-		return IndexRTree, nil
-	case "brute", "scan", "none":
-		return IndexNone, nil
-	default:
-		return IndexGrid, &ConfigError{Field: "Index", Value: s,
-			Reason: `must be one of "grid", "rtree", "brute"`}
-	}
-}
-
 // Config parameterises the clustering.
 type Config struct {
 	// Eps is the ε-neighborhood radius in distance units.
@@ -132,12 +73,9 @@ type Config struct {
 	MinTrajs int
 	// Distance options (weights, directedness).
 	Options lsdist.Options
-	// Index selects the neighborhood strategy (thin shim over Backend:
-	// grid, R-tree, or brute scan).
-	Index IndexKind
-	// Backend, when non-nil, overrides Index with an arbitrary spindex
-	// backend (custom plug-ins ride this; the public Pipeline's
-	// WithIndexBackend sets it).
+	// Backend is the spindex backend behind every ε-neighborhood query:
+	// grid, R-tree, brute scan or a custom plug-in (the public
+	// Config.Index sets it). nil selects the grid.
 	Backend spindex.Backend
 	// Workers bounds parallelism (≤ 0 = all CPUs): every ε-neighborhood is
 	// computed concurrently through per-worker views of a shared index, and
@@ -251,15 +189,6 @@ func (r *Result) NoiseCount() int {
 		}
 	}
 	return n
-}
-
-// backend resolves the configured spindex backend: the explicit Backend
-// when set, otherwise the IndexKind shim.
-func (c Config) backend() spindex.Backend {
-	if c.Backend != nil {
-		return c.Backend
-	}
-	return BackendFor(c.Index)
 }
 
 // neighborSource produces ε-neighborhood candidate ids for a query item
@@ -422,8 +351,8 @@ func RunCtx(ctx context.Context, items []Item, cfg Config, onItem func()) (*Resu
 // data flow of the pipeline: the caller indexes the items once (shared
 // across parameter estimation and any number of clustering runs) and the
 // grouping only queries it. shared must have been built with
-// NewSharedIndexFor over exactly these items and cfg.Options; cfg.Index and
-// cfg.Backend are ignored in its favour. The result is bit-identical to
+// NewSharedIndexFor over exactly these items and cfg.Options; cfg.Backend
+// is ignored in its favour. The result is bit-identical to
 // RunCtx with the equivalent Config — the index structure does not depend
 // on ε, and every query derives its own candidate radius.
 func RunSharedCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem func()) (*Result, error) {
@@ -451,8 +380,7 @@ func RunWithDistance(items []Item, dist lsdist.Func, cfg Config) (*Result, error
 		// Eps/MinLns.
 		cfg.Options.Weights = lsdist.DefaultWeights()
 	}
-	cfg.Index = IndexNone // no prefilter is sound for an unknown distance
-	cfg.Backend = nil
+	cfg.Backend = spindex.Brute() // no prefilter is sound for an unknown distance
 	if dist == nil {
 		dist = lsdist.New(cfg.Options)
 	}
@@ -483,7 +411,7 @@ func group(ctx context.Context, items []Item, cfg Config, custom lsdist.Func, on
 		return nil, err
 	}
 	if shared == nil {
-		shared = NewSharedIndexFor(items, cfg.Options, cfg.backend())
+		shared = NewSharedIndexFor(items, cfg.Options, cfg.Backend)
 	}
 	minTrajs := cfg.MinTrajs
 	if minTrajs <= 0 {

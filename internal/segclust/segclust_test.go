@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/geometry"
 	"repro/internal/lsdist"
+	"repro/internal/spindex"
 )
 
 // corridorItems builds n segments along k horizontal corridors, cycling
@@ -35,7 +36,7 @@ func corridorItemsSpread(rng *rand.Rand, n, k, trajs int, spread float64) []Item
 }
 
 func defaultCfg() Config {
-	return Config{Eps: 25, MinLns: 4, Options: lsdist.DefaultOptions(), Index: IndexGrid}
+	return Config{Eps: 25, MinLns: 4, Options: lsdist.DefaultOptions()}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -223,9 +224,9 @@ func TestIndexEquivalence(t *testing.T) {
 		})
 	}
 	var results []*Result
-	for _, kind := range []IndexKind{IndexNone, IndexGrid, IndexRTree} {
+	for _, kind := range []spindex.Backend{spindex.Brute(), spindex.Grid(), spindex.RTree()} {
 		cfg := defaultCfg()
-		cfg.Index = kind
+		cfg.Backend = kind
 		res, err := Run(items, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -374,7 +375,7 @@ func TestNeighborhoodWeightsMatchBruteForce(t *testing.T) {
 	items := corridorItems(rng, 60, 2, 6)
 	opt := lsdist.DefaultOptions()
 	const eps = 25.0
-	got := NewSharedIndexFor(items, opt, BackendFor(IndexGrid)).NeighborhoodWeights(eps, 2)
+	got := NewSharedIndexFor(items, opt, spindex.Grid()).NeighborhoodWeights(eps, 2)
 	dist := lsdist.New(opt)
 	for i := range items {
 		var want float64
@@ -393,10 +394,10 @@ func TestSharedIndexReuseAcrossEps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	items := corridorItems(rng, 60, 2, 6)
 	opt := lsdist.DefaultOptions()
-	shared := NewSharedIndexFor(items, opt, BackendFor(IndexGrid))
+	shared := NewSharedIndexFor(items, opt, spindex.Grid())
 	for _, eps := range []float64{10, 25, 40} {
 		got := shared.NeighborhoodWeights(eps, 0)
-		want := NewSharedIndexFor(items, opt, BackendFor(IndexNone)).NeighborhoodWeights(eps, 1)
+		want := NewSharedIndexFor(items, opt, spindex.Brute()).NeighborhoodWeights(eps, 1)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("eps=%v item %d: %v != %v", eps, i, got[i], want[i])
@@ -405,19 +406,10 @@ func TestSharedIndexReuseAcrossEps(t *testing.T) {
 	}
 }
 
-func TestIndexKindString(t *testing.T) {
-	if IndexGrid.String() != "grid" || IndexRTree.String() != "rtree" || IndexNone.String() != "scan" {
-		t.Error("IndexKind.String wrong")
-	}
-	if IndexKind(42).String() == "" {
-		t.Error("unknown kind empty")
-	}
-}
-
 func TestDistCallsCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	items := corridorItems(rng, 50, 1, 10)
-	scan, _ := Run(items, Config{Eps: 25, MinLns: 4, Options: lsdist.DefaultOptions(), Index: IndexNone})
+	scan, _ := Run(items, Config{Eps: 25, MinLns: 4, Options: lsdist.DefaultOptions(), Backend: spindex.Brute()})
 	grid, _ := Run(items, defaultCfg())
 	if scan.DistCalls == 0 || grid.DistCalls == 0 {
 		t.Fatal("DistCalls not counted")
@@ -434,7 +426,7 @@ func TestDistCallsCounted(t *testing.T) {
 func TestRunWithDistanceScoresEachPairOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	items := corridorItems(rng, 120, 2, 6)
-	cfg := Config{Eps: 25, MinLns: 4, Options: lsdist.DefaultOptions(), Index: IndexNone, Workers: 1}
+	cfg := Config{Eps: 25, MinLns: 4, Options: lsdist.DefaultOptions(), Backend: spindex.Brute(), Workers: 1}
 	dist := lsdist.New(cfg.Options)
 	calls := 0
 	got, err := RunWithDistance(items, func(a, b geom.Segment) float64 {
@@ -480,8 +472,8 @@ func TestCursorBoundedScoring(t *testing.T) {
 	}
 	opt := lsdist.DefaultOptions()
 	for name, shared := range map[string]*SharedIndex{
-		"planar":         NewSharedIndexFor(items, opt, BackendFor(IndexGrid)),
-		"spatiotemporal": NewSharedIndex(items, opt, 0.05, BackendFor(IndexGrid)),
+		"planar":         NewSharedIndexFor(items, opt, spindex.Grid()),
+		"spatiotemporal": NewSharedIndex(items, opt, 0.05, spindex.Grid()),
 	} {
 		c := shared.Cursor()
 		var exact, got, back []float64

@@ -31,7 +31,7 @@ func appendSet() []traclus.Trajectory {
 
 func TestModelAppendMatchesBatchBuild(t *testing.T) {
 	base, extra := trainingSet(), appendSet()
-	m, err := Build("grow", base, buildConfig())
+	m, err := BuildCtx(context.Background(), "grow", base, buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestModelAppendMatchesBatchBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Build("batch", append(append([]traclus.Trajectory{}, base...), extra...), buildConfig())
+	batch, err := BuildCtx(context.Background(), "batch", append(append([]traclus.Trajectory{}, base...), extra...), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestModelAppendMatchesBatchBuild(t *testing.T) {
 // TestModelAppendFastForwards pins the lineage rule: appending through an
 // older epoch's handle applies on the newest epoch, so history never forks.
 func TestModelAppendFastForwards(t *testing.T) {
-	m, err := Build("ff", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "ff", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestModelAppendFastForwards(t *testing.T) {
 // swept before its append still carries none.
 func TestAppendedModelServesExtendedDendrogram(t *testing.T) {
 	ctx := context.Background()
-	m, err := Build("stale", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "stale", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestAppendedModelServesExtendedDendrogram(t *testing.T) {
 	if post == pre {
 		t.Fatal("appended model served the pre-append dendrogram")
 	}
-	batch, err := Build("stale-batch", append(trainingSet(), appendSet()...), buildConfig())
+	batch, err := BuildCtx(context.Background(), "stale-batch", append(trainingSet(), appendSet()...), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestAppendedModelServesExtendedDendrogram(t *testing.T) {
 		t.Errorf("epoch-%d snapshot carries a dendrogram: %v", sm.Epoch, sm.Dendro != nil)
 	}
 
-	unswept, err := Build("unswept", trainingSet(), buildConfig())
+	unswept, err := BuildCtx(context.Background(), "unswept", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestAppendedModelServesExtendedDendrogram(t *testing.T) {
 }
 
 func TestSnapshotLoadedModelNotAppendable(t *testing.T) {
-	m, err := Build("frozen", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "frozen", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSnapshotLoadedModelNotAppendable(t *testing.T) {
 // model exports its epoch, the import restores it, and classification on
 // the restored replica is bit-identical to the appended original.
 func TestSnapshotCarriesEpoch(t *testing.T) {
-	m, err := Build("epoch", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "epoch", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSnapshotCarriesEpoch(t *testing.T) {
 // derived state.
 func TestConcurrentAppendAndClassify(t *testing.T) {
 	ctx := context.Background()
-	m, err := Build("racey", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "racey", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestConcurrentAppendAndClassify(t *testing.T) {
 		t.Fatalf("final epoch %d, want %d", cur.Epoch(), chunks)
 	}
 	// After the dust settles, the concurrent run equals the batch build.
-	batch, err := Build("racey-batch", append(append([]traclus.Trajectory{}, trainingSet()...), extra...), buildConfig())
+	batch, err := BuildCtx(context.Background(), "racey-batch", append(append([]traclus.Trajectory{}, trainingSet()...), extra...), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestDiskStoreReplacePublishesNewEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build("swap", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "swap", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestDiskStoreReplacePublishesNewEpoch(t *testing.T) {
 // TestAppendEmpty: an empty append succeeds and leaves the clustering
 // untouched.
 func TestAppendEmpty(t *testing.T) {
-	m, err := Build("empty", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "empty", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func labelsAt(t *testing.T, m *Model) []int {
 // epoch's pair sums carry everything else.
 func TestAppendScoresOnlyNewPairs(t *testing.T) {
 	trs := synth.Hurricanes(synth.HurricaneConfig{NumTracks: 65, MeanPoints: 24, Jitter: 4, Seed: 5})
-	m, err := Build("pairs", trs[:60], buildConfig())
+	m, err := BuildCtx(context.Background(), "pairs", trs[:60], buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func BenchmarkModelAppend(b *testing.B) {
 	for i := range adds {
 		adds[i].ID += 1_000_000
 	}
-	m, err := Build("bench-append", trs, buildConfig())
+	m, err := BuildCtx(context.Background(), "bench-append", trs, buildConfig(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func BenchmarkModelAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%len(adds) == 0 {
 			b.StopTimer()
-			if m, err = Build("bench-append", trs, buildConfig()); err != nil {
+			if m, err = BuildCtx(context.Background(), "bench-append", trs, buildConfig(), nil, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -520,7 +520,7 @@ func BenchmarkAppendSweep(b *testing.B) {
 	var lo, hi float64
 	fresh := func() {
 		var err error
-		if m, err = Build("bench-append-sweep", trs, buildConfig()); err != nil {
+		if m, err = BuildCtx(context.Background(), "bench-append-sweep", trs, buildConfig(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		eps := m.Summary().Eps

@@ -48,39 +48,39 @@ func sameAssignments(t *testing.T, label string, want, got []Assignment) {
 // still says spatiotemporal.
 func TestTimedSnapshotClassifyIdentity(t *testing.T) {
 	probes := timedProbeSet()
-	for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+	for _, kind := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
 		cfg := buildConfig()
 		cfg.Index = kind
 		cfg.Geometry = traclus.SpatiotemporalGeometry(0.02)
-		m, err := Build("st-identity-"+kind.String(), timedTrainingSet(), cfg)
+		m, err := BuildCtx(context.Background(), "st-identity-"+kind.Name(), timedTrainingSet(), cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s := m.Summary(); s.Geometry != "spatiotemporal" || s.TemporalWeight != 0.02 {
-			t.Fatalf("%v: built summary geometry %q wt %v", kind, s.Geometry, s.TemporalWeight)
+			t.Fatalf("%v: built summary geometry %q wt %v", kind.Name(), s.Geometry, s.TemporalWeight)
 		}
 		data, err := m.EncodeSnapshot()
 		if err != nil {
-			t.Fatalf("%v: encode: %v", kind, err)
+			t.Fatalf("%v: encode: %v", kind.Name(), err)
 		}
 		loaded, err := DecodeModel(data)
 		if err != nil {
-			t.Fatalf("%v: decode: %v", kind, err)
+			t.Fatalf("%v: decode: %v", kind.Name(), err)
 		}
 		if s := loaded.Summary(); s.Geometry != "spatiotemporal" || s.TemporalWeight != 0.02 {
-			t.Fatalf("%v: loaded summary geometry %q wt %v", kind, s.Geometry, s.TemporalWeight)
+			t.Fatalf("%v: loaded summary geometry %q wt %v", kind.Name(), s.Geometry, s.TemporalWeight)
 		}
 		// Classifying a trajectory without Times against a spatiotemporal
 		// model stays a typed error after the round trip.
 		untimed := probes[0]
 		untimed.Times = nil
 		if _, _, err := loaded.Classify(untimed); err != traclus.ErrTimedModel {
-			t.Fatalf("%v: Classify on restored timed model: %v, want ErrTimedModel", kind, err)
+			t.Fatalf("%v: Classify on restored timed model: %v, want ErrTimedModel", kind.Name(), err)
 		}
 		for _, workers := range []int{1, 2, 4, 0} {
 			want := m.ClassifyBatch(context.Background(), probes, workers)
 			got := loaded.ClassifyBatch(context.Background(), probes, workers)
-			sameAssignments(t, kind.String(), want, got)
+			sameAssignments(t, kind.Name(), want, got)
 		}
 		// Re-export returns the retained bytes, same as the planar contract.
 		re, err := loaded.EncodeSnapshot()
@@ -88,7 +88,7 @@ func TestTimedSnapshotClassifyIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(re) != string(data) {
-			t.Fatalf("%v: re-export differs: %d vs %d bytes", kind, len(re), len(data))
+			t.Fatalf("%v: re-export differs: %d vs %d bytes", kind.Name(), len(re), len(data))
 		}
 	}
 }
@@ -99,7 +99,7 @@ func TestTimedSnapshotClassifyIdentity(t *testing.T) {
 func TestGeodesicSnapshotClassifyIdentity(t *testing.T) {
 	cfg := traclus.Config{Eps: 150, MinLns: 5, MinSegmentLength: 100}
 	cfg.Geometry = traclus.GeodesicGeometry()
-	m, err := Build("gps-identity", synth.GPSTracks(3, 8, 25, 7), cfg)
+	m, err := BuildCtx(context.Background(), "gps-identity", synth.GPSTracks(3, 8, 25, 7), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSpatiotemporalCutsUseModelDistance(t *testing.T) {
 	ctx := context.Background()
 	cfg := buildConfig()
 	cfg.Geometry = traclus.SpatiotemporalGeometry(0.05)
-	m, err := Build("rush", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
+	m, err := BuildCtx(context.Background(), "rush", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRestoredSpatiotemporalSweepRange(t *testing.T) {
 	ctx := context.Background()
 	cfg := buildConfig()
 	cfg.Geometry = traclus.SpatiotemporalGeometry(0.05)
-	m, err := Build("rush-restored", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg)
+	m, err := BuildCtx(context.Background(), "rush-restored", synth.RushHours(12, 24, 4, 3, 30, 10, 5000), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	traclus "repro"
 	"repro/internal/dendro"
-	"repro/internal/lsdist"
 	"repro/internal/snapshot"
 )
 
@@ -57,11 +56,12 @@ func (m *Model) EncodeSnapshot() ([]byte, error) {
 
 func (m *Model) buildSnapshot() (*snapshot.Model, error) {
 	cfg := m.cfg
-	w := cfg.Weights
-	if (w == traclus.Weights{}) {
-		// Serialize resolved weights: the distance the model actually used.
-		w = lsdist.DefaultWeights()
+	if _, err := traclus.ParseIndexBackend(cfg.Index.Name()); err != nil {
+		return nil, fmt.Errorf("service: snapshotting %q: %w", m.summary.Name, traclus.ErrUnsnapshotable)
 	}
+	// Serialize resolved weights: the distance the model actually used.
+	dist := m.distOptions()
+	w := dist.Weights
 	sm := &snapshot.Model{
 		Name: m.summary.Name,
 		Config: snapshot.Config{
@@ -71,11 +71,11 @@ func (m *Model) buildSnapshot() (*snapshot.Model, error) {
 			WPerp:            w.Perpendicular,
 			WPar:             w.Parallel,
 			WAngle:           w.Angle,
-			Undirected:       cfg.Undirected,
+			Undirected:       dist.Undirected,
 			CostAdvantage:    cfg.CostAdvantage,
 			MinSegmentLength: cfg.MinSegmentLength,
 			Gamma:            cfg.Gamma,
-			Index:            cfg.Index.String(),
+			Index:            cfg.Index.Name(),
 		},
 		Stats: snapshot.Stats{
 			TotalSegments:   m.summary.TotalSegments,
@@ -145,7 +145,7 @@ func (m *Model) buildSnapshot() (*snapshot.Model, error) {
 // Result() is nil. Errors are typed: an unparseable index name surfaces the
 // *traclus.ConfigError.
 func FromSnapshot(sm *snapshot.Model) (*Model, error) {
-	kind, err := traclus.ParseIndexKind(sm.Config.Index)
+	backend, err := traclus.ParseIndexBackend(sm.Config.Index)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +169,7 @@ func FromSnapshot(sm *snapshot.Model) (*Model, error) {
 		MinSegmentLength: c.MinSegmentLength,
 		Gamma:            c.Gamma,
 		Geometry:         geo,
-		Index:            kind,
+		Index:            backend,
 	}
 	m := &Model{
 		cfg:  cfg,
@@ -216,7 +216,7 @@ func FromSnapshot(sm *snapshot.Model) (*Model, error) {
 			MinSegmentLength: c.MinSegmentLength,
 			Weights:          cfg.Weights,
 			Undirected:       c.Undirected,
-			Index:            kind,
+			Index:            sm.Config.Index,
 			Reference:        make([][]traclus.Segment, len(sm.Clusters)),
 			Geometry:         geo.Kind.String(),
 			TemporalWeight:   geo.WT,

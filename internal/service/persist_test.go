@@ -27,27 +27,27 @@ func probeSet() []traclus.Trajectory {
 // worker count.
 func TestSnapshotClassifyIdentity(t *testing.T) {
 	probes := probeSet()
-	for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+	for _, kind := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
 		cfg := buildConfig()
 		cfg.Index = kind
-		m, err := Build("identity-"+kind.String(), trainingSet(), cfg)
+		m, err := BuildCtx(context.Background(), "identity-"+kind.Name(), trainingSet(), cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data, err := m.EncodeSnapshot()
 		if err != nil {
-			t.Fatalf("%v: encode: %v", kind, err)
+			t.Fatalf("%v: encode: %v", kind.Name(), err)
 		}
 		loaded, err := DecodeModel(data)
 		if err != nil {
-			t.Fatalf("%v: decode: %v", kind, err)
+			t.Fatalf("%v: decode: %v", kind.Name(), err)
 		}
 		if loaded.Result() != nil {
-			t.Errorf("%v: loaded model has a non-nil Result", kind)
+			t.Errorf("%v: loaded model has a non-nil Result", kind.Name())
 		}
 		if got, want := loaded.Summary(), m.Summary(); got.Clusters != want.Clusters ||
 			got.TotalSegments != want.TotalSegments || got.QMeasure != want.QMeasure {
-			t.Errorf("%v: summary mismatch: got %+v want %+v", kind, got, want)
+			t.Errorf("%v: summary mismatch: got %+v want %+v", kind.Name(), got, want)
 		}
 		for _, workers := range []int{1, 2, 4, 0} {
 			want := m.ClassifyBatch(context.Background(), probes, workers)
@@ -57,7 +57,7 @@ func TestSnapshotClassifyIdentity(t *testing.T) {
 					math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) ||
 					got[i].Err != want[i].Err {
 					t.Fatalf("%v workers=%d probe %d: loaded model classified (%d, %x, %q), original (%d, %x, %q)",
-						kind, workers, i,
+						kind.Name(), workers, i,
 						got[i].Cluster, math.Float64bits(got[i].Distance), got[i].Err,
 						want[i].Cluster, math.Float64bits(want[i].Distance), want[i].Err)
 				}
@@ -69,7 +69,7 @@ func TestSnapshotClassifyIdentity(t *testing.T) {
 // TestSnapshotExportStable pins that exporting an imported model returns
 // the retained snapshot: Encode(Load(bytes)) == bytes.
 func TestSnapshotExportStable(t *testing.T) {
-	m, err := Build("stable", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "stable", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSnapshotExportStable(t *testing.T) {
 // from its snapshot constructs exactly one spatial index (the classifier's
 // reference index) and runs zero clustering passes.
 func TestSnapshotLoadBuildsOneIndex(t *testing.T) {
-	m, err := Build("one-index", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "one-index", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSnapshotLoadBuildsOneIndex(t *testing.T) {
 func TestSnapshotZeroClusterModel(t *testing.T) {
 	cfg := buildConfig()
 	cfg.MinLns = 1e6
-	m, err := Build("empty", trainingSet(), cfg)
+	m, err := BuildCtx(context.Background(), "empty", trainingSet(), cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +135,64 @@ func TestSnapshotZeroClusterModel(t *testing.T) {
 		t.Errorf("Classify on empty loaded model: %v, want ErrNoClusters", err)
 	}
 }
+
+// TestSnapshotBackendNames pins the one name per backend on disk: a fresh
+// brute model exports its backend's Name(), "brute"; a snapshot carrying
+// the aliases "scan" or "none" decodes to a brute-backed model that
+// classifies like the original; and a backend whose name ParseIndexBackend
+// cannot resolve refuses to export, with or without clusters.
+func TestSnapshotBackendNames(t *testing.T) {
+	ctx := context.Background()
+	cfg := buildConfig()
+	cfg.Index = traclus.BruteIndexBackend()
+	m, err := BuildCtx(ctx, "brute", trainingSet(), cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm.Config.Index != "brute" {
+		t.Errorf("brute model exports index %q, want \"brute\"", sm.Config.Index)
+	}
+	want := m.ClassifyBatch(ctx, probeSet(), 1)
+	for _, alias := range []string{"scan", "none"} {
+		old := *sm
+		old.Config.Index = alias
+		data, err := snapshot.Encode(&old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := DecodeModel(data)
+		if err != nil {
+			t.Fatalf("%s: %v", alias, err)
+		}
+		if got := loaded.Config().Index; got != traclus.BruteIndexBackend() {
+			t.Errorf("%s: decoded to the %s backend, want brute", alias, got.Name())
+		}
+		sameAssignments(t, alias, want, loaded.ClassifyBatch(ctx, probeSet(), 1))
+	}
+
+	for _, minLns := range []float64{6, 1e6} {
+		cfg := buildConfig()
+		cfg.MinLns = minLns
+		cfg.Index = renamedBackend{traclus.GridIndexBackend()}
+		m, err := BuildCtx(ctx, "renamed", trainingSet(), cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.EncodeSnapshot(); !errors.Is(err, traclus.ErrUnsnapshotable) {
+			t.Errorf("%d clusters under a custom backend name: export %v, want ErrUnsnapshotable", m.Summary().Clusters, err)
+		}
+	}
+}
+
+// renamedBackend is a built-in backend under a name ParseIndexBackend cannot
+// resolve.
+type renamedBackend struct{ traclus.IndexBackend }
+
+func (renamedBackend) Name() string { return "renamed" }
 
 func TestValidModelName(t *testing.T) {
 	for name, want := range map[string]bool{
@@ -158,7 +216,9 @@ func TestValidModelName(t *testing.T) {
 // --- DiskStore ---
 
 func buildFor(name string) func() (*Model, error) {
-	return func() (*Model, error) { return Build(name, trainingSet(), buildConfig()) }
+	return func() (*Model, error) {
+		return BuildCtx(context.Background(), name, trainingSet(), buildConfig(), nil, nil)
+	}
 }
 
 func failBuild(t *testing.T) func() (*Model, error) {
@@ -252,7 +312,7 @@ func TestDiskStorePutImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build("imported", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "imported", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +341,10 @@ func TestStorePutInFlightConflict(t *testing.T) {
 	go s.GetOrBuild("busy", func() (*Model, error) {
 		close(started)
 		<-release
-		return Build("busy", trainingSet(), buildConfig())
+		return BuildCtx(context.Background(), "busy", trainingSet(), buildConfig(), nil, nil)
 	})
 	<-started
-	m, err := Build("busy", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "busy", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +402,7 @@ func TestDiskStoreMemoryOnly(t *testing.T) {
 
 func benchModel(b *testing.B) *Model {
 	b.Helper()
-	m, err := Build("bench", synth.CorridorScene(3, 12, 30, 4, 7), buildConfig())
+	m, err := BuildCtx(context.Background(), "bench", synth.CorridorScene(3, 12, 30, 4, 7), buildConfig(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

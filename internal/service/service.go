@@ -114,29 +114,25 @@ type Model struct {
 // MinLns are chosen by the entropy heuristic searched over ε ∈ [Lo, Hi],
 // sharing the build's single spatial index with the grouping phase instead
 // of paying a second index construction and neighborhood sweep the way a
-// separate EstimateParameters call would.
+// separate Pipeline.Estimate call would.
 type EstimateRange struct {
 	Lo, Hi float64
 }
 
-// Build runs the full TRACLUS pipeline over the training trajectories and
-// wraps the result as a servable model. It validates cfg up front (a
+// BuildCtx runs the full TRACLUS pipeline over the training trajectories
+// and wraps the result as a servable model. It validates cfg up front (a
 // *traclus.ConfigError maps to a client error in the daemon) and precomputes
 // the summary statistics so serving reads never trigger O(n²) work. A model
 // whose clustering found no clusters is still valid — its summary reports
 // zero clusters and Classify returns traclus.ErrNoClusters.
-func Build(name string, trs []traclus.Trajectory, cfg traclus.Config) (*Model, error) {
-	return BuildCtx(context.Background(), name, trs, cfg, nil, nil)
-}
-
-// BuildCtx is Build over the cancellable Pipeline API: a done ctx aborts
-// the clustering within one work item and surfaces ctx.Err() (match with
-// errors.Is against context.Canceled — the daemon maps it to a cancelled
-// job, not a failed one). est, if non-nil, estimates Eps/MinLns during the
-// build (cfg.Eps and cfg.MinLns are ignored; the summary reports the chosen
-// values). progress, if non-nil, receives the pipeline's phase/fraction
-// stream (serialized, monotone per phase) so an async build job can report
-// live progress to pollers.
+//
+// A done ctx aborts the clustering within one work item and surfaces
+// ctx.Err() (match with errors.Is against context.Canceled — the daemon
+// maps it to a cancelled job, not a failed one). est, if non-nil,
+// estimates Eps/MinLns during the build (cfg.Eps and cfg.MinLns are
+// ignored; the summary reports the chosen values). progress, if non-nil,
+// receives the pipeline's phase/fraction stream (serialized, monotone per
+// phase) so an async build job can report live progress to pollers.
 //
 // A model build constructs exactly one spatial index per dataset it
 // indexes: one over the pooled trajectory partitions (shared by estimation
@@ -171,8 +167,9 @@ func buildOptions(cfg traclus.Config, est *EstimateRange, progress func(phase st
 }
 
 // finishBuild wraps a completed appender build as a servable model:
-// estimated parameters and the resolved geometry (a geodesic run's
-// projection frame) fold into the persisted config, and the summary
+// estimated parameters, the resolved geometry (a geodesic run's projection
+// frame) and the grid a nil Config.Index selects fold into the persisted
+// config, and the summary
 // statistics precompute so serving reads never trigger O(n²) work. An auto
 // build's dendrogram stays on res, where sweeps find it and the snapshot
 // persists it as format v2.
@@ -183,6 +180,9 @@ func finishBuild(name string, ap *traclus.Appender, cfg traclus.Config, trajecto
 		cfg.MinLns = float64(res.Estimated.MinLnsLo+res.Estimated.MinLnsHi) / 2
 	}
 	cfg.Geometry = res.Geometry()
+	if cfg.Index == nil {
+		cfg.Index = traclus.GridIndexBackend()
+	}
 	m := &Model{
 		res: res,
 		ap:  ap,

@@ -24,7 +24,7 @@ func buildConfig() traclus.Config {
 
 func TestBuildSummary(t *testing.T) {
 	trs := trainingSet()
-	m, err := Build("corridors", trs, buildConfig())
+	m, err := BuildCtx(context.Background(), "corridors", trs, buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestBuildSummary(t *testing.T) {
 }
 
 func TestBuildRejectsBadConfig(t *testing.T) {
-	if _, err := Build("bad", trainingSet(), traclus.Config{Eps: -1, MinLns: 6}); err == nil {
+	if _, err := BuildCtx(context.Background(), "bad", trainingSet(), traclus.Config{Eps: -1, MinLns: 6}, nil, nil); err == nil {
 		t.Error("negative eps accepted")
 	}
 }
@@ -109,7 +109,7 @@ func TestBuildCtxStreamsProgress(t *testing.T) {
 
 func TestModelClassifyBatch(t *testing.T) {
 	trs := trainingSet()
-	m, err := Build("corridors", trs, buildConfig())
+	m, err := BuildCtx(context.Background(), "corridors", trs, buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestModelClassifyBatch(t *testing.T) {
 }
 
 func TestClassifyBatchHonoursContext(t *testing.T) {
-	m, err := Build("corridors", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "corridors", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestClassifyBatchHonoursContext(t *testing.T) {
 }
 
 func TestBuildWithNoClusters(t *testing.T) {
-	m, err := Build("sparse", trainingSet()[:2], traclus.Config{Eps: 1, MinLns: 50})
+	m, err := BuildCtx(context.Background(), "sparse", trainingSet()[:2], traclus.Config{Eps: 1, MinLns: 50}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestModelBuildConstructsOneIndexPerDataset(t *testing.T) {
 		cfg.Workers = workers
 		before := spindex.Builds()
 		poolsBefore := segpool.Builds()
-		m, err := Build("count", trainingSet(), cfg)
+		m, err := BuildCtx(context.Background(), "count", trainingSet(), cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,11 +400,11 @@ func TestModelBuildConstructsOneIndexPerDataset(t *testing.T) {
 
 // TestBuildWithEstimation covers the in-build §4.4 estimation path: the
 // summary must report the chosen parameters, matching a standalone
-// EstimateParameters call.
+// Pipeline.Estimate call.
 func TestBuildWithEstimation(t *testing.T) {
-	est, err := traclus.EstimateParameters(trainingSet(), 5, 60, traclus.Config{
+	est, err := traclus.New(traclus.WithConfig(traclus.Config{
 		CostAdvantage: 15, MinSegmentLength: 40,
-	})
+	})).Estimate(context.Background(), trainingSet(), 5, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

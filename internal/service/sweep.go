@@ -83,8 +83,9 @@ func (m *Model) Dendrogram() *dendro.Dendrogram {
 	return m.den
 }
 
-// distOptions resolves the distance the model was built with — the same
-// resolution the pipeline and the snapshot layer apply.
+// distOptions resolves the distance the model was built with: the zero
+// Weights select the paper's defaults, as in the pipeline. The snapshot
+// layer serializes this resolution.
 func (m *Model) distOptions() lsdist.Options {
 	w := m.cfg.Weights
 	if (w == traclus.Weights{}) {
@@ -120,7 +121,7 @@ func (m *Model) DendrogramAt(ctx context.Context, maxEps float64) (*dendro.Dendr
 		return nil, fmt.Errorf("%w: ε %g exceeds the restored spatiotemporal dendrogram's range %g, and the snapshot has no per-item intervals to rebuild it from",
 			ErrNoDendrogram, maxEps, m.den.MaxEps())
 	}
-	shared := segclust.NewSharedIndexFor(m.den.Items(), m.distOptions(), segclust.BackendFor(m.cfg.Index))
+	shared := segclust.NewSharedIndexFor(m.den.Items(), m.distOptions(), m.cfg.Index)
 	d, err := dendro.FromShared(ctx, shared, maxEps, m.cfg.Workers)
 	if err != nil {
 		return nil, err

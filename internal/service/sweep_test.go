@@ -18,7 +18,7 @@ import (
 // representative trajectories — even though the dendrogram is built
 // lazily, after the fact, from the model's retained items.
 func TestClustersAtMatchesBuild(t *testing.T) {
-	m, err := Build("fixed", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "fixed", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestClustersAtMatchesBuild(t *testing.T) {
 // TestDendrogramLazyGrowth: sweeps beyond the current range rebuild wider;
 // narrower queries reuse the existing structure.
 func TestDendrogramLazyGrowth(t *testing.T) {
-	m, err := Build("growing", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "growing", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSnapshotCarriesDendro(t *testing.T) {
 // (the v1 situation: classifier geometry only, no training segments)
 // answers sweep queries with ErrNoDendrogram.
 func TestSweepNoDendrogram(t *testing.T) {
-	m, err := Build("plain", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "plain", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSweepNoDendrogram(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	m, err := Build("validated", trainingSet(), buildConfig())
+	m, err := BuildCtx(context.Background(), "validated", trainingSet(), buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSummaryQMeasureIsResultQMeasure(t *testing.T) {
 	cfg := synth.DefaultHurricaneConfig()
 	cfg.NumTracks, cfg.Seed = 401, 3
 	trs := synth.Hurricanes(cfg)
-	m, err := Build("q", trs[:400], buildConfig())
+	m, err := BuildCtx(context.Background(), "q", trs[:400], buildConfig(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSummaryQMeasureIsResultQMeasure(t *testing.T) {
 func BenchmarkSweepQuality(b *testing.B) {
 	cfg := synth.DefaultHurricaneConfig()
 	cfg.NumTracks = 400
-	m, err := Build("bench-sweep", synth.Hurricanes(cfg), buildConfig())
+	m, err := BuildCtx(context.Background(), "bench-sweep", synth.Hurricanes(cfg), buildConfig(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -328,16 +328,16 @@ func TestReadsMatchLibraryMatrix(t *testing.T) {
 		{"geodesic", geodesic, gps},
 	}
 	for _, g := range geos {
-		for _, kind := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+		for _, kind := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
 			cfg := g.cfg
 			cfg.Index = kind
 			n := len(g.trs) - 3
-			m, err := Build(g.name, g.trs[:n], cfg)
+			m, err := BuildCtx(context.Background(), g.name, g.trs[:n], cfg, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for epoch := 0; ; epoch++ {
-				what := fmt.Sprintf("%s/%v/epoch %d", g.name, kind, epoch)
+				what := fmt.Sprintf("%s/%v/epoch %d", g.name, kind.Name(), epoch)
 				eps, res := m.Summary().Eps, m.Result()
 				reads(what, m, res, eps)
 				if epoch == 0 {
@@ -369,7 +369,7 @@ func TestReadsMatchLibraryMatrix(t *testing.T) {
 				}
 			}
 			if len(m.Result().Clusters) == 0 {
-				t.Errorf("%s/%v: no clusters; the scene exercises nothing", g.name, kind)
+				t.Errorf("%s/%v: no clusters; the scene exercises nothing", g.name, kind.Name())
 			}
 		}
 	}

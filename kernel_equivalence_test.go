@@ -62,13 +62,13 @@ func resultFingerprint(r *traclus.Result) string {
 // fingerprint and distance budget; the brute backend scores every pair and
 // pins its own. Neither may vary with the worker count.
 func TestKernelPathBitIdenticalToScalar(t *testing.T) {
-	want := map[traclus.IndexKind]struct {
+	want := map[traclus.IndexBackend]struct {
 		distCalls int
 		fp        string
 	}{
-		traclus.IndexGrid:  {distCalls: 32212, fp: "233c95f6e4469fc5"},
-		traclus.IndexRTree: {distCalls: 32212, fp: "233c95f6e4469fc5"},
-		traclus.IndexNone:  {distCalls: 65536, fp: "852bec3b28ec583e"},
+		traclus.GridIndexBackend():  {distCalls: 32212, fp: "233c95f6e4469fc5"},
+		traclus.RTreeIndexBackend(): {distCalls: 32212, fp: "233c95f6e4469fc5"},
+		traclus.BruteIndexBackend(): {distCalls: 65536, fp: "852bec3b28ec583e"},
 	}
 	trs := equivalenceWorkload(t, 120)
 	for kind, exp := range want {
@@ -80,17 +80,17 @@ func TestKernelPathBitIdenticalToScalar(t *testing.T) {
 				Index:            kind,
 				Workers:          workers,
 			}
-			res, err := traclus.Run(trs, cfg)
+			res, err := run(trs, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := res.DistCalls(); got != exp.distCalls {
 				t.Errorf("index=%v workers=%d: %d distance calls, scalar path spent %d",
-					kind, workers, got, exp.distCalls)
+					kind.Name(), workers, got, exp.distCalls)
 			}
 			if got := resultFingerprint(res); got != exp.fp {
 				t.Errorf("index=%v workers=%d: result fingerprint %s differs from scalar baseline %s",
-					kind, workers, got, exp.fp)
+					kind.Name(), workers, got, exp.fp)
 			}
 		}
 	}

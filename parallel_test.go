@@ -24,7 +24,7 @@ func equivalenceWorkload(t testing.TB, tracks int) []traclus.Trajectory {
 
 func TestRunWorkersEquivalence(t *testing.T) {
 	trs := equivalenceWorkload(t, 120)
-	for _, index := range []traclus.IndexKind{traclus.IndexGrid, traclus.IndexRTree, traclus.IndexNone} {
+	for _, index := range []traclus.IndexBackend{traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()} {
 		cfg := traclus.Config{
 			Eps: 30, MinLns: 6,
 			CostAdvantage:    15,
@@ -32,24 +32,24 @@ func TestRunWorkersEquivalence(t *testing.T) {
 			Index:            index,
 			Workers:          1,
 		}
-		serial, err := traclus.Run(trs, cfg)
+		serial, err := run(trs, cfg)
 		if err != nil {
-			t.Fatalf("index=%v serial: %v", index, err)
+			t.Fatalf("index=%v serial: %v", index.Name(), err)
 		}
 		for _, workers := range []int{2, 3, 4, 8, 0} {
 			cfg.Workers = workers
-			parallel, err := traclus.Run(trs, cfg)
+			parallel, err := run(trs, cfg)
 			if err != nil {
-				t.Fatalf("index=%v workers=%d: %v", index, workers, err)
+				t.Fatalf("index=%v workers=%d: %v", index.Name(), workers, err)
 			}
 			if !reflect.DeepEqual(serial.Clusters, parallel.Clusters) {
-				t.Errorf("index=%v workers=%d: clusters differ from serial", index, workers)
+				t.Errorf("index=%v workers=%d: clusters differ from serial", index.Name(), workers)
 			}
 			if serial.NoiseSegments != parallel.NoiseSegments ||
 				serial.TotalSegments != parallel.TotalSegments ||
 				serial.RemovedClusters != parallel.RemovedClusters {
 				t.Errorf("index=%v workers=%d: counts differ: serial=(%d,%d,%d) parallel=(%d,%d,%d)",
-					index, workers,
+					index.Name(), workers,
 					serial.NoiseSegments, serial.TotalSegments, serial.RemovedClusters,
 					parallel.NoiseSegments, parallel.TotalSegments, parallel.RemovedClusters)
 			}
@@ -63,12 +63,12 @@ func TestRunWorkersEquivalence(t *testing.T) {
 func TestRunWorkersEquivalenceUndirected(t *testing.T) {
 	trs := equivalenceWorkload(t, 60)
 	cfg := traclus.Config{Eps: 30, MinLns: 6, Undirected: true, Workers: 1}
-	serial, err := traclus.Run(trs, cfg)
+	serial, err := run(trs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	parallel, err := traclus.Run(trs, cfg)
+	parallel, err := run(trs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestRunWorkersEquivalenceUndirected(t *testing.T) {
 func TestEstimateParametersWorkersEquivalence(t *testing.T) {
 	trs := equivalenceWorkload(t, 60)
 	base := traclus.Config{CostAdvantage: 15, MinSegmentLength: 40, Workers: 1}
-	serial, err := traclus.EstimateParameters(trs, 5, 60, base)
+	serial, err := estimate(trs, 5, 60, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Workers = 4
-	parallel, err := traclus.EstimateParameters(trs, 5, 60, base)
+	parallel, err := estimate(trs, 5, 60, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@ package traclus
 // built from functional options, whose three phases — Partitioner, Grouper,
 // RepresentativeBuilder — are pluggable stage interfaces, whose Run takes a
 // context.Context threaded through every fan-out loop, and whose Progress
-// hook streams phase/fraction events. The historical Run(trs, Config) is a
-// thin wrapper over a default Pipeline and stays bit-identical.
+// hook streams phase/fraction events. Options carry only what a Config
+// cannot say — the stages, the progress hook and the estimation range —
+// and every parameter comes from the one Config that WithConfig sets.
 //
 // Cancellation model: every phase checks ctx cooperatively at work-item
 // granularity (one trajectory partition, one ε-neighborhood, one cluster
@@ -138,13 +139,12 @@ type ProgressEvent struct {
 // package documentation above.
 type ProgressFunc func(ProgressEvent)
 
-// Pipeline is a reusable, configured TRACLUS pipeline. The zero
-// configuration (New with only WithConfig) reproduces Run exactly; stages
-// and hooks are swapped with the With* options. A Pipeline is immutable
-// after New and safe for concurrent Run calls.
+// Pipeline is a reusable, configured TRACLUS pipeline: New(WithConfig(cfg))
+// is the paper's pipeline under cfg, and stages and hooks are swapped with
+// the other With* options. A Pipeline is immutable after New and safe for
+// concurrent Run calls.
 type Pipeline struct {
 	cfg       Config
-	backend   IndexBackend
 	est       *estimateRange
 	partition Partitioner
 	group     Grouper
@@ -158,12 +158,9 @@ type estimateRange struct{ lo, hi float64 }
 // Option configures a Pipeline.
 type Option func(*Pipeline)
 
-// WithConfig sets the TRACLUS parameters (the same Config Run takes).
+// WithConfig sets the TRACLUS parameters: every one of them, the index
+// backend, the worker count and the geometry included.
 func WithConfig(cfg Config) Option { return func(p *Pipeline) { p.cfg = cfg } }
-
-// WithWorkers overrides Config.Workers alone — parallelism for every phase
-// (≤ 0 = all CPUs, 1 = serial; output is identical either way).
-func WithWorkers(n int) Option { return func(p *Pipeline) { p.cfg.Workers = n } }
 
 // WithPartitioner replaces the partition stage (default PartitionMDL).
 func WithPartitioner(s Partitioner) Option { return func(p *Pipeline) { p.partition = s } }
@@ -179,31 +176,6 @@ func WithRepresentativeBuilder(b RepresentativeBuilder) Option {
 
 // WithProgress installs a progress hook.
 func WithProgress(fn ProgressFunc) Option { return func(p *Pipeline) { p.progress = fn } }
-
-// WithGeometry selects the run's geometry — coordinate frame and distance
-// semantics — overriding Config.Geometry alone. PlanarGeometry (the
-// default) is the paper's setting and is bit-identical to not setting a
-// geometry at all; SpatiotemporalGeometry(wt) adds the temporal distance
-// component and requires trajectories that carry Times; GeodesicGeometry
-// clusters lat/lon input in a dataset-derived meter frame.
-func WithGeometry(g Geometry) Option { return func(p *Pipeline) { p.cfg.Geometry = g } }
-
-// WithTemporalWeight is shorthand for
-// WithGeometry(SpatiotemporalGeometry(wt)): it switches the pipeline to the
-// spatiotemporal geometry with temporal weight wt. wt = 0 keeps the
-// spatiotemporal plumbing but reduces the distance bit-identically to
-// planar — the equivalence the tests pin down.
-func WithTemporalWeight(wt float64) Option {
-	return func(p *Pipeline) { p.cfg.Geometry = SpatiotemporalGeometry(wt) }
-}
-
-// WithIndexBackend plugs a custom spatial-index backend into every phase
-// that indexes segments — parameter estimation, ε-neighborhood grouping,
-// and the classifier built over the run's result — overriding the
-// Config.Index kind shim. The backend must honour the conservative
-// candidate contract documented on IndexBackend; the built-in backends are
-// GridIndexBackend, RTreeIndexBackend, and BruteIndexBackend.
-func WithIndexBackend(b IndexBackend) Option { return func(p *Pipeline) { p.backend = b } }
 
 // WithEstimation makes Run choose Eps and MinLns itself before clustering,
 // with the Section 4.4 heuristic searched over ε ∈ [lo, hi] (Config.Eps and
@@ -237,15 +209,13 @@ func New(opts ...Option) *Pipeline {
 }
 
 // Run executes the pipeline: partition → group → represent. It is the
-// primary entrypoint of the package; the package-level Run is a wrapper
-// over it with context.Background(). A done ctx aborts the run within one
-// work item and returns ctx.Err(); otherwise the result is bit-identical
-// for every Workers value, and — with default stages — bit-identical to
-// the package-level Run.
+// entrypoint of the package. A done ctx aborts the run within one work item
+// and returns ctx.Err(); otherwise the result is bit-identical for every
+// Workers value and every index backend.
 //
 // Trajectories carry Times exactly when the geometry is spatiotemporal
-// (WithTemporalWeight / WithGeometry(SpatiotemporalGeometry(wt))); any other
-// mix is a *ConfigError. Under that geometry every partition inherits the
+// (Config.Geometry = SpatiotemporalGeometry(wt)); any other mix is a
+// *ConfigError. Under that geometry every partition inherits the
 // time span of its points, the grouping runs under dist + wT·gap, and the
 // Result carries per-cluster time windows; wT = 0 is bit-identical to a
 // planar Run over the same points. The spatial index prefilter stays sound
@@ -324,7 +294,7 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 	if cfg.Geometry.Kind == geometry.Geodesic {
 		trs, cfg = projectGeodesic(trs, cfg)
 	}
-	b := &build{cfg: cfg, ccfg: p.coreConfig(cfg), rep: newProgressReporter(p.progress)}
+	b := &build{cfg: cfg, ccfg: cfg.core(), rep: newProgressReporter(p.progress)}
 	b.rep.begin(PhasePartition, len(trs))
 	items, err := runPartition(ctx, p.partition, trs, cfg, b.rep)
 	if err != nil {
@@ -357,7 +327,7 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 	b.rep.finish()
 	b.cfg.Eps = e.Eps
 	b.cfg.MinLns = float64(e.MinLnsLo+e.MinLnsHi) / 2
-	b.ccfg = p.coreConfig(b.cfg)
+	b.ccfg = b.cfg.core()
 	b.estimated = &Estimate{
 		Eps:          e.Eps,
 		Entropy:      e.Entropy,
@@ -477,17 +447,6 @@ func clusterWindows(out *core.Output) []Interval {
 	return ws
 }
 
-// coreConfig projects the public Config onto the engine configuration,
-// applying the pipeline-level backend override so one backend choice
-// reaches every indexing phase (estimation, grouping, classification).
-func (p *Pipeline) coreConfig(cfg Config) core.Config {
-	ccfg := cfg.core()
-	if p.backend != nil {
-		ccfg.Backend = p.backend
-	}
-	return ccfg
-}
-
 // representFunc adapts the configured RepresentativeBuilder for
 // core.AssembleCtx; the default sweep builder maps to nil so the engine's
 // own (identical) sweep path runs.
@@ -539,9 +498,7 @@ func stageError(ctx context.Context, phase Phase, err error) error {
 // front half — the same validation (a bad range or Config field is a
 // *ConfigError), the same partition and estimate progress events, the same
 // single index and dendrogram — stopped before the grouping. A done ctx
-// stops the search within one ε evaluation and returns ctx.Err(). The
-// package-level EstimateParameters is a wrapper over it with
-// context.Background().
+// stops the search within one ε evaluation and returns ctx.Err().
 func (p *Pipeline) Estimate(ctx context.Context, trs []Trajectory, lo, hi float64) (Estimate, error) {
 	b, err := p.prepare(ctx, trs, false, &estimateRange{lo: lo, hi: hi})
 	if err != nil {

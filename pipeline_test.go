@@ -1,10 +1,8 @@
 package traclus_test
 
-// Tests for the composable Pipeline API: equivalence with the compatibility
-// Run wrapper at every worker count (the acceptance bar includes DistCalls),
-// prompt cooperative cancellation on a large synthetic input, the progress
-// hook's ordering contract, stage pluggability, and the estimation-path
-// validation fix.
+// Tests for the composable Pipeline API: prompt cooperative cancellation on
+// a large synthetic input, the progress hook's ordering contract, stage
+// pluggability, and the estimation-path validation fix.
 
 import (
 	"context"
@@ -19,44 +17,6 @@ import (
 
 	traclus "repro"
 )
-
-// TestPipelineRunMatchesRun pins the compatibility guarantee: a default
-// Pipeline is bit-identical to Run at Workers ∈ {1, 4, all} — clusters
-// (representatives included), noise/removal counts, and even DistCalls.
-func TestPipelineRunMatchesRun(t *testing.T) {
-	trs := equivalenceWorkload(t, 120)
-	for _, workers := range []int{1, 4, 0} {
-		cfg := traclus.Config{
-			Eps: 30, MinLns: 6,
-			CostAdvantage:    15,
-			MinSegmentLength: 40,
-			Workers:          workers,
-		}
-		legacy, err := traclus.Run(trs, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d Run: %v", workers, err)
-		}
-		piped, err := traclus.New(traclus.WithConfig(cfg)).Run(context.Background(), trs)
-		if err != nil {
-			t.Fatalf("workers=%d Pipeline.Run: %v", workers, err)
-		}
-		if !reflect.DeepEqual(legacy.Clusters, piped.Clusters) {
-			t.Errorf("workers=%d: Pipeline clusters differ from Run", workers)
-		}
-		if legacy.NoiseSegments != piped.NoiseSegments ||
-			legacy.TotalSegments != piped.TotalSegments ||
-			legacy.RemovedClusters != piped.RemovedClusters {
-			t.Errorf("workers=%d: counts differ: Run=(%d,%d,%d) Pipeline=(%d,%d,%d)",
-				workers,
-				legacy.NoiseSegments, legacy.TotalSegments, legacy.RemovedClusters,
-				piped.NoiseSegments, piped.TotalSegments, piped.RemovedClusters)
-		}
-		if legacy.DistCalls() != piped.DistCalls() {
-			t.Errorf("workers=%d: DistCalls differ: Run=%d Pipeline=%d",
-				workers, legacy.DistCalls(), piped.DistCalls())
-		}
-	}
-}
 
 // TestPipelineRunCancelledBeforeStart pins the fast path: a context that is
 // already done yields ctx.Err() without touching the input.
@@ -307,24 +267,11 @@ func TestPipelineGroupOPTICS(t *testing.T) {
 	}
 }
 
-// TestPipelineEstimateMatchesEstimateParameters pins the wrapper: the
-// ctx-aware Estimate and the legacy EstimateParameters are the same seeded
-// search.
+// TestPipelineEstimateMatchesEstimateParameters pins Estimate's
+// cancellation: a done context stops the search and returns ctx.Err().
 func TestPipelineEstimateMatchesEstimateParameters(t *testing.T) {
 	trs := equivalenceWorkload(t, 60)
 	cfg := traclus.Config{CostAdvantage: 15, MinSegmentLength: 40, Workers: 4}
-	legacy, err := traclus.EstimateParameters(trs, 5, 60, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	piped, err := traclus.New(traclus.WithConfig(cfg)).Estimate(context.Background(), trs, 5, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != piped {
-		t.Errorf("Estimate = %+v, EstimateParameters = %+v", piped, legacy)
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := traclus.New(traclus.WithConfig(cfg)).Estimate(ctx, trs, 5, 60); !errors.Is(err, context.Canceled) {
@@ -347,14 +294,14 @@ func TestEstimateParametersValidatesConfig(t *testing.T) {
 		{Gamma: -2},
 	}
 	for i, cfg := range bad {
-		_, err := traclus.EstimateParameters(trs, 5, 60, cfg)
+		_, err := estimate(trs, 5, 60, cfg)
 		var ce *traclus.ConfigError
 		if !errors.As(err, &ce) {
 			t.Errorf("case %d (%+v): err = %v, want *ConfigError", i, cfg, err)
 		}
 	}
 	// The legal baseline: zero Eps/MinLns plus sane extras estimates fine.
-	if _, err := traclus.EstimateParameters(trs, 5, 60, traclus.Config{CostAdvantage: 15}); err != nil {
+	if _, err := estimate(trs, 5, 60, traclus.Config{CostAdvantage: 15}); err != nil {
 		t.Errorf("valid estimation config rejected: %v", err)
 	}
 }

@@ -19,19 +19,20 @@
 //		fmt.Println(c.Representative) // a common sub-trajectory
 //	}
 //
-// The Pipeline is the primary entrypoint: Run(ctx, trs) is cancellable,
+// The Pipeline is the one entrypoint: Run(ctx, trs) is cancellable,
 // streams progress through WithProgress, and its three phases are pluggable
 // stage interfaces (Partitioner, Grouper, RepresentativeBuilder) — see
-// pipeline.go. The package-level Run(trs, cfg) is the fixed-configuration
-// compatibility form, bit-identical to a default Pipeline.
+// pipeline.go. Every parameter, the index backend, the worker count and
+// the geometry included, is a Config field set through WithConfig.
 //
-// When ε and MinLns are unknown, Pipeline.Estimate (or the compatibility
-// wrapper EstimateParameters) applies the paper's entropy-minimisation
-// heuristic (Section 4.4).
+// When ε and MinLns are unknown, Pipeline.Estimate applies the paper's
+// entropy-minimisation heuristic (Section 4.4), and WithEstimation runs it
+// inside a build.
 package traclus
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -67,24 +68,6 @@ func NewTrajectory(id int, pts []Point) Trajectory { return geom.NewTrajectory(i
 // Weights are the distance component multipliers w⊥, w∥, wθ.
 type Weights = lsdist.Weights
 
-// IndexKind selects how ε-neighborhoods are computed. It survives as a
-// thin compatibility shim over the unified index subsystem
-// (internal/spindex): each kind names one of the three first-class
-// backends, and WithIndexBackend plugs arbitrary ones.
-type IndexKind = segclust.IndexKind
-
-// Index strategies.
-const (
-	IndexGrid  = segclust.IndexGrid  // uniform grid prefilter (default)
-	IndexRTree = segclust.IndexRTree // R-tree prefilter
-	IndexNone  = segclust.IndexNone  // exhaustive O(n²) scan
-)
-
-// ParseIndexKind maps a user-facing backend name — "grid", "rtree",
-// "brute" (aliases "scan", "none") — to its IndexKind. Unknown names
-// return a *ConfigError, which serving layers surface as HTTP 400.
-func ParseIndexKind(s string) (IndexKind, error) { return segclust.ParseIndexKind(s) }
-
 // IndexBackend constructs the spatial index behind every ε-neighborhood
 // and nearest-representative query: one Build per dataset (the pooled
 // trajectory partitions; a model's reference segments), then any number of
@@ -104,17 +87,33 @@ type SegmentIndex = spindex.SegmentIndex
 // IndexQuery is a per-goroutine query cursor over a SegmentIndex.
 type IndexQuery = spindex.Query
 
-// GridIndexBackend returns the uniform-grid backend (the default,
-// IndexGrid's implementation).
+// GridIndexBackend returns the uniform-grid backend, the default that a
+// nil Config.Index selects.
 func GridIndexBackend() IndexBackend { return spindex.Grid() }
 
-// RTreeIndexBackend returns the R-tree backend (IndexRTree's
-// implementation).
+// RTreeIndexBackend returns the R-tree backend.
 func RTreeIndexBackend() IndexBackend { return spindex.RTree() }
 
-// BruteIndexBackend returns the exhaustive-scan backend (IndexNone's
-// implementation, the Lemma 3 O(n²) baseline).
+// BruteIndexBackend returns the exhaustive-scan backend, the Lemma 3 O(n²)
+// baseline.
 func BruteIndexBackend() IndexBackend { return spindex.Brute() }
+
+// ParseIndexBackend maps a user-facing backend name — "grid", "rtree",
+// "brute" (aliases "scan", "none") — to its IndexBackend. It is the one
+// name table: flags, requests and snapshots resolve through it, and each
+// built-in backend's Name() is its canonical entry. Unknown names return a
+// *ConfigError, which serving layers surface as HTTP 400.
+func ParseIndexBackend(s string) (IndexBackend, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "grid":
+		return GridIndexBackend(), nil
+	case "rtree":
+		return RTreeIndexBackend(), nil
+	case "brute", "scan", "none":
+		return BruteIndexBackend(), nil
+	}
+	return nil, &ConfigError{Field: "Index", Value: s, Reason: `must be one of "grid", "rtree", "brute"`}
+}
 
 // Geometry selects the coordinate frame and distance semantics of a run:
 // planar Euclidean (the zero value, the paper's setting), spatiotemporal
@@ -195,8 +194,12 @@ type Config struct {
 	// the geometry layer existed. See PlanarGeometry, SpatiotemporalGeometry,
 	// GeodesicGeometry.
 	Geometry Geometry
-	// Index selects the neighborhood strategy (default IndexGrid).
-	Index IndexKind
+	// Index is the spatial-index backend behind every ε-neighborhood and
+	// nearest-representative query: parameter estimation, grouping, and
+	// the classifier built over the result. nil selects the grid. The
+	// backend only makes queries cheaper (Lemma 3): every backend that
+	// honours the IndexBackend contract gives the same clustering.
+	Index IndexBackend
 	// Workers bounds the parallelism of the whole pipeline: MDL
 	// partitioning fans out across trajectories, ε-neighborhood
 	// precomputation across segments, and representative generation across
@@ -230,9 +233,9 @@ func (c Config) Validate() error {
 
 // ValidateForEstimation validates every Config field except Eps and MinLns
 // — the two parameters estimation (Pipeline.Estimate, WithEstimation)
-// exists to find — with the same typed *ConfigError Run would return, so a
-// NaN weight or a negative CostAdvantage is rejected without demanding the
-// two parameters the search is for. Serving layers use it to vet
+// exists to find — with the same typed *ConfigError Pipeline.Run would
+// return, so a NaN weight or a negative CostAdvantage is rejected without
+// demanding the two parameters the search is for. Serving layers use it to vet
 // auto-estimated builds up front.
 func (c Config) ValidateForEstimation() error {
 	if c.MinTrajs < 0 {
@@ -279,7 +282,7 @@ func (c Config) core() core.Config {
 		Partition: mdl.Config{CostAdvantage: c.CostAdvantage, MinLength: c.MinSegmentLength},
 		Distance:  lsdist.Options{Weights: w, Undirected: c.Undirected},
 		Geometry:  c.Geometry,
-		Index:     c.Index,
+		Backend:   c.Index,
 		Gamma:     c.Gamma,
 		Workers:   c.Workers,
 	}
@@ -389,18 +392,6 @@ func (r *Result) Geometry() Geometry { return r.cfg.Geometry }
 // covering every member segment's span); nil under every other geometry.
 func (r *Result) ClusterWindows() []Interval { return r.windows }
 
-// Run executes the complete TRACLUS algorithm: partition every trajectory,
-// group the pooled segments, and generate a representative trajectory per
-// cluster.
-//
-// Run is the fixed-configuration compatibility form. New code should
-// prefer the Pipeline API — New(WithConfig(cfg)).Run(ctx, trs) — which is
-// bit-identical on the same input and adds cancellation, progress
-// reporting, and pluggable stages.
-func Run(trs []Trajectory, cfg Config) (*Result, error) {
-	return New(WithConfig(cfg)).Run(context.Background(), trs)
-}
-
 func newResult(out *core.Output, ccfg core.Config) *Result {
 	res := &Result{
 		NoiseSegments:   out.Result.NoiseCount(),
@@ -497,14 +488,4 @@ func DefaultEstimationRange(trs []Trajectory) (lo, hi float64) {
 		hi = 10
 	}
 	return hi / 60, hi
-}
-
-// EstimateParameters applies the Section 4.4 heuristic: simulated annealing
-// over ε ∈ [lo, hi] minimising neighborhood entropy, then MinLns =
-// avg|Nε|+1..3. The cfg's weights/index/workers are honoured and validated
-// (a NaN weight or negative CostAdvantage returns a *ConfigError instead of
-// poisoning the annealing pass); Eps and MinLns are ignored. It is the
-// compatibility form of Pipeline.Estimate, which adds cancellation.
-func EstimateParameters(trs []Trajectory, lo, hi float64, cfg Config) (Estimate, error) {
-	return New(WithConfig(cfg)).Estimate(context.Background(), trs, lo, hi)
 }

@@ -1,6 +1,7 @@
 package traclus_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,8 +14,18 @@ func corridorTrajectories() []traclus.Trajectory {
 	return synth.CorridorScene(2, 10, 24, 4, 11)
 }
 
+// run clusters trs through the default pipeline under cfg.
+func run(trs []traclus.Trajectory, cfg traclus.Config) (*traclus.Result, error) {
+	return traclus.New(traclus.WithConfig(cfg)).Run(context.Background(), trs)
+}
+
+// estimate runs the Section 4.4 search over [lo, hi] under cfg.
+func estimate(trs []traclus.Trajectory, lo, hi float64, cfg traclus.Config) (traclus.Estimate, error) {
+	return traclus.New(traclus.WithConfig(cfg)).Estimate(context.Background(), trs, lo, hi)
+}
+
 func TestRunEndToEnd(t *testing.T) {
-	res, err := traclus.Run(corridorTrajectories(), traclus.Config{
+	res, err := run(corridorTrajectories(), traclus.Config{
 		Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40,
 	})
 	if err != nil {
@@ -38,27 +49,27 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	trs := corridorTrajectories()
-	if _, err := traclus.Run(trs, traclus.Config{MinLns: 5}); err == nil {
+	if _, err := run(trs, traclus.Config{MinLns: 5}); err == nil {
 		t.Error("Eps unset accepted")
 	}
-	if _, err := traclus.Run(trs, traclus.Config{Eps: 30}); err == nil {
+	if _, err := run(trs, traclus.Config{Eps: 30}); err == nil {
 		t.Error("MinLns unset accepted")
 	}
 	bad := []traclus.Trajectory{traclus.NewTrajectory(0, []traclus.Point{traclus.Pt(0, 0)})}
-	if _, err := traclus.Run(bad, traclus.Config{Eps: 30, MinLns: 3}); err == nil {
+	if _, err := run(bad, traclus.Config{Eps: 30, MinLns: 3}); err == nil {
 		t.Error("invalid trajectory accepted")
 	}
 }
 
 func TestZeroWeightsMeanDefaults(t *testing.T) {
 	// Config{}.Weights zero-value must behave as w=1,1,1, not all-zero.
-	res, err := traclus.Run(corridorTrajectories(), traclus.Config{
+	res, err := run(corridorTrajectories(), traclus.Config{
 		Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := traclus.Run(corridorTrajectories(), traclus.Config{
+	explicit, err := run(corridorTrajectories(), traclus.Config{
 		Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40,
 		Weights: traclus.Weights{Perpendicular: 1, Parallel: 1, Angle: 1},
 	})
@@ -107,7 +118,7 @@ func TestDistanceFacade(t *testing.T) {
 }
 
 func TestEstimateParameters(t *testing.T) {
-	est, err := traclus.EstimateParameters(corridorTrajectories(), 5, 60, traclus.Config{
+	est, err := estimate(corridorTrajectories(), 5, 60, traclus.Config{
 		CostAdvantage: 15, MinSegmentLength: 40,
 	})
 	if err != nil {
@@ -119,13 +130,13 @@ func TestEstimateParameters(t *testing.T) {
 	if est.MinLnsLo < 2 || est.MinLnsHi < est.MinLnsLo {
 		t.Errorf("MinLns range %d..%d", est.MinLnsLo, est.MinLnsHi)
 	}
-	if _, err := traclus.EstimateParameters(nil, 5, 60, traclus.Config{}); err == nil {
+	if _, err := estimate(nil, 5, 60, traclus.Config{}); err == nil {
 		t.Error("empty input accepted")
 	}
 }
 
 func TestQMeasureAccessor(t *testing.T) {
-	res, err := traclus.Run(corridorTrajectories(), traclus.Config{
+	res, err := run(corridorTrajectories(), traclus.Config{
 		Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40,
 	})
 	if err != nil {
@@ -136,7 +147,7 @@ func TestQMeasureAccessor(t *testing.T) {
 		t.Errorf("QMeasure = %v", q)
 	}
 	// A deliberately bad ε (tiny) should score worse on the same data.
-	bad, err := traclus.Run(corridorTrajectories(), traclus.Config{
+	bad, err := run(corridorTrajectories(), traclus.Config{
 		Eps: 2, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40,
 	})
 	if err != nil {
@@ -164,11 +175,11 @@ func TestUndirectedOption(t *testing.T) {
 		}
 		trs = append(trs, traclus.NewTrajectory(i, pts))
 	}
-	directed, err := traclus.Run(trs, traclus.Config{Eps: 25, MinLns: 3, CostAdvantage: 5})
+	directed, err := run(trs, traclus.Config{Eps: 25, MinLns: 3, CostAdvantage: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	undirected, err := traclus.Run(trs, traclus.Config{Eps: 25, MinLns: 3, CostAdvantage: 5, Undirected: true})
+	undirected, err := run(trs, traclus.Config{Eps: 25, MinLns: 3, CostAdvantage: 5, Undirected: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +192,7 @@ func TestUndirectedOption(t *testing.T) {
 func TestWeightedTrajectories(t *testing.T) {
 	trs := synth.CorridorScene(1, 8, 24, 4, 13)
 	// Full weights → 1 cluster.
-	full, err := traclus.Run(trs, traclus.Config{
+	full, err := run(trs, traclus.Config{
 		Eps: 30, MinLns: 6, MinTrajs: 2, CostAdvantage: 15, MinSegmentLength: 40,
 	})
 	if err != nil {
@@ -194,7 +205,7 @@ func TestWeightedTrajectories(t *testing.T) {
 	for i := range trs {
 		trs[i].Weight = 0.2
 	}
-	light, err := traclus.Run(trs, traclus.Config{
+	light, err := run(trs, traclus.Config{
 		Eps: 30, MinLns: 6, MinTrajs: 2, CostAdvantage: 15, MinSegmentLength: 40,
 	})
 	if err != nil {
@@ -205,12 +216,12 @@ func TestWeightedTrajectories(t *testing.T) {
 	}
 }
 
-func TestIndexKindsAgreeThroughFacade(t *testing.T) {
+func TestIndexBackendsAgreeThroughFacade(t *testing.T) {
 	trs := corridorTrajectories()
 	var counts []int
-	for _, kind := range []traclus.IndexKind{traclus.IndexNone, traclus.IndexGrid, traclus.IndexRTree} {
-		res, err := traclus.Run(trs, traclus.Config{
-			Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40, Index: kind,
+	for _, backend := range []traclus.IndexBackend{traclus.BruteIndexBackend(), traclus.GridIndexBackend(), traclus.RTreeIndexBackend()} {
+		res, err := run(trs, traclus.Config{
+			Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40, Index: backend,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -218,6 +229,6 @@ func TestIndexKindsAgreeThroughFacade(t *testing.T) {
 		counts = append(counts, len(res.Clusters))
 	}
 	if counts[0] != counts[1] || counts[1] != counts[2] {
-		t.Errorf("index kinds disagree: %v", counts)
+		t.Errorf("index backends disagree: %v", counts)
 	}
 }

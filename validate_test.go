@@ -58,7 +58,7 @@ func TestOneValidateForEveryTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := service.Build("valid-"+geo, good, cfg)
+		m, err := service.BuildCtx(ctx, "valid-"+geo, good, cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,10 @@ func TestOneValidateForEveryTrajectory(t *testing.T) {
 			{"NewAppender", func(bad []traclus.Trajectory) error { _, err := p.NewAppender(ctx, bad); return err }},
 			{"Append", func(bad []traclus.Trajectory) error { _, err := ap.Append(ctx, bad[:1]); return err }},
 			{"Classify", func(bad []traclus.Trajectory) error { _, _, err := res.Classify(bad[0]); return err }},
-			{"service.Build", func(bad []traclus.Trajectory) error { _, err := service.Build("bad", bad, cfg); return err }},
+			{"service.BuildCtx", func(bad []traclus.Trajectory) error {
+				_, err := service.BuildCtx(ctx, "bad", bad, cfg, nil, nil)
+				return err
+			}},
 			{"Model.Append", func(bad []traclus.Trajectory) error { _, err := m.Append(ctx, bad[:1]); return err }},
 		}
 		for _, d := range defects {

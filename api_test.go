@@ -62,12 +62,6 @@ var rootAPI = []string{
 	"ConfigError",
 	"DefaultEstimationRange",
 	"Distance",
-	"EmbedSegments",
-	"Embedding",
-	"Embedding.Coord",
-	"Embedding.Dims",
-	"Embedding.Distance2",
-	"Embedding.Shift",
 	"ErrNoClusters",
 	"ErrTimedModel",
 	"ErrUnsnapshotable",
@@ -82,7 +76,6 @@ var rootAPI = []string{
 	"Geometry",
 	"GridIndexBackend",
 	"GroupDBSCAN",
-	"GroupOPTICS",
 	"Grouper",
 	"Grouper.Group",
 	"Grouping",

@@ -287,7 +287,7 @@ func TestAppendGuards(t *testing.T) {
 	// Custom grouping stages have no incremental form.
 	_, err := traclus.New(
 		traclus.WithConfig(cfg),
-		traclus.WithGrouper(traclus.GroupOPTICS()),
+		traclus.WithGrouper(singleClusterGrouper{}),
 	).NewAppender(ctx, trs)
 	if err == nil {
 		t.Fatal("NewAppender accepted a custom Grouper")

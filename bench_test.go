@@ -336,12 +336,12 @@ func BenchmarkAblationEndpointLH(b *testing.B) {
 	})
 	b.Run("endpointLH", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mdl.ApproximatePartitionEndpointLH(pts, mdl.Config{})
+			experiments.ApproximatePartitionEndpointLH(pts, mdl.Config{})
 		}
 	})
 }
 
-// ---- Extensions (Section 7.1 / Section 4.2 future work) ----
+// ---- Extensions (Section 7.1) ----
 
 // BenchmarkTemporalClustering measures the spatiotemporal variant against
 // plain TRACLUS on the same timed data (the temporal path cannot use the
@@ -372,26 +372,6 @@ func BenchmarkTemporalClustering(b *testing.B) {
 				clusters = len(res.Clusters)
 			}
 			b.ReportMetric(float64(clusters), "clusters")
-		})
-	}
-}
-
-// BenchmarkConstantShiftEmbedding measures the O(n³) metric embedding of
-// segment sets (Section 4.2's deferred indexing route).
-func BenchmarkConstantShiftEmbedding(b *testing.B) {
-	for _, n := range []int{50, 150} {
-		b.Run(fmt.Sprintf("segments=%d", n), func(b *testing.B) {
-			items := corridorItems(n)
-			segs := make([]geom.Segment, n)
-			for i, it := range items {
-				segs[i] = it.Seg
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := traclus.EmbedSegments(segs, traclus.Config{}, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

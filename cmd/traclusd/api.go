@@ -4,8 +4,7 @@ package main
 //
 //	{"code": "<machine-readable>", "message": "<human text>", "details": {...}}
 //
-// plus the legacy "error" field (same text as message) so pre-/v1 clients
-// keep decoding responses on the alias routes. Codes map to statuses:
+// Codes map to statuses:
 //
 //	invalid_request   400  malformed parameters or body
 //	invalid_config    400  typed TRACLUS config validation failure
@@ -56,13 +55,11 @@ const (
 	codeTimeout         = "timeout"
 )
 
-// apiError is the wire envelope. Legacy mirrors Message under the old
-// "error" key.
+// apiError is the wire envelope.
 type apiError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	Details any    `json:"details,omitempty"`
-	Legacy  string `json:"error"`
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -74,7 +71,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeErrorCode(w http.ResponseWriter, status int, code, msg string, details any) {
-	writeJSON(w, status, apiError{Code: code, Message: msg, Details: details, Legacy: msg})
+	writeJSON(w, status, apiError{Code: code, Message: msg, Details: details})
 }
 
 // writeError is the generic-code shorthand for call sites with a status

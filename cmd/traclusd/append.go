@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/service"
 	"repro/internal/trackio"
 
 	traclus "repro"
@@ -45,11 +44,6 @@ type AppendRequest struct {
 // handleAppend is POST /v1/models/{name}/append.
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !service.ValidModelName(name) {
-		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
-			"model name must match "+service.ModelNamePattern(), map[string]any{"field": "name"})
-		return
-	}
 	raw, err := s.readRaw(w, r)
 	if err != nil {
 		writeBodyError(w, err)

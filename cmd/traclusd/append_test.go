@@ -178,8 +178,8 @@ func TestV1AppendErrors(t *testing.T) {
 		if env.Code != tc.code {
 			t.Errorf("%s: code %q, want %q", tc.name, env.Code, tc.code)
 		}
-		if env.Message == "" || env.Legacy != env.Message {
-			t.Errorf("%s: envelope %+v missing message/legacy mirror", tc.name, env)
+		if env.Message == "" {
+			t.Errorf("%s: envelope %+v missing message", tc.name, env)
 		}
 	}
 	// None of the failures minted an epoch.
@@ -337,8 +337,7 @@ func TestShardedAppendForwardsToOwner(t *testing.T) {
 	nonOwner := (ownerIdx + 1) % len(urls)
 
 	var job service.Job
-	if code := doJSON(t, http.MethodPost,
-		ownerURL+"/models?name="+name+"&"+shardParams, csv, &job); code != http.StatusAccepted {
+	if code := postBuild(t, ownerURL, BuildRequest{Name: name, Data: csv, Config: corridorConfig()}, &job); code != http.StatusAccepted {
 		t.Fatalf("owner POST = %d", code)
 	}
 	if done := awaitJob(t, ownerURL, job.ID); done.State != service.JobDone {

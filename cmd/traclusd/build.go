@@ -1,11 +1,10 @@
 package main
 
-// Model building, twice over the same core: the /v1 interface takes one
-// validated JSON BuildRequest body (data inline, config consolidated, no
-// silent defaults), the legacy alias keeps the query-parameter + raw-body
-// interface with its historical eps=30/minlns=6 defaults. Both funnel into
-// startBuild, which owns the cache check, ownership forwarding, the build
-// semaphore, and the single-flight job start.
+// Model building: POST /v1/models takes one validated JSON BuildRequest
+// body (data inline, config consolidated, no silent defaults).
+// handleBuildV1 decodes it and resolves ownership; startBuild owns the
+// cache check, validation, the build semaphore, and the single-flight job
+// start.
 
 import (
 	"bytes"
@@ -16,7 +15,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strconv"
 
 	"repro/internal/service"
 	"repro/internal/trackio"
@@ -44,9 +42,8 @@ type BuildRequest struct {
 	Config BuildConfig `json:"config"`
 }
 
-// BuildConfig consolidates the legacy query parameters (eps, minlns,
-// mintrajs, undirected, cost_advantage, min_seg_len, gamma, index,
-// workers, auto, auto_lo, auto_hi, geometry, wt) into one JSON object.
+// BuildConfig carries every clustering parameter of a build in one JSON
+// object; an absent field keeps the library's zero-value default.
 type BuildConfig struct {
 	Eps              *float64   `json:"eps,omitempty"`
 	MinLns           *float64   `json:"min_lns,omitempty"`
@@ -76,13 +73,11 @@ type AutoRange struct {
 	Hi *float64 `json:"hi,omitempty"`
 }
 
-// buildSpec is the normalized outcome of either build interface.
+// buildSpec is the normalized build request.
 type buildSpec struct {
 	name    string
 	cfg     traclus.Config
-	est     *service.EstimateRange
-	loSet   bool // est.Lo was explicit (not extent-derived)
-	hiSet   bool
+	auto    *AutoRange // nil: fixed ε; else estimate over these bounds
 	format  trackio.Format
 	species string
 	data    []byte
@@ -103,37 +98,26 @@ func (s *server) handleBuildV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !service.ValidModelName(req.Name) {
-		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
-			"model name must match "+service.ModelNamePattern(), map[string]any{"field": "name"})
+		writeInvalidName(w)
 		return
 	}
 	if s.forwardToOwner(w, r, req.Name, raw) {
 		return
 	}
-	spec := buildSpec{name: req.Name, species: req.Species, data: []byte(req.Data), format: trackio.FormatCSV}
+	c := req.Config
+	spec := buildSpec{name: req.Name, auto: c.Auto, species: req.Species, data: []byte(req.Data), format: trackio.FormatCSV}
 	if req.Format != "" {
 		if spec.format, err = trackio.ParseFormat(req.Format); err != nil {
 			writeTypedError(w, err)
 			return
 		}
 	}
-	c := req.Config
-	if c.Auto != nil {
-		spec.est = &service.EstimateRange{}
-		if c.Auto.Lo != nil {
-			spec.est.Lo, spec.loSet = *c.Auto.Lo, true
-		}
-		if c.Auto.Hi != nil {
-			spec.est.Hi, spec.hiSet = *c.Auto.Hi, true
-		}
-	} else {
-		// No silent defaults in v1: the two parameters that define the
-		// clustering must be explicit when not estimated.
-		if c.Eps == nil || c.MinLns == nil {
-			writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
-				"config.eps and config.min_lns are required unless config.auto is set", map[string]any{"field": "config"})
-			return
-		}
+	// No silent defaults: the two parameters that define the clustering
+	// must be explicit when not estimated.
+	if c.Auto == nil && (c.Eps == nil || c.MinLns == nil) {
+		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
+			"config.eps and config.min_lns are required unless config.auto is set", map[string]any{"field": "config"})
+		return
 	}
 	setIf := func(dst *float64, src *float64) {
 		if src != nil {
@@ -173,9 +157,9 @@ func (s *server) handleBuildV1(w http.ResponseWriter, r *http.Request) {
 	s.startBuild(w, r, spec)
 }
 
-// parseGeometryParams resolves the geometry/wt pair shared by both build
-// interfaces. Unknown geometry names and a wt on a non-spatiotemporal
-// geometry surface as typed *ConfigError (the invalid_config envelope).
+// parseGeometryParams resolves a build's geometry/wt pair. Unknown
+// geometry names and a wt on a non-spatiotemporal geometry surface as
+// typed *ConfigError (the invalid_config envelope).
 func parseGeometryParams(name string, wt *float64) (traclus.Geometry, error) {
 	geo, err := traclus.ParseGeometry(name)
 	if err != nil {
@@ -193,45 +177,8 @@ func parseGeometryParams(name string, wt *float64) (traclus.Geometry, error) {
 	return geo, nil
 }
 
-// handleBuildLegacy is POST /models, the deprecated interface: parameters
-// in the query string (with the historical eps=30/minlns=6 defaults), raw
-// trajectory data as the body.
-func (s *server) handleBuildLegacy(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
-	if !service.ValidModelName(name) {
-		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
-			"model name must match "+service.ModelNamePattern(), map[string]any{"field": "name"})
-		return
-	}
-	cfg, est, loSet, hiSet, err := buildConfigFromQuery(r)
-	if err != nil {
-		writeTypedError(w, err)
-		return
-	}
-	cfg.Workers = s.cfg.workers
-	format := trackio.FormatCSV
-	if f := r.URL.Query().Get("format"); f != "" {
-		if format, err = trackio.ParseFormat(f); err != nil {
-			writeTypedError(w, err)
-			return
-		}
-	}
-	raw, err := s.readRaw(w, r)
-	if err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	if s.forwardToOwner(w, r, name, raw) {
-		return
-	}
-	s.startBuild(w, r, buildSpec{
-		name: name, cfg: cfg, est: est, loSet: loSet, hiSet: hiSet,
-		format: format, species: r.URL.Query().Get("species"), data: raw,
-	})
-}
-
-// startBuild is the shared build core: cache check, config validation,
-// data parse, estimation-bound resolution, build-slot acquisition, and the
+// startBuild is the build core: cache check, config validation, data
+// parse, estimation-bound resolution, build-slot acquisition, and the
 // async single-flight job start. The caller has already resolved ownership
 // (forwarding happens on the raw request).
 func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSpec) {
@@ -249,7 +196,7 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 		})
 		return
 	}
-	if spec.est == nil {
+	if spec.auto == nil {
 		if err := spec.cfg.Validate(); err != nil {
 			writeTypedError(w, err)
 			return
@@ -287,24 +234,27 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 			return
 		}
 	}
-	if spec.est != nil {
+	var est *service.EstimateRange
+	if spec.auto != nil {
 		// Absent bounds derive from the data extent (the CLI's -auto rule),
-		// each side independently so an explicit single bound survives. The
-		// combined interval is then validated here, synchronously — bad
-		// bounds must answer 400, not a failed async job.
-		defLo, defHi := traclus.DefaultEstimationRange(trs)
-		if !spec.loSet {
-			spec.est.Lo = defLo
+		// each side independently so an explicit single bound survives:
+		// presence decides, not the zero value. The combined interval is
+		// then validated here, synchronously — bad bounds must answer 400,
+		// not a failed async job.
+		lo, hi := traclus.DefaultEstimationRange(trs)
+		if spec.auto.Lo != nil {
+			lo = *spec.auto.Lo
 		}
-		if !spec.hiSet {
-			spec.est.Hi = defHi
+		if spec.auto.Hi != nil {
+			hi = *spec.auto.Hi
 		}
-		if err := traclus.ValidateEstimationRange(spec.est.Lo, spec.est.Hi); err != nil {
+		if err := traclus.ValidateEstimationRange(lo, hi); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
 				fmt.Sprintf("auto estimation bounds: %v", err),
-				map[string]any{"lo": fmt.Sprint(spec.est.Lo), "hi": fmt.Sprint(spec.est.Hi)})
+				map[string]any{"lo": fmt.Sprint(lo), "hi": fmt.Sprint(hi)})
 			return
 		}
+		est = &service.EstimateRange{Lo: lo, Hi: hi}
 	}
 	// Only requests that may start a fresh clustering run consume a build
 	// slot and retain their upload; a request for a name already in flight
@@ -315,7 +265,7 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 	// tolerates the over-count; single-flight still runs one build), or
 	// land a join on a build that just failed, which reports a retryable
 	// job failure.
-	name, cfg, est := spec.name, spec.cfg, spec.est
+	name, cfg := spec.name, spec.cfg
 	joins := s.store.Pending(name)
 	var startJob func(ctx context.Context, update func(phase string, fraction float64)) (string, error)
 	if joins {
@@ -416,84 +366,6 @@ func checkUploadLimits(trs []traclus.Trajectory, maxPoints, maxTrajs int) error 
 		}
 	}
 	return nil
-}
-
-// buildConfigFromQuery parses the legacy query-parameter interface,
-// keeping its historical defaults (eps=30, minlns=6). loSet/hiSet report
-// whether the auto bounds were explicit — presence decides defaulting.
-func buildConfigFromQuery(r *http.Request) (cfg traclus.Config, est *service.EstimateRange, loSet, hiSet bool, err error) {
-	cfg = traclus.Config{Eps: 30, MinLns: 6}
-	q := r.URL.Query()
-	if v := q.Get("auto"); v != "" {
-		b, perr := strconv.ParseBool(v)
-		if perr != nil {
-			return cfg, nil, false, false, fmt.Errorf("bad auto %q", v)
-		}
-		if b {
-			est = &service.EstimateRange{}
-		}
-	}
-	floats := map[string]*float64{
-		"eps":            &cfg.Eps,
-		"minlns":         &cfg.MinLns,
-		"cost_advantage": &cfg.CostAdvantage,
-		"min_seg_len":    &cfg.MinSegmentLength,
-		"gamma":          &cfg.Gamma,
-	}
-	if est != nil {
-		floats["auto_lo"], floats["auto_hi"] = &est.Lo, &est.Hi
-	}
-	for key, dst := range floats {
-		v := q.Get(key)
-		if v == "" {
-			continue
-		}
-		f, perr := strconv.ParseFloat(v, 64)
-		if perr != nil {
-			return cfg, nil, false, false, fmt.Errorf("bad %s %q", key, v)
-		}
-		*dst = f
-	}
-	if est != nil {
-		loSet = q.Get("auto_lo") != ""
-		hiSet = q.Get("auto_hi") != ""
-	}
-	if v := q.Get("mintrajs"); v != "" {
-		n, perr := strconv.Atoi(v)
-		if perr != nil {
-			return cfg, nil, false, false, fmt.Errorf("bad mintrajs %q", v)
-		}
-		cfg.MinTrajs = n
-	}
-	if v := q.Get("undirected"); v != "" {
-		b, perr := strconv.ParseBool(v)
-		if perr != nil {
-			return cfg, nil, false, false, fmt.Errorf("bad undirected %q", v)
-		}
-		cfg.Undirected = b
-	}
-	if v := q.Get("index"); v != "" {
-		// Unknown backend names surface the typed *ConfigError as a 400.
-		backend, perr := traclus.ParseIndexBackend(v)
-		if perr != nil {
-			return cfg, nil, false, false, perr
-		}
-		cfg.Index = backend
-	}
-	var wt *float64
-	if v := q.Get("wt"); v != "" {
-		f, perr := strconv.ParseFloat(v, 64)
-		if perr != nil {
-			return cfg, nil, false, false, fmt.Errorf("bad wt %q", v)
-		}
-		wt = &f
-	}
-	geo, perr := parseGeometryParams(q.Get("geometry"), wt)
-	if perr != nil {
-		return cfg, nil, false, false, perr
-	}
-	cfg.Geometry = geo
-	return cfg, est, loSet, hiSet, nil
 }
 
 // handleClassify classifies uploaded trajectories against the named model.

@@ -97,7 +97,7 @@ func TestRestartServesWithoutRebuild(t *testing.T) {
 	var hit struct {
 		Cached bool `json:"cached"`
 	}
-	if code := doJSON(t, http.MethodPost, ts2.URL+"/models?name=durable&eps=30&minlns=6", csv, &hit); code != http.StatusOK || !hit.Cached {
+	if code := postBuild(t, ts2.URL, BuildRequest{Name: "durable", Data: csv, Config: fixedConfig()}, &hit); code != http.StatusOK || !hit.Cached {
 		t.Fatalf("POST for durable name = %d cached=%v, want 200 cached=true", code, hit.Cached)
 	}
 

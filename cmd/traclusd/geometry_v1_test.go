@@ -2,8 +2,8 @@ package main
 
 // The geometry layer over HTTP: a spatiotemporal model builds from timed
 // CSV, snapshots, restores under a new name, and classifies identically —
-// the acceptance path for the pluggable-geometry PR — plus the typed 400s
-// for bad geometry parameters on both build interfaces.
+// the acceptance path for the pluggable-geometry layer — plus the typed
+// 400s for bad geometry parameters.
 
 import (
 	"bytes"
@@ -118,8 +118,8 @@ func TestV1SpatiotemporalEndToEnd(t *testing.T) {
 }
 
 // TestV1GeometryParamErrors pins the typed rejections: unknown geometry
-// names, wt without spatiotemporal, a spatiotemporal build fed spatial CSV,
-// and the same guards on the query-parameter build interface.
+// names, wt without spatiotemporal, and a spatiotemporal build fed spatial
+// CSV.
 func TestV1GeometryParamErrors(t *testing.T) {
 	_, ts := testServer(t, serverConfig{workers: 2})
 	_, spatialCSV := trainingCSV(t)
@@ -151,20 +151,5 @@ func TestV1GeometryParamErrors(t *testing.T) {
 	cfg.Geometry = "spatiotemporal"
 	if code, e := post(BuildRequest{Name: "bad", Data: spatialCSV, Config: cfg}); code != http.StatusBadRequest {
 		t.Fatalf("spatiotemporal build on 3-column CSV = %d %q", code, e.Code)
-	}
-
-	// Same guards on the legacy query-parameter interface.
-	var e envelope
-	if code := doJSON(t, http.MethodPost,
-		ts.URL+"/models?name=bad&eps=30&minlns=6&geometry=hyperbolic", spatialCSV, &e); code != http.StatusBadRequest {
-		t.Fatalf("query geometry=hyperbolic = %d %q", code, e.Code)
-	}
-	if code := doJSON(t, http.MethodPost,
-		ts.URL+"/models?name=bad&eps=30&minlns=6&wt=0.5", spatialCSV, &e); code != http.StatusBadRequest {
-		t.Fatalf("query wt without spatiotemporal = %d %q", code, e.Code)
-	}
-	if code := doJSON(t, http.MethodPost,
-		ts.URL+"/models?name=bad&eps=30&minlns=6&geometry=spatiotemporal&wt=banana", spatialCSV, &e); code != http.StatusBadRequest {
-		t.Fatalf("query wt=banana = %d %q", code, e.Code)
 	}
 }

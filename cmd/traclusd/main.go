@@ -52,12 +52,11 @@
 //	GET  /v1/jobs/{id}         → job state + live phase/progress
 //	GET  /v1/healthz           → liveness + model/job counts
 //
-// Every error is the one JSON envelope {"code","message","details"} (the
-// legacy "error" field rides along); see api.go for the code ↔ status
-// mapping. The pre-/v1 routes survive as thin aliases that answer with a
-// Deprecation header and keep the old query-parameter build interface;
-// /v1 builds take the consolidated JSON body instead and refuse silent
-// defaults (eps/min_lns must be explicit unless auto estimation is on).
+// Every error is the one JSON envelope {"code","message","details"}; see
+// api.go for the code ↔ status mapping. Builds take the consolidated JSON
+// body and refuse silent defaults (eps/min_lns must be explicit unless
+// auto estimation is on). A {name} outside the model-name rule answers
+// 400 invalid_request on every route, before any store or peer access.
 //
 // Persistence: with -data-dir set, every finished build is written behind
 // as <dir>/<name>.snap and cache misses read through to disk, so a daemon

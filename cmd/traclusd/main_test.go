@@ -21,7 +21,7 @@ import (
 	traclus "repro"
 )
 
-func trainingCSV(t *testing.T) ([]traclus.Trajectory, string) {
+func trainingCSV(t testing.TB) ([]traclus.Trajectory, string) {
 	t.Helper()
 	trs := synth.CorridorScene(2, 10, 24, 4, 11)
 	var buf bytes.Buffer
@@ -31,7 +31,7 @@ func trainingCSV(t *testing.T) ([]traclus.Trajectory, string) {
 	return trs, buf.String()
 }
 
-func csvOf(t *testing.T, trs ...traclus.Trajectory) string {
+func csvOf(t testing.TB, trs ...traclus.Trajectory) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trackio.WriteCSV(&buf, trs); err != nil {
@@ -79,8 +79,8 @@ func awaitJob(t *testing.T, base, id string) service.Job {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		var job service.Job
-		if code := doJSON(t, http.MethodGet, base+"/jobs/"+id, "", &job); code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s = %d", id, code)
+		if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+id, "", &job); code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%s = %d", id, code)
 		}
 		if job.State != service.JobRunning {
 			return job
@@ -99,18 +99,17 @@ func TestBuildClassifyRoundTrip(t *testing.T) {
 	trs, csv := trainingCSV(t)
 
 	var job service.Job
-	code := doJSON(t, http.MethodPost,
-		ts.URL+"/models?name=corridors&eps=30&minlns=6&cost_advantage=15&min_seg_len=40", csv, &job)
+	code := postBuild(t, ts.URL, BuildRequest{Name: "corridors", Data: csv, Config: corridorConfig()}, &job)
 	if code != http.StatusAccepted {
-		t.Fatalf("POST /models = %d", code)
+		t.Fatalf("POST /v1/models = %d", code)
 	}
 	if done := awaitJob(t, ts.URL, job.ID); done.State != service.JobDone {
 		t.Fatalf("job finished as %s: %s", done.State, done.Error)
 	}
 
 	var sum service.Summary
-	if code := doJSON(t, http.MethodGet, ts.URL+"/models/corridors", "", &sum); code != http.StatusOK {
-		t.Fatalf("GET /models/corridors = %d", code)
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/corridors", "", &sum); code != http.StatusOK {
+		t.Fatalf("GET /v1/models/corridors = %d", code)
 	}
 	if sum.Clusters != 2 {
 		t.Fatalf("summary clusters = %d, want 2", sum.Clusters)
@@ -131,7 +130,7 @@ func TestBuildClassifyRoundTrip(t *testing.T) {
 		Results []service.Assignment `json:"results"`
 	}
 	queries := []traclus.Trajectory{trs[0], trs[len(trs)-1]}
-	code = doJSON(t, http.MethodPost, ts.URL+"/models/corridors/classify", csvOf(t, queries...), &classifyResp)
+	code = doJSON(t, http.MethodPost, ts.URL+"/v1/models/corridors/classify", csvOf(t, queries...), &classifyResp)
 	if code != http.StatusOK {
 		t.Fatalf("POST classify = %d", code)
 	}
@@ -163,7 +162,7 @@ func TestBuildClassifyRoundTrip(t *testing.T) {
 		Status string `json:"status"`
 		Models int    `json:"models"`
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/healthz", "", &health); code != http.StatusOK || health.Status != "ok" {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", "", &health); code != http.StatusOK || health.Status != "ok" {
 		t.Fatalf("healthz = %d %+v", code, health)
 	}
 	if health.Models != 1 {
@@ -171,10 +170,10 @@ func TestBuildClassifyRoundTrip(t *testing.T) {
 	}
 
 	// Evict and observe the 404.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/models/corridors", "", nil); code != http.StatusOK {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/models/corridors", "", nil); code != http.StatusOK {
 		t.Fatalf("DELETE = %d", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/models/corridors", "", nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/corridors", "", nil); code != http.StatusNotFound {
 		t.Fatalf("GET after delete = %d, want 404", code)
 	}
 }
@@ -204,8 +203,7 @@ func TestSingleFlightAndCacheHit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if code := doJSON(t, http.MethodPost,
-				ts.URL+"/models?name=dup&eps=30&minlns=6&cost_advantage=15&min_seg_len=40", csv, &jobs[i]); code != http.StatusAccepted {
+			if code := postBuild(t, ts.URL, BuildRequest{Name: "dup", Data: csv, Config: corridorConfig()}, &jobs[i]); code != http.StatusAccepted {
 				t.Errorf("POST %d = %d", i, code)
 			}
 		}(i)
@@ -230,8 +228,7 @@ func TestSingleFlightAndCacheHit(t *testing.T) {
 		Model  string `json:"model"`
 		Cached bool   `json:"cached"`
 	}
-	if code := doJSON(t, http.MethodPost,
-		ts.URL+"/models?name=dup&eps=30&minlns=6", csv, &hit); code != http.StatusOK {
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "dup", Data: csv, Config: fixedConfig()}, &hit); code != http.StatusOK {
 		t.Fatalf("POST after completion = %d, want 200 cache hit", code)
 	}
 	if !hit.Cached || hit.Model != "dup" {
@@ -242,66 +239,58 @@ func TestSingleFlightAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestBuildRequestValidation pins that validation runs before any build:
+// every body POST /v1/models refuses starts no build and stores no model,
+// and the typed config validation text reaches the client.
 func TestBuildRequestValidation(t *testing.T) {
-	_, ts := testServer(t, serverConfig{})
+	var builds atomic.Int64
+	_, ts := testServer(t, serverConfig{
+		buildModel: func(ctx context.Context, name string, trs []traclus.Trajectory, c traclus.Config, est *service.EstimateRange, progress func(string, float64)) (*service.Model, error) {
+			builds.Add(1)
+			return service.BuildCtx(ctx, name, trs, c, est, progress)
+		},
+	})
 	_, csv := trainingCSV(t)
-	cases := []struct {
-		name string
-		url  string
-		body string
-		want int
-	}{
-		{"missing name", "/models", csv, http.StatusBadRequest},
-		{"bad name", "/models?name=../etc", csv, http.StatusBadRequest},
-		{"unparsable eps", "/models?name=m&eps=abc", csv, http.StatusBadRequest},
-		{"NaN eps", "/models?name=m&eps=NaN", csv, http.StatusBadRequest},
-		{"negative eps", "/models?name=m&eps=-4", csv, http.StatusBadRequest},
-		{"infinite minlns", "/models?name=m&minlns=Inf", csv, http.StatusBadRequest},
-		{"negative mintrajs", "/models?name=m&mintrajs=-2", csv, http.StatusBadRequest},
-		{"bad mintrajs", "/models?name=m&mintrajs=x", csv, http.StatusBadRequest},
-		{"bad undirected", "/models?name=m&undirected=maybe", csv, http.StatusBadRequest},
-		{"bad format", "/models?name=m&format=parquet", csv, http.StatusBadRequest},
-		{"malformed body", "/models?name=m", "traj_id,x,y\n1,2\n", http.StatusBadRequest},
-		{"non-numeric body", "/models?name=m", "traj_id,x,y\n1,a,b\n", http.StatusBadRequest},
-		{"empty body", "/models?name=m", "", http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if code := doJSON(t, http.MethodPost, ts.URL+tc.url, tc.body, &e); code != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
-		} else if e.Error == "" {
-			t.Errorf("%s: no error message in body", tc.name)
+	for _, tc := range buildValidationCases(csv) {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/models", tc.body, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
+	if n := builds.Load(); n != 0 {
+		t.Errorf("refused requests started %d builds", n)
+	}
+	var list struct {
+		Models []string `json:"models"`
+	}
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models", "", &list); code != http.StatusOK || len(list.Models) != 0 {
+		t.Errorf("model list after refused builds = %d %v, want 200 and none", code, list.Models)
+	}
+
 	// Typed validation text must surface to the client.
-	var e struct {
-		Error string `json:"error"`
-	}
-	doJSON(t, http.MethodPost, ts.URL+"/models?name=m&eps=NaN", csv, &e)
-	if !strings.Contains(e.Error, "Eps") || !strings.Contains(e.Error, "must be positive") {
-		t.Errorf("NaN eps error %q does not carry the typed validation message", e.Error)
+	esc, _ := json.Marshal(csv)
+	var e envelope
+	doJSON(t, http.MethodPost, ts.URL+"/v1/models",
+		fmt.Sprintf(`{"name":"m","data":%s,"config":{"eps":-4,"min_lns":6}}`, esc), &e)
+	if !strings.Contains(e.Message, "Eps") || !strings.Contains(e.Message, "must be positive") {
+		t.Errorf("negative eps message %q does not carry the typed validation text", e.Message)
 	}
 }
 
 func TestBodyTooLarge(t *testing.T) {
 	_, ts := testServer(t, serverConfig{maxBody: 64})
 	_, csv := trainingCSV(t)
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m", csv, nil); code != http.StatusRequestEntityTooLarge {
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: fixedConfig()}, nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body = %d, want 413", code)
 	}
 	// The streaming-decoder point cap is a second 413 path, independent of
 	// the byte cap.
 	_, ts = testServer(t, serverConfig{maxPoints: 10})
-	var e struct {
-		Error string `json:"error"`
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m", csv, &e); code != http.StatusRequestEntityTooLarge {
+	var e envelope
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: fixedConfig()}, &e); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over point cap = %d, want 413", code)
 	}
-	if !strings.Contains(e.Error, "exceeds 10 points") {
-		t.Errorf("point-cap error = %q", e.Error)
+	if !strings.Contains(e.Message, "exceeds 10 points") {
+		t.Errorf("point-cap error = %q", e.Message)
 	}
 }
 
@@ -322,23 +311,23 @@ func TestBuildConcurrencyCap(t *testing.T) {
 	})
 	_, csv := trainingCSV(t)
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=a&eps=30&minlns=6", csv, &job); code != http.StatusAccepted {
+	a := BuildRequest{Name: "a", Data: csv, Config: fixedConfig()}
+	b := BuildRequest{Name: "b", Data: csv, Config: fixedConfig()}
+	if code := postBuild(t, ts.URL, a, &job); code != http.StatusAccepted {
 		t.Fatalf("first build = %d", code)
 	}
 	<-started // the slot is definitely held
-	var e struct {
-		Error string `json:"error"`
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=b&eps=30&minlns=6", csv, &e); code != http.StatusTooManyRequests {
+	var e envelope
+	if code := postBuild(t, ts.URL, b, &e); code != http.StatusTooManyRequests {
 		t.Fatalf("build past the cap = %d, want 429", code)
 	}
-	if !strings.Contains(e.Error, "too many builds") {
-		t.Errorf("429 body = %q", e.Error)
+	if !strings.Contains(e.Message, "too many builds") {
+		t.Errorf("429 body = %q", e.Message)
 	}
 	// A duplicate of the in-flight name joins it instead of consuming a
 	// slot, so it is accepted even at the cap.
 	var dupJob service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=a&eps=30&minlns=6", csv, &dupJob); code != http.StatusAccepted {
+	if code := postBuild(t, ts.URL, a, &dupJob); code != http.StatusAccepted {
 		t.Fatalf("duplicate of in-flight build = %d, want 202", code)
 	}
 	close(release)
@@ -349,7 +338,7 @@ func TestBuildConcurrencyCap(t *testing.T) {
 		t.Fatalf("gated build finished as %s: %s", done.State, done.Error)
 	}
 	// The slot is free again.
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=b&eps=30&minlns=6", csv, &job); code != http.StatusAccepted {
+	if code := postBuild(t, ts.URL, b, &job); code != http.StatusAccepted {
 		t.Fatalf("build after release = %d, want 202", code)
 	}
 	if done := awaitJob(t, ts.URL, job.ID); done.State != service.JobDone {
@@ -366,15 +355,13 @@ func TestUploadCapsNonCSV(t *testing.T) {
 	if err := trackio.WriteBestTrack(&buf, trs); err != nil {
 		t.Fatal(err)
 	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m&format=besttrack", buf.String(), &e)
+	var e envelope
+	code := postBuild(t, ts.URL, BuildRequest{Name: "m", Format: "besttrack", Data: buf.String(), Config: fixedConfig()}, &e)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("besttrack over point cap = %d, want 413", code)
 	}
-	if !strings.Contains(e.Error, "exceeds 10 points") {
-		t.Errorf("413 body = %q", e.Error)
+	if !strings.Contains(e.Message, "exceeds 10 points") {
+		t.Errorf("413 body = %q", e.Message)
 	}
 }
 
@@ -385,13 +372,13 @@ func TestClassifyTimeout(t *testing.T) {
 	_, ts := testServer(t, serverConfig{workers: 1, classifyTimeout: time.Nanosecond})
 	_, csv := trainingCSV(t)
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m&eps=30&minlns=6", csv, &job); code != http.StatusAccepted {
-		t.Fatalf("POST /models = %d", code)
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: fixedConfig()}, &job); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/models = %d", code)
 	}
 	if done := awaitJob(t, ts.URL, job.ID); done.State != service.JobDone {
 		t.Fatalf("build failed: %s", done.Error)
 	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models/m/classify", csv, nil); code != http.StatusGatewayTimeout {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/models/m/classify", csv, nil); code != http.StatusGatewayTimeout {
 		t.Fatalf("classify under 1ns deadline = %d, want 504", code)
 	}
 }
@@ -400,23 +387,23 @@ func TestClassifyErrorsHTTP(t *testing.T) {
 	_, ts := testServer(t, serverConfig{workers: 1})
 	_, csv := trainingCSV(t)
 
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models/ghost/classify", csv, nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/models/ghost/classify", csv, nil); code != http.StatusNotFound {
 		t.Fatalf("classify against unknown model = %d, want 404", code)
 	}
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m&eps=30&minlns=6", csv, &job); code != http.StatusAccepted {
-		t.Fatalf("POST /models = %d", code)
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: fixedConfig()}, &job); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/models = %d", code)
 	}
 	if done := awaitJob(t, ts.URL, job.ID); done.State != service.JobDone {
 		t.Fatalf("job failed: %s", done.Error)
 	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models/m/classify", "not,a,csv\nrow", nil); code != http.StatusBadRequest {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/models/m/classify", "not,a,csv\nrow", nil); code != http.StatusBadRequest {
 		t.Fatalf("malformed classify body = %d, want 400", code)
 	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models/m/classify", "", nil); code != http.StatusBadRequest {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/models/m/classify", "", nil); code != http.StatusBadRequest {
 		t.Fatalf("empty classify body = %d, want 400", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/job-999", "", nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/job-999", "", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job = %d, want 404", code)
 	}
 }
@@ -438,12 +425,12 @@ func TestDeleteCancelsInFlightBuild(t *testing.T) {
 	_, csv := trainingCSV(t)
 
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m&eps=30&minlns=6", csv, &job); code != http.StatusAccepted {
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: fixedConfig()}, &job); code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
 	<-started // the build is definitely holding its context
 	var dup service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m&eps=30&minlns=6", csv, &dup); code != http.StatusAccepted {
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: fixedConfig()}, &dup); code != http.StatusAccepted {
 		t.Fatalf("duplicate POST = %d", code)
 	}
 
@@ -452,7 +439,7 @@ func TestDeleteCancelsInFlightBuild(t *testing.T) {
 		Deleted         bool   `json:"deleted"`
 		CancelledBuilds int    `json:"cancelled_builds"`
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/models/m", "", &del); code != http.StatusOK {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/models/m", "", &del); code != http.StatusOK {
 		t.Fatalf("DELETE = %d", code)
 	}
 	if del.CancelledBuilds < 1 || del.Deleted {
@@ -466,11 +453,11 @@ func TestDeleteCancelsInFlightBuild(t *testing.T) {
 		t.Fatalf("joined job finished as %s (%s), want cancelled/failed", done.State, done.Error)
 	}
 	// The name is buildable again afterwards — nothing was cached.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/models/m", "", nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/m", "", nil); code != http.StatusNotFound {
 		t.Fatalf("GET after cancelled build = %d, want 404", code)
 	}
 	// DELETE with neither a model nor a build is a 404.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/models/ghost", "", nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/models/ghost", "", nil); code != http.StatusNotFound {
 		t.Fatalf("DELETE ghost = %d, want 404", code)
 	}
 }
@@ -491,12 +478,12 @@ func TestJobReportsLiveProgress(t *testing.T) {
 	})
 	_, csv := trainingCSV(t)
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m&eps=30&minlns=6&cost_advantage=15&min_seg_len=40", csv, &job); code != http.StatusAccepted {
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: corridorConfig()}, &job); code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
 	<-reported
 	var live service.Job
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+job.ID, "", &live); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID, "", &live); code != http.StatusOK {
 		t.Fatalf("GET job = %d", code)
 	}
 	if live.State != service.JobRunning || live.Phase != "group" || live.Progress != 0.5 {
@@ -521,7 +508,7 @@ func TestFailedBuildReportsJobError(t *testing.T) {
 	})
 	_, csv := trainingCSV(t)
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=m&eps=30&minlns=6", csv, &job); code != http.StatusAccepted {
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "m", Data: csv, Config: fixedConfig()}, &job); code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
 	done := awaitJob(t, ts.URL, job.ID)
@@ -529,7 +516,7 @@ func TestFailedBuildReportsJobError(t *testing.T) {
 		t.Fatalf("job = %+v, want failed with synthetic failure", done)
 	}
 	// The failed model must not be cached.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/models/m", "", nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/m", "", nil); code != http.StatusNotFound {
 		t.Fatalf("GET failed model = %d, want 404", code)
 	}
 }
@@ -541,12 +528,14 @@ func TestBuildIndexBackendParam(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})
 	_, csv := trainingCSV(t)
 
-	var e struct{ Error string }
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=bad&eps=30&minlns=6&index=kdtree", csv, &e); code != http.StatusBadRequest {
+	var e envelope
+	bad := fixedConfig()
+	bad.Index = "kdtree"
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "bad", Data: csv, Config: bad}, &e); code != http.StatusBadRequest {
 		t.Fatalf("unknown index name: status %d, want 400", code)
 	}
-	if !strings.Contains(e.Error, "Index") || !strings.Contains(e.Error, "kdtree") {
-		t.Errorf("unknown index error %q does not name the field and value", e.Error)
+	if !strings.Contains(e.Message, "Index") || !strings.Contains(e.Message, "kdtree") {
+		t.Errorf("unknown index error %q does not name the field and value", e.Message)
 	}
 
 	// Build the same data under two backends; the summaries must agree on
@@ -554,8 +543,9 @@ func TestBuildIndexBackendParam(t *testing.T) {
 	sums := map[string]service.Summary{}
 	for _, index := range []string{"rtree", "brute"} {
 		var job service.Job
-		code := doJSON(t, http.MethodPost,
-			ts.URL+"/models?name="+index+"&eps=30&minlns=6&cost_advantage=15&min_seg_len=40&index="+index, csv, &job)
+		cfg := corridorConfig()
+		cfg.Index = index
+		code := postBuild(t, ts.URL, BuildRequest{Name: index, Data: csv, Config: cfg}, &job)
 		if code != http.StatusAccepted {
 			t.Fatalf("index=%s: status %d, want 202", index, code)
 		}
@@ -563,7 +553,7 @@ func TestBuildIndexBackendParam(t *testing.T) {
 			t.Fatalf("index=%s: job finished %q (%s)", index, got.State, got.Error)
 		}
 		var sum service.Summary
-		if code := doJSON(t, http.MethodGet, ts.URL+"/models/"+index, "", &sum); code != http.StatusOK {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/"+index, "", &sum); code != http.StatusOK {
 			t.Fatalf("GET model %s: %d", index, code)
 		}
 		sums[index] = sum
@@ -576,16 +566,18 @@ func TestBuildIndexBackendParam(t *testing.T) {
 	}
 }
 
-// TestBuildAutoEstimation: auto=true estimates eps/minlns inside the build
-// (sharing its index) and the summary reports the chosen values; bad auto
-// bounds and invalid non-estimated fields still answer 400.
+// TestBuildAutoEstimation: config.auto estimates eps/min_lns inside the
+// build (sharing its index) and the summary reports the chosen values;
+// invalid non-estimated fields still answer 400.
 func TestBuildAutoEstimation(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})
 	trs, csv := trainingCSV(t)
 
 	var job service.Job
-	code := doJSON(t, http.MethodPost,
-		ts.URL+"/models?name=auto&auto=true&auto_lo=5&auto_hi=60&cost_advantage=15&min_seg_len=40", csv, &job)
+	code := postBuild(t, ts.URL, BuildRequest{Name: "auto", Data: csv, Config: BuildConfig{
+		Auto:          &AutoRange{Lo: f64(5), Hi: f64(60)},
+		CostAdvantage: f64(15), MinSegmentLength: f64(40),
+	}}, &job)
 	if code != http.StatusAccepted {
 		t.Fatalf("auto build: status %d, want 202", code)
 	}
@@ -593,7 +585,7 @@ func TestBuildAutoEstimation(t *testing.T) {
 		t.Fatalf("auto job finished %q (%s)", got.State, got.Error)
 	}
 	var sum service.Summary
-	if code := doJSON(t, http.MethodGet, ts.URL+"/models/auto", "", &sum); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/auto", "", &sum); code != http.StatusOK {
 		t.Fatalf("GET auto model: %d", code)
 	}
 	p := traclus.New(traclus.WithConfig(traclus.Config{CostAdvantage: 15, MinSegmentLength: 40}))
@@ -605,12 +597,9 @@ func TestBuildAutoEstimation(t *testing.T) {
 		t.Errorf("auto summary eps = %v, want estimated %v", sum.Eps, est.Eps)
 	}
 
-	var e struct{ Error string }
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=x&auto=maybe", csv, &e); code != http.StatusBadRequest {
-		t.Fatalf("bad auto flag: status %d, want 400", code)
-	}
 	// eps is ignored (and unvalidated) under auto, but other fields are not.
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=x&auto=true&cost_advantage=-3", csv, &e); code != http.StatusBadRequest {
+	badCost := BuildConfig{Auto: &AutoRange{}, CostAdvantage: f64(-3)}
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "x", Data: csv, Config: badCost}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad cost_advantage under auto: status %d, want 400", code)
 	}
 }
@@ -621,22 +610,18 @@ func TestBuildAutoEstimation(t *testing.T) {
 func TestBuildAutoBoundsValidation(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})
 	_, csv := trainingCSV(t)
-	var e struct{ Error string }
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=x&auto=true&auto_lo=60&auto_hi=5", csv, &e); code != http.StatusBadRequest {
+	var e envelope
+	inverted := BuildConfig{Auto: &AutoRange{Lo: f64(60), Hi: f64(5)}}
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "x", Data: csv, Config: inverted}, &e); code != http.StatusBadRequest {
 		t.Fatalf("inverted auto bounds: status %d, want 400", code)
 	}
-	if !strings.Contains(e.Error, "0 < lo < hi") {
-		t.Errorf("inverted-bounds error %q does not state the constraint", e.Error)
+	if !strings.Contains(e.Message, "0 < lo < hi") {
+		t.Errorf("inverted-bounds error %q does not state the constraint", e.Message)
 	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=x&auto=true&auto_lo=NaN", csv, &e); code != http.StatusBadRequest {
-		t.Fatalf("NaN auto_lo: status %d, want 400", code)
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=inf&auto=true&auto_lo=5&auto_hi=Inf", csv, &e); code != http.StatusBadRequest {
-		t.Fatalf("infinite auto_hi: status %d, want 400", code)
-	}
-	// One-sided: auto_lo must survive, auto_hi defaults from the extent.
+	// One-sided: lo must survive, hi defaults from the extent.
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=onesided&auto=true&auto_lo=5&cost_advantage=15&min_seg_len=40", csv, &job); code != http.StatusAccepted {
+	oneSided := BuildConfig{Auto: &AutoRange{Lo: f64(5)}, CostAdvantage: f64(15), MinSegmentLength: f64(40)}
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "onesided", Data: csv, Config: oneSided}, &job); code != http.StatusAccepted {
 		t.Fatalf("one-sided auto bound: status %d, want 202", code)
 	}
 	if got := awaitJob(t, ts.URL, job.ID); got.State != service.JobDone {
@@ -644,13 +629,14 @@ func TestBuildAutoBoundsValidation(t *testing.T) {
 	}
 }
 
-// An explicit auto_lo=0 is a bound violation (400), not a request for the
-// extent-derived default — presence decides defaulting, not the zero value.
+// An explicit auto lo of 0 is a bound violation (400), not a request for
+// the extent-derived default — presence decides defaulting, not the zero
+// value.
 func TestBuildAutoExplicitZeroBound(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})
 	_, csv := trainingCSV(t)
-	var e struct{ Error string }
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=x&auto=true&auto_lo=0&auto_hi=50", csv, &e); code != http.StatusBadRequest {
-		t.Fatalf("explicit auto_lo=0: status %d, want 400", code)
+	zero := BuildConfig{Auto: &AutoRange{Lo: f64(0), Hi: f64(50)}}
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "x", Data: csv, Config: zero}, nil); code != http.StatusBadRequest {
+		t.Fatalf("explicit auto lo=0: status %d, want 400", code)
 	}
 }

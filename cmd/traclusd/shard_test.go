@@ -7,11 +7,12 @@ package main
 // is known.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,8 +82,6 @@ func replicaSet(t *testing.T, n int) (servers []*server, urls []string, builds [
 	return servers, urls, builds
 }
 
-const shardParams = "eps=30&minlns=6&cost_advantage=15&min_seg_len=40"
-
 // TestShardedBuildDedupe is the scale-out acceptance test: every replica
 // receives a build request for the same model concurrently, and exactly
 // one clustering run happens fleet-wide — on the owner.
@@ -103,8 +102,7 @@ func TestShardedBuildDedupe(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			code := doJSON(t, http.MethodPost,
-				urls[i]+"/models?name="+name+"&"+shardParams, csv, &jobs[i])
+			code := postBuild(t, urls[i], BuildRequest{Name: name, Data: csv, Config: corridorConfig()}, &jobs[i])
 			if code != http.StatusAccepted && code != http.StatusOK {
 				t.Errorf("replica %d: POST = %d", i, code)
 			}
@@ -147,8 +145,11 @@ func TestShardedOwnerHeader(t *testing.T) {
 	ownerURL := ring.New(urls, 0).Owner(name)
 	nonOwner := slices.IndexFunc(urls, func(u string) bool { return u != ownerURL })
 
-	resp, err := http.Post(urls[nonOwner]+"/models?name="+name+"&"+shardParams,
-		"text/csv", strings.NewReader(csv))
+	body, err := json.Marshal(BuildRequest{Name: name, Data: csv, Config: corridorConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(urls[nonOwner]+"/v1/models", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +173,7 @@ func TestShardedClassifyFetchesSnapshot(t *testing.T) {
 
 	// Build via the owner directly.
 	var job service.Job
-	if code := doJSON(t, http.MethodPost,
-		ownerURL+"/models?name="+name+"&"+shardParams, csv, &job); code != http.StatusAccepted {
+	if code := postBuild(t, ownerURL, BuildRequest{Name: name, Data: csv, Config: corridorConfig()}, &job); code != http.StatusAccepted {
 		t.Fatalf("owner POST = %d", code)
 	}
 	if done := awaitJob(t, ownerURL, job.ID); done.State != service.JobDone {

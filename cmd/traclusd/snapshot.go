@@ -52,11 +52,6 @@ func (s *server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 // in-flight build of the same name answers 409.
 func (s *server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !service.ValidModelName(name) {
-		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest,
-			"model name must match "+service.ModelNamePattern(), map[string]any{"field": "name"})
-		return
-	}
 	data, err := s.readRaw(w, r)
 	if err != nil {
 		writeBodyError(w, err)

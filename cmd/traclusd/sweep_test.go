@@ -9,12 +9,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/service"
+	"repro/internal/synth"
+
+	traclus "repro"
 )
 
 func buildSweepModel(t *testing.T, ts string) service.Summary {
@@ -153,8 +158,8 @@ func TestSweepValidation(t *testing.T) {
 		if env.Code != tc.code {
 			t.Errorf("%s: code %q, want %q", tc.name, env.Code, tc.code)
 		}
-		if env.Message == "" || env.Legacy != env.Message {
-			t.Errorf("%s: envelope %+v missing message/legacy mirror", tc.name, env)
+		if env.Message == "" {
+			t.Errorf("%s: envelope %+v missing message", tc.name, env)
 		}
 	}
 }
@@ -201,6 +206,83 @@ func TestSweepV1SnapshotNoDendrogram(t *testing.T) {
 		}
 		if env.Code != codeNoDendrogram {
 			t.Errorf("%s: code %q, want %q", path, env.Code, codeNoDendrogram)
+		}
+	}
+}
+
+// TestV1ReadsMatchResult is the daemon row of the service ≡ library matrix
+// (internal/service's TestReadsMatchLibraryMatrix, on the same data): for
+// each geometry, at the build and after each of three one-trajectory
+// appends over /v1, GET …/clusters?eps=ε finds the epoch Result's cluster
+// and noise counts, and the first point of GET …/sweep?lo=ε&hi=2ε&steps=2
+// reads Result().QMeasure() bit for bit — the JSON encoder writes the
+// shortest float text that round-trips, so the bits survive the wire.
+func TestV1ReadsMatchResult(t *testing.T) {
+	hcfg := synth.DefaultHurricaneConfig()
+	hcfg.NumTracks, hcfg.Seed = 103, 3
+	planar := synth.Hurricanes(hcfg)
+	rush := synth.RushHours(12, 24, 4, 3, 30, 10, 5000)
+	for i, tr := range synth.RushHours(2, 24, 4, 9, 30, 10, 5000)[:3] {
+		tr.ID = 1000 + i
+		rush = append(rush, tr)
+	}
+	gps := synth.GPSTracks(3, 8, 25, 7)
+	for i, tr := range synth.GPSTracks(3, 1, 25, 19) {
+		tr.ID = 1000 + i
+		gps = append(gps, tr)
+	}
+	spatiotemporal := corridorConfig()
+	spatiotemporal.Geometry, spatiotemporal.TemporalWeight = "spatiotemporal", f64(0.05)
+	geodesic := BuildConfig{Eps: f64(150), MinLns: f64(5), MinSegmentLength: f64(100), Geometry: "geodesic"}
+	geos := []struct {
+		name string
+		cfg  BuildConfig
+		trs  []traclus.Trajectory // the build, then three appended trajectories
+	}{
+		{"planar", corridorConfig(), planar},
+		{"spatiotemporal", spatiotemporal, rush},
+		{"geodesic", geodesic, gps},
+	}
+
+	s, ts := testServer(t, serverConfig{workers: 2})
+	for _, g := range geos {
+		n := len(g.trs) - 3
+		v1Build(t, ts.URL, BuildRequest{Name: g.name, Data: csvOf(t, g.trs[:n]...), Config: g.cfg})
+		for epoch := 0; ; epoch++ {
+			what := fmt.Sprintf("%s/epoch %d", g.name, epoch)
+			m, ok, err := s.store.Get(g.name)
+			if err != nil || !ok {
+				t.Fatalf("%s: model not resident (ok=%v err=%v)", what, ok, err)
+			}
+			res, eps := m.Result(), m.Summary().Eps
+			lo, hi := strconv.FormatFloat(eps, 'g', -1, 64), strconv.FormatFloat(2*eps, 'g', -1, 64)
+			base := ts.URL + "/v1/models/" + g.name
+
+			var cut service.CutResult
+			if code := doJSON(t, http.MethodGet, base+"/clusters?eps="+lo, "", &cut); code != http.StatusOK {
+				t.Fatalf("%s: GET clusters = %d", what, code)
+			}
+			if len(cut.Clusters) != len(res.Clusters) || cut.NoiseSegments != res.NoiseSegments {
+				t.Errorf("%s: clusters?eps=%s found %d clusters and %d noise segments, the Result %d and %d",
+					what, lo, len(cut.Clusters), cut.NoiseSegments, len(res.Clusters), res.NoiseSegments)
+			}
+			var sweep sweepResponse
+			if code := doJSON(t, http.MethodGet, base+"/sweep?lo="+lo+"&hi="+hi+"&steps=2", "", &sweep); code != http.StatusOK {
+				t.Fatalf("%s: GET sweep = %d", what, code)
+			}
+			if q := res.QMeasure(); len(sweep.Points) == 0 || math.Float64bits(sweep.Points[0].QMeasure) != math.Float64bits(q) {
+				t.Errorf("%s: sweep at ε %s = %+v, the Result's QMeasure %v", what, lo, sweep.Points, q)
+			}
+			if epoch == 3 {
+				if len(res.Clusters) == 0 {
+					t.Errorf("%s: no clusters; the scene exercises nothing", g.name)
+				}
+				break
+			}
+			var sum service.Summary
+			if code := postAppend(t, ts.URL, g.name, AppendRequest{Data: csvOf(t, g.trs[n+epoch])}, &sum); code != http.StatusOK || sum.Epoch != int64(epoch+1) {
+				t.Fatalf("%s: append = %d at epoch %d", what, code, sum.Epoch)
+			}
 		}
 	}
 }

@@ -50,17 +50,23 @@ type envelope struct {
 	Code    string         `json:"code"`
 	Message string         `json:"message"`
 	Details map[string]any `json:"details"`
-	Legacy  string         `json:"error"`
 }
 
-func v1Build(t *testing.T, ts string, req BuildRequest) service.Job {
+// postBuild posts req to POST /v1/models and decodes the answer into out
+// (nil skips decoding).
+func postBuild(t *testing.T, ts string, req BuildRequest, out any) int {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return doJSON(t, http.MethodPost, ts+"/v1/models", string(body), out)
+}
+
+func v1Build(t *testing.T, ts string, req BuildRequest) service.Job {
+	t.Helper()
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts+"/v1/models", string(body), &job); code != http.StatusAccepted {
+	if code := postBuild(t, ts, req, &job); code != http.StatusAccepted {
 		t.Fatalf("POST /v1/models = %d", code)
 	}
 	if done := awaitJob(t, ts, job.ID); done.State != service.JobDone {
@@ -71,9 +77,17 @@ func v1Build(t *testing.T, ts string, req BuildRequest) service.Job {
 
 func f64(v float64) *float64 { return &v }
 
+// fixedConfig is the minimal fixed-ε build config: ε 30, MinLns 6.
+func fixedConfig() BuildConfig { return BuildConfig{Eps: f64(30), MinLns: f64(6)} }
+
+// corridorConfig is buildCfg as a request: the parameters that split the
+// training scene into its two corridors.
+func corridorConfig() BuildConfig {
+	return BuildConfig{Eps: f64(30), MinLns: f64(6), CostAdvantage: f64(15), MinSegmentLength: f64(40)}
+}
+
 // TestV1BuildClassify is the v1 end-to-end: JSON build request, /v1 job
-// polling, summary, classify — all on versioned routes, no Deprecation
-// headers anywhere.
+// polling, summary, classify — all on versioned routes.
 func TestV1BuildClassify(t *testing.T) {
 	_, ts := testServer(t, serverConfig{workers: 2})
 	_, csv := trainingCSV(t)
@@ -113,19 +127,19 @@ func TestV1BuildClassify(t *testing.T) {
 	}
 }
 
-// TestV1BuildValidation pins the strict-request contract: unknown fields,
-// missing parameters (no silent defaults), and bad names all answer 400
-// with the machine-readable envelope.
-func TestV1BuildValidation(t *testing.T) {
-	_, ts := testServer(t, serverConfig{})
-	_, csv := trainingCSV(t)
-	esc, _ := json.Marshal(csv)
+// buildValidationCase is one body POST /v1/models must refuse with 400
+// and the given envelope code.
+type buildValidationCase struct {
+	name     string
+	body     string
+	wantCode string
+}
 
-	cases := []struct {
-		name     string
-		body     string
-		wantCode string
-	}{
+// buildValidationCases is TestV1BuildValidation's table over the training
+// CSV; FuzzV1Requests seeds its corpus with the same bodies.
+func buildValidationCases(csv string) []buildValidationCase {
+	esc, _ := json.Marshal(csv)
+	return []buildValidationCase{
 		{"not json", "eps=30", codeInvalidRequest},
 		{"unknown field", `{"name":"m","data":"x","epsilon":30}`, codeInvalidRequest},
 		{"missing name", fmt.Sprintf(`{"data":%s,"config":{"eps":30,"min_lns":6}}`, esc), codeInvalidRequest},
@@ -139,8 +153,21 @@ func TestV1BuildValidation(t *testing.T) {
 		{"empty data", `{"name":"m","data":"","config":{"eps":30,"min_lns":6}}`, codeInvalidRequest},
 		{"explicit zero auto lo", fmt.Sprintf(`{"name":"m","data":%s,"config":{"auto":{"lo":0,"hi":50}}}`, esc), codeInvalidRequest},
 		{"auto hi past MaxFloat64/2", fmt.Sprintf(`{"name":"m","data":%s,"config":{"auto":{"lo":5,"hi":1e308}}}`, esc), codeInvalidRequest},
+		{"negative min_trajs", fmt.Sprintf(`{"name":"m","data":%s,"config":{"eps":30,"min_lns":6,"min_trajs":-2}}`, esc), codeInvalidConfig},
+		{"malformed data", `{"name":"m","data":"traj_id,x,y\n1,2\n","config":{"eps":30,"min_lns":6}}`, codeInvalidRequest},
+		{"non-numeric data", `{"name":"m","data":"traj_id,x,y\n1,a,b\n","config":{"eps":30,"min_lns":6}}`, codeInvalidRequest},
 	}
-	for _, tc := range cases {
+}
+
+// TestV1BuildValidation pins the strict-request contract: unknown fields,
+// missing parameters (no silent defaults), and bad names all answer 400
+// with the machine-readable envelope.
+func TestV1BuildValidation(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	_, csv := trainingCSV(t)
+	esc, _ := json.Marshal(csv)
+
+	for _, tc := range buildValidationCases(csv) {
 		var e envelope
 		code := doJSON(t, http.MethodPost, ts.URL+"/v1/models", tc.body, &e)
 		if code != http.StatusBadRequest {
@@ -150,8 +177,8 @@ func TestV1BuildValidation(t *testing.T) {
 		if e.Code != tc.wantCode {
 			t.Errorf("%s: code = %q, want %q (message %q)", tc.name, e.Code, tc.wantCode, e.Message)
 		}
-		if e.Legacy != e.Message || e.Message == "" {
-			t.Errorf("%s: legacy error field %q does not mirror message %q", tc.name, e.Legacy, e.Message)
+		if e.Message == "" {
+			t.Errorf("%s: no message in the envelope", tc.name)
 		}
 	}
 
@@ -324,7 +351,7 @@ func TestV1SnapshotPutConflict(t *testing.T) {
 	_, csv := trainingCSV(t)
 
 	var job service.Job
-	if code := doJSON(t, http.MethodPost, ts.URL+"/models?name=busy&eps=30&minlns=6", csv, &job); code != http.StatusAccepted {
+	if code := postBuild(t, ts.URL, BuildRequest{Name: "busy", Data: csv, Config: fixedConfig()}, &job); code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
 	<-started

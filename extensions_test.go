@@ -1,7 +1,6 @@
 package traclus_test
 
 import (
-	"math"
 	"testing"
 
 	traclus "repro"
@@ -57,39 +56,5 @@ func TestRunTimedValidation(t *testing.T) {
 	}
 	if _, err := run(nil, spatiotemporal(traclus.Config{Eps: 10, MinLns: 3}, -1)); err == nil {
 		t.Error("negative temporal weight accepted")
-	}
-}
-
-func TestEmbedSegmentsFacade(t *testing.T) {
-	segs := []traclus.Segment{
-		{Start: traclus.Pt(0, 0), End: traclus.Pt(100, 0)},
-		{Start: traclus.Pt(0, 10), End: traclus.Pt(100, 10)},
-		{Start: traclus.Pt(0, 0), End: traclus.Pt(0, 100)},
-		{Start: traclus.Pt(50, 50), End: traclus.Pt(150, 60)},
-	}
-	emb, err := traclus.EmbedSegments(segs, traclus.Config{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emb.Dims() <= 0 {
-		t.Fatalf("Dims = %d", emb.Dims())
-	}
-	// Off-diagonal: embedded D² = dist + shift.
-	for i := range segs {
-		for j := range segs {
-			want := 0.0
-			if i != j {
-				want = traclus.Distance(segs[i], segs[j]) + emb.Shift()
-			}
-			if got := emb.Distance2(i, j); math.Abs(got-want) > 1e-6*(1+want) {
-				t.Errorf("D2(%d,%d) = %v, want %v", i, j, got, want)
-			}
-		}
-	}
-	if len(emb.Coord(0)) != emb.Dims() {
-		t.Error("coordinate length mismatch")
-	}
-	if _, err := traclus.EmbedSegments(nil, traclus.Config{}, 0); err == nil {
-		t.Error("empty segment set accepted")
 	}
 }

@@ -6,16 +6,19 @@ import (
 	"testing"
 )
 
-// TestShippedBinariesImportNoSeedPackage fences the seed packages the
-// shipped binaries do not need: the non-test imports of cmd/traclusd and
-// cmd/traclus, followed transitively, must never reach one of them. Only
-// the paper-experiment harness and the examples may import these, which is
-// what lets each be fenced under the harness or deleted.
+// TestShippedBinariesImportNoSeedPackage fences the packages the shipped
+// binaries do not need — the seed packages and Appendix D's OPTICS: the
+// non-test imports of cmd/traclusd and cmd/traclus, followed transitively,
+// must never reach one of them. Only the paper-experiment harness and the
+// examples may import these, which is what lets each be fenced under the
+// harness or deleted.
 func TestShippedBinariesImportNoSeedPackage(t *testing.T) {
 	const module = "repro"
 	fenced := map[string]bool{
 		module + "/internal/tsdist":      true,
 		module + "/internal/regmix":      true,
+		module + "/internal/linalg":      true,
+		module + "/internal/optics":      true,
 		module + "/internal/simplify":    true,
 		module + "/internal/validate":    true,
 		module + "/internal/experiments": true,

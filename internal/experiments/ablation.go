@@ -51,9 +51,9 @@ func DistanceAblation(sz Size) *Report {
 		eps  float64
 	}{
 		{"traclus", lsdist.Dist, 30},
-		{"hausdorff", lsdist.Hausdorff, 30},
-		{"endpoint-sum", lsdist.EndpointSum, 60}, // sums two legs; double ε for fairness
-		{"midpoint", lsdist.MidpointDist, 30},
+		{"hausdorff", Hausdorff, 30},
+		{"endpoint-sum", EndpointSum, 60}, // sums two legs; double ε for fairness
+		{"midpoint", MidpointDist, 30},
 	}
 	for _, v := range variants {
 		c := cfg

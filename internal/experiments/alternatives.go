@@ -1,4 +1,4 @@
-package lsdist
+package experiments
 
 import (
 	"math"
@@ -16,7 +16,7 @@ import (
 //     (Pattern Recognition 2003 — reference [4]), the measure the paper's
 //     three components were adapted *from*.
 //
-// Both are true segment distances with the same Func signature, so the
+// Both are true segment distances with the lsdist.Func signature, so the
 // clustering engine can run under any of them for comparison.
 
 // EndpointSum returns the naive endpoint-pair distance: the smaller of the

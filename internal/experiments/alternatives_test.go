@@ -1,4 +1,4 @@
-package lsdist
+package experiments
 
 import (
 	"math"
@@ -6,7 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/lsdist"
 )
+
+func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+func randSeg(rng *rand.Rand) geom.Segment {
+	return geom.Seg(rng.Float64()*1000-500, rng.Float64()*1000-500,
+		rng.Float64()*1000-500, rng.Float64()*1000-500)
+}
 
 func TestEndpointSumAppendixATie(t *testing.T) {
 	l1 := geom.Seg(0, 0, 200, 0)
@@ -103,7 +111,7 @@ func TestHausdorffIgnoresDirection(t *testing.T) {
 	if Hausdorff(a, b) != Hausdorff(a, rev) {
 		t.Error("Hausdorff should ignore direction")
 	}
-	if Dist(a, b) >= Dist(a, rev) {
+	if lsdist.Dist(a, b) >= lsdist.Dist(a, rev) {
 		t.Error("TRACLUS distance should penalise the reversed segment")
 	}
 }

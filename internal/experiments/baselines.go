@@ -254,8 +254,8 @@ func AppendixC(Size) *Report {
 	r.Values["shiftInvariant"] = boolTo01(same)
 
 	// Endpoint-based L(H) ablation: costs grow with coordinates.
-	lowCost := mdl.MDLParEndpointLH(tr1, 0, 2)
-	highCost := mdl.MDLParEndpointLH(tr3, 0, 2)
+	lowCost := MDLParEndpointLH(tr1, 0, 2)
+	highCost := MDLParEndpointLH(tr3, 0, 2)
 	r.addf("endpoint-based L(H) cost: low coords=%.2f, shifted=%.2f (not shift invariant)", lowCost, highCost)
 	r.Values["endpointCostGap"] = highCost - lowCost
 	return r

@@ -1,23 +1,24 @@
-package mdl
+package experiments
 
 import (
 	"math"
 
 	"repro/internal/geom"
 	"repro/internal/lsdist"
+	"repro/internal/mdl"
 )
 
 // This file contains the *rejected* design alternative the paper discusses
 // when motivating the length-based L(H) (Section 3.2 and Appendix C): an
 // L(H) that encodes the coordinate values of a partition's endpoints. It
 // exists so the Appendix C experiment and the ablation benchmarks can show
-// why the paper's formulation is the right one — the endpoint-based cost
-// is not shift invariant, so identical shapes at different coordinates
-// partition (and therefore cluster) differently.
+// why the paper's formulation (mdl.MDLPar) is the right one — the
+// endpoint-based cost is not shift invariant, so identical shapes at
+// different coordinates partition (and therefore cluster) differently.
 
-// lCoord encodes one coordinate magnitude in bits (δ = 1, like L).
+// lCoord encodes one coordinate magnitude in bits (δ = 1, like mdl.L).
 func lCoord(v float64) float64 {
-	return L(math.Abs(v))
+	return mdl.L(math.Abs(v))
 }
 
 // LHEndpoints is the endpoint-coordinate hypothesis cost of a single
@@ -26,15 +27,15 @@ func LHEndpoints(pts []geom.Point, i, j int) float64 {
 	return lCoord(pts[i].X) + lCoord(pts[i].Y) + lCoord(pts[j].X) + lCoord(pts[j].Y)
 }
 
-// MDLParEndpointLH is MDLPar with the endpoint-based L(H) substituted for
-// the length-based one; L(D|H) is unchanged.
+// MDLParEndpointLH is mdl.MDLPar with the endpoint-based L(H) substituted
+// for the length-based one; L(D|H) is unchanged.
 func MDLParEndpointLH(pts []geom.Point, i, j int) float64 {
 	part := geom.Segment{Start: pts[i], End: pts[j]}
 	cost := LHEndpoints(pts, i, j)
 	for k := i; k < j; k++ {
 		inner := geom.Segment{Start: pts[k], End: pts[k+1]}
 		dp, _, da := lsdist.Components(part, inner)
-		cost += L(dp) + L(da)
+		cost += mdl.L(dp) + mdl.L(da)
 	}
 	return cost
 }
@@ -51,8 +52,8 @@ func MDLNoParEndpointLH(pts []geom.Point, i, j int) float64 {
 
 // ApproximatePartitionEndpointLH runs the Figure-8 algorithm with the
 // endpoint-based costs — the ablation counterpart of
-// ApproximatePartition.
-func ApproximatePartitionEndpointLH(pts []geom.Point, cfg Config) []int {
+// mdl.ApproximatePartition.
+func ApproximatePartitionEndpointLH(pts []geom.Point, cfg mdl.Config) []int {
 	n := len(pts)
 	if n == 0 {
 		return nil

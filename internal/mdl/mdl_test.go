@@ -223,34 +223,6 @@ func TestShiftInvarianceProperty(t *testing.T) {
 	}
 }
 
-func TestEndpointLHNotShiftInvariant(t *testing.T) {
-	// The Appendix C counter-example: the rejected endpoint-based L(H)
-	// cost grows under shifting.
-	pts := []geom.Point{geom.Pt(100, 100), geom.Pt(200, 200), geom.Pt(300, 100)}
-	shifted := []geom.Point{geom.Pt(10100, 10100), geom.Pt(10200, 10200), geom.Pt(10300, 10100)}
-	if MDLParEndpointLH(pts, 0, 2) >= MDLParEndpointLH(shifted, 0, 2) {
-		t.Error("endpoint L(H) should grow with coordinates")
-	}
-	if MDLNoParEndpointLH(pts, 0, 2) >= MDLNoParEndpointLH(shifted, 0, 2) {
-		t.Error("endpoint no-par cost should grow with coordinates")
-	}
-}
-
-func TestApproximatePartitionEndpointLHStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := randomWalk(rng, 40)
-	got := ApproximatePartitionEndpointLH(pts, Config{})
-	if got[0] != 0 || got[len(got)-1] != len(pts)-1 {
-		t.Errorf("endpoints missing: %v", got)
-	}
-	if got := ApproximatePartitionEndpointLH(nil, Config{}); got != nil {
-		t.Errorf("nil input = %v", got)
-	}
-	if got := ApproximatePartitionEndpointLH(pts[:2], Config{}); len(got) != 2 {
-		t.Errorf("two points = %v", got)
-	}
-}
-
 func TestPartitionSegments(t *testing.T) {
 	tr := geom.NewTrajectory(7, []geom.Point{
 		geom.Pt(0, 0), geom.Pt(0, 0), // duplicate to exercise dedup

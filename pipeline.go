@@ -29,15 +29,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dendro"
 	"repro/internal/geom"
 	"repro/internal/geometry"
-	"repro/internal/lsdist"
-	"repro/internal/optics"
 	"repro/internal/params"
 	"repro/internal/segclust"
 	"repro/internal/sweep"
@@ -560,47 +557,6 @@ func (dbscanGrouper) groupTicked(ctx context.Context, items []Item, cfg Config, 
 
 func (dbscanGrouper) groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, cfg Config, tick func()) (*Grouping, error) {
 	return segclust.RunSharedCtx(ctx, shared, cfg.core().Segclust(), tick)
-}
-
-// GroupOPTICS returns the alternative grouping stage: an OPTICS ordering of
-// the segments (Ankerst et al., reference [2] of the paper) under the
-// TRACLUS distance, with the DBSCAN-equivalent clustering extracted at ε
-// and the Definition 10 trajectory-cardinality filter applied on top.
-//
-// Appendix D of the paper argues OPTICS suits line segments *less* well
-// than points (reachability distances crowd toward ε because the distance
-// is not a metric); this stage exists so that claim is testable on the real
-// pipeline. Divergences from GroupDBSCAN: neighborhoods are computed by
-// full scan (O(n²) — no sound prefilter is assumed), the density threshold
-// is the unweighted segment count ceil(MinLns) (OPTICS has no weighted
-// cardinality), and border segments can label differently, as the two
-// algorithms legitimately disagree on them.
-func GroupOPTICS() Grouper { return opticsGrouper{} }
-
-type opticsGrouper struct{}
-
-func (opticsGrouper) Group(ctx context.Context, items []Item, cfg Config) (*Grouping, error) {
-	ccfg := cfg.core()
-	dist := lsdist.New(ccfg.Distance)
-	calls := 0 // OPTICS runs single-threaded, so a plain counter is safe
-	df := func(i, j int) float64 {
-		calls++
-		return dist(items[i].Seg, items[j].Seg)
-	}
-	minPts := int(math.Ceil(cfg.MinLns))
-	if minPts < 1 {
-		minPts = 1
-	}
-	res, err := optics.RunCtx(ctx, len(items), df, optics.Config{Eps: cfg.Eps, MinPts: minPts})
-	if err != nil {
-		return nil, err
-	}
-	labels := res.ExtractDBSCAN(cfg.Eps)
-	minTrajs := cfg.MinTrajs
-	if minTrajs <= 0 {
-		minTrajs = int(cfg.MinLns)
-	}
-	return GroupingFromLabels(items, labels, minTrajs, calls), nil
 }
 
 // SweepRepresentatives returns the default representative stage: the §4.3

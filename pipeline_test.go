@@ -222,51 +222,6 @@ func TestPipelineCustomStages(t *testing.T) {
 	}
 }
 
-// TestPipelineGroupOPTICS exercises the exposed OPTICS grouping variant
-// end-to-end: it must produce a structurally consistent result on corridor
-// data (the counts add up; the strong corridors survive) and be
-// deterministic.
-func TestPipelineGroupOPTICS(t *testing.T) {
-	trs := synth.CorridorScene(2, 10, 24, 4, 11)
-	cfg := traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40}
-	p := traclus.New(traclus.WithConfig(cfg), traclus.WithGrouper(traclus.GroupOPTICS()))
-	res, err := p.Run(context.Background(), trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) == 0 {
-		t.Fatal("OPTICS grouping found no clusters on the corridor scene")
-	}
-	members := 0
-	for _, c := range res.Clusters {
-		members += len(c.Segments)
-		if len(c.Trajectories) < int(cfg.MinLns) {
-			t.Errorf("cluster with %d trajectories survived the cardinality filter (MinLns %v)",
-				len(c.Trajectories), cfg.MinLns)
-		}
-	}
-	if members+res.NoiseSegments != res.TotalSegments {
-		t.Errorf("members %d + noise %d != total %d", members, res.NoiseSegments, res.TotalSegments)
-	}
-	if res.DistCalls() == 0 {
-		t.Error("OPTICS grouping reported zero distance calls")
-	}
-	again, err := p.Run(context.Background(), trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Clusters, again.Clusters) {
-		t.Error("OPTICS grouping is not deterministic")
-	}
-
-	// Cancellation reaches the OPTICS path too.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.Run(ctx, trs); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled OPTICS run: err = %v, want context.Canceled", err)
-	}
-}
-
 // TestPipelineEstimateMatchesEstimateParameters pins Estimate's
 // cancellation: a done context stops the search and returns ctx.Err().
 func TestPipelineEstimateMatchesEstimateParameters(t *testing.T) {

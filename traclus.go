@@ -129,6 +129,9 @@ type Geometry = geometry.Geometry
 // to meters in the model's working plane and back.
 type GeoFrame = geometry.Frame
 
+// Interval is a closed time interval.
+type Interval = geometry.Interval
+
 // PlanarGeometry returns the default geometry: planar Euclidean, exactly
 // the paper's setting. A Config with this geometry is bit-identical to one
 // with the zero Geometry value.

@@ -67,10 +67,21 @@ type Classifier struct {
 	owner  []int
 	search *spindex.Searcher
 
-	// queryPool recycles per-call search cursors (candidate scratch and any
-	// backend marks) so the serving hot path does not allocate
-	// O(len(segs)) per trajectory.
+	// queryPool recycles per-call scratch (classifyScratch) so the serving
+	// hot path does not allocate O(len(segs)) per trajectory.
 	queryPool sync.Pool
+}
+
+// classifyScratch is what one Classify call reuses: the partitioner's
+// buffers for the query's MDL partitioning, and the search cursor
+// (candidate scratch and any backend marks) for its nearest searches.
+type classifyScratch struct {
+	part *mdl.Partitioner
+	sq   *spindex.SearchQuery
+}
+
+func (c *Classifier) newScratch() any {
+	return &classifyScratch{part: mdl.NewPartitioner(c.part), sq: c.search.Query()}
 }
 
 // NewClassifier builds a classifier over the result's representative
@@ -107,7 +118,7 @@ func NewClassifier(res *Result) (*Classifier, error) {
 		return nil, ErrNoClusters
 	}
 	c.search = spindex.NewSearcher(segs, res.cfg.Distance, backend)
-	c.queryPool.New = func() any { return c.search.Query() }
+	c.queryPool.New = c.newScratch
 	return c, nil
 }
 
@@ -162,8 +173,10 @@ func (c *Classifier) Classify(tr Trajectory) (clusterID int, distance float64, e
 		// projected through the exact frame the model was built in.
 		tr.Points = c.geo.Frame.ProjectTrajectory(tr.Points)
 	}
-	qsegs, spans := mdl.NewPartitioner(c.part).Partition(tr)
-	return c.vote(tr.ID, qsegs, spans)
+	sc := c.queryPool.Get().(*classifyScratch)
+	defer c.queryPool.Put(sc)
+	qsegs, spans := sc.part.Partition(tr)
+	return c.vote(tr.ID, qsegs, spans, sc.sq)
 }
 
 // nearest resolves one query partition's vote: the owning cluster of the
@@ -193,12 +206,10 @@ func (c *Classifier) nearest(s geom.Segment, iv *Interval, sq *spindex.SearchQue
 // exact distance break toward the lower cluster id, keeping the assignment
 // deterministic regardless of candidate enumeration order), weighted by
 // partition length. ivs, when non-nil, is index-aligned with qsegs.
-func (c *Classifier) vote(trID int, qsegs []geom.Segment, ivs []Interval) (int, float64, error) {
+func (c *Classifier) vote(trID int, qsegs []geom.Segment, ivs []Interval, sq *spindex.SearchQuery) (int, float64, error) {
 	if len(qsegs) == 0 {
 		return -1, 0, fmt.Errorf("traclus: trajectory %d yields no partitions to classify", trID)
 	}
-	sq := c.queryPool.Get().(*spindex.SearchQuery)
-	defer c.queryPool.Put(sq)
 	votes := make([]float64, c.numClusters)
 	dsum := make([]float64, c.numClusters)
 	for k, s := range qsegs {
@@ -382,7 +393,7 @@ func NewClassifierFromSnapshot(s ClassifierSnapshot) (*Classifier, error) {
 		}
 	}
 	c.search = spindex.NewSearcher(segs, c.opts, backend)
-	c.queryPool.New = func() any { return c.search.Query() }
+	c.queryPool.New = c.newScratch
 	return c, nil
 }
 

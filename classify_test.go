@@ -250,6 +250,33 @@ func TestClassifierConcurrent(t *testing.T) {
 	}
 }
 
+// TestClassifyReusesScratch pins what a warm classifier allocates per
+// Classify call: the query's partitions and the two per-cluster vote
+// tallies. The partitioner's buffers (dedup points, kernel views,
+// characteristic points) and the search cursor are reused from the
+// classifier's pool.
+func TestClassifyReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	trs := corridorTrajectories()
+	res, err := run(trs, classifyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := res.Classifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trs[0]
+	if _, _, err := cls.Classify(tr); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { cls.Classify(tr) }); n > 3 {
+		t.Errorf("Classify allocates %v times per call on a warm classifier, want at most 3", n)
+	}
+}
+
 func TestClusterStats(t *testing.T) {
 	res, err := run(corridorTrajectories(), classifyConfig())
 	if err != nil {

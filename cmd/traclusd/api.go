@@ -93,7 +93,9 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 
 // writeTypedError maps a typed error from the service, trackio, or
 // snapshot layers to its envelope: status, machine code, and structured
-// details all derive from the error's type, in one audited place.
+// details all derive from the error's type, in one audited place. It also
+// maps body-read failures: size-cap hits (byte, point, or trajectory) are
+// 413 via their typed errors, everything else (parse errors) 400.
 func writeTypedError(w http.ResponseWriter, err error) {
 	var cfgErr *traclus.ConfigError
 	var limitErr *trackio.LimitError
@@ -140,11 +142,4 @@ func writeTypedError(w http.ResponseWriter, err error) {
 	default:
 		writeErrorCode(w, http.StatusBadRequest, codeInvalidRequest, err.Error(), nil)
 	}
-}
-
-// writeBodyError maps body-read failures to status codes: size-cap hits
-// (byte, point, or trajectory) are 413 via their typed errors, everything
-// else (parse errors) 400.
-func writeBodyError(w http.ResponseWriter, err error) {
-	writeTypedError(w, err)
 }

@@ -46,7 +46,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	raw, err := s.readRaw(w, r)
 	if err != nil {
-		writeBodyError(w, err)
+		writeTypedError(w, err)
 		return
 	}
 	if s.forwardToOwner(w, r, name, raw) {
@@ -89,7 +89,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	trs, err := s.parseTrajectories([]byte(req.Data), format, req.Species, timed)
 	if err != nil {
-		writeBodyError(w, err)
+		writeTypedError(w, err)
 		return
 	}
 	if len(trs) == 0 {

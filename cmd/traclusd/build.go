@@ -87,7 +87,7 @@ type buildSpec struct {
 func (s *server) handleBuildV1(w http.ResponseWriter, r *http.Request) {
 	raw, err := s.readRaw(w, r)
 	if err != nil {
-		writeBodyError(w, err)
+		writeTypedError(w, err)
 		return
 	}
 	var req BuildRequest
@@ -218,7 +218,7 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 	}
 	trs, err := s.parseTrajectories(spec.data, spec.format, spec.species, timed)
 	if err != nil {
-		writeBodyError(w, err)
+		writeTypedError(w, err)
 		return
 	}
 	if len(trs) == 0 {
@@ -230,7 +230,7 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 	// synchronously, not fail the async job.
 	for _, tr := range trs {
 		if err := tr.Validate(); err != nil {
-			writeBodyError(w, err)
+			writeTypedError(w, err)
 			return
 		}
 	}
@@ -383,7 +383,7 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	raw, err := s.readRaw(w, r)
 	if err != nil {
-		writeBodyError(w, err)
+		writeTypedError(w, err)
 		return
 	}
 	// A spatiotemporal model classifies trajectories that carry Times: the
@@ -391,7 +391,7 @@ func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// component has a query interval to gap against the cluster windows.
 	trs, err := s.parseTrajectories(raw, trackio.FormatCSV, "", m.Config().Geometry.Timed())
 	if err != nil {
-		writeBodyError(w, err)
+		writeTypedError(w, err)
 		return
 	}
 	if len(trs) == 0 {

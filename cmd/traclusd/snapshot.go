@@ -54,7 +54,7 @@ func (s *server) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	data, err := s.readRaw(w, r)
 	if err != nil {
-		writeBodyError(w, err)
+		writeTypedError(w, err)
 		return
 	}
 	sm, err := snapshot.Decode(data)

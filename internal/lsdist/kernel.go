@@ -10,6 +10,14 @@ package lsdist
 // two projection parameters the perpendicular and parallel components both
 // need are computed once and fused.
 //
+// Its consumers are every production distance: the grouping's ε-range
+// refinement, the estimation dendrogram and appends (DistBlock, bounded),
+// classification's nearest search (DistBlock, DistRange), the Formula-11
+// quality rows (DistBlock at bound +Inf) and MDL partitioning (PerpAngle,
+// the d⊥ and dθ of Formula 7 without d∥). stages holds the one copy of
+// each component's arithmetic; the scalar functions of lsdist.go are the
+// reference it is pinned against.
+//
 // The contract that makes the kernels safe to substitute anywhere is BIT
 // IDENTITY: for every pair, each component and the combined distance equal
 // the scalar ComponentsOpt/DistOpt results bit for bit
@@ -151,7 +159,7 @@ func (k *Kernel) Pair(a, b segpool.Seg) float64 {
 // on the profile; the pointees never escape (stages only reads them).
 func (k *Kernel) score(a, b *segpool.Seg, bound float64) float64 {
 	li, lj := ordered(a, b)
-	s, _, _, _ := k.stages(li, lj, bound)
+	s, _, _, _ := k.stages(li, lj, bound, true)
 	return s
 }
 
@@ -160,8 +168,19 @@ func (k *Kernel) score(a, b *segpool.Seg, bound float64) float64 {
 // component to ComponentsOpt on the corresponding segments.
 func (k *Kernel) Components(a, b segpool.Seg) (dperp, dpar, dang float64) {
 	li, lj := ordered(&a, &b)
-	_, dperp, dpar, dang = k.stages(li, lj, math.Inf(1))
+	_, dperp, dpar, dang = k.stages(li, lj, math.Inf(1), true)
 	return dperp, dpar, dang
+}
+
+// PerpAngle returns (d⊥, dθ) for one pair of views, performing the
+// longer/shorter assignment internally, without computing d∥: the two
+// components the MDL cost encodes (Formula 7). Each is bit-identical to
+// the corresponding ComponentsOpt component. It takes pointers for the
+// reason score does.
+func (k *Kernel) PerpAngle(a, b *segpool.Seg) (dperp, dang float64) {
+	li, lj := ordered(a, b)
+	_, dperp, _, dang = k.stages(li, lj, math.Inf(1), false)
+	return dperp, dang
 }
 
 // ordered is lsdist.order on pool views: the longer segment becomes Li, and
@@ -203,11 +222,12 @@ func segLess(a, b *segpool.Seg) bool {
 //  2. d∥; stop if s = w⊥·d⊥ + w∥·d∥ > bound.
 //  3. dθ; s is the full distance.
 //
-// A stage that does not run leaves its component 0. Stopping needs no
-// tolerance: every addend is ≥ 0 (or NaN) and rounding is monotone, so the
-// later terms can only keep or raise a partial sum, or make it NaN. A pair
-// stopped at a partial sum > bound therefore has a full distance that is
-// not ≤ bound either. The weighted terms carry explicit float64
+// With par false stage 2 does not run (PerpAngle), and s is then not a
+// distance. A stage that does not run leaves its component 0. Stopping
+// needs no tolerance: every addend is ≥ 0 (or NaN) and rounding is
+// monotone, so the later terms can only keep or raise a partial sum, or
+// make it NaN. A pair stopped at a partial sum > bound therefore has a
+// full distance that is not ≤ bound either. The weighted terms carry explicit float64
 // conversions, exactly as in DistOpt, so no platform fuses them into
 // multiply-adds and the partial sums compared here are the ones the full
 // sum is built from.
@@ -232,7 +252,7 @@ func segLess(a, b *segpool.Seg) bool {
 //     0 (lsdist.lehmer2).
 //   - either segment degenerate (Length == 0): the angle is defined as 0
 //     (geom.Segment.Angle), so dθ = ‖lj‖·sin 0.
-func (k *Kernel) stages(li, lj *segpool.Seg, bound float64) (s, dperp, dpar, dang float64) {
+func (k *Kernel) stages(li, lj *segpool.Seg, bound float64, par bool) (s, dperp, dpar, dang float64) {
 	// Projection parameters of lj's endpoints onto the line through li.
 	var u1, u2 float64
 	if li.Len2 != 0 {
@@ -256,11 +276,13 @@ func (k *Kernel) stages(li, lj *segpool.Seg, bound float64) (s, dperp, dpar, dan
 
 	// d∥ (Definition 2): per projection the smaller Euclidean distance to
 	// li's endpoints; MIN over the two projections.
-	g1 := math.Min(math.Hypot(p1x-li.X1, p1y-li.Y1), math.Hypot(p1x-li.X2, p1y-li.Y2))
-	g2 := math.Min(math.Hypot(p2x-li.X1, p2y-li.Y1), math.Hypot(p2x-li.X2, p2y-li.Y2))
-	dpar = math.Min(g1, g2)
-	if s += float64(k.wPar * dpar); s > bound {
-		return s, dperp, dpar, 0
+	if par {
+		g1 := math.Min(math.Hypot(p1x-li.X1, p1y-li.Y1), math.Hypot(p1x-li.X2, p1y-li.Y2))
+		g2 := math.Min(math.Hypot(p2x-li.X1, p2y-li.Y1), math.Hypot(p2x-li.X2, p2y-li.Y2))
+		dpar = math.Min(g1, g2)
+		if s += float64(k.wPar * dpar); s > bound {
+			return s, dperp, dpar, 0
+		}
 	}
 
 	// dθ (Definition 3): the norms and ‖lj‖ are the precomputed lengths

@@ -82,6 +82,11 @@ func checkPairEquivalence(t *testing.T, a, b geom.Segment, opt Options) {
 		}
 	}
 
+	if perp, ang := k.PerpAngle(&av, &bv); !bitsMatch(wantP, perp) || !bitsMatch(wantA, ang) {
+		t.Fatalf("PerpAngle differs for %v vs %v under %+v: scalar (%v, %v), kernel (%v, %v)",
+			a, b, opt, wantP, wantA, perp, ang)
+	}
+
 	want := New(opt)(a, b)
 	got := k.Pair(av, bv)
 	if !bitsMatch(want, got) {

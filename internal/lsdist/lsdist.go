@@ -8,6 +8,15 @@
 // assigned the role of Li, but it is not a metric: it can violate the
 // triangle inequality. Spatial indexes therefore rely on the geometric
 // lower bound proved here (LowerBoundFactor) instead of metric pruning.
+//
+// Every production consumer scores through the batched Kernel (kernel.go):
+// grouping, estimation and classification with DistBlock, MDL partitioning
+// with PerpAngle, and the Formula-11 quality measure with exact DistBlock.
+// The scalar Definitions below (ComponentsOpt, DistOpt, New) are the
+// reference the kernel is bit-identical to, and they serve only the test
+// oracles, RunWithDistance's caller-supplied distances, the experiment
+// harness, and the fallbacks for non-finite coordinates, which no pool
+// holds.
 package lsdist
 
 import (

@@ -13,18 +13,20 @@ import (
 	"repro/internal/geom"
 	"repro/internal/geometry"
 	"repro/internal/par"
+	"repro/internal/segpool"
 )
 
 // Partitioner partitions trajectories while reusing internal scratch
-// (the dedup point and timestamp buffers and the characteristic-point index
-// buffer), so a worker processing many trajectories allocates only the
-// output. A Partitioner is not safe for concurrent use; give each goroutine
-// its own.
+// (the dedup point and timestamp buffers, the raw segments' kernel views
+// and the characteristic-point index buffer), so a worker processing many
+// trajectories allocates only the output. A Partitioner is not safe for
+// concurrent use; give each goroutine its own.
 type Partitioner struct {
-	cfg Config
-	cps []int        // characteristic-point scratch
-	pts []geom.Point // deduplicated-point scratch
-	tms []float64    // deduplicated-timestamp scratch (timed trajectories)
+	cfg   Config
+	cps   []int         // characteristic-point scratch
+	pts   []geom.Point  // deduplicated-point scratch
+	tms   []float64     // deduplicated-timestamp scratch (timed trajectories)
+	views []segpool.Seg // raw segment k = pts[k]→pts[k+1] as a kernel view
 }
 
 // NewPartitioner returns a Partitioner for the given configuration.
@@ -51,8 +53,7 @@ func (p *Partitioner) Partition(tr geom.Trajectory) (segs []geom.Segment, spans 
 	if len(pts) < 2 {
 		return nil, nil
 	}
-	p.cps = appendApproximatePartition(p.cps[:0], pts, p.cfg)
-	cps := p.cps
+	cps := p.characteristic(pts)
 	segs = make([]geom.Segment, 0, len(cps)-1)
 	if tr.Times != nil {
 		spans = make([]geometry.Interval, 0, len(cps)-1)

@@ -16,11 +16,16 @@
 // A State carries one exact pair sum per group (each cluster, plus the
 // noise set) and advances to a new clustering of the same or a grown item
 // set by scoring only the pairs whose co-membership changed; Measure is the
-// from-scratch readout. See ARCHITECTURE.md, "Quality measure".
+// from-scratch readout. Each row of pairs is scored in one batched kernel
+// call (lsdist.Kernel.DistBlock, exact) over a columnar pool of the items;
+// an item set with a non-finite coordinate, which no pool holds, is scored
+// through the scalar lsdist.DistOpt instead, with the same bits. See
+// ARCHITECTURE.md, "Quality measure".
 package quality
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sort"
 
@@ -28,6 +33,7 @@ import (
 	"repro/internal/lsdist"
 	"repro/internal/par"
 	"repro/internal/segclust"
+	"repro/internal/segpool"
 )
 
 // Breakdown separates the two terms of QMeasure.
@@ -113,7 +119,11 @@ func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.R
 	// accumulators, merged exactly afterwards.
 	nw := par.Workers(workers, rows)
 	scratch := make([][]acc, nw)
-	dist := lsdist.New(opt)
+	bufs := make([]rowBuf, nw)
+	var sc *scorer
+	if rows > 0 {
+		sc = newScorer(items, opt)
+	}
 	err := par.ForEachCtx(ctx, nw, rows, func(w, r int) {
 		g := sort.Search(len(ds), func(i int) bool { return ds[i].row+ds[i].rows() > r })
 		sums := next.sums
@@ -123,7 +133,7 @@ func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.R
 			}
 			sums = scratch[w]
 		}
-		ds[g].score(&sums[g], r-ds[g].row, items, dist)
+		ds[g].score(&sums[g], r-ds[g].row, sc, &bufs[w])
 	})
 	if err != nil {
 		return nil, err
@@ -254,35 +264,71 @@ func split(h int, g int32, m, hm []int32, kept int, oldOf, of []int32) delta {
 
 // score runs row r of d into a: a gone member's pairs with the kept members
 // and the gone members after it are subtracted, a came member's pairs with
-// the kept members and the came members after it are added. Every pair is
-// scored as dist(lower item, higher item), as a from-scratch pass does.
-func (d *delta) score(a *acc, r int, items []segclust.Item, dist lsdist.Func) {
+// the kept members and the came members after it are added. The distance
+// is symmetric to the bit and the sum exact, so the order in which a row
+// scores its pairs does not change the state.
+func (d *delta) score(a *acc, r int, sc *scorer, buf *rowBuf) {
 	neg, list := r < len(d.gone), d.came
 	if neg {
 		list = d.gone
 	} else {
 		r -= len(d.gone)
 	}
-	x := list[r]
-	seg := items[x].Seg
-	pair := func(p, q geom.Segment) {
-		v := dist(p, q)
+	buf.ids = buf.ids[:0]
+	for _, y := range d.kept {
+		buf.ids = append(buf.ids, int(y))
+	}
+	for _, y := range list[r+1:] {
+		buf.ids = append(buf.ids, int(y))
+	}
+	for _, v := range sc.dists(int(list[r]), buf) {
 		if neg {
 			a.sub(v * v)
 		} else {
 			a.add(v * v)
 		}
 	}
-	lo, _ := slices.BinarySearch(d.kept, x)
-	for _, y := range d.kept[:lo] {
-		pair(items[y].Seg, seg)
+}
+
+// scorer scores rows of pairs over one item set: with the batched kernel
+// over a pool of the items, or, where an item has a non-finite coordinate
+// and no pool holds the set, with the scalar distance.
+type scorer struct {
+	items []segclust.Item
+	opt   lsdist.Options
+	k     *lsdist.Kernel
+	pool  *segpool.Pool // nil: the scalar path
+}
+
+// rowBuf is one worker's row scratch: the row's partner ids and their
+// distances.
+type rowBuf struct {
+	ids []int
+	d   []float64
+}
+
+func newScorer(items []segclust.Item, opt lsdist.Options) *scorer {
+	if !opt.Weights.Valid() {
+		opt.Weights = lsdist.DefaultWeights() // the kernel's rule, for the scalar path
 	}
-	for _, y := range d.kept[lo:] {
-		pair(seg, items[y].Seg)
+	sc := &scorer{items: items, opt: opt, k: lsdist.NewKernel(opt)}
+	if pool, err := segpool.Gather(len(items), func(i int) geom.Segment { return items[i].Seg }); err == nil {
+		sc.pool = pool
 	}
-	for _, y := range list[r+1:] {
-		pair(seg, items[y].Seg)
+	return sc
+}
+
+// dists returns dist(x, y) for every y in buf.ids, in buf.d.
+func (sc *scorer) dists(x int, buf *rowBuf) []float64 {
+	if sc.pool != nil {
+		buf.d = sc.k.DistBlock(sc.pool, sc.pool.View(x), buf.ids, math.Inf(1), buf.d)
+		return buf.d
 	}
+	buf.d = buf.d[:0]
+	for _, y := range buf.ids {
+		buf.d = append(buf.d, lsdist.DistOpt(sc.items[x].Seg, sc.items[y].Seg, sc.opt))
+	}
+	return buf.d
 }
 
 // triangle is the number of unordered pairs among n items.

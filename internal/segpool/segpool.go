@@ -12,7 +12,9 @@
 //
 // A Pool is built once per dataset (NewSearcher in internal/spindex owns
 // that build, and the Builds counter lets tests pin it) and is immutable
-// afterwards, so any number of goroutines may score against it.
+// afterwards, so any number of goroutines may score against it. The
+// Formula-11 quality measure also pools its items, for one pass, with
+// Gather, which is not counted as an index's build.
 //
 // Pools reject non-finite coordinates at build time: the batch kernels
 // replicate the scalar distance's floating-point operations exactly, but a
@@ -84,9 +86,20 @@ func Builds() int64 { return builds.Load() }
 // New builds the columnar pool over segs. It returns a *NonFiniteError if
 // any coordinate is NaN or ±Inf — the caller is expected to fall back to
 // the scalar distance path for such inputs, not to fail the run. An empty
-// input builds an empty pool.
+// input builds an empty pool. A successful build counts toward Builds.
 func New(segs []geom.Segment) (*Pool, error) {
-	n := len(segs)
+	p, err := Gather(len(segs), func(i int) geom.Segment { return segs[i] })
+	if err == nil {
+		builds.Add(1)
+	}
+	return p, err
+}
+
+// Gather is New over n segments read through seg, for segments that sit
+// inside other records: no slice of them is copied out. It does not count
+// toward Builds, which pins the pools behind indexes; the quality measure
+// gathers its items into a pool that scores one pass and backs no index.
+func Gather(n int, seg func(i int) geom.Segment) (*Pool, error) {
 	// One backing array, sliced into the five columns: a single allocation,
 	// and each column is contiguous for the kernels' streaming loads.
 	backing := make([]float64, 5*n)
@@ -95,7 +108,8 @@ func New(segs []geom.Segment) (*Pool, error) {
 		X2: backing[2*n : 3*n : 3*n], Y2: backing[3*n : 4*n : 4*n],
 		Length: backing[4*n : 5*n : 5*n],
 	}
-	for i, s := range segs {
+	for i := 0; i < n; i++ {
+		s := seg(i)
 		v, ok := ViewOf(s)
 		if !ok {
 			return nil, &NonFiniteError{Index: i, Seg: s}
@@ -103,7 +117,6 @@ func New(segs []geom.Segment) (*Pool, error) {
 		p.X1[i], p.Y1[i], p.X2[i], p.Y2[i] = v.X1, v.Y1, v.X2, v.Y2
 		p.Length[i] = v.Length
 	}
-	builds.Add(1)
 	return p, nil
 }
 
@@ -141,6 +154,14 @@ func ViewOf(s geom.Segment) (Seg, bool) {
 	if !s.Start.IsFinite() || !s.End.IsFinite() {
 		return Seg{}, false
 	}
+	return Lift(s), true
+}
+
+// Lift is ViewOf without the finiteness check, for callers that score
+// views with the kernel outside any pool (MDL partitioning). A non-finite
+// coordinate gives the non-finite derived values the scalar distance
+// computes from it.
+func Lift(s geom.Segment) Seg {
 	dx := s.End.X - s.Start.X
 	dy := s.End.Y - s.Start.Y
 	return Seg{
@@ -148,5 +169,5 @@ func ViewOf(s geom.Segment) (Seg, bool) {
 		DX: dx, DY: dy,
 		Len2:   dx*dx + dy*dy,
 		Length: math.Hypot(dx, dy),
-	}, true
+	}
 }

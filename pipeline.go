@@ -473,9 +473,6 @@ func runGroup(ctx context.Context, g Grouper, items []Item, cfg Config, shared *
 	if sg, ok := g.(sharedGrouper); ok && shared != nil {
 		return sg.groupSharedTicked(ctx, shared, cfg, rep.tick)
 	}
-	if tg, ok := g.(tickedGrouper); ok {
-		return tg.groupTicked(ctx, items, cfg, rep.tick)
-	}
 	return g.Group(ctx, items, cfg)
 }
 
@@ -537,22 +534,14 @@ func GroupDBSCAN() Grouper { return dbscanGrouper{} }
 
 type dbscanGrouper struct{}
 
-type tickedGrouper interface {
-	groupTicked(ctx context.Context, items []Item, cfg Config, tick func()) (*Grouping, error)
-}
-
 // sharedGrouper marks groupers that cluster through the pipeline's prebuilt
 // shared index instead of indexing the items themselves.
 type sharedGrouper interface {
 	groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, cfg Config, tick func()) (*Grouping, error)
 }
 
-func (g dbscanGrouper) Group(ctx context.Context, items []Item, cfg Config) (*Grouping, error) {
-	return g.groupTicked(ctx, items, cfg, nil)
-}
-
-func (dbscanGrouper) groupTicked(ctx context.Context, items []Item, cfg Config, tick func()) (*Grouping, error) {
-	return segclust.RunCtx(ctx, items, cfg.core().Segclust(), tick)
+func (dbscanGrouper) Group(ctx context.Context, items []Item, cfg Config) (*Grouping, error) {
+	return segclust.RunCtx(ctx, items, cfg.core().Segclust(), nil)
 }
 
 func (dbscanGrouper) groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, cfg Config, tick func()) (*Grouping, error) {

@@ -76,7 +76,7 @@ func (p *Pipeline) NewAppender(ctx context.Context, trs []Trajectory) (*Appender
 		return nil, err
 	}
 	b.rep.begin(PhaseGroup, len(b.items))
-	inc, err := segclust.NewIncrementalCtx(ctx, b.shared, b.ccfg.Segclust(), b.rep.tick)
+	inc, err := segclust.NewIncrementalCtx(ctx, b.shared, b.ccfg.Segclust(), b.rep.tick, b.lists())
 	if err != nil {
 		return nil, stageError(ctx, PhaseGroup, err)
 	}

@@ -31,6 +31,13 @@
 // n list sorts; the result is bit-identical to FromShared over the same
 // items.
 //
+// The lists also feed an auto build's grouping: each ε-neighborhood is the
+// d ≤ ε prefix of an item's list (Within), so segclust reads it there
+// instead of scoring it (segclust.NeighborLists), and only charges the
+// candidates through a count-only query. Unlike a cut, that grouping sums
+// each neighborhood's weight in id order itself, so it is exact for every
+// weight.
+//
 // CutAt replicates segclust's grouping step for step: it computes the core
 // predicate and replays the merges itself, then hands the numbering and
 // border passes to segclust.Label — the very passes every batch run and
@@ -425,6 +432,18 @@ func (d *Dendrogram) countAt(i int, eps float64) int {
 	return sort.Search(len(seg), func(k int) bool { return seg[k] > eps })
 }
 
+// Within returns the ids of item i's neighbors within eps ≤ MaxEps, item i
+// itself included when it is: the d ≤ eps prefix of its list, in (distance,
+// id) order. The list holds every pair within MaxEps at the exact distance
+// the bounded kernel computes, so the prefix is exactly the set a fresh
+// neighborhood pass at eps keeps. The slice is the structure's own backing
+// store — do not mutate it. Within makes *Dendrogram a
+// segclust.NeighborLists: a grouping at eps reads its neighborhoods here.
+func (d *Dendrogram) Within(i int, eps float64) []int32 {
+	lo := d.off[i]
+	return d.ids[lo : lo+int64(d.countAt(i, eps))]
+}
+
 // weightAt returns the weighted ε-cardinality of item i's neighborhood.
 func (d *Dendrogram) weightAt(i int, eps float64) float64 {
 	if !(eps >= 0) { // NaN or negative: nothing is within reach
@@ -494,7 +513,7 @@ func (d *Dendrogram) CoreDist(i int, minLns float64) float64 {
 //     each sorted neighbor list — the same two passes a fresh grouping
 //     runs.
 //  4. Definition 10: segclust.ResultFromLabels applies the trajectory
-//     filter and canonicalises, the same bridge the OPTICS grouper uses.
+//     filter and canonicalises, as it does for every grouping.
 func (d *Dendrogram) CutAt(eps, minLns float64, minTrajs int) (*segclust.Result, error) {
 	if err := segclust.CheckPositive("Eps", eps); err != nil {
 		return nil, err
@@ -520,10 +539,7 @@ func (d *Dendrogram) CutAt(eps, minLns float64, minTrajs int) (*segclust.Result,
 			uf.Union(e.a, e.b)
 		}
 	}
-	labels, err := segclust.Label(context.TODO(), 1, core, uf, func(i int) []int32 {
-		lo := d.off[i]
-		return d.ids[lo : lo+int64(d.countAt(i, eps))]
-	})
+	labels, err := segclust.Label(context.TODO(), 1, core, uf, func(i int) []int32 { return d.Within(i, eps) })
 	if err != nil {
 		return nil, err
 	}

@@ -52,7 +52,12 @@ func MDLNoParEndpointLH(pts []geom.Point, i, j int) float64 {
 
 // ApproximatePartitionEndpointLH runs the Figure-8 algorithm with the
 // endpoint-based costs — the ablation counterpart of
-// mdl.ApproximatePartition.
+// mdl.ApproximatePartition. Like mdl's loop, its test starts at length 2:
+// at length 1 a partition at currIndex−1 is one at startIndex, which
+// changes nothing, and Figure 8 would repeat that step forever, appending
+// startIndex each time. There costPar is costNoPar plus L(d⊥)+L(dθ) of a
+// segment against itself, so a negative CostAdvantage would partition, and
+// so would a segment long enough for its self-distance to round above 1.
 func ApproximatePartitionEndpointLH(pts []geom.Point, cfg mdl.Config) []int {
 	n := len(pts)
 	if n == 0 {
@@ -69,9 +74,8 @@ func ApproximatePartitionEndpointLH(pts []geom.Point, cfg mdl.Config) []int {
 	startIndex, length := 0, 1
 	for startIndex+length < n {
 		currIndex := startIndex + length
-		costPar := MDLParEndpointLH(pts, startIndex, currIndex)
-		costNoPar := MDLNoParEndpointLH(pts, startIndex, currIndex)
-		if costPar > costNoPar+cfg.CostAdvantage {
+		if length > 1 && MDLParEndpointLH(pts, startIndex, currIndex) >
+			MDLNoParEndpointLH(pts, startIndex, currIndex)+cfg.CostAdvantage {
 			cps = append(cps, currIndex-1)
 			startIndex = currIndex - 1
 			length = 1

@@ -53,15 +53,17 @@ func Measure(items []segclust.Item, res *segclust.Result, opt lsdist.Options, wo
 }
 
 // State is the exact Formula-11 state of one clustering: the group of
-// every item and the exact pair sum of every group. It costs 4 bytes per
-// item plus about 300 bytes per group, and is immutable once Next returns
-// it, so any number of goroutines may read or advance it.
+// every item and the exact pair sum of every group, and the columnar pool
+// of the items it was scored with. It costs 4 bytes per item plus about 300
+// bytes per group, and the pool 40 bytes per item; it is immutable once
+// Next returns it, so any number of goroutines may read or advance it.
 type State struct {
 	of    []int32   // item → group: cluster index, or len(sums)−1 for noise
 	sums  []acc     // per group: exact Σ_{x<y∈g} fl(dist(x,y)²)
 	sse   []float64 // per group: sums[g] rounded once, over |g|
 	b     Breakdown
 	pairs int
+	pool  *segpool.Pool // the items' pool, nil until a pass gathers one
 }
 
 // SSE returns cluster i's term of Total SSE.
@@ -78,7 +80,9 @@ func (s *State) Pairs() int { return s.pairs }
 // means from scratch, otherwise s must describe an earlier clustering of a
 // prefix of items, in the same order — a sweep step over the same items,
 // or the epoch before an append, whose new items come last. The receiver
-// is never modified, so the old state stays valid.
+// is never modified, so the old state stays valid. A receiver over every
+// item (a sweep step) hands its pool on, so the rows score without
+// gathering another.
 //
 // Each new group starts from the old group it shares the most members with
 // (ties to the lowest index; the noise set from the old noise set),
@@ -104,6 +108,9 @@ func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.R
 	if s != nil && len(s.of) > len(next.of) {
 		s = nil // not an earlier clustering of these items
 	}
+	if s != nil && len(s.of) == len(next.of) {
+		next.pool = s.pool // the same items
+	}
 	cur := groupsOf(next.of, k+1)
 	ds, pairs := s.plan(cur, next.of)
 
@@ -122,7 +129,8 @@ func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.R
 	bufs := make([]rowBuf, nw)
 	var sc *scorer
 	if rows > 0 {
-		sc = newScorer(items, opt)
+		sc = newScorer(items, opt, next.pool)
+		next.pool = sc.pool
 	}
 	err := par.ForEachCtx(ctx, nw, rows, func(w, r int) {
 		g := sort.Search(len(ds), func(i int) bool { return ds[i].row+ds[i].rows() > r })
@@ -292,7 +300,8 @@ func (d *delta) score(a *acc, r int, sc *scorer, buf *rowBuf) {
 
 // scorer scores rows of pairs over one item set: with the batched kernel
 // over a pool of the items, or, where an item has a non-finite coordinate
-// and no pool holds the set, with the scalar distance.
+// and no pool holds the set, with the scalar distance. pool, when non-nil,
+// is the items' pool, gathered by an earlier pass.
 type scorer struct {
 	items []segclust.Item
 	opt   lsdist.Options
@@ -307,15 +316,16 @@ type rowBuf struct {
 	d   []float64
 }
 
-func newScorer(items []segclust.Item, opt lsdist.Options) *scorer {
+func newScorer(items []segclust.Item, opt lsdist.Options, pool *segpool.Pool) *scorer {
 	if !opt.Weights.Valid() {
 		opt.Weights = lsdist.DefaultWeights() // the kernel's rule, for the scalar path
 	}
-	sc := &scorer{items: items, opt: opt, k: lsdist.NewKernel(opt)}
-	if pool, err := segpool.Gather(len(items), func(i int) geom.Segment { return items[i].Seg }); err == nil {
-		sc.pool = pool
+	if pool == nil {
+		// Gather fails, returning nil, on a non-finite coordinate: the scalar
+		// path scores such a set.
+		pool, _ = segpool.Gather(len(items), func(i int) geom.Segment { return items[i].Seg })
 	}
-	return sc
+	return &scorer{items: items, opt: opt, k: lsdist.NewKernel(opt), pool: pool}
 }
 
 // dists returns dist(x, y) for every y in buf.ids, in buf.d.

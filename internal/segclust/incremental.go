@@ -34,6 +34,7 @@ package segclust
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 )
 
@@ -100,8 +101,27 @@ type Incremental struct {
 // and DistCalls — at every worker count. Custom distance functions are not
 // supported (they have no index to grow); cfg.Backend is ignored in
 // favour of shared's backend, exactly as RunSharedCtx.
-func NewIncrementalCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem func()) (*Incremental, error) {
-	return group(ctx, shared.items, cfg, nil, onItem, shared)
+//
+// lists is optional: at most one non-nil NeighborLists over shared's items
+// with MaxEps ≥ cfg.Eps, from which the grouping's one neighborhood pass
+// reads every within-ε pair instead of scoring the candidates. The pass
+// still charges each item its owned candidates at ε (a count-only query), so
+// the Result, DistCalls included, is the same either way. Appends score their
+// pairs as usual.
+func NewIncrementalCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem func(), lists ...NeighborLists) (*Incremental, error) {
+	var src sourceFor
+	switch {
+	case len(lists) > 1:
+		return nil, fmt.Errorf("segclust: NewIncrementalCtx takes at most one NeighborLists, got %d", len(lists))
+	case len(lists) == 1 && lists[0] != nil:
+		l := lists[0]
+		if cfg.Eps > l.MaxEps() {
+			return nil, &ConfigError{Field: "Eps", Value: cfg.Eps,
+				Reason: fmt.Sprintf("exceeds the neighbor lists' maximum ε %g", l.MaxEps())}
+		}
+		src = fromLists(l)
+	}
+	return group(ctx, shared.items, cfg, src, onItem, shared)
 }
 
 // Result returns the clustering over every item appended so far. The value

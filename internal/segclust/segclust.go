@@ -8,16 +8,19 @@
 // ε-neighborhoods are computed through the unified index subsystem of
 // internal/spindex — brute force, uniform grid, or R-tree (or any custom
 // Backend), all using the sound Euclidean prefilter of internal/lsdist —
-// and all backends produce identical clusterings. Every run computes every
-// neighborhood once, across Config.Workers goroutines with per-worker views
-// of one immutable SharedIndex, and then labels the ε-graph in two steps:
-// link unions the core–core edges (a concurrent min-root union-find), and
-// label numbers the components and hands each border segment to its first
-// cluster (see label for why that is Figure 12's answer; the TRACLUS
-// distance is symmetric, Lemma 2). Batch runs, incremental appends
-// (Incremental) and dendrogram cuts (internal/dendro, through Label) share
-// these two steps; the paper's expansion itself is the test oracle every
-// path is diffed against.
+// and all backends produce identical clusterings. A grouping handed a
+// neighbor structure that already holds every pair within some MaxEps ≥ ε
+// (NeighborLists, as an estimation dendrogram does) reads its
+// neighborhoods from it instead of scoring them again. Every run computes
+// every neighborhood once, across Config.Workers goroutines with per-worker
+// views of one immutable SharedIndex, and then labels the ε-graph in two
+// steps: link unions the core–core edges (a concurrent min-root
+// union-find), and label numbers the components and hands each border
+// segment to its first cluster (see label for why that is Figure 12's
+// answer; the TRACLUS distance is symmetric, Lemma 2). Batch runs,
+// incremental appends (Incremental) and dendrogram cuts (internal/dendro,
+// through Label) share these two steps; the paper's expansion itself is the
+// test oracle every path is diffed against.
 package segclust
 
 import (
@@ -173,7 +176,10 @@ type Result struct {
 	// so the kernel runs about half as often as this count. The index hands
 	// each item only the candidates it owns, and the pass derives the sum
 	// from those (spindex.SearchQuery.OwnedCandidatesOf): exact, because the
-	// candidate relation is symmetric.
+	// candidate relation is symmetric. A grouping that reads its pairs from
+	// precomputed lists (NewIncrementalCtx with NeighborLists, as an auto
+	// build does from its dendrogram) scores none of them, but charges its
+	// candidates through a count-only query, so the count is the same.
 	DistCalls int
 }
 
@@ -191,23 +197,26 @@ func (r *Result) NoiseCount() int {
 	return n
 }
 
-// neighborSource produces ε-neighborhood candidate ids for a query item
-// and scores whole candidate blocks against it — the block-at-a-time
-// contract of the columnar kernel refactor: the engine never evaluates a
-// distance pair-at-a-time; it asks its source for one index-aligned block
-// of distances per query and refines that.
+// neighborSource is one worker's half of a neighborhood pass: for query
+// item i it appends to dst, in any order, the ids within ε among the ones i
+// owns in a pass over [lo, n) — j < lo (an item the pass does not query) or
+// j ≥ i — and returns them with the pass's charge for i. Every source takes
+// its charge from the same owned candidate query at ε, so a pass's charges
+// sum to Σ|candidates(i)| (Cursor.OwnedCandidatesOf) whichever source found
+// the ids. sc is the worker's pooled scratch.
 type neighborSource interface {
-	// owned appends the candidates item i owns in a pass over [lo, n) and
-	// returns them with the pass's charge for i (Cursor.OwnedCandidatesOf).
-	owned(i, lo int, dst []int) ([]int, int)
-	// distBlock writes, for every j in cand, dist(item i, item j) into out
-	// when it is ≤ the source's ε, and a value that is not ≤ ε otherwise,
-	// index-aligned with cand (resized, reusing capacity), and returns it.
-	distBlock(i int, cand []int, out []float64) []float64
+	owned(i, lo int, sc *scratchSet, dst []int32) ([]int32, int)
 }
 
-// epsView binds a per-goroutine Cursor to one query ε; it is what the
-// engine's refinement loop consumes. Candidates come from the cursor's
+// sourceFor makes one worker's neighborSource for a pass at eps over the
+// worker's own cursor; nil selects scored.
+type sourceFor func(c *Cursor, eps float64) neighborSource
+
+// scored is the index's own source, epsView.
+func scored(c *Cursor, eps float64) neighborSource { return epsView{c: c, eps: eps} }
+
+// epsView binds a per-goroutine Cursor to one query ε: the source of every
+// grouping that reads no lists. Candidates come from the cursor's
 // conservative planar prefilter at ε, and blocks are scored by the cursor
 // at bound ε: the batch kernel stops scoring a pair once it is past ε, and
 // on a spatiotemporal index the wT·gap term is added after the spatial
@@ -222,38 +231,70 @@ type epsView struct {
 	eps float64
 }
 
-func (v epsView) owned(i, lo int, dst []int) ([]int, int) {
-	return v.c.OwnedCandidatesOf(i, lo, v.eps, dst)
+func (v epsView) owned(i, lo int, sc *scratchSet, dst []int32) ([]int32, int) {
+	return refine(v.c, i, lo, v.eps, sc, dst, func(cand []int, out []float64) []float64 {
+		return v.c.DistBlockWithin(i, cand, v.eps, out)
+	})
 }
 
-func (v epsView) distBlock(i int, cand []int, out []float64) []float64 {
-	return v.c.DistBlockWithin(i, cand, v.eps, out)
-}
-
-// customDistView carries an arbitrary caller-supplied distance function
-// over a neighborSource's candidate generation: RunWithDistance's path. No
-// columnar kernel exists for an unknown Func, so blocks are scored by the
-// scalar loop — the exact shape the engine ran before the kernel refactor.
+// customDistView scores the cursor's candidates with an arbitrary
+// caller-supplied distance function: RunWithDistance's path. No columnar
+// kernel exists for an unknown Func, so blocks are scored by the scalar
+// loop.
 type customDistView struct {
-	inner neighborSource
-	items []Item
-	dist  lsdist.Func
+	c    *Cursor
+	eps  float64
+	dist lsdist.Func
 }
 
-func (v customDistView) owned(i, lo int, dst []int) ([]int, int) {
-	return v.inner.owned(i, lo, dst)
+func (v customDistView) owned(i, lo int, sc *scratchSet, dst []int32) ([]int32, int) {
+	a := v.c.items[i].Seg
+	return refine(v.c, i, lo, v.eps, sc, dst, func(cand []int, out []float64) []float64 {
+		out = slices.Grow(out[:0], len(cand))[:len(cand)]
+		for k, j := range cand {
+			out[k] = v.dist(a, v.c.items[j].Seg)
+		}
+		return out
+	})
 }
 
-func (v customDistView) distBlock(i int, cand []int, out []float64) []float64 {
-	if cap(out) < len(cand) {
-		out = make([]float64, len(cand))
+// NeighborLists is a neighbor structure precomputed over a SharedIndex's
+// items, which a grouping at ε ≤ MaxEps() reads its ε-neighborhoods from
+// instead of scoring them. Within(i, eps) returns, in any order, every id
+// whose distance to item i under the index's geometry is ≤ eps — item i
+// itself when its self-distance is — for any eps ≤ MaxEps(): the set the
+// bounded kernel keeps at eps. *dendro.Dendrogram implements it: each of
+// its lists holds every pair within MaxEps at the exact distance the
+// kernel computes, so the set is the d ≤ eps prefix of the list.
+type NeighborLists interface {
+	MaxEps() float64
+	Within(i int, eps float64) []int32
+}
+
+// listView reads item i's within-ε ids from precomputed lists and keeps the
+// ones i owns. Its charge comes from a count-only owned candidate query at
+// ε, with no kernel: the charges are the ones epsView's pass sums, although
+// no pair is scored.
+type listView struct {
+	c     *Cursor
+	eps   float64
+	lists NeighborLists
+}
+
+// fromLists is the source of a pass that reads its pairs from lists.
+func fromLists(lists NeighborLists) sourceFor {
+	return func(c *Cursor, eps float64) neighborSource { return listView{c: c, eps: eps, lists: lists} }
+}
+
+func (v listView) owned(i, lo int, sc *scratchSet, dst []int32) ([]int32, int) {
+	var calls int
+	sc.cand, calls = v.c.OwnedCandidatesOf(i, lo, v.eps, sc.cand[:0])
+	for _, j := range v.lists.Within(i, v.eps) {
+		if int(j) < lo || int(j) >= i {
+			dst = append(dst, j)
+		}
 	}
-	out = out[:len(cand)]
-	a := v.items[i].Seg
-	for k, j := range cand {
-		out[k] = v.dist(a, v.items[j].Seg)
-	}
-	return out
+	return dst, calls
 }
 
 func segments(items []Item) []geom.Segment {
@@ -264,52 +305,36 @@ func segments(items []Item) []geom.Segment {
 	return segs
 }
 
-// engine holds one worker's state for a neighborhood pass: its view of the
-// shared index, its scratch, and its count of candidate pairs refined.
-type engine struct {
-	src   neighborSource
-	eps   float64
-	calls int
-	cand  []int     // candidate scratch
-	dists []float64 // distance scratch, ≤ refineBlock per chunk
-}
-
 // refineBlock chunks the block refinement: candidate lists are scored in
 // sub-blocks of at most this many pairs, so the distance scratch is one
-// fixed 8 KiB buffer per engine for the whole run (and stays L1-resident)
+// fixed 8 KiB buffer per worker for the whole run (and stays L1-resident)
 // no matter how large ε-neighborhoods grow. Chunking changes nothing about
 // the scored values or their order — it only bounds the scratch.
 const refineBlock = 1024
 
-// owned appends to dst, in ascending order, the ids within ε of item i among
-// the candidates item i owns in a neighborhood pass over the items [lo, n):
-// j < lo (an item the pass does not query) or j ≥ i. The index never
-// returns the others: each is an earlier item of the pass, which owns the
-// pair and hands its within-ε answer to i by symmetry (Lemma 2; the kernel
-// is bit-symmetric), so every unordered pair is scored once. The self pair
-// is owned like any other: i keeps itself only when it scores ≤ ε, as its
-// distance is not always exactly 0.
-//
-// The refinement is block-at-a-time: one candidate query, then per
-// refineBlock-sized chunk one distBlock call scoring the chunk and a
-// branch-only filter pass over flat arrays. The pass's calls sum to
-// Σ|candidates(i)|, candidate pairs refined, each unordered pair scored
-// once (spindex.SearchQuery.OwnedCandidatesOf).
-func (e *engine) owned(i, lo int, dst []int32) []int32 {
-	cand, calls := e.src.owned(i, lo, e.cand[:0])
-	e.cand = cand
-	e.calls += calls
+// refine is the scored sources' owned: the candidates item i owns at ε,
+// from the cursor's prefilter, refined block-at-a-time — one candidate
+// query, then per refineBlock-sized chunk one block call scoring the chunk
+// and a branch-only filter pass over flat arrays — with the ids within ε
+// appended to dst. block scores a chunk against item i: exactly for every
+// pair within ε, and a value that is not ≤ ε for the others. The pass
+// hands each within-ε answer to the pair's other end by symmetry (Lemma 2;
+// the kernel is bit-symmetric), so every unordered pair is scored once. The
+// self pair is owned like any other: i keeps itself only when it scores
+// ≤ ε, as its distance is not always exactly 0.
+func refine(c *Cursor, i, lo int, eps float64, sc *scratchSet, dst []int32, block func(cand []int, out []float64) []float64) ([]int32, int) {
+	cand, calls := c.OwnedCandidatesOf(i, lo, eps, sc.cand[:0])
+	sc.cand = cand
 	for off := 0; off < len(cand); off += refineBlock {
 		chunk := cand[off:min(off+refineBlock, len(cand))]
-		e.dists = e.src.distBlock(i, chunk, e.dists)
+		sc.dists = block(chunk, sc.dists)
 		for k, j := range chunk {
-			if e.dists[k] <= e.eps {
+			if sc.dists[k] <= eps {
 				dst = append(dst, int32(j))
 			}
 		}
 	}
-	slices.Sort(dst)
-	return dst
+	return dst, calls
 }
 
 // hoodSet holds the ε-neighborhoods of a run. Item i's ids are a
@@ -318,8 +343,8 @@ func (e *engine) owned(i, lo int, dst []int32) []int32 {
 // neighbor entry plus one slice header per item. Appending to a window (an
 // append's reflection into an old item) copies it out of the array instead
 // of overwriting the next item's ids. While a pass runs it also holds its
-// owned pairs (engine.owned) in per-worker blocks, a transient store of
-// about half the size that the reflection pass drops.
+// owned pairs (neighborSource.owned) in per-worker blocks, a transient store
+// of about half the size that the reflection pass drops.
 type hoodSet struct {
 	ids [][]int32 // item i's neighborhood, i included, ascending
 	w   []float64 // weighted ε-cardinality per item, summed in id order
@@ -384,13 +409,14 @@ func RunWithDistance(items []Item, dist lsdist.Func, cfg Config) (*Result, error
 	if dist == nil {
 		dist = lsdist.New(cfg.Options)
 	}
-	return run(context.Background(), items, cfg, dist, nil, nil)
+	src := func(c *Cursor, eps float64) neighborSource { return customDistView{c: c, eps: eps, dist: dist} }
+	return run(context.Background(), items, cfg, src, nil, nil)
 }
 
 // run is the batch entry points' shared core: group, keeping only the
 // Result.
-func run(ctx context.Context, items []Item, cfg Config, custom lsdist.Func, onItem func(), shared *SharedIndex) (*Result, error) {
-	inc, err := group(ctx, items, cfg, custom, onItem, shared)
+func run(ctx context.Context, items []Item, cfg Config, src sourceFor, onItem func(), shared *SharedIndex) (*Result, error) {
+	inc, err := group(ctx, items, cfg, src, onItem, shared)
 	if err != nil {
 		return nil, err
 	}
@@ -400,10 +426,11 @@ func run(ctx context.Context, items []Item, cfg Config, custom lsdist.Func, onIt
 // group is the one grouping path, behind every batch run and every
 // Incremental: it computes every ε-neighborhood once, links the core–core
 // edges and labels the ε-graph, and keeps that state so appends can extend
-// it. shared is built over items when nil. custom is RunWithDistance's
-// caller-supplied distance, or nil for the canonical TRACLUS distance,
-// whose candidate blocks the shared index's batch kernel scores.
-func group(ctx context.Context, items []Item, cfg Config, custom lsdist.Func, onItem func(), shared *SharedIndex) (*Incremental, error) {
+// it. shared is built over items when nil. src is where the pass finds the
+// neighborhoods: nil scores the index's candidates with its batch kernel,
+// RunWithDistance's source scores them with the caller's distance, and
+// NewIncrementalCtx's reads them from precomputed lists.
+func group(ctx context.Context, items []Item, cfg Config, src sourceFor, onItem func(), shared *SharedIndex) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -417,7 +444,7 @@ func group(ctx context.Context, items []Item, cfg Config, custom lsdist.Func, on
 	if minTrajs <= 0 {
 		minTrajs = int(cfg.MinLns)
 	}
-	hs, calls, err := shared.neighborhoods(ctx, cfg.Eps, cfg.Workers, custom, onItem)
+	hs, calls, err := shared.neighborhoods(ctx, cfg.Eps, cfg.Workers, src, onItem)
 	if err != nil {
 		return nil, err
 	}
@@ -533,9 +560,9 @@ func Label(ctx context.Context, workers int, core []bool, uf *UnionFind, hood fu
 // with Members ascending and Trajectories sorted, the same canonical shape
 // Run produces. distCalls is recorded verbatim.
 //
-// It is the bridge for alternative grouping algorithms (e.g. the OPTICS
-// variant exposed on the public Pipeline): produce labels however you like,
-// then canonicalise them into the Result the rest of the pipeline consumes.
+// It is the bridge for labels produced outside a grouping pass — a custom
+// Grouper's (the public GroupingFromLabels) and a dendrogram cut's
+// (internal/dendro) — into the Result the rest of the pipeline consumes.
 func ResultFromLabels(items []Item, labels []int, minTrajs, distCalls int) *Result {
 	members := make(map[int][]int)
 	trajs := make(map[int]map[int]bool)
@@ -721,25 +748,6 @@ func (c *Cursor) DistBlockWithin(i int, ids []int, bound float64, out []float64)
 	return out
 }
 
-// view returns a neighborSource for ε-queries at eps, backed by the shared
-// structures but with private scratch space: a fresh Cursor, which scores
-// distance blocks through the searcher's batch kernel at bound eps, plus
-// the temporal term on a spatiotemporal index.
-func (s *SharedIndex) view(eps float64) neighborSource {
-	return epsView{c: s.Cursor(), eps: eps}
-}
-
-// viewFor is view with an optional custom distance: non-nil custom wraps
-// the candidate generation with the scalar per-pair scorer (no kernel
-// exists for an arbitrary Func); nil keeps the kernel path.
-func (s *SharedIndex) viewFor(eps float64, custom lsdist.Func) neighborSource {
-	v := s.view(eps)
-	if custom != nil {
-		return customDistView{inner: v, items: s.items, dist: custom}
-	}
-	return v
-}
-
 // A worker's owned-id blocks double from minBlockIDs (1 KiB) up to blockIDs
 // (1<<15 int32 ids = 128 KiB): a pass over a few items — an append's Δ
 // queries — allocates about what it scores, and a full pass fills
@@ -752,9 +760,9 @@ const (
 
 // neighborhoods computes every ε-neighborhood into a new hoodSet (see
 // extend). The int count is the candidate pairs refined.
-func (s *SharedIndex) neighborhoods(ctx context.Context, eps float64, workers int, custom lsdist.Func, onItem func()) (*hoodSet, int, error) {
+func (s *SharedIndex) neighborhoods(ctx context.Context, eps float64, workers int, src sourceFor, onItem func()) (*hoodSet, int, error) {
 	hs := &hoodSet{}
-	calls, err := hs.extend(ctx, s, eps, workers, custom, onItem)
+	calls, err := hs.extend(ctx, s, eps, workers, src, onItem)
 	if err != nil {
 		return nil, calls, err
 	}
@@ -768,32 +776,36 @@ func (s *SharedIndex) neighborhoods(ctx context.Context, eps float64, workers in
 // it.
 //
 // The parallel half queries every item i in [lo, n) across
-// par.Workers(workers, n-lo) goroutines, each with its own view of the
-// shared index and its own pooled scratch, and copies the ids item i owns
-// (engine.owned) into a block of the worker's own — a new, larger block
-// when the current one cannot take them whole. custom is RunWithDistance's
-// distance, or nil for the index's canonical TRACLUS distance
-// (batch-kernel scored). onItem, if non-nil, ticks once per queried item
-// (from the worker goroutines). Once ctx is done the remaining items are
-// dropped and ctx.Err() is returned alongside the count so far; h is then
-// garbage. The serial half, reflect, hands every owned pair to its other
-// end.
-func (h *hoodSet) extend(ctx context.Context, s *SharedIndex, eps float64, workers int, custom lsdist.Func, onItem func()) (int, error) {
+// par.Workers(workers, n-lo) goroutines, each with its own source over its
+// own cursor and its own pooled scratch, and copies the ids item i owns
+// (neighborSource.owned), ascending, into a block of the worker's own — a
+// new, larger block when the current one cannot take them whole. src makes
+// each worker's source (see group; nil scores with the index's batch
+// kernel). onItem, if non-nil, ticks once per queried item (from the worker
+// goroutines). Once ctx is done the remaining items are dropped and
+// ctx.Err() is returned alongside the count so far; h is then garbage. The
+// serial half, reflect, hands every owned pair to its other end.
+func (h *hoodSet) extend(ctx context.Context, s *SharedIndex, eps float64, workers int, src sourceFor, onItem func()) (int, error) {
 	lo, n := len(h.w), len(s.items)
 	h.ids = append(h.ids, make([][]int32, n-lo)...)
 	h.w = append(h.w, make([]float64, n-lo)...)
 	own := make([][]int32, n-lo)
-	engines := make([]*engine, par.Workers(workers, n-lo))
-	scs := make([]*scratchSet, len(engines))
-	blocks := make([][]int32, len(engines)) // the block each worker fills
-	for w := range engines {
-		sc := s.getScratch()
-		scs[w] = sc
-		engines[w] = &engine{src: s.viewFor(eps, custom), eps: eps, cand: sc.cand, dists: sc.dists}
+	if src == nil {
+		src = scored
+	}
+	views := make([]neighborSource, par.Workers(workers, n-lo))
+	scs := make([]*scratchSet, len(views))
+	calls := make([]int, len(views))
+	blocks := make([][]int32, len(views)) // the block each worker fills
+	for w := range views {
+		views[w], scs[w] = src(s.Cursor(), eps), s.getScratch()
 	}
 	err := par.ForEachCtx(ctx, workers, n-lo, func(w, k int) {
 		sc := scs[w]
-		sc.own = engines[w].owned(lo+k, lo, sc.own[:0])
+		var c int
+		sc.own, c = views[w].owned(lo+k, lo, sc, sc.own[:0])
+		calls[w] += c
+		slices.Sort(sc.own)
 		buf := blocks[w]
 		if cap(buf)-len(buf) < len(sc.own) {
 			buf = make([]int32, 0, max(min(2*cap(buf), blockIDs), minBlockIDs, len(sc.own)))
@@ -806,17 +818,16 @@ func (h *hoodSet) extend(ctx context.Context, s *SharedIndex, eps float64, worke
 			onItem()
 		}
 	})
-	calls := 0
-	for w, e := range engines {
-		calls += e.calls
-		scs[w].cand, scs[w].dists = e.cand, e.dists
-		s.scr.Put(scs[w])
+	total := 0
+	for w, sc := range scs {
+		total += calls[w]
+		s.scr.Put(sc)
 	}
 	if err != nil {
-		return calls, err
+		return total, err
 	}
 	h.reflect(s.items, lo, own)
-	return calls, nil
+	return total, nil
 }
 
 // reflect is extend's serial half. own[k] holds the ascending within-ε ids

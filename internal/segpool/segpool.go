@@ -98,7 +98,8 @@ func New(segs []geom.Segment) (*Pool, error) {
 // Gather is New over n segments read through seg, for segments that sit
 // inside other records: no slice of them is copied out. It does not count
 // toward Builds, which pins the pools behind indexes; the quality measure
-// gathers its items into a pool that scores one pass and backs no index.
+// gathers its items into a pool that backs no index, which the states of
+// one sweep share.
 func Gather(n int, seg func(i int) geom.Segment) (*Pool, error) {
 	// One backing array, sliced into the five columns: a single allocation,
 	// and each column is contiguous for the kernels' streaming loads.

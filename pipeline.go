@@ -49,9 +49,12 @@ type Item = segclust.Item
 // (ClusterOf, with -1 = noise), the clusters in canonical order, the count
 // of density-connected sets removed by the trajectory-cardinality filter,
 // and the number of candidate pairs refined, each unordered pair scored
-// once (DistCalls). Custom Groupers should build one with
-// GroupingFromLabels, which enforces the canonical shape the rest of the
-// pipeline assumes (clusters numbered 0..k-1, members ascending,
+// once (DistCalls). An auto build (WithEstimation) reads its within-ε pairs
+// from the estimation dendrogram and charges its candidates through a
+// count-only pass, so its DistCalls is the count a scored grouping at the
+// same ε reports, although no pair is scored. Custom Groupers should build
+// one with GroupingFromLabels, which enforces the canonical shape the rest
+// of the pipeline assumes (clusters numbered 0..k-1, members ascending,
 // trajectory ids sorted).
 type Grouping = segclust.Result
 
@@ -227,7 +230,7 @@ func (p *Pipeline) Run(ctx context.Context, trs []Trajectory) (*Result, error) {
 		return nil, err
 	}
 	b.rep.begin(PhaseGroup, len(b.items))
-	grouping, err := runGroup(ctx, p.group, b.items, b.cfg, b.shared, b.rep)
+	grouping, err := runGroup(ctx, p.group, b)
 	if err != nil {
 		return nil, stageError(ctx, PhaseGroup, err)
 	}
@@ -333,6 +336,16 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 		MinLnsHi:     e.MinLnsHi,
 	}
 	return b, nil
+}
+
+// lists returns the build's dendrogram as the grouping's neighbor source
+// when it covers ε — an auto build's, whose lists already hold every pair
+// within ε — and nil otherwise. A nil *Dendrogram stays a nil interface.
+func (b *build) lists() segclust.NeighborLists {
+	if b.den == nil || b.den.MaxEps() < b.cfg.Eps {
+		return nil
+	}
+	return b.den
 }
 
 // represent is the back half of every build: the representative phase over
@@ -467,13 +480,14 @@ func runPartition(ctx context.Context, s Partitioner, trs []Trajectory, cfg Conf
 }
 
 // runGroup invokes the grouping stage. The in-package default grouper
-// consumes the pipeline's prebuilt shared index (and streams ticks); custom
-// stages get the plain Grouper call.
-func runGroup(ctx context.Context, g Grouper, items []Item, cfg Config, shared *segclust.SharedIndex, rep *progressReporter) (*Grouping, error) {
-	if sg, ok := g.(sharedGrouper); ok && shared != nil {
-		return sg.groupSharedTicked(ctx, shared, cfg, rep.tick)
+// consumes the build's prebuilt shared index and, in an auto build, its
+// dendrogram's lists (and streams ticks); custom stages get the plain
+// Grouper call.
+func runGroup(ctx context.Context, g Grouper, b *build) (*Grouping, error) {
+	if sg, ok := g.(sharedGrouper); ok && b.shared != nil {
+		return sg.groupSharedTicked(ctx, b.shared, b.lists(), b.cfg, b.rep.tick)
 	}
-	return g.Group(ctx, items, cfg)
+	return g.Group(ctx, b.items, b.cfg)
 }
 
 // stageError surfaces a done context as the bare ctx.Err() and wraps real
@@ -535,17 +549,22 @@ func GroupDBSCAN() Grouper { return dbscanGrouper{} }
 type dbscanGrouper struct{}
 
 // sharedGrouper marks groupers that cluster through the pipeline's prebuilt
-// shared index instead of indexing the items themselves.
+// shared index instead of indexing the items themselves, reading the
+// neighborhoods from lists when they are non-nil.
 type sharedGrouper interface {
-	groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, cfg Config, tick func()) (*Grouping, error)
+	groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, lists segclust.NeighborLists, cfg Config, tick func()) (*Grouping, error)
 }
 
 func (dbscanGrouper) Group(ctx context.Context, items []Item, cfg Config) (*Grouping, error) {
 	return segclust.RunCtx(ctx, items, cfg.core().Segclust(), nil)
 }
 
-func (dbscanGrouper) groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, cfg Config, tick func()) (*Grouping, error) {
-	return segclust.RunSharedCtx(ctx, shared, cfg.core().Segclust(), tick)
+func (dbscanGrouper) groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, lists segclust.NeighborLists, cfg Config, tick func()) (*Grouping, error) {
+	inc, err := segclust.NewIncrementalCtx(ctx, shared, cfg.core().Segclust(), tick, lists)
+	if err != nil {
+		return nil, err
+	}
+	return inc.Result(), nil
 }
 
 // SweepRepresentatives returns the default representative stage: the §4.3

@@ -421,7 +421,10 @@ func newResult(out *core.Output, ccfg core.Config) *Result {
 // index-efficiency metric of Lemma 3. The index hands each segment only the
 // candidates it scores, and the count is derived from those, exactly, since
 // the candidate relation is symmetric. It is deterministic for a given input
-// and configuration, independent of Config.Workers.
+// and configuration, independent of Config.Workers. An auto build
+// (WithEstimation) reads its within-ε pairs from the estimation dendrogram
+// and charges its candidates through a count-only pass, so the count is the
+// one a scored grouping at the same ε reports, although no pair is scored.
 func (r *Result) DistCalls() int { return r.out.Result.DistCalls }
 
 // QMeasure evaluates the paper's clustering quality measure (Formula 11:

@@ -75,11 +75,6 @@ var rootAPI = []string{
 	"GeodesicGeometry",
 	"Geometry",
 	"GridIndexBackend",
-	"GroupDBSCAN",
-	"Grouper",
-	"Grouper.Group",
-	"Grouping",
-	"GroupingFromLabels",
 	"IndexBackend",
 	"IndexQuery",
 	"Interval",
@@ -92,10 +87,7 @@ var rootAPI = []string{
 	"ParseGeometry",
 	"ParseIndexBackend",
 	"Partition",
-	"PartitionMDL",
 	"PartitionSegments",
-	"Partitioner",
-	"Partitioner.Partition",
 	"Phase",
 	"Phase.String",
 	"PhaseEstimate",
@@ -117,8 +109,6 @@ var rootAPI = []string{
 	"Pt",
 	"RTreeIndexBackend",
 	"Rect",
-	"RepresentativeBuilder",
-	"RepresentativeBuilder.Representative",
 	"Result",
 	"Result.Classifier",
 	"Result.Classify",
@@ -138,19 +128,14 @@ var rootAPI = []string{
 	"Result.RemovedClusters",
 	"Result.TotalSegments",
 	"Segment",
-	"SegmentCluster",
 	"SegmentIndex",
 	"SpatiotemporalGeometry",
-	"SweepRepresentatives",
 	"Trajectory",
 	"ValidateEstimationRange",
 	"Weights",
 	"WithConfig",
 	"WithEstimation",
-	"WithGrouper",
-	"WithPartitioner",
 	"WithProgress",
-	"WithRepresentativeBuilder",
 }
 
 // TestRootAPISurface pins the root package's exported surface to rootAPI.

@@ -48,12 +48,11 @@ import (
 // retained index, so Results are immutable snapshots while the Appender
 // itself is the single writer.
 type Appender struct {
-	mu   sync.Mutex
-	p    *Pipeline
-	cfg  Config // resolved: post-estimation ε/MinLns, geodesic frame filled in
-	ccfg core.Config
-	inc  *segclust.Incremental
-	res  *Result
+	mu       sync.Mutex
+	progress ProgressFunc
+	ccfg     core.Config // resolved: post-estimation ε/MinLns, geodesic frame filled in
+	inc      *segclust.Incremental
+	res      *Result
 }
 
 // Result returns the clustering over everything appended so far. The value
@@ -64,28 +63,17 @@ func (a *Appender) Result() *Result {
 	return a.res
 }
 
-// NewAppender runs the pipeline over trs exactly like Run — same phases,
-// same progress events, same Result, bit-identical at every worker count —
-// but retains the grouping state so Append can extend it. It requires the
-// default partition and grouping stages (the incremental update rule is the
-// ε-graph's; custom stages have no incremental form) and an index backend
-// that supports growth (all three built-ins do).
+// NewAppender runs the pipeline over trs exactly like Run — the same build,
+// so the same phases, progress events and Result, bit-identical at every
+// worker count — but retains the grouping state so Append can extend it.
+// It requires an index backend that supports growth (all three built-ins
+// do).
 func (p *Pipeline) NewAppender(ctx context.Context, trs []Trajectory) (*Appender, error) {
-	b, err := p.prepare(ctx, trs, true, p.est)
+	res, inc, err := p.cluster(ctx, trs, true)
 	if err != nil {
 		return nil, err
 	}
-	b.rep.begin(PhaseGroup, len(b.items))
-	inc, err := segclust.NewIncrementalCtx(ctx, b.shared, b.ccfg.Segclust(), b.rep.tick, b.lists())
-	if err != nil {
-		return nil, stageError(ctx, PhaseGroup, err)
-	}
-	b.rep.finish()
-	res, err := b.represent(ctx, p, inc.Result())
-	if err != nil {
-		return nil, err
-	}
-	return &Appender{p: p, cfg: b.cfg, ccfg: b.ccfg, inc: inc, res: res}, nil
+	return &Appender{progress: p.progress, ccfg: res.cfg, inc: inc, res: res}, nil
 }
 
 // Append folds trs into the clustering and returns the updated Result: the
@@ -102,20 +90,20 @@ func (p *Pipeline) NewAppender(ctx context.Context, trs []Trajectory) (*Appender
 func (a *Appender) Append(ctx context.Context, trs []Trajectory) (*Result, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := validateTrajectories(trs, a.cfg.Geometry); err != nil {
+	if err := validateTrajectories(trs, a.ccfg.Geometry); err != nil {
 		return nil, err
 	}
 	if len(trs) == 0 {
 		return a.res, nil
 	}
-	if a.cfg.Geometry.Kind == geometry.Geodesic {
-		// The frame was resolved at build time and rides a.cfg, so appended
+	if a.ccfg.Geometry.Kind == geometry.Geodesic {
+		// The frame was resolved at build time and rides a.ccfg, so appended
 		// trajectories project into the identical working plane.
-		trs, _ = projectGeodesic(trs, a.cfg)
+		trs, _ = projectGeodesic(trs, a.ccfg.Geometry)
 	}
-	rep := newProgressReporter(a.p.progress)
+	rep := newProgressReporter(a.progress)
 	rep.begin(PhasePartition, len(trs))
-	items, err := runPartition(ctx, a.p.partition, trs, a.cfg, rep)
+	items, err := core.PartitionAllCtx(ctx, trs, a.ccfg, rep.tick)
 	if err != nil {
 		return nil, stageError(ctx, PhasePartition, err)
 	}
@@ -128,16 +116,8 @@ func (a *Appender) Append(ctx context.Context, trs []Trajectory) (*Result, error
 	}
 	rep.finish()
 
-	all := a.inc.Shared().Items()
 	rep.begin(PhaseRepresent, len(grouping.Clusters))
-	var out *core.Output
-	if repFn := a.p.representFunc(a.cfg); repFn != nil {
-		// Custom builders get no reuse (they may not be deterministic); the
-		// full assembly runs, exactly as a batch build would.
-		out, err = core.AssembleCtx(ctx, all, grouping, a.ccfg, repFn, rep.tick)
-	} else {
-		out, err = a.assembleReusing(ctx, all, grouping, rep.tick)
-	}
+	out, err := a.assembleReusing(ctx, a.inc.Shared().Items(), grouping, rep.tick)
 	if err != nil {
 		return nil, stageError(ctx, PhaseRepresent, err)
 	}
@@ -172,7 +152,7 @@ func (a *Appender) Append(ctx context.Context, trs []Trajectory) (*Result, error
 // Clusters are keyed by first member: member lists are ascending and epochs
 // share the item numbering, so equal first members + equal lists ⇔ the same
 // cluster.
-func (a *Appender) assembleReusing(ctx context.Context, items []Item, grouping *Grouping, onCluster func()) (*core.Output, error) {
+func (a *Appender) assembleReusing(ctx context.Context, items []Item, grouping *segclust.Result, onCluster func()) (*core.Output, error) {
 	old := a.res.out
 	oldByFirst := make(map[int]int, len(old.Clusters))
 	for oi, oc := range old.Clusters {

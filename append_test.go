@@ -278,20 +278,75 @@ func TestAppendOrderInvariance(t *testing.T) {
 	}
 }
 
+// TestRunAndAppenderShareOneBuild: Run and NewAppender are one build, so
+// at a fixed ε and under WithEstimation, serial and parallel, they give the
+// same progress events, estimate, DistCalls, clustering and dendrogram.
+func TestRunAndAppenderShareOneBuild(t *testing.T) {
+	ctx := context.Background()
+	trs := equivalenceWorkload(t, 80)
+	cases := []struct {
+		name string
+		cfg  traclus.Config
+		opts []traclus.Option
+	}{
+		{"fixed", traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40}, nil},
+		{"auto", traclus.Config{CostAdvantage: 15, MinSegmentLength: 40}, []traclus.Option{traclus.WithEstimation(5, 60)}},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			what := fmt.Sprintf("%s workers=%d", c.name, workers)
+			cfg := c.cfg
+			cfg.Workers = workers
+			build := func(appender bool) (*traclus.Result, []traclus.ProgressEvent) {
+				var events []traclus.ProgressEvent
+				p := traclus.New(append([]traclus.Option{
+					traclus.WithConfig(cfg),
+					traclus.WithProgress(func(ev traclus.ProgressEvent) { events = append(events, ev) }),
+				}, c.opts...)...)
+				if !appender {
+					res, err := p.Run(ctx, trs)
+					if err != nil {
+						t.Fatalf("%s: Run: %v", what, err)
+					}
+					return res, events
+				}
+				ap, err := p.NewAppender(ctx, trs)
+				if err != nil {
+					t.Fatalf("%s: NewAppender: %v", what, err)
+				}
+				return ap.Result(), events
+			}
+			run, runEvents := build(false)
+			app, appEvents := build(true)
+			if !reflect.DeepEqual(runEvents, appEvents) {
+				t.Errorf("%s: progress events differ:\nRun:         %v\nNewAppender: %v", what, runEvents, appEvents)
+			}
+			if (run.Estimated != nil) != (c.opts != nil) || !reflect.DeepEqual(run.Estimated, app.Estimated) {
+				t.Errorf("%s: Estimated %+v from Run, %+v from NewAppender", what, run.Estimated, app.Estimated)
+			}
+			if run.DistCalls() != app.DistCalls() {
+				t.Errorf("%s: DistCalls %d from Run, %d from NewAppender", what, run.DistCalls(), app.DistCalls())
+			}
+			if a, b := appendFingerprint(run), appendFingerprint(app); a != b {
+				t.Errorf("%s: fingerprint %s from Run, %s from NewAppender", what, a, b)
+			}
+			rd, ad := run.Dendrogram(), app.Dendrogram()
+			switch {
+			case (rd != nil) != (c.opts != nil) || (ad != nil) != (rd != nil):
+				t.Errorf("%s: dendrogram %v from Run, %v from NewAppender", what, rd != nil, ad != nil)
+			case rd != nil && (rd.MaxEps() != ad.MaxEps() || rd.Edges() != ad.Edges()):
+				t.Errorf("%s: dendrogram MaxEps/Edges %g/%d from Run, %g/%d from NewAppender",
+					what, rd.MaxEps(), rd.Edges(), ad.MaxEps(), ad.Edges())
+			}
+		}
+	}
+}
+
 // TestAppendGuards: the typed-error surface of the append path.
 func TestAppendGuards(t *testing.T) {
 	ctx := context.Background()
 	trs := equivalenceWorkload(t, 20)
 	cfg := traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40}
-
-	// Custom grouping stages have no incremental form.
-	_, err := traclus.New(
-		traclus.WithConfig(cfg),
-		traclus.WithGrouper(singleClusterGrouper{}),
-	).NewAppender(ctx, trs)
-	if err == nil {
-		t.Fatal("NewAppender accepted a custom Grouper")
-	}
 
 	// A planar appender rejects trajectories that carry Times, and a
 	// spatiotemporal one trajectories without them.

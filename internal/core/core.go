@@ -169,20 +169,10 @@ func ValidateTrajectories(trs []geom.Trajectory) error {
 
 // Run executes the complete TRACLUS algorithm.
 func Run(trs []geom.Trajectory, cfg Config) (*Output, error) {
-	return RunCtx(context.Background(), trs, cfg)
-}
-
-// RunCtx is Run with cooperative cancellation threaded through every phase;
-// the uncancelled path is bit-identical to Run.
-func RunCtx(ctx context.Context, trs []geom.Trajectory, cfg Config) (*Output, error) {
 	if err := ValidateTrajectories(trs); err != nil {
 		return nil, err
 	}
-	items, err := PartitionAllCtx(ctx, trs, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return RunOnItemsCtx(ctx, items, cfg)
+	return RunOnItems(PartitionAll(trs, cfg), cfg)
 }
 
 // RunOnItems executes the grouping and representative phases on
@@ -195,16 +185,11 @@ func RunCtx(ctx context.Context, trs []geom.Trajectory, cfg Config) (*Output, er
 // only its own slot, so the output is identical to the serial order for
 // every worker count).
 func RunOnItems(items []segclust.Item, cfg Config) (*Output, error) {
-	return RunOnItemsCtx(context.Background(), items, cfg)
-}
-
-// RunOnItemsCtx is RunOnItems with cooperative cancellation.
-func RunOnItemsCtx(ctx context.Context, items []segclust.Item, cfg Config) (*Output, error) {
-	res, err := segclust.RunCtx(ctx, items, cfg.Segclust(), nil)
+	res, err := segclust.Run(items, cfg.Segclust())
 	if err != nil {
 		return nil, err
 	}
-	return AssembleCtx(ctx, items, res, cfg, nil, nil)
+	return AssembleCtx(context.Background(), items, res, cfg, nil, nil)
 }
 
 // Segclust projects the engine configuration onto the grouping phase's
@@ -221,8 +206,8 @@ func (c Config) Segclust() segclust.Config {
 }
 
 // RepresentativeFunc builds one cluster's representative trajectory from
-// its member segments and weights. It is the pluggable third phase: nil
-// selects the paper's sweep-line algorithm.
+// its member segments and weights; nil selects the paper's sweep-line
+// algorithm, which every caller uses.
 type RepresentativeFunc func(ctx context.Context, segs []geom.Segment, weights []float64) ([]geom.Point, error)
 
 // AssembleCtx runs the representative phase over an existing grouping and
@@ -231,8 +216,8 @@ type RepresentativeFunc func(ctx context.Context, segs []geom.Segment, weights [
 // EffectiveGamma) builds the representative, fanned across cfg.Workers with
 // each cluster writing only its own slot. onCluster, if non-nil, is invoked
 // once per completed cluster (possibly from worker goroutines). It is the
-// assembly half of RunOnItems, split out so the public Pipeline can swap
-// the grouping and representative stages independently.
+// assembly half of RunOnItems, split out so the public Pipeline can group
+// through its own shared index and stream progress.
 func AssembleCtx(ctx context.Context, items []segclust.Item, res *segclust.Result, cfg Config, rep RepresentativeFunc, onCluster func()) (*Output, error) {
 	out := &Output{Items: items, Result: res}
 	swCfg := sweep.Config{MinLns: cfg.MinLns, Gamma: cfg.EffectiveGamma()}

@@ -498,7 +498,8 @@ func (d *Dendrogram) CoreDist(i int, minLns float64) float64 {
 // labels, cluster numbering, Removed count, and canonical Result shape as
 // a fresh segclust.Run with Config{Eps: eps, MinLns: minLns, MinTrajs:
 // minTrajs} over the same items — with zero distance evaluations.
-// minTrajs ≤ 0 defaults to int(minLns), mirroring segclust.
+// minTrajs ≤ 0 defaults to ⌈minLns⌉ (segclust.TrajectoryThreshold), as
+// in segclust.
 //
 // The replication argument, pass by pass:
 //
@@ -524,9 +525,7 @@ func (d *Dendrogram) CutAt(eps, minLns float64, minTrajs int) (*segclust.Result,
 	if eps > d.maxEps {
 		return nil, d.rangeErr("Eps", eps)
 	}
-	if minTrajs <= 0 {
-		minTrajs = int(minLns)
-	}
+	minTrajs = segclust.TrajectoryThreshold(minLns, minTrajs)
 	n := len(d.items)
 	core := make([]bool, n)
 	for i := 0; i < n; i++ {

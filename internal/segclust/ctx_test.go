@@ -17,9 +17,9 @@ import (
 	"repro/internal/spindex"
 )
 
-// TestRunCtxMatchesRun pins that RunCtx with a background context and ticks
-// enabled is bit-identical to Run, on both the serial and parallel paths,
-// and that every item ticks exactly once.
+// TestRunCtxMatchesRun pins that RunSharedCtx with a background context and
+// ticks enabled is bit-identical to Run, on both the serial and parallel
+// paths, and that every item ticks exactly once.
 func TestRunCtxMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := corridorItems(rng, 300, 3, 25)
@@ -31,7 +31,8 @@ func TestRunCtxMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ticks atomic.Int64
-		got, err := RunCtx(context.Background(), items, cfg, func() { ticks.Add(1) })
+		shared := NewSharedIndexFor(items, cfg.Options, cfg.Backend)
+		got, err := RunSharedCtx(context.Background(), shared, cfg, func() { ticks.Add(1) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func TestRunCtxCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := defaultCfg()
 		cfg.Workers = workers
-		res, err := RunCtx(ctx, items, cfg, nil)
+		res, err := RunSharedCtx(ctx, NewSharedIndexFor(items, cfg.Options, cfg.Backend), cfg, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -81,7 +82,7 @@ func TestNeighborhoodWeightsCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestResultFromLabelsCanonicalises pins the custom-grouper bridge: sparse
+// TestResultFromLabelsCanonicalises pins the labels bridge: sparse
 // ids are renumbered densely in ascending order, members come out
 // ascending, trajectory sets sorted, and the Definition 10 filter demotes
 // thin clusters to noise.
@@ -138,8 +139,8 @@ func TestResultFromLabelsCanonicalises(t *testing.T) {
 }
 
 // TestResultFromLabelsMatchesRun pins that canonicalising Run's own
-// ClusterOf reproduces Run's Result exactly — the invariant the public
-// Pipeline relies on when it mixes default and custom grouping stages.
+// ClusterOf reproduces Run's Result exactly — the invariant a dendrogram
+// cut relies on when it labels the ε-graph outside a grouping pass.
 func TestResultFromLabelsMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := corridorItems(rng, 300, 3, 25)

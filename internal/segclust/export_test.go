@@ -23,11 +23,12 @@ func Hoods(s *SharedIndex, eps float64, workers int, lists NeighborLists) ([][]i
 }
 
 var (
-	Figure12         = figure12
-	Planar           = planar
-	FractionalItems  = fractionalItems
-	TimedItems       = timedItems
-	WeightedCorridor = weightedCorridor
-	OracleKinds      = oracleKinds
-	DiffOracle       = diffOracle
+	Figure12              = figure12
+	FractionalMinLnsItems = fractionalMinLnsItems
+	Planar                = planar
+	FractionalItems       = fractionalItems
+	TimedItems            = timedItems
+	WeightedCorridor      = weightedCorridor
+	OracleKinds           = oracleKinds
+	DiffOracle            = diffOracle
 )

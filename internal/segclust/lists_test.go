@@ -113,6 +113,30 @@ func TestListFedFractionalWeights(t *testing.T) {
 	}
 }
 
+// TestCutAtFractionalMinLns: a dendrogram cut applies Figure 12 step 3's
+// threshold, ⌈MinLns⌉, when MinTrajs is 0, as a grouping does: at ε = 5 and
+// MinLns = 2.5, CutAt over {grid, rtree, brute} removes the one
+// density-connected set, drawn from two trajectories, as the oracle does.
+func TestCutAtFractionalMinLns(t *testing.T) {
+	items := segclust.FractionalMinLnsItems()
+	want := segclust.Figure12(items, segclust.Planar(items, lsdist.DefaultOptions()), 5, 2.5, 0)
+	if want.Removed != 1 {
+		t.Fatalf("fixture: oracle removes %d sets, want 1", want.Removed)
+	}
+	for _, kind := range segclust.OracleKinds {
+		shared := segclust.NewSharedIndexFor(items, lsdist.DefaultOptions(), kind)
+		den, err := dendro.FromShared(context.Background(), shared, 5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := den.CutAt(5, 2.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segclust.DiffOracle(t, fmt.Sprintf("index=%s CutAt", kind.Name()), want, got)
+	}
+}
+
 // TestNewIncrementalListsGuards: lists that do not reach ε are a typed
 // *ConfigError, a second lists argument an error, and a nil one the scored
 // path.

@@ -25,7 +25,8 @@ import (
 // clusters seeded in item order, each expanded first in, first out, and a
 // border item kept by the first cluster that reaches it. Step 3's
 // Definition-10 filter and the canonical Result shape come from
-// ResultFromLabels (minTrajs ≤ 0 defaults to int(minLns), as in Config).
+// ResultFromLabels (minTrajs ≤ 0 removes C when |PTR(C)| < minLns, so the
+// threshold is ⌈minLns⌉).
 func figure12(items []Item, dist func(i, j int) float64, eps, minLns float64, minTrajs int) *Result {
 	const unclassified = -2
 	neighborhood := func(i int) ([]int, float64) {
@@ -88,7 +89,7 @@ func figure12(items []Item, dist func(i, j int) float64, eps, minLns float64, mi
 		clusterID++
 	}
 	if minTrajs <= 0 {
-		minTrajs = int(minLns)
+		minTrajs = int(math.Ceil(minLns))
 	}
 	return ResultFromLabels(items, labels, minTrajs, 0)
 }
@@ -253,6 +254,70 @@ func TestOracleFractionalWeights(t *testing.T) {
 				t.Fatal(err)
 			}
 			diffOracle(t, fmt.Sprintf("index=%s workers=%d append after %d", kind.Name(), workers, p), want, got)
+		}
+	}
+}
+
+// fractionalMinLnsItems is the fractional-threshold fixture: four parallel
+// segments of length 10 at heights 0, 1, 2 and 3, drawn from trajectories
+// {1, 1, 2, 2}. At ε = 5 every segment is core and the four form one
+// density-connected set, whose two trajectories fall below MinLns = 2.5.
+func fractionalMinLnsItems() []Item {
+	items := make([]Item, 4)
+	for i := range items {
+		y := float64(i)
+		items[i] = Item{Seg: geom.Seg(0, y, 10, y), TrajID: 1 + i/2, Weight: 1}
+	}
+	return items
+}
+
+// TestOracleFractionalMinLns: with MinTrajs 0, Figure 12 step 3 removes a
+// cluster whose |PTR| is below a fractional MinLns. Run over {grid, rtree,
+// brute} × Workers {1, 3}, and an Incremental built on the first two items
+// with the other two appended, must remove the one set, as the oracle does.
+func TestOracleFractionalMinLns(t *testing.T) {
+	items := fractionalMinLnsItems()
+	cfg := Config{Eps: 5, MinLns: 2.5, Options: lsdist.DefaultOptions()}
+	want := figure12(items, planar(items, cfg.Options), cfg.Eps, cfg.MinLns, 0)
+	if want.NumClusters() != 0 || want.Removed != 1 {
+		t.Fatalf("fixture: oracle keeps %d clusters and removes %d, want 0 and 1", want.NumClusters(), want.Removed)
+	}
+	for _, kind := range oracleKinds {
+		diffWorkers(t, fmt.Sprintf("index=%s", kind.Name()), want, []int{1, 3}, func(workers int) (*Result, error) {
+			cfg.Backend, cfg.Workers = kind, workers
+			return Run(items, cfg)
+		})
+		shared := NewSharedIndexFor(slices.Clone(items[:2]), cfg.Options, kind)
+		inc, err := NewIncrementalCtx(context.Background(), shared, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inc.AppendCtx(context.Background(), items[2:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffOracle(t, fmt.Sprintf("index=%s append after 2", kind.Name()), want, got)
+	}
+}
+
+// TestTrajectoryThreshold pins Figure 12 step 3's threshold: MinTrajs when
+// set, otherwise ⌈MinLns⌉, capped so a MinLns past the int range cannot
+// wrap to a negative threshold that would switch the filter off.
+func TestTrajectoryThreshold(t *testing.T) {
+	cases := []struct {
+		minLns   float64
+		minTrajs int
+		want     int
+	}{
+		{2, 0, 2},
+		{2.5, 0, 3},
+		{0.1, 0, 1},
+		{2.5, 4, 4},
+		{1e19, 0, math.MaxInt32},
+	}
+	for _, c := range cases {
+		if got := TrajectoryThreshold(c.minLns, c.minTrajs); got != c.want {
+			t.Errorf("TrajectoryThreshold(%g, %d) = %d, want %d", c.minLns, c.minTrajs, got, c.want)
 		}
 	}
 }

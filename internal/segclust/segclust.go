@@ -71,8 +71,9 @@ type Config struct {
 	// cardinality of its ε-neighborhood is at least MinLns.
 	MinLns float64
 	// MinTrajs is the trajectory-cardinality threshold of Figure 12 step 3
-	// (|PTR(C)| ≥ MinTrajs). Zero uses MinLns, as in the paper; the paper
-	// notes "a threshold other than MinLns can be used".
+	// (|PTR(C)| ≥ MinTrajs). Zero uses MinLns, as in the paper (see
+	// TrajectoryThreshold); the paper notes "a threshold other than MinLns
+	// can be used".
 	MinTrajs int
 	// Distance options (weights, directedness).
 	Options lsdist.Options
@@ -359,27 +360,22 @@ func Run(items []Item, cfg Config) (*Result, error) {
 	return run(context.Background(), items, cfg, nil, nil, nil)
 }
 
-// RunCtx is Run with cooperative cancellation and an optional per-item
-// completion hook. Cancellation is checked once per item on every pass
-// (neighborhoods, union-find edge scan, border assignment), so the call
-// returns ctx.Err() within roughly one neighborhood's worth of work after
-// ctx is done. An uncancelled RunCtx is bit-identical to Run.
+// RunSharedCtx is Run over a prebuilt SharedIndex, with cooperative
+// cancellation and an optional per-item completion hook — the single-build
+// data flow: the caller indexes the items once (shared across parameter
+// estimation and any number of clustering runs) and the grouping only
+// queries it. shared must have been built with NewSharedIndexFor over
+// exactly these items and cfg.Options; cfg.Backend is ignored in its
+// favour. The result is bit-identical to Run with the equivalent Config —
+// the index structure does not depend on ε, and every query derives its own
+// candidate radius.
 //
-// onItem, if non-nil, is invoked once per item whose ε-range query has been
-// scored — from the worker goroutines, so it must be safe for concurrent
-// use when cfg.Workers ≠ 1 — so callers can stream grouping progress.
-func RunCtx(ctx context.Context, items []Item, cfg Config, onItem func()) (*Result, error) {
-	return run(ctx, items, cfg, nil, onItem, nil)
-}
-
-// RunSharedCtx is RunCtx over a prebuilt SharedIndex — the single-build
-// data flow of the pipeline: the caller indexes the items once (shared
-// across parameter estimation and any number of clustering runs) and the
-// grouping only queries it. shared must have been built with
-// NewSharedIndexFor over exactly these items and cfg.Options; cfg.Backend
-// is ignored in its favour. The result is bit-identical to
-// RunCtx with the equivalent Config — the index structure does not depend
-// on ε, and every query derives its own candidate radius.
+// Cancellation is checked once per item on every pass (neighborhoods,
+// union-find edge scan, border assignment), so the call returns ctx.Err()
+// within roughly one neighborhood's worth of work after ctx is done. onItem,
+// if non-nil, is invoked once per item whose ε-range query has been scored
+// — from the worker goroutines, so it must be safe for concurrent use when
+// cfg.Workers ≠ 1 — so callers can stream grouping progress.
 func RunSharedCtx(ctx context.Context, shared *SharedIndex, cfg Config, onItem func()) (*Result, error) {
 	return run(ctx, shared.items, cfg, nil, onItem, shared)
 }
@@ -440,10 +436,7 @@ func group(ctx context.Context, items []Item, cfg Config, src sourceFor, onItem 
 	if shared == nil {
 		shared = NewSharedIndexFor(items, cfg.Options, cfg.Backend)
 	}
-	minTrajs := cfg.MinTrajs
-	if minTrajs <= 0 {
-		minTrajs = int(cfg.MinLns)
-	}
+	minTrajs := TrajectoryThreshold(cfg.MinLns, cfg.MinTrajs)
 	hs, calls, err := shared.neighborhoods(ctx, cfg.Eps, cfg.Workers, src, onItem)
 	if err != nil {
 		return nil, err
@@ -551,6 +544,18 @@ func Label(ctx context.Context, workers int, core []bool, uf *UnionFind, hood fu
 	return label(ctx, workers, core, uf.u, hood)
 }
 
+// TrajectoryThreshold is the trajectory-cardinality threshold of Figure 12
+// step 3: minTrajs when positive, otherwise ⌈minLns⌉, since the paper
+// removes a cluster C when |PTR(C)| < MinLns and a count is below MinLns
+// exactly when it is below ⌈MinLns⌉. The cap keeps a huge MinLns from
+// overflowing int.
+func TrajectoryThreshold(minLns float64, minTrajs int) int {
+	if minTrajs > 0 {
+		return minTrajs
+	}
+	return int(min(math.Ceil(minLns), math.MaxInt32))
+}
+
 // ResultFromLabels builds a canonical Result from an arbitrary per-item
 // labelling: labels[i] is any non-negative cluster id (ids need not be
 // dense) or negative for noise. The trajectory-cardinality filter of
@@ -560,9 +565,9 @@ func Label(ctx context.Context, workers int, core []bool, uf *UnionFind, hood fu
 // with Members ascending and Trajectories sorted, the same canonical shape
 // Run produces. distCalls is recorded verbatim.
 //
-// It is the bridge for labels produced outside a grouping pass — a custom
-// Grouper's (the public GroupingFromLabels) and a dendrogram cut's
-// (internal/dendro) — into the Result the rest of the pipeline consumes.
+// It is the bridge for labels produced outside a grouping pass — a
+// dendrogram cut's (internal/dendro) — into the Result the rest of the
+// pipeline consumes.
 func ResultFromLabels(items []Item, labels []int, minTrajs, distCalls int) *Result {
 	members := make(map[int][]int)
 	trajs := make(map[int]map[int]bool)

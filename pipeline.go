@@ -1,12 +1,13 @@
 package traclus
 
-// This file is the composable front door to the TRACLUS engine: a Pipeline
-// built from functional options, whose three phases — Partitioner, Grouper,
-// RepresentativeBuilder — are pluggable stage interfaces, whose Run takes a
-// context.Context threaded through every fan-out loop, and whose Progress
-// hook streams phase/fraction events. Options carry only what a Config
-// cannot say — the stages, the progress hook and the estimation range —
-// and every parameter comes from the one Config that WithConfig sets.
+// This file is the front door to the TRACLUS engine: a Pipeline built from
+// functional options, whose Run takes a context.Context threaded through
+// every fan-out loop, and whose Progress hook streams phase/fraction
+// events. Every parameter comes from the one Config that WithConfig sets;
+// the other two options carry what a Config cannot say — the progress hook
+// and the estimation range. Run and NewAppender are one build: partition
+// (Figure 8), group (Figure 12) into an ε-graph, represent (Figure 15); Run
+// keeps the Result, NewAppender the ε-graph too.
 //
 // Cancellation model: every phase checks ctx cooperatively at work-item
 // granularity (one trajectory partition, one ε-neighborhood, one cluster
@@ -37,63 +38,12 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/params"
 	"repro/internal/segclust"
-	"repro/internal/sweep"
 )
 
 // Item is one clusterable line segment: a trajectory partition together
-// with its source trajectory id and weight. It is what the partition stage
-// produces and the grouping stage consumes.
+// with its source trajectory id and weight. It is what the partition phase
+// produces and the grouping phase consumes.
 type Item = segclust.Item
-
-// Grouping is the outcome of the grouping stage: per-item cluster labels
-// (ClusterOf, with -1 = noise), the clusters in canonical order, the count
-// of density-connected sets removed by the trajectory-cardinality filter,
-// and the number of candidate pairs refined, each unordered pair scored
-// once (DistCalls). An auto build (WithEstimation) reads its within-ε pairs
-// from the estimation dendrogram and charges its candidates through a
-// count-only pass, so its DistCalls is the count a scored grouping at the
-// same ε reports, although no pair is scored. Custom Groupers should build
-// one with GroupingFromLabels, which enforces the canonical shape the rest
-// of the pipeline assumes (clusters numbered 0..k-1, members ascending,
-// trajectory ids sorted).
-type Grouping = segclust.Result
-
-// SegmentCluster is one cluster of item indices within a Grouping.
-type SegmentCluster = segclust.Cluster
-
-// GroupingFromLabels canonicalises an arbitrary per-item labelling
-// (labels[i] ≥ 0 = cluster id, negative = noise) into a Grouping, applying
-// the Definition 10 trajectory-cardinality filter when minTrajs > 0.
-// distCalls is recorded verbatim. It is the bridge for custom Groupers.
-func GroupingFromLabels(items []Item, labels []int, minTrajs, distCalls int) *Grouping {
-	return segclust.ResultFromLabels(items, labels, minTrajs, distCalls)
-}
-
-// Partitioner is the first pipeline stage: it turns raw trajectories into
-// the pooled line segments the grouping stage clusters. Implementations
-// must honour ctx (return ctx.Err() promptly once it ends) and produce
-// output independent of cfg.Workers.
-type Partitioner interface {
-	Partition(ctx context.Context, trs []Trajectory, cfg Config) ([]Item, error)
-}
-
-// Grouper is the second pipeline stage: it clusters the pooled segments.
-// Implementations must return a canonical Grouping (see GroupingFromLabels)
-// with len(ClusterOf) == len(items), honour ctx, and produce output
-// independent of cfg.Workers.
-type Grouper interface {
-	Group(ctx context.Context, items []Item, cfg Config) (*Grouping, error)
-}
-
-// RepresentativeBuilder is the third pipeline stage: it summarises one
-// cluster's member segments (with their trajectory weights, index-aligned)
-// as a representative trajectory. A nil, empty, or short return is allowed —
-// clusters too compact for a stable representative keep a nil one.
-// Implementations are called concurrently for distinct clusters and must
-// not retain segs/weights.
-type RepresentativeBuilder interface {
-	Representative(ctx context.Context, segs []Segment, weights []float64, cfg Config) ([]Point, error)
-}
 
 // Phase identifies a pipeline phase in a ProgressEvent.
 type Phase int
@@ -140,16 +90,13 @@ type ProgressEvent struct {
 type ProgressFunc func(ProgressEvent)
 
 // Pipeline is a reusable, configured TRACLUS pipeline: New(WithConfig(cfg))
-// is the paper's pipeline under cfg, and stages and hooks are swapped with
-// the other With* options. A Pipeline is immutable after New and safe for
-// concurrent Run calls.
+// is the paper's pipeline under cfg, WithProgress adds a progress hook and
+// WithEstimation has it choose Eps and MinLns itself. A Pipeline is
+// immutable after New and safe for concurrent Run calls.
 type Pipeline struct {
-	cfg       Config
-	est       *estimateRange
-	partition Partitioner
-	group     Grouper
-	represent RepresentativeBuilder
-	progress  ProgressFunc
+	cfg      Config
+	est      *estimateRange
+	progress ProgressFunc
 }
 
 // estimateRange is the ε search interval of WithEstimation.
@@ -161,18 +108,6 @@ type Option func(*Pipeline)
 // WithConfig sets the TRACLUS parameters: every one of them, the index
 // backend, the worker count and the geometry included.
 func WithConfig(cfg Config) Option { return func(p *Pipeline) { p.cfg = cfg } }
-
-// WithPartitioner replaces the partition stage (default PartitionMDL).
-func WithPartitioner(s Partitioner) Option { return func(p *Pipeline) { p.partition = s } }
-
-// WithGrouper replaces the grouping stage (default GroupDBSCAN).
-func WithGrouper(g Grouper) Option { return func(p *Pipeline) { p.group = g } }
-
-// WithRepresentativeBuilder replaces the representative stage (default
-// SweepRepresentatives).
-func WithRepresentativeBuilder(b RepresentativeBuilder) Option {
-	return func(p *Pipeline) { p.represent = b }
-}
 
 // WithProgress installs a progress hook.
 func WithProgress(fn ProgressFunc) Option { return func(p *Pipeline) { p.progress = fn } }
@@ -196,15 +131,6 @@ func New(opts ...Option) *Pipeline {
 	for _, opt := range opts {
 		opt(p)
 	}
-	if p.partition == nil {
-		p.partition = PartitionMDL()
-	}
-	if p.group == nil {
-		p.group = GroupDBSCAN()
-	}
-	if p.represent == nil {
-		p.represent = SweepRepresentatives()
-	}
 	return p
 }
 
@@ -221,39 +147,54 @@ func New(opts ...Option) *Pipeline {
 // planar Run over the same points. The spatial index prefilter stays sound
 // under the spatiotemporal distance: the temporal term only ever adds
 // distance, so the planar candidate radius remains complete (see
-// internal/geometry). Custom Partitioner and Grouper stages have no
-// spatiotemporal form and are rejected under it; custom
-// RepresentativeBuilders work unchanged.
+// internal/geometry).
 func (p *Pipeline) Run(ctx context.Context, trs []Trajectory) (*Result, error) {
-	b, err := p.prepare(ctx, trs, false, p.est)
+	res, _, err := p.cluster(ctx, trs, false)
+	return res, err
+}
+
+// cluster is the one build body behind Run and NewAppender: prepare, then
+// the grouping into an ε-graph that can absorb appends, then the
+// representatives. It returns the Result and, when appendable, the
+// Incremental that grouped it; appendable also asks prepare for an index
+// that can grow.
+func (p *Pipeline) cluster(ctx context.Context, trs []Trajectory, appendable bool) (*Result, *segclust.Incremental, error) {
+	b, err := p.prepare(ctx, trs, appendable, p.est)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b.rep.begin(PhaseGroup, len(b.items))
-	grouping, err := runGroup(ctx, p.group, b)
+	items := b.shared.Items()
+	b.rep.begin(PhaseGroup, len(items))
+	inc, err := segclust.NewIncrementalCtx(ctx, b.shared, b.ccfg.Segclust(), b.rep.tick, b.lists())
 	if err != nil {
-		return nil, stageError(ctx, PhaseGroup, err)
-	}
-	if grouping == nil || len(grouping.ClusterOf) != len(b.items) {
-		labelled := 0
-		if grouping != nil {
-			labelled = len(grouping.ClusterOf)
-		}
-		return nil, fmt.Errorf("traclus: group stage labelled %d of %d items; use GroupingFromLabels to build a conformant Grouping",
-			labelled, len(b.items))
+		return nil, nil, stageError(ctx, PhaseGroup, err)
 	}
 	b.rep.finish()
-	return b.represent(ctx, p, grouping)
+	grouping := inc.Result()
+	if !appendable {
+		// Run keeps only the Result, so the ε-graph goes before the
+		// representatives instead of living to the end of the build:
+		// holding it made build-fixed's builds about 10% slower
+		// (update_p50_ms, 2-vCPU Xeon VM).
+		inc = nil
+	}
+	b.rep.begin(PhaseRepresent, len(grouping.Clusters))
+	out, err := core.AssembleCtx(ctx, items, grouping, b.ccfg, nil, b.rep.tick)
+	if err != nil {
+		return nil, nil, stageError(ctx, PhaseRepresent, err)
+	}
+	b.rep.finish()
+	res := newResult(out, b.ccfg)
+	res.Estimated = b.estimated
+	res.den.Store(b.den)
+	return res, inc, nil
 }
 
 // build is what a run carries from its shared front half — validate,
-// project, partition, index, estimate — into its grouping: Run groups the
-// items in one pass, NewAppender into an ε-graph that absorbs appends.
+// project, partition, index, estimate — into its grouping.
 type build struct {
-	cfg       Config // resolved: geodesic frame filled in, estimated Eps/MinLns
-	ccfg      core.Config
-	items     []Item
-	shared    *segclust.SharedIndex // nil when no phase queries it
+	ccfg      core.Config           // resolved: geodesic frame filled in, estimated Eps/MinLns
+	shared    *segclust.SharedIndex // over the partitioned items
 	estimated *Estimate
 	den       *dendro.Dendrogram
 	rep       *progressReporter
@@ -261,13 +202,11 @@ type build struct {
 
 // prepare is the front half of every build. It validates the configuration
 // and the trajectories, projects a geodesic run into its working frame,
-// partitions through the pipeline's partition stage, and indexes the items
-// once: the one spatial index serves parameter estimation and the grouping
-// phase's ε-neighborhoods alike. It is built only when a phase will query it
-// (the default grouper, an appender, or estimation); a fully custom Grouper
-// indexes — or doesn't — on its own terms. With a range (WithEstimation, or
-// Estimate), prepare then chooses Eps and MinLns: the one ε search anneals
-// over the dendrogram built once at the range maximum.
+// partitions (Figure 8), and indexes the items once: the one spatial index
+// serves parameter estimation and the grouping phase's ε-neighborhoods
+// alike. With a range (WithEstimation, or Estimate), prepare then chooses
+// Eps and MinLns: the one ε search anneals over the dendrogram built once
+// at the range maximum.
 func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable bool, est *estimateRange) (*build, error) {
 	cfg := p.cfg
 	if est != nil {
@@ -282,9 +221,6 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 	} else if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("traclus: %w", err)
 	}
-	if err := p.defaultStages(appendable, cfg.Geometry); err != nil {
-		return nil, err
-	}
 	if err := validateTrajectories(trs, cfg.Geometry); err != nil {
 		return nil, err
 	}
@@ -292,19 +228,16 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 		return nil, err
 	}
 	if cfg.Geometry.Kind == geometry.Geodesic {
-		trs, cfg = projectGeodesic(trs, cfg)
+		trs, cfg.Geometry = projectGeodesic(trs, cfg.Geometry)
 	}
-	b := &build{cfg: cfg, ccfg: cfg.core(), rep: newProgressReporter(p.progress)}
+	b := &build{ccfg: cfg.core(), rep: newProgressReporter(p.progress)}
 	b.rep.begin(PhasePartition, len(trs))
-	items, err := runPartition(ctx, p.partition, trs, cfg, b.rep)
+	items, err := core.PartitionAllCtx(ctx, trs, b.ccfg, b.rep.tick)
 	if err != nil {
 		return nil, stageError(ctx, PhasePartition, err)
 	}
 	b.rep.finish()
-	b.items = items
-	if _, groupsShared := p.group.(sharedGrouper); groupsShared || appendable || est != nil {
-		b.shared = sharedIndex(items, b.ccfg)
-	}
+	b.shared = sharedIndex(items, b.ccfg)
 	if appendable && !b.shared.Searcher().Growable() {
 		return nil, fmt.Errorf("traclus: appenders require a growable index backend (custom backend %q does not implement growth)", b.ccfg.ResolvedBackend().Name())
 	}
@@ -316,7 +249,7 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 	// whole annealing walk cuts into it with zero further distance calls,
 	// and it rides the Result so the serving layer can persist it and
 	// answer sweep queries without rebuilding.
-	b.den, err = dendro.FromShared(ctx, b.shared, est.hi, b.cfg.Workers)
+	b.den, err = dendro.FromShared(ctx, b.shared, est.hi, b.ccfg.Workers)
 	if err != nil {
 		return nil, stageError(ctx, PhaseEstimate, err)
 	}
@@ -325,9 +258,8 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 		return nil, stageError(ctx, PhaseEstimate, err)
 	}
 	b.rep.finish()
-	b.cfg.Eps = e.Eps
-	b.cfg.MinLns = float64(e.MinLnsLo+e.MinLnsHi) / 2
-	b.ccfg = b.cfg.core()
+	b.ccfg.Eps = e.Eps
+	b.ccfg.MinLns = float64(e.MinLnsLo+e.MinLnsHi) / 2
 	b.estimated = &Estimate{
 		Eps:          e.Eps,
 		Entropy:      e.Entropy,
@@ -342,25 +274,10 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 // when it covers ε — an auto build's, whose lists already hold every pair
 // within ε — and nil otherwise. A nil *Dendrogram stays a nil interface.
 func (b *build) lists() segclust.NeighborLists {
-	if b.den == nil || b.den.MaxEps() < b.cfg.Eps {
+	if b.den == nil || b.den.MaxEps() < b.ccfg.Eps {
 		return nil
 	}
 	return b.den
-}
-
-// represent is the back half of every build: the representative phase over
-// the grouping, and the Result.
-func (b *build) represent(ctx context.Context, p *Pipeline, grouping *Grouping) (*Result, error) {
-	b.rep.begin(PhaseRepresent, len(grouping.Clusters))
-	out, err := core.AssembleCtx(ctx, b.items, grouping, b.ccfg, p.representFunc(b.cfg), b.rep.tick)
-	if err != nil {
-		return nil, stageError(ctx, PhaseRepresent, err)
-	}
-	b.rep.finish()
-	res := newResult(out, b.ccfg)
-	res.Estimated = b.estimated
-	res.den.Store(b.den)
-	return res, nil
 }
 
 // sharedIndex builds the one spatial index over items under the run's
@@ -398,38 +315,15 @@ func timesFit(tr Trajectory, g Geometry) error {
 	return nil
 }
 
-// defaultStages rejects the pipeline configurations a build cannot honour:
-// an appender needs the default MDL partition and DBSCAN grouping stages
-// (the incremental update rule is the ε-graph's), and so does the
-// spatiotemporal geometry (the partition stage gives items their spans,
-// the grouping indexes them under wT). Custom RepresentativeBuilders are
-// fine either way.
-func (p *Pipeline) defaultStages(appendable bool, g Geometry) error {
-	what, form := "appenders", "incremental"
-	if !appendable {
-		if !g.Timed() {
-			return nil
-		}
-		what, form = "spatiotemporal runs", "spatiotemporal"
-	}
-	if _, ok := p.partition.(mdlPartitioner); !ok {
-		return fmt.Errorf("traclus: %s require the default MDL partition stage (a custom Partitioner has no %s form)", what, form)
-	}
-	if _, ok := p.group.(dbscanGrouper); !ok {
-		return fmt.Errorf("traclus: %s require the default DBSCAN grouping stage (a custom Grouper has no %s form)", what, form)
-	}
-	return nil
-}
-
 // projectGeodesic resolves the equirectangular frame from the data bounds
 // (unless a frame was pre-resolved — a snapshot restore or an explicit
 // Config) and rewrites every trajectory into the working meter frame. The
-// resolved frame is recorded on cfg.Geometry so it rides the Result and its
-// snapshot, and later queries project identically.
-func projectGeodesic(trs []Trajectory, cfg Config) ([]Trajectory, Config) {
+// resolved frame is recorded on the returned geometry so it rides the
+// Result and its snapshot, and later queries project identically.
+func projectGeodesic(trs []Trajectory, g Geometry) ([]Trajectory, Geometry) {
 	var f geometry.Frame
-	if cfg.Geometry.Frame != nil {
-		f = *cfg.Geometry.Frame
+	if g.Frame != nil {
+		f = *g.Frame
 	} else {
 		bounds, _ := geom.BoundsOf(trs)
 		f = geometry.FrameFor(bounds)
@@ -439,8 +333,8 @@ func projectGeodesic(trs []Trajectory, cfg Config) ([]Trajectory, Config) {
 		tr.Points = f.ProjectTrajectory(tr.Points)
 		proj[i] = tr
 	}
-	cfg.Geometry.Frame = &f
-	return proj, cfg
+	g.Frame = &f
+	return proj, g
 }
 
 // clusterWindows computes each cluster's time window — the smallest
@@ -457,41 +351,8 @@ func clusterWindows(out *core.Output) []Interval {
 	return ws
 }
 
-// representFunc adapts the configured RepresentativeBuilder for
-// core.AssembleCtx; the default sweep builder maps to nil so the engine's
-// own (identical) sweep path runs.
-func (p *Pipeline) representFunc(cfg Config) core.RepresentativeFunc {
-	if _, ok := p.represent.(sweepBuilder); ok {
-		return nil
-	}
-	b := p.represent
-	return func(ctx context.Context, segs []Segment, weights []float64) ([]Point, error) {
-		return b.Representative(ctx, segs, weights, cfg)
-	}
-}
-
-// runPartition invokes the partition stage, routing per-trajectory ticks
-// from in-package stages into the reporter.
-func runPartition(ctx context.Context, s Partitioner, trs []Trajectory, cfg Config, rep *progressReporter) ([]Item, error) {
-	if ts, ok := s.(tickedPartitioner); ok {
-		return ts.partitionTicked(ctx, trs, cfg, rep.tick)
-	}
-	return s.Partition(ctx, trs, cfg)
-}
-
-// runGroup invokes the grouping stage. The in-package default grouper
-// consumes the build's prebuilt shared index and, in an auto build, its
-// dendrogram's lists (and streams ticks); custom stages get the plain
-// Grouper call.
-func runGroup(ctx context.Context, g Grouper, b *build) (*Grouping, error) {
-	if sg, ok := g.(sharedGrouper); ok && b.shared != nil {
-		return sg.groupSharedTicked(ctx, b.shared, b.lists(), b.cfg, b.rep.tick)
-	}
-	return g.Group(ctx, b.items, b.cfg)
-}
-
 // stageError surfaces a done context as the bare ctx.Err() and wraps real
-// stage failures with the phase they came from.
+// failures with the phase they came from.
 func stageError(ctx context.Context, phase Phase, err error) error {
 	if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 		return ctxErr
@@ -500,8 +361,8 @@ func stageError(ctx context.Context, phase Phase, err error) error {
 }
 
 // Estimate applies the Section 4.4 parameter heuristic under this
-// pipeline's configuration (weights, backend, workers, geometry and
-// partition stage; Eps and MinLns are ignored) and returns exactly the
+// pipeline's configuration (weights, partitioning, backend, workers and
+// geometry; Eps and MinLns are ignored) and returns exactly the
 // Result.Estimated a WithEstimation(lo, hi) run records: it is that run's
 // front half — the same validation (a bad range or Config field is a
 // *ConfigError), the same partition and estimate progress events, the same
@@ -513,73 +374,6 @@ func (p *Pipeline) Estimate(ctx context.Context, trs []Trajectory, lo, hi float6
 		return Estimate{}, err
 	}
 	return *b.estimated, nil
-}
-
-// ---- Default stages ----
-
-// PartitionMDL returns the default partition stage: the paper's §3.3 MDL
-// approximate partitioning, fanned across cfg.Workers with per-worker
-// scratch.
-func PartitionMDL() Partitioner { return mdlPartitioner{} }
-
-type mdlPartitioner struct{}
-
-// tickedPartitioner lets in-package stages stream per-item progress into
-// the pipeline's reporter; custom stages simply get begin/end events.
-type tickedPartitioner interface {
-	partitionTicked(ctx context.Context, trs []Trajectory, cfg Config, tick func()) ([]Item, error)
-}
-
-func (p mdlPartitioner) Partition(ctx context.Context, trs []Trajectory, cfg Config) ([]Item, error) {
-	return p.partitionTicked(ctx, trs, cfg, nil)
-}
-
-func (mdlPartitioner) partitionTicked(ctx context.Context, trs []Trajectory, cfg Config, tick func()) ([]Item, error) {
-	return core.PartitionAllCtx(ctx, trs, cfg.core(), tick)
-}
-
-// GroupDBSCAN returns the default grouping stage: the paper's Figure-12
-// density-based clustering (DBSCAN semantics with the Definition 10
-// trajectory-cardinality filter), computed as an ε-neighborhood precompute
-// across cfg.Workers goroutines, union-find over the core-segment ε-graph
-// and one numbering and border pass — Figure 12's clustering, bit for bit,
-// at every worker count.
-func GroupDBSCAN() Grouper { return dbscanGrouper{} }
-
-type dbscanGrouper struct{}
-
-// sharedGrouper marks groupers that cluster through the pipeline's prebuilt
-// shared index instead of indexing the items themselves, reading the
-// neighborhoods from lists when they are non-nil.
-type sharedGrouper interface {
-	groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, lists segclust.NeighborLists, cfg Config, tick func()) (*Grouping, error)
-}
-
-func (dbscanGrouper) Group(ctx context.Context, items []Item, cfg Config) (*Grouping, error) {
-	return segclust.RunCtx(ctx, items, cfg.core().Segclust(), nil)
-}
-
-func (dbscanGrouper) groupSharedTicked(ctx context.Context, shared *segclust.SharedIndex, lists segclust.NeighborLists, cfg Config, tick func()) (*Grouping, error) {
-	inc, err := segclust.NewIncrementalCtx(ctx, shared, cfg.core().Segclust(), tick, lists)
-	if err != nil {
-		return nil, err
-	}
-	return inc.Result(), nil
-}
-
-// SweepRepresentatives returns the default representative stage: the §4.3
-// sweep line along each cluster's average direction, emitting points where
-// at least MinLns (weighted) segments overlap, γ apart (Config.Gamma, 0 =
-// Eps/4).
-func SweepRepresentatives() RepresentativeBuilder { return sweepBuilder{} }
-
-type sweepBuilder struct{}
-
-func (sweepBuilder) Representative(_ context.Context, segs []Segment, weights []float64, cfg Config) ([]Point, error) {
-	return sweep.Representative(segs, weights, sweep.Config{
-		MinLns: cfg.MinLns,
-		Gamma:  cfg.core().EffectiveGamma(),
-	}), nil
 }
 
 // ---- Progress reporting ----
@@ -628,7 +422,7 @@ func (r *progressReporter) tick() {
 	defer r.mu.Unlock()
 	r.done++
 	if r.total <= 0 || r.done > r.total || r.closed {
-		return // defensive: a stage over-ticking must not break monotonicity
+		return // defensive: a phase over-ticking must not break monotonicity
 	}
 	frac := float64(r.done) / float64(r.total)
 	if frac < 1 && frac-r.lastFrac < 1.0/progressResolution {
@@ -642,7 +436,7 @@ func (r *progressReporter) tick() {
 }
 
 // finish closes the phase, emitting the Fraction-1 event if ticks did not
-// already (stages without tick support, empty phases).
+// already (a phase whose ticks fall short of its total, empty phases).
 func (r *progressReporter) finish() {
 	if r == nil || r.fn == nil {
 		return

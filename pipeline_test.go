@@ -1,15 +1,13 @@
 package traclus_test
 
 // Tests for the composable Pipeline API: prompt cooperative cancellation on
-// a large synthetic input, the progress hook's ordering contract, stage
-// pluggability, and the estimation-path validation fix.
+// a large synthetic input, the progress hook's ordering contract, and the
+// estimation-path validation fix.
 
 import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,85 +138,6 @@ func TestPipelineProgressOrdering(t *testing.T) {
 				t.Errorf("workers=%d: phase %v closed %d times, want exactly 1", workers, ph, closes[ph])
 			}
 		}
-	}
-}
-
-// stubStages: a Partitioner that counts invocations and delegates to the
-// default, a Grouper built from raw labels via GroupingFromLabels, and a
-// RepresentativeBuilder that emits a fixed marker point.
-type countingPartitioner struct {
-	calls atomic.Int64
-	inner traclus.Partitioner
-}
-
-func (c *countingPartitioner) Partition(ctx context.Context, trs []traclus.Trajectory, cfg traclus.Config) ([]traclus.Item, error) {
-	c.calls.Add(1)
-	return c.inner.Partition(ctx, trs, cfg)
-}
-
-type singleClusterGrouper struct{}
-
-func (singleClusterGrouper) Group(_ context.Context, items []traclus.Item, _ traclus.Config) (*traclus.Grouping, error) {
-	labels := make([]int, len(items))
-	return traclus.GroupingFromLabels(items, labels, 0, 0), nil
-}
-
-type nilGrouper struct{}
-
-func (nilGrouper) Group(context.Context, []traclus.Item, traclus.Config) (*traclus.Grouping, error) {
-	return nil, nil
-}
-
-// TestPipelineRejectsNonConformantGrouper pins that a stage breaking the
-// Grouping contract (nil, or a label vector not covering the items) is a
-// friendly error, not a panic.
-func TestPipelineRejectsNonConformantGrouper(t *testing.T) {
-	trs := equivalenceWorkload(t, 10)
-	p := traclus.New(
-		traclus.WithConfig(traclus.Config{Eps: 30, MinLns: 2}),
-		traclus.WithGrouper(nilGrouper{}),
-	)
-	res, err := p.Run(context.Background(), trs)
-	if err == nil || res != nil {
-		t.Fatalf("nil grouping accepted: res=%v err=%v", res, err)
-	}
-}
-
-type markerBuilder struct{}
-
-func (markerBuilder) Representative(_ context.Context, _ []traclus.Segment, _ []float64, _ traclus.Config) ([]traclus.Point, error) {
-	return []traclus.Point{traclus.Pt(1, 2), traclus.Pt(3, 4)}, nil
-}
-
-// TestPipelineCustomStages verifies the three stage interfaces actually
-// plug in: custom partitioner runs, a custom grouper's labelling flows
-// through, and a custom representative builder's output lands on every
-// cluster.
-func TestPipelineCustomStages(t *testing.T) {
-	trs := equivalenceWorkload(t, 20)
-	cp := &countingPartitioner{inner: traclus.PartitionMDL()}
-	p := traclus.New(
-		traclus.WithConfig(traclus.Config{Eps: 30, MinLns: 2, Workers: 4}),
-		traclus.WithPartitioner(cp),
-		traclus.WithGrouper(singleClusterGrouper{}),
-		traclus.WithRepresentativeBuilder(markerBuilder{}),
-	)
-	res, err := p.Run(context.Background(), trs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.calls.Load() != 1 {
-		t.Errorf("custom partitioner called %d times, want 1", cp.calls.Load())
-	}
-	if len(res.Clusters) != 1 {
-		t.Fatalf("custom grouper produced %d clusters, want 1", len(res.Clusters))
-	}
-	if res.NoiseSegments != 0 {
-		t.Errorf("noise = %d, want 0 (grouper labelled everything)", res.NoiseSegments)
-	}
-	want := []traclus.Point{traclus.Pt(1, 2), traclus.Pt(3, 4)}
-	if !reflect.DeepEqual(res.Clusters[0].Representative, want) {
-		t.Errorf("representative = %v, want marker %v", res.Clusters[0].Representative, want)
 	}
 }
 

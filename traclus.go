@@ -19,11 +19,11 @@
 //		fmt.Println(c.Representative) // a common sub-trajectory
 //	}
 //
-// The Pipeline is the one entrypoint: Run(ctx, trs) is cancellable,
-// streams progress through WithProgress, and its three phases are pluggable
-// stage interfaces (Partitioner, Grouper, RepresentativeBuilder) — see
-// pipeline.go. Every parameter, the index backend, the worker count and
-// the geometry included, is a Config field set through WithConfig.
+// The Pipeline is the one entrypoint: Run(ctx, trs) is cancellable and
+// streams progress through WithProgress, and NewAppender is the same build
+// kept open for appends — see pipeline.go. Every parameter, the index
+// backend, the worker count and the geometry included, is a Config field
+// set through WithConfig.
 //
 // When ε and MinLns are unknown, Pipeline.Estimate applies the paper's
 // entropy-minimisation heuristic (Section 4.4), and WithEstimation runs it
@@ -175,7 +175,8 @@ type Config struct {
 	// trajectories it is compared against the summed weights.
 	MinLns float64
 	// MinTrajs is the minimum number of distinct trajectories per cluster
-	// (Definition 10); 0 uses MinLns.
+	// (Definition 10); 0 uses MinLns, as in the paper: a cluster drawn from
+	// fewer than MinLns trajectories is removed.
 	MinTrajs int
 	// Weights override the distance weights; the zero value means the
 	// paper's default w⊥ = w∥ = wθ = 1.

@@ -64,7 +64,6 @@ var rootAPI = []string{
 	"Distance",
 	"ErrNoClusters",
 	"ErrTimedModel",
-	"ErrUnsnapshotable",
 	"Estimate",
 	"Estimate.AvgNeighbors",
 	"Estimate.Entropy",
@@ -76,7 +75,6 @@ var rootAPI = []string{
 	"Geometry",
 	"GridIndexBackend",
 	"IndexBackend",
-	"IndexQuery",
 	"Interval",
 	"Item",
 	"New",
@@ -128,7 +126,6 @@ var rootAPI = []string{
 	"Result.RemovedClusters",
 	"Result.TotalSegments",
 	"Segment",
-	"SegmentIndex",
 	"SpatiotemporalGeometry",
 	"Trajectory",
 	"ValidateEstimationRange",

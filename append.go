@@ -65,9 +65,8 @@ func (a *Appender) Result() *Result {
 
 // NewAppender runs the pipeline over trs exactly like Run — the same build,
 // so the same phases, progress events and Result, bit-identical at every
-// worker count — but retains the grouping state so Append can extend it.
-// It requires an index backend that supports growth (all three built-ins
-// do).
+// worker count — but retains the grouping state so Append can extend it;
+// every index backend grows in place.
 func (p *Pipeline) NewAppender(ctx context.Context, trs []Trajectory) (*Appender, error) {
 	res, inc, err := p.cluster(ctx, trs, true)
 	if err != nil {

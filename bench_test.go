@@ -261,12 +261,22 @@ func BenchmarkRunParallelPhases(b *testing.B) {
 		b.Run("group+sweep/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunOnItems(items, ccfg); err != nil {
+				if _, err := groupAndRepresent(items, ccfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// groupAndRepresent runs the grouping and representative phases on
+// pre-partitioned items.
+func groupAndRepresent(items []segclust.Item, cfg core.Config) (*core.Output, error) {
+	res, err := segclust.Run(items, cfg.Segclust())
+	if err != nil {
+		return nil, err
+	}
+	return core.AssembleCtx(context.Background(), items, res, cfg, nil, nil)
 }
 
 // ---- Distance microbenchmarks ----
@@ -313,7 +323,7 @@ func BenchmarkAblationCostAdvantage(b *testing.B) {
 			var segs, clusters int
 			for i := 0; i < b.N; i++ {
 				items := core.PartitionAll(trs, ccfg)
-				out, err := core.RunOnItems(items, ccfg)
+				out, err := groupAndRepresent(items, ccfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -474,7 +484,7 @@ func BenchmarkIndexBackends(b *testing.B) {
 			b.ReportAllocs()
 			var calls int
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunOnItems(items, ccfg)
+				out, err := groupAndRepresent(items, ccfg)
 				if err != nil {
 					b.Fatal(err)
 				}

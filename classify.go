@@ -97,7 +97,7 @@ func NewClassifier(res *Result) (*Classifier, error) {
 	if res == nil || len(res.Clusters) == 0 {
 		return nil, ErrNoClusters
 	}
-	backend := res.cfg.ResolvedBackend()
+	backend := res.cfg.Backend
 	c := &Classifier{
 		part:        res.cfg.Partition,
 		eps:         res.cfg.Eps,
@@ -152,14 +152,15 @@ func (c *Classifier) NumClusters() int { return c.numClusters }
 // representative, growing as it strays.
 //
 // The trajectory follows the model's geometry. A geodesic query arrives in
-// lat/lon degrees. A spatiotemporal query carries Times (ErrTimedModel
-// otherwise): each partition inherits its time span, and every candidate's
-// distance gains wT·gap(query span, cluster window) — added through the
-// exact nearest search, whose pruning stays sound because the addend is
-// non-negative (see spindex.SearchQuery.NearestAdjusted). Times under any
-// other geometry are a *ConfigError.
+// lat/lon degrees, within |longitude| ≤ 360 and |latitude| ≤ 90 (a
+// *ConfigError otherwise). A spatiotemporal query carries Times
+// (ErrTimedModel otherwise): each partition inherits its time span, and
+// every candidate's distance gains wT·gap(query span, cluster window) —
+// added through the exact nearest search, whose pruning stays sound because
+// the addend is non-negative (see spindex.SearchQuery.NearestAdjusted).
+// Times under any other geometry are a *ConfigError.
 func (c *Classifier) Classify(tr Trajectory) (clusterID int, distance float64, err error) {
-	if err := timesFit(tr, c.geo); err != nil {
+	if err := fitsGeometry(tr, c.geo); err != nil {
 		if c.geo.Timed() {
 			return -1, 0, ErrTimedModel
 		}
@@ -301,21 +302,12 @@ type ClassifierSnapshot struct {
 	Windows []Interval
 }
 
-// ErrUnsnapshotable is returned by Classifier.Snapshot when the classifier
-// was built with a custom index backend whose Name() ParseIndexBackend
-// cannot resolve: the snapshot format names backends, and such a name has
-// nothing to rebuild from.
-var ErrUnsnapshotable = errors.New("traclus: classifier uses a custom index backend and cannot be snapshotted")
-
 // Snapshot extracts the classifier's geometry-only description. The
 // round trip NewClassifierFromSnapshot(c.Snapshot()) yields a classifier
 // whose Classify is bit-identical to c on every trajectory: the same
 // reference segments in the same order, the same distance, the same MDL
 // partitioning, and the same (named) backend.
-func (c *Classifier) Snapshot() (ClassifierSnapshot, error) {
-	if _, err := ParseIndexBackend(c.index); err != nil {
-		return ClassifierSnapshot{}, ErrUnsnapshotable
-	}
+func (c *Classifier) Snapshot() ClassifierSnapshot {
 	s := ClassifierSnapshot{
 		Eps:              c.eps,
 		CostAdvantage:    c.part.CostAdvantage,
@@ -339,7 +331,7 @@ func (c *Classifier) Snapshot() (ClassifierSnapshot, error) {
 	for i, cl := range c.owner {
 		s.Reference[cl] = append(s.Reference[cl], c.search.Segment(i))
 	}
-	return s, nil
+	return s
 }
 
 // NewClassifierFromSnapshot rebuilds a classifier from its geometry-only

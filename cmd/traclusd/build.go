@@ -226,11 +226,16 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 		return
 	}
 	// Structural problems (a one-point trajectory, a non-finite coordinate,
-	// weight or time, non-monotone timestamps) must answer 400
-	// synchronously, not fail the async job.
+	// weight or time, non-monotone timestamps) and geodesic points outside
+	// the degree bounds must answer 400 synchronously, not fail the async
+	// job.
 	for _, tr := range trs {
 		if err := tr.Validate(); err != nil {
 			writeTypedError(w, err)
+			return
+		}
+		if reason := spec.cfg.Geometry.CheckPoints(tr); reason != "" {
+			writeTypedError(w, &traclus.ConfigError{Field: "Geometry", Value: spec.cfg.Geometry.Kind.String(), Reason: reason})
 			return
 		}
 	}

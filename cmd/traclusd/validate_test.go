@@ -78,3 +78,60 @@ func TestV1UploadsValidatedBeforeWork(t *testing.T) {
 		}
 	}
 }
+
+// TestV1GeodesicInputRule: a geodesic upload with a point outside
+// |latitude| ≤ 90, |longitude| ≤ 360 degrees — tracks moved to latitude
+// ≈ 100, or one track spanning longitude ±1e306 — answers a build 400
+// invalid_config synchronously, fixed ε or auto, with no job started; and
+// an append 422 geometry_mismatch, with the model left at epoch 0.
+func TestV1GeodesicInputRule(t *testing.T) {
+	s, ts := testServer(t, serverConfig{workers: 2})
+	cfg := BuildConfig{Eps: f64(150), MinLns: f64(5), MinSegmentLength: f64(100), Geometry: "geodesic"}
+	good := synth.GPSTracks(3, 8, 25, 7)
+	v1Build(t, ts.URL, BuildRequest{Name: "geo", Data: csvOf(t, good...), Config: cfg})
+
+	north := slices.Clone(good)
+	for i := range north {
+		north[i].ID += 5000
+		north[i].Points = slices.Clone(north[i].Points)
+		for k := range north[i].Points {
+			north[i].Points[k].Y += 52.5
+		}
+	}
+	wide := slices.Clone(good)
+	wide[0].ID += 5000
+	wide[0].Points = slices.Clone(wide[0].Points)
+	wide[0].Points[0].X, wide[0].Points[len(wide[0].Points)-1].X = -1e306, 1e306
+	auto := cfg
+	auto.Eps, auto.MinLns, auto.Auto = nil, nil, &AutoRange{Lo: f64(100), Hi: f64(2000)}
+
+	for what, req := range map[string]BuildRequest{
+		"latitude 100":           {Name: "geo-north", Data: csvOf(t, north...), Config: cfg},
+		"longitude ±1e306":       {Name: "geo-wide", Data: csvOf(t, wide...), Config: cfg},
+		"auto, latitude 100":     {Name: "geo-north-auto", Data: csvOf(t, north...), Config: auto},
+		"auto, longitude ±1e306": {Name: "geo-wide-auto", Data: csvOf(t, wide...), Config: auto},
+	} {
+		jobs := s.jobs.Len()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/models", string(body), &env); code != http.StatusBadRequest || env.Code != codeInvalidConfig {
+			t.Errorf("build with %s = %d %q, want 400 %s", what, code, env.Code, codeInvalidConfig)
+		}
+		if n := s.jobs.Len(); n != jobs {
+			t.Errorf("build with %s started %d jobs", what, n-jobs)
+		}
+	}
+	for what, tr := range map[string]traclus.Trajectory{"latitude 100": north[0], "longitude ±1e306": wide[0]} {
+		var env envelope
+		if code := postAppend(t, ts.URL, "geo", AppendRequest{Data: csvOf(t, tr)}, &env); code != http.StatusUnprocessableEntity || env.Code != codeGeometryBad {
+			t.Errorf("append with %s = %d %q, want 422 %s", what, code, env.Code, codeGeometryBad)
+		}
+	}
+	var sum service.Summary
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/models/geo", "", &sum); code != http.StatusOK || sum.Epoch != 0 {
+		t.Errorf("model after the rejected appends: %d, epoch %d, want 200 at epoch 0", code, sum.Epoch)
+	}
+}

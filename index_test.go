@@ -1,17 +1,15 @@
 package traclus_test
 
 // Cross-backend equivalence suite for the unified index subsystem
-// (internal/spindex): every backend set through Config.Index — the three
-// first-class ones and custom plug-ins — must produce the identical
-// clustering at every worker count. Also pins the single-build data flow of
-// WithEstimation and the custom-backend contract end-to-end.
+// (internal/spindex): every backend set through Config.Index must produce
+// the identical clustering at every worker count. Also pins the
+// single-build data flow of WithEstimation.
 
 import (
 	"context"
 	"errors"
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/spindex"
@@ -24,18 +22,18 @@ var indexSuiteConfig = traclus.Config{
 }
 
 // TestBackendEquivalenceSuite: Grid ≡ RTree ≡ Brute, each set through
-// Config.Index, at Workers {1, 4, all}. The nil default and the explicit
-// grid must agree bit-for-bit (DistCalls included); across backends the
+// Config.Index, at Workers {1, 4, all}. The zero-value default and the
+// explicit grid must agree bit-for-bit (DistCalls included); across backends the
 // clusterings must agree (DistCalls legitimately differ between pruned and
 // exhaustive candidate generation).
 func TestBackendEquivalenceSuite(t *testing.T) {
 	trs := equivalenceWorkload(t, 120)
-	backends := []traclus.IndexBackend{nil, traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()}
+	backends := []traclus.IndexBackend{{}, traclus.GridIndexBackend(), traclus.RTreeIndexBackend(), traclus.BruteIndexBackend()}
 	for _, workers := range []int{1, 4, 0} {
 		var ref *traclus.Result
-		for _, b := range backends {
+		for i, b := range backends {
 			name := "default"
-			if b != nil {
+			if i > 0 {
 				name = b.Name()
 			}
 			cfg := indexSuiteConfig
@@ -60,91 +58,6 @@ func TestBackendEquivalenceSuite(t *testing.T) {
 					workers, name, res.NoiseSegments, res.RemovedClusters,
 					ref.NoiseSegments, ref.RemovedClusters)
 			}
-		}
-	}
-}
-
-// exhaustiveMBRBackend is a custom backend written against the public
-// surface only (traclus.IndexBackend / SegmentIndex / IndexQuery /
-// Segment / Rect): it answers Within by scanning every MBR exactly. Its
-// candidate sets therefore equal the built-in grid/R-tree ones, so a run
-// through it must match the default bit-for-bit, DistCalls included.
-type exhaustiveMBRBackend struct {
-	builds  *atomic.Int64
-	queries *atomic.Int64
-}
-
-func (b exhaustiveMBRBackend) Name() string { return "exhaustive-mbr" }
-
-func (b exhaustiveMBRBackend) Build(segs []traclus.Segment) traclus.SegmentIndex {
-	b.builds.Add(1)
-	rects := make([]traclus.Rect, len(segs))
-	for i, s := range segs {
-		rects[i] = s.Bounds()
-	}
-	return &exhaustiveMBRIndex{rects: rects, queries: b.queries}
-}
-
-type exhaustiveMBRIndex struct {
-	rects   []traclus.Rect
-	queries *atomic.Int64
-}
-
-func (x *exhaustiveMBRIndex) Len() int { return len(x.rects) }
-
-func (x *exhaustiveMBRIndex) Query() traclus.IndexQuery { return exhaustiveMBRQuery{x} }
-
-type exhaustiveMBRQuery struct{ x *exhaustiveMBRIndex }
-
-func (q exhaustiveMBRQuery) Within(rect traclus.Rect, r float64, dst []int) []int {
-	q.x.queries.Add(1)
-	for i, rc := range q.x.rects {
-		if rc.DistRect(rect) <= r {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// TestCustomIndexBackendPlugin pins the Config.Index plug-in path: a
-// custom backend is actually built and queried, serves the grouping AND the
-// classifier built from the result, and reproduces the default clustering
-// bit-for-bit.
-func TestCustomIndexBackendPlugin(t *testing.T) {
-	trs := equivalenceWorkload(t, 60)
-	cfg := indexSuiteConfig
-	for _, workers := range []int{1, 0} {
-		cfg.Workers = workers
-		want, err := run(trs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		custom := exhaustiveMBRBackend{builds: new(atomic.Int64), queries: new(atomic.Int64)}
-		plugged := cfg
-		plugged.Index = custom
-		got, err := run(trs, plugged)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if custom.builds.Load() != 1 {
-			t.Errorf("workers=%d: custom backend built %d times during the run, want 1", workers, custom.builds.Load())
-		}
-		if custom.queries.Load() == 0 {
-			t.Errorf("workers=%d: custom backend never queried", workers)
-		}
-		if !reflect.DeepEqual(want.Clusters, got.Clusters) {
-			t.Errorf("workers=%d: custom-backend clusters differ from default", workers)
-		}
-		if want.DistCalls() != got.DistCalls() {
-			t.Errorf("workers=%d: DistCalls differ: default=%d custom=%d", workers, want.DistCalls(), got.DistCalls())
-		}
-		// The classifier must index its reference segments through the same
-		// plugged backend: one more build, and queries keep flowing.
-		if _, _, err := got.Classify(trs[0]); err != nil {
-			t.Fatalf("workers=%d: classify: %v", workers, err)
-		}
-		if custom.builds.Load() != 2 {
-			t.Errorf("workers=%d: builds after classify = %d, want 2 (items + reference segments)", workers, custom.builds.Load())
 		}
 	}
 }

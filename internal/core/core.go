@@ -35,7 +35,7 @@ type Config struct {
 	Partition mdl.Config
 	// Distance carries the weights and directedness of the distance.
 	Distance lsdist.Options
-	// Backend is the spindex backend (nil selects the grid). The same
+	// Backend is the spindex backend (the zero value is the grid). The same
 	// backend serves every phase that indexes segments: parameter
 	// estimation, ε-neighborhood grouping, and the classifier's
 	// reference-segment index.
@@ -58,14 +58,9 @@ func DefaultConfig() Config {
 	return Config{Distance: lsdist.DefaultOptions()}
 }
 
-// ResolvedBackend resolves the spindex backend every indexing phase uses:
-// Backend when set, otherwise the grid.
-func (c Config) ResolvedBackend() spindex.Backend {
-	if c.Backend != nil {
-		return c.Backend
-	}
-	return spindex.Grid()
-}
+// ResolvedBackend returns Backend unchanged: the zero value already is the
+// grid. cmd/traclusbench/probe.go still calls it.
+func (c Config) ResolvedBackend() spindex.Backend { return c.Backend }
 
 // EffectiveGamma resolves the sweep smoothing parameter: Gamma when set,
 // otherwise the paper's Eps/4 default. Exposed so alternative
@@ -157,7 +152,7 @@ func PartitionAllCtx(ctx context.Context, trs []geom.Trajectory, cfg Config, onT
 }
 
 // ValidateTrajectories reports the first invalid input trajectory, wrapped
-// the way Run has always wrapped it.
+// with the package prefix.
 func ValidateTrajectories(trs []geom.Trajectory) error {
 	for i := range trs {
 		if err := trs[i].Validate(); err != nil {
@@ -165,31 +160,6 @@ func ValidateTrajectories(trs []geom.Trajectory) error {
 		}
 	}
 	return nil
-}
-
-// Run executes the complete TRACLUS algorithm.
-func Run(trs []geom.Trajectory, cfg Config) (*Output, error) {
-	if err := ValidateTrajectories(trs); err != nil {
-		return nil, err
-	}
-	return RunOnItems(PartitionAll(trs, cfg), cfg)
-}
-
-// RunOnItems executes the grouping and representative phases on
-// pre-partitioned items. It is exposed so experiments can reuse one
-// partitioning across parameter sweeps. Both phases honour cfg.Workers:
-// grouping precomputes ε-neighborhoods concurrently and clusters them via
-// parallel union-find over the core-segment ε-graph (bit-identical to the
-// Figure-12 expansion), and the per-cluster sweep-line representatives fan
-// out across a worker pool (each cluster's sweep is independent and writes
-// only its own slot, so the output is identical to the serial order for
-// every worker count).
-func RunOnItems(items []segclust.Item, cfg Config) (*Output, error) {
-	res, err := segclust.Run(items, cfg.Segclust())
-	if err != nil {
-		return nil, err
-	}
-	return AssembleCtx(context.Background(), items, res, cfg, nil, nil)
 }
 
 // Segclust projects the engine configuration onto the grouping phase's
@@ -215,9 +185,9 @@ type RepresentativeFunc func(ctx context.Context, segs []geom.Segment, weights [
 // are gathered and rep (nil = the §4.3 sweep under cfg.MinLns and
 // EffectiveGamma) builds the representative, fanned across cfg.Workers with
 // each cluster writing only its own slot. onCluster, if non-nil, is invoked
-// once per completed cluster (possibly from worker goroutines). It is the
-// assembly half of RunOnItems, split out so the public Pipeline can group
-// through its own shared index and stream progress.
+// once per completed cluster (possibly from worker goroutines). It runs
+// after a grouping (segclust.Run, or the public Pipeline's grouping over its
+// shared index), so callers can stream progress between the phases.
 func AssembleCtx(ctx context.Context, items []segclust.Item, res *segclust.Result, cfg Config, rep RepresentativeFunc, onCluster func()) (*Output, error) {
 	out := &Output{Items: items, Result: res}
 	swCfg := sweep.Config{MinLns: cfg.MinLns, Gamma: cfg.EffectiveGamma()}

@@ -1,13 +1,29 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/mdl"
+	"repro/internal/segclust"
 	"repro/internal/synth"
 )
+
+// run composes the phases the way the public Pipeline does: validate,
+// partition, group, represent.
+func run(trs []geom.Trajectory, cfg Config) (*Output, error) {
+	if err := ValidateTrajectories(trs); err != nil {
+		return nil, err
+	}
+	items := PartitionAll(trs, cfg)
+	res, err := segclust.Run(items, cfg.Segclust())
+	if err != nil {
+		return nil, err
+	}
+	return AssembleCtx(context.Background(), items, res, cfg, nil, nil)
+}
 
 func sceneConfig() Config {
 	cfg := DefaultConfig()
@@ -19,7 +35,7 @@ func sceneConfig() Config {
 
 func TestRunOnCorridorScene(t *testing.T) {
 	trs := synth.CorridorScene(3, 10, 24, 4, 1)
-	out, err := Run(trs, sceneConfig())
+	out, err := run(trs, sceneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +57,7 @@ func TestRunOnCorridorScene(t *testing.T) {
 
 func TestRepresentativeFollowsCorridor(t *testing.T) {
 	trs := synth.CorridorScene(1, 12, 24, 3, 2) // one horizontal corridor
-	out, err := Run(trs, sceneConfig())
+	out, err := run(trs, sceneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +101,11 @@ func TestPartitionAllParallelMatchesSerial(t *testing.T) {
 
 func TestRunValidatesInput(t *testing.T) {
 	bad := []geom.Trajectory{geom.NewTrajectory(0, []geom.Point{geom.Pt(0, 0)})}
-	if _, err := Run(bad, sceneConfig()); err == nil {
+	if _, err := run(bad, sceneConfig()); err == nil {
 		t.Error("single-point trajectory accepted")
 	}
 	nan := []geom.Trajectory{{ID: 0, Weight: 1, Points: []geom.Point{geom.Pt(0, 0), {X: math.NaN(), Y: 1}}}}
-	if _, err := Run(nan, sceneConfig()); err == nil {
+	if _, err := run(nan, sceneConfig()); err == nil {
 		t.Error("NaN trajectory accepted")
 	}
 }
@@ -98,7 +114,7 @@ func TestRunPropagatesClusterConfigErrors(t *testing.T) {
 	trs := synth.CorridorScene(1, 4, 10, 2, 4)
 	cfg := sceneConfig()
 	cfg.Eps = 0
-	if _, err := Run(trs, cfg); err == nil {
+	if _, err := run(trs, cfg); err == nil {
 		t.Error("Eps=0 accepted")
 	}
 }
@@ -142,7 +158,7 @@ func TestGammaDefault(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	out, err := Run(nil, sceneConfig())
+	out, err := run(nil, sceneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

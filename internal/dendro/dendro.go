@@ -58,7 +58,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -479,19 +478,6 @@ func (d *Dendrogram) NeighborhoodWeights(eps float64, dst []float64) ([]float64,
 		dst[i] = d.weightAt(i, eps)
 	}
 	return dst, nil
-}
-
-// CoreDist returns the smallest ε at which item i is core (weighted
-// ε-cardinality ≥ minLns), or +Inf if it never is within MaxEps. This is
-// the per-segment core distance of the merge structure.
-func (d *Dendrogram) CoreDist(i int, minLns float64) float64 {
-	lo, hi := d.off[i], d.off[i+1]
-	cum := d.cum[lo:hi]
-	k := sort.Search(len(cum), func(k int) bool { return cum[k] >= minLns })
-	if k == len(cum) {
-		return math.Inf(1)
-	}
-	return d.dist[lo+int64(k)]
 }
 
 // CutAt reconstructs the exact segment clustering at ε = eps: the same

@@ -209,35 +209,6 @@ func TestNeighborhoodWeightsMatchShared(t *testing.T) {
 	}
 }
 
-func TestCoreDist(t *testing.T) {
-	items := testItems(t)
-	opt := lsdist.Options{Weights: lsdist.DefaultWeights()}
-	d, err := FromShared(context.Background(), segclust.NewSharedIndexFor(items, opt, spindex.Grid()), 50, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const minLns = 4
-	for i := 0; i < d.Len(); i++ {
-		cd := d.CoreDist(i, minLns)
-		if math.IsInf(cd, 1) {
-			if w := d.weightAt(i, d.maxEps); w >= minLns {
-				t.Fatalf("item %d: CoreDist=+Inf but weight %g ≥ MinLns at MaxEps", i, w)
-			}
-			continue
-		}
-		// The core distance is the smallest ε at which the item is core:
-		// core at cd, not core just below it.
-		if w := d.weightAt(i, cd); w < minLns {
-			t.Fatalf("item %d: not core at its own core distance %g (weight %g)", i, cd, w)
-		}
-		if below := math.Nextafter(cd, 0); below > 0 {
-			if w := d.weightAt(i, below); w >= minLns {
-				t.Fatalf("item %d: already core below its core distance", i)
-			}
-		}
-	}
-}
-
 // TestCutZeroDistCalls pins the headline property structurally: once
 // built, cutting and weighting at any ε performs no distance evaluations —
 // the dendrogram's recorded call count never moves, and it holds no

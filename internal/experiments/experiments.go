@@ -134,7 +134,11 @@ func partitionItems(trs []geom.Trajectory) []segclust.Item {
 func runTraclus(items []segclust.Item, eps, minLns float64) (*core.Output, error) {
 	cfg := core.DefaultConfig()
 	cfg.Eps, cfg.MinLns = eps, minLns
-	return core.RunOnItems(items, cfg)
+	res, err := segclust.Run(items, cfg.Segclust())
+	if err != nil {
+		return nil, err
+	}
+	return core.AssembleCtx(context.Background(), items, res, cfg, nil, nil)
 }
 
 // qmeasure computes Formula 11 for a clustering outcome.

@@ -174,6 +174,33 @@ func (g Geometry) Validate() (field, reason string) {
 // spatiotemporal geometry requires them, and every other refuses them.
 func (g Geometry) Timed() bool { return g.Kind == Spatiotemporal }
 
+// The geodesic input rule: |latitude| ≤ maxLatitude and |longitude| ≤
+// maxLongitude degrees. The longitude bound admits both the [−180, 180] and
+// the [0, 360] conventions, and it keeps every projected coordinate finite:
+// a frame origin resolved inside the same bounds is at most 720° of
+// longitude from any point.
+const (
+	maxLatitude  = 90
+	maxLongitude = 360
+)
+
+// CheckPoints reports the first raw point of tr the geometry cannot take,
+// as a reason for the caller to wrap into its typed config error ("" =
+// every point fits). Only the geodesic geometry restricts points, to the
+// input rule above; a NaN coordinate is left to the trajectory's Validate.
+func (g Geometry) CheckPoints(tr geom.Trajectory) (reason string) {
+	if g.Kind != Geodesic {
+		return ""
+	}
+	for i, p := range tr.Points {
+		if math.Abs(p.Y) > maxLatitude || math.Abs(p.X) > maxLongitude {
+			return fmt.Sprintf("trajectory %d point %d (longitude %g, latitude %g) is outside |longitude| ≤ %d, |latitude| ≤ %d degrees",
+				tr.ID, i, p.X, p.Y, maxLongitude, maxLatitude)
+		}
+	}
+	return ""
+}
+
 // EarthRadiusMeters is the IUGG mean Earth radius.
 const EarthRadiusMeters = 6371008.8
 

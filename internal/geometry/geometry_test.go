@@ -189,3 +189,27 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckPoints pins the geodesic input rule at its bounds: |latitude| ≤
+// 90 and |longitude| ≤ 360 degrees fit, one step past either does not, and
+// the planar and spatiotemporal geometries take every point.
+func TestCheckPoints(t *testing.T) {
+	tr := func(x, y float64) geom.Trajectory {
+		return geom.NewTrajectory(7, []geom.Point{geom.Pt(0, 0), geom.Pt(x, y)})
+	}
+	for _, p := range []geom.Point{geom.Pt(360, 90), geom.Pt(-360, -90), geom.Pt(-180, 45), geom.Pt(359.9, 0)} {
+		if reason := NewGeodesic().CheckPoints(tr(p.X, p.Y)); reason != "" {
+			t.Errorf("geodesic point %v rejected: %s", p, reason)
+		}
+	}
+	for _, p := range []geom.Point{geom.Pt(0, math.Nextafter(90, 100)), geom.Pt(0, -100), geom.Pt(math.Nextafter(360, 400), 0), geom.Pt(-1e306, 0), geom.Pt(math.Inf(1), 0)} {
+		if NewGeodesic().CheckPoints(tr(p.X, p.Y)) == "" {
+			t.Errorf("geodesic point %v accepted", p)
+		}
+		for _, g := range []Geometry{NewPlanar(), NewSpatiotemporal(1)} {
+			if reason := g.CheckPoints(tr(p.X, p.Y)); reason != "" {
+				t.Errorf("%s point %v rejected: %s", g.Kind, p, reason)
+			}
+		}
+	}
+}

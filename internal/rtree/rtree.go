@@ -33,7 +33,7 @@ type node struct {
 
 // Tree is an R-tree mapping rectangles to integer ids. The zero value is
 // ready to use. A Tree is not safe for concurrent mutation; concurrent
-// Search/WithinDist calls are safe once building is done.
+// WithinDist calls are safe once building is done.
 type Tree struct {
 	root *node
 	size int
@@ -195,40 +195,9 @@ func split(n *node) (*node, *node) {
 	return left, right
 }
 
-// Search calls fn with the id of every stored rectangle intersecting q.
-// Returning false from fn stops the search early.
-func (t *Tree) Search(q geom.Rect, fn func(id int) bool) {
-	if t.root != nil {
-		searchNode(t.root, q, fn)
-	}
-}
-
-func searchNode(n *node, q geom.Rect, fn func(id int) bool) bool {
-	for _, e := range n.entries {
-		if !e.rect.Intersects(q) {
-			continue
-		}
-		if e.child == nil {
-			if !fn(e.id) {
-				return false
-			}
-		} else if !searchNode(e.child, q, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// SearchIDs returns the ids of all rectangles intersecting q, appended to
-// dst (which may be nil).
-func (t *Tree) SearchIDs(q geom.Rect, dst []int) []int {
-	t.Search(q, func(id int) bool { dst = append(dst, id); return true })
-	return dst
-}
-
 // WithinDist calls fn for every stored rectangle whose minimum Euclidean
 // distance to q is at most d. This is the primitive behind the ε-query
-// prefilter.
+// prefilter. Returning false from fn stops the walk early.
 func (t *Tree) WithinDist(q geom.Rect, d float64, fn func(id int) bool) {
 	t.WithinDistOutside(q, d, 0, 0, fn)
 }

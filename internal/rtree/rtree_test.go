@@ -20,16 +20,6 @@ func randRects(rng *rand.Rand, n int) []geom.Rect {
 	return rects
 }
 
-func bruteSearch(rects []geom.Rect, q geom.Rect) []int {
-	var out []int
-	for i, r := range rects {
-		if r.Intersects(q) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func bruteWithin(rects []geom.Rect, q geom.Rect, d float64) []int {
 	var out []int
 	for i, r := range rects {
@@ -38,6 +28,14 @@ func bruteWithin(rects []geom.Rect, q geom.Rect, d float64) []int {
 		}
 	}
 	return out
+}
+
+// intersecting returns the ids of every stored rectangle intersecting q:
+// the tree's walk at distance 0 with the empty window.
+func intersecting(t *Tree, q geom.Rect) []int {
+	var ids []int
+	t.WithinDistOutside(q, 0, 0, 0, func(id int) bool { ids = append(ids, id); return true })
+	return ids
 }
 
 func sameIDs(t *testing.T, got, want []int, ctx string) {
@@ -59,7 +57,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 0 {
 		t.Errorf("empty: Len=%d Height=%d", tr.Len(), tr.Height())
 	}
-	tr.Search(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}, func(int) bool {
+	tr.WithinDistOutside(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}, 0, 0, 0, func(int) bool {
 		t.Error("search on empty tree yielded result")
 		return true
 	})
@@ -77,7 +75,7 @@ func TestInsertSearchAgainstBruteForce(t *testing.T) {
 	}
 	for trial := 0; trial < 100; trial++ {
 		q := randRects(rng, 1)[0]
-		sameIDs(t, tr.SearchIDs(q, nil), bruteSearch(rects, q), "search")
+		sameIDs(t, intersecting(tr, q), bruteWithin(rects, q, 0), "search")
 	}
 }
 
@@ -106,7 +104,7 @@ func TestBulkMatchesInsert(t *testing.T) {
 	}
 	for trial := 0; trial < 100; trial++ {
 		q := randRects(rng, 1)[0]
-		sameIDs(t, bulk.SearchIDs(q, nil), bruteSearch(rects, q), "bulk search")
+		sameIDs(t, intersecting(bulk, q), bruteWithin(rects, q, 0), "bulk search")
 	}
 	for trial := 0; trial < 50; trial++ {
 		q := randRects(rng, 1)[0]
@@ -122,7 +120,7 @@ func TestBulkEmpty(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	tr.Search(geom.Rect{Max: geom.Pt(1, 1)}, func(int) bool {
+	tr.WithinDistOutside(geom.Rect{Max: geom.Pt(1, 1)}, 0, 0, 0, func(int) bool {
 		t.Error("unexpected result")
 		return true
 	})
@@ -134,7 +132,7 @@ func TestDuplicateRects(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Insert(r, i)
 	}
-	got := tr.SearchIDs(r, nil)
+	got := intersecting(tr, r)
 	if len(got) != 100 {
 		t.Errorf("duplicates: got %d ids", len(got))
 	}
@@ -164,7 +162,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	tr := Bulk(rects)
 	count := 0
 	q := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)}
-	tr.Search(q, func(int) bool {
+	tr.WithinDistOutside(q, 0, 0, 0, func(int) bool {
 		count++
 		return count < 5
 	})
@@ -188,7 +186,7 @@ func TestPointRects(t *testing.T) {
 		p := geom.Pt(float64(i), float64(i))
 		tr.Insert(geom.Rect{Min: p, Max: p}, i)
 	}
-	got := tr.SearchIDs(geom.Rect{Min: geom.Pt(10, 10), Max: geom.Pt(12, 12)}, nil)
+	got := intersecting(tr, geom.Rect{Min: geom.Pt(10, 10), Max: geom.Pt(12, 12)})
 	if len(got) != 3 {
 		t.Errorf("point search = %v", got)
 	}
@@ -206,6 +204,6 @@ func TestMixedInsertAfterBulk(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		q := randRects(rng, 1)[0]
-		sameIDs(t, tr.SearchIDs(q, nil), bruteSearch(rects, q), "mixed")
+		sameIDs(t, intersecting(tr, q), bruteWithin(rects, q, 0), "mixed")
 	}
 }

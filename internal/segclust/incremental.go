@@ -60,13 +60,10 @@ func (u *unionFind) grow(n int) *unionFind {
 
 // grow appends items to the shared index in place: the searcher's pool,
 // index backend, and item set all grow, and subsequent views and cursors
-// serve the concatenated set. On any error nothing is mutated.
-func (s *SharedIndex) grow(newItems []Item) error {
-	if err := s.search.Grow(segments(newItems)); err != nil {
-		return err
-	}
+// serve the concatenated set.
+func (s *SharedIndex) grow(newItems []Item) {
+	s.search.Grow(segments(newItems))
 	s.items = append(s.items, newItems...)
-	return nil
 }
 
 // Incremental is a clustering that stays current under appends. It is built
@@ -163,9 +160,7 @@ func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item) (*Result
 		return nil, err
 	}
 	n0 := len(inc.shared.items)
-	if err := inc.shared.grow(newItems); err != nil {
-		return nil, err // nothing mutated; state still coherent
-	}
+	inc.shared.grow(newItems)
 	// Any exit past this point without full completion breaks the state.
 	res, err := inc.append(ctx, n0)
 	if err != nil {

@@ -144,7 +144,7 @@ func TestNewIncrementalListsGuards(t *testing.T) {
 	ctx := context.Background()
 	items := segclust.WeightedCorridor(3, 60, 2, 6, 200)
 	cfg := segclust.Config{Eps: 25, MinLns: 1, Options: lsdist.DefaultOptions()}
-	shared := segclust.NewSharedIndexFor(items, cfg.Options, nil)
+	shared := segclust.NewSharedIndexFor(items, cfg.Options, cfg.Backend)
 	den, err := dendro.FromShared(ctx, shared, 20, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -248,9 +248,7 @@ func TestPrecomputedHoodsMatchLazy(t *testing.T) {
 			for e, n := range cuts {
 				if e > 0 {
 					lo = cuts[e-1]
-					if err := shared.grow(items[lo:n]); err != nil {
-						t.Fatal(err)
-					}
+					shared.grow(items[lo:n])
 					if got, err = hs.extend(context.Background(), shared, cfg.Eps, workers, nil, nil); err != nil {
 						t.Fatal(err)
 					}

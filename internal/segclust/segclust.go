@@ -6,9 +6,9 @@
 // (Definition 10).
 //
 // ε-neighborhoods are computed through the unified index subsystem of
-// internal/spindex — brute force, uniform grid, or R-tree (or any custom
-// Backend), all using the sound Euclidean prefilter of internal/lsdist —
-// and all backends produce identical clusterings. A grouping handed a
+// internal/spindex — brute force, uniform grid, or R-tree, all using the
+// sound Euclidean prefilter of internal/lsdist — and all backends produce
+// identical clusterings. A grouping handed a
 // neighbor structure that already holds every pair within some MaxEps ≥ ε
 // (NeighborLists, as an estimation dendrogram does) reads its
 // neighborhoods from it instead of scoring them again. Every run computes
@@ -78,8 +78,8 @@ type Config struct {
 	// Distance options (weights, directedness).
 	Options lsdist.Options
 	// Backend is the spindex backend behind every ε-neighborhood query:
-	// grid, R-tree, brute scan or a custom plug-in (the public
-	// Config.Index sets it). nil selects the grid.
+	// grid (the zero value), R-tree or brute scan. The public Config.Index
+	// sets it.
 	Backend spindex.Backend
 	// Workers bounds parallelism (≤ 0 = all CPUs): every ε-neighborhood is
 	// computed concurrently through per-worker views of a shared index, and
@@ -615,11 +615,7 @@ func sortedKeys(m map[int]bool) []int {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort; PTR sets are small
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -691,13 +687,6 @@ func (s *SharedIndex) Items() []Item { return s.items }
 
 // Options returns the distance options the index was built with.
 func (s *SharedIndex) Options() lsdist.Options { return s.opt }
-
-// Searcher exposes the underlying spindex searcher so sibling subsystems
-// can run their own candidate + refine passes against the same single index
-// build. The searcher serves the raw spatial distance only; geometry-aware
-// consumers (internal/dendro's merge-structure build) go through Cursor,
-// which applies the index's temporal term.
-func (s *SharedIndex) Searcher() *spindex.Searcher { return s.search }
 
 // Cursor is a per-goroutine query handle over the shared index that serves
 // the index's full geometry: candidates from the conservative spatial

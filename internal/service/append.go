@@ -111,13 +111,8 @@ func (head *Model) nextEpoch(res *traclus.Result, trajectories, points int) *Mod
 	next.summary.BuiltAt = time.Now().UTC()
 	next.summary.ClusterStats = res.ClusterStats()
 	// The classifier over the post-append reference segments is built on
-	// first use — Append itself must construct zero spatial indexes.
-	next.clsLazy = func() (*traclus.Classifier, error) {
-		if len(res.Clusters) == 0 {
-			return nil, nil
-		}
-		return res.Classifier()
-	}
+	// first use (Model.classifier) — Append itself constructs zero spatial
+	// indexes.
 	return next
 }
 

@@ -303,15 +303,3 @@ func (ds *DiskStore) Delete(name string) bool {
 	}
 	return evicted
 }
-
-// SnapshotBytes returns the encoded snapshot for name: from the resident
-// model if cached (or loadable), else straight from the file. The export
-// path of GET /v1/models/{name}/snapshot.
-func (ds *DiskStore) SnapshotBytes(name string) (data []byte, found bool, err error) {
-	m, found, err := ds.Get(name)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	data, err = m.EncodeSnapshot()
-	return data, true, err
-}

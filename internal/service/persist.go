@@ -33,8 +33,7 @@ func ModelNamePattern() string { return modelName.String() }
 // Snapshot returns the model's serializable snapshot, computing it at most
 // once (models loaded from a snapshot return the retained one, so an
 // export after import is byte-stable). The error is permanent for the
-// model's lifetime — e.g. a classifier built on a plugged-in custom index
-// backend has no backend name to serialize.
+// model's lifetime.
 func (m *Model) Snapshot() (*snapshot.Model, error) {
 	m.snapOnce.Do(func() {
 		if m.snap == nil {
@@ -56,9 +55,6 @@ func (m *Model) EncodeSnapshot() ([]byte, error) {
 
 func (m *Model) buildSnapshot() (*snapshot.Model, error) {
 	cfg := m.cfg
-	if _, err := traclus.ParseIndexBackend(cfg.Index.Name()); err != nil {
-		return nil, fmt.Errorf("service: snapshotting %q: %w", m.summary.Name, traclus.ErrUnsnapshotable)
-	}
 	// Serialize resolved weights: the distance the model actually used.
 	dist := m.distOptions()
 	w := dist.Weights
@@ -119,10 +115,7 @@ func (m *Model) buildSnapshot() (*snapshot.Model, error) {
 		return nil, fmt.Errorf("service: snapshotting %q: %w", m.summary.Name, err)
 	}
 	if cls != nil {
-		cs, err := cls.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("service: snapshotting %q: %w", m.summary.Name, err)
-		}
+		cs := cls.Snapshot()
 		sm.Clusters = make([]snapshot.Cluster, len(m.summary.ClusterStats))
 		for ci, stat := range m.summary.ClusterStats {
 			sm.Clusters[ci] = snapshot.Cluster{

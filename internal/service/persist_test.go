@@ -139,8 +139,7 @@ func TestSnapshotZeroClusterModel(t *testing.T) {
 // TestSnapshotBackendNames pins the one name per backend on disk: a fresh
 // brute model exports its backend's Name(), "brute"; a snapshot carrying
 // the aliases "scan" or "none" decodes to a brute-backed model that
-// classifies like the original; and a backend whose name ParseIndexBackend
-// cannot resolve refuses to export, with or without clusters.
+// classifies like the original.
 func TestSnapshotBackendNames(t *testing.T) {
 	ctx := context.Background()
 	cfg := buildConfig()
@@ -173,26 +172,7 @@ func TestSnapshotBackendNames(t *testing.T) {
 		}
 		sameAssignments(t, alias, want, loaded.ClassifyBatch(ctx, probeSet(), 1))
 	}
-
-	for _, minLns := range []float64{6, 1e6} {
-		cfg := buildConfig()
-		cfg.MinLns = minLns
-		cfg.Index = renamedBackend{traclus.GridIndexBackend()}
-		m, err := BuildCtx(ctx, "renamed", trainingSet(), cfg, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.EncodeSnapshot(); !errors.Is(err, traclus.ErrUnsnapshotable) {
-			t.Errorf("%d clusters under a custom backend name: export %v, want ErrUnsnapshotable", m.Summary().Clusters, err)
-		}
-	}
 }
-
-// renamedBackend is a built-in backend under a name ParseIndexBackend cannot
-// resolve.
-type renamedBackend struct{ traclus.IndexBackend }
-
-func (renamedBackend) Name() string { return "renamed" }
 
 func TestValidModelName(t *testing.T) {
 	for name, want := range map[string]bool{

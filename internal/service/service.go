@@ -71,16 +71,9 @@ type Summary struct {
 type Model struct {
 	summary Summary
 	res     *traclus.Result // nil for models loaded from a snapshot
-	cls     *traclus.Classifier
-
-	// Lazy classifier (appended models only): the append path must build
-	// zero spatial indexes, so the classifier over the post-append reference
-	// segments is constructed on the first Classify/snapshot instead of
-	// inside Append. clsOnce/clsErr memoize it into cls; eagerly-built
-	// models (fresh builds, snapshot loads) leave clsLazy nil.
-	clsOnce sync.Once
-	clsLazy func() (*traclus.Classifier, error)
-	clsErr  error
+	// cls is a snapshot-loaded model's classifier (nil when it has no
+	// clusters). A built or appended model's is res.Classifier().
+	cls *traclus.Classifier
 
 	// Incremental growth: ap is the appender the model was built through
 	// and lin the lineage every epoch of this model shares. Both are nil
@@ -167,9 +160,8 @@ func buildOptions(cfg traclus.Config, est *EstimateRange, progress func(phase st
 }
 
 // finishBuild wraps a completed appender build as a servable model:
-// estimated parameters, the resolved geometry (a geodesic run's projection
-// frame) and the grid a nil Config.Index selects fold into the persisted
-// config, and the summary
+// estimated parameters and the resolved geometry (a geodesic run's
+// projection frame) fold into the persisted config, and the summary
 // statistics precompute so serving reads never trigger O(n²) work. An auto
 // build's dendrogram stays on res, where sweeps find it and the snapshot
 // persists it as format v2.
@@ -180,9 +172,6 @@ func finishBuild(name string, ap *traclus.Appender, cfg traclus.Config, trajecto
 		cfg.MinLns = float64(res.Estimated.MinLnsLo+res.Estimated.MinLnsHi) / 2
 	}
 	cfg.Geometry = res.Geometry()
-	if cfg.Index == nil {
-		cfg.Index = traclus.GridIndexBackend()
-	}
 	m := &Model{
 		res: res,
 		ap:  ap,
@@ -207,8 +196,7 @@ func finishBuild(name string, ap *traclus.Appender, cfg traclus.Config, trajecto
 		// The memoized accessor shares one classifier (and one
 		// reference-segment index) between the model and any direct
 		// Result.Classify callers — never two builds over the same dataset.
-		var err error
-		if m.cls, err = res.Classifier(); err != nil {
+		if _, err := res.Classifier(); err != nil {
 			return nil, fmt.Errorf("service: building classifier for %q: %w", name, err)
 		}
 	}
@@ -234,15 +222,16 @@ func (m *Model) Result() *traclus.Result { return m.res }
 // already substituted).
 func (m *Model) Config() traclus.Config { return m.cfg }
 
-// classifier resolves the model's classifier, building it on first use for
-// appended models (whose construction defers the reference-index build so
-// the append path itself builds zero indexes). nil with a nil error means
-// the clustering has no clusters to classify against.
+// classifier resolves the model's classifier: the result's memoized one,
+// which finishBuild builds for a fresh model and an appended epoch builds
+// on first use (so the append path itself builds zero indexes), or a
+// snapshot-loaded model's. nil with a nil error means the clustering has no
+// clusters to classify against.
 func (m *Model) classifier() (*traclus.Classifier, error) {
-	if m.clsLazy != nil {
-		m.clsOnce.Do(func() { m.cls, m.clsErr = m.clsLazy() })
+	if m.res == nil || len(m.res.Clusters) == 0 {
+		return m.cls, nil
 	}
-	return m.cls, m.clsErr
+	return m.res.Classifier()
 }
 
 // Classify assigns one trajectory to its nearest cluster under the model's

@@ -13,22 +13,9 @@ package spindex
 // before a Grow stay valid because ids are append-only.
 
 import (
-	"errors"
-
 	"repro/internal/geom"
 	"repro/internal/segpool"
 )
-
-// ErrNotGrowable reports a Grow on a Searcher whose backend index does not
-// implement Inserter (custom backends without growth support).
-var ErrNotGrowable = errors.New("spindex: index backend does not support incremental growth")
-
-// Growable reports whether this Searcher's index can absorb appended
-// segments (all three first-class backends can).
-func (s *Searcher) Growable() bool {
-	_, ok := s.index.(Inserter)
-	return ok
-}
 
 // Grow appends segs to the Searcher: the columnar pool grows (amortized
 // doubling, no new pool build), the backend index absorbs the new ids in
@@ -39,15 +26,10 @@ func (s *Searcher) Growable() bool {
 // A non-finite coordinate in segs drops the whole Searcher to the scalar
 // distance path (Batched() becomes false), which is bit-identical to what
 // NewSearcher over the concatenated set would have done; the query answers
-// do not change, only their speed. Grow returns ErrNotGrowable — mutating
-// nothing — when the backend lacks growth support.
-func (s *Searcher) Grow(segs []geom.Segment) error {
+// do not change, only their speed.
+func (s *Searcher) Grow(segs []geom.Segment) {
 	if len(segs) == 0 {
-		return nil
-	}
-	ins, ok := s.index.(Inserter)
-	if !ok {
-		return ErrNotGrowable
+		return
 	}
 	if s.pool != nil {
 		np, err := segpool.Grow(s.pool, segs)
@@ -71,7 +53,6 @@ func (s *Searcher) Grow(segs []geom.Segment) error {
 			s.rects = append(s.rects, sg.Bounds())
 		}
 	}
-	ins.Insert(segs)
+	s.index.insert(segs)
 	grows.Add(1)
-	return nil
 }

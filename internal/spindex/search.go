@@ -34,11 +34,11 @@ const maxExpandIters = 48
 // enough that the per-cursor distance scratch stays cache-resident.
 const scanBlock = 1024
 
-// Searcher couples one immutable SegmentIndex with the exact TRACLUS
-// distance and its Euclidean lower bound dist ≥ Factor·mindist. It is built
-// once per dataset (the Build counter pins that) and then answers any
-// number of ε-range and nearest queries, at any ε, through per-goroutine
-// SearchQuery cursors.
+// Searcher couples one backend index with the exact TRACLUS distance and
+// its Euclidean lower bound dist ≥ Factor·mindist. It is built once per
+// dataset (the Builds counter pins that) and then answers any number of
+// ε-range and nearest queries, at any ε, through per-goroutine SearchQuery
+// cursors.
 //
 // When the distance weights admit no lower bound (Factor() == 0), or the
 // caller asked for Brute, the index degenerates to the exhaustive scan and
@@ -48,7 +48,7 @@ type Searcher struct {
 	rects  []geom.Rect // fallback query rectangles; nil for brute or when pool covers them
 	dist   lsdist.Func
 	factor float64 // c in dist ≥ c·mindist; 0 = no sound pruning
-	index  SegmentIndex
+	index  index
 	brute  bool // the index reports every id on every query
 
 	// Columnar fast path: the SoA mirror of segs and the batch kernel that
@@ -78,9 +78,6 @@ func NewSearcher(segs []geom.Segment, opt lsdist.Options, backend Backend) *Sear
 		s.pool = pool
 		s.kernel = lsdist.NewKernel(opt)
 	}
-	if backend == nil {
-		backend = Grid()
-	}
 	if s.factor == 0 {
 		backend = Brute()
 	}
@@ -88,13 +85,13 @@ func NewSearcher(segs []geom.Segment, opt lsdist.Options, backend Backend) *Sear
 	// the scalar fallback: with a pool the coordinates are already resident
 	// in its columns and rectOf derives the identical Bounds() on the fly,
 	// so the precomputed copy would be len(segs) rects of pure overlap.
-	if _, s.brute = backend.(bruteBackend); !s.brute && s.pool == nil {
+	if s.brute = backend == Brute(); !s.brute && s.pool == nil {
 		s.rects = make([]geom.Rect, len(segs))
 		for i, sg := range segs {
 			s.rects[i] = sg.Bounds()
 		}
 	}
-	s.index = Build(backend, segs)
+	s.index = backend.build(segs)
 	return s
 }
 
@@ -129,7 +126,7 @@ func (s *Searcher) Batched() bool { return s.pool != nil }
 // Query returns a fresh per-goroutine cursor. Cursors are cheap relative to
 // the index; pool them on serving hot paths.
 func (s *Searcher) Query() *SearchQuery {
-	return &SearchQuery{s: s, q: s.index.Query()}
+	return &SearchQuery{s: s, q: s.index.cursor()}
 }
 
 // SearchQuery is a per-goroutine cursor over a Searcher: it owns the
@@ -137,7 +134,7 @@ func (s *Searcher) Query() *SearchQuery {
 // concurrent queries never share mutable state.
 type SearchQuery struct {
 	s    *Searcher
-	q    Query
+	q    cursor
 	cand []int
 	out  []float64
 }
@@ -154,10 +151,16 @@ func (sq *SearchQuery) radius(eps float64) float64 { return eps / sq.s.factor }
 // of the true ε-neighborhood (completeness follows from the lower bound;
 // see the package documentation).
 func (sq *SearchQuery) CandidatesOf(i int, eps float64, dst []int) []int {
+	return sq.within(i, eps, 0, 0, dst)
+}
+
+// within is the backend query for indexed segment i at TRACLUS radius eps,
+// less the window [lo, hi).
+func (sq *SearchQuery) within(i int, eps float64, lo, hi int, dst []int) []int {
 	if sq.s.brute {
-		return sq.q.Within(geom.Rect{}, 0, dst)
+		return sq.q.within(geom.Rect{}, 0, lo, hi, dst)
 	}
-	return sq.q.Within(sq.s.rectOf(i), sq.radius(eps), dst)
+	return sq.q.within(sq.s.rectOf(i), sq.radius(eps), lo, hi, dst)
 }
 
 // OwnedCandidatesOf appends to dst the candidates of indexed segment i
@@ -167,15 +170,13 @@ func (sq *SearchQuery) CandidatesOf(i int, eps float64, dst []int) []int {
 // |owned ∩ [0, lo)| + 2·|owned ∩ (i, n)| + [i ∈ owned], whose sum over the
 // pass is Σ|CandidatesOf|: each owned j > i also stands for the pair's
 // other end, which finds i in its window. The sum is exact because the
-// candidate relation is symmetric (OutsideQuery). That argument needs
-// finite coordinates (a NaN rectangle clamps to the grid's edge cells), so
-// a dataset with a non-finite coordinate, like a cursor without the
-// extension, takes the full list and drops the window, and is charged the
-// list's length.
+// candidate relation is symmetric (see the package documentation). That
+// argument needs finite coordinates (a NaN rectangle clamps to the grid's
+// edge cells), so a dataset with a non-finite coordinate takes the full
+// list and drops the window, and is charged the list's length.
 func (sq *SearchQuery) OwnedCandidatesOf(i, lo int, eps float64, dst []int) (owned []int, calls int) {
 	start := len(dst)
-	ext, ok := sq.q.(OutsideQuery)
-	if !ok || sq.s.pool == nil {
+	if sq.s.pool == nil {
 		dst = sq.CandidatesOf(i, eps, dst)
 		calls = len(dst) - start
 		out := dst[:start]
@@ -186,11 +187,7 @@ func (sq *SearchQuery) OwnedCandidatesOf(i, lo int, eps float64, dst []int) (own
 		}
 		return out, calls
 	}
-	if sq.s.brute {
-		dst = ext.WithinOutside(geom.Rect{}, 0, lo, i, dst)
-	} else {
-		dst = ext.WithinOutside(sq.s.rectOf(i), sq.radius(eps), lo, i, dst)
-	}
+	dst = sq.within(i, eps, lo, i, dst)
 	for _, j := range dst[start:] {
 		calls++
 		if j > i {
@@ -290,7 +287,7 @@ func (sq *SearchQuery) nearest(q geom.Segment, seed float64, adjust func(id int)
 	}
 	bounds := q.Bounds()
 	for iter := 0; iter < maxExpandIters; iter++ {
-		sq.cand = sq.q.Within(bounds, r, sq.cand[:0])
+		sq.cand = sq.q.within(bounds, r, 0, 0, sq.cand[:0])
 		best, bestD := sq.bestOf(q, sq.cand, adjust, prefer)
 		if best >= 0 && bestD <= s.factor*r {
 			return best, bestD

@@ -25,8 +25,8 @@ func sortedCopy(ids []int) []int {
 	return out
 }
 
-// exactWithin is the specification of the Within contract: every id whose
-// MBR lies within Euclidean distance r of q.
+// exactWithin is the specification of the full (empty-window) query: every
+// id whose MBR lies within Euclidean distance r of q.
 func exactWithin(segs []geom.Segment, q geom.Rect, r float64) []int {
 	var ids []int
 	for i, s := range segs {
@@ -44,16 +44,16 @@ func exactWithin(segs []geom.Segment, q geom.Rect, r float64) []int {
 func TestBackendsAgreeOnCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	segs := randomSegments(rng, 300, 1000)
-	grid := Build(Grid(), segs)
-	rtree := Build(RTree(), segs)
-	brute := Build(Brute(), segs)
-	gq, rq, bq := grid.Query(), rtree.Query(), brute.Query()
+	grid := Grid().build(segs)
+	rtree := RTree().build(segs)
+	brute := Brute().build(segs)
+	gq, rq, bq := grid.cursor(), rtree.cursor(), brute.cursor()
 	for trial := 0; trial < 200; trial++ {
 		q := geom.Seg(rng.Float64()*1100-50, rng.Float64()*1100-50,
 			rng.Float64()*1100-50, rng.Float64()*1100-50).Bounds()
 		r := rng.Float64() * 120
 		want := sortedCopy(exactWithin(segs, q, r))
-		got := sortedCopy(gq.Within(q, r, nil))
+		got := sortedCopy(gq.within(q, r, 0, 0, nil))
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: grid returned %d candidates, want %d", trial, len(got), len(want))
 		}
@@ -62,7 +62,7 @@ func TestBackendsAgreeOnCandidates(t *testing.T) {
 				t.Fatalf("trial %d: grid candidates %v != exact %v", trial, got, want)
 			}
 		}
-		rgot := sortedCopy(rq.Within(q, r, nil))
+		rgot := sortedCopy(rq.within(q, r, 0, 0, nil))
 		if len(rgot) != len(want) {
 			t.Fatalf("trial %d: rtree returned %d candidates, want %d", trial, len(rgot), len(want))
 		}
@@ -71,7 +71,7 @@ func TestBackendsAgreeOnCandidates(t *testing.T) {
 				t.Fatalf("trial %d: rtree candidates %v != exact %v", trial, rgot, want)
 			}
 		}
-		if all := bq.Within(q, r, nil); len(all) != len(segs) {
+		if all := bq.within(q, r, 0, 0, nil); len(all) != len(segs) {
 			t.Fatalf("trial %d: brute returned %d of %d ids", trial, len(all), len(segs))
 		}
 	}
@@ -195,12 +195,12 @@ func TestSearcherZeroFactorFallsBackToBrute(t *testing.T) {
 	}
 }
 
-// TestBuildCounter pins that Build (the counting constructor every call
+// TestBuildCounter pins that build (the counting constructor every call
 // site uses) records each index construction.
 func TestBuildCounter(t *testing.T) {
 	segs := randomSegments(rand.New(rand.NewSource(1)), 10, 100)
 	before := Builds()
-	Build(Grid(), segs)
+	Grid().build(segs)
 	NewSearcher(segs, lsdist.DefaultOptions(), RTree())
 	if got := Builds() - before; got != 2 {
 		t.Fatalf("Builds() advanced by %d, want 2", got)

@@ -156,10 +156,9 @@ func (p *Pipeline) Run(ctx context.Context, trs []Trajectory) (*Result, error) {
 // cluster is the one build body behind Run and NewAppender: prepare, then
 // the grouping into an ε-graph that can absorb appends, then the
 // representatives. It returns the Result and, when appendable, the
-// Incremental that grouped it; appendable also asks prepare for an index
-// that can grow.
+// Incremental that grouped it.
 func (p *Pipeline) cluster(ctx context.Context, trs []Trajectory, appendable bool) (*Result, *segclust.Incremental, error) {
-	b, err := p.prepare(ctx, trs, appendable, p.est)
+	b, err := p.prepare(ctx, trs, p.est)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -207,7 +206,7 @@ type build struct {
 // alike. With a range (WithEstimation, or Estimate), prepare then chooses
 // Eps and MinLns: the one ε search anneals over the dendrogram built once
 // at the range maximum.
-func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable bool, est *estimateRange) (*build, error) {
+func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, est *estimateRange) (*build, error) {
 	cfg := p.cfg
 	if est != nil {
 		// Eps and MinLns are what the estimation phase exists to find;
@@ -238,9 +237,6 @@ func (p *Pipeline) prepare(ctx context.Context, trs []Trajectory, appendable boo
 	}
 	b.rep.finish()
 	b.shared = sharedIndex(items, b.ccfg)
-	if appendable && !b.shared.Searcher().Growable() {
-		return nil, fmt.Errorf("traclus: appenders require a growable index backend (custom backend %q does not implement growth)", b.ccfg.ResolvedBackend().Name())
-	}
 	if est == nil {
 		return b, nil
 	}
@@ -283,27 +279,28 @@ func (b *build) lists() segclust.NeighborLists {
 // sharedIndex builds the one spatial index over items under the run's
 // distance, backend and geometry — a spatiotemporal run's wT included.
 func sharedIndex(items []Item, ccfg core.Config) *segclust.SharedIndex {
-	return segclust.NewSharedIndex(items, ccfg.Distance, ccfg.Geometry.WT, ccfg.ResolvedBackend())
+	return segclust.NewSharedIndex(items, ccfg.Distance, ccfg.Geometry.WT, ccfg.Backend)
 }
 
 // validateTrajectories applies the one trajectory Validate to every input,
-// and the one-type rule: trajectories carry Times exactly when the
-// geometry is spatiotemporal.
+// and the geometry's rules (fitsGeometry).
 func validateTrajectories(trs []Trajectory, g Geometry) error {
 	if err := core.ValidateTrajectories(trs); err != nil {
 		return fmt.Errorf("traclus: %w", err)
 	}
 	for _, tr := range trs {
-		if err := timesFit(tr, g); err != nil {
+		if err := fitsGeometry(tr, g); err != nil {
 			return fmt.Errorf("traclus: %w", err)
 		}
 	}
 	return nil
 }
 
-// timesFit reports, as a *ConfigError, a trajectory whose time column does
-// not fit the geometry.
-func timesFit(tr Trajectory, g Geometry) error {
+// fitsGeometry reports, as a *ConfigError, a trajectory that does not fit
+// the geometry: trajectories carry Times exactly when the geometry is
+// spatiotemporal, and a geodesic trajectory's points keep to the degree
+// bounds of Geometry.CheckPoints.
+func fitsGeometry(tr Trajectory, g Geometry) error {
 	switch {
 	case g.Timed() && tr.Times == nil:
 		return &ConfigError{Field: "Geometry", Value: g.Kind.String(),
@@ -311,6 +308,9 @@ func timesFit(tr Trajectory, g Geometry) error {
 	case !g.Timed() && tr.Times != nil:
 		return &ConfigError{Field: "Geometry", Value: g.Kind.String(),
 			Reason: fmt.Sprintf("takes trajectories without Times; trajectory %d carries them", tr.ID)}
+	}
+	if reason := g.CheckPoints(tr); reason != "" {
+		return &ConfigError{Field: "Geometry", Value: g.Kind.String(), Reason: reason}
 	}
 	return nil
 }
@@ -369,7 +369,7 @@ func stageError(ctx context.Context, phase Phase, err error) error {
 // single index and dendrogram — stopped before the grouping. A done ctx
 // stops the search within one ε evaluation and returns ctx.Err().
 func (p *Pipeline) Estimate(ctx context.Context, trs []Trajectory, lo, hi float64) (Estimate, error) {
-	b, err := p.prepare(ctx, trs, false, &estimateRange{lo: lo, hi: hi})
+	b, err := p.prepare(ctx, trs, &estimateRange{lo: lo, hi: hi})
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -68,27 +68,16 @@ func NewTrajectory(id int, pts []Point) Trajectory { return geom.NewTrajectory(i
 // Weights are the distance component multipliers w⊥, w∥, wθ.
 type Weights = lsdist.Weights
 
-// IndexBackend constructs the spatial index behind every ε-neighborhood
-// and nearest-representative query: one Build per dataset (the pooled
+// IndexBackend names the spatial index behind every ε-neighborhood and
+// nearest-representative query: one build per dataset (the pooled
 // trajectory partitions; a model's reference segments), then any number of
-// concurrent queries through per-goroutine cursors.
-//
-// Custom implementations must honour the conservative candidate contract:
-// a cursor's Within(q, r, dst) must report every indexed segment whose
-// minimum Euclidean distance to the rectangle q is at most r — false
-// positives are allowed (the engine refines candidates with the exact
-// distance), false negatives are never, and no id may repeat within one
-// query. See the "Index layer" section of ARCHITECTURE.md.
+// concurrent queries. The set is closed — GridIndexBackend,
+// RTreeIndexBackend and BruteIndexBackend — and the zero value is the grid.
+// See the "Index layer" section of ARCHITECTURE.md.
 type IndexBackend = spindex.Backend
 
-// SegmentIndex is the immutable index an IndexBackend builds.
-type SegmentIndex = spindex.SegmentIndex
-
-// IndexQuery is a per-goroutine query cursor over a SegmentIndex.
-type IndexQuery = spindex.Query
-
-// GridIndexBackend returns the uniform-grid backend, the default that a
-// nil Config.Index selects.
+// GridIndexBackend returns the uniform-grid backend, the default: the zero
+// IndexBackend is the grid.
 func GridIndexBackend() IndexBackend { return spindex.Grid() }
 
 // RTreeIndexBackend returns the R-tree backend.
@@ -112,7 +101,7 @@ func ParseIndexBackend(s string) (IndexBackend, error) {
 	case "brute", "scan", "none":
 		return BruteIndexBackend(), nil
 	}
-	return nil, &ConfigError{Field: "Index", Value: s, Reason: `must be one of "grid", "rtree", "brute"`}
+	return IndexBackend{}, &ConfigError{Field: "Index", Value: s, Reason: `must be one of "grid", "rtree", "brute"`}
 }
 
 // Geometry selects the coordinate frame and distance semantics of a run:
@@ -200,9 +189,9 @@ type Config struct {
 	Geometry Geometry
 	// Index is the spatial-index backend behind every ε-neighborhood and
 	// nearest-representative query: parameter estimation, grouping, and
-	// the classifier built over the result. nil selects the grid. The
-	// backend only makes queries cheaper (Lemma 3): every backend that
-	// honours the IndexBackend contract gives the same clustering.
+	// the classifier built over the result. The zero value is the grid.
+	// The backend only makes queries cheaper (Lemma 3): every backend gives
+	// the same clustering.
 	Index IndexBackend
 	// Workers bounds the parallelism of the whole pipeline: MDL
 	// partitioning fans out across trajectories, ε-neighborhood

@@ -2,6 +2,7 @@ package traclus_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -100,5 +101,72 @@ func TestOneValidateForEveryTrajectory(t *testing.T) {
 		} else if next.Epoch() != 1 {
 			t.Errorf("%s: a valid append after the rejected ones reached epoch %d, want 1", geo, next.Epoch())
 		}
+	}
+}
+
+// TestGeodesicInputRule: a geodesic trajectory keeps to |latitude| ≤ 90 and
+// |longitude| ≤ 360 degrees. Every path that takes trajectories rejects one
+// outside the rule as a *ConfigError on Geometry before it builds, appends
+// or classifies anything. Accepted, tracks at latitude ≈ 100 resolve a
+// projection frame that no snapshot can hold, and a track spanning
+// longitude ±1e306 projects to infinite coordinates.
+func TestGeodesicInputRule(t *testing.T) {
+	ctx := context.Background()
+	cfg := traclus.Config{Eps: 150, MinLns: 5, MinSegmentLength: 100, Geometry: traclus.GeodesicGeometry()}
+	good := synth.GPSTracks(3, 8, 25, 7)
+	p := traclus.New(traclus.WithConfig(cfg))
+	res, err := p.Run(ctx, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap, err := p.NewAppender(ctx, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := ap.Result()
+	m, err := service.BuildCtx(ctx, "geo", good, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	north := slices.Clone(good)
+	for i := range north {
+		north[i].Points = slices.Clone(north[i].Points)
+		for k := range north[i].Points {
+			north[i].Points[k].Y += 52.5
+		}
+	}
+	wide := slices.Clone(good)
+	wide[0].Points = slices.Clone(wide[0].Points)
+	wide[0].Points[0].X, wide[0].Points[len(wide[0].Points)-1].X = -1e306, 1e306
+	for what, bad := range map[string][]traclus.Trajectory{"latitude 100": north, "longitude ±1e306": wide} {
+		for path, call := range map[string]func() error{
+			"Run":         func() error { _, err := p.Run(ctx, bad); return err },
+			"NewAppender": func() error { _, err := p.NewAppender(ctx, bad); return err },
+			"Append":      func() error { _, err := ap.Append(ctx, bad[:1]); return err },
+			"Estimate":    func() error { _, err := p.Estimate(ctx, bad, 100, 2000); return err },
+			"Classify":    func() error { _, _, err := res.Classify(bad[0]); return err },
+			"service.BuildCtx": func() error {
+				_, err := service.BuildCtx(ctx, "bad", bad, cfg, &service.EstimateRange{Lo: 100, Hi: 2000}, nil)
+				return err
+			},
+			"Model.Append": func() error { _, err := m.Append(ctx, bad[:1]); return err },
+		} {
+			var cerr *traclus.ConfigError
+			if err := call(); !errors.As(err, &cerr) || cerr.Field != "Geometry" {
+				t.Errorf("%s with %s: %v, want a *ConfigError on Geometry", path, what, err)
+			}
+		}
+	}
+	if ap.Result() != built {
+		t.Error("rejected appends moved the appender")
+	}
+	if next, err := m.Append(ctx, good[:1]); err != nil || next.Epoch() != 1 {
+		t.Errorf("a valid append after the rejected ones: %v, want epoch 1", err)
+	}
+	// The bounds themselves are inside the rule.
+	edge := slices.Clone(good[:1])
+	edge[0].Points = []traclus.Point{traclus.Pt(-360, -90), traclus.Pt(360, 90)}
+	if _, err := p.Run(ctx, edge); err != nil {
+		t.Errorf("Run over the corners of the rule: %v", err)
 	}
 }

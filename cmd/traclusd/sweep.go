@@ -5,7 +5,8 @@ package main
 // clustering at one ε — both served from the model's precomputed merge
 // structure (internal/dendro), never by re-running the grouping. The sweep's
 // quality terms score only the pair distances whose co-membership changed
-// from one ε step to the next.
+// since the previous ε step, or since the same step of the model's last
+// sweep on the same grid, which survives appends (internal/service).
 // Parameter validation is split: unparsable numbers are rejected here with
 // invalid_request, while range rules (positivity, lo < hi, the step cap)
 // live in the service layer as typed *traclus.ConfigError values that

@@ -286,3 +286,19 @@ func TestV1ReadsMatchResult(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepEndsOnHi: a valid range whose last grid point used to round one
+// ulp above hi — past the dendrogram the sweep builds to hi — answers 200
+// with its last point on hi, not 400 invalid_config.
+func TestSweepEndsOnHi(t *testing.T) {
+	_, ts := testServer(t, serverConfig{workers: 2})
+	buildSweepModel(t, ts.URL)
+	var resp sweepResponse
+	url := ts.URL + "/v1/models/sweepable/sweep?lo=13.817455711021298&hi=71.26576308408835&steps=10"
+	if code := doJSON(t, http.MethodGet, url, "", &resp); code != http.StatusOK {
+		t.Fatalf("GET sweep = %d", code)
+	}
+	if len(resp.Points) != 10 || resp.Points[9].Eps != 71.26576308408835 {
+		t.Fatalf("sweep points %+v, want 10 ending on hi", resp.Points)
+	}
+}

@@ -19,8 +19,10 @@
 // from-scratch readout. Each row of pairs is scored in one batched kernel
 // call (lsdist.Kernel.DistBlock, exact) over a columnar pool of the items;
 // an item set with a non-finite coordinate, which no pool holds, is scored
-// through the scalar lsdist.DistOpt instead, with the same bits. See
-// ARCHITECTURE.md, "Quality measure".
+// through the scalar lsdist.DistOpt instead, with the same bits. A Sweep
+// scores many clusterings of one item set — the steps of an ε sweep — over
+// one pool and one set of row buffers. See ARCHITECTURE.md, "Quality
+// measure".
 package quality
 
 import (
@@ -53,17 +55,16 @@ func Measure(items []segclust.Item, res *segclust.Result, opt lsdist.Options, wo
 }
 
 // State is the exact Formula-11 state of one clustering: the group of
-// every item and the exact pair sum of every group, and the columnar pool
-// of the items it was scored with. It costs 4 bytes per item plus about 300
-// bytes per group, and the pool 40 bytes per item; it is immutable once
-// Next returns it, so any number of goroutines may read or advance it.
+// every item and the exact pair sum of every group. It costs 4 bytes per
+// item plus about 300 bytes per group, and refers to no item; it is
+// immutable once Next returns it, so any number of goroutines may read or
+// advance it.
 type State struct {
 	of    []int32   // item → group: cluster index, or len(sums)−1 for noise
 	sums  []acc     // per group: exact Σ_{x<y∈g} fl(dist(x,y)²)
 	sse   []float64 // per group: sums[g] rounded once, over |g|
 	b     Breakdown
 	pairs int
-	pool  *segpool.Pool // the items' pool, nil until a pass gathers one
 }
 
 // SSE returns cluster i's term of Total SSE.
@@ -80,9 +81,7 @@ func (s *State) Pairs() int { return s.pairs }
 // means from scratch, otherwise s must describe an earlier clustering of a
 // prefix of items, in the same order — a sweep step over the same items,
 // or the epoch before an append, whose new items come last. The receiver
-// is never modified, so the old state stays valid. A receiver over every
-// item (a sweep step) hands its pool on, so the rows score without
-// gathering another.
+// is never modified, so the old state stays valid.
 //
 // Each new group starts from the old group it shares the most members with
 // (ties to the lowest index; the noise set from the old noise set),
@@ -93,6 +92,34 @@ func (s *State) Pairs() int { return s.pairs }
 // workers goroutines (≤ 0 uses GOMAXPROCS); a done ctx stops the pass
 // within one row and returns ctx.Err().
 func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.Result, opt lsdist.Options, workers int) (*State, error) {
+	return NewSweep(items, opt, workers).Next(ctx, res, s)
+}
+
+// Sweep scores a sequence of clusterings of one item set, such as the
+// steps of an ε sweep: the first pass that scores a pair gathers the items'
+// pool, and every later pass reuses it and the workers' row buffers. Its
+// states are bit for bit those of State.Next. A Sweep is not safe for
+// concurrent use.
+type Sweep struct {
+	items   []segclust.Item
+	opt     lsdist.Options
+	workers int
+	sc      *scorer  // nil until a pass scores a pair
+	bufs    []rowBuf // per worker
+}
+
+// NewSweep returns a Sweep over items under opt, whose passes run on
+// workers goroutines (≤ 0 uses GOMAXPROCS).
+func NewSweep(items []segclust.Item, opt lsdist.Options, workers int) *Sweep {
+	return &Sweep{items: items, opt: opt, workers: workers}
+}
+
+// Next measures the clustering res of the sweep's items as State.Next
+// does, advancing from whichever of bases scores the fewest pairs — the
+// first on a tie — or from scratch when none is cheaper. A base is nil or
+// an earlier clustering of a prefix of the items, in the same order, and is
+// never modified; a state of more items than res is skipped.
+func (sw *Sweep) Next(ctx context.Context, res *segclust.Result, bases ...*State) (*State, error) {
 	k := len(res.Clusters)
 	next := &State{
 		of:   make([]int32, len(res.ClusterOf)),
@@ -105,14 +132,16 @@ func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.R
 		}
 		next.of[i] = int32(c)
 	}
-	if s != nil && len(s.of) > len(next.of) {
-		s = nil // not an earlier clustering of these items
-	}
-	if s != nil && len(s.of) == len(next.of) {
-		next.pool = s.pool // the same items
-	}
 	cur := groupsOf(next.of, k+1)
-	ds, pairs := s.plan(cur, next.of)
+	var s *State
+	ds, pairs := s.plan(cur, next.of) // from scratch: every group's full triangle
+	for _, b := range bases {
+		if b != nil && len(b.of) <= len(next.of) {
+			if bds, bpairs := b.plan(cur, next.of); bpairs < pairs {
+				s, ds, pairs = b, bds, bpairs
+			}
+		}
+	}
 
 	rows := 0
 	for g := range ds {
@@ -124,14 +153,15 @@ func (s *State) Next(ctx context.Context, items []segclust.Item, res *segclust.R
 	}
 	// Worker 0 scores into next.sums; every other worker into its own
 	// accumulators, merged exactly afterwards.
-	nw := par.Workers(workers, rows)
+	nw := par.Workers(sw.workers, rows)
 	scratch := make([][]acc, nw)
-	bufs := make([]rowBuf, nw)
-	var sc *scorer
-	if rows > 0 {
-		sc = newScorer(items, opt, next.pool)
-		next.pool = sc.pool
+	if rows > 0 && sw.sc == nil {
+		sw.sc = newScorer(sw.items, sw.opt)
 	}
+	if len(sw.bufs) < nw {
+		sw.bufs = append(sw.bufs, make([]rowBuf, nw-len(sw.bufs))...)
+	}
+	sc, bufs := sw.sc, sw.bufs
 	err := par.ForEachCtx(ctx, nw, rows, func(w, r int) {
 		g := sort.Search(len(ds), func(i int) bool { return ds[i].row+ds[i].rows() > r })
 		sums := next.sums
@@ -300,8 +330,7 @@ func (d *delta) score(a *acc, r int, sc *scorer, buf *rowBuf) {
 
 // scorer scores rows of pairs over one item set: with the batched kernel
 // over a pool of the items, or, where an item has a non-finite coordinate
-// and no pool holds the set, with the scalar distance. pool, when non-nil,
-// is the items' pool, gathered by an earlier pass.
+// and no pool holds the set, with the scalar distance.
 type scorer struct {
 	items []segclust.Item
 	opt   lsdist.Options
@@ -316,15 +345,13 @@ type rowBuf struct {
 	d   []float64
 }
 
-func newScorer(items []segclust.Item, opt lsdist.Options, pool *segpool.Pool) *scorer {
+func newScorer(items []segclust.Item, opt lsdist.Options) *scorer {
 	if !opt.Weights.Valid() {
 		opt.Weights = lsdist.DefaultWeights() // the kernel's rule, for the scalar path
 	}
-	if pool == nil {
-		// Gather fails, returning nil, on a non-finite coordinate: the scalar
-		// path scores such a set.
-		pool, _ = segpool.Gather(len(items), func(i int) geom.Segment { return items[i].Seg })
-	}
+	// Gather fails, returning nil, on a non-finite coordinate: the scalar
+	// path scores such a set.
+	pool, _ := segpool.Gather(len(items), func(i int) geom.Segment { return items[i].Seg })
 	return &scorer{items: items, opt: opt, k: lsdist.NewKernel(opt), pool: pool}
 }
 

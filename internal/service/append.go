@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	traclus "repro"
@@ -42,10 +43,14 @@ import (
 var ErrNotAppendable = errors.New("service: model was loaded from a snapshot and cannot absorb appends; rebuild it from trajectories")
 
 // lineage is the shared spine of one model's epochs: appends lock it,
-// apply to head, and advance head to the new epoch.
+// apply to head, and advance head to the new epoch. sweep is the last
+// sweep's per-step quality states, which a later epoch's sweep on the same
+// grid advances from (see sweep.go); sweeps swap it atomically, never
+// under mu.
 type lineage struct {
-	mu   sync.Mutex
-	head *Model
+	mu    sync.Mutex
+	head  *Model
+	sweep atomic.Pointer[carried]
 }
 
 // Epoch returns the model's append epoch (0 = the original batch build).

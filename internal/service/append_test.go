@@ -504,8 +504,10 @@ func BenchmarkModelAppend(b *testing.B) {
 // BenchmarkAppendSweep is the in-process twin of one serve-mixed cycle's
 // writes: a 1-trajectory Model.Append, then the daemon's default 16-step
 // sweep over [ε/2, 2ε], on a 400-track hurricane model whose head already
-// holds a dendrogram — so the sweep cuts the append's extension instead of
-// rebuilding the merge structure.
+// holds a dendrogram and the states of a sweep on that grid — so the sweep
+// cuts the append's extension instead of rebuilding the merge structure,
+// and advances each step from the previous epoch's. pairs/op is the number
+// of pair distances its quality passes score per cycle.
 func BenchmarkAppendSweep(b *testing.B) {
 	cfg := synth.DefaultHurricaneConfig()
 	cfg.NumTracks = 400
@@ -530,6 +532,7 @@ func BenchmarkAppendSweep(b *testing.B) {
 		}
 	}
 	fresh()
+	pairs := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -542,8 +545,11 @@ func BenchmarkAppendSweep(b *testing.B) {
 		if m, err = m.Append(ctx, adds[i%len(adds):i%len(adds)+1]); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.SweepQuality(ctx, lo, hi, 16); err != nil {
+		_, p, err := m.sweep(ctx, lo, hi, 16)
+		if err != nil {
 			b.Fatal(err)
 		}
+		pairs += p
 	}
+	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
 }

@@ -6,15 +6,25 @@ package service
 // values and reports the Section 5.1 quality terms at each; ClustersAt
 // materialises the full clustering — members, trajectories, representatives
 // — at one ε. Both reconstruct exactly what a fresh build at that ε would
-// produce (the dendro equivalence suite pins this). The quality terms do
-// score pair distances: one quality.State threads through the sweep, so
-// each step scores only the pairs whose co-membership changed since the
-// step before.
+// produce (the dendro equivalence suite pins this).
+//
+// The quality terms do score pair distances, through quality.State, which
+// advances from an earlier clustering by scoring only the pairs whose
+// co-membership changed. A lineage keeps the state of every step of its
+// last sweep, with that sweep's grid and epoch; the states are never
+// persisted. A sweep on the same grid at that epoch or a later one
+// advances step k from the carried step-k state or from step k−1,
+// whichever scores fewer pairs: after a one-trajectory append, the carried
+// state, and only the pairs the append touched. Any other sweep — the
+// lineage's first, a new grid, an older epoch, a snapshot-restored model —
+// chains its steps, each from the one before and the first from scratch.
+// Every path gives the same bits.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	traclus "repro"
 	"repro/internal/core"
@@ -39,6 +49,64 @@ var ErrNoDendrogram = errors.New("service: model carries no dendrogram for this 
 // co-membership changed — up to O(|C|²) per cluster when a step reshapes
 // one — so the cap keeps a single request from monopolising the daemon.
 const maxSweepSteps = 4096
+
+// maxCarriedSteps bounds the sweeps a lineage carries. A carried sweep
+// keeps one quality state per step, 4 bytes per item plus about 300 bytes
+// per group each, so a finer grid chains its steps and keeps two states at
+// a time, as every sweep did before states were carried.
+const maxCarriedSteps = 64
+
+// grid is the ε grid of one sweep: steps points from lo to hi.
+type grid struct {
+	lo, hi float64
+	steps  int
+}
+
+// eps returns the grid's k-th point, lo + (hi−lo)·k/(steps−1). The last
+// point is hi itself and no point exceeds it: the formula can round one ulp
+// above hi, past the dendrogram DendrogramAt(hi) built.
+func (g grid) eps(k int) float64 {
+	if k == g.steps-1 {
+		return g.hi
+	}
+	return math.Min(g.lo+(g.hi-g.lo)*float64(k)/float64(g.steps-1), g.hi)
+}
+
+// carried is a lineage's last sweep: its grid, the epoch it swept, and the
+// quality state of every step. It refers to no Model, Result or dendrogram,
+// so it keeps no superseded epoch alive, and it is never persisted.
+type carried struct {
+	grid   grid
+	epoch  int64
+	states []*quality.State
+}
+
+// carry records c as the lineage's last sweep unless the lineage holds a
+// sweep of a later epoch. It never waits on the lineage lock.
+func (lin *lineage) carry(c *carried) {
+	for {
+		old := lin.sweep.Load()
+		if old != nil && old.epoch > c.epoch {
+			return
+		}
+		if lin.sweep.CompareAndSwap(old, c) {
+			return
+		}
+	}
+}
+
+// carriedFor returns, per step of grid g, the state a sweep of g on m may
+// advance from: the lineage's last sweep's when it walked g at m's epoch or
+// an earlier one, whose items are a prefix of m's. Otherwise every step's
+// is nil, and the sweep chains its steps.
+func (m *Model) carriedFor(g grid) []*quality.State {
+	if m.lin != nil {
+		if c := m.lin.sweep.Load(); c != nil && c.grid == g && c.epoch <= m.Epoch() {
+			return c.states
+		}
+	}
+	return make([]*quality.State, g.steps)
+}
 
 // SweepPoint is the quality curve sample at one ε.
 type SweepPoint struct {
@@ -131,44 +199,67 @@ func (m *Model) DendrogramAt(ctx context.Context, maxEps float64) (*dendro.Dendr
 }
 
 // SweepQuality samples the quality curve at steps evenly-spaced ε values
-// across [lo, hi] (inclusive on both ends): cluster count, noise fraction,
-// and the Formula 11 terms at every ε, all served from one merge structure.
-// Each step's quality advances from the previous step's, and equals, bit
-// for bit, a from-scratch quality.Measure of that step's clustering.
-// Invalid ranges return a *traclus.ConfigError, which the daemon maps to
-// the /v1 invalid_config envelope.
+// across [lo, hi] (inclusive on both ends; the last point is hi exactly):
+// cluster count, noise fraction, and the Formula 11 terms at every ε, all
+// served from one merge structure. Each step's quality advances from the
+// previous step or, when the lineage's last sweep walked the same grid at
+// this epoch or an earlier one, from that sweep's state of the same step,
+// whichever scores fewer pairs; either way it equals, bit for bit, a
+// from-scratch quality.Measure of that step's clustering. A sweep of at
+// most maxCarriedSteps steps then becomes the lineage's last sweep, unless
+// the lineage holds one of a later epoch. Invalid ranges return a
+// *traclus.ConfigError, which the daemon maps to the /v1 invalid_config
+// envelope.
 func (m *Model) SweepQuality(ctx context.Context, lo, hi float64, steps int) ([]SweepPoint, error) {
+	pts, _, err := m.sweep(ctx, lo, hi, steps)
+	return pts, err
+}
+
+// sweep is SweepQuality, also returning how many pair distances its
+// quality passes scored.
+func (m *Model) sweep(ctx context.Context, lo, hi float64, steps int) ([]SweepPoint, int, error) {
 	if err := segclust.CheckPositive("Sweep.Lo", lo); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := segclust.CheckPositive("Sweep.Hi", hi); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if lo >= hi {
-		return nil, &traclus.ConfigError{Field: "Sweep", Value: [2]float64{lo, hi}, Reason: "lo must be less than hi"}
+		return nil, 0, &traclus.ConfigError{Field: "Sweep", Value: [2]float64{lo, hi}, Reason: "lo must be less than hi"}
 	}
 	if steps < 2 || steps > maxSweepSteps {
-		return nil, &traclus.ConfigError{Field: "Sweep.Steps", Value: steps, Reason: "must be in [2, 4096]"}
+		return nil, 0, &traclus.ConfigError{Field: "Sweep.Steps", Value: steps, Reason: "must be in [2, 4096]"}
 	}
 	d, err := m.DendrogramAt(ctx, hi)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	g := grid{lo: lo, hi: hi, steps: steps}
+	base := m.carriedFor(g)
+	var keep []*quality.State
+	if m.lin != nil && steps <= maxCarriedSteps {
+		keep = make([]*quality.State, steps)
 	}
 	items := d.Items()
-	opt := m.distOptions()
+	qs := quality.NewSweep(items, m.distOptions(), m.cfg.Workers)
 	pts := make([]SweepPoint, steps)
+	pairs := 0
 	var q *quality.State
 	for k := range pts {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		eps := lo + (hi-lo)*float64(k)/float64(steps-1)
+		eps := g.eps(k)
 		res, err := d.CutAt(eps, m.cfg.MinLns, m.cfg.MinTrajs)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if q, err = q.Next(ctx, items, res, opt, m.cfg.Workers); err != nil {
-			return nil, err
+		if q, err = qs.Next(ctx, res, base[k], q); err != nil {
+			return nil, 0, err
+		}
+		pairs += q.Pairs()
+		if keep != nil {
+			keep[k] = q
 		}
 		b := q.Breakdown()
 		noise := res.NoiseCount()
@@ -183,7 +274,10 @@ func (m *Model) SweepQuality(ctx context.Context, lo, hi float64, steps int) ([]
 			QMeasure:        b.QMeasure(),
 		}
 	}
-	return pts, nil
+	if keep != nil {
+		m.lin.carry(&carried{grid: g, epoch: m.Epoch(), states: keep})
+	}
+	return pts, pairs, nil
 }
 
 // ClustersAt reconstructs the full clustering at ε: the dendrogram cut

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	traclus "repro"
-	"repro/internal/quality"
 	"repro/internal/synth"
 )
 
@@ -235,8 +235,9 @@ func TestSummaryQMeasureIsResultQMeasure(t *testing.T) {
 
 // BenchmarkSweepQuality times the daemon's default sweep — 16 steps over
 // [ε/2, 2ε] — on a 400-track hurricane model whose dendrogram is already
-// built, so only the cuts and the quality passes are timed. pairs/op is
-// the number of pair distances the chained quality states score per sweep.
+// built, so only the cuts and the quality passes are timed. Every sweep is
+// its lineage's first, with no earlier sweep to carry, so its steps chain.
+// pairs/op is the number of pair distances its quality passes score.
 func BenchmarkSweepQuality(b *testing.B) {
 	cfg := synth.DefaultHurricaneConfig()
 	cfg.NumTracks = 400
@@ -247,26 +248,15 @@ func BenchmarkSweepQuality(b *testing.B) {
 	ctx := context.Background()
 	eps := m.Summary().Eps
 	lo, hi, steps := eps/2, 2*eps, 16
-	d, err := m.DendrogramAt(ctx, hi)
-	if err != nil {
+	if _, err := m.DendrogramAt(ctx, hi); err != nil {
 		b.Fatal(err)
 	}
 	pairs := 0
-	var q *quality.State
-	for k := 0; k < steps; k++ {
-		res, err := d.CutAt(lo+(hi-lo)*float64(k)/float64(steps-1), m.cfg.MinLns, m.cfg.MinTrajs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if q, err = q.Next(ctx, d.Items(), res, m.distOptions(), m.cfg.Workers); err != nil {
-			b.Fatal(err)
-		}
-		pairs += q.Pairs()
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.SweepQuality(ctx, lo, hi, steps); err != nil {
+		m.lin.sweep.Store(nil)
+		if _, pairs, err = m.sweep(ctx, lo, hi, steps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,6 +361,38 @@ func TestReadsMatchLibraryMatrix(t *testing.T) {
 			if len(m.Result().Clusters) == 0 {
 				t.Errorf("%s/%v: no clusters; the scene exercises nothing", g.name, kind.Name())
 			}
+		}
+	}
+}
+
+// TestSweepGridEndsOnHi: the last point of a sweep is hi itself, and no
+// point exceeds it. For the range below, lo + (hi−lo)·9/9 rounds one ulp
+// above hi, past the dendrogram the sweep builds to hi, so the sweep used
+// to fail; so did 2.1% of the daemon's default ranges [ε/2, 2ε].
+func TestSweepGridEndsOnHi(t *testing.T) {
+	m, err := BuildCtx(context.Background(), "grid", trainingSet(), buildConfig(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := 13.817455711021298, 71.26576308408835
+	pts, err := m.SweepQuality(context.Background(), lo, hi, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pts[len(pts)-1].Eps; got != hi {
+		t.Errorf("last point at %v, want hi %v", got, hi)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		eps := 5 + 55*rng.Float64()
+		g := grid{lo: eps / 2, hi: 2 * eps, steps: 2 + rng.Intn(63)}
+		prev := g.lo
+		for k := 0; k < g.steps; k++ {
+			e := g.eps(k)
+			if e < prev || e > g.hi || k == 0 && e != g.lo || k == g.steps-1 && e != g.hi {
+				t.Fatalf("grid %+v: point %d is %v after %v", g, k, e, prev)
+			}
+			prev = e
 		}
 	}
 }

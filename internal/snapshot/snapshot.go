@@ -363,23 +363,23 @@ func (dd *Dendro) Validate() error {
 	for i := range seen {
 		seen[i] = -1
 	}
+	// The field name is formatted only for the entry that fails: one
+	// Sprintf per entry cost more than the rest of the walk.
 	for i, list := range dd.Neighbors {
 		for k, nb := range list {
-			field := fmt.Sprintf("Dendro.Neighbors[%d][%d]", i, k)
-			if nb.ID < 0 || nb.ID >= len(dd.Items) {
-				return &InvalidError{Field: field, Reason: fmt.Sprintf("id %d out of range [0, %d)", nb.ID, len(dd.Items))}
+			var reason string
+			switch {
+			case nb.ID < 0 || nb.ID >= len(dd.Items):
+				reason = fmt.Sprintf("id %d out of range [0, %d)", nb.ID, len(dd.Items))
+			case math.IsNaN(nb.Dist) || nb.Dist < 0 || nb.Dist > dd.MaxEps:
+				reason = "distance must be in [0, MaxEps]"
+			case k > 0 && (nb.Dist < list[k-1].Dist || nb.Dist == list[k-1].Dist && nb.ID <= list[k-1].ID):
+				reason = "list must be strictly sorted by (dist, id)"
+			case seen[nb.ID] == i:
+				reason = fmt.Sprintf("duplicate neighbor id %d", nb.ID)
 			}
-			if math.IsNaN(nb.Dist) || nb.Dist < 0 || nb.Dist > dd.MaxEps {
-				return &InvalidError{Field: field, Reason: "distance must be in [0, MaxEps]"}
-			}
-			if k > 0 {
-				prev := list[k-1]
-				if nb.Dist < prev.Dist || (nb.Dist == prev.Dist && nb.ID <= prev.ID) {
-					return &InvalidError{Field: field, Reason: "list must be strictly sorted by (dist, id)"}
-				}
-			}
-			if seen[nb.ID] == i {
-				return &InvalidError{Field: field, Reason: fmt.Sprintf("duplicate neighbor id %d", nb.ID)}
+			if reason != "" {
+				return &InvalidError{Field: fmt.Sprintf("Dendro.Neighbors[%d][%d]", i, k), Reason: reason}
 			}
 			seen[nb.ID] = i
 		}

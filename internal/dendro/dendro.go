@@ -12,11 +12,12 @@
 //     and an item's core distance (the smallest ε making it core) is the
 //     distance at which the prefix sum first reaches MinLns;
 //   - the core-core edge candidates: every pair (a < b) within MaxEps,
-//     sorted by (distance, a, b) — the union-find replay log. A cut at ε
-//     replays the prefix of edges with d ≤ ε whose endpoints are both core
-//     at ε through the deterministic min-root union-find
-//     (segclust.UnionFind), which ends in exactly the forest the fresh
-//     grouping's link step builds;
+//     sorted by (distance, a, b) — the union-find replay log, a function of
+//     the lists that a build and a snapshot restore derive alike
+//     (deriveEdges). A cut at ε replays the prefix of edges with d ≤ ε whose
+//     endpoints are both core at ε through the deterministic min-root
+//     union-find (segclust.UnionFind), which ends in exactly the forest the
+//     fresh grouping's link step builds;
 //   - the item set itself (geometry + trajectory ids + weights), so cuts,
 //     representatives, and SSEs remain computable from a snapshot-restored
 //     dendrogram with no original dataset at hand.
@@ -34,24 +35,27 @@
 // The lists also feed an auto build's grouping: each ε-neighborhood is the
 // d ≤ ε prefix of an item's list (Within), so segclust reads it there
 // instead of scoring it (segclust.NeighborLists), and only charges the
-// candidates through a count-only query. Unlike a cut, that grouping sums
-// each neighborhood's weight in id order itself, so it is exact for every
-// weight.
+// candidates through a count-only query. That grouping sums each
+// neighborhood's weight in id order itself, so it is exact for every weight.
 //
 // CutAt replicates segclust's grouping step for step: it computes the core
 // predicate and replays the merges itself, then hands the numbering and
 // border passes to segclust.Label — the very passes every batch run and
-// append uses — and applies the Definition-10 trajectory filter, so its
-// Result is bit-identical to a fresh segclust.Run at the same parameters;
-// the equivalence suite pins this across backends and worker counts.
+// append uses — and the Definition-10 trajectory filter to
+// segclust.ResultFromLabels, so its Result is bit-identical to a fresh
+// segclust.Run at the same parameters, for every weight: its core test sums
+// each neighborhood in id order as the grouping does. The equivalence suite
+// pins this across backends and worker counts, and FuzzCutOracle over
+// fractional weights.
 //
-// One caveat bounds the "bit-identical" claim: the fresh pass accumulates
-// each neighborhood's weight in ascending id order, while the dendrogram
-// accumulates in (distance, id) order. For order-independent sums — unit or
+// One caveat bounds NeighborhoodWeights, the annealer's input: it reads the
+// running sums, which accumulate in (distance, id) order, while a fresh pass
+// accumulates in ascending id order. For order-independent sums — unit or
 // integer weights, which is every trajectory source in this repo
 // (core.PartitionAllCtx defaults Weight to 1) — the sums are exactly equal.
-// Exotic fractional weights could differ in the last ulp at the core
-// threshold; such datasets should validate against segclust directly.
+// Exotic fractional weights could differ in the last ulp; such datasets
+// should validate an estimate against the per-ε oracle
+// (segclust.SharedIndex.NeighborhoodWeights).
 package dendro
 
 import (
@@ -117,30 +121,34 @@ func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float6
 	}
 	d.calls = calls
 
-	total, ecount := 0, 0
-	for i, l := range lists {
+	total := 0
+	for _, l := range lists {
 		total += len(l)
-		for _, e := range l {
-			if int(e.id) > i {
-				ecount++
-			}
-		}
 	}
 	d.alloc(total)
-	d.edges = make([]edge, 0, ecount)
 	for i, l := range lists {
 		d.off[i+1] = d.putList(d.off[i], l)
-		for _, e := range l {
-			// Symmetry (Lemma 2: dist(a,b) == dist(b,a), bit-exact in this
-			// implementation) puts every pair in both endpoint lists; keep
-			// it once, from the smaller endpoint.
-			if int(e.id) > i {
-				d.edges = append(d.edges, edge{a: int32(i), b: e.id, d: e.dist})
+	}
+	d.deriveEdges()
+	return d, nil
+}
+
+// deriveEdges derives the replay log from the filled flat lists: every pair
+// within MaxEps once, from its smaller end, sorted by (d, a, b). Symmetry
+// (Lemma 2: dist(a,b) == dist(b,a), bit-exact in this implementation) puts
+// every pair in both endpoint lists at the same distance, so the log is a
+// function of the lists alone, a build and a snapshot restore derive the
+// same one, and half the entries bound its length.
+func (d *Dendrogram) deriveEdges() {
+	d.edges = make([]edge, 0, len(d.ids)/2)
+	for i := range d.items {
+		for k := d.off[i]; k < d.off[i+1]; k++ {
+			if j := d.ids[k]; int(j) > i {
+				d.edges = append(d.edges, edge{a: int32(i), b: j, d: d.dist[k]})
 			}
 		}
 	}
 	sortEdges(d.edges)
-	return d, nil
 }
 
 // Extend returns the merge structure over shared's items, of which d's
@@ -480,6 +488,32 @@ func (d *Dendrogram) NeighborhoodWeights(eps float64, dst []float64) ([]float64,
 	return dst, nil
 }
 
+// coreAt flags the items whose weighted ε-neighborhood reaches minLns, with
+// each weight summed as a grouping sums it: left to right in ascending id
+// order. For unit weights that is the count, which the running sum at the
+// end of the ε-prefix holds exactly; any other weight sums a sorted copy of
+// the prefix, since a float sum in (distance, id) order can round to other
+// bits.
+func (d *Dendrogram) coreAt(eps, minLns float64) []bool {
+	core := make([]bool, len(d.items))
+	unit := !slices.ContainsFunc(d.items, func(it segclust.Item) bool { return it.Weight != 1 })
+	var hood []int32
+	for i := range core {
+		if unit {
+			core[i] = d.weightAt(i, eps) >= minLns
+			continue
+		}
+		hood = append(hood[:0], d.Within(i, eps)...)
+		slices.Sort(hood)
+		var w float64
+		for _, j := range hood {
+			w += d.items[j].Weight
+		}
+		core[i] = w >= minLns
+	}
+	return core
+}
+
 // CutAt reconstructs the exact segment clustering at ε = eps: the same
 // labels, cluster numbering, Removed count, and canonical Result shape as
 // a fresh segclust.Run with Config{Eps: eps, MinLns: minLns, MinTrajs:
@@ -490,7 +524,8 @@ func (d *Dendrogram) NeighborhoodWeights(eps float64, dst []float64) ([]float64,
 // The replication argument, pass by pass:
 //
 //  1. Core predicate: weight ≥ minLns with weight the within-ε neighbor
-//     weight sum — binary search over the sorted list, prefix-sum read.
+//     weight sum in id order, as the grouping sums it (coreAt) — for unit
+//     weights a binary search over the sorted list and a prefix-sum read.
 //  2. Merges: the fresh pass unions every core-core pair within ε; here
 //     that is exactly the d ≤ eps prefix of the replay log filtered to
 //     both-core endpoints. Union order is irrelevant to the outcome — the
@@ -513,10 +548,7 @@ func (d *Dendrogram) CutAt(eps, minLns float64, minTrajs int) (*segclust.Result,
 	}
 	minTrajs = segclust.TrajectoryThreshold(minLns, minTrajs)
 	n := len(d.items)
-	core := make([]bool, n)
-	for i := 0; i < n; i++ {
-		core[i] = d.weightAt(i, eps) >= minLns
-	}
+	core := d.coreAt(eps, minLns)
 	uf := segclust.NewUnionFind(n)
 	ne := sort.Search(len(d.edges), func(k int) bool { return d.edges[k].d > eps })
 	for _, e := range d.edges[:ne] {

@@ -2,9 +2,9 @@ package dendro_test
 
 // An auto build groups from its estimation dendrogram: segclust reads every
 // ε-neighborhood from the d ≤ ε prefix of the dendrogram's lists
-// (Dendrogram.Within) instead of scoring the candidates again. These tests
-// live outside package dendro because they import internal/params, which
-// imports it.
+// (Dendrogram.Within) instead of scoring the candidates again, and a cut
+// must equal the scored grouping at its ε. These tests live outside package
+// dendro because they import internal/params, which imports it.
 
 import (
 	"context"
@@ -93,6 +93,62 @@ func FuzzGroupFromDendrogram(f *testing.F) {
 		g.DistCalls = batch.DistCalls
 		if !reflect.DeepEqual(&g, batch) {
 			t.Fatalf("%s: append onto the list-fed grouping %+v, batch %+v", what, got, batch)
+		}
+	})
+}
+
+// FuzzCutOracle: a cut of a dendrogram equals the scored grouping over the
+// same index (RunSharedCtx) at the cut's ε, MinLns and MinTrajs in
+// ClusterOf, Clusters and Removed; DistCalls is excepted, as a cut scores
+// nothing. The fuzzer picks the items — coincident and zero-length ones
+// included, weights in {1, 0.1, 0.2, 0.3, 0.4} — maxEps, ε ≤ maxEps,
+// MinLns, MinTrajs (0 takes ⌈MinLns⌉), and sel picks the backend. Each item
+// is five bytes: four coordinates in fifths and a byte choosing the
+// trajectory id and the weight. The first three seeds are the fixture of
+// segclust's TestCutAtFractionalWeights, where only an id-order sum
+// reaches MinLns.
+func FuzzCutOracle(f *testing.F) {
+	for sel := range byte(3) {
+		f.Add([]byte{0, 0, 5, 0, 5, 0, 12, 5, 12, 6, 0, 5, 5, 5, 22}, 5.0, 5.0, 0.6000000000000001, byte(1), sel)
+	}
+	f.Add([]byte{1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 9, 9, 9, 9, 3}, 1.5, 1.5, 1.0, byte(0), byte(1))
+	f.Add([]byte{0, 0, 100, 0, 5, 0, 13, 100, 13, 11, 0, 8, 100, 8, 17, 0, 1, 100, 1, 3, 0, 14, 100, 14, 4}, 20.0, 12.0, 0.6, byte(2), byte(2))
+	f.Add([]byte{}, 3.0, 1.0, 1.0, byte(0), byte(0))
+	f.Fuzz(func(t *testing.T, data []byte, maxEps, eps, minLns float64, minTrajs, sel byte) {
+		if !(maxEps > 0) || math.IsInf(maxEps, 0) || !(eps > 0) || eps > maxEps || !(minLns > 0) || math.IsInf(minLns, 0) {
+			t.Skip()
+		}
+		weights := []float64{1, 0.1, 0.2, 0.3, 0.4}
+		var items []segclust.Item
+		for k := 0; k+5 <= len(data) && len(items) < 40; k += 5 {
+			c := func(b byte) float64 { return float64(int8(b)) / 5 }
+			b := data[k+4]
+			items = append(items, segclust.Item{
+				Seg:    geom.Seg(c(data[k]), c(data[k+1]), c(data[k+2]), c(data[k+3])),
+				TrajID: int(b % 5), Weight: weights[b/5%5],
+			})
+		}
+		backend := []spindex.Backend{spindex.Grid(), spindex.RTree(), spindex.Brute()}[sel%3]
+		cfg := segclust.Config{Eps: eps, MinLns: minLns, MinTrajs: int(minTrajs % 8), Options: lsdist.DefaultOptions(), Workers: 1}
+		ctx := context.Background()
+		shared := segclust.NewSharedIndexFor(items, cfg.Options, backend)
+		want, err := segclust.RunSharedCtx(ctx, shared, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		den, err := dendro.FromShared(ctx, shared, maxEps, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := den.CutAt(eps, minLns, cfg.MinTrajs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := *got
+		g.DistCalls = want.DistCalls
+		if !reflect.DeepEqual(&g, want) {
+			t.Fatalf("index=%s eps=%g/%g MinLns=%v MinTrajs=%d, %d items: cut %+v, scored %+v",
+				backend.Name(), eps, maxEps, minLns, cfg.MinTrajs, len(items), got, want)
 		}
 	})
 }

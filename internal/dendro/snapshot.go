@@ -4,9 +4,9 @@ package dendro
 // Only the item set and the sorted neighbor lists cross the wire; the
 // weight prefix sums and the union-find replay log are derived again on
 // load. The derivation is exact, not approximate: prefix sums replay the
-// identical additions in the identical stored order, and the edge log's
-// (dist, a, b) sort key is unique per pair, so a restored dendrogram cuts
-// bit-identically to the one that was saved.
+// identical additions in the identical stored order, and the replay log
+// comes from the lists through the same deriveEdges a build runs, so a
+// restored dendrogram cuts bit-identically to the one that was saved.
 
 import (
 	"repro/internal/segclust"
@@ -51,32 +51,22 @@ func FromSnapshot(dd *snapshot.Dendro) (*Dendrogram, error) {
 	for i, it := range dd.Items {
 		d.items[i] = segclust.Item{Seg: it.Seg, TrajID: it.TrajID, Weight: it.Weight}
 	}
-	total, ecount := 0, 0
-	for i, list := range dd.Neighbors {
+	total := 0
+	for _, list := range dd.Neighbors {
 		total += len(list)
-		for _, nb := range list {
-			if nb.ID > i {
-				ecount++
-			}
-		}
 	}
-	d.ids = make([]int32, 0, total)
-	d.dist = make([]float64, 0, total)
-	d.cum = make([]float64, 0, total)
-	d.edges = make([]edge, 0, ecount)
+	d.alloc(total)
 	for i, list := range dd.Neighbors {
-		d.off[i+1] = d.off[i] + int64(len(list))
+		o := d.off[i]
 		var sum float64
 		for _, nb := range list {
-			d.ids = append(d.ids, int32(nb.ID))
-			d.dist = append(d.dist, nb.Dist)
+			d.ids[o], d.dist[o] = int32(nb.ID), nb.Dist
 			sum += d.items[nb.ID].Weight
-			d.cum = append(d.cum, sum)
-			if nb.ID > i {
-				d.edges = append(d.edges, edge{a: int32(i), b: int32(nb.ID), d: nb.Dist})
-			}
+			d.cum[o] = sum
+			o++
 		}
+		d.off[i+1] = o
 	}
-	sortEdges(d.edges)
+	d.deriveEdges()
 	return d, nil
 }

@@ -298,12 +298,6 @@ func (r Rect) Union(q Rect) Rect {
 	}
 }
 
-// Intersects reports whether r and q overlap (closed rectangles).
-func (r Rect) Intersects(q Rect) bool {
-	return r.Min.X <= q.Max.X && q.Min.X <= r.Max.X &&
-		r.Min.Y <= q.Max.Y && q.Min.Y <= r.Max.Y
-}
-
 // Contains reports whether p lies inside the closed rectangle r.
 func (r Rect) Contains(p Point) bool {
 	return r.Min.X <= p.X && p.X <= r.Max.X && r.Min.Y <= p.Y && p.Y <= r.Max.Y

@@ -128,12 +128,12 @@ func Build(segs []geom.Segment, cellSize float64) *Index {
 func (x *Index) Len() int { return len(x.segs) }
 
 // Insert adds segments to an existing index without rebuilding the CSR
-// arena. Appended ids land in per-cell overlay buckets that Candidates scans
+// arena. Appended ids land in per-cell overlay buckets that CandidatesOutside scans
 // after the arena span of each touched cell.
 //
 // The grid's extent is frozen at Build time, so an appended segment may fall
 // outside it. That is safe: cellRange clamps both the bucketing walk here and
-// the query walk in Candidates to the same [0,nx)×[0,ny) box, and clamping is
+// the query walk in CandidatesOutside to the same [0,nx)×[0,ny) box, and clamping is
 // monotone — if an appended MBR lies within distance d of a query rectangle,
 // their unclamped cell intervals overlap on both axes, and clamping two
 // overlapping intervals to one common range keeps them overlapping. Every
@@ -202,20 +202,14 @@ func (x *Index) eachCell(r geom.Rect, fn func(c int)) {
 	}
 }
 
-// Candidates appends to dst the ids of every segment whose MBR lies within
-// Euclidean distance d of the rectangle q. Ids may repeat across cells; the
-// seen scratch (len = number of segments, zeroed marks) deduplicates. Pass
-// a reusable seen slice to avoid allocation; nil allocates one.
-func (x *Index) Candidates(q geom.Rect, d float64, dst []int, seen []bool) []int {
-	return x.CandidatesOutside(q, d, 0, 0, dst, seen)
-}
-
-// CandidatesOutside is Candidates restricted to the ids outside the window
-// [lo, hi): it appends exactly the ids Candidates would, in the same order,
-// less those with lo ≤ id < hi, and never visits a window id. Every CSR span
-// and overlay bucket is in ascending id order, so the window is one
-// contiguous run of each, cut out after two binary searches. The empty
-// window (lo ≥ hi) is Candidates.
+// CandidatesOutside appends to dst the ids outside the window [lo, hi) of
+// every segment whose MBR lies within Euclidean distance d of the rectangle
+// q, and never visits a window id; the empty window (lo ≥ hi) returns every
+// such id. Ids may repeat across cells; the seen scratch (len = number of
+// segments, zeroed marks) deduplicates. Pass a reusable seen slice to avoid
+// allocation; nil allocates one. Every CSR span and overlay bucket is in
+// ascending id order, so the window is one contiguous run of each, cut out
+// after two binary searches.
 func (x *Index) CandidatesOutside(q geom.Rect, d float64, lo, hi int, dst []int, seen []bool) []int {
 	if len(x.segs) == 0 {
 		return dst

@@ -36,7 +36,7 @@ func TestCandidatesMatchBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		q := segs[rng.Intn(len(segs))].Bounds()
 		d := rng.Float64() * 120
-		got := idx.Candidates(q, d, nil, seen)
+		got := idx.CandidatesOutside(q, d, 0, 0, nil, seen)
 		want := bruteCandidates(segs, q, d)
 		sort.Ints(got)
 		sort.Ints(want)
@@ -59,7 +59,7 @@ func TestCandidatesNoDuplicates(t *testing.T) {
 		segs[i] = geom.Seg(0, float64(i), 900, float64(i))
 	}
 	idx := Build(segs, 10)
-	got := idx.Candidates(segs[25].Bounds(), 30, nil, nil)
+	got := idx.CandidatesOutside(segs[25].Bounds(), 30, 0, 0, nil, nil)
 	seenID := map[int]bool{}
 	for _, id := range got {
 		if seenID[id] {
@@ -79,7 +79,7 @@ func TestScratchReuse(t *testing.T) {
 	// brute force (i.e. the scratch is properly cleared).
 	for trial := 0; trial < 50; trial++ {
 		q := segs[trial%len(segs)].Bounds()
-		got := idx.Candidates(q, 50, nil, seen)
+		got := idx.CandidatesOutside(q, 50, 0, 0, nil, seen)
 		want := bruteCandidates(segs, q, 50)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: scratch corrupted: %d vs %d", trial, len(got), len(want))
@@ -97,7 +97,7 @@ func TestEmptyIndex(t *testing.T) {
 	if idx.Len() != 0 {
 		t.Errorf("Len = %d", idx.Len())
 	}
-	got := idx.Candidates(geom.Rect{Max: geom.Pt(1, 1)}, 10, nil, nil)
+	got := idx.CandidatesOutside(geom.Rect{Max: geom.Pt(1, 1)}, 10, 0, 0, nil, nil)
 	if got != nil {
 		t.Errorf("candidates on empty = %v", got)
 	}
@@ -123,7 +123,7 @@ func TestDegenerateSegments(t *testing.T) {
 		geom.Seg(5, 5, 5, 5),
 	}
 	idx := Build(segs, 0)
-	got := idx.Candidates(segs[0].Bounds(), 1, nil, nil)
+	got := idx.CandidatesOutside(segs[0].Bounds(), 1, 0, 0, nil, nil)
 	if len(got) != 2 {
 		t.Errorf("degenerate candidates = %v", got)
 	}
@@ -134,7 +134,7 @@ func TestQueryOutsideBounds(t *testing.T) {
 	segs := randSegs(rng, 50)
 	idx := Build(segs, 0)
 	far := geom.Rect{Min: geom.Pt(1e6, 1e6), Max: geom.Pt(1e6+1, 1e6+1)}
-	if got := idx.Candidates(far, 10, nil, nil); len(got) != 0 {
+	if got := idx.CandidatesOutside(far, 10, 0, 0, nil, nil); len(got) != 0 {
 		t.Errorf("far query returned %v", got)
 	}
 }
@@ -160,7 +160,7 @@ func TestZeroLengthSegmentsSpreadBoundedCells(t *testing.T) {
 		t.Fatalf("cell size = %v", idx.CellSize())
 	}
 	for i, s := range segs {
-		got := idx.Candidates(s.Bounds(), 1, nil, nil)
+		got := idx.CandidatesOutside(s.Bounds(), 1, 0, 0, nil, nil)
 		want := bruteCandidates(segs, s.Bounds(), 1)
 		sort.Ints(got)
 		if !sliceEq(got, want) {
@@ -180,11 +180,11 @@ func TestSinglePointExtent(t *testing.T) {
 	if idx.nx != 1 || idx.ny != 1 {
 		t.Fatalf("single-point extent built a %dx%d grid", idx.nx, idx.ny)
 	}
-	if got := idx.Candidates(segs[0].Bounds(), 0, nil, nil); len(got) != len(segs) {
+	if got := idx.CandidatesOutside(segs[0].Bounds(), 0, 0, 0, nil, nil); len(got) != len(segs) {
 		t.Fatalf("exact query returned %d of %d", len(got), len(segs))
 	}
 	far := geom.Rect{Min: geom.Pt(100, 100), Max: geom.Pt(101, 101)}
-	if got := idx.Candidates(far, 1, nil, nil); len(got) != 0 {
+	if got := idx.CandidatesOutside(far, 1, 0, 0, nil, nil); len(got) != 0 {
 		t.Fatalf("far query returned %v", got)
 	}
 }
@@ -204,7 +204,7 @@ func TestNonFiniteCellSizeFallsBackToHeuristic(t *testing.T) {
 				bad, idx.CellSize(), idx.nx, idx.ny, want.CellSize(), want.nx, want.ny)
 		}
 		q := segs[0].Bounds()
-		got := idx.Candidates(q, 40, nil, nil)
+		got := idx.CandidatesOutside(q, 40, 0, 0, nil, nil)
 		exp := bruteCandidates(segs, q, 40)
 		sort.Ints(got)
 		if !sliceEq(got, exp) {
@@ -227,7 +227,7 @@ func TestMixedZeroLengthCandidates(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := segs[rng.Intn(len(segs))].Bounds()
 		d := rng.Float64() * 80
-		got := idx.Candidates(q, d, nil, nil)
+		got := idx.CandidatesOutside(q, d, 0, 0, nil, nil)
 		want := bruteCandidates(segs, q, d)
 		sort.Ints(got)
 		if !sliceEq(got, want) {
@@ -272,7 +272,7 @@ func TestInsertBeyondExtent(t *testing.T) {
 			if trial%10 == 0 {
 				d = math.Inf(1)
 			}
-			got := idx.Candidates(q, d, nil, nil)
+			got := idx.CandidatesOutside(q, d, 0, 0, nil, nil)
 			want := bruteCandidates(segs, q, d)
 			sort.Ints(got)
 			if !sliceEq(got, want) {
@@ -282,13 +282,14 @@ func TestInsertBeyondExtent(t *testing.T) {
 	}
 }
 
-// TestCandidatesOutsideWindow pins the windowed query against Candidates
-// filtered after the fact: on a grid whose segments span several cells and
-// whose overlay buckets hold inserted ids (some beyond the extent), for
-// windows inside the CSR arena, inside the overlay, across their boundary,
-// covering everything and empty, CandidatesOutside returns exactly
-// Candidates less the window's ids, in the same order, and leaves the seen
-// scratch clear. The empty window is Candidates itself.
+// TestCandidatesOutsideWindow pins the windowed query against the empty
+// window's answer filtered after the fact: on a grid whose segments span
+// several cells and whose overlay buckets hold inserted ids (some beyond the
+// extent), for windows inside the CSR arena, inside the overlay, across
+// their boundary, covering everything and empty, CandidatesOutside returns
+// exactly the window (0, 0)'s candidates less the window's ids, in the same
+// order, and leaves the seen scratch clear. Every empty window answers as
+// (0, 0) does.
 func TestCandidatesOutsideWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	segs := randSegs(rng, 300)
@@ -305,7 +306,7 @@ func TestCandidatesOutsideWindow(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		q := segs[rng.Intn(n)].Bounds()
 		d := rng.Float64() * 150
-		all := idx.Candidates(q, d, nil, seen)
+		all := idx.CandidatesOutside(q, d, 0, 0, nil, seen)
 		w := windows[trial%len(windows)]
 		if trial >= 2*len(windows) {
 			w[0] = rng.Intn(n)
@@ -322,7 +323,7 @@ func TestCandidatesOutsideWindow(t *testing.T) {
 			t.Fatalf("trial %d, window [%d, %d): got %v, want %v", trial, w[0], w[1], got[1:], want[1:])
 		}
 		if w[0] >= w[1] && !sliceEq(got[1:], all) {
-			t.Fatalf("trial %d: empty window [%d, %d) is not Candidates", trial, w[0], w[1])
+			t.Fatalf("trial %d: empty window [%d, %d) differs from (0, 0)", trial, w[0], w[1])
 		}
 		for id, v := range seen {
 			if v {

@@ -36,7 +36,7 @@ func BenchmarkWithinDist(b *testing.B) {
 			count := 0
 			for i := 0; i < b.N; i++ {
 				q := rects[i%n]
-				t.WithinDist(q, 40, func(int) bool { count++; return true })
+				t.WithinDistOutside(q, 40, 0, 0, func(int) bool { count++; return true })
 			}
 			_ = count
 		})

@@ -33,7 +33,7 @@ type node struct {
 
 // Tree is an R-tree mapping rectangles to integer ids. The zero value is
 // ready to use. A Tree is not safe for concurrent mutation; concurrent
-// WithinDist calls are safe once building is done.
+// WithinDistOutside calls are safe once building is done.
 type Tree struct {
 	root *node
 	size int
@@ -195,16 +195,12 @@ func split(n *node) (*node, *node) {
 	return left, right
 }
 
-// WithinDist calls fn for every stored rectangle whose minimum Euclidean
-// distance to q is at most d. This is the primitive behind the ε-query
-// prefilter. Returning false from fn stops the walk early.
-func (t *Tree) WithinDist(q geom.Rect, d float64, fn func(id int) bool) {
-	t.WithinDistOutside(q, d, 0, 0, fn)
-}
-
-// WithinDistOutside is WithinDist restricted to the ids outside the window
-// [lo, hi): a leaf entry with lo ≤ id < hi is skipped before its rectangle
-// is tested. The empty window (lo ≥ hi) is WithinDist.
+// WithinDistOutside calls fn for every stored rectangle with an id outside
+// the window [lo, hi) whose minimum Euclidean distance to q is at most d: a
+// leaf entry with lo ≤ id < hi is skipped before its rectangle is tested,
+// and the empty window (lo ≥ hi) visits every such rectangle. This is the
+// primitive behind the ε-query prefilter. Returning false from fn stops the
+// walk early.
 func (t *Tree) WithinDistOutside(q geom.Rect, d float64, lo, hi int, fn func(id int) bool) {
 	if t.root != nil {
 		withinNode(t.root, q, d, lo, hi, fn)

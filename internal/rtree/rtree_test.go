@@ -90,7 +90,7 @@ func TestWithinDistAgainstBruteForce(t *testing.T) {
 		q := randRects(rng, 1)[0]
 		d := rng.Float64() * 100
 		var got []int
-		tr.WithinDist(q, d, func(id int) bool { got = append(got, id); return true })
+		tr.WithinDistOutside(q, d, 0, 0, func(id int) bool { got = append(got, id); return true })
 		sameIDs(t, got, bruteWithin(rects, q, d), "within")
 	}
 }
@@ -110,7 +110,7 @@ func TestBulkMatchesInsert(t *testing.T) {
 		q := randRects(rng, 1)[0]
 		d := rng.Float64() * 80
 		var got []int
-		bulk.WithinDist(q, d, func(id int) bool { got = append(got, id); return true })
+		bulk.WithinDistOutside(q, d, 0, 0, func(id int) bool { got = append(got, id); return true })
 		sameIDs(t, got, bruteWithin(rects, q, d), "bulk within")
 	}
 }
@@ -170,12 +170,12 @@ func TestSearchEarlyStop(t *testing.T) {
 		t.Errorf("early stop visited %d", count)
 	}
 	count = 0
-	tr.WithinDist(q, 10, func(int) bool {
+	tr.WithinDistOutside(q, 10, 0, 0, func(int) bool {
 		count++
 		return count < 3
 	})
 	if count != 3 {
-		t.Errorf("WithinDist early stop visited %d", count)
+		t.Errorf("bounded early stop visited %d", count)
 	}
 }
 

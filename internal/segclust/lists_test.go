@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/dendro"
+	"repro/internal/geom"
 	"repro/internal/lsdist"
 	"repro/internal/segclust"
 )
@@ -130,6 +131,42 @@ func TestCutAtFractionalMinLns(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := den.CutAt(5, 2.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segclust.DiffOracle(t, fmt.Sprintf("index=%s CutAt", kind.Name()), want, got)
+	}
+}
+
+// TestCutAtFractionalWeights: a dendrogram cut sums each ε-neighborhood's
+// weight in id order, as every grouping does. Three unit segments at heights
+// 0, 2.4 and 1, one trajectory each, weigh 0.1, 0.1 and 0.4, and MinLns is
+// their id-order sum, 0.6000000000000001, while each list sums to 0.6 in its
+// (distance, id) order. At ε 5 and MinTrajs 1, Figure 12 and Run find one
+// cluster of all three, and so must CutAt over {grid, rtree, brute}.
+func TestCutAtFractionalWeights(t *testing.T) {
+	heights, weights := []float64{0, 2.4, 1}, []float64{0.1, 0.1, 0.4}
+	items := make([]segclust.Item, len(heights))
+	for i, h := range heights {
+		items[i] = segclust.Item{Seg: geom.Seg(0, h, 1, h), TrajID: i, Weight: weights[i]}
+	}
+	cfg := segclust.Config{Eps: 5, MinLns: (weights[0] + weights[1]) + weights[2], MinTrajs: 1, Options: lsdist.DefaultOptions()}
+	want := segclust.Figure12(items, segclust.Planar(items, cfg.Options), cfg.Eps, cfg.MinLns, cfg.MinTrajs)
+	if !slices.Equal(want.ClusterOf, []int{0, 0, 0}) {
+		t.Fatalf("fixture: oracle labels %v, want [0 0 0]", want.ClusterOf)
+	}
+	for _, kind := range segclust.OracleKinds {
+		cfg.Backend = kind
+		run, err := segclust.Run(items, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segclust.DiffOracle(t, fmt.Sprintf("index=%s Run", kind.Name()), want, run)
+		den, err := dendro.FromShared(context.Background(), segclust.NewSharedIndexFor(items, cfg.Options, kind), cfg.Eps, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := den.CutAt(cfg.Eps, cfg.MinLns, cfg.MinTrajs)
 		if err != nil {
 			t.Fatal(err)
 		}

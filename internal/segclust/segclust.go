@@ -19,8 +19,10 @@
 // segment to its first cluster (see label for why that is Figure 12's
 // answer; the TRACLUS distance is symmetric, Lemma 2). Batch runs,
 // incremental appends (Incremental) and dendrogram cuts (internal/dendro,
-// through Label) share these two steps; the paper's expansion itself is the
-// test oracle every path is diffed against.
+// through Label) share these two steps, and one tail, ResultFromLabels,
+// which applies Definition 10 to label's dense ids and builds the canonical
+// Result; the paper's expansion itself is the test oracle every path is
+// diffed against.
 package segclust
 
 import (
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -556,67 +557,56 @@ func TrajectoryThreshold(minLns float64, minTrajs int) int {
 	return int(min(math.Ceil(minLns), math.MaxInt32))
 }
 
-// ResultFromLabels builds a canonical Result from an arbitrary per-item
-// labelling: labels[i] is any non-negative cluster id (ids need not be
-// dense) or negative for noise. The trajectory-cardinality filter of
-// Definition 10 is applied when minTrajs > 0 — clusters with fewer distinct
-// trajectory ids are demoted to noise and counted in Removed — and the
-// surviving clusters are renumbered 0..k-1 in ascending original-id order
-// with Members ascending and Trajectories sorted, the same canonical shape
-// Run produces. distCalls is recorded verbatim.
-//
-// It is the bridge for labels produced outside a grouping pass — a
-// dendrogram cut's (internal/dendro) — into the Result the rest of the
-// pipeline consumes.
+// ResultFromLabels builds a canonical Result from the cluster ids label
+// emits: labels[i] is a non-negative cluster id or negative for noise, ids
+// may have gaps, and the largest one sizes the member table (label keeps
+// every id below the item count). The trajectory-cardinality filter of
+// Definition 10 demotes clusters with fewer than minTrajs distinct
+// trajectory ids to noise and counts them in Removed (minTrajs ≤ 0 keeps
+// every cluster); the survivors are renumbered 0..k-1 in ascending id order
+// with Members ascending and Trajectories sorted, the canonical shape of
+// every grouping, append and dendrogram cut. distCalls is recorded
+// verbatim.
 func ResultFromLabels(items []Item, labels []int, minTrajs, distCalls int) *Result {
-	members := make(map[int][]int)
-	trajs := make(map[int]map[int]bool)
+	k := 0
+	for _, l := range labels {
+		k = max(k, l+1)
+	}
+	members := make([][]int, k)
 	for i, l := range labels {
-		if l < 0 {
+		if l >= 0 {
+			members[l] = append(members[l], i)
+		}
+	}
+	res := &Result{ClusterOf: make([]int, len(items)), DistCalls: distCalls}
+	renum := make([]int, k)
+	var trajs []int
+	for id, m := range members {
+		if len(m) == 0 {
 			continue
 		}
-		members[l] = append(members[l], i)
-		if trajs[l] == nil {
-			trajs[l] = make(map[int]bool)
+		trajs = trajs[:0]
+		for _, i := range m {
+			trajs = append(trajs, items[i].TrajID)
 		}
-		trajs[l][items[i].TrajID] = true
-	}
-	ids := make([]int, 0, len(members))
-	for id := range members {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids) // ids may be sparse; visit them in ascending order
-	res := &Result{ClusterOf: make([]int, len(items)), DistCalls: distCalls}
-	remap := make(map[int]int, len(members))
-	for _, id := range ids {
-		if minTrajs > 0 && len(trajs[id]) < minTrajs {
-			remap[id] = Noise
+		slices.Sort(trajs)
+		trajs = slices.Compact(trajs)
+		if len(trajs) < minTrajs {
+			renum[id] = Noise
 			res.Removed++
 			continue
 		}
-		remap[id] = len(res.Clusters)
-		res.Clusters = append(res.Clusters, Cluster{
-			Members:      members[id],
-			Trajectories: sortedKeys(trajs[id]),
-		})
+		renum[id] = len(res.Clusters)
+		res.Clusters = append(res.Clusters, Cluster{Members: m, Trajectories: slices.Clone(trajs)})
 	}
 	for i, l := range labels {
 		if l >= 0 {
-			res.ClusterOf[i] = remap[l]
+			res.ClusterOf[i] = renum[l]
 		} else {
 			res.ClusterOf[i] = Noise
 		}
 	}
 	return res
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // SharedIndex is an immutable neighborhood index over one item set that can

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	traclus "repro"
@@ -380,70 +381,100 @@ func TestDiskStoreMemoryOnly(t *testing.T) {
 
 // --- benchmarks (committed as BENCH_pr7.json in CI) ---
 
-func benchModel(b *testing.B) *Model {
+// benchModels are the snapshot benchmarks' cases. fixed is a fixed-ε build
+// whose snapshot has no dendrogram section. auto is built like the
+// benchmark's build-auto workload, 800 synth.Hurricanes tracks (seed 1) with
+// ε estimated over [5, 60]: its snapshot carries the estimation dendrogram,
+// so a restore runs dendro.FromSnapshot.
+func benchModels(b *testing.B) []benchCase {
 	b.Helper()
-	m, err := BuildCtx(context.Background(), "bench", synth.CorridorScene(3, 12, 30, 4, 7), buildConfig(), nil, nil)
+	fixed, err := BuildCtx(context.Background(), "bench", synth.CorridorScene(3, 12, 30, 4, 7), buildConfig(), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return m
+	auto, err := benchAutoModel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []benchCase{{"fixed", fixed}, {"auto", auto}}
 }
 
+type benchCase struct {
+	name string
+	m    *Model
+}
+
+// benchAutoModel builds the auto case once per process; the benchmarks only
+// read it.
+var benchAutoModel = sync.OnceValues(func() (*Model, error) {
+	cfg := synth.DefaultHurricaneConfig()
+	cfg.NumTracks, cfg.Seed = 800, 1
+	return BuildCtx(context.Background(), "bench", synth.Hurricanes(cfg), buildConfig(), &EstimateRange{Lo: 5, Hi: 60}, nil)
+})
+
 func BenchmarkSnapshotEncode(b *testing.B) {
-	m := benchModel(b)
-	sm, err := m.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := snapshot.Encode(sm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snapshot.Encode(sm); err != nil {
+	for _, bm := range benchModels(b) {
+		sm, err := bm.m.Snapshot()
+		if err != nil {
 			b.Fatal(err)
 		}
+		data, err := snapshot.Encode(sm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("model="+bm.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := snapshot.Encode(sm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkSnapshotDecode(b *testing.B) {
-	data, err := benchModel(b).EncodeSnapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := snapshot.Decode(data); err != nil {
+	for _, bm := range benchModels(b) {
+		data, err := bm.m.EncodeSnapshot()
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run("model="+bm.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := snapshot.Decode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkDiskStoreReadThrough measures the full restart path: cache miss
 // → file read → decode → classifier index rebuild.
 func BenchmarkDiskStoreReadThrough(b *testing.B) {
-	dir := b.TempDir()
-	ds, err := NewDiskStore(dir, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ds.Put("bench", benchModel(b)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cold, err := NewDiskStore(dir, 4)
+	for _, bm := range benchModels(b) {
+		dir := b.TempDir()
+		ds, err := NewDiskStore(dir, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, found, err := cold.Get("bench"); err != nil || !found {
-			b.Fatalf("found=%v err=%v", found, err)
+		if err := ds.Put("bench", bm.m); err != nil {
+			b.Fatal(err)
 		}
+		b.Run("model="+bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cold, err := NewDiskStore(dir, 4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, found, err := cold.Get("bench"); err != nil || !found {
+					b.Fatalf("found=%v err=%v", found, err)
+				}
+			}
+		})
 	}
 }

@@ -18,27 +18,27 @@ package traclus
 // the initial build estimated (parameters are frozen at build time; they are
 // not re-estimated per append).
 //
-// The sweep phase re-runs only for dirtied clusters: a cluster whose member
-// set is unchanged from the previous epoch keeps its representative — the
-// sweep is a deterministic function of (member segments, weights, MinLns, γ),
-// all unchanged — so appends that touch k clusters sweep k clusters, not all
-// of them. The multi-ε dendrogram is maintained the same way: when the
-// previous Result holds one, the appended Result holds its extension
-// (dendro.Dendrogram.Extend) — the Δ's range queries on the grown index, no
-// rebuild — bit-identical to a fresh build over the appended items; when
-// it holds none, Result.DendrogramAt builds one on first use (see
-// ARCHITECTURE.md "Incremental updates").
+// A build is an append to nothing, so every layer has one body that serves
+// both. The grouping appends the Δ items to the retained ε-graph, as a build
+// appends every item to an empty one. The sweep phase (core.AssembleCtx)
+// gets the previous epoch's Output, as a build gets none, and re-runs only
+// for dirtied clusters: a cluster whose member set is unchanged keeps its
+// representative — the sweep is a deterministic function of (member
+// segments, weights, MinLns, γ), all unchanged — so appends that touch k
+// clusters sweep k clusters, not all of them. The multi-ε dendrogram is
+// maintained the same way: when the previous Result holds one, the appended
+// Result holds its extension (dendro.Dendrogram.Extend, which a build
+// applies to the empty dendrogram) — the Δ's range queries on the grown
+// index, no rebuild; when it holds none, Result.DendrogramAt builds one on
+// first use (see ARCHITECTURE.md "Incremental updates").
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/geometry"
-	"repro/internal/par"
 	"repro/internal/segclust"
-	"repro/internal/sweep"
 )
 
 // Appender is a clustering that stays current under appended trajectories.
@@ -78,10 +78,11 @@ func (p *Pipeline) NewAppender(ctx context.Context, trs []Trajectory) (*Appender
 // Append folds trs into the clustering and returns the updated Result: the
 // new trajectories are MDL-partitioned, their segments run ε-range queries
 // against the grown index, the ε-graph absorbs the new edges, and only
-// dirtied clusters re-sweep. Empty trs returns the current Result. The
-// trajectories follow the build's geometry: they carry Times exactly when
-// it is spatiotemporal, and a geodesic appender projects them through the
-// frame its build resolved.
+// dirtied clusters re-sweep (core.AssembleCtx, handed the previous epoch's
+// Output). Empty trs returns the current Result. The trajectories follow
+// the build's geometry: they carry Times exactly when it is spatiotemporal,
+// and a geodesic appender projects them through the frame its build
+// resolved.
 //
 // A failed or cancelled Append leaves the Appender unusable for further
 // appends (the grown index and the derived labels may disagree); the last
@@ -116,7 +117,7 @@ func (a *Appender) Append(ctx context.Context, trs []Trajectory) (*Result, error
 	rep.finish()
 
 	rep.begin(PhaseRepresent, len(grouping.Clusters))
-	out, err := a.assembleReusing(ctx, a.inc.Shared().Items(), grouping, rep.tick)
+	out, err := core.AssembleCtx(ctx, a.inc.Shared().Items(), grouping, a.ccfg, a.res.out, rep.tick)
 	if err != nil {
 		return nil, stageError(ctx, PhaseRepresent, err)
 	}
@@ -141,60 +142,4 @@ func (a *Appender) Append(ctx context.Context, trs []Trajectory) (*Result, error
 	}
 	a.res = res
 	return res, nil
-}
-
-// assembleReusing is AssembleCtx with the dirtied-cluster sweep restriction:
-// a cluster whose member list is identical to one from the previous epoch
-// reuses that epoch's gathered segments and representative — the sweep is a
-// deterministic function of members, weights, MinLns, and γ, none of which
-// changed — so only clusters the append actually touched are re-swept.
-// Clusters are keyed by first member: member lists are ascending and epochs
-// share the item numbering, so equal first members + equal lists ⇔ the same
-// cluster.
-func (a *Appender) assembleReusing(ctx context.Context, items []Item, grouping *segclust.Result, onCluster func()) (*core.Output, error) {
-	old := a.res.out
-	oldByFirst := make(map[int]int, len(old.Clusters))
-	for oi, oc := range old.Clusters {
-		if len(oc.Members) > 0 {
-			oldByFirst[oc.Members[0]] = oi
-		}
-	}
-	swCfg := sweep.Config{MinLns: a.ccfg.MinLns, Gamma: a.ccfg.EffectiveGamma()}
-	out := &core.Output{Items: items, Result: grouping}
-	out.Clusters = make([]core.Cluster, len(grouping.Clusters))
-	err := par.ForEachCtx(ctx, a.ccfg.Workers, len(grouping.Clusters), func(_, ci int) {
-		c := grouping.Clusters[ci]
-		if oi, ok := oldByFirst[c.Members[0]]; ok && slices.Equal(old.Clusters[oi].Members, c.Members) {
-			oc := old.Clusters[oi]
-			out.Clusters[ci] = core.Cluster{
-				Segments:       oc.Segments,
-				Members:        c.Members,
-				Trajectories:   c.Trajectories,
-				Representative: oc.Representative,
-			}
-			if onCluster != nil {
-				onCluster()
-			}
-			return
-		}
-		segs := make([]Segment, len(c.Members))
-		weights := make([]float64, len(c.Members))
-		for i, m := range c.Members {
-			segs[i] = items[m].Seg
-			weights[i] = items[m].Weight
-		}
-		out.Clusters[ci] = core.Cluster{
-			Segments:       segs,
-			Members:        c.Members,
-			Trajectories:   c.Trajectories,
-			Representative: sweep.Representative(segs, weights, swCfg),
-		}
-		if onCluster != nil {
-			onCluster()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

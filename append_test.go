@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -338,6 +339,73 @@ func TestRunAndAppenderShareOneBuild(t *testing.T) {
 				t.Errorf("%s: dendrogram MaxEps/Edges %g/%d from Run, %g/%d from NewAppender",
 					what, rd.MaxEps(), rd.Edges(), ad.MaxEps(), ad.Edges())
 			}
+		}
+	}
+}
+
+// TestAppendResweepsOnlyTouchedClusters pins the representative phase's
+// reuse across epochs: an append keeps, by reference, the representative of
+// every cluster whose member segments it left unchanged, and sweeps only the
+// clusters it touched. A trajectory far from every cluster touches none; one
+// along a single corridor touches that corridor's cluster alone. Each
+// appended Result still equals a batch run over the concatenation.
+func TestAppendResweepsOnlyTouchedClusters(t *testing.T) {
+	ctx := context.Background()
+	scene := synth.CorridorScene(3, 11, 24, 4, 11)
+	along := scene[10] // the first corridor's last trajectory
+	base := append(slices.Clone(scene[:10]), scene[11:]...)
+	far := traclus.Trajectory{ID: 1000, Weight: 1, Points: []traclus.Point{{X: 5000, Y: 5000}, {X: 5300, Y: 5010}, {X: 5600, Y: 5000}}}
+	cfg := traclus.Config{Eps: 30, MinLns: 6, CostAdvantage: 15, MinSegmentLength: 40}
+	ap, err := traclus.New(traclus.WithConfig(cfg)).NewAppender(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ap.Result().Clusters); n < 2 {
+		t.Fatalf("the scene holds %d clusters, want several", n)
+	}
+	sofar := base
+	for _, step := range []struct {
+		name  string
+		tr    traclus.Trajectory
+		swept int
+	}{{"far", far, 0}, {"along a corridor", along, 1}} {
+		prev := ap.Result()
+		res, err := ap.Append(ctx, []traclus.Trajectory{step.tr})
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		sofar = append(sofar[:len(sofar):len(sofar)], step.tr)
+		batch, err := run(sofar, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := appendFingerprint(res), appendFingerprint(batch); a != b {
+			t.Errorf("%s: fingerprint %s (append-built) vs %s (batch-built)", step.name, a, b)
+		}
+		prevReps := make(map[*traclus.Point]bool)
+		for _, c := range prev.Clusters {
+			if len(c.Representative) > 0 {
+				prevReps[&c.Representative[0]] = true
+			}
+		}
+		swept := 0
+		for i, c := range res.Clusters {
+			if len(c.Representative) == 0 {
+				t.Fatalf("%s: cluster %d has no representative to compare", step.name, i)
+			}
+			kept := prevReps[&c.Representative[0]]
+			unchanged := slices.ContainsFunc(prev.Clusters, func(pc traclus.Cluster) bool { return slices.Equal(pc.Segments, c.Segments) })
+			switch {
+			case unchanged && !kept:
+				t.Errorf("%s: cluster %d kept its members but was swept again", step.name, i)
+			case !unchanged && kept:
+				t.Errorf("%s: cluster %d changed but kept the previous epoch's representative", step.name, i)
+			case !unchanged:
+				swept++
+			}
+		}
+		if swept != step.swept {
+			t.Errorf("%s: %d clusters changed, want %d", step.name, swept, step.swept)
 		}
 	}
 }

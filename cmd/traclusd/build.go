@@ -264,7 +264,7 @@ func (s *server) startBuild(w http.ResponseWriter, r *http.Request, spec buildSp
 	// Only requests that may start a fresh clustering run consume a build
 	// slot and retain their upload; a request for a name already in flight
 	// joins that build instead — its job merely waits on the shared outcome
-	// (Store.Wait), so it neither 429s unrelated builds nor parks its
+	// (Store.WaitCtx), so it neither 429s unrelated builds nor parks its
 	// parsed body for the build's duration. The Pending check is advisory:
 	// a race can let same-name duplicates each take a slot (the semaphore
 	// tolerates the over-count; single-flight still runs one build), or

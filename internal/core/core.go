@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/geometry"
@@ -63,9 +64,7 @@ func DefaultConfig() Config {
 func (c Config) ResolvedBackend() spindex.Backend { return c.Backend }
 
 // EffectiveGamma resolves the sweep smoothing parameter: Gamma when set,
-// otherwise the paper's Eps/4 default. Exposed so alternative
-// representative builders layered on top of the engine derive the same
-// value the default sweep uses.
+// otherwise the paper's Eps/4 default.
 func (c Config) EffectiveGamma() float64 {
 	if c.Gamma > 0 {
 		return c.Gamma
@@ -175,55 +174,53 @@ func (c Config) Segclust() segclust.Config {
 	}
 }
 
-// RepresentativeFunc builds one cluster's representative trajectory from
-// its member segments and weights; nil selects the paper's sweep-line
-// algorithm, which every caller uses.
-type RepresentativeFunc func(ctx context.Context, segs []geom.Segment, weights []float64) ([]geom.Point, error)
-
-// AssembleCtx runs the representative phase over an existing grouping and
-// assembles the full Output: per cluster, the member segments and weights
-// are gathered and rep (nil = the §4.3 sweep under cfg.MinLns and
-// EffectiveGamma) builds the representative, fanned across cfg.Workers with
-// each cluster writing only its own slot. onCluster, if non-nil, is invoked
-// once per completed cluster (possibly from worker goroutines). It runs
-// after a grouping (segclust.Run, or the public Pipeline's grouping over its
-// shared index), so callers can stream progress between the phases.
-func AssembleCtx(ctx context.Context, items []segclust.Item, res *segclust.Result, cfg Config, rep RepresentativeFunc, onCluster func()) (*Output, error) {
-	out := &Output{Items: items, Result: res}
+// AssembleCtx runs the representative phase over a grouping and assembles
+// the full Output: per cluster, the member segments and weights are
+// gathered and the §4.3 sweep under cfg.MinLns and EffectiveGamma builds the
+// representative, fanned across cfg.Workers with each cluster writing only
+// its own slot. onCluster, if non-nil, is invoked once per completed
+// cluster (possibly from worker goroutines), so callers can stream progress
+// between the phases.
+//
+// prev is an earlier epoch's Output under the same cfg over a prefix of
+// items, or nil for a build: a cluster whose member list equals one of
+// prev's keeps prev's gathered segments and representative — the sweep is a
+// deterministic function of members, weights, MinLns and γ, none of which
+// changed — so an append that touches k clusters sweeps k, and a build,
+// with no earlier epoch, sweeps every cluster. Clusters are matched by first
+// member: member lists are ascending and epochs share the item numbering,
+// so equal first members and equal lists mean the same cluster.
+func AssembleCtx(ctx context.Context, items []segclust.Item, res *segclust.Result, cfg Config, prev *Output, onCluster func()) (*Output, error) {
+	var prevByFirst map[int]int
+	if prev != nil {
+		prevByFirst = make(map[int]int, len(prev.Clusters))
+		for pi, pc := range prev.Clusters {
+			prevByFirst[pc.Members[0]] = pi
+		}
+	}
+	out := &Output{Items: items, Result: res, Clusters: make([]Cluster, len(res.Clusters))}
 	swCfg := sweep.Config{MinLns: cfg.MinLns, Gamma: cfg.EffectiveGamma()}
-	out.Clusters = make([]Cluster, len(res.Clusters))
-	repErrs := make([]error, len(res.Clusters))
 	err := par.ForEachCtx(ctx, cfg.Workers, len(res.Clusters), func(_, ci int) {
 		c := res.Clusters[ci]
-		segs := make([]geom.Segment, len(c.Members))
-		weights := make([]float64, len(c.Members))
-		for i, m := range c.Members {
-			segs[i] = items[m].Seg
-			weights[i] = items[m].Weight
-		}
-		var rp []geom.Point
-		if rep == nil {
-			rp = sweep.Representative(segs, weights, swCfg)
+		cl := Cluster{Members: c.Members, Trajectories: c.Trajectories}
+		if pi, ok := prevByFirst[c.Members[0]]; ok && slices.Equal(prev.Clusters[pi].Members, c.Members) {
+			cl.Segments, cl.Representative = prev.Clusters[pi].Segments, prev.Clusters[pi].Representative
 		} else {
-			rp, repErrs[ci] = rep(ctx, segs, weights)
+			cl.Segments = make([]geom.Segment, len(c.Members))
+			weights := make([]float64, len(c.Members))
+			for i, m := range c.Members {
+				cl.Segments[i] = items[m].Seg
+				weights[i] = items[m].Weight
+			}
+			cl.Representative = sweep.Representative(cl.Segments, weights, swCfg)
 		}
-		out.Clusters[ci] = Cluster{
-			Segments:       segs,
-			Members:        c.Members,
-			Trajectories:   c.Trajectories,
-			Representative: rp,
-		}
+		out.Clusters[ci] = cl
 		if onCluster != nil {
 			onCluster()
 		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, rerr := range repErrs {
-		if rerr != nil {
-			return nil, fmt.Errorf("core: representative: %w", rerr)
-		}
 	}
 	return out, nil
 }

@@ -13,9 +13,9 @@
 //     distance at which the prefix sum first reaches MinLns;
 //   - the core-core edge candidates: every pair (a < b) within MaxEps,
 //     sorted by (distance, a, b) — the union-find replay log, a function of
-//     the lists that a build and a snapshot restore derive alike
-//     (deriveEdges). A cut at ε replays the prefix of edges with d ≤ ε whose
-//     endpoints are both core at ε through the deterministic min-root
+//     the lists that a build, an extension and a snapshot restore derive
+//     alike (edgesFrom). A cut at ε replays the prefix of edges with d ≤ ε
+//     whose endpoints are both core at ε through the deterministic min-root
 //     union-find (segclust.UnionFind), which ends in exactly the forest the
 //     fresh grouping's link step builds;
 //   - the item set itself (geometry + trajectory ids + weights), so cuts,
@@ -25,12 +25,13 @@
 // Extend grows the structure under appends instead of rebuilding it: only
 // the Δ appended items run range queries, on the grown index at MaxEps; each
 // new pair is merged into both endpoints' sorted lists, the running weight
-// sums are recomputed for the touched lists only, and the sorted new edges
-// merge into the replay log. Its cost is the Δ's candidate + refine work
-// plus one O(E) copy of the flat arrays (the old structure stays immutable —
-// earlier epochs keep serving it), against FromShared's n range queries and
-// n list sorts; the result is bit-identical to FromShared over the same
-// items.
+// sums are recomputed for the touched lists only, and the appended items'
+// edges merge into the replay log. Its cost is the Δ's candidate + refine
+// work plus one O(E) copy of the flat arrays (the old structure stays
+// immutable — earlier epochs keep serving it), against the n range queries
+// and n list sorts of a build. A build is itself that extension applied to
+// the empty dendrogram (FromShared), so the result is bit-identical to a
+// build over the same items by construction, not by a second body.
 //
 // The lists also feed an auto build's grouping: each ε-neighborhood is the
 // d ≤ ε prefix of an item's list (Within), so segclust reads it there
@@ -99,71 +100,64 @@ type Dendrogram struct {
 
 // FromShared builds the merge structure from an already-built shared index
 // — the pipeline's single-build discipline: the same index serves
-// estimation, grouping, and this precompute. One parallel candidate +
+// estimation, grouping, and this precompute. A build is the extension of
+// the empty dendrogram over every item of shared: one parallel candidate +
 // refine pass at radius maxEps that scores each unordered pair once, one
-// sort per neighbor list, one edge sort. The refinement scores at bound
-// maxEps: only pairs within maxEps are stored, and those get their exact
-// distances, so the kernel may stop on the others
+// sort per neighbor list, one edge sort (Extend). The refinement scores at
+// bound maxEps: only pairs within maxEps are stored, and those get their
+// exact distances, so the kernel may stop on the others
 // (segclust.Cursor.DistBlockWithin).
 func FromShared(ctx context.Context, shared *segclust.SharedIndex, maxEps float64, workers int) (*Dendrogram, error) {
 	if err := segclust.CheckPositive("MaxEps", maxEps); err != nil {
 		return nil, err
 	}
-	items := shared.Items()
-	n := len(items)
-	d := &Dendrogram{items: items, maxEps: maxEps, off: make([]int64, n+1)}
-	if n == 0 {
-		return d, nil
-	}
-	lists, calls, err := neighborLists(ctx, shared, 0, maxEps, workers)
-	if err != nil {
-		return nil, err
-	}
-	d.calls = calls
-
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	d.alloc(total)
-	for i, l := range lists {
-		d.off[i+1] = d.putList(d.off[i], l)
-	}
-	d.deriveEdges()
-	return d, nil
+	return (&Dendrogram{maxEps: maxEps, off: make([]int64, 1)}).Extend(ctx, shared, workers)
 }
 
-// deriveEdges derives the replay log from the filled flat lists: every pair
-// within MaxEps once, from its smaller end, sorted by (d, a, b). Symmetry
-// (Lemma 2: dist(a,b) == dist(b,a), bit-exact in this implementation) puts
-// every pair in both endpoint lists at the same distance, so the log is a
-// function of the lists alone, a build and a snapshot restore derive the
-// same one, and half the entries bound its length.
-func (d *Dendrogram) deriveEdges() {
-	d.edges = make([]edge, 0, len(d.ids)/2)
-	for i := range d.items {
-		for k := d.off[i]; k < d.off[i+1]; k++ {
-			if j := d.ids[k]; int(j) > i {
-				d.edges = append(d.edges, edge{a: int32(i), b: j, d: d.dist[k]})
+// edgesFrom derives the part of the replay log that items [lo, n) add from
+// the filled flat lists: every pair a < b within MaxEps whose larger end is
+// b ≥ lo, read from b's list, sorted by (d, a, b). Symmetry (Lemma 2:
+// dist(a,b) == dist(b,a), bit-exact in this implementation) puts every pair
+// in both endpoint lists at the same distance, so the log is a function of
+// the lists alone: a build and a snapshot restore derive all of it
+// (edgesFrom(0)) and an extension the appended items' share.
+func (d *Dendrogram) edgesFrom(lo int) []edge {
+	// Counted first, so the log is allocated once at its exact size: a
+	// guess grows an extension's share and overshoots a build's.
+	n, count := len(d.items), 0
+	for b := lo; b < n; b++ {
+		for _, a := range d.ids[d.off[b]:d.off[b+1]] {
+			if int(a) < b {
+				count++
 			}
 		}
 	}
-	sortEdges(d.edges)
+	edges := make([]edge, 0, count)
+	for b := lo; b < n; b++ {
+		for k := d.off[b]; k < d.off[b+1]; k++ {
+			if a := d.ids[k]; int(a) < b {
+				edges = append(edges, edge{a: a, b: int32(b), d: d.dist[k]})
+			}
+		}
+	}
+	sortEdges(edges)
+	return edges
 }
 
 // Extend returns the merge structure over shared's items, of which d's
 // items must be the first d.Len() — the index an appender has grown by
-// Δ items. It never writes d (earlier epochs keep serving it); the result
-// shares nothing mutable with it. Only the appended items [d.Len(), n) run
-// range queries, at d's MaxEps and scored bounded exactly as FromShared
-// scores them, each unordered pair once; every new pair is merged into both
-// endpoints' sorted lists (by Lemma-2 symmetry whichever end scored a pair
-// gives it the bits a rebuild would), the running weight sums are
-// recomputed only for the lists that gained entries, and the sorted new
-// edges merge into the replay log. The result is bit-identical to
-// FromShared over the same items — neighbor lists, weight sums and replay
-// log — except DistCalls, which adds the candidate pairs the Δ refined to
-// d's. An index holding no new items returns d itself.
+// Δ items, or any index when d is the empty dendrogram FromShared extends.
+// It never writes d (earlier epochs keep serving it); the result shares
+// nothing mutable with it. Only the appended items [d.Len(), n) run range
+// queries, at d's MaxEps and scored bounded, each unordered pair once;
+// every new pair is merged into both endpoints' sorted lists (by Lemma-2
+// symmetry whichever end scored a pair gives it the bits a rebuild would),
+// the running weight sums are recomputed only for the lists that gained
+// entries, and the appended items' edges (edgesFrom) merge into the replay
+// log. The result is bit-identical to FromShared over the same items —
+// neighbor lists, weight sums and replay log — except DistCalls, which adds
+// the candidate pairs the Δ refined to d's. An index holding no new items
+// returns d itself.
 func (d *Dendrogram) Extend(ctx context.Context, shared *segclust.SharedIndex, workers int) (*Dendrogram, error) {
 	items := shared.Items()
 	n0, n := len(d.items), len(items)
@@ -179,18 +173,14 @@ func (d *Dendrogram) Extend(ctx context.Context, shared *segclust.SharedIndex, w
 	}
 
 	// Bucket the new pairs by their old endpoint (a counting sort on the
-	// old id), and collect every pair whose larger endpoint is new as a
-	// replay-log edge.
+	// old id).
 	at := make([]int, n0+1)
-	total, ecount := len(d.ids), 0
-	for k, l := range lists {
+	total := len(d.ids)
+	for _, l := range lists {
 		total += len(l)
 		for _, e := range l {
 			if int(e.id) < n0 {
 				at[e.id+1]++
-			}
-			if int(e.id) < n0+k {
-				ecount++
 			}
 		}
 	}
@@ -200,16 +190,11 @@ func (d *Dendrogram) Extend(ctx context.Context, shared *segclust.SharedIndex, w
 	total += at[n0]
 	added := make([]nb, at[n0])
 	next := slices.Clone(at[:n0])
-	edges := make([]edge, 0, ecount)
 	for k, l := range lists {
-		j := int32(n0 + k)
 		for _, e := range l {
 			if int(e.id) < n0 {
-				added[next[e.id]] = nb{id: j, dist: e.dist}
+				added[next[e.id]] = nb{id: int32(n0 + k), dist: e.dist}
 				next[e.id]++
-			}
-			if e.id < j {
-				edges = append(edges, edge{a: e.id, b: j, d: e.dist})
 			}
 		}
 	}
@@ -248,8 +233,7 @@ func (d *Dendrogram) Extend(ctx context.Context, shared *segclust.SharedIndex, w
 	for k, l := range lists {
 		x.off[n0+k+1] = x.putList(x.off[n0+k], l)
 	}
-	sortEdges(edges)
-	x.edges = mergeEdges(d.edges, edges)
+	x.edges = mergeEdges(d.edges, x.edgesFrom(n0))
 	return x, nil
 }
 
@@ -259,10 +243,10 @@ type nb struct {
 	dist float64
 }
 
-// neighborLists is the one query-and-sort pass behind FromShared and
-// Extend: for every item i in [lo, n) of shared, every j with dist(i, j) ≤
-// maxEps, sorted by (dist, id), at lists[i-lo], each list sized to the
-// pairs it keeps. It also returns the candidate pairs refined.
+// neighborLists is the one query-and-sort pass behind Extend, and so behind
+// every build: for every item i in [lo, n) of shared, every j with
+// dist(i, j) ≤ maxEps, sorted by (dist, id), at lists[i-lo], each list sized
+// to the pairs it keeps. It also returns the candidate pairs refined.
 //
 // Each unordered pair is scored once, from the end that owns it: the index
 // returns item i only its candidates outside [lo, i)
@@ -396,8 +380,12 @@ func edgeCmp(x, y edge) int {
 // sortEdges orders the replay log by (d, a, b).
 func sortEdges(edges []edge) { slices.SortFunc(edges, edgeCmp) }
 
-// mergeEdges merges two (d, a, b)-sorted edge logs into a new one.
+// mergeEdges merges two (d, a, b)-sorted edge logs into a new one; with a
+// empty (a build) it returns b itself, uncopied.
 func mergeEdges(a, b []edge) []edge {
+	if len(a) == 0 {
+		return b
+	}
 	out := make([]edge, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
 		if edgeCmp(a[0], b[0]) < 0 {

@@ -5,8 +5,9 @@ package dendro
 // weight prefix sums and the union-find replay log are derived again on
 // load. The derivation is exact, not approximate: prefix sums replay the
 // identical additions in the identical stored order, and the replay log
-// comes from the lists through the same deriveEdges a build runs, so a
-// restored dendrogram cuts bit-identically to the one that was saved.
+// comes from the lists through the same edgesFrom that builds and
+// extensions run (edgesFrom(0): every item's share), so a restored
+// dendrogram cuts bit-identically to the one that was saved.
 
 import (
 	"repro/internal/segclust"
@@ -67,6 +68,6 @@ func FromSnapshot(dd *snapshot.Dendro) (*Dendrogram, error) {
 		}
 		d.off[i+1] = o
 	}
-	d.deriveEdges()
+	d.edges = d.edgesFrom(0)
 	return d, nil
 }

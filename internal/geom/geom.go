@@ -270,9 +270,6 @@ func RectOf(pts ...Point) Rect {
 	return r
 }
 
-// Empty reports whether r has negative extent in either axis.
-func (r Rect) Empty() bool { return r.Max.X < r.Min.X || r.Max.Y < r.Min.Y }
-
 // Width returns the X extent.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
@@ -301,12 +298,6 @@ func (r Rect) Union(q Rect) Rect {
 // Contains reports whether p lies inside the closed rectangle r.
 func (r Rect) Contains(p Point) bool {
 	return r.Min.X <= p.X && p.X <= r.Max.X && r.Min.Y <= p.Y && p.Y <= r.Max.Y
-}
-
-// ContainsRect reports whether q lies entirely inside r.
-func (r Rect) ContainsRect(q Rect) bool {
-	return r.Min.X <= q.Min.X && q.Max.X <= r.Max.X &&
-		r.Min.Y <= q.Min.Y && q.Max.Y <= r.Max.Y
 }
 
 // Expand returns r grown by d on every side.

@@ -206,15 +206,3 @@ func LowerBoundFactor(w Weights) float64 {
 	}
 	return m / 2
 }
-
-// SearchRadius converts an ε threshold on the TRACLUS distance into a safe
-// Euclidean radius for MBR-based candidate generation: every b with
-// dist(a,b) ≤ eps has mindist(a,b) ≤ SearchRadius(eps, w). The second
-// return is false when no finite radius exists.
-func SearchRadius(eps float64, w Weights) (float64, bool) {
-	c := LowerBoundFactor(w)
-	if c == 0 {
-		return 0, false
-	}
-	return eps / c, true
-}

@@ -249,26 +249,29 @@ func TestLowerBoundProperty(t *testing.T) {
 	}
 }
 
+// TestSearchRadius: the Euclidean candidate radius an index derives for ε
+// is eps / LowerBoundFactor(w), and a zero factor leaves no finite radius.
 func TestSearchRadius(t *testing.T) {
-	r, ok := SearchRadius(30, DefaultWeights())
-	if !ok || r != 60 {
-		t.Errorf("SearchRadius = %v, %v", r, ok)
+	c := LowerBoundFactor(DefaultWeights())
+	if r := 30 / c; c == 0 || r != 60 {
+		t.Errorf("search radius = %v (factor %v)", r, c)
 	}
-	if _, ok := SearchRadius(30, Weights{0, 1, 1}); ok {
-		t.Error("SearchRadius with zero positional weight should fail")
+	if LowerBoundFactor(Weights{0, 1, 1}) != 0 {
+		t.Error("a zero positional weight should leave no finite search radius")
 	}
 }
 
 // TestSearchRadiusSound verifies the index contract directly: every pair
-// within ε by TRACLUS distance is within SearchRadius by Euclidean
-// mindist.
+// within ε by TRACLUS distance is within eps / LowerBoundFactor(w) by
+// Euclidean mindist.
 func TestSearchRadiusSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const eps = 40.0
-	radius, ok := SearchRadius(eps, DefaultWeights())
-	if !ok {
+	c := LowerBoundFactor(DefaultWeights())
+	if c == 0 {
 		t.Fatal("no radius")
 	}
+	radius := eps / c
 	for i := 0; i < 2000; i++ {
 		a, b := randSeg(rng), randSeg(rng)
 		if Dist(a, b) <= eps && a.MinDist(b) > radius {

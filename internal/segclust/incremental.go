@@ -23,7 +23,10 @@ package segclust
 // legitimately differs: the base items were queried against the smaller
 // pre-append index, so the incremental total counts fewer candidate
 // evaluations than a from-scratch batch run would spend. Callers comparing
-// against batch must exclude DistCalls from the fingerprint.)
+// against batch must exclude DistCalls from the fingerprint.) A batch
+// grouping is the append of every item to the empty ε-graph, so batch runs
+// and appends are one body (Incremental.append) rather than two that tests
+// keep equal.
 //
 // Weighted cardinalities are float sums, and they match batch bit for bit
 // even for fractional weights: every neighborhood is kept in ascending id
@@ -66,10 +69,11 @@ func (s *SharedIndex) grow(newItems []Item) {
 	s.items = append(s.items, newItems...)
 }
 
-// Incremental is a clustering that stays current under appends. It is built
-// once over the initial items (NewIncrementalCtx — one full grouping, the
-// very path RunSharedCtx takes) and thereafter AppendCtx folds new
-// trajectories' items in for O(Δ) query work plus label's two O(n) passes.
+// Incremental is a clustering that stays current under appends. Every
+// grouping is one: a build (NewIncrementalCtx, and RunSharedCtx, which keeps
+// only the Result) appends the initial items to an empty Incremental, and
+// thereafter AppendCtx folds new trajectories' items in through the same
+// body for O(Δ) query work plus label's two O(n) passes.
 //
 // An Incremental owns its SharedIndex exclusively for writing: AppendCtx
 // grows the index in place, so the owner must serialise appends against each
@@ -92,12 +96,12 @@ type Incremental struct {
 }
 
 // NewIncrementalCtx runs the initial grouping over shared's current items
-// with retained state, so the clustering can absorb appends afterwards. The
-// initial Result (available via Result()) is bit-identical to
-// RunSharedCtx(ctx, shared, cfg, onItem) — labels, cluster order, Removed,
-// and DistCalls — at every worker count. Custom distance functions are not
-// supported (they have no index to grow); cfg.Backend is ignored in
-// favour of shared's backend, exactly as RunSharedCtx.
+// with retained state, so the clustering can absorb appends afterwards. It
+// is the grouping RunSharedCtx(ctx, shared, cfg, onItem) runs, so the
+// initial Result (available via Result()) is that call's — labels, cluster
+// order, Removed, and DistCalls — at every worker count. Custom distance
+// functions are not supported (they have no index to grow); cfg.Backend is
+// ignored in favour of shared's backend, exactly as RunSharedCtx.
 //
 // lists is optional: at most one non-nil NeighborLists over shared's items
 // with MaxEps ≥ cfg.Eps, from which the grouping's one neighborhood pass
@@ -162,7 +166,7 @@ func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item) (*Result
 	n0 := len(inc.shared.items)
 	inc.shared.grow(newItems)
 	// Any exit past this point without full completion breaks the state.
-	res, err := inc.append(ctx, n0)
+	res, err := inc.append(ctx, n0, nil, nil)
 	if err != nil {
 		inc.broken = true
 		return nil, err
@@ -171,17 +175,21 @@ func (inc *Incremental) AppendCtx(ctx context.Context, newItems []Item) (*Result
 	return res, nil
 }
 
-func (inc *Incremental) append(ctx context.Context, n0 int) (*Result, error) {
+// append folds shared's items [n0, n) into the ε-graph: a build is the
+// append of every item to an empty Incremental (n0 = 0), and AppendCtx the
+// append of Δ grown items. src is where the pass finds the new items'
+// neighborhoods and onItem ticks once per queried item (see hoodSet.extend).
+func (inc *Incremental) append(ctx context.Context, n0 int, src sourceFor, onItem func()) (*Result, error) {
 	n := len(inc.shared.items)
 
-	// Phase 1 — the only expensive work: ε-range queries for the Δ new
-	// items against the grown index, across workers. Each new item scores
-	// the old items and the new ones from itself on; the pass's reflection
-	// gives every new item its full neighborhood (old and new neighbors
-	// alike — the index already holds everything) and, by symmetry
+	// Phase 1 — the only expensive work: ε-range queries for the new items
+	// against the grown index, across workers. Each new item scores the old
+	// items and the new ones from itself on; the pass's reflection gives
+	// every new item its full neighborhood (old and new neighbors alike —
+	// the index already holds everything) and, by symmetry
 	// (j ∈ Nε(i) ⇔ i ∈ Nε(j)), gives each old neighbor j the new item i in
 	// its neighborhood and i's weight in its cardinality.
-	calls, err := inc.hs.extend(ctx, inc.shared, inc.cfg.Eps, inc.cfg.Workers, nil, nil)
+	calls, err := inc.hs.extend(ctx, inc.shared, inc.cfg.Eps, inc.cfg.Workers, src, onItem)
 	inc.calls += calls
 	if err != nil {
 		return nil, err
@@ -191,17 +199,23 @@ func (inc *Incremental) append(ctx context.Context, n0 int) (*Result, error) {
 	// Phase 2 — core flags for the new items, and core promotion for the
 	// old ones. Monotone: grown cardinalities can only promote. Pre-existing
 	// items that crossed MinLns are the "dirtied" frontier whose edges
-	// phase 3 must add, beside the new items'.
+	// phase 3 must add, beside the new items'. A build (n0 = 0) leaves work
+	// nil: every item is new, and link scans them all.
 	inc.core = append(inc.core, make([]bool, n-n0)...)
-	work := make([]int32, 0, n-n0)
 	for i := n0; i < n; i++ {
 		inc.core[i] = hs.w[i] >= inc.cfg.MinLns
-		work = append(work, int32(i))
 	}
-	for j := 0; j < n0; j++ {
-		if !inc.core[j] && hs.w[j] >= inc.cfg.MinLns {
-			inc.core[j] = true
-			work = append(work, int32(j))
+	var work []int32
+	if n0 > 0 {
+		work = make([]int32, 0, n-n0)
+		for i := n0; i < n; i++ {
+			work = append(work, int32(i))
+		}
+		for j := 0; j < n0; j++ {
+			if !inc.core[j] && hs.w[j] >= inc.cfg.MinLns {
+				inc.core[j] = true
+				work = append(work, int32(j))
+			}
 		}
 	}
 

@@ -17,12 +17,13 @@
 // steps: link unions the core–core edges (a concurrent min-root
 // union-find), and label numbers the components and hands each border
 // segment to its first cluster (see label for why that is Figure 12's
-// answer; the TRACLUS distance is symmetric, Lemma 2). Batch runs,
-// incremental appends (Incremental) and dendrogram cuts (internal/dendro,
-// through Label) share these two steps, and one tail, ResultFromLabels,
-// which applies Definition 10 to label's dense ids and builds the canonical
-// Result; the paper's expansion itself is the test oracle every path is
-// diffed against.
+// answer; the TRACLUS distance is symmetric, Lemma 2). The ε-graph only
+// grows under appends, so a batch run is the append of every item to an
+// empty Incremental: batch runs and appends are one body, and dendrogram
+// cuts (internal/dendro, through Label) share its two labelling steps and
+// its one tail, ResultFromLabels, which applies Definition 10 to label's
+// dense ids and builds the canonical Result; the paper's expansion itself
+// is the test oracle every path is diffed against.
 package segclust
 
 import (
@@ -421,12 +422,14 @@ func run(ctx context.Context, items []Item, cfg Config, src sourceFor, onItem fu
 }
 
 // group is the one grouping path, behind every batch run and every
-// Incremental: it computes every ε-neighborhood once, links the core–core
-// edges and labels the ε-graph, and keeps that state so appends can extend
-// it. shared is built over items when nil. src is where the pass finds the
-// neighborhoods: nil scores the index's candidates with its batch kernel,
-// RunWithDistance's source scores them with the caller's distance, and
-// NewIncrementalCtx's reads them from precomputed lists.
+// Incremental. A batch grouping is the append of every item to the empty
+// ε-graph, so group builds an empty Incremental over shared and appends all
+// of shared's items to it: append computes every ε-neighborhood once, links
+// the core–core edges, labels the ε-graph and keeps that state so later
+// appends can extend it. shared is built over items when nil. src is where
+// the pass finds the neighborhoods: nil scores the index's candidates with
+// its batch kernel, RunWithDistance's source scores them with the caller's
+// distance, and NewIncrementalCtx's reads them from precomputed lists.
 func group(ctx context.Context, items []Item, cfg Config, src sourceFor, onItem func(), shared *SharedIndex) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -437,30 +440,18 @@ func group(ctx context.Context, items []Item, cfg Config, src sourceFor, onItem 
 	if shared == nil {
 		shared = NewSharedIndexFor(items, cfg.Options, cfg.Backend)
 	}
-	minTrajs := TrajectoryThreshold(cfg.MinLns, cfg.MinTrajs)
-	hs, calls, err := shared.neighborhoods(ctx, cfg.Eps, cfg.Workers, src, onItem)
-	if err != nil {
-		return nil, err
-	}
-	n := len(hs.w)
 	inc := &Incremental{
 		shared:   shared,
 		cfg:      cfg,
-		minTrajs: minTrajs,
-		hs:       hs,
-		core:     make([]bool, n),
-		uf:       newUnionFind(n),
-		calls:    calls,
+		minTrajs: TrajectoryThreshold(cfg.MinLns, cfg.MinTrajs),
+		hs:       &hoodSet{},
+		uf:       newUnionFind(0),
 	}
-	for i, w := range hs.w {
-		inc.core[i] = w >= cfg.MinLns
-	}
-	if err := link(ctx, cfg.Workers, inc.core, inc.uf, hs.hood, nil); err != nil {
+	res, err := inc.append(ctx, 0, src, onItem)
+	if err != nil {
 		return nil, err
 	}
-	if inc.res, err = inc.result(ctx); err != nil {
-		return nil, err
-	}
+	inc.res = res
 	return inc, nil
 }
 

@@ -66,9 +66,6 @@ func NewDiskStore(dir string, maxModels int) (*DiskStore, error) {
 	return &DiskStore{mem: NewStore(maxModels), dir: dir, probes: map[string]*probe{}}, nil
 }
 
-// Dir returns the snapshot directory ("" when memory-only).
-func (ds *DiskStore) Dir() string { return ds.dir }
-
 // Loads returns the number of models served from disk instead of a build.
 func (ds *DiskStore) Loads() int64 { return ds.loads.Load() }
 
@@ -85,11 +82,10 @@ func (ds *DiskStore) SaveErr() error {
 // Quiesce blocks until all background snapshot writes have finished.
 func (ds *DiskStore) Quiesce() { ds.wg.Wait() }
 
-// Len, Names, Pending, Wait, WaitCtx delegate to the resident cache.
-func (ds *DiskStore) Len() int                               { return ds.mem.Len() }
-func (ds *DiskStore) Names() []string                        { return ds.mem.Names() }
-func (ds *DiskStore) Pending(name string) bool               { return ds.mem.Pending(name) }
-func (ds *DiskStore) Wait(name string) (*Model, bool, error) { return ds.mem.Wait(name) }
+// Len, Names, Pending, WaitCtx delegate to the resident cache.
+func (ds *DiskStore) Len() int                 { return ds.mem.Len() }
+func (ds *DiskStore) Names() []string          { return ds.mem.Names() }
+func (ds *DiskStore) Pending(name string) bool { return ds.mem.Pending(name) }
 func (ds *DiskStore) WaitCtx(ctx context.Context, name string) (*Model, bool, error) {
 	return ds.mem.WaitCtx(ctx, name)
 }

@@ -333,7 +333,7 @@ func TestStorePutInFlightConflict(t *testing.T) {
 		t.Errorf("Put during in-flight build: %v, want ErrBuildInFlight", err)
 	}
 	close(release)
-	if _, _, err := s.Wait("busy"); err != nil {
+	if _, _, err := s.WaitCtx(context.Background(), "busy"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put("busy", m); err != nil {

@@ -71,20 +71,15 @@ func (s *Store) Pending(name string) bool {
 	return ok
 }
 
-// Wait blocks until the named entry resolves: it returns the cached model
-// immediately, waits out an in-flight build and shares its outcome, or
-// reports found=false when there is nothing to wait for (including a build
-// that failed and was dropped between the caller's check and this call).
-// Unlike GetOrBuild it carries no build function, so join-style callers
-// need not retain build inputs.
-func (s *Store) Wait(name string) (m *Model, found bool, err error) {
-	return s.WaitCtx(context.Background(), name)
-}
-
-// WaitCtx is Wait bounded by ctx: a joiner stops waiting when its own
-// context ends (found stays true — there was something to wait for — and
-// err is ctx.Err()). The underlying build is unaffected; only this waiter
-// gives up.
+// WaitCtx blocks until the named entry resolves or ctx ends: it returns the
+// cached model immediately, waits out an in-flight build and shares its
+// outcome, or reports found=false when there is nothing to wait for
+// (including a build that failed and was dropped between the caller's check
+// and this call). Unlike GetOrBuild it carries no build function, so
+// join-style callers need not retain build inputs. A joiner whose own
+// context ends stops waiting (found stays true — there was something to
+// wait for — and err is ctx.Err()); the underlying build is unaffected, only
+// this waiter gives up.
 func (s *Store) WaitCtx(ctx context.Context, name string) (m *Model, found bool, err error) {
 	s.mu.Lock()
 	en, ok := s.entries[name]

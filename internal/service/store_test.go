@@ -149,7 +149,7 @@ func TestStoreDelete(t *testing.T) {
 
 func TestStoreWait(t *testing.T) {
 	store := NewStore(0)
-	if _, found, _ := store.Wait("absent"); found {
+	if _, found, _ := store.WaitCtx(context.Background(), "absent"); found {
 		t.Error("Wait found an entry that never existed")
 	}
 	// In-flight: Wait blocks until the build resolves and shares its model.
@@ -163,7 +163,7 @@ func TestStoreWait(t *testing.T) {
 	}
 	done := make(chan *Model, 1)
 	go func() {
-		m, found, err := store.Wait("m")
+		m, found, err := store.WaitCtx(context.Background(), "m")
 		if !found || err != nil {
 			t.Errorf("Wait on in-flight build: found=%v err=%v", found, err)
 		}
@@ -174,7 +174,7 @@ func TestStoreWait(t *testing.T) {
 		t.Fatalf("Wait returned %v", m)
 	}
 	// Cached: Wait returns immediately.
-	if m, found, err := store.Wait("m"); !found || err != nil || m.Name() != "m" {
+	if m, found, err := store.WaitCtx(context.Background(), "m"); !found || err != nil || m.Name() != "m" {
 		t.Fatalf("Wait on cached model: %v, %v, %v", m, found, err)
 	}
 }

@@ -140,8 +140,8 @@ type SearchQuery struct {
 }
 
 // radius converts a TRACLUS-distance threshold into the complete Euclidean
-// candidate radius eps/c (lsdist.SearchRadius). The brute path never
-// consults it.
+// candidate radius eps/c, with c the searcher's lsdist.LowerBoundFactor.
+// The brute path never consults it.
 func (sq *SearchQuery) radius(eps float64) float64 { return eps / sq.s.factor }
 
 // CandidatesOf appends to dst the id of every indexed segment possibly
